@@ -357,15 +357,18 @@ fn lower_is_better(key: &str) -> bool {
     key.ends_with("_us") || key.ends_with("_elapsed_s")
 }
 
-/// Whether a regression on this key fails the build: the RX fast path
-/// (`rx_1500B_*`), the Viterbi kernels (`viterbi_*`) and the sharded
-/// MAC event engine (`mac_dense_events_per_s`) are the rows this repo's
-/// perf work is anchored on, so check.sh treats losing >15% on any of
-/// them as fatal. Everything else stays advisory — wall-clock noise on
-/// shared machines must not fail the gate for rows nobody optimizes
-/// deliberately.
+/// Whether a regression on this key fails the build: the TX and RX
+/// full chains (`tx_1500B_*`, `rx_1500B_*`), the Viterbi kernels
+/// (`viterbi_*`) and the sharded MAC event engine
+/// (`mac_dense_events_per_s`) are the rows this repo's perf work is
+/// anchored on, so check.sh treats losing >15% on any of them as fatal.
+/// Everything else stays advisory — wall-clock noise on shared machines
+/// must not fail the gate for rows nobody optimizes deliberately.
 fn fatal_on_regression(key: &str) -> bool {
-    key.starts_with("rx_1500B_") || key.starts_with("viterbi_") || key == "mac_dense_events_per_s"
+    key.starts_with("tx_1500B_")
+        || key.starts_with("rx_1500B_")
+        || key.starts_with("viterbi_")
+        || key == "mac_dense_events_per_s"
 }
 
 /// Compares this run's metrics against the committed
@@ -413,7 +416,7 @@ fn compare_to_baseline(entries: &[(&'static str, f64)]) -> usize {
     }
     if fatal > 0 {
         println!(
-            "PERF REGRESSION: {fatal} RX/Viterbi metric(s) worse than baseline by >15% \
+            "PERF REGRESSION: {fatal} TX/RX/Viterbi/MAC metric(s) worse than baseline by >15% \
              (FATAL in check.sh)"
         );
     } else if regressions > 0 {
@@ -710,6 +713,9 @@ fn bench_throughput(results: &[SpanStats]) {
         ("fft64_forward", "fft64_us"),
         ("fft64_real", "fft64_real_us"),
         ("equalize_symbol", "equalize_symbol_us"),
+        ("tx_1500B_qpsk12", "tx_1500B_qpsk12_us"),
+        ("tx_1500B_qam16", "tx_1500B_qam16_us"),
+        ("tx_1500B_qam64", "tx_1500B_qam64_us"),
         ("rx_1500B_qpsk12", "rx_1500B_qpsk12_us"),
         ("rx_1500B_qam16", "rx_1500B_qam16_us"),
         ("rx_1500B_qam64", "rx_1500B_qam64_us"),
@@ -719,8 +725,11 @@ fn bench_throughput(results: &[SpanStats]) {
         }
     }
     // Trimmed-mean companions for the noisy full-chain rows: the stable
-    // location estimate the fatal RX gate in check.sh keys off.
+    // location estimate the fatal TX/RX gate in check.sh keys off.
     for (row, key) in [
+        ("tx_1500B_qpsk12", "tx_1500B_qpsk12_trimmed_us"),
+        ("tx_1500B_qam16", "tx_1500B_qam16_trimmed_us"),
+        ("tx_1500B_qam64", "tx_1500B_qam64_trimmed_us"),
         ("rx_1500B_qpsk12", "rx_1500B_qpsk12_trimmed_us"),
         ("rx_1500B_qam16", "rx_1500B_qam16_trimmed_us"),
         ("rx_1500B_qam64", "rx_1500B_qam64_trimmed_us"),
@@ -735,6 +744,10 @@ fn bench_throughput(results: &[SpanStats]) {
     w.str("bench", "phy_micro_perf")
         .u64("fatal_regressions", fatal_regressions as u64)
         .bool("rx_gate_ok", fatal_regressions == 0)
+        .u64(
+            "nproc",
+            std::thread::available_parallelism().map_or(0, |n| n.get() as u64),
+        )
         .u64("frames", config.frames as u64)
         .u64("payload_bits", config.payload_bits as u64)
         .u64("coded_bits_per_frame", coded_bits_per_frame as u64)

@@ -210,6 +210,20 @@ impl FadingChannel {
     pub fn process<R: Rng + ?Sized>(&mut self, input: &[Complex64], rng: &mut R) -> Vec<Complex64> {
         let l = self.taps.len();
         let mut out = vec![Complex64::ZERO; input.len()];
+        if l == 1 {
+            // Flat fading: the loop below with one tap, minus its inner
+            // loop; the accumulator start keeps `ZERO + h·x` so signed
+            // zeros come out the same.
+            for (slot, &x) in out.iter_mut().zip(input) {
+                self.samples_until_update -= 1;
+                if self.samples_until_update == 0 {
+                    self.evolve(rng);
+                    self.samples_until_update = self.update_interval;
+                }
+                *slot = Complex64::ZERO + self.taps[0] * x;
+            }
+            return out;
+        }
         for (n, slot) in out.iter_mut().enumerate() {
             self.samples_until_update -= 1;
             if self.samples_until_update == 0 {

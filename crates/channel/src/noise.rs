@@ -51,8 +51,13 @@ impl Awgn {
             return;
         }
         let noise_power = signal_power / db_to_lin(self.snr_db);
+        // `complex_gaussian`'s per-component scale, hoisted: the same
+        // value, and the same in-phase-then-quadrature draw order.
+        let scale = (noise_power / 2.0).sqrt();
         for s in samples.iter_mut() {
-            *s += complex_gaussian(rng, noise_power);
+            let re = standard_normal(rng) * scale;
+            let im = standard_normal(rng) * scale;
+            *s += Complex64::new(re, im);
         }
     }
 }

@@ -2,46 +2,25 @@
 //! compiled into every hot loop (per OFDM symbol, per MAC slot), so a
 //! disabled `Obs` is only acceptable if each call costs a branch and
 //! nothing else. This test installs a counting global allocator and
-//! asserts zero allocations across every `Obs` entry point.
+//! asserts zero allocations across every `Obs` entry point. The count is
+//! per thread, so tests running in parallel do not see each other's
+//! allocations.
 
 use carpool_obs::{Event, Obs};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
 
-struct CountingAlloc;
+#[path = "support/counting_alloc.rs"]
+mod counting_alloc;
 
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { System.dealloc(ptr, layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { System.realloc(ptr, layout, new_size) }
-    }
-}
+use counting_alloc::{allocations_during, CountingAlloc};
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
-
-fn allocations_during(f: impl FnOnce()) -> usize {
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
-    f();
-    ALLOCATIONS.load(Ordering::SeqCst) - before
-}
 
 #[test]
 fn noop_handle_never_allocates() {
     // Construct outside the measured region; only the calls must be free.
     let obs = Obs::noop();
-    let allocs = allocations_during(|| {
+    let (allocs, ()) = allocations_during(|| {
         for i in 0..1000u64 {
             obs.counter("mac.transmissions", 1);
             obs.gauge("mac.queue_depth", i as f64);
@@ -63,7 +42,7 @@ fn noop_handle_never_allocates() {
 #[test]
 fn cloning_the_noop_handle_does_not_allocate() {
     let obs = Obs::noop();
-    let allocs = allocations_during(|| {
+    let (allocs, ()) = allocations_during(|| {
         for _ in 0..100 {
             let clone = obs.clone();
             assert!(!clone.enabled());

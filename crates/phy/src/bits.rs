@@ -92,24 +92,6 @@ pub fn uint_to_bits(value: u64, width: usize) -> Vec<u8> {
         .collect() // lint:allow(hot-alloc): per-frame bit buffer, pre-sized
 }
 
-/// Pads a bit vector with zeros up to a multiple of `block`.
-///
-/// Returns the number of padding bits appended.
-///
-/// # Panics
-///
-/// Panics if `block == 0`.
-pub fn pad_to_multiple(bits: &mut Vec<u8>, block: usize) -> usize {
-    assert!(block > 0, "block size must be positive");
-    let rem = bits.len() % block;
-    if rem == 0 {
-        return 0;
-    }
-    let pad = block - rem;
-    bits.extend(std::iter::repeat_n(0, pad));
-    pad
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -154,13 +136,5 @@ mod tests {
         for v in [0u64, 1, 47, 0xDEAD, u32::MAX as u64] {
             assert_eq!(bits_to_uint(&uint_to_bits(v, 33), 33), v);
         }
-    }
-
-    #[test]
-    fn padding_behaviour() {
-        let mut bits = vec![1, 0, 1];
-        assert_eq!(pad_to_multiple(&mut bits, 4), 1);
-        assert_eq!(bits, vec![1, 0, 1, 0]);
-        assert_eq!(pad_to_multiple(&mut bits, 4), 0);
     }
 }

@@ -206,20 +206,6 @@ pub fn quantize_llr(llr: f64) -> i32 {
     (llr * LLR_SCALE_F).round().clamp(-LLR_CLAMP_F, LLR_CLAMP_F) as i32
 }
 
-/// Encodes with the rate-1/2 mother code (no puncturing, no tail).
-///
-/// Each input bit produces two output bits `(a, b)` from g0 and g1.
-fn encode_mother(bits: &[u8]) -> Vec<(u8, u8)> {
-    let mut shift: u32 = 0;
-    let mut out = Vec::with_capacity(bits.len()); // lint:allow(hot-alloc): per-decode output buffer, pre-sized from input length
-    for &bit in bits {
-        assert!(bit <= 1, "bit value {bit} out of range");
-        shift = ((shift << 1) | u32::from(bit)) & ((1 << CONSTRAINT_LENGTH) - 1);
-        out.push((parity(shift & G0), parity(shift & G1)));
-    }
-    out
-}
-
 /// Convolutionally encodes `bits` at the given rate.
 ///
 /// The encoder appends `K-1 = 6` zero tail bits so the trellis terminates
@@ -236,21 +222,59 @@ fn encode_mother(bits: &[u8]) -> Vec<(u8, u8)> {
 /// assert_eq!(decode(&coded, data.len(), CodeRate::Half), data);
 /// ```
 pub fn encode(bits: &[u8], rate: CodeRate) -> Vec<u8> {
-    let mut tailed = bits.to_vec(); // lint:allow(hot-alloc): per-decode output buffer, pre-sized from input length
-    tailed.extend_from_slice(&[0; CONSTRAINT_LENGTH - 1]);
-    let pairs = encode_mother(&tailed);
-    let pattern = rate.puncture_pattern();
-    let mut out = Vec::with_capacity(pairs.len() * 2); // lint:allow(hot-alloc): per-decode output buffer, pre-sized from input length
-    for (k, (a, b)) in pairs.into_iter().enumerate() {
-        let (keep_a, keep_b) = pattern[k % pattern.len()];
-        if keep_a {
-            out.push(a);
-        }
-        if keep_b {
-            out.push(b);
-        }
-    }
+    let mut out = Vec::with_capacity(coded_len(bits.len(), rate) + 1); // lint:allow(hot-alloc): per-decode output buffer, pre-sized from input length
+    encode_into(bits, rate, &mut out);
     out
+}
+
+/// Encodes `bits` (plus the six zero tail bits) and appends the
+/// punctured output to `out`: the buffer-reusing form of [`encode`].
+///
+/// Every input bit writes both mother-code outputs and advances the
+/// write position only past the kept ones, so puncturing costs no
+/// branch; one slack slot absorbs the last write when it is dropped.
+///
+/// # Panics
+///
+/// Panics if any input bit is not 0 or 1.
+pub(crate) fn encode_into(bits: &[u8], rate: CodeRate, out: &mut Vec<u8>) {
+    let start = out.len();
+    let len = coded_len(bits.len(), rate);
+    out.resize(start + len + 1, 0);
+    let buf = &mut out[start..];
+    let pattern = rate.puncture_pattern();
+    let (mut state, mut phase, mut pos) = (0usize, 0usize, 0usize);
+    // OR of every input: any bit above bit 0 marks a non-binary value.
+    let mut seen = 0u8;
+    let mut shift_in = |bit: u8| {
+        seen |= bit;
+        let bit = usize::from(bit & 1);
+        let (a, b) = EXPECTED[state][bit];
+        state = ((state << 1) | bit) & (NUM_STATES - 1);
+        let (keep_a, keep_b) = pattern[phase];
+        buf[pos] = a;
+        pos += usize::from(keep_a);
+        buf[pos] = b;
+        pos += usize::from(keep_b);
+        phase = if phase + 1 == pattern.len() {
+            0
+        } else {
+            phase + 1
+        };
+    };
+    for &bit in bits {
+        shift_in(bit);
+    }
+    for _ in 1..CONSTRAINT_LENGTH {
+        shift_in(0);
+    }
+    assert!(
+        seen <= 1,
+        "bit value {} out of range",
+        bits.iter().find(|&&b| b > 1).copied().unwrap_or_default()
+    );
+    debug_assert_eq!(pos, len);
+    out.truncate(start + len);
 }
 
 /// Number of coded bits produced by [`encode`] for `message_len` input bits.

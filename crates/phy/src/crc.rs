@@ -10,9 +10,12 @@
 //!   ("CRC-2 for each symbol offers a good tradeoff between reliability
 //!   and granularity").
 //!
-//! The small CRCs are implemented as generic bitwise polynomial division
-//! over bit slices, because the covered payload (one OFDM symbol's coded
-//! bits) is itself handled as a bit vector in the pipeline.
+//! The small CRCs are polynomial division over bit slices, because the
+//! covered payload (one OFDM symbol's coded bits) is itself handled as a
+//! bit vector in the pipeline. The standard polynomials divide eight
+//! bits per table lookup; the register update has no data-dependent
+//! branch, since the TX side channel and the RX check both run it on
+//! every OFDM symbol.
 
 /// A CRC over bit sequences with width 1..=8.
 ///
@@ -78,14 +81,7 @@ impl SmallCrc {
     /// Panics if `width` is zero or greater than 8.
     pub fn standard(width: u8) -> SmallCrc {
         match width {
-            1 => SmallCrc::CRC1,
-            2 => SmallCrc::CRC2,
-            3 => SmallCrc::CRC3,
-            4 => SmallCrc::CRC4,
-            5 => SmallCrc::new(5, 0b00101), // x^5 + x^2 + 1 (CRC-5/USB)
-            6 => SmallCrc::CRC6,
-            7 => SmallCrc::new(7, 0b0001001), // x^7 + x^3 + 1 (CRC-7/MMC)
-            8 => SmallCrc::CRC8,
+            1..=8 => SmallCrc::new(width, STANDARD_POLYS[usize::from(width - 1)]),
             // Out of range: delegate to `new`, whose width assertion
             // raises the documented panic message.
             _ => SmallCrc::new(width, 0),
@@ -125,25 +121,106 @@ impl SmallCrc {
     ///
     /// Panics if any element of `bits` is not 0 or 1.
     pub fn compute(&self, bits: &[u8]) -> u8 {
-        let top = 1u16 << (self.width - 1);
-        let mask = (1u16 << self.width) - 1;
-        let mut reg: u16 = 0;
-        for &bit in bits {
-            assert!(bit <= 1, "bit value {bit} out of range");
-            let fb = u16::from((reg & top) != 0) ^ u16::from(bit);
-            reg = (reg << 1) & mask;
-            if fb != 0 {
-                reg ^= u16::from(self.poly);
+        self.update(0, bits)
+    }
+
+    /// Continues a division from register `reg` over `bits`:
+    /// `update(compute(a), b) == compute(a ++ b)`, which lets the
+    /// transmitter check a group of symbols without concatenating them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any element of `bits` is not 0 or 1.
+    pub(crate) fn update(&self, reg: u8, bits: &[u8]) -> u8 {
+        let mut reg = reg;
+        // OR of every input: any bit above bit 0 marks a non-binary value.
+        let mut seen = 0u64;
+        let mut rest = bits;
+        let width = usize::from(self.width);
+        if self.poly == STANDARD_POLYS[width - 1] {
+            let table = &BYTE_TABLES[width - 1];
+            let mut chunks = bits.chunks_exact(8);
+            for chunk in &mut chunks {
+                let mut word = [0u8; 8];
+                word.copy_from_slice(chunk);
+                let word = u64::from_be_bytes(word);
+                seen |= word;
+                // Gathers the eight 0/1 bytes into one byte, first bit in
+                // the most significant position; the partial products
+                // never overlap, so no carry disturbs the top byte.
+                let byte = word.wrapping_mul(0x0102_0408_1020_4080).to_be_bytes()[0];
+                reg = table[usize::from((reg << (8 - self.width)) ^ byte)];
             }
+            rest = chunks.remainder();
         }
-        // lint:allow(as-cast): reg is masked to width <= 8 bits above
-        reg as u8
+        for &bit in rest {
+            seen |= u64::from(bit);
+            reg = step(reg, bit, self.width, self.poly);
+        }
+        assert!(
+            seen & 0xFEFE_FEFE_FEFE_FEFE == 0,
+            "bit value {} out of range",
+            bits.iter().find(|&&b| b > 1).copied().unwrap_or_default()
+        );
+        reg
     }
 
     /// Verifies the checksum of a bit slice.
     pub fn verify(&self, bits: &[u8], checksum: u8) -> bool {
         self.compute(bits) == checksum
     }
+}
+
+/// Generator polynomials of [`SmallCrc::standard`], by width − 1.
+const STANDARD_POLYS: [u8; 8] = [
+    0b1,         // parity
+    0b11,        // x^2 + x + 1
+    0b011,       // x^3 + x + 1
+    0b0011,      // x^4 + x + 1
+    0b00101,     // x^5 + x^2 + 1 (CRC-5/USB)
+    0b00_0011,   // x^6 + x + 1
+    0b000_1001,  // x^7 + x^3 + 1 (CRC-7/MMC)
+    0b0000_0111, // x^8 + x^2 + x + 1
+];
+
+/// Eight-bit division tables of the standard polynomials: entry `i` of
+/// table `width − 1` is the register after dividing the bits of `i`
+/// (most significant first) from a zero register. Since the register is
+/// at most eight bits wide, eight steps from register `r` over byte `m`
+/// land where eight steps from zero over `(r << (8 − width)) ^ m` do.
+static BYTE_TABLES: [[u8; 256]; 8] = build_byte_tables();
+
+const fn build_byte_tables() -> [[u8; 256]; 8] {
+    let mut tables = [[0u8; 256]; 8];
+    let mut w = 0;
+    while w < 8 {
+        let mut i = 0u8;
+        loop {
+            let mut reg = 0u8;
+            let mut k = 0;
+            while k < 8 {
+                reg = step(reg, (i >> (7 - k)) & 1, w + 1, STANDARD_POLYS[w as usize]); // lint:allow(as-cast): u8 index widens to usize
+                k += 1;
+            }
+            tables[w as usize][i as usize] = reg; // lint:allow(as-cast): u8 indices widen to usize
+            if i == u8::MAX {
+                break;
+            }
+            i += 1;
+        }
+        w += 1;
+    }
+    tables
+}
+
+/// One step of the bit-serial division: shifts `bit` into a
+/// `width`-bit register, XORing in `poly` when the feedback is set.
+#[inline(always)]
+const fn step(reg: u8, bit: u8, width: u8, poly: u8) -> u8 {
+    let feedback = ((reg >> (width - 1)) ^ bit) & 1;
+    // Widened so `width == 8` can shift its top bit out.
+    let shifted = ((reg as u16) << 1) & ((1u16 << width) - 1); // lint:allow(as-cast): u8 widens to u16
+    (shifted as u8) ^ (poly & feedback.wrapping_neg()) // lint:allow(as-cast): masked to width <= 8 bits above
 }
 
 /// IEEE 802.3 CRC-32, as used for the 802.11 frame check sequence.

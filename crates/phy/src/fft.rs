@@ -145,6 +145,22 @@ fn bit_reverse_permute(data: &mut [Complex64]) {
 }
 
 fn transform(data: &mut [Complex64], inverse: bool) -> Result<(), FftError> {
+    if let Ok(block) = <&mut [Complex64; 64]>::try_from(&mut *data) {
+        bit_reverse_64(block);
+        butterflies_64(block, inverse);
+        if inverse {
+            for x in block.iter_mut() {
+                *x = x.scale(INV_SCALE_64);
+            }
+        }
+        return Ok(());
+    }
+    transform_generic(data, inverse)
+}
+
+/// The radix-2 loop for any power-of-two size. 64-point transforms take
+/// the specialised kernel instead, which computes the same result.
+fn transform_generic(data: &mut [Complex64], inverse: bool) -> Result<(), FftError> {
     let n = data.len();
     if n == 0 || !n.is_power_of_two() {
         return Err(FftError::NotPowerOfTwo { len: n });
@@ -192,6 +208,211 @@ fn transform(data: &mut [Complex64], inverse: bool) -> Result<(), FftError> {
         }
     }
     Ok(())
+}
+
+/// Inverse-transform normalisation of the 64-point kernel; equal to the
+/// generic loop's `1.0 / n as f64` for `n = 64`.
+pub(crate) const INV_SCALE_64: f64 = 1.0 / 64.0;
+
+/// Bit-reversed position of every 6-bit index: input sample `k` of a
+/// 64-point transform enters the butterflies at `BITREV_64[k]`.
+pub(crate) const BITREV_64: [u8; 64] = build_bitrev_64();
+
+const fn build_bitrev_64() -> [u8; 64] {
+    let mut table = [0u8; 64];
+    let mut i = 0u8;
+    while i < 64 {
+        table[i as usize] = i.reverse_bits() >> 2; // lint:allow(as-cast): u8 index widens to usize
+        i += 1;
+    }
+    table
+}
+
+// The 64-point twiddle tables, stage after stage as `build_twiddles`
+// lays them out (stage `len` starts at `len/2 - 1`). They are the exact
+// values of its `cis` recurrence, written out so the kernel needs no
+// lookup; `kernel_twiddles_match_the_recurrence` pins them.
+#[expect(
+    clippy::approx_constant,
+    reason = "recurrence values, some an ulp away from the named constants"
+)]
+const FWD_TWIDDLES_64: [Complex64; 63] = [
+    Complex64::new(1.0, 0.0),
+    Complex64::new(1.0, 0.0),
+    Complex64::new(6.123233995736766e-17, -1.0),
+    Complex64::new(1.0, 0.0),
+    Complex64::new(0.7071067811865476, -0.7071067811865475),
+    Complex64::new(2.220446049250313e-16, -1.0),
+    Complex64::new(-0.7071067811865474, -0.7071067811865477),
+    Complex64::new(1.0, 0.0),
+    Complex64::new(0.9238795325112867, -0.3826834323650898),
+    Complex64::new(0.7071067811865475, -0.7071067811865476),
+    Complex64::new(0.38268343236508967, -0.9238795325112867),
+    Complex64::new(-1.1102230246251565e-16, -1.0),
+    Complex64::new(-0.3826834323650899, -0.9238795325112867),
+    Complex64::new(-0.7071067811865477, -0.7071067811865475),
+    Complex64::new(-0.9238795325112868, -0.3826834323650896),
+    Complex64::new(1.0, 0.0),
+    Complex64::new(0.9807852804032304, -0.19509032201612825),
+    Complex64::new(0.9238795325112867, -0.3826834323650897),
+    Complex64::new(0.8314696123025452, -0.5555702330196022),
+    Complex64::new(0.7071067811865475, -0.7071067811865475),
+    Complex64::new(0.5555702330196022, -0.8314696123025451),
+    Complex64::new(0.3826834323650897, -0.9238795325112866),
+    Complex64::new(0.19509032201612825, -0.9807852804032302),
+    Complex64::new(5.551115123125783e-17, -0.9999999999999998),
+    Complex64::new(-0.19509032201612814, -0.9807852804032302),
+    Complex64::new(-0.38268343236508956, -0.9238795325112865),
+    Complex64::new(-0.555570233019602, -0.831469612302545),
+    Complex64::new(-0.7071067811865472, -0.7071067811865474),
+    Complex64::new(-0.8314696123025449, -0.5555702330196021),
+    Complex64::new(-0.9238795325112863, -0.3826834323650896),
+    Complex64::new(-0.9807852804032299, -0.1950903220161282),
+    Complex64::new(1.0, 0.0),
+    Complex64::new(0.9951847266721969, -0.0980171403295606),
+    Complex64::new(0.9807852804032305, -0.19509032201612828),
+    Complex64::new(0.9569403357322089, -0.2902846772544624),
+    Complex64::new(0.9238795325112868, -0.38268343236508984),
+    Complex64::new(0.8819212643483552, -0.47139673682599775),
+    Complex64::new(0.8314696123025453, -0.5555702330196024),
+    Complex64::new(0.7730104533627371, -0.6343932841636457),
+    Complex64::new(0.7071067811865477, -0.7071067811865478),
+    Complex64::new(0.6343932841636457, -0.7730104533627373),
+    Complex64::new(0.5555702330196025, -0.8314696123025456),
+    Complex64::new(0.471396736825998, -0.8819212643483554),
+    Complex64::new(0.38268343236509006, -0.9238795325112872),
+    Complex64::new(0.2902846772544626, -0.9569403357322094),
+    Complex64::new(0.19509032201612847, -0.980785280403231),
+    Complex64::new(0.09801714032956076, -0.9951847266721975),
+    Complex64::new(9.71445146547012e-17, -1.0000000000000007),
+    Complex64::new(-0.09801714032956058, -0.9951847266721976),
+    Complex64::new(-0.1950903220161283, -0.9807852804032312),
+    Complex64::new(-0.2902846772544625, -0.9569403357322096),
+    Complex64::new(-0.38268343236509, -0.9238795325112875),
+    Complex64::new(-0.471396736825998, -0.8819212643483558),
+    Complex64::new(-0.5555702330196026, -0.831469612302546),
+    Complex64::new(-0.634393284163646, -0.7730104533627378),
+    Complex64::new(-0.7071067811865482, -0.7071067811865482),
+    Complex64::new(-0.7730104533627378, -0.6343932841636462),
+    Complex64::new(-0.8314696123025461, -0.5555702330196028),
+    Complex64::new(-0.881921264348356, -0.47139673682599825),
+    Complex64::new(-0.9238795325112878, -0.3826834323650903),
+    Complex64::new(-0.95694033573221, -0.2902846772544628),
+    Complex64::new(-0.9807852804032317, -0.19509032201612858),
+    Complex64::new(-0.9951847266721981, -0.0980171403295608),
+];
+#[expect(
+    clippy::approx_constant,
+    reason = "recurrence values, some an ulp away from the named constants"
+)]
+const INV_TWIDDLES_64: [Complex64; 63] = [
+    Complex64::new(1.0, 0.0),
+    Complex64::new(1.0, 0.0),
+    Complex64::new(6.123233995736766e-17, 1.0),
+    Complex64::new(1.0, 0.0),
+    Complex64::new(0.7071067811865476, 0.7071067811865475),
+    Complex64::new(2.220446049250313e-16, 1.0),
+    Complex64::new(-0.7071067811865474, 0.7071067811865477),
+    Complex64::new(1.0, 0.0),
+    Complex64::new(0.9238795325112867, 0.3826834323650898),
+    Complex64::new(0.7071067811865475, 0.7071067811865476),
+    Complex64::new(0.38268343236508967, 0.9238795325112867),
+    Complex64::new(-1.1102230246251565e-16, 1.0),
+    Complex64::new(-0.3826834323650899, 0.9238795325112867),
+    Complex64::new(-0.7071067811865477, 0.7071067811865475),
+    Complex64::new(-0.9238795325112868, 0.3826834323650896),
+    Complex64::new(1.0, 0.0),
+    Complex64::new(0.9807852804032304, 0.19509032201612825),
+    Complex64::new(0.9238795325112867, 0.3826834323650897),
+    Complex64::new(0.8314696123025452, 0.5555702330196022),
+    Complex64::new(0.7071067811865475, 0.7071067811865475),
+    Complex64::new(0.5555702330196022, 0.8314696123025451),
+    Complex64::new(0.3826834323650897, 0.9238795325112866),
+    Complex64::new(0.19509032201612825, 0.9807852804032302),
+    Complex64::new(5.551115123125783e-17, 0.9999999999999998),
+    Complex64::new(-0.19509032201612814, 0.9807852804032302),
+    Complex64::new(-0.38268343236508956, 0.9238795325112865),
+    Complex64::new(-0.555570233019602, 0.831469612302545),
+    Complex64::new(-0.7071067811865472, 0.7071067811865474),
+    Complex64::new(-0.8314696123025449, 0.5555702330196021),
+    Complex64::new(-0.9238795325112863, 0.3826834323650896),
+    Complex64::new(-0.9807852804032299, 0.1950903220161282),
+    Complex64::new(1.0, 0.0),
+    Complex64::new(0.9951847266721969, 0.0980171403295606),
+    Complex64::new(0.9807852804032305, 0.19509032201612828),
+    Complex64::new(0.9569403357322089, 0.2902846772544624),
+    Complex64::new(0.9238795325112868, 0.38268343236508984),
+    Complex64::new(0.8819212643483552, 0.47139673682599775),
+    Complex64::new(0.8314696123025453, 0.5555702330196024),
+    Complex64::new(0.7730104533627371, 0.6343932841636457),
+    Complex64::new(0.7071067811865477, 0.7071067811865478),
+    Complex64::new(0.6343932841636457, 0.7730104533627373),
+    Complex64::new(0.5555702330196025, 0.8314696123025456),
+    Complex64::new(0.471396736825998, 0.8819212643483554),
+    Complex64::new(0.38268343236509006, 0.9238795325112872),
+    Complex64::new(0.2902846772544626, 0.9569403357322094),
+    Complex64::new(0.19509032201612847, 0.980785280403231),
+    Complex64::new(0.09801714032956076, 0.9951847266721975),
+    Complex64::new(9.71445146547012e-17, 1.0000000000000007),
+    Complex64::new(-0.09801714032956058, 0.9951847266721976),
+    Complex64::new(-0.1950903220161283, 0.9807852804032312),
+    Complex64::new(-0.2902846772544625, 0.9569403357322096),
+    Complex64::new(-0.38268343236509, 0.9238795325112875),
+    Complex64::new(-0.471396736825998, 0.8819212643483558),
+    Complex64::new(-0.5555702330196026, 0.831469612302546),
+    Complex64::new(-0.634393284163646, 0.7730104533627378),
+    Complex64::new(-0.7071067811865482, 0.7071067811865482),
+    Complex64::new(-0.7730104533627378, 0.6343932841636462),
+    Complex64::new(-0.8314696123025461, 0.5555702330196028),
+    Complex64::new(-0.881921264348356, 0.47139673682599825),
+    Complex64::new(-0.9238795325112878, 0.3826834323650903),
+    Complex64::new(-0.95694033573221, 0.2902846772544628),
+    Complex64::new(-0.9807852804032317, 0.19509032201612858),
+    Complex64::new(-0.9951847266721981, 0.0980171403295608),
+];
+
+/// Applies the 64-point bit-reversal permutation in place.
+fn bit_reverse_64(data: &mut [Complex64; 64]) {
+    for (i, &j) in BITREV_64.iter().enumerate() {
+        let j = usize::from(j);
+        if i < j {
+            data.swap(i, j);
+        }
+    }
+}
+
+/// The six radix-2 stages of a 64-point transform over input already in
+/// bit-reversed order, without the inverse `1/64` scaling. Twiddles and
+/// butterfly order are those of the generic loop, so the output is
+/// bit-identical to it; the fixed size lets every stage run without
+/// bounds checks.
+#[inline]
+pub(crate) fn butterflies_64(data: &mut [Complex64; 64], inverse: bool) {
+    let table = if inverse {
+        &INV_TWIDDLES_64
+    } else {
+        &FWD_TWIDDLES_64
+    };
+    stage_64::<1>(data, table);
+    stage_64::<2>(data, table);
+    stage_64::<4>(data, table);
+    stage_64::<8>(data, table);
+    stage_64::<16>(data, table);
+    stage_64::<32>(data, table);
+}
+
+#[inline(always)]
+fn stage_64<const HALF: usize>(data: &mut [Complex64; 64], table: &[Complex64; 63]) {
+    let stage = &table[HALF - 1..2 * HALF - 1];
+    for chunk in data.chunks_exact_mut(2 * HALF) {
+        let (lo, hi) = chunk.split_at_mut(HALF);
+        for ((a, b), &w) in lo.iter_mut().zip(hi.iter_mut()).zip(stage) {
+            let u = *a;
+            let v = *b * w;
+            *a = u + v;
+            *b = u - v;
+        }
+    }
 }
 
 /// In-place forward FFT.
@@ -466,5 +687,60 @@ mod tests {
         let spec = fft(&x).unwrap();
         let freq_energy: f64 = spec.iter().map(|s| s.norm_sqr()).sum::<f64>() / 128.0;
         assert!((time_energy - freq_energy).abs() < 1e-6);
+    }
+
+    #[test]
+    fn kernel_twiddles_match_the_recurrence() {
+        for (inverse, table) in [(false, &FWD_TWIDDLES_64), (true, &INV_TWIDDLES_64)] {
+            let built = build_twiddles(64, if inverse { 1.0 } else { -1.0 });
+            assert_eq!(built.len(), table.len());
+            for (a, b) in table.iter().zip(&built) {
+                assert_eq!(a.re.to_bits(), b.re.to_bits());
+                assert_eq!(a.im.to_bits(), b.im.to_bits());
+            }
+        }
+    }
+
+    #[test]
+    fn kernel_is_bit_identical_to_the_generic_loop() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(64);
+        let specials = [0.0, -0.0, 1.0, -1.0, 1e-310, -1e300, 0.1];
+        for trial in 0..200 {
+            let x: Vec<Complex64> = (0..64)
+                .map(|k| {
+                    if trial % 4 == 0 {
+                        // Signed zeros and extremes, where an
+                        // algebraically equal shortcut would differ.
+                        Complex64::new(specials[k % 7], specials[(k * 3 + trial) % 7])
+                    } else {
+                        Complex64::new(rng.gen::<f64>() - 0.5, rng.gen::<f64>() - 0.5)
+                    }
+                })
+                .collect();
+            for inverse in [false, true] {
+                let mut generic = x.clone();
+                transform_generic(&mut generic, inverse).unwrap();
+                let mut fast = x.clone();
+                if inverse {
+                    ifft_in_place(&mut fast).unwrap();
+                } else {
+                    fft_in_place(&mut fast).unwrap();
+                }
+                for (a, b) in fast.iter().zip(&generic) {
+                    assert_eq!(a.re.to_bits(), b.re.to_bits(), "trial {trial}");
+                    assert_eq!(a.im.to_bits(), b.im.to_bits(), "trial {trial}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn bitrev_table_matches_the_swap_pairs() {
+        for &(i, j) in bitrev_swaps(64).unwrap() {
+            assert_eq!(u32::from(BITREV_64[i as usize]), j);
+            assert_eq!(u32::from(BITREV_64[j as usize]), i);
+        }
     }
 }

@@ -8,6 +8,41 @@
 
 use crate::convolutional::{depuncture_layout, quantize_llr, CodeRate};
 use crate::modulation::Modulation;
+use crate::ofdm::NUM_DATA;
+
+/// Largest block: 64-QAM over 48 data subcarriers.
+const MAX_CBPS: usize = 6 * NUM_DATA;
+
+/// Output position of every input bit for the 48-subcarrier format, one
+/// table per bits-per-subcarrier count (1, 2, 4, 6); only the first
+/// `N_CBPS` entries of a table are used.
+static PERMUTATIONS: [[u16; MAX_CBPS]; 4] = [
+    build_permutation(1),
+    build_permutation(2),
+    build_permutation(4),
+    build_permutation(6),
+];
+
+/// The standard's two-step index mapping (IEEE 802.11-2012 18.3.5.7) for
+/// `n_bpsc` coded bits per subcarrier over 48 subcarriers.
+const fn permute(k: usize, n_cbps: usize, n_bpsc: usize) -> usize {
+    let s = if n_bpsc / 2 > 1 { n_bpsc / 2 } else { 1 };
+    // First permutation.
+    let i = (n_cbps / 16) * (k % 16) + k / 16;
+    // Second permutation.
+    s * (i / s) + (i + n_cbps - (16 * i) / n_cbps) % s
+}
+
+const fn build_permutation(n_bpsc: usize) -> [u16; MAX_CBPS] {
+    let n_cbps = n_bpsc * NUM_DATA;
+    let mut table = [0u16; MAX_CBPS];
+    let mut k = 0;
+    while k < n_cbps {
+        table[k] = permute(k, n_cbps, n_bpsc) as u16; // lint:allow(as-cast): positions are below 288
+        k += 1;
+    }
+    table
+}
 
 /// Interleaver for one OFDM symbol of `N_CBPS` coded bits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -41,12 +76,18 @@ impl Interleaver {
 
     /// Index mapping of the transmitter: output position of input bit `k`.
     fn permute(&self, k: usize) -> usize {
-        let n_cbps = self.n_cbps;
-        let s = (self.n_bpsc / 2).max(1);
-        // First permutation.
-        let i = (n_cbps / 16) * (k % 16) + k / 16;
-        // Second permutation.
-        s * (i / s) + (i + n_cbps - (16 * i) / n_cbps) % s
+        permute(k, self.n_cbps, self.n_bpsc)
+    }
+
+    /// The precomputed permutation, for the 48-subcarrier format.
+    fn table(&self) -> Option<&'static [u16]> {
+        let index = match self.n_bpsc {
+            1 => 0,
+            2 => 1,
+            4 => 2,
+            _ => 3,
+        };
+        (self.n_cbps == self.n_bpsc * NUM_DATA).then(|| &PERMUTATIONS[index][..self.n_cbps])
     }
 
     /// Interleaves one block of exactly `N_CBPS` bits.
@@ -55,12 +96,42 @@ impl Interleaver {
     ///
     /// Panics if `bits.len() != self.block_size()`.
     pub fn interleave(&self, bits: &[u8]) -> Vec<u8> {
-        assert_eq!(bits.len(), self.n_cbps, "block size mismatch");
         let mut out = vec![0u8; self.n_cbps];
-        for (k, &b) in bits.iter().enumerate() {
-            out[self.permute(k)] = b;
-        }
+        self.interleave_into(bits, &mut out);
         out
+    }
+
+    /// Writes the interleaved block into `out`, which must hold exactly
+    /// `N_CBPS` entries.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bits` or `out` is not `self.block_size()` long.
+    pub(crate) fn interleave_into(&self, bits: &[u8], out: &mut [u8]) {
+        assert_eq!(bits.len(), self.n_cbps, "block size mismatch");
+        assert_eq!(out.len(), self.n_cbps, "block size mismatch");
+        match self.table() {
+            Some(table) => {
+                for (&b, &p) in bits.iter().zip(table) {
+                    out[usize::from(p)] = b;
+                }
+            }
+            None => {
+                for (k, &b) in bits.iter().enumerate() {
+                    out[self.permute(k)] = b;
+                }
+            }
+        }
+    }
+
+    /// Appends `values` in deinterleaved order to `out`.
+    fn gather_into<T: Copy>(&self, values: &[T], out: &mut Vec<T>) {
+        assert_eq!(values.len(), self.n_cbps, "block size mismatch");
+        out.reserve(self.n_cbps);
+        match self.table() {
+            Some(table) => out.extend(table.iter().map(|&p| values[usize::from(p)])),
+            None => out.extend((0..self.n_cbps).map(|k| values[self.permute(k)])),
+        }
     }
 
     /// Inverts [`Interleaver::interleave`].
@@ -82,11 +153,7 @@ impl Interleaver {
     ///
     /// Panics if `bits.len() != self.block_size()`.
     pub fn deinterleave_into(&self, bits: &[u8], out: &mut Vec<u8>) {
-        assert_eq!(bits.len(), self.n_cbps, "block size mismatch");
-        out.reserve(self.n_cbps);
-        for k in 0..self.n_cbps {
-            out.push(bits[self.permute(k)]);
-        }
+        self.gather_into(bits, out);
     }
 
     /// Deinterleaves soft values (LLRs) with the same permutation.
@@ -107,11 +174,7 @@ impl Interleaver {
     ///
     /// Panics if `values.len() != self.block_size()`.
     pub fn deinterleave_soft_into(&self, values: &[f64], out: &mut Vec<f64>) {
-        assert_eq!(values.len(), self.n_cbps, "block size mismatch");
-        out.reserve(self.n_cbps);
-        for k in 0..self.n_cbps {
-            out.push(values[self.permute(k)]);
-        }
+        self.gather_into(values, out);
     }
 }
 
@@ -245,6 +308,23 @@ mod tests {
         assert_eq!(il.permute(0), 0);
         assert_eq!(il.permute(1), 3);
         assert_eq!(il.permute(16), 1);
+    }
+
+    #[test]
+    fn tables_match_the_index_mapping() {
+        for m in Modulation::ALL {
+            let il = Interleaver::new(m, 48);
+            let table = il.table().unwrap();
+            assert_eq!(table.len(), il.block_size());
+            for (k, &p) in table.iter().enumerate() {
+                assert_eq!(usize::from(p), il.permute(k), "{m} bit {k}");
+            }
+        }
+        // Other subcarrier counts fall back to the arithmetic mapping.
+        let il = Interleaver::new(Modulation::Qpsk, 64);
+        assert!(il.table().is_none());
+        let bits: Vec<u8> = (0..il.block_size()).map(|k| (k % 5 == 2) as u8).collect();
+        assert_eq!(il.deinterleave(&il.interleave(&bits)), bits);
     }
 
     #[test]

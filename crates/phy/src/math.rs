@@ -289,8 +289,14 @@ pub fn mean_power(samples: &[Complex64]) -> f64 {
 /// let w = carpool_phy::math::wrap_angle(3.0 * PI);
 /// assert!((w - PI).abs() < 1e-12);
 /// ```
+#[inline]
 pub fn wrap_angle(angle: f64) -> f64 {
     use std::f64::consts::PI;
+    // Already in range: `%` would return it unchanged (|angle| < 2π), and
+    // neither correction below applies, so skipping the division is exact.
+    if angle > -PI && angle <= PI {
+        return angle;
+    }
     let mut a = angle % (2.0 * PI);
     if a > PI {
         a -= 2.0 * PI;
@@ -388,6 +394,48 @@ mod tests {
         }
         assert!(close(wrap_angle(PI), PI));
         assert!(close(wrap_angle(-PI), PI));
+    }
+
+    /// The pre-fast-path definition, kept as the oracle.
+    fn wrap_angle_fmod(angle: f64) -> f64 {
+        let mut a = angle % (2.0 * PI);
+        if a > PI {
+            a -= 2.0 * PI;
+        } else if a <= -PI {
+            a += 2.0 * PI;
+        }
+        a
+    }
+
+    #[test]
+    fn wrap_angle_fast_path_matches_fmod_bit_for_bit() {
+        let mut inputs = vec![
+            PI,
+            -PI,
+            2.0 * PI,
+            -2.0 * PI,
+            PI.next_up(),
+            (-PI).next_down(),
+            (-PI).next_up(),
+            0.0,
+            -0.0,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            1e6,
+            -1e6,
+            f64::MIN_POSITIVE / 4.0,
+            -f64::MIN_POSITIVE / 4.0,
+            f64::MAX,
+        ];
+        inputs.extend((-400..=400).map(|k| f64::from(k) * 0.0123));
+        for a in inputs {
+            let (fast, slow) = (wrap_angle(a), wrap_angle_fmod(a));
+            assert!(
+                fast.to_bits() == slow.to_bits() || (fast.is_nan() && slow.is_nan()),
+                "{a}: {fast} vs {slow}"
+            );
+        }
     }
 
     #[test]

@@ -82,6 +82,23 @@ impl Modulation {
         }
     }
 
+    /// Every constellation point, indexed by its bits read as a binary
+    /// number (first bit most significant): entry `l` is what
+    /// [`Modulation::map`] returns for the bits of `l`, bit for bit, so
+    /// the transmitter maps a subcarrier with one lookup.
+    pub(crate) fn point_table(&self) -> [Complex64; 64] {
+        let bps = self.bits_per_symbol();
+        let mut table = [Complex64::ZERO; 64];
+        let mut bits = [0u8; 6];
+        for (label, point) in (0u8..).zip(table.iter_mut().take(1 << bps)) {
+            for (k, bit) in bits[..bps].iter_mut().enumerate() {
+                *bit = (label >> (bps - 1 - k)) & 1;
+            }
+            *point = self.map(&bits[..bps]);
+        }
+        table
+    }
+
     /// Per-axis Gray demap: PAM level decision -> bits.
     fn axis_bits(&self, level: f64, out: &mut Vec<u8>) {
         match self {

@@ -8,9 +8,10 @@
 //! the least-squares channel estimate Ĥo that standard decoding uses for
 //! the whole frame (and that RTE then calibrates).
 
-use crate::fft::ifft;
+use crate::fft::BITREV_64;
 use crate::math::Complex64;
-use crate::ofdm::{carrier_to_bin, CP_LEN, FFT_SIZE, SYMBOL_LEN};
+use crate::ofdm::{carrier_to_bin, emit_symbol, FFT_SIZE, SYMBOL_LEN};
+use std::sync::OnceLock;
 
 /// L-LTF training values on logical subcarriers -26..=26 (DC included as 0),
 /// per IEEE 802.11-2012 Eq. 18-11.
@@ -80,25 +81,31 @@ pub(crate) const PREAMBLE_SYMBOLS: usize = 4;
 /// Total preamble length in samples.
 pub const PREAMBLE_LEN: usize = PREAMBLE_SYMBOLS * SYMBOL_LEN;
 
-fn symbol_with_cp(bins: &[Complex64]) -> Vec<Complex64> {
-    // lint:allow(panic): the preamble tables are fixed 64-bin arrays and 64 is a power of two
-    let time = ifft(bins).expect("64-bin IFFT cannot fail");
-    let mut out = Vec::with_capacity(SYMBOL_LEN); // lint:allow(hot-alloc): per-frame preamble build, memoized by the TX waveform cache
-    out.extend_from_slice(&time[FFT_SIZE - CP_LEN..]);
-    out.extend_from_slice(&time);
-    out
+/// Appends one symbol (cyclic prefix + IFFT of `bins`) to `out`.
+fn symbol_with_cp(bins: &[Complex64], out: &mut Vec<Complex64>) {
+    let mut block = [Complex64::ZERO; FFT_SIZE];
+    for (&value, &slot) in bins.iter().zip(&BITREV_64) {
+        block[usize::from(slot)] = value;
+    }
+    emit_symbol(&mut block, out);
+}
+
+/// The preamble waveform, built once: every PPDU starts with it.
+pub(crate) fn preamble() -> &'static [Complex64] {
+    static PREAMBLE: OnceLock<Vec<Complex64>> = OnceLock::new();
+    PREAMBLE.get_or_init(|| {
+        let (stf, ltf) = (stf_bins(), ltf_bins());
+        let mut out = Vec::with_capacity(PREAMBLE_LEN); // lint:allow(hot-alloc): built once per process
+        for bins in [&stf, &stf, &ltf, &ltf] {
+            symbol_with_cp(bins, &mut out);
+        }
+        out
+    })
 }
 
 /// Generates the 4-symbol preamble waveform (2 STF + 2 LTF symbols).
 pub fn generate_preamble() -> Vec<Complex64> {
-    let stf = symbol_with_cp(&stf_bins());
-    let ltf = symbol_with_cp(&ltf_bins());
-    let mut out = Vec::with_capacity(PREAMBLE_LEN); // lint:allow(hot-alloc): per-frame preamble build, memoized by the TX waveform cache
-    out.extend_from_slice(&stf);
-    out.extend_from_slice(&stf);
-    out.extend_from_slice(&ltf);
-    out.extend_from_slice(&ltf);
-    out
+    preamble().to_vec()
 }
 
 /// Byte offsets of the two LTF symbols inside the preamble, in samples.
@@ -110,6 +117,7 @@ pub fn ltf_offsets() -> [usize; 2] {
 mod tests {
     use super::*;
     use crate::fft::fft;
+    use crate::ofdm::CP_LEN;
 
     #[test]
     fn preamble_has_expected_length() {
@@ -156,7 +164,8 @@ mod tests {
     fn stf_has_period_16_structure() {
         // Energy only on every 4th carrier makes the STF time signal
         // periodic with period 16 samples.
-        let stf = symbol_with_cp(&stf_bins());
+        let mut stf = Vec::new();
+        symbol_with_cp(&stf_bins(), &mut stf);
         let body = &stf[CP_LEN..];
         for k in 0..FFT_SIZE - 16 {
             assert!(

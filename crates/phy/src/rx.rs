@@ -25,8 +25,7 @@ use crate::math::Complex64;
 use crate::mcs::{Mcs, SYMBOL_DURATION};
 use crate::modulation::Modulation;
 use crate::ofdm::{
-    demodulate_symbol, demodulate_symbol_into, FreqSymbol, DATA_CARRIERS, FFT_SIZE, NUM_DATA,
-    SYMBOL_LEN,
+    demodulate_symbol, demodulate_symbol_into, FreqSymbol, DATA_CARRIERS, NUM_DATA, SYMBOL_LEN,
 };
 use crate::preamble::{ltf_offsets, PREAMBLE_LEN};
 use crate::rte::{CalibrationRule, RteEstimator};
@@ -181,7 +180,6 @@ impl GroupBuffer {
 #[derive(Debug)]
 // lint:allow(dead-api): appears in pub signatures; callers use it structurally without naming the type
 pub struct PhyScratch {
-    fft_bins: Vec<Complex64>,
     raw: FreqSymbol,
     eq: FreqSymbol,
     llrs: Vec<f64>,
@@ -194,7 +192,6 @@ pub struct PhyScratch {
 impl Default for PhyScratch {
     fn default() -> PhyScratch {
         PhyScratch {
-            fft_bins: Vec::with_capacity(FFT_SIZE),
             raw: FreqSymbol::zeroed(),
             eq: FreqSymbol::zeroed(),
             llrs: Vec::new(),
@@ -480,7 +477,6 @@ impl<'a> FrameDecoder<'a> {
         for k in 0..num_symbols {
             demodulate_symbol_into(
                 &samples[*sample_pos..*sample_pos + SYMBOL_LEN],
-                &mut scratch.fft_bins,
                 &mut scratch.raw,
             )
             .map_err(PhyError::Fft)?;
@@ -666,7 +662,7 @@ impl<'a> FrameDecoder<'a> {
             decode_prepared(layout.message_bits, &mut scratch.viterbi)
         };
         if layout.scramble {
-            Scrambler::default().scramble_in_place(&mut bits);
+            Scrambler::scramble_default_in_place(&mut bits);
         }
 
         Ok(RxSection {

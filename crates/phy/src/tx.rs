@@ -10,15 +10,23 @@
 //! Per section, the chain is: scramble → convolutional encode →
 //! pad to a whole number of OFDM symbols → per-symbol interleave →
 //! constellation map → pilot insertion → side-channel rotation → IFFT+CP.
+//!
+//! Per frame the chain allocates the sample buffer (sized once) and two
+//! bit scratch buffers; per section, its metadata with one
+//! interleaved-bit row per symbol; nothing else. Each symbol is mapped
+//! through a point table into a stack array of 64 bins in bit-reversed
+//! order, transformed in place and written straight into the samples.
 
-use crate::bits::pad_to_multiple;
-use crate::convolutional::encode;
+use crate::convolutional::encode_into;
 use crate::crc::SmallCrc;
 use crate::interleaver::Interleaver;
 use crate::math::{wrap_angle, Complex64};
 use crate::mcs::Mcs;
-use crate::ofdm::{modulate_symbol, FreqSymbol};
-use crate::preamble::generate_preamble;
+use crate::ofdm::{
+    emit_symbol, pilot_polarity, DATA_SLOTS, FFT_SIZE, NUM_DATA, PILOT_BASE, PILOT_SLOTS,
+    SYMBOL_LEN,
+};
+use crate::preamble::{preamble, PREAMBLE_LEN};
 use crate::scrambler::Scrambler;
 use crate::sidechannel::PhaseOffsetMod;
 use crate::PhyError;
@@ -63,7 +71,7 @@ impl SideChannelConfig {
         let width = self.group_symbols * self.modulation.bits_per_symbol();
         if self.group_symbols == 0 || width > 8 {
             return Err(PhyError::InvalidConfig {
-                // lint:allow(hot-alloc): per-frame waveform assembly, memoized by the TX waveform cache
+                // lint:allow(hot-alloc): error path only, taken before any waveform work
                 reason: format!(
                     "side channel group of {} symbols x {} bits unsupported",
                     self.group_symbols,
@@ -180,19 +188,17 @@ impl TxFrame {
 }
 
 /// Splits a CRC value of `width` bits into per-symbol side-channel
-/// values, `bits_per` bits each, first symbol carries the least
-/// significant bits.
-fn split_crc(value: u8, width: usize, bits_per: usize) -> Vec<u8> {
-    let mut out = Vec::with_capacity(width.div_ceil(bits_per)); // lint:allow(hot-alloc): per-frame waveform assembly, memoized by the TX waveform cache
+/// values, `bits_per` bits each, appended to `out`; the first symbol
+/// carries the least significant bits.
+fn split_crc(value: u8, width: usize, bits_per: usize, out: &mut Vec<u8>) {
     let mut v = value;
     let mut remaining = width;
     while remaining > 0 {
         let take = bits_per.min(remaining);
-        out.push(v & ((1 << take) - 1));
+        out.push(v & ((1 << take) - 1)); // lint:allow(hot-alloc): amortized, the caller reserves one value per symbol
         v >>= take;
         remaining -= take;
     }
-    out
 }
 
 /// Transmits a list of sections as one PPDU.
@@ -219,14 +225,10 @@ pub fn transmit(sections: &[SectionSpec]) -> Result<TxFrame, PhyError> {
     if sections.is_empty() {
         return Err(PhyError::EmptyFrame);
     }
-    let mut samples = generate_preamble();
-    let mut infos = Vec::with_capacity(sections.len()); // lint:allow(hot-alloc): per-frame waveform assembly, memoized by the TX waveform cache
-    let mut symbol_index = 0usize;
-    // Injected rotation of the previous symbol; resets after any
-    // non-injected symbol so differential decoding always references the
-    // physically previous symbol.
-    let mut last_injected = 0.0f64;
-
+    // Validate every section and size the buffers before any work.
+    let mut total_symbols = 0usize;
+    let mut max_coded = 0usize;
+    let mut max_scrambled = 0usize;
     for spec in sections {
         if spec.bits.is_empty() {
             return Err(PhyError::EmptyFrame);
@@ -234,81 +236,180 @@ pub fn transmit(sections: &[SectionSpec]) -> Result<TxFrame, PhyError> {
         if let Some(sc) = &spec.side_channel {
             sc.validate()?;
         }
-        let mut bits = spec.bits.clone(); // lint:allow(hot-alloc): per-frame waveform assembly, memoized by the TX waveform cache
+        let symbols = spec.symbol_count();
+        total_symbols += symbols;
+        max_coded = max_coded.max(symbols * spec.mcs.coded_bits_per_symbol());
         if spec.scramble {
-            Scrambler::default().scramble_in_place(&mut bits);
+            max_scrambled = max_scrambled.max(spec.bits.len());
         }
-        let mut coded = encode(&bits, spec.mcs.code_rate);
-        let n_cbps = spec.mcs.coded_bits_per_symbol();
-        pad_to_multiple(&mut coded, n_cbps);
-        let num_symbols = coded.len() / n_cbps;
-        let interleaver = Interleaver::new(spec.mcs.modulation, crate::ofdm::NUM_DATA);
+    }
+    let mut samples = Vec::with_capacity(PREAMBLE_LEN + total_symbols * SYMBOL_LEN); // lint:allow(hot-alloc): the returned waveform, sized once per frame
+    samples.extend_from_slice(preamble());
+    let mut infos = Vec::with_capacity(sections.len()); // lint:allow(hot-alloc): the returned per-section metadata, sized once per frame
+    let mut scratch = TxScratch {
+        scrambled: Vec::with_capacity(max_scrambled), // lint:allow(hot-alloc): bit scratch, sized once per frame for the longest section
+        // One slot of slack for `encode_into`.
+        coded: Vec::with_capacity(max_coded + 1), // lint:allow(hot-alloc): bit scratch, sized once per frame for the longest section
+    };
+    let mut symbol_index = 0usize;
+    // Injected rotation of the previous symbol; resets after any
+    // non-injected section so differential decoding always references
+    // the physically previous symbol.
+    let mut last_injected = 0.0f64;
 
-        // Interleave per symbol and build frequency symbols.
-        let mut symbol_bits = Vec::with_capacity(num_symbols); // lint:allow(hot-alloc): per-frame waveform assembly, memoized by the TX waveform cache
-        let mut freq_symbols = Vec::with_capacity(num_symbols); // lint:allow(hot-alloc): per-frame waveform assembly, memoized by the TX waveform cache
-        for (k, chunk) in coded.chunks(n_cbps).enumerate() {
-            let interleaved = interleaver.interleave(chunk);
-            let mut points = spec.mcs.modulation.map_all(&interleaved);
-            if spec.qbpsk {
-                // Rotate only the data subcarriers; pilots stay put so
-                // phase tracking cannot silently undo the mark.
-                for p in &mut points {
-                    *p *= Complex64::I;
-                }
-            }
-            let sym = FreqSymbol::with_standard_pilots(points, symbol_index + k);
-            symbol_bits.push(interleaved);
-            freq_symbols.push(sym);
-        }
-
-        // Side-channel injection.
-        let mut side_values = Vec::new(); // lint:allow(hot-alloc): per-frame waveform assembly, memoized by the TX waveform cache
-        if let Some(sc) = &spec.side_channel {
-            let bits_per = sc.modulation.bits_per_symbol();
-            let mut sym_pos = 0usize;
-            while sym_pos < num_symbols {
-                let group = sc.group_symbols.min(num_symbols - sym_pos);
-                let crc = sc.crc_for_group(group);
-                let group_bits: Vec<u8> = symbol_bits[sym_pos..sym_pos + group]
-                    .iter()
-                    .flatten()
-                    .copied()
-                    .collect(); // lint:allow(hot-alloc): per-frame waveform assembly, memoized by the TX waveform cache
-                let checksum = crc.compute(&group_bits);
-                for v in split_crc(checksum, crc.width() as usize, bits_per) {
-                    side_values.push(v);
-                }
-                sym_pos += group;
-            }
-            debug_assert_eq!(side_values.len(), num_symbols);
-            for (sym, &v) in freq_symbols.iter_mut().zip(&side_values) {
-                let delta = sc.modulation.modulate(v);
-                last_injected = wrap_angle(last_injected + delta);
-                sym.rotate(last_injected);
-            }
-        } else {
-            last_injected = 0.0;
-        }
-
-        for sym in &freq_symbols {
-            samples.extend(modulate_symbol(sym).map_err(PhyError::Fft)?);
-        }
-
-        infos.push(SectionInfo {
-            first_symbol: symbol_index,
-            num_symbols,
-            spec: spec.clone(), // lint:allow(hot-alloc): per-frame waveform assembly, memoized by the TX waveform cache
-            symbol_bits,
-            side_values,
-        });
-        symbol_index += num_symbols;
+    for spec in sections {
+        let info = transmit_section(
+            spec,
+            symbol_index,
+            &mut last_injected,
+            &mut scratch,
+            &mut samples,
+        );
+        symbol_index += info.num_symbols;
+        infos.push(info);
     }
 
     Ok(TxFrame {
         samples,
         sections: infos,
     })
+}
+
+/// Maps one symbol's interleaved bits, `bps` per data subcarrier, into
+/// their bins through the modulation's point table; QBPSK and the
+/// side-channel rotation apply in that order.
+fn place_points(
+    row: &[u8],
+    bps: usize,
+    points: &[Complex64; 64],
+    qbpsk: bool,
+    rotation: Option<Complex64>,
+    bins: &mut [Complex64; FFT_SIZE],
+) {
+    for (bits, &slot) in row.chunks_exact(bps).zip(&DATA_SLOTS) {
+        let label = bits
+            .iter()
+            .fold(0usize, |acc, &b| (acc << 1) | usize::from(b));
+        let mut point = points[label & 63];
+        if qbpsk {
+            // Rotate only the data subcarriers; pilots stay put so phase
+            // tracking cannot silently undo the mark.
+            point *= Complex64::I;
+        }
+        if let Some(r) = rotation {
+            point *= r;
+        }
+        bins[slot] = point;
+    }
+}
+
+/// Bit buffers one `transmit` call reuses across its sections.
+struct TxScratch {
+    scrambled: Vec<u8>,
+    coded: Vec<u8>,
+}
+
+/// Modulates one validated section onto `samples`, starting at payload
+/// symbol `first_symbol`.
+fn transmit_section(
+    spec: &SectionSpec,
+    first_symbol: usize,
+    last_injected: &mut f64,
+    scratch: &mut TxScratch,
+    samples: &mut Vec<Complex64>,
+) -> SectionInfo {
+    let TxScratch { scrambled, coded } = scratch;
+    let modulation = spec.mcs.modulation;
+    let n_cbps = spec.mcs.coded_bits_per_symbol();
+    let num_symbols = spec.symbol_count();
+
+    // Scramble, encode, and pad to whole symbols.
+    let bits = if spec.scramble {
+        scrambled.clear();
+        scrambled.extend_from_slice(&spec.bits);
+        Scrambler::scramble_default_in_place(scrambled);
+        scrambled.as_slice()
+    } else {
+        spec.bits.as_slice()
+    };
+    coded.clear();
+    encode_into(bits, spec.mcs.code_rate, coded);
+    debug_assert!(coded.len() <= num_symbols * n_cbps);
+    coded.resize(num_symbols * n_cbps, 0);
+
+    let interleaver = Interleaver::new(modulation, NUM_DATA);
+    let points = modulation.point_table();
+
+    let mut symbol_bits: Vec<Vec<u8>> = Vec::with_capacity(num_symbols); // lint:allow(hot-alloc): the returned interleaved bits, sized once per section
+    let side_len = match &spec.side_channel {
+        Some(_) => num_symbols,
+        None => {
+            *last_injected = 0.0;
+            0
+        }
+    };
+    let mut side_values = Vec::with_capacity(side_len); // lint:allow(hot-alloc): the returned side-channel values, sized once per section
+
+    // Symbols go out group by group: a group's CRC covers all its
+    // symbols' bits and sets the rotation of each of them.
+    let group_len = spec.side_channel.map_or(1, |sc| sc.group_symbols);
+    let mut start = 0usize;
+    while start < num_symbols {
+        let group = group_len.min(num_symbols - start);
+        for chunk in coded[start * n_cbps..(start + group) * n_cbps].chunks_exact(n_cbps) {
+            let mut row = vec![0u8; n_cbps];
+            interleaver.interleave_into(chunk, &mut row);
+            symbol_bits.push(row);
+        }
+        if let Some(sc) = &spec.side_channel {
+            let crc = sc.crc_for_group(group);
+            let checksum = symbol_bits[start..]
+                .iter()
+                .fold(0, |reg, row| crc.update(reg, row));
+            let bits_per = sc.modulation.bits_per_symbol();
+            split_crc(
+                checksum,
+                usize::from(crc.width()),
+                bits_per,
+                &mut side_values,
+            );
+        }
+        for k in start..start + group {
+            let rotation = spec.side_channel.map(|sc| {
+                *last_injected =
+                    wrap_angle(*last_injected + sc.modulation.modulate(side_values[k]));
+                Complex64::cis(*last_injected)
+            });
+            let mut bins = [Complex64::ZERO; FFT_SIZE];
+            place_points(
+                &symbol_bits[k],
+                modulation.bits_per_symbol(),
+                &points,
+                spec.qbpsk,
+                rotation,
+                &mut bins,
+            );
+            let polarity = pilot_polarity(first_symbol + k);
+            for (&base, &slot) in PILOT_BASE.iter().zip(&PILOT_SLOTS) {
+                let mut pilot = Complex64::new(base * polarity, 0.0);
+                if let Some(r) = rotation {
+                    pilot *= r;
+                }
+                bins[slot] = pilot;
+            }
+            emit_symbol(&mut bins, samples);
+        }
+        start += group;
+    }
+    debug_assert!(spec.side_channel.is_none() || side_values.len() == num_symbols);
+
+    SectionInfo {
+        first_symbol,
+        num_symbols,
+        spec: spec.clone(), // lint:allow(hot-alloc): the returned metadata keeps the section's spec
+        symbol_bits,
+        side_values,
+    }
 }
 
 #[cfg(test)]
@@ -355,9 +456,14 @@ mod tests {
 
     #[test]
     fn split_crc_orders_lsb_first() {
-        assert_eq!(split_crc(0b1101, 4, 2), vec![0b01, 0b11]);
-        assert_eq!(split_crc(0b1, 1, 2), vec![0b1]);
-        assert_eq!(split_crc(0b101101, 6, 2), vec![0b01, 0b11, 0b10]);
+        let split = |value, width, bits_per| {
+            let mut out = Vec::new();
+            split_crc(value, width, bits_per, &mut out);
+            out
+        };
+        assert_eq!(split(0b1101, 4, 2), vec![0b01, 0b11]);
+        assert_eq!(split(0b1, 1, 2), vec![0b1]);
+        assert_eq!(split(0b101101, 6, 2), vec![0b01, 0b11, 0b10]);
     }
 
     #[test]

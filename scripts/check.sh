@@ -1,6 +1,6 @@
 #!/bin/sh
-# Offline lint gate: formatting, clippy, and the project linter across
-# the whole workspace. Run from anywhere; everything resolves relative
+# Offline gate: formatting, clippy, the workspace tests and the project
+# linter across the whole workspace. Run from anywhere; everything resolves relative
 # to the repo root. Each stage reports its wall time so gate slowdowns
 # are visible in CI logs, and the analyzer budget is enforced: if the
 # project linter blows its --budget-ms the gate FAILS instead of only
@@ -30,6 +30,13 @@ stage_end
 
 stage_begin "cargo clippy (-D warnings)"
 cargo clippy --workspace --all-targets --offline -- -D warnings
+stage_end
+
+stage_begin "cargo test --workspace"
+# Every crate's unit, integration and doc tests in one run, not just the
+# root package: a test that only passes in isolation (say, a global
+# counter shared by the harness threads) fails here.
+cargo test --workspace --offline -q
 stage_end
 
 stage_begin "carpool-lint (line + flow + call-graph + taint analysis)"
@@ -78,18 +85,18 @@ stage_begin "perf snapshot (phy_micro throughput)"
 # checks 1-thread vs pool determinism, and prints per-kernel and
 # end-to-end deltas against the committed
 # crates/bench/BENCH_perf_baseline.json. Regressions beyond 15% on the
-# RX fast path (rx_1500B_*), the Viterbi kernels (viterbi_*) or the
-# sharded MAC event engine (mac_dense_events_per_s) are FATAL — those
-# rows anchor this repo's perf work; regressions on the remaining rows
-# stay advisory (wall-clock noise must not fail the gate for unanchored
-# rows).
+# TX and RX full chains (tx_1500B_*, rx_1500B_*), the Viterbi kernels
+# (viterbi_*) or the sharded MAC event engine (mac_dense_events_per_s)
+# are FATAL — those rows anchor this repo's perf work; regressions on the
+# remaining rows stay advisory (wall-clock noise must not fail the gate
+# for unanchored rows).
 cargo bench --offline -q -p carpool-bench --bench phy_micro | grep -A 60 "obs overhead gate:"
 if grep -q '"rx_gate_ok":false' crates/bench/BENCH_perf.json; then
-    echo "FATAL: an rx_1500B_*/viterbi_*/mac_dense_events_per_s row regressed beyond 15%" \
+    echo "FATAL: a tx_1500B_*/rx_1500B_*/viterbi_*/mac_dense_events_per_s row regressed beyond 15%" \
          "against crates/bench/BENCH_perf_baseline.json (see crates/bench/BENCH_perf.json)"
     exit 1
 fi
-echo "perf gate ok: no rx_1500B_*/viterbi_*/mac_dense row worse than baseline by >15%"
+echo "perf gate ok: no tx_1500B_*/rx_1500B_*/viterbi_*/mac_dense row worse than baseline by >15%"
 stage_end
 
 stage_begin "obs overhead gate (flight recorder)"
