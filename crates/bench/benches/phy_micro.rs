@@ -24,6 +24,7 @@ use std::time::Instant;
 
 use carpool_bench::{pattern_bits, run_phy, PhyBerResult, PhyRunConfig};
 use carpool_bloom::AggregationHeader;
+use carpool_channel::link::LinkChannel;
 use carpool_obs::json::{self, ObjectWriter};
 use carpool_obs::{FlightRecorder, MemoryRecorder, Obs, SpanStats};
 use carpool_phy::convolutional::{
@@ -224,6 +225,40 @@ fn bench_full_chain(results: &mut Vec<SpanStats>) {
     }
 }
 
+/// Channel rows: one 1500 B QAM64-3/4 waveform through AWGN alone, the
+/// residual CFO alone, and the office link the long-frame experiments
+/// use (4 ms coherence Rician K = 15 fading, 100 Hz CFO, 30 dB). Each
+/// link is built once and keeps evolving across samples, as a link does
+/// across the frames of a run.
+fn bench_channel(results: &mut Vec<SpanStats>) {
+    let spec = SectionSpec::payload(pattern_bits(1500 * 8, 9), Mcs::QAM64_3_4);
+    let frame = transmit(std::slice::from_ref(&spec)).expect("valid spec");
+    for (name, mut link) in [
+        (
+            "channel_1500B_awgn",
+            LinkChannel::builder().snr_db(30.0).seed(5).build(),
+        ),
+        (
+            "channel_1500B_cfo",
+            LinkChannel::builder().cfo_hz(100.0).seed(5).build(),
+        ),
+        (
+            "channel_1500B_office",
+            LinkChannel::builder()
+                .snr_db(30.0)
+                .coherence_time(4e-3)
+                .rician_k(15.0)
+                .cfo_hz(100.0)
+                .seed(5)
+                .build(),
+        ),
+    ] {
+        results.push(measure(name, || {
+            black_box(link.transmit(black_box(&frame.samples)));
+        }));
+    }
+}
+
 /// Decodes the same frame with the default no-op handle and with a live
 /// recorder, so the observability overhead shows up as two adjacent rows.
 fn bench_obs_overhead(results: &mut Vec<SpanStats>) {
@@ -357,15 +392,16 @@ fn lower_is_better(key: &str) -> bool {
     key.ends_with("_us") || key.ends_with("_elapsed_s")
 }
 
-/// Whether a regression on this key fails the build: the TX and RX
-/// full chains (`tx_1500B_*`, `rx_1500B_*`), the Viterbi kernels
-/// (`viterbi_*`) and the sharded MAC event engine
+/// Whether a regression on this key fails the build: the TX, channel
+/// and RX full chains (`tx_1500B_*`, `channel_1500B_*`, `rx_1500B_*`),
+/// the Viterbi kernels (`viterbi_*`) and the sharded MAC event engine
 /// (`mac_dense_events_per_s`) are the rows this repo's perf work is
 /// anchored on, so check.sh treats losing >15% on any of them as fatal.
 /// Everything else stays advisory — wall-clock noise on shared machines
 /// must not fail the gate for rows nobody optimizes deliberately.
 fn fatal_on_regression(key: &str) -> bool {
     key.starts_with("tx_1500B_")
+        || key.starts_with("channel_1500B_")
         || key.starts_with("rx_1500B_")
         || key.starts_with("viterbi_")
         || key == "mac_dense_events_per_s"
@@ -416,7 +452,7 @@ fn compare_to_baseline(entries: &[(&'static str, f64)]) -> usize {
     }
     if fatal > 0 {
         println!(
-            "PERF REGRESSION: {fatal} TX/RX/Viterbi/MAC metric(s) worse than baseline by >15% \
+            "PERF REGRESSION: {fatal} TX/channel/RX/Viterbi/MAC metric(s) worse than baseline by >15% \
              (FATAL in check.sh)"
         );
     } else if regressions > 0 {
@@ -716,6 +752,9 @@ fn bench_throughput(results: &[SpanStats]) {
         ("tx_1500B_qpsk12", "tx_1500B_qpsk12_us"),
         ("tx_1500B_qam16", "tx_1500B_qam16_us"),
         ("tx_1500B_qam64", "tx_1500B_qam64_us"),
+        ("channel_1500B_awgn", "channel_1500B_awgn_us"),
+        ("channel_1500B_cfo", "channel_1500B_cfo_us"),
+        ("channel_1500B_office", "channel_1500B_office_us"),
         ("rx_1500B_qpsk12", "rx_1500B_qpsk12_us"),
         ("rx_1500B_qam16", "rx_1500B_qam16_us"),
         ("rx_1500B_qam64", "rx_1500B_qam64_us"),
@@ -725,11 +764,15 @@ fn bench_throughput(results: &[SpanStats]) {
         }
     }
     // Trimmed-mean companions for the noisy full-chain rows: the stable
-    // location estimate the fatal TX/RX gate in check.sh keys off.
+    // location estimate the fatal TX/channel/RX gate in check.sh keys
+    // off.
     for (row, key) in [
         ("tx_1500B_qpsk12", "tx_1500B_qpsk12_trimmed_us"),
         ("tx_1500B_qam16", "tx_1500B_qam16_trimmed_us"),
         ("tx_1500B_qam64", "tx_1500B_qam64_trimmed_us"),
+        ("channel_1500B_awgn", "channel_1500B_awgn_trimmed_us"),
+        ("channel_1500B_cfo", "channel_1500B_cfo_trimmed_us"),
+        ("channel_1500B_office", "channel_1500B_office_trimmed_us"),
         ("rx_1500B_qpsk12", "rx_1500B_qpsk12_trimmed_us"),
         ("rx_1500B_qam16", "rx_1500B_qam16_trimmed_us"),
         ("rx_1500B_qam64", "rx_1500B_qam64_trimmed_us"),
@@ -777,6 +820,7 @@ fn main() {
     bench_bloom(&mut results);
     bench_side_channel(&mut results);
     bench_full_chain(&mut results);
+    bench_channel(&mut results);
     bench_obs_overhead(&mut results);
 
     println!(

@@ -114,7 +114,7 @@ impl CarpoolFrame {
             .subframes
             .iter()
             .map(|s| s.receiver.as_bytes())
-            .collect(); // lint:allow(hot-alloc): per-TXOP frame assembly, amortized by the TX waveform cache
+            .collect(); // lint:allow(hot-alloc): the A-HDR's receiver list, at most MAX_RECEIVERS slices, once per frame
                         // The receiver count was validated at construction, so the error
                         // arm is unreachable; an empty header is the graceful fallback.
         AggregationHeader::for_receivers(&receivers, self.hashes)
@@ -123,7 +123,7 @@ impl CarpoolFrame {
 
     /// PHY section specs: `[A-HDR][SIG_1][payload_1]...`.
     pub fn to_specs(&self) -> Vec<SectionSpec> {
-        let mut specs = Vec::with_capacity(1 + 2 * self.subframes.len()); // lint:allow(hot-alloc): per-TXOP frame assembly, amortized by the TX waveform cache
+        let mut specs = Vec::with_capacity(1 + 2 * self.subframes.len()); // lint:allow(hot-alloc): the returned spec list, the TX input, once per frame
                                                                           // The A-HDR is QBPSK-marked so any receiver can classify the
                                                                           // PPDU as Carpool at the first post-preamble symbol (Sec. 4.3).
         specs.push(SectionSpec::header_qbpsk(self.header().to_bits()));
@@ -285,7 +285,7 @@ pub fn receive_carpool_obs_with_scratch(
     let _receive_span = obs.span("frame.receive");
     let mut decoder = FrameDecoder::new(samples, estimation)
         .map_err(FrameError::Phy)?
-        .with_obs(obs.clone()) // lint:allow(hot-alloc): per-TXOP frame assembly, amortized by the TX waveform cache
+        .with_obs(obs.clone()) // lint:allow(hot-alloc): Obs is a handle of Arcs; cloning bumps counts and does not allocate
         .with_scratch(std::mem::take(scratch));
     let result = walk_carpool_frame(&mut decoder, station, hashes, side_channel, obs);
     // Recover the workspace on success *and* error so a bad frame never
@@ -368,7 +368,7 @@ fn walk_carpool_frame(
         );
         return Ok(CarpoolReception {
             matched_indices,
-            subframes: Vec::new(), // lint:allow(hot-alloc): per-TXOP frame assembly, amortized by the TX waveform cache
+            subframes: Vec::new(), // lint:allow(hot-alloc): an empty Vec::new() does not allocate
             symbols_decoded,
             symbols_skipped: skipped,
         });
@@ -382,7 +382,7 @@ fn walk_carpool_frame(
         side_channel: None,
         qbpsk: false,
     };
-    let mut subframes = Vec::new(); // lint:allow(hot-alloc): per-TXOP frame assembly, amortized by the TX waveform cache
+    let mut subframes = Vec::new(); // lint:allow(hot-alloc): the returned subframe list, at most MAX_RECEIVERS entries, once per reception
     let mut index = 0usize;
     while index < MAX_RECEIVERS && decoder.remaining_symbols() >= sig_layout.symbol_count() {
         let sig_section = decoder
@@ -431,7 +431,7 @@ fn walk_carpool_frame(
             obs.counter("frame.subframe_skipped", 1);
             None
         };
-        // lint:allow(hot-alloc): per-TXOP frame assembly, amortized by the TX waveform cache
+        // lint:allow(hot-alloc): grows the returned subframe list, at most MAX_RECEIVERS pushes per reception
         subframes.push(ReceivedSubframe {
             index,
             sig,

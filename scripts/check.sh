@@ -85,18 +85,21 @@ stage_begin "perf snapshot (phy_micro throughput)"
 # checks 1-thread vs pool determinism, and prints per-kernel and
 # end-to-end deltas against the committed
 # crates/bench/BENCH_perf_baseline.json. Regressions beyond 15% on the
-# TX and RX full chains (tx_1500B_*, rx_1500B_*), the Viterbi kernels
+# TX, channel and RX full chains (tx_1500B_*, channel_1500B_*,
+# rx_1500B_*), the Viterbi kernels
 # (viterbi_*) or the sharded MAC event engine (mac_dense_events_per_s)
 # are FATAL — those rows anchor this repo's perf work; regressions on the
 # remaining rows stay advisory (wall-clock noise must not fail the gate
 # for unanchored rows).
 cargo bench --offline -q -p carpool-bench --bench phy_micro | grep -A 60 "obs overhead gate:"
 if grep -q '"rx_gate_ok":false' crates/bench/BENCH_perf.json; then
-    echo "FATAL: a tx_1500B_*/rx_1500B_*/viterbi_*/mac_dense_events_per_s row regressed beyond 15%" \
+    echo "FATAL: a tx_1500B_*/channel_1500B_*/rx_1500B_*/viterbi_*/mac_dense_events_per_s row" \
+         "regressed beyond 15%" \
          "against crates/bench/BENCH_perf_baseline.json (see crates/bench/BENCH_perf.json)"
     exit 1
 fi
-echo "perf gate ok: no tx_1500B_*/rx_1500B_*/viterbi_*/mac_dense row worse than baseline by >15%"
+echo "perf gate ok: no tx_1500B_*/channel_1500B_*/rx_1500B_*/viterbi_*/mac_dense row worse" \
+     "than baseline by >15%"
 stage_end
 
 stage_begin "obs overhead gate (flight recorder)"
