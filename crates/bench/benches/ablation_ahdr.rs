@@ -5,6 +5,10 @@
 //! 600 Mbit/s) and measures the MAC-level effect by comparing Carpool
 //! (A-HDR) with MU-Aggregation (explicit addresses) under identical
 //! estimation quality.
+#![allow(
+    clippy::print_stdout,
+    reason = "bench target: the printed table is its output"
+)]
 
 use carpool_bench::{banner, run_mac, voip_config};
 use carpool_frame::airtime::{ahdr_airtime, CONTROL_MCS};

@@ -5,6 +5,10 @@
 //! the fraction of Carpool-capable stations in the crowded VoIP cell
 //! and shows graceful, monotone gains with adoption — legacy stations
 //! are never starved.
+#![allow(
+    clippy::print_stdout,
+    reason = "bench target: the printed table is its output"
+)]
 
 use carpool_bench::{banner, run_mac, voip_config};
 use carpool_mac::protocol::Protocol;

@@ -6,6 +6,10 @@
 //! occupancy". This ablation compares FIFO against that scheduler in a
 //! heterogeneous cell (half the stations on a slow link), reporting
 //! Jain's fairness index over per-station delivered bytes.
+#![allow(
+    clippy::print_stdout,
+    reason = "bench target: the printed table is its output"
+)]
 
 use carpool_bench::{banner, run_mac, voip_config};
 use carpool_mac::protocol::Protocol;

@@ -3,6 +3,10 @@
 //! The paper folds each data-pilot estimate with an equal-weight
 //! average, `H̃ = (H̃ + Ĥ)/2`. This ablation compares that rule against
 //! full replacement and EWMA smoothing on the Fig. 13 workload.
+#![allow(
+    clippy::print_stdout,
+    reason = "bench target: the printed table is its output"
+)]
 
 use carpool_bench::{banner, run_phy, PhyRunConfig, OFFICE_FADING};
 use carpool_phy::mcs::Mcs;

@@ -5,6 +5,10 @@
 //! RTS/CTS signaling": one multicast RTS carrying the A-HDR, answered by
 //! sequential CTSs. This ablation sweeps the fraction of mutually hidden
 //! STA pairs and compares Carpool with and without the signalling.
+#![allow(
+    clippy::print_stdout,
+    reason = "bench target: the printed table is its output"
+)]
 
 use carpool_bench::{banner, run_mac, voip_config};
 use carpool_mac::protocol::Protocol;

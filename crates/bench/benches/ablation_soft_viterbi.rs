@@ -5,6 +5,11 @@
 //! Carpool — classically ~2 dB on AWGN — by sweeping SNR and comparing
 //! post-FEC frame error rates for the two decoders on identical
 //! waveforms.
+#![allow(
+    clippy::expect_used,
+    clippy::print_stdout,
+    reason = "bench target: the printed table is its output; a failed setup aborts the run"
+)]
 
 use carpool_bench::{banner, pattern_bits};
 use carpool_channel::link::LinkChannel;

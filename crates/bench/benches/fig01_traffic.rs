@@ -4,6 +4,10 @@
 //!     library trace mean 7.63;
 //! (b) frame-size CDF of the SIGCOMM and library traces;
 //! (c) downlink traffic-volume ratio of the three traces.
+#![allow(
+    clippy::print_stdout,
+    reason = "bench target: the printed table is its output"
+)]
 
 use carpool_bench::banner;
 use carpool_traffic::activity::{ActivityProcess, LIBRARY_MEAN_ACTIVE};

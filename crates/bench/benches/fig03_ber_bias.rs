@@ -4,6 +4,10 @@
 //! QAM64 frames; the per-symbol BER grows with the symbol index because
 //! the preamble channel estimate goes stale. Here: the same 4 KB QAM64
 //! frames through the time-varying fading link, standard estimation.
+#![allow(
+    clippy::print_stdout,
+    reason = "bench target: the printed table is its output"
+)]
 
 use carpool_bench::{banner, run_phy, PhyRunConfig, OFFICE_FADING};
 use carpool_phy::mcs::Mcs;

@@ -3,6 +3,10 @@
 //! Paper: BER of the standard PHY vs the PHY with the 2-bit side channel
 //! over transmit power 0.0125–0.2 for BPSK/QPSK/QAM16/QAM64; differences
 //! stay within a few percent, i.e. injection is harmless.
+#![allow(
+    clippy::print_stdout,
+    reason = "bench target: the printed table is its output"
+)]
 
 use carpool_bench::{banner, run_phy, Fading, PhyRunConfig};
 use carpool_channel::link::power_magnitude_to_snr_db;

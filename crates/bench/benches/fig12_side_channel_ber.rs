@@ -3,6 +3,10 @@
 //! Paper: 1 KB frames per power setting; the BER of side-channel bits
 //! beats BPSK (1-bit offsets) and QPSK (2-bit offsets) data subcarriers
 //! because each offset is demodulated from four pilot subcarriers.
+#![allow(
+    clippy::print_stdout,
+    reason = "bench target: the printed table is its output"
+)]
 
 use carpool_bench::{banner, run_phy, Fading, PhyRunConfig};
 use carpool_channel::link::power_magnitude_to_snr_db;

@@ -3,6 +3,10 @@
 //! Paper: 4 KB frames at power 0.2, receivers at varied locations; RTE
 //! largely flattens the BER-vs-symbol-index curve for QAM64 and QAM16
 //! (65% / 27% overall BER reduction respectively).
+#![allow(
+    clippy::print_stdout,
+    reason = "bench target: the printed table is its output"
+)]
 
 use carpool_bench::{banner, run_phy, PhyRunConfig, OFFICE_FADING};
 use carpool_phy::mcs::Mcs;

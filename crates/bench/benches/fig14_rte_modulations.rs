@@ -3,6 +3,10 @@
 //! Paper: at power magnitudes 0.05 and 0.2, RTE achieves several times
 //! lower BER for QAM16/QAM64 while gains for BPSK/QPSK are marginal
 //! (higher-order constellations are more sensitive to channel drift).
+#![allow(
+    clippy::print_stdout,
+    reason = "bench target: the printed table is its output"
+)]
 
 use carpool_bench::{banner, run_phy, PhyRunConfig, OFFICE_FADING};
 use carpool_channel::link::power_magnitude_to_snr_db;

@@ -3,6 +3,10 @@
 //! Paper: two-way Brady VoIP per STA, 10–30 STAs, two APs; Carpool keeps
 //! growing linearly while A-MPDU tapers and 802.11 collapses
 //! (0.55 → 0.18 Mbit/s from 22 to 30 STAs); WiFox sits in between.
+#![allow(
+    clippy::print_stdout,
+    reason = "bench target: the printed table is its output"
+)]
 
 use carpool_bench::{banner, run_mac, voip_config, ResultsTable, SWEEP_PROTOCOLS};
 

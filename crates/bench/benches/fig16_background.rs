@@ -5,6 +5,10 @@
 //! Fig. 1(b) frame sizes). Headline numbers: Carpool reaches 1.12–3.2x
 //! the goodput of A-MPDU from 20 to 30 STAs, keeps delay below ~0.2 s
 //! while A-MPDU and 802.11 suffer ~0.8 s and ~1.5 s.
+#![allow(
+    clippy::print_stdout,
+    reason = "bench target: the printed table is its output"
+)]
 
 use carpool_bench::{banner, run_mac, voip_config, ResultsTable, SWEEP_PROTOCOLS};
 use carpool_mac::sim::UplinkTraffic;

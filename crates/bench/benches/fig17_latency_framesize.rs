@@ -5,6 +5,10 @@
 //!     Fig. 16 — paper: 1.9–9.8x gain, shrinking as the bound loosens;
 //! (b) goodput vs fixed downlink frame size (100–1500 B) at a 10 ms
 //!     bound — paper: 2.8–3.6x over A-MPDU, 5–6.4x over 802.11.
+#![allow(
+    clippy::print_stdout,
+    reason = "bench target: the printed table is its output"
+)]
 
 use carpool_bench::{banner, run_mac, ResultsTable};
 use carpool_mac::protocol::Protocol;

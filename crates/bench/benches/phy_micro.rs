@@ -18,6 +18,14 @@
 //! speedup, and snapshotted to `BENCH_perf.json`. When a previous
 //! snapshot exists, throughput drops beyond 15% are flagged as
 //! regressions on stdout.
+#![allow(
+    clippy::disallowed_methods,
+    clippy::expect_used,
+    clippy::print_stderr,
+    clippy::print_stdout,
+    clippy::unreachable,
+    reason = "timing harness: prints its report, reads the wall clock and aborts on a failed setup"
+)]
 
 use std::hint::black_box;
 use std::time::Instant;

@@ -2,6 +2,10 @@
 //!
 //! Prints the modulation alphabets and verifies encode/decode round
 //! trips including the paper's Fig. 8(b) "110" example.
+#![allow(
+    clippy::print_stdout,
+    reason = "bench target: the printed table is its output"
+)]
 
 use carpool_bench::banner;
 use carpool_phy::sidechannel::{PhaseOffsetDecoder, PhaseOffsetEncoder, PhaseOffsetMod};

@@ -1,4 +1,8 @@
 //! Table 2 — PHY/MAC parameters used by the simulator.
+#![allow(
+    clippy::print_stdout,
+    reason = "bench target: the printed table is its output"
+)]
 
 use carpool_bench::banner;
 use carpool_frame::airtime::{

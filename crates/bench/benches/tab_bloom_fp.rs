@@ -3,6 +3,10 @@
 //! Paper: with the optimal h = (48/N) ln 2, the false positive ratio
 //! spans 0.31%–5.59% for 4–8 receivers; the implementation fixes h = 4;
 //! the A-HDR costs 12.5% of listing eight 48-bit MAC addresses.
+#![allow(
+    clippy::print_stdout,
+    reason = "bench target: the printed table is its output"
+)]
 
 use carpool_bench::banner;
 use carpool_bloom::analysis::{

@@ -5,6 +5,10 @@
 //! (8 receivers), hence at most 5.59% x 5% = 0.28% extra node energy for
 //! typical clients — while aggregation lets non-addressed Carpool nodes
 //! idle through foreign subframes, saving energy overall.
+#![allow(
+    clippy::print_stdout,
+    reason = "bench target: the printed table is its output"
+)]
 
 use carpool::energy::{
     compare_energy, energy_overhead_bound, false_positive_rx_overhead, psm_savings,

@@ -7,6 +7,10 @@
 //! cases". Figure of merit: the raw BER after RTE decoding — finer CRC
 //! granularity means more data-pilot updates, a wider CRC means more
 //! reliable gating; the two pull in opposite directions.
+#![allow(
+    clippy::print_stdout,
+    reason = "bench target: the printed table is its output"
+)]
 
 use carpool_bench::{banner, run_phy, PhyRunConfig, ResultsTable, OFFICE_FADING};
 use carpool_phy::mcs::Mcs;

@@ -4,6 +4,11 @@
 //! two MU-MIMO transmissions (two precoding groups); Carpool aggregates
 //! both groups into a single transmission that shares one legacy
 //! preamble and one A-HDR, with per-group VHT preambles mid-frame.
+#![allow(
+    clippy::expect_used,
+    clippy::print_stdout,
+    reason = "bench target: the printed table is its output; a failed setup aborts the run"
+)]
 
 use carpool_bench::{banner, ResultsTable};
 use carpool_frame::addr::MacAddress;

@@ -5,6 +5,10 @@
 //! reports. This library holds the common machinery: deterministic bit
 //! patterns, PHY Monte-Carlo loops (raw BER per symbol position, side
 //! channel vs data channel) and MAC sweep drivers.
+#![allow(
+    clippy::print_stdout,
+    reason = "tool crate: prints the figure tables shared by the bench targets"
+)]
 
 use carpool_channel::link::LinkChannel;
 use carpool_mac::error_model::{BerBiasModel, PerfectChannel};
@@ -28,7 +32,7 @@ pub fn pattern_bits(n: usize, seed: u64) -> Vec<u8> {
             x ^= x << 17;
             (x & 1) as u8
         })
-        .collect() // lint:allow(hot-alloc): bench input staging, amortized over the SNR sweep
+        .collect()
 }
 
 /// Outcome of a PHY Monte-Carlo run.
@@ -229,7 +233,7 @@ pub fn run_phy(config: &PhyRunConfig) -> PhyBerResult {
             .sym_errors
             .into_iter()
             .map(|e| e as f64 / (config.frames * sym_bits) as f64)
-            .collect(), // lint:allow(hot-alloc): bench input staging, amortized over the SNR sweep
+            .collect(),
     }
 }
 

@@ -210,7 +210,7 @@ impl AggregationHeader {
     pub fn matched_indices(&self, item: &[u8], num_subframes: usize) -> Vec<usize> {
         (0..num_subframes.min(MAX_RECEIVERS))
             .filter(|&i| self.query(item, i))
-            .collect() // lint:allow(hot-alloc): per-header encode/decode buffer, bounded by group size
+            .collect()
     }
 
     /// Serialises to [`BLOOM_BITS`] bits (LSB of the raw value first),
@@ -218,7 +218,7 @@ impl AggregationHeader {
     pub fn to_bits(&self) -> Vec<u8> {
         (0..BLOOM_BITS)
             .map(|k| ((self.bits >> k) & 1) as u8)
-            .collect() // lint:allow(hot-alloc): per-header encode/decode buffer, bounded by group size
+            .collect()
     }
 
     /// Parses a header from [`BLOOM_BITS`] bits.
@@ -396,7 +396,7 @@ mod tests {
         let sets: Vec<Vec<usize>> = (0..8)
             .map(|s| (0..4).map(|f| position(&item, s, f)).collect())
             .collect();
-        let distinct: std::collections::HashSet<&Vec<usize>> = sets.iter().collect();
+        let distinct: std::collections::BTreeSet<&Vec<usize>> = sets.iter().collect();
         assert!(distinct.len() >= 7, "hash sets collide too much");
     }
 

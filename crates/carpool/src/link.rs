@@ -177,12 +177,12 @@ impl CarpoolLink {
                 let (shard_obs, shard, flight) = if observing {
                     let recorder = Arc::new(carpool_obs::MemoryRecorder::new());
                     let sink = Arc::new(carpool_obs::RingBufferSink::new(usize::MAX));
-                    let mut shard_obs = Obs::new(recorder.clone(), sink.clone()); // lint:allow(hot-alloc): per-delivery frame routing, one per TXOP
+                    let mut shard_obs = Obs::new(recorder.clone(), sink.clone());
                     let mut flight = None;
                     if let Some(cap) = flight_capacity {
                         let f = Arc::new(carpool_obs::FlightRecorder::new(cap));
                         shard_obs = shard_obs
-                            .with_flight(f.clone()) // lint:allow(hot-alloc): per-delivery frame routing, one per TXOP
+                            .with_flight(f.clone())
                             .for_frame(frame_ctx)
                             .with_time_base(time_base);
                         flight = Some(f);
@@ -206,10 +206,10 @@ impl CarpoolLink {
             },
         )
         .map_err(|panic| FrameError::Malformed {
-            reason: format!("parallel receive failed: {panic}"), // lint:allow(hot-alloc): per-delivery frame routing, one per TXOP
+            reason: format!("parallel receive failed: {panic}"),
         })?;
 
-        let mut receptions = Vec::with_capacity(shards.len()); // lint:allow(hot-alloc): per-delivery frame routing, one per TXOP
+        let mut receptions = Vec::with_capacity(shards.len());
         for ((rx, captured, traced), &sta) in shards.into_iter().zip(stations) {
             if let Some((snapshot, events)) = captured {
                 self.obs.merge_metrics(&snapshot);

@@ -74,7 +74,7 @@ impl LinkChannel {
         let _span = self.obs.span(carpool_obs::names::CHANNEL_TRANSMIT);
         let mut buf = match &mut self.fading {
             Some(f) => f.process(samples, &mut self.rng),
-            None => samples.to_vec(), // lint:allow(hot-alloc): per-frame waveform copy for in-place channel application
+            None => samples.to_vec(),
         };
         if let Some(cfo) = &mut self.cfo {
             cfo.apply(&mut buf);

@@ -1,7 +1,7 @@
 //! A small `--key value` argument parser (the workspace avoids external
 //! CLI crates).
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Parsed command-line arguments: one subcommand, bare positionals
 /// (e.g. the trace path in `carpool report run.jsonl`) and `--key value`
@@ -10,7 +10,7 @@ use std::collections::HashMap;
 pub struct Args {
     command: Option<String>,
     positionals: Vec<String>,
-    options: HashMap<String, String>,
+    options: BTreeMap<String, String>,
 }
 
 /// Errors from argument parsing and lookup.
@@ -23,6 +23,13 @@ pub enum ArgError {
         /// Offending raw value.
         value: String,
     },
+    /// An option the subcommand does not read (usually a typo).
+    UnknownOption {
+        /// Option name (without dashes).
+        key: String,
+        /// The subcommand it was given to (`None` without one).
+        command: Option<String>,
+    },
 }
 
 impl std::fmt::Display for ArgError {
@@ -31,6 +38,10 @@ impl std::fmt::Display for ArgError {
             ArgError::BadValue { key, value } => {
                 write!(f, "invalid value '{value}' for --{key}")
             }
+            ArgError::UnknownOption { key, command } => match command {
+                Some(command) => write!(f, "unknown option --{key} for '{command}'"),
+                None => write!(f, "unknown option --{key}"),
+            },
         }
     }
 }
@@ -92,6 +103,27 @@ impl Args {
         matches!(self.get(key), Some("true") | Some("1") | Some("yes"))
     }
 
+    /// Rejects any option that is in none of the `allowed` lists, so a
+    /// typo'd flag fails loudly instead of being silently ignored.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ArgError::UnknownOption`] naming the first unknown
+    /// option (in sorted order).
+    pub fn check_options(&self, allowed: &[&[&str]]) -> Result<(), ArgError> {
+        match self
+            .options
+            .keys()
+            .find(|key| !allowed.iter().any(|list| list.contains(&key.as_str())))
+        {
+            Some(key) => Err(ArgError::UnknownOption {
+                key: key.clone(),
+                command: self.command.clone(),
+            }),
+            None => Ok(()),
+        }
+    }
+
     /// Typed option with a default.
     ///
     /// # Errors
@@ -150,6 +182,21 @@ mod tests {
         assert_eq!(a.positional(0), Some("run.jsonl"));
         assert_eq!(a.positional(2), None);
         assert_eq!(a.get_or("top", 0usize).unwrap(), 5);
+    }
+
+    #[test]
+    fn unknown_options_are_named() {
+        let a = parse(&["mac-sim", "--stass", "30", "--seed", "1"]);
+        assert_eq!(
+            a.check_options(&[&["stas", "seed"], &["obs"]]),
+            Err(ArgError::UnknownOption {
+                key: "stass".to_string(),
+                command: Some("mac-sim".to_string()),
+            })
+        );
+        let err = a.check_options(&[&["seed"]]).unwrap_err();
+        assert_eq!(err.to_string(), "unknown option --stass for 'mac-sim'");
+        assert!(a.check_options(&[&["stass", "seed"]]).is_ok());
     }
 
     #[test]

@@ -7,6 +7,12 @@
 //! carpool frame    --receivers 4 --bytes 400 --snr 30
 //! carpool bloom    --receivers 8 --hashes 4
 //! ```
+#![allow(
+    clippy::disallowed_methods,
+    clippy::print_stderr,
+    clippy::print_stdout,
+    reason = "tool binary: terminal output and wall-clock timing are its job"
+)]
 
 mod args;
 mod obs_session;
@@ -75,12 +81,11 @@ COMMANDS:
                (including flight-recorder timelines from a --trace-out
                .jsonl file)
                carpool report <path.jsonl>
-    lint       Run the project lint gate (panic-freedom, layering,
-               determinism, docs, call-graph analysis) against
-               lint-baseline.json
-               [--json] [--write-baseline] [--force] [--root <dir>]
-               [--explain <rule>] [--graph] [--budget-ms <n>]
-               [--strict-indexing] [--sarif <path>] [--no-cache]
+    lint       Run the project lint gate (crate layering, atomic
+               ordering notes, dead public API, the Viterbi i32 budget
+               proof, unit suffixes, shard protocol); any un-waived
+               finding fails
+               [--json] [--root <dir>] [--explain <rule>]
     help       Show this message
 
 OBSERVABILITY (accepted by every command):
@@ -107,6 +112,52 @@ PERFORMANCE (accepted by every command):
                          only skips re-encoding identical frames across
                          sweep points.
 ";
+
+/// Options every command accepts (observability, parallelism, TX cache).
+const GLOBAL_OPTIONS: &[&str] = &["obs", "obs-summary", "trace-out", "threads", "no-tx-cache"];
+
+/// The options `command` reads (`--help` alone without a command), or
+/// `None` for an unknown command.
+fn command_options(command: Option<&str>) -> Option<&'static [&'static str]> {
+    Some(match command {
+        None => &["help"],
+        Some("phy-ber") => &[
+            "mcs",
+            "snr",
+            "coherence-ms",
+            "rician-k",
+            "cfo",
+            "frames",
+            "kbytes",
+            "seed",
+            "rte",
+            "soft",
+        ],
+        Some("mac-sim") => &[
+            "protocol",
+            "stas",
+            "aps",
+            "duration",
+            "seed",
+            "background",
+            "hidden",
+            "rts-cts",
+            "time-fair",
+        ],
+        Some("mac-dense") => &[
+            "protocol", "aps", "stas", "duration", "seed", "coupling", "shards",
+        ],
+        Some("sweep") => &["from", "to", "step", "duration", "background"],
+        Some("frame") => &["receivers", "bytes", "snr", "seed"],
+        Some("trace") => &["stas", "snr", "seed"],
+        Some("bloom") => &["receivers", "hashes", "trials"],
+        Some("gen-trace") => &["stas", "duration", "seed", "background"],
+        Some("report") => &["path"],
+        Some("lint") => &["json", "root", "explain"],
+        Some("help") => &[],
+        Some(_) => return None,
+    })
+}
 
 fn parse_mcs(spec: &str) -> Result<Mcs, String> {
     let lower = spec.to_lowercase();
@@ -501,35 +552,18 @@ fn cmd_gen_trace(args: &Args, obs: &carpool_obs::Obs) -> Result<(), String> {
 /// (0 clean, 1 gate failure, 2 internal analyzer error), so scripts
 /// can distinguish "the code is dirty" from "the linter broke".
 fn cmd_lint(args: &Args) -> i32 {
-    let budget_ms = match args.get("budget-ms") {
-        Some(v) => match v.parse::<u64>() {
-            Ok(n) => Some(n),
-            Err(_) => {
-                eprintln!("error: --budget-ms: '{v}' is not a number");
-                return 2;
-            }
-        },
-        None => None,
-    };
     let opts = carpool_lint::LintOptions {
         root: args.get("root").map(std::path::PathBuf::from),
         json: args.flag("json"),
-        write_baseline: args.flag("write-baseline"),
-        force: args.flag("force"),
         explain: args.get("explain").map(str::to_string),
-        graph: args.flag("graph"),
-        budget_ms,
-        strict_indexing: args.flag("strict-indexing"),
-        sarif: args.get("sarif").map(std::path::PathBuf::from),
-        no_cache: args.flag("no-cache"),
     };
     let code = carpool_lint::run(&opts);
     match code {
         0 => {}
-        1 => eprintln!("error: lint gate failed: new violations or stale baseline (see above)"),
+        1 => eprintln!("error: lint gate failed: un-waived findings (see above)"),
         _ => eprintln!(
-            "error: lint could not run (internal analyzer error — bad workspace root, \
-             unreadable sources, or malformed baseline)"
+            "error: lint could not run (bad workspace root, unreadable sources, \
+             unknown rule, or an internal analyzer error)"
         ),
     }
     code
@@ -544,6 +578,14 @@ fn main() {
             std::process::exit(2);
         }
     };
+    // A subcommand rejects every option it does not read; the unknown
+    // command itself is reported below.
+    if let Some(opts) = command_options(args.command()) {
+        if let Err(e) = args.check_options(&[GLOBAL_OPTIONS, opts]) {
+            eprintln!("error: {e}");
+            std::process::exit(2);
+        }
+    }
     let session = match obs_session::ObsSession::from_args(&args) {
         Ok(s) => s,
         Err(e) => {

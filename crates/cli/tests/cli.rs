@@ -2,6 +2,10 @@
 
 use std::process::Command;
 
+#[expect(
+    clippy::expect_used,
+    reason = "test helper: a failed setup fails the test"
+)]
 fn run(args: &[&str]) -> (bool, String, String) {
     let out = Command::new(env!("CARGO_BIN_EXE_carpool"))
         .args(args)
@@ -28,6 +32,35 @@ fn no_arguments_shows_help() {
     let (ok, stdout, _) = run(&[]);
     assert!(ok);
     assert!(stdout.contains("USAGE"));
+}
+
+#[test]
+fn unknown_options_are_rejected_by_name() {
+    // Options a subcommand does not read — typos and retired lint
+    // flags alike — fail before any work starts.
+    for (args, flag) in [
+        (&["mac-sim", "--stass", "30"][..], "--stass"),
+        (&["lint", "--no-cache"][..], "--no-cache"),
+        (&["lint", "--sarif", "out"][..], "--sarif"),
+        (
+            &["phy-ber", "--frames", "1", "--snr-db", "20"][..],
+            "--snr-db",
+        ),
+    ] {
+        let (ok, _, stderr) = run(args);
+        assert!(!ok, "{args:?} must fail");
+        assert!(
+            stderr.contains(&format!("unknown option {flag}")),
+            "{args:?}: stderr must name {flag}: {stderr}"
+        );
+    }
+}
+
+#[test]
+fn global_options_are_accepted_by_every_command() {
+    let (ok, stdout, stderr) = run(&["bloom", "--trials", "10", "--threads", "1"]);
+    assert!(ok, "{stderr}");
+    assert!(!stdout.is_empty());
 }
 
 #[test]

@@ -82,7 +82,7 @@ mod tests {
 
     #[test]
     fn station_addresses_are_distinct() {
-        let set: std::collections::HashSet<MacAddress> =
+        let set: std::collections::BTreeSet<MacAddress> =
             (0..1000).map(MacAddress::station).collect();
         assert_eq!(set.len(), 1000);
     }

@@ -161,7 +161,7 @@ pub(crate) fn select_into(
     let SelectionScratch { selection, spare } = &mut *scratch;
     while let Some((_, mut group)) = selection.groups.pop() {
         group.clear();
-        spare.push(group); // lint:allow(hot-alloc): recycling pool, bounded by max receivers
+        spare.push(group);
     }
     let Some(head) = queue.first() else {
         return;
@@ -169,8 +169,8 @@ pub(crate) fn select_into(
     match policy {
         AggregationPolicy::None => {
             let mut group = scratch.take_group();
-            group.push(0); // lint:allow(hot-alloc): recycled group buffer, bounded by queue depth
-            scratch.selection.groups.push((head.dest, group)); // lint:allow(hot-alloc): recycled group buffer, bounded by max receivers
+            group.push(0);
+            scratch.selection.groups.push((head.dest, group));
         }
         AggregationPolicy::Ampdu => {
             let mut indices = scratch.take_group();
@@ -186,9 +186,9 @@ pub(crate) fn select_into(
                     break;
                 }
                 bytes += f.bytes;
-                indices.push(k); // lint:allow(hot-alloc): recycled group buffer, bounded by queue depth
+                indices.push(k);
             }
-            scratch.selection.groups.push((head.dest, indices)); // lint:allow(hot-alloc): recycled group buffer, bounded by max receivers
+            scratch.selection.groups.push((head.dest, indices));
         }
         AggregationPolicy::MultiUser => {
             let mut bytes = 0usize;
@@ -205,15 +205,15 @@ pub(crate) fn select_into(
                         if scratch.selection.groups[g].1.len() >= limits.max_frames_per_receiver {
                             continue;
                         }
-                        scratch.selection.groups[g].1.push(k); // lint:allow(hot-alloc): recycled group buffer, bounded by queue depth
+                        scratch.selection.groups[g].1.push(k);
                     }
                     None => {
                         if scratch.selection.groups.len() >= max_receivers {
                             continue;
                         }
                         let mut group = scratch.take_group();
-                        group.push(k); // lint:allow(hot-alloc): recycled group buffer, bounded by queue depth
-                        scratch.selection.groups.push((f.dest, group)); // lint:allow(hot-alloc): recycled group buffer, bounded by max receivers
+                        group.push(k);
+                        scratch.selection.groups.push((f.dest, group));
                     }
                 }
                 bytes += f.bytes;

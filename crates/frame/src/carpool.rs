@@ -114,18 +114,18 @@ impl CarpoolFrame {
             .subframes
             .iter()
             .map(|s| s.receiver.as_bytes())
-            .collect(); // lint:allow(hot-alloc): the A-HDR's receiver list, at most MAX_RECEIVERS slices, once per frame
-                        // The receiver count was validated at construction, so the error
-                        // arm is unreachable; an empty header is the graceful fallback.
+            .collect();
+        // The receiver count was validated at construction, so the error
+        // arm is unreachable; an empty header is the graceful fallback.
         AggregationHeader::for_receivers(&receivers, self.hashes)
             .unwrap_or_else(|_| AggregationHeader::new(self.hashes))
     }
 
     /// PHY section specs: `[A-HDR][SIG_1][payload_1]...`.
     pub fn to_specs(&self) -> Vec<SectionSpec> {
-        let mut specs = Vec::with_capacity(1 + 2 * self.subframes.len()); // lint:allow(hot-alloc): the returned spec list, the TX input, once per frame
-                                                                          // The A-HDR is QBPSK-marked so any receiver can classify the
-                                                                          // PPDU as Carpool at the first post-preamble symbol (Sec. 4.3).
+        let mut specs = Vec::with_capacity(1 + 2 * self.subframes.len());
+        // The A-HDR is QBPSK-marked so any receiver can classify the
+        // PPDU as Carpool at the first post-preamble symbol (Sec. 4.3).
         specs.push(SectionSpec::header_qbpsk(self.header().to_bits()));
         for sf in &self.subframes {
             let sig = Sig::new(sf.mcs, sf.payload.len() as u16);
@@ -285,7 +285,7 @@ pub fn receive_carpool_obs_with_scratch(
     let _receive_span = obs.span("frame.receive");
     let mut decoder = FrameDecoder::new(samples, estimation)
         .map_err(FrameError::Phy)?
-        .with_obs(obs.clone()) // lint:allow(hot-alloc): Obs is a handle of Arcs; cloning bumps counts and does not allocate
+        .with_obs(obs.clone())
         .with_scratch(std::mem::take(scratch));
     let result = walk_carpool_frame(&mut decoder, station, hashes, side_channel, obs);
     // Recover the workspace on success *and* error so a bad frame never
@@ -368,7 +368,7 @@ fn walk_carpool_frame(
         );
         return Ok(CarpoolReception {
             matched_indices,
-            subframes: Vec::new(), // lint:allow(hot-alloc): an empty Vec::new() does not allocate
+            subframes: Vec::new(),
             symbols_decoded,
             symbols_skipped: skipped,
         });
@@ -382,7 +382,7 @@ fn walk_carpool_frame(
         side_channel: None,
         qbpsk: false,
     };
-    let mut subframes = Vec::new(); // lint:allow(hot-alloc): the returned subframe list, at most MAX_RECEIVERS entries, once per reception
+    let mut subframes = Vec::new();
     let mut index = 0usize;
     while index < MAX_RECEIVERS && decoder.remaining_symbols() >= sig_layout.symbol_count() {
         let sig_section = decoder
@@ -431,7 +431,6 @@ fn walk_carpool_frame(
             obs.counter("frame.subframe_skipped", 1);
             None
         };
-        // lint:allow(hot-alloc): grows the returned subframe list, at most MAX_RECEIVERS pushes per reception
         subframes.push(ReceivedSubframe {
             index,
             sig,

@@ -62,7 +62,7 @@ impl Sig {
     /// Serialises to [`SIG_BITS`] bits: 4 rate bits, 16 length bits,
     /// 1 even-parity bit, 3 reserved zero bits.
     pub fn to_bits(&self) -> Vec<u8> {
-        let mut bits = Vec::with_capacity(SIG_BITS); // lint:allow(hot-alloc): per-frame SIG field encode, bounded by header size
+        let mut bits = Vec::with_capacity(SIG_BITS);
         bits.extend(uint_to_bits(mcs_to_code(self.mcs) as u64, 4));
         bits.extend(uint_to_bits(self.length_bytes as u64, 16));
         let parity = bits.iter().fold(0u8, |acc, &b| acc ^ b);

@@ -88,7 +88,7 @@ proptest! {
         // Indices valid and unique.
         let idx = sel.indices();
         prop_assert!(idx.iter().all(|&k| k < queue.len()));
-        let unique: std::collections::HashSet<usize> = idx.iter().copied().collect();
+        let unique: std::collections::BTreeSet<usize> = idx.iter().copied().collect();
         prop_assert_eq!(unique.len(), idx.len());
         // Each group is single-destination and within the receiver cap.
         prop_assert!(sel.receiver_count() <= limits.max_receivers);

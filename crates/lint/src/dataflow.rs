@@ -1,21 +1,16 @@
-//! Flow-aware intraprocedural analysis over parsed function bodies.
+//! Flow-aware intraprocedural analysis over parsed function bodies:
+//! the fn-signature helpers L013 and L015 share, and the L012 interval
+//! abstract interpretation.
 //!
-//! Two passes share this module:
-//!
-//! * **Effect classification** — each statement of a function body is
-//!   scanned for allocation effects (L011), f64 arithmetic, and
-//!   widening/narrowing integer conversions, with loop-nesting
-//!   tracked so "allocates per iteration" is distinguishable from
-//!   one-time setup.
-//! * **Interval abstract interpretation** (L012) — integer locals are
-//!   tracked through the [`crate::ranges::Interval`] lattice. Input
-//!   bounds come from `// lint:budget(i32: ...)` annotations; the
-//!   interpreter then proves that no *non-saturating* `+ - * <<` (or
-//!   negation) over budgeted data can leave the `i32` range. Values the
-//!   analysis cannot see (calls, indexing, fields) become unbounded
-//!   top values; an annotated name re-bound from such a source is
-//!   re-seeded to its declared interval, which is how loop patterns
-//!   like `for &(la, lb) in lattice` pick their bounds back up.
+//! The interpreter tracks integer locals through the
+//! [`crate::ranges::Interval`] lattice. Input bounds come from
+//! `// lint:budget(i32: ...)` annotations; it then proves that no
+//! *non-saturating* `+ - * <<` (or negation) over budgeted data can
+//! leave the `i32` range. Values the analysis cannot see (calls,
+//! indexing, fields) become unbounded top values; an annotated name
+//! re-bound from such a source is re-seeded to its declared interval,
+//! which is how loop patterns like `for &(la, lb) in lattice` pick
+//! their bounds back up.
 //!
 //! The analysis is deliberately modest: it never panics, degrades to
 //! "unknown" on shapes it cannot parse, and only reports on data that
@@ -28,112 +23,9 @@ use crate::items::{FileRecord, FnItem};
 use crate::ranges::Interval;
 use crate::scanner::SourceLine;
 
-// ---------------------------------------------------------------------
-// Effect classification
-// ---------------------------------------------------------------------
-
-/// Allocation tokens L011 looks for: `(token, only flagged in loops)`.
-/// `.push` is amortized-O(1) and only a hot-path problem when it can
-/// grow per iteration; the others allocate on every call.
-const ALLOC_TOKENS: [(&str, bool); 7] = [
-    ("Vec::new", false),
-    ("Vec::with_capacity", false),
-    (".push(", true),
-    ("Box::new", false),
-    ("format!", false),
-    (".clone()", false),
-    (".to_vec()", false),
-];
-
-/// `.collect` is matched separately so both `.collect()` and
-/// `.collect::<T>()` forms hit.
-const COLLECT_TOKEN: &str = ".collect";
-
-/// One allocation effect inside a function body.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AllocSite {
-    /// 1-based source line.
-    pub line: usize,
-    /// The allocation token found (display form).
-    pub what: &'static str,
-    /// Whether the site is inside a `for`/`while`/`loop` body.
-    pub in_loop: bool,
-}
-
-/// Statement-effect counts over one function body (report statistics).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct EffectCounts {
-    /// Allocation effects found (loop-gated tokens counted only when
-    /// they sit inside a loop).
-    pub allocs: usize,
-    /// Lines performing f64 arithmetic.
-    pub f64_arith: usize,
-    /// Widening integer conversions (`i64::from(...)`-style).
-    pub widening: usize,
-    /// Potentially narrowing `as <int>` casts.
-    pub narrowing: usize,
-}
-
-impl EffectCounts {
-    /// Accumulates another function's counts.
-    pub fn absorb(&mut self, other: EffectCounts) {
-        self.allocs += other.allocs;
-        self.f64_arith += other.f64_arith;
-        self.widening += other.widening;
-        self.narrowing += other.narrowing;
-    }
-}
-
-/// Marks, for every line index of `lines`, whether it is inside a
-/// `for`/`while`/`loop` body (brace-tracked across lines).
-fn loop_mask(lines: &[SourceLine], from_line: usize, to_line: usize) -> Vec<bool> {
-    let mut mask = vec![false; lines.len()];
-    // Stack of open braces; `true` entries are loop bodies.
-    let mut stack: Vec<bool> = Vec::new();
-    let mut pending_loop = false;
-    for (idx, line) in lines.iter().enumerate() {
-        if line.number < from_line || line.number > to_line {
-            continue;
-        }
-        mask[idx] = stack.iter().any(|&l| l);
-        let chars: Vec<char> = line.code.chars().collect();
-        let mut i = 0usize;
-        while i < chars.len() {
-            let c = chars[i];
-            if is_ident_start(c) {
-                let start = i;
-                while i < chars.len() && is_ident_char(chars[i]) {
-                    i += 1;
-                }
-                let word: String = chars[start..i].iter().collect();
-                if matches!(word.as_str(), "for" | "while" | "loop") {
-                    pending_loop = true;
-                }
-                continue;
-            }
-            match c {
-                '{' => {
-                    stack.push(pending_loop);
-                    pending_loop = false;
-                    // A loop body covers lines after its opening brace.
-                    mask[idx] = mask[idx] || stack.iter().any(|&l| l);
-                }
-                '}' => {
-                    stack.pop();
-                    pending_loop = false;
-                }
-                ';' => pending_loop = false,
-                _ => {}
-            }
-            i += 1;
-        }
-    }
-    mask
-}
-
 /// Whether a fn name marks a setup-time path by convention:
-/// constructors and builders run at scenario construction, not in the
-/// steady-state loop, so their allocations are L011-exempt.
+/// constructors and builders that merely store a scratch buffer are
+/// exempt from L015's scratch-overwrite obligation.
 pub fn is_setup_fn(name: &str) -> bool {
     name == "new"
         || name == "default"
@@ -141,124 +33,6 @@ pub fn is_setup_fn(name: &str) -> bool {
         || name.starts_with("with_")
         || name.starts_with("build")
         || name.starts_with("from_")
-}
-
-/// Finds the allocation effects inside one function body.
-///
-/// `push`-in-loop sites are suppressed when the body pre-sizes
-/// capacity (`with_capacity` / `.reserve(`) before the loop — the push
-/// is then amortized O(1) with no reallocation, which is the very
-/// pattern the hot-path kernels use (the `with_capacity` call itself
-/// still reports, so the one-time allocation stays visible).
-pub fn alloc_sites(file: &FileRecord, item: &FnItem) -> Vec<AllocSite> {
-    let mut out = Vec::new();
-    if item.body_start == 0 {
-        return out;
-    }
-    let mask = loop_mask(&file.lines, item.body_start, item.body_end);
-    let mut capacity_seen = false;
-    for (idx, line) in file.lines.iter().enumerate() {
-        if line.number < item.body_start || line.number > item.body_end || line.in_test {
-            continue;
-        }
-        if line.code.contains("with_capacity") || line.code.contains(".reserve(") {
-            capacity_seen = true;
-        }
-        let in_loop = mask[idx];
-        for (token, loop_only) in ALLOC_TOKENS {
-            if !line.code.contains(token) || (loop_only && !in_loop) {
-                continue;
-            }
-            if token == ".push(" && capacity_seen {
-                continue;
-            }
-            out.push(AllocSite {
-                line: line.number,
-                what: token.trim_start_matches('.').trim_end_matches('('),
-                in_loop,
-            });
-        }
-        if line.code.contains(COLLECT_TOKEN) {
-            out.push(AllocSite {
-                line: line.number,
-                what: "collect",
-                in_loop,
-            });
-        }
-    }
-    out
-}
-
-/// Classifies statement effects over one function body.
-pub fn classify_effects(file: &FileRecord, item: &FnItem) -> EffectCounts {
-    let mut counts = EffectCounts {
-        allocs: alloc_sites(file, item).len(),
-        ..EffectCounts::default()
-    };
-    for line in &file.lines {
-        if line.number < item.body_start || line.number > item.body_end || line.in_test {
-            continue;
-        }
-        if has_f64_arith(&line.code) {
-            counts.f64_arith += 1;
-        }
-        counts.widening += widening_conversions(&line.code);
-        counts.narrowing += narrowing_casts(&line.code);
-    }
-    counts
-}
-
-/// Whether a line mixes a float literal (or f64 path) with arithmetic.
-fn has_f64_arith(code: &str) -> bool {
-    let floaty = code.contains("f64") || code.contains("f32") || has_float_literal(code);
-    floaty && code.contains(['+', '-', '*', '/'])
-}
-
-/// Whether the line contains a `<digits>.<digits>` float literal.
-fn has_float_literal(code: &str) -> bool {
-    let bytes = code.as_bytes();
-    for at in 1..bytes.len().saturating_sub(1) {
-        if bytes[at] == b'.' && bytes[at - 1].is_ascii_digit() && bytes[at + 1].is_ascii_digit() {
-            return true;
-        }
-    }
-    false
-}
-
-/// Counts widening `iN::from(` / `uN::from(` conversion calls.
-fn widening_conversions(code: &str) -> usize {
-    const WIDENING: [&str; 8] = [
-        "i16::from(",
-        "i32::from(",
-        "i64::from(",
-        "i128::from(",
-        "u16::from(",
-        "u32::from(",
-        "u64::from(",
-        "u128::from(",
-    ];
-    WIDENING.iter().map(|t| code.matches(t).count()).sum()
-}
-
-/// Counts `as <int>` casts (potential narrowings; L004 audits intent).
-fn narrowing_casts(code: &str) -> usize {
-    const INT_TYPES: [&str; 12] = [
-        "u8", "u16", "u32", "u64", "usize", "u128", "i8", "i16", "i32", "i64", "isize", "i128",
-    ];
-    let mut count = 0usize;
-    let mut from = 0usize;
-    while let Some(at) = code[from..].find(" as ") {
-        let at = from + at;
-        from = at + 4;
-        let after = code[at + 4..].trim_start();
-        if INT_TYPES
-            .iter()
-            .any(|ty| crate::rules::token_at(after, 0, ty))
-        {
-            count += 1;
-        }
-    }
-    count
 }
 
 // ---------------------------------------------------------------------
@@ -1630,7 +1404,7 @@ fn call_value(segments: &[String], args: &[Val]) -> Val {
 
 /// Value after an `as` cast: preserved when it provably fits the
 /// target, else the target's full range (the cast may wrap, which is
-/// L004's concern, not a bound the analysis may keep).
+/// the cast lints' concern, not a bound the analysis may keep).
 fn cast_value(val: Val, target: &str) -> Val {
     let range = match target {
         "i8" => Interval::new(i128::from(i8::MIN), i128::from(i8::MAX)),
@@ -1706,7 +1480,6 @@ mod tests {
     fn record(src: &str) -> FileRecord {
         FileRecord::parse(
             "crates/phy/src/fix.rs",
-            "carpool-phy",
             Section::Src,
             classify("carpool-phy"),
             src,
@@ -1715,49 +1488,6 @@ mod tests {
 
     fn only_fn(file: &FileRecord) -> &FnItem {
         &file.items.fns[0]
-    }
-
-    #[test]
-    fn alloc_sites_distinguish_loops() {
-        let src = "\
-fn f(n: usize) -> Vec<u8> {
-    let mut out = Vec::new();
-    out.push(0);
-    for k in 0..n {
-        out.push(1);
-        let label = format!(\"{k}\");
-        drop(label);
-    }
-    out
-}
-";
-        let file = record(src);
-        let sites = alloc_sites(&file, only_fn(&file));
-        let whats: Vec<(&str, bool)> = sites.iter().map(|s| (s.what, s.in_loop)).collect();
-        assert!(whats.contains(&("Vec::new", false)));
-        // `.push` outside a loop is amortized and not reported.
-        assert!(!whats.contains(&("push", false)));
-        assert!(whats.contains(&("push", true)));
-        assert!(whats.contains(&("format!", true)));
-    }
-
-    #[test]
-    fn presized_pushes_are_amortized() {
-        let src = "\
-fn f(n: usize) -> Vec<u8> {
-    let mut out = Vec::with_capacity(n);
-    for k in 0..n {
-        out.push(k as u8);
-    }
-    out
-}
-";
-        let file = record(src);
-        let sites = alloc_sites(&file, only_fn(&file));
-        // The one-time with_capacity stays visible; the pre-sized
-        // pushes do not reallocate and are exempt.
-        let whats: Vec<&str> = sites.iter().map(|s| s.what).collect();
-        assert_eq!(whats, ["Vec::with_capacity"]);
     }
 
     #[test]
@@ -1771,24 +1501,6 @@ fn f(n: usize) -> Vec<u8> {
         assert!(!is_setup_fn("transmit"));
         assert!(!is_setup_fn("renew_lease"));
         assert!(!is_setup_fn("newton_step"));
-    }
-
-    #[test]
-    fn effect_counts_cover_f64_and_conversions() {
-        let src = "\
-fn f(x: f64, n: u8) -> f64 {
-    let wide = i32::from(n);
-    // lint:allow(as-cast): fixture
-    let narrow = wide as u8;
-    let _ = narrow;
-    x * 2.5 + 1.0
-}
-";
-        let file = record(src);
-        let counts = classify_effects(&file, only_fn(&file));
-        assert_eq!(counts.widening, 1);
-        assert_eq!(counts.narrowing, 1);
-        assert!(counts.f64_arith >= 1);
     }
 
     #[test]

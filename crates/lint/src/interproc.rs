@@ -1,220 +1,12 @@
-//! Interprocedural rules (L007, L008, L010–L013) over the workspace
-//! call graph and parsed items. L009 is a line rule and lives in
-//! [`crate::rules`].
+//! Whole-workspace rules over parsed items: L010 (dead public API),
+//! L012 (scaling budget), L013 (units) and L015 (shard protocol). The
+//! line rules L003 and L009 live in [`crate::rules`].
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::callgraph::CallGraph;
 use crate::dataflow;
 use crate::items::{FileRecord, Section};
-use crate::rules::{contains_token, line_waived, panic_hits, Diagnostic, Rule};
-
-/// The hot-path roots L007 guards: the bench PHY trial loop, the MAC
-/// Monte-Carlo driver (both its free-fn spelling and the historical
-/// `Simulator::` one), the sharded MAC event engine (the per-domain
-/// step loop, the calendar-queue push/pop it dispatches through, and
-/// the `run_sharded` epoch driver), the link-delivery facade, the RX
-/// section decoder (the fused demap→scatter→Viterbi fast path), and
-/// the integer Viterbi / FFT kernels — including the pre-quantized
-/// `decode_levels` entry points the fused RX path batches into.
-/// Specs are `::`-separated suffixes matched against fully qualified
-/// fn paths.
-pub const HOT_ROOTS: [&str; 23] = [
-    "carpool_bench::run_phy",
-    "Simulator::run_replications",
-    "sim::run_replications",
-    "Simulator::run",
-    "Domain::step",
-    "CalendarQueue::push",
-    "CalendarQueue::pop",
-    "carpool_par::run_sharded",
-    "CarpoolLink::deliver_all",
-    "FrameDecoder::decode_section",
-    "convolutional::decode",
-    "convolutional::decode_with",
-    "convolutional::decode_soft",
-    "convolutional::decode_soft_with",
-    "convolutional::decode_soft_quantized",
-    "convolutional::decode_soft_quantized_with",
-    "convolutional::decode_levels",
-    "convolutional::decode_levels_with",
-    "fft::fft",
-    "fft::ifft",
-    "fft::fft_in_place",
-    "fft::ifft_in_place",
-    "fft::fft_real",
-];
-
-/// Call-graph statistics surfaced in reports.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct HotPathStats {
-    /// Root specs that matched at least one fn, in [`HOT_ROOTS`] order.
-    pub roots_matched: Vec<String>,
-    /// Number of root fn nodes.
-    pub root_nodes: usize,
-    /// Number of fns reachable from the roots (roots included).
-    pub reachable_fns: usize,
-    /// Slice/array indexing sites inside reachable fns. Always counted;
-    /// only diagnosed under `--strict-indexing` (DSP kernels index
-    /// pervasively with loop-bounded indices, so the count is a trend
-    /// metric, not a gate).
-    pub indexing_sites: usize,
-}
-
-/// L007 panic-reachability: panic tokens (and, in strict mode,
-/// indexing) inside any fn transitively reachable from [`HOT_ROOTS`].
-/// Honors both `hot-panic` waivers and plain `panic` waivers — an L001
-/// waiver already documents why the site is infallible.
-pub fn check_l007(
-    files: &[FileRecord],
-    graph: &CallGraph,
-    strict_indexing: bool,
-) -> (Vec<Diagnostic>, HotPathStats) {
-    let mut stats = HotPathStats::default();
-    let mut roots: Vec<usize> = Vec::new();
-    for spec in HOT_ROOTS {
-        let matched = graph.match_root(spec);
-        if !matched.is_empty() {
-            stats.roots_matched.push(spec.to_string());
-        }
-        roots.extend(matched);
-    }
-    roots.sort_unstable();
-    roots.dedup();
-    stats.root_nodes = roots.len();
-    let parents = graph.reachable(&roots);
-    stats.reachable_fns = parents.len();
-
-    let mut diags = Vec::new();
-    // (file, line, token) pairs already reported, so overlapping fn
-    // spans (e.g. nested fns) do not double-report.
-    let mut seen: BTreeSet<(usize, usize, &str)> = BTreeSet::new();
-    for &node_idx in parents.keys() {
-        let Some(node) = graph.nodes.get(node_idx) else {
-            continue;
-        };
-        if node.in_test {
-            continue;
-        }
-        let Some(file) = files.get(node.file) else {
-            continue;
-        };
-        let Some(item) = file.items.fns.get(node.item) else {
-            continue;
-        };
-        if item.body_start == 0 {
-            continue; // bodiless trait signature
-        }
-        let chain = graph.chain(node_idx, &parents).join(" -> ");
-        for number in item.decl_line..=item.body_end {
-            let Some(idx) = number.checked_sub(1) else {
-                continue;
-            };
-            let Some(line) = file.lines.get(idx) else {
-                continue;
-            };
-            if line.in_test {
-                continue;
-            }
-            for token in panic_hits(&line.code) {
-                if !seen.insert((node.file, number, token)) {
-                    continue;
-                }
-                if line_waived(&file.lines, idx, Rule::L007.waiver_key())
-                    || line_waived(&file.lines, idx, Rule::L001.waiver_key())
-                {
-                    continue;
-                }
-                diags.push(Diagnostic {
-                    rule: Rule::L007,
-                    file: file.path.clone(),
-                    line: number,
-                    message: format!(
-                        "`{token}` is reachable from a hot-path root \
-                         (call chain: {chain}); hot paths must be panic-free — \
-                         refactor or waive with `// lint:allow(hot-panic): <why>`"
-                    ),
-                });
-            }
-            let hits = indexing_sites(&line.code);
-            if hits > 0 {
-                stats.indexing_sites += hits;
-                if strict_indexing
-                    && seen.insert((node.file, number, "[indexing]"))
-                    && !line_waived(&file.lines, idx, Rule::L007.waiver_key())
-                {
-                    diags.push(Diagnostic {
-                        rule: Rule::L007,
-                        file: file.path.clone(),
-                        line: number,
-                        message: format!(
-                            "slice indexing on a hot path can panic on out-of-bounds \
-                             (call chain: {chain}); use `get`/iterators or waive with \
-                             `// lint:allow(hot-panic): <why in bounds>` \
-                             [--strict-indexing]"
-                        ),
-                    });
-                }
-            }
-        }
-    }
-    (diags, stats)
-}
-
-/// Counts `expr[...]` indexing sites in one blanked code line: a `[`
-/// directly after an identifier character, `)`, or `]`.
-fn indexing_sites(code: &str) -> usize {
-    let bytes = code.as_bytes();
-    let mut count = 0usize;
-    for at in 1..bytes.len() {
-        if bytes[at] != b'[' {
-            continue;
-        }
-        let prev = bytes[at - 1];
-        if prev.is_ascii_alphanumeric() || prev == b'_' || prev == b')' || prev == b']' {
-            count += 1;
-        }
-    }
-    count
-}
-
-/// L008 iteration-order nondeterminism: `HashMap`/`HashSet` in crates
-/// whose outputs must be byte-identical across runs and thread counts.
-/// The rule is presence-based (conservative): any non-test use is
-/// flagged unless waived with `hash-iter`, because hash iteration
-/// order is randomized per process and per key history.
-pub fn check_l008(files: &[FileRecord]) -> Vec<Diagnostic> {
-    const HASH_TYPES: [&str; 2] = ["HashMap", "HashSet"];
-    let mut diags = Vec::new();
-    for file in files {
-        if !file.class.ordered_iteration || !matches!(file.section, Section::Src) {
-            continue;
-        }
-        for (idx, line) in file.lines.iter().enumerate() {
-            if line.in_test {
-                continue;
-            }
-            for ty in HASH_TYPES {
-                if contains_token(&line.code, ty)
-                    && !line_waived(&file.lines, idx, Rule::L008.waiver_key())
-                {
-                    diags.push(Diagnostic {
-                        rule: Rule::L008,
-                        file: file.path.clone(),
-                        line: line.number,
-                        message: format!(
-                            "`{ty}` has nondeterministic iteration order; use \
-                             BTreeMap/BTreeSet (or sort before iterating) so sim/bench \
-                             outputs stay byte-identical, or waive with \
-                             `// lint:allow(hash-iter): <why order never observed>`"
-                        ),
-                    });
-                }
-            }
-        }
-    }
-    diags
-}
+use crate::rules::{is_waived, Diagnostic, Rule};
 
 /// L010 dead public API: top-level `pub` items in library crates that
 /// no other workspace crate, no test/bench/example, and no tool crate
@@ -252,7 +44,7 @@ pub fn check_l010(files: &[FileRecord]) -> Vec<Diagnostic> {
                 continue;
             }
             let idx = item.line.saturating_sub(1);
-            if line_waived(&file.lines, idx, Rule::L010.waiver_key()) {
+            if is_waived(&file.lines, idx, Rule::L010) {
                 continue;
             }
             diags.push(Diagnostic {
@@ -269,111 +61,6 @@ pub fn check_l010(files: &[FileRecord]) -> Vec<Diagnostic> {
         }
     }
     diags
-}
-
-/// Flow-aware analysis statistics surfaced in reports.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct FlowStats {
-    /// Allocation effects across all non-test library code.
-    pub alloc_sites: usize,
-    /// Allocation effects inside hot-reachable fns (waived included).
-    pub hot_alloc_sites: usize,
-    /// Functions carrying a `lint:budget` annotation.
-    pub budget_fns: usize,
-    /// Distinct non-saturating ops over budgeted data that were
-    /// bounds-checked by the interval analysis.
-    pub budget_ops_checked: usize,
-    /// Lines performing f64 arithmetic in non-test library code.
-    pub f64_arith_lines: usize,
-    /// Widening integer conversions (`i64::from`-style).
-    pub widening_ops: usize,
-    /// Potentially narrowing `as <int>` casts.
-    pub narrowing_casts: usize,
-    /// Function parameters carrying a recognized unit suffix.
-    pub unit_params: usize,
-}
-
-/// Tallies statement-effect counts over every non-test `src/` fn (the
-/// classification half of the flow-aware pass; the rules below consume
-/// the same primitives).
-pub fn flow_effects(files: &[FileRecord]) -> dataflow::EffectCounts {
-    let mut totals = dataflow::EffectCounts::default();
-    for file in files {
-        if !matches!(file.section, Section::Src) {
-            continue;
-        }
-        for item in &file.items.fns {
-            if item.in_test || item.body_start == 0 {
-                continue;
-            }
-            totals.absorb(dataflow::classify_effects(file, item));
-        }
-    }
-    totals
-}
-
-/// L011 hot-path allocation freedom: allocation effects (Vec::new,
-/// with_capacity, push-in-loop, Box::new, format!, clone, collect,
-/// to_vec) inside any fn transitively reachable from [`HOT_ROOTS`].
-/// Returns the diagnostics plus the hot-site count (waived included).
-pub fn check_l011(files: &[FileRecord], graph: &CallGraph) -> (Vec<Diagnostic>, usize) {
-    let mut roots: Vec<usize> = Vec::new();
-    for spec in HOT_ROOTS {
-        roots.extend(graph.match_root(spec));
-    }
-    roots.sort_unstable();
-    roots.dedup();
-    let parents = graph.reachable(&roots);
-
-    let mut diags = Vec::new();
-    let mut hot_sites = 0usize;
-    let mut seen: BTreeSet<(usize, usize, &str)> = BTreeSet::new();
-    for &node_idx in parents.keys() {
-        let Some(node) = graph.nodes.get(node_idx) else {
-            continue;
-        };
-        if node.in_test {
-            continue;
-        }
-        let Some(file) = files.get(node.file) else {
-            continue;
-        };
-        if !file.class.alloc_audited {
-            continue;
-        }
-        let Some(item) = file.items.fns.get(node.item) else {
-            continue;
-        };
-        if item.body_start == 0 || dataflow::is_setup_fn(&item.name) {
-            continue;
-        }
-        let chain = graph.chain(node_idx, &parents).join(" -> ");
-        for site in dataflow::alloc_sites(file, item) {
-            if !seen.insert((node.file, site.line, site.what)) {
-                continue;
-            }
-            hot_sites += 1;
-            let Some(idx) = site.line.checked_sub(1) else {
-                continue;
-            };
-            if line_waived(&file.lines, idx, Rule::L011.waiver_key()) {
-                continue;
-            }
-            let where_note = if site.in_loop { " inside a loop" } else { "" };
-            diags.push(Diagnostic {
-                rule: Rule::L011,
-                file: file.path.clone(),
-                line: site.line,
-                message: format!(
-                    "`{}`{} allocates on a hot path (call chain: {}); reuse a \
-                     scratch buffer or waive with \
-                     `// lint:allow(hot-alloc): <why setup-time or amortized>`",
-                    site.what, where_note, chain
-                ),
-            });
-        }
-    }
-    (diags, hot_sites)
 }
 
 /// L012 scaling-budget verification: every fn annotated with
@@ -401,7 +88,7 @@ pub fn check_l012(files: &[FileRecord]) -> (Vec<Diagnostic>, usize, usize) {
             ops_checked += report.ops_checked;
             for finding in report.findings {
                 let idx = finding.line.saturating_sub(1);
-                if line_waived(&file.lines, idx, Rule::L012.waiver_key()) {
+                if is_waived(&file.lines, idx, Rule::L012) {
                     continue;
                 }
                 diags.push(Diagnostic {
@@ -480,7 +167,7 @@ pub fn check_l013(files: &[FileRecord]) -> (Vec<Diagnostic>, usize) {
                 continue;
             }
             for (left, op, right) in mixed_unit_pairs(&line.code) {
-                if line_waived(&file.lines, idx, Rule::L013.waiver_key()) {
+                if is_waived(&file.lines, idx, Rule::L013) {
                     continue;
                 }
                 diags.push(Diagnostic {
@@ -497,7 +184,7 @@ pub fn check_l013(files: &[FileRecord]) -> (Vec<Diagnostic>, usize) {
                 });
             }
             for (callee, position, arg, want, got) in unit_mismatched_args(&line.code, &table) {
-                if line_waived(&file.lines, idx, Rule::L013.waiver_key()) {
+                if is_waived(&file.lines, idx, Rule::L013) {
                     continue;
                 }
                 diags.push(Diagnostic {
@@ -742,7 +429,7 @@ pub fn check_l015(files: &[FileRecord]) -> (Vec<Diagnostic>, usize) {
 
             let mut push = |line: usize, message: String| {
                 let idx = line.saturating_sub(1);
-                if !line_waived(&file.lines, idx, Rule::L015.waiver_key()) {
+                if !is_waived(&file.lines, idx, Rule::L015) {
                     diags.push(Diagnostic {
                         rule: Rule::L015,
                         file: file.path.clone(),
@@ -847,83 +534,10 @@ fn collect_idents(text: &str, set: &mut BTreeSet<String>) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::items::FileRecord;
     use crate::rules::classify;
 
     fn record(path: &str, crate_name: &str, src: &str) -> FileRecord {
-        FileRecord::parse(path, crate_name, Section::Src, classify(crate_name), src)
-    }
-
-    #[test]
-    fn l007_flags_reachable_panics_with_chain() {
-        let files = vec![record(
-            "crates/bench/src/lib.rs",
-            "carpool-bench",
-            "pub fn run_phy() { step(); }\nfn step() { helper(); }\nfn helper() { x.unwrap(); }\n",
-        )];
-        let graph = CallGraph::build(&files);
-        let (diags, stats) = check_l007(&files, &graph, false);
-        assert_eq!(diags.len(), 1);
-        assert_eq!(diags[0].line, 3);
-        assert!(diags[0].message.contains("run_phy -> "));
-        assert!(diags[0].message.contains("helper"));
-        assert!(stats
-            .roots_matched
-            .iter()
-            .any(|s| s == "carpool_bench::run_phy"));
-        assert_eq!(stats.reachable_fns, 3);
-    }
-
-    #[test]
-    fn l007_unreachable_panics_and_waivers_pass() {
-        let files = vec![record(
-            "crates/bench/src/lib.rs",
-            "carpool-bench",
-            "pub fn run_phy() { step(); }\n\
-             fn step() {}\n\
-             fn island() { x.unwrap(); }\n\
-             fn hot() { y.unwrap() } // lint:allow(panic): y checked by caller\n",
-        )];
-        let graph = CallGraph::build(&files);
-        let (diags, _) = check_l007(&files, &graph, false);
-        assert!(diags.is_empty(), "{diags:?}");
-    }
-
-    #[test]
-    fn l007_strict_indexing_flags_and_counts() {
-        let files = vec![record(
-            "crates/bench/src/lib.rs",
-            "carpool-bench",
-            "pub fn run_phy(v: &[u8]) -> u8 { v[0] }\n",
-        )];
-        let graph = CallGraph::build(&files);
-        let (relaxed, stats) = check_l007(&files, &graph, false);
-        assert!(relaxed.is_empty());
-        assert_eq!(stats.indexing_sites, 1);
-        let (strict, _) = check_l007(&files, &graph, true);
-        assert_eq!(strict.len(), 1);
-        assert!(strict[0].message.contains("--strict-indexing"));
-    }
-
-    #[test]
-    fn l008_flags_hash_iteration_in_deterministic_crates() {
-        let src =
-            "use std::collections::HashMap;\nfn f() { let m: HashMap<u8, u8> = HashMap::new(); }\n";
-        let files = vec![record("crates/mac/src/sim.rs", "carpool-mac", src)];
-        let diags = check_l008(&files);
-        assert_eq!(diags.len(), 2); // one per line that names a hash type
-        assert!(diags[0].message.contains("BTreeMap"));
-        // Tool crates without byte-identical outputs are exempt.
-        let cli = vec![record("crates/cli/src/main.rs", "carpool-cli", src)];
-        assert!(check_l008(&cli).is_empty());
-    }
-
-    #[test]
-    fn l008_waiver_honored() {
-        let src = "// lint:allow(hash-iter): drained into a sorted Vec before use\n\
-                   use std::collections::HashMap;\n";
-        let files = vec![record("crates/mac/src/sim.rs", "carpool-mac", src)];
-        assert!(check_l008(&files).is_empty());
+        FileRecord::parse(path, Section::Src, classify(crate_name), src)
     }
 
     #[test]

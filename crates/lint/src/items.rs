@@ -2,12 +2,10 @@
 //!
 //! [`parse_items`] folds the comment/string-blanked [`SourceLine`]s of
 //! one file into structural items: `fn` declarations with their body
-//! extents and outgoing call references, `impl`/`trait` contexts (so
-//! methods get a `Type::name` qualified identity), `use` bindings, and
-//! top-level `pub` items. It is deliberately not a full Rust parser —
-//! it tracks exactly the token shapes the interprocedural rules
-//! (L007–L010) need, never panics on malformed input, and degrades to
-//! "no item seen" rather than guessing.
+//! extents, and top-level `pub` items. It is deliberately not a full
+//! Rust parser — it tracks exactly the token shapes the workspace rules
+//! (L010, L012, L013, L015) need, never panics on malformed input, and
+//! degrades to "no item seen" rather than guessing.
 //!
 //! Span contract: every line number reported by the parser is one of
 //! the scanner's 1-based [`SourceLine::number`]s, and a function's
@@ -19,8 +17,7 @@ use crate::rules::CrateClass;
 use crate::scanner::{scan_source, SourceLine};
 
 /// Where a file sits within its crate (rules apply to `Src` only; the
-/// other sections participate as call-graph callers and as the
-/// reference corpus for dead-API detection).
+/// other sections are the reference corpus for dead-API detection).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Section {
     /// `src/` — library or binary sources.
@@ -33,41 +30,11 @@ pub enum Section {
     Examples,
 }
 
-/// One `use` declaration binding.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct UseBinding {
-    /// Local name introduced (last segment or the `as` rename); empty
-    /// for glob imports.
-    pub name: String,
-    /// Full path segments as written (`crate`/`self`/`super` are left
-    /// for the resolver to expand).
-    pub segments: Vec<String>,
-    /// Whether this is a `::*` glob import.
-    pub glob: bool,
-    /// Declaration line.
-    pub line: usize,
-}
-
-/// One call occurrence inside a function body.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CallRef {
-    /// Path segments before the parenthesis (`a::b::f(` → `[a, b, f]`).
-    pub segments: Vec<String>,
-    /// Whether the call is a method call (`x.f(...)`).
-    pub method: bool,
-    /// Line of the call.
-    pub line: usize,
-}
-
-/// One `fn` item with its body extent and outgoing calls.
+/// One `fn` item with its body extent.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FnItem {
     /// Function name.
     pub name: String,
-    /// Enclosing `impl`/`trait` type, if the fn is an associated item.
-    pub self_ty: Option<String>,
-    /// Whether the fn is plain `pub` (restricted `pub(...)` is false).
-    pub is_pub: bool,
     /// Line of the `fn` keyword.
     pub decl_line: usize,
     /// Line of the opening body brace (0 when the fn has no body, e.g.
@@ -77,8 +44,6 @@ pub struct FnItem {
     pub body_end: usize,
     /// Whether the declaration sits in `#[cfg(test)]`/`#[test]` code.
     pub in_test: bool,
-    /// Calls made inside the body, in source order.
-    pub calls: Vec<CallRef>,
 }
 
 /// A top-level `pub` item (dead-API candidates for L010).
@@ -98,8 +63,6 @@ pub struct PubItem {
 pub struct FileItems {
     /// All functions, in completion order (inner fns close first).
     pub fns: Vec<FnItem>,
-    /// All `use` bindings.
-    pub uses: Vec<UseBinding>,
     /// Top-level `pub` items.
     pub pub_items: Vec<PubItem>,
 }
@@ -109,10 +72,6 @@ pub struct FileItems {
 pub struct FileRecord {
     /// Workspace-relative path with forward slashes.
     pub path: String,
-    /// Package name (with dashes, e.g. `carpool-phy`).
-    pub crate_name: String,
-    /// Module path (e.g. `carpool_phy::fft`).
-    pub module: String,
     /// Which crate section the file belongs to.
     pub section: Section,
     /// Rule classification of the owning crate.
@@ -125,19 +84,11 @@ pub struct FileRecord {
 
 impl FileRecord {
     /// Scans and parses `source` into a record.
-    pub fn parse(
-        path: &str,
-        crate_name: &str,
-        section: Section,
-        class: CrateClass,
-        source: &str,
-    ) -> FileRecord {
+    pub fn parse(path: &str, section: Section, class: CrateClass, source: &str) -> FileRecord {
         let lines = scan_source(source);
         let items = parse_items(&lines);
         FileRecord {
             path: path.to_string(),
-            crate_name: crate_name.to_string(),
-            module: module_path(crate_name, section, path),
             section,
             class,
             lines,
@@ -146,56 +97,12 @@ impl FileRecord {
     }
 }
 
-/// Derives the module path of a file from its crate and relative path:
-/// `crates/phy/src/fft.rs` in `carpool-phy` → `carpool_phy::fft`;
-/// `lib.rs`/`main.rs`/`mod.rs` collapse into their parent.
-pub fn module_path(crate_name: &str, section: Section, rel_path: &str) -> String {
-    let alias = crate_name.replace('-', "_");
-    let marker = match section {
-        Section::Src => "src/",
-        Section::Tests => "tests/",
-        Section::Benches => "benches/",
-        Section::Examples => "examples/",
-    };
-    let under = rel_path
-        .rfind(marker)
-        .map(|at| &rel_path[at + marker.len()..])
-        .unwrap_or(rel_path);
-    let mut segments = vec![alias];
-    if !matches!(section, Section::Src) {
-        segments.push(marker.trim_end_matches('/').to_string());
-    }
-    for part in under.trim_end_matches(".rs").split('/') {
-        if part.is_empty() || part == "lib" || part == "main" || part == "mod" {
-            continue;
-        }
-        segments.push(part.to_string());
-    }
-    segments.join("::")
-}
-
-/// An `impl`/`trait` block whose contained fns are associated items.
-struct Ctx {
-    /// Brace depth inside the block (`depth` while the block is open).
-    open_depth: usize,
-    /// Self type the block associates fns with.
-    self_ty: Option<String>,
-}
-
 /// A fn header seen, waiting for its body `{` or a `;`.
 struct PendingFn {
     name: String,
-    is_pub: bool,
     decl_line: usize,
     decl_depth: usize,
     in_test: bool,
-    self_ty: Option<String>,
-}
-
-/// An `impl`/`trait` header accumulating text until its `{`.
-struct PendingCtx {
-    text: String,
-    is_trait: bool,
 }
 
 /// A fn whose body is open.
@@ -205,20 +112,22 @@ struct ActiveFn {
     body_depth: usize,
 }
 
-/// A `use` statement accumulating text until its `;`.
-struct UseAccum {
-    text: String,
-    line: usize,
+/// Token runs the parser skips over without interpreting them.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Skip {
+    /// Not skipping.
+    None,
+    /// A `use` declaration, up to its `;`.
+    Use,
+    /// An `impl`/`trait` header, up to its `{` (or a `;`).
+    Header,
 }
 
-#[derive(Default)]
 struct Parser {
     depth: usize,
-    ctxs: Vec<Ctx>,
     active: Vec<ActiveFn>,
     pending_fn: Option<PendingFn>,
-    pending_ctx: Option<PendingCtx>,
-    pending_use: Option<UseAccum>,
+    skip: Skip,
     saw_pub: bool,
     /// `(`/`[` nesting inside a pending fn signature. A `;` or `{`
     /// inside such a group (`[u8; N]`, `-> [u8; { N }]`) belongs to a
@@ -231,7 +140,15 @@ struct Parser {
 /// Parses the scanned lines of one file into items. Never panics; on
 /// unparseable shapes it simply records fewer items.
 pub fn parse_items(lines: &[SourceLine]) -> FileItems {
-    let mut p = Parser::default();
+    let mut p = Parser {
+        depth: 0,
+        active: Vec::new(),
+        pending_fn: None,
+        skip: Skip::None,
+        saw_pub: false,
+        sig_group: 0,
+        out: FileItems::default(),
+    };
     for line in lines {
         p.feed_line(line);
     }
@@ -249,57 +166,27 @@ impl Parser {
     fn feed_line(&mut self, line: &SourceLine) {
         let chars: Vec<char> = line.code.chars().collect();
         let mut i = 0usize;
-        // Last significant (non-whitespace) char before the current
-        // token; drives method-call and macro detection.
-        let mut prev_sig = '\n';
-        // A line break separates tokens inside a multi-line `use` or
-        // `impl`/`trait` header just like a space would.
-        if let Some(acc) = &mut self.pending_use {
-            acc.text.push(' ');
-        }
-        if let Some(ctx) = &mut self.pending_ctx {
-            ctx.text.push(' ');
-        }
         while i < chars.len() {
             let c = chars[i];
-            if let Some(acc) = &mut self.pending_use {
-                if c == ';' {
-                    let text = std::mem::take(&mut acc.text);
-                    let at = acc.line;
-                    self.pending_use = None;
-                    parse_use_tree(&text, &[], at, &mut self.out.uses);
-                } else {
-                    acc.text.push(c);
+            match self.skip {
+                Skip::Use => {
+                    if c == ';' {
+                        self.skip = Skip::None;
+                    }
+                    i += 1;
+                    continue;
                 }
-                i += 1;
-                if !c.is_whitespace() {
-                    prev_sig = c;
+                Skip::Header => {
+                    if c == '{' {
+                        self.depth += 1;
+                        self.skip = Skip::None;
+                    } else if c == ';' {
+                        self.skip = Skip::None;
+                    }
+                    i += 1;
+                    continue;
                 }
-                continue;
-            }
-            if let Some(ctx) = &mut self.pending_ctx {
-                if c == '{' {
-                    let self_ty = if ctx.is_trait {
-                        first_ident(&ctx.text)
-                    } else {
-                        impl_self_type(&ctx.text)
-                    };
-                    self.depth += 1;
-                    self.ctxs.push(Ctx {
-                        open_depth: self.depth,
-                        self_ty,
-                    });
-                    self.pending_ctx = None;
-                } else if c == ';' {
-                    self.pending_ctx = None;
-                } else {
-                    ctx.text.push(c);
-                }
-                i += 1;
-                if !c.is_whitespace() {
-                    prev_sig = c;
-                }
-                continue;
+                Skip::None => {}
             }
             if c.is_whitespace() {
                 i += 1;
@@ -313,18 +200,15 @@ impl Parser {
                     '(' | '[' => {
                         self.sig_group += 1;
                         i += 1;
-                        prev_sig = c;
                         continue;
                     }
                     ')' | ']' => {
                         self.sig_group = self.sig_group.saturating_sub(1);
                         i += 1;
-                        prev_sig = c;
                         continue;
                     }
                     '{' | '}' | ';' if self.sig_group > 0 => {
                         i += 1;
-                        prev_sig = c;
                         continue;
                     }
                     _ => {}
@@ -333,67 +217,44 @@ impl Parser {
             match c {
                 '{' => {
                     self.depth += 1;
-                    if let Some(pf) = &self.pending_fn {
-                        if self.depth == pf.decl_depth + 1 {
-                            let pf = self.pending_fn.take();
-                            if let Some(pf) = pf {
-                                self.active.push(ActiveFn {
-                                    body_depth: self.depth,
-                                    item: FnItem {
-                                        name: pf.name,
-                                        self_ty: pf.self_ty,
-                                        is_pub: pf.is_pub,
-                                        decl_line: pf.decl_line,
-                                        body_start: line.number,
-                                        body_end: 0,
-                                        in_test: pf.in_test,
-                                        calls: Vec::new(),
-                                    },
-                                });
-                            }
-                        }
+                    if let Some(pf) = self
+                        .pending_fn
+                        .take_if(|pf| self.depth == pf.decl_depth + 1)
+                    {
+                        self.active.push(ActiveFn {
+                            body_depth: self.depth,
+                            item: FnItem {
+                                name: pf.name,
+                                decl_line: pf.decl_line,
+                                body_start: line.number,
+                                body_end: 0,
+                                in_test: pf.in_test,
+                            },
+                        });
                     }
                     self.saw_pub = false;
                     i += 1;
                 }
                 '}' => {
                     self.depth = self.depth.saturating_sub(1);
-                    while self
-                        .active
-                        .last()
-                        .is_some_and(|a| a.body_depth > self.depth)
-                    {
-                        if let Some(active) = self.active.pop() {
-                            let mut item = active.item;
-                            item.body_end = line.number;
-                            self.out.fns.push(item);
-                        }
-                    }
-                    while self.ctxs.last().is_some_and(|c| c.open_depth > self.depth) {
-                        self.ctxs.pop();
+                    while let Some(active) = self.active.pop_if(|a| a.body_depth > self.depth) {
+                        let mut item = active.item;
+                        item.body_end = line.number;
+                        self.out.fns.push(item);
                     }
                     self.saw_pub = false;
                     i += 1;
                 }
                 ';' => {
-                    if self
-                        .pending_fn
-                        .as_ref()
-                        .is_some_and(|pf| pf.decl_depth == self.depth)
-                    {
-                        // Trait required method: record without a body.
-                        if let Some(pf) = self.pending_fn.take() {
-                            self.out.fns.push(FnItem {
-                                name: pf.name,
-                                self_ty: pf.self_ty,
-                                is_pub: pf.is_pub,
-                                decl_line: pf.decl_line,
-                                body_start: 0,
-                                body_end: 0,
-                                in_test: pf.in_test,
-                                calls: Vec::new(),
-                            });
-                        }
+                    // Trait required method: record without a body.
+                    if let Some(pf) = self.pending_fn.take_if(|pf| pf.decl_depth == self.depth) {
+                        self.out.fns.push(FnItem {
+                            name: pf.name,
+                            decl_line: pf.decl_line,
+                            body_start: 0,
+                            body_end: 0,
+                            in_test: pf.in_test,
+                        });
                     }
                     self.saw_pub = false;
                     i += 1;
@@ -404,333 +265,102 @@ impl Parser {
                         i += 1;
                     }
                     let word: String = chars[start..i].iter().collect();
-                    i = self.handle_word(&word, &chars, i, prev_sig, line);
+                    i = self.handle_word(&word, &chars, i, line);
                 }
                 _ => {
                     i += 1;
                 }
             }
-            prev_sig = chars.get(i.wrapping_sub(1)).copied().unwrap_or(prev_sig);
-            if !prev_sig.is_whitespace() {
-                // keep as-is
-            }
-            prev_sig = c;
-        }
-        // Use statements keep accumulating across lines; add a token
-        // separator so `use a::` + newline + `b;` does not fuse idents.
-        if let Some(acc) = &mut self.pending_use {
-            acc.text.push(' ');
-        }
-        if let Some(ctx) = &mut self.pending_ctx {
-            ctx.text.push(' ');
         }
     }
 
     /// Dispatches one identifier token; returns the new scan position.
-    fn handle_word(
-        &mut self,
-        word: &str,
-        chars: &[char],
-        mut i: usize,
-        prev_sig: char,
-        line: &SourceLine,
-    ) -> usize {
+    fn handle_word(&mut self, word: &str, chars: &[char], i: usize, line: &SourceLine) -> usize {
+        let top_level_pub = self.depth == 0 && self.saw_pub && !line.in_test;
         match word {
             "pub" => {
-                let next = next_sig(chars, i);
-                if next == Some('(') {
+                if next_sig(chars, i) == Some('(') {
                     // Restricted visibility `pub(crate)` etc. is not
                     // public API; skip the scope parens.
-                    i = skip_balanced(chars, skip_ws(chars, i), '(', ')');
-                } else {
-                    self.saw_pub = true;
+                    return skip_balanced(chars, skip_ws(chars, i), '(', ')');
                 }
+                self.saw_pub = true;
                 i
             }
             "fn" => {
-                let (name, after) = read_ident(chars, i);
-                if let Some(name) = name {
-                    let self_ty = self.ctxs.last().and_then(|c| c.self_ty.clone());
-                    if self.depth == 0 && self.saw_pub && !line.in_test {
-                        self.out.pub_items.push(PubItem {
-                            kind: "fn",
-                            name: name.clone(),
-                            line: line.number,
-                        });
-                    }
-                    self.pending_fn = Some(PendingFn {
-                        name,
-                        is_pub: self.saw_pub,
-                        decl_line: line.number,
-                        decl_depth: self.depth,
-                        in_test: line.in_test,
-                        self_ty,
-                    });
-                    self.sig_group = 0;
-                    self.saw_pub = false;
-                    return after;
+                let (Some(name), after) = read_ident(chars, i) else {
+                    return i;
+                };
+                if top_level_pub {
+                    self.push_pub("fn", &name, line);
                 }
-                i
+                self.pending_fn = Some(PendingFn {
+                    name,
+                    decl_line: line.number,
+                    decl_depth: self.depth,
+                    in_test: line.in_test,
+                });
+                self.sig_group = 0;
+                self.saw_pub = false;
+                after
             }
             // `impl` inside a fn signature is `impl Trait` in argument
-            // or return position, not a block header — starting a ctx
-            // there would swallow the fn body brace.
+            // or return position, not a block header — skipping to the
+            // next `{` there would swallow the fn body brace.
             "impl" if self.pending_fn.is_none() => {
-                self.pending_ctx = Some(PendingCtx {
-                    text: String::new(),
-                    is_trait: false,
-                });
+                self.skip = Skip::Header;
                 self.saw_pub = false;
                 i
             }
             "trait" => {
                 let (name, after) = read_ident(chars, i);
-                if let Some(name) = &name {
-                    if self.depth == 0 && self.saw_pub && !line.in_test {
-                        self.out.pub_items.push(PubItem {
-                            kind: "trait",
-                            name: name.clone(),
-                            line: line.number,
-                        });
-                    }
+                if let Some(name) = name.filter(|_| top_level_pub) {
+                    self.push_pub("trait", &name, line);
                 }
-                self.pending_ctx = Some(PendingCtx {
-                    text: name.clone().unwrap_or_default(),
-                    is_trait: true,
-                });
+                self.skip = Skip::Header;
                 self.saw_pub = false;
                 after
             }
             "struct" | "enum" | "const" | "static" | "type" | "mod" | "union" => {
-                let kind: &'static str = match word {
-                    "struct" => "struct",
-                    "enum" => "enum",
-                    "const" => "const",
-                    "static" => "static",
-                    "type" => "type",
-                    "union" => "union",
-                    _ => "mod",
+                let (Some(name), after) = read_ident(chars, i) else {
+                    return i;
                 };
-                let (name, after) = read_ident(chars, i);
-                if let Some(name) = name {
-                    // `const fn` / `static ref` shapes: `const` followed
-                    // by `fn` is a qualifier, not an item.
-                    if name == "fn" {
-                        return i;
-                    }
-                    if self.depth == 0 && self.saw_pub && !line.in_test {
-                        self.out.pub_items.push(PubItem {
-                            kind,
-                            name,
-                            line: line.number,
-                        });
-                    }
-                    self.saw_pub = false;
-                    return after;
+                // `const fn` / `static ref` shapes: `const` followed
+                // by `fn` is a qualifier, not an item.
+                if name == "fn" {
+                    return i;
                 }
-                i
+                if top_level_pub {
+                    let kind = match word {
+                        "struct" => "struct",
+                        "enum" => "enum",
+                        "const" => "const",
+                        "static" => "static",
+                        "type" => "type",
+                        "union" => "union",
+                        _ => "mod",
+                    };
+                    self.push_pub(kind, &name, line);
+                }
+                self.saw_pub = false;
+                after
             }
             "use" => {
-                self.pending_use = Some(UseAccum {
-                    text: String::new(),
-                    line: line.number,
-                });
+                self.skip = Skip::Use;
                 self.saw_pub = false;
                 i
             }
-            _ => self.scan_call_path(word, chars, i, prev_sig, line),
+            _ => i,
         }
     }
 
-    /// Follows `word ( :: ident )* (` shapes and records a call ref.
-    fn scan_call_path(
-        &mut self,
-        word: &str,
-        chars: &[char],
-        mut i: usize,
-        prev_sig: char,
-        line: &SourceLine,
-    ) -> usize {
-        let mut segments = vec![word.to_string()];
-        loop {
-            if chars.get(i) == Some(&':') && chars.get(i + 1) == Some(&':') {
-                let mut k = i + 2;
-                if chars.get(k) == Some(&'<') {
-                    // Turbofish: skip the generic args, then expect `(`.
-                    k = skip_balanced(chars, k, '<', '>');
-                    i = k;
-                    break;
-                }
-                let start = k;
-                while k < chars.len() && is_ident_char(chars[k]) {
-                    k += 1;
-                }
-                if k == start {
-                    i = k;
-                    break;
-                }
-                segments.push(chars[start..k].iter().collect());
-                i = k;
-            } else {
-                break;
-            }
-        }
-        if chars.get(i) == Some(&'!') {
-            // Macro invocation — not a function call.
-            return i + 1;
-        }
-        if chars.get(i) == Some(&'(') {
-            if let Some(active) = self.active.last_mut() {
-                active.item.calls.push(CallRef {
-                    method: prev_sig == '.',
-                    segments,
-                    line: line.number,
-                });
-            }
-        }
-        i
+    fn push_pub(&mut self, kind: &'static str, name: &str, line: &SourceLine) {
+        self.out.pub_items.push(PubItem {
+            kind,
+            name: name.to_string(),
+            line: line.number,
+        });
     }
-}
-
-/// Expands one `use` tree body (text between `use` and `;`).
-fn parse_use_tree(text: &str, prefix: &[String], line: usize, out: &mut Vec<UseBinding>) {
-    let text = text.trim();
-    if text.is_empty() {
-        return;
-    }
-    if let Some(open) = text.find('{') {
-        let head = text[..open].trim().trim_end_matches("::");
-        let mut segs: Vec<String> = prefix.to_vec();
-        segs.extend(split_path(head));
-        // Balanced group body: everything up to the matching brace.
-        let inner = balanced_inner(&text[open..]);
-        for part in split_top_level(inner) {
-            parse_use_tree(part, &segs, line, out);
-        }
-        return;
-    }
-    let (path_text, rename) = match text.find(" as ") {
-        Some(at) => (&text[..at], Some(text[at + 4..].trim().to_string())),
-        None => (text, None),
-    };
-    let mut segs: Vec<String> = prefix.to_vec();
-    let mut glob = false;
-    for part in split_path(path_text) {
-        if part == "*" {
-            glob = true;
-        } else if part == "self" && !segs.is_empty() {
-            // `a::b::self` binds `b` itself; segments stay as-is.
-        } else {
-            segs.push(part);
-        }
-    }
-    if segs.is_empty() {
-        return;
-    }
-    let name = match rename {
-        Some(n) => n,
-        None if glob => String::new(),
-        None => segs.last().cloned().unwrap_or_default(),
-    };
-    out.push(UseBinding {
-        name,
-        segments: segs,
-        glob,
-        line,
-    });
-}
-
-/// Splits `a::b :: c` into clean segments.
-fn split_path(text: &str) -> Vec<String> {
-    text.split("::")
-        .map(str::trim)
-        .filter(|s| !s.is_empty())
-        .map(str::to_string)
-        .collect()
-}
-
-/// Contents of a `{...}` group starting at the opening brace.
-fn balanced_inner(text: &str) -> &str {
-    let mut depth = 0usize;
-    for (at, c) in text.char_indices() {
-        if c == '{' {
-            depth += 1;
-        } else if c == '}' {
-            depth = depth.saturating_sub(1);
-            if depth == 0 {
-                return text.get(1..at).unwrap_or("");
-            }
-        }
-    }
-    text.get(1..).unwrap_or("")
-}
-
-/// Splits a group body on commas not nested in `{}`.
-fn split_top_level(text: &str) -> Vec<&str> {
-    let mut parts = Vec::new();
-    let mut depth = 0usize;
-    let mut start = 0usize;
-    for (at, c) in text.char_indices() {
-        match c {
-            '{' => depth += 1,
-            '}' => depth = depth.saturating_sub(1),
-            ',' if depth == 0 => {
-                parts.push(&text[start..at]);
-                start = at + 1;
-            }
-            _ => {}
-        }
-    }
-    parts.push(&text[start..]);
-    parts
-}
-
-/// Extracts the self type from an `impl` header (text between `impl`
-/// and `{`): strips leading generics, honors `Trait for Type`, and
-/// keeps the last path segment without its generic arguments.
-fn impl_self_type(header: &str) -> Option<String> {
-    let mut rest = header.trim();
-    if rest.starts_with('<') {
-        let chars: Vec<char> = rest.chars().collect();
-        let end = skip_balanced(&chars, 0, '<', '>');
-        rest = rest.get(chars[..end].iter().collect::<String>().len()..)?;
-        rest = rest.trim_start();
-    }
-    // `Trait for Type` — take the type side. `for<'a>` HRTBs have no
-    // space before `<`, so requiring a full ` for ` word avoids them.
-    let mut from = 0usize;
-    let mut after_for = rest;
-    while let Some(at) = rest[from..].find(" for ") {
-        let at = from + at;
-        let tail = &rest[at + 5..];
-        if !tail.trim_start().starts_with('<') {
-            after_for = tail;
-        }
-        from = at + 5;
-    }
-    let ty = after_for
-        .trim_start()
-        .trim_start_matches('&')
-        .trim_start_matches("mut ")
-        .trim_start_matches("dyn ")
-        .trim_start();
-    let cut = ty
-        .find(|c: char| c == '<' || c == '{' || c.is_whitespace())
-        .unwrap_or(ty.len());
-    let path = &ty[..cut];
-    path.rsplit("::")
-        .next()
-        .map(str::trim)
-        .filter(|s| !s.is_empty() && s.chars().next().is_some_and(is_ident_start))
-        .map(str::to_string)
-}
-
-/// First identifier in a text fragment.
-fn first_ident(text: &str) -> Option<String> {
-    let start = text.find(|c: char| is_ident_start(c))?;
-    let rest = &text[start..];
-    let end = rest.find(|c: char| !is_ident_char(c)).unwrap_or(rest.len());
-    Some(rest[..end].to_string())
 }
 
 const fn is_ident_start(c: char) -> bool {
@@ -800,8 +430,17 @@ mod tests {
         parse_items(&scan_source(src))
     }
 
+    fn find<'a>(items: &'a FileItems, name: &str) -> Option<&'a FnItem> {
+        items.fns.iter().find(|f| f.name == name)
+    }
+
+    /// `(body_start, body_end)` of the named fn.
+    fn span(items: &FileItems, name: &str) -> Option<(usize, usize)> {
+        find(items, name).map(|f| (f.body_start, f.body_end))
+    }
+
     #[test]
-    fn free_fn_with_body_extent_and_calls() {
+    fn free_fn_with_body_extent() {
         let src = "\
 pub fn alpha(x: u8) -> u8 {
     helper(x);
@@ -811,27 +450,19 @@ fn helper(x: u8) -> u8 { x }
 ";
         let items = parse(src);
         assert_eq!(items.fns.len(), 2);
-        let alpha = items.fns.iter().find(|f| f.name == "alpha");
-        let alpha = alpha.as_ref();
-        assert!(alpha.is_some_and(|f| f.is_pub && f.decl_line == 1 && f.body_end == 4));
-        let calls: Vec<_> = alpha.map(|f| f.calls.clone()).unwrap_or_default();
-        assert_eq!(calls.len(), 2);
-        assert_eq!(calls[0].segments, ["helper"]);
-        assert_eq!(calls[1].segments, ["beta", "gamma"]);
-        assert!(!calls[1].method);
+        let alpha = find(&items, "alpha");
+        assert!(alpha.is_some_and(|f| f.decl_line == 1 && f.body_end == 4));
+        assert_eq!(span(&items, "helper"), Some((5, 5)));
         assert_eq!(items.pub_items.len(), 1);
         assert_eq!(items.pub_items[0].name, "alpha");
     }
 
     #[test]
-    fn impl_methods_get_self_type() {
+    fn impl_and_trait_blocks_hold_their_methods() {
         let src = "\
 struct Decoder;
-impl Decoder {
-    pub fn run(&self) {
-        self.step();
-    }
-    fn step(&self) {}
+impl<T: Clone + Default> Holder<T> {
+    fn get(&self) -> T { T::default() }
 }
 impl Iterator for Decoder {
     type Item = u8;
@@ -839,81 +470,22 @@ impl Iterator for Decoder {
 }
 ";
         let items = parse(src);
-        let run = items.fns.iter().find(|f| f.name == "run");
-        assert_eq!(
-            run.and_then(|f| f.self_ty.clone()).as_deref(),
-            Some("Decoder")
-        );
-        let next = items.fns.iter().find(|f| f.name == "next");
-        assert_eq!(
-            next.and_then(|f| f.self_ty.clone()).as_deref(),
-            Some("Decoder"),
-            "trait impls associate with the type, not the trait"
-        );
-        let step_call = run.map(|f| f.calls.clone()).unwrap_or_default();
-        assert!(step_call.iter().any(|c| c.method && c.segments == ["step"]));
+        assert_eq!(span(&items, "get"), Some((3, 3)));
+        assert_eq!(span(&items, "next"), Some((7, 7)));
+        // Generic parameters in the impl header are not items.
+        assert!(items.pub_items.is_empty());
     }
 
     #[test]
-    fn generic_impl_headers_resolve_the_type() {
-        let src = "\
-impl<T: Clone + Default> Holder<T> {
-    fn get(&self) -> T { T::default() }
-}
-";
-        let items = parse(src);
-        let get = items.fns.iter().find(|f| f.name == "get");
-        assert_eq!(
-            get.and_then(|f| f.self_ty.clone()).as_deref(),
-            Some("Holder")
-        );
-    }
-
-    #[test]
-    fn use_bindings_expand_groups_renames_and_globs() {
+    fn use_declarations_are_not_items() {
         let src = "\
 use std::collections::{BTreeMap, BTreeSet as Set};
-use crate::scanner::*;
-pub use a::b::c;
+pub use a::b::{self, c};
+pub fn after() {}
 ";
         let items = parse(src);
-        let names: Vec<&str> = items.uses.iter().map(|u| u.name.as_str()).collect();
-        assert!(names.contains(&"BTreeMap"));
-        assert!(names.contains(&"Set"));
-        assert!(names.contains(&"c"));
-        let glob = items.uses.iter().find(|u| u.glob);
-        assert_eq!(
-            glob.map(|u| u.segments.clone()),
-            Some(vec!["crate".to_string(), "scanner".to_string()])
-        );
-        let set = items.uses.iter().find(|u| u.name == "Set");
-        assert_eq!(
-            set.map(|u| u.segments.clone()),
-            Some(vec![
-                "std".to_string(),
-                "collections".to_string(),
-                "BTreeSet".to_string()
-            ])
-        );
-    }
-
-    #[test]
-    fn macros_and_keywords_are_not_calls() {
-        let src = "\
-fn f() {
-    println!(\"x\");
-    if (a) { g(); }
-    match (a, b) { _ => {} }
-}
-fn g() {}
-";
-        let items = parse(src);
-        let f = items.fns.iter().find(|f| f.name == "f");
-        let calls = f.map(|f| f.calls.clone()).unwrap_or_default();
-        // `println!` is a macro; `if (a)` and `match (a, b)` record
-        // keyword pseudo-calls that resolve to nothing downstream.
-        assert!(!calls.iter().any(|c| c.segments == ["println"]));
-        assert!(calls.iter().any(|c| c.segments == ["g"]));
+        let names: Vec<&str> = items.pub_items.iter().map(|p| p.name.as_str()).collect();
+        assert_eq!(names, ["after"]);
     }
 
     #[test]
@@ -927,10 +499,8 @@ pub trait Model {
 }
 ";
         let items = parse(src);
-        let predict = items.fns.iter().find(|f| f.name == "predict");
-        assert!(predict.is_some_and(|f| f.body_start == 0 && f.body_end == 0));
-        let doubled = items.fns.iter().find(|f| f.name == "doubled");
-        assert!(doubled.is_some_and(|f| f.body_start == 3 && f.body_end == 5));
+        assert_eq!(span(&items, "predict"), Some((0, 0)));
+        assert_eq!(span(&items, "doubled"), Some((3, 5)));
         assert_eq!(
             items.pub_items.iter().map(|p| p.kind).collect::<Vec<_>>(),
             ["trait"]
@@ -946,8 +516,7 @@ pub fn external() {}
         let items = parse(src);
         assert_eq!(items.pub_items.len(), 1);
         assert_eq!(items.pub_items[0].name, "external");
-        let internal = items.fns.iter().find(|f| f.name == "internal");
-        assert!(internal.is_some_and(|f| !f.is_pub));
+        assert!(find(&items, "internal").is_some());
     }
 
     #[test]
@@ -960,32 +529,13 @@ pub static G: u8 = 0;
 pub type T = u8;
 pub mod m;
 pub union U { a: u8 }
+pub const fn k() {}
 ";
         let items = parse(src);
         let kinds: Vec<&str> = items.pub_items.iter().map(|p| p.kind).collect();
         assert_eq!(
             kinds,
-            ["struct", "enum", "const", "static", "type", "mod", "union"]
-        );
-    }
-
-    #[test]
-    fn module_paths_collapse_roots() {
-        assert_eq!(
-            module_path("carpool-phy", Section::Src, "crates/phy/src/fft.rs"),
-            "carpool_phy::fft"
-        );
-        assert_eq!(
-            module_path("carpool-phy", Section::Src, "crates/phy/src/lib.rs"),
-            "carpool_phy"
-        );
-        assert_eq!(
-            module_path("carpool-repro", Section::Tests, "tests/mac_scenarios.rs"),
-            "carpool_repro::tests::mac_scenarios"
-        );
-        assert_eq!(
-            module_path("carpool-phy", Section::Src, "crates/phy/src/sub/mod.rs"),
-            "carpool_phy::sub"
+            ["struct", "enum", "const", "static", "type", "mod", "union", "fn"]
         );
     }
 
@@ -998,20 +548,16 @@ fn outer() {
 }
 ";
         let items = parse(src);
-        let inner = items.fns.iter().find(|f| f.name == "inner");
-        assert!(inner.is_some_and(|f| f.body_start == 2 && f.body_end == 2));
-        let outer = items.fns.iter().find(|f| f.name == "outer");
-        assert!(outer.is_some_and(|f| f.body_end == 4));
-        // `leaf()` belongs to inner, `inner()` to outer.
-        assert!(inner.is_some_and(|f| f.calls.iter().any(|c| c.segments == ["leaf"])));
-        assert!(outer.is_some_and(|f| f.calls.iter().any(|c| c.segments == ["inner"])));
+        assert_eq!(span(&items, "inner"), Some((2, 2)));
+        assert_eq!(span(&items, "outer"), Some((1, 4)));
+        assert_eq!(items.fns[0].name, "inner", "inner fns close first");
     }
 
     #[test]
     fn impl_trait_in_signature_is_not_a_block_header() {
-        // `impl FnOnce` in argument/return position must not open an
-        // impl ctx — that used to swallow the body brace and make the
-        // fn (and its calls) invisible to every interprocedural rule.
+        // `impl FnOnce` in argument/return position must not start an
+        // impl header — that would swallow the body brace and make the
+        // fn invisible to every rule.
         let src = "\
 struct S;
 impl S {
@@ -1026,19 +572,8 @@ impl S {
 }
 ";
         let items = parse(src);
-        let time = items.fns.iter().find(|f| f.name == "time");
-        assert!(
-            time.is_some_and(|f| f.body_start == 3 && f.body_end == 6),
-            "impl-Trait arg swallowed the body: {time:?}"
-        );
-        assert!(time.is_some_and(|f| f.self_ty.as_deref() == Some("S")));
-        assert!(time.is_some_and(|f| f.calls.iter().any(|c| c.segments == ["helper"])));
-        let after = items.fns.iter().find(|f| f.name == "after");
-        assert!(
-            after.is_some_and(|f| f.body_start == 7 && f.body_end == 10),
-            "impl-Trait return swallowed the body: {after:?}"
-        );
-        assert!(after.is_some_and(|f| f.calls.iter().any(|c| c.segments == ["leaf"])));
+        assert_eq!(span(&items, "time"), Some((3, 6)));
+        assert_eq!(span(&items, "after"), Some((7, 10)));
     }
 
     #[test]
@@ -1055,21 +590,17 @@ fn plain_array(buf: [f64; 64]) -> [f64; 64] {
 }
 ";
         let items = parse(src);
-        let pack = items.fns.iter().find(|f| f.name == "pack");
-        assert!(
-            pack.is_some_and(|f| f.body_start == 1 && f.body_end == 3),
-            "array-type `;` in the signature must not end the fn: {pack:?}"
+        assert_eq!(
+            span(&items, "pack"),
+            Some((1, 3)),
+            "array-type `;` in the signature must not end the fn"
         );
-        assert!(pack.is_some_and(|f| f.calls.iter().any(|c| c.segments == ["helper"])));
-        let braces = items.fns.iter().find(|f| f.name == "braces");
-        assert!(
-            braces.is_some_and(|f| f.body_start == 4 && f.body_end == 6),
-            "brace const-expr in return type must not open the body: {braces:?}"
+        assert_eq!(
+            span(&items, "braces"),
+            Some((4, 6)),
+            "brace const-expr in return type must not open the body"
         );
-        assert!(braces.is_some_and(|f| f.calls.iter().any(|c| c.segments == ["leaf"])));
-        let plain = items.fns.iter().find(|f| f.name == "plain_array");
-        assert!(plain.is_some_and(|f| f.body_start == 7 && f.body_end == 9));
-        assert!(plain.is_some_and(|f| f.calls.iter().any(|c| c.segments == ["twiddle"])));
+        assert_eq!(span(&items, "plain_array"), Some((7, 9)));
     }
 
     #[test]
@@ -1095,20 +626,9 @@ where
 }
 ";
         let items = parse(src);
-        let inline = items.fns.iter().find(|f| f.name == "inline");
-        assert!(inline.is_some_and(|f| f.body_start == 1 && f.body_end == 3));
-        let multi = items.fns.iter().find(|f| f.name == "multiline");
-        assert!(
-            multi.is_some_and(|f| f.body_start == 8 && f.body_end == 10),
-            "multiline where clause: {multi:?}"
-        );
-        assert!(multi.is_some_and(|f| f.calls.iter().any(|c| c.segments == ["inner"])));
-        let go = items.fns.iter().find(|f| f.name == "go");
-        assert_eq!(
-            go.and_then(|f| f.self_ty.clone()).as_deref(),
-            Some("Holder"),
-            "impl with where clause keeps the self type"
-        );
+        assert_eq!(span(&items, "inline"), Some((1, 3)));
+        assert_eq!(span(&items, "multiline"), Some((8, 10)));
+        assert_eq!(span(&items, "go"), Some((15, 17)));
     }
 
     #[test]
@@ -1120,20 +640,15 @@ trait Codec {
 }
 ";
         let items = parse(src);
-        let encode = items.fns.iter().find(|f| f.name == "encode");
-        assert!(
-            encode.is_some_and(|f| f.body_start == 0 && f.body_end == 0),
-            "bodiless trait fn with array types still recorded: {encode:?}"
-        );
-        let name = items.fns.iter().find(|f| f.name == "name");
-        assert!(name.is_some_and(|f| f.body_start == 0 && f.body_end == 0));
+        assert_eq!(span(&items, "encode"), Some((0, 0)));
+        assert_eq!(span(&items, "name"), Some((0, 0)));
     }
 
     #[test]
     fn unbalanced_input_still_yields_valid_spans() {
         let src = "fn f() { g(\n"; // never closed
         let items = parse(src);
-        let f = items.fns.iter().find(|f| f.name == "f");
+        let f = find(&items, "f");
         assert!(f.is_some_and(|f| f.body_end >= f.body_start && f.decl_line == 1));
     }
 }

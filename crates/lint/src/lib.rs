@@ -1,94 +1,61 @@
-//! carpool-lint — a zero-dependency static analysis gate for the
-//! Carpool workspace.
+//! carpool-lint — the project checks no compiler lint can express.
 //!
-//! The compiler cannot see the project invariants this workspace
-//! depends on: the PHY pipeline must stay panic-free and deterministic
-//! under any channel realization, the crate layering keeps the MAC
-//! simulator trace-reproducible, and all operator-facing output goes
-//! through `carpool-obs`. This crate enforces them statically:
+//! rustc and clippy enforce most of this workspace's invariants through
+//! the `[workspace.lints]` table, `clippy.toml` and `#[expect]`
+//! waivers, and counting-allocator tests pin the allocation-free hot
+//! paths (DESIGN.md, "Static analysis gate", maps each retired rule to
+//! its replacement). This crate keeps the six rules that need
+//! knowledge of the whole workspace or of the project's conventions:
 //!
 //! | rule | meaning |
 //! |------|---------|
-//! | L001 | no `unwrap()/expect()/panic!/unreachable!` in non-test code |
-//! | L002 | no `println!`-family output in library crates |
-//! | L003 | lower-layer crates never depend on mac/carpool/cli/bench |
-//! | L004 | numeric `as` casts in `phy`/`mac` need an inline waiver |
-//! | L005 | no wall-clock reads in simulation crates |
-//! | L006 | `pub` items in library crate roots carry `///` docs |
-//! | L007 | no panic site reachable from the hot-path roots (call graph) |
-//! | L008 | no `HashMap`/`HashSet` where outputs must be byte-identical |
-//! | L009 | every atomic `Ordering::` in `par` carries a justification |
-//! | L010 | no dead public API in library crates |
-//! | L011 | no allocation reachable from the hot-path roots |
+//! | L003 | lower-layer crates never depend on mac/carpool/cli/bench/lint |
+//! | L009 | every atomic `Ordering::` in `par`/`obs` carries an `// ordering:` note |
+//! | L010 | no library `pub` item that no other workspace file names |
 //! | L012 | `lint:budget(i32: ±N)` fns provably cannot wrap i32 |
 //! | L013 | no arithmetic/calls mixing unit suffixes (`_s`, `_db`, …) |
-//! | L014 | no nondeterminism source reaches byte-identical outputs |
 //! | L015 | shard-protocol discipline in worker pools and scratch fns |
 //!
-//! L001–L006 and L009 are line rules over the comment/string-aware
-//! scanner; L007, L008 and L010–L015 are interprocedural: [`items`]
-//! parses `fn`/`impl`/`use` items per file, [`callgraph`] resolves
-//! calls into a cross-crate graph, and [`interproc`] walks it. L011,
-//! L012 and L013 are additionally *flow-aware*: [`dataflow`] classifies
-//! statement effects and runs an interval abstract interpretation over
-//! the [`ranges`] lattice. L014 is a determinism-*taint* pass
-//! ([`taint`]): it marks nondeterminism sources and walks the call
-//! graph to prove none is reachable from the byte-identical crates.
-//! L015 checks the shard-protocol obligations of `carpool-par`'s
-//! history-independence contract structurally. `--explain <rule>`
-//! prints the full rationale for any rule; `--graph` dumps the call
-//! graph; `--sarif <path>` exports SARIF 2.1.0 for CI and editors.
+//! L003 and L009 are line rules over the comment/string-aware
+//! [`scanner`]; L010, L012, L013 and L015 run over the whole parsed
+//! workspace ([`items`], [`interproc`]), and L012 is an interval
+//! abstract interpretation ([`dataflow`] over the [`ranges`] lattice).
+//! `--explain <rule>` prints the full rationale for any rule.
 //!
-//! The driver is incremental and parallel: file reading and parsing fan
-//! through `carpool-par::par_map_indexed`, and a schema-versioned
-//! content-hash cache ([`cache`], `.lint-cache.json`) replays unchanged
-//! results so warm runs stay sub-second — byte-identical to a cold
-//! `--no-cache` run by construction.
-//!
-//! Existing violations are recorded in a checked-in
-//! `lint-baseline.json` ratchet: new violations fail the gate, and
-//! baseline counts may only decrease. Waive a finding inline with
-//! `// lint:allow(<key>): <reason>`; see [`rules::Rule::waiver_key`].
-//!
-//! Run as `cargo run -p carpool-lint`, or `carpool lint` from the CLI;
-//! `scripts/check.sh` runs it as its third stage. Exit codes: 0 clean,
-//! 1 gate failure (new violations or stale baseline), 2 internal
-//! analyzer error.
+//! There is no baseline: any finding not waived inline with
+//! `// lint:allow(<key>): <reason>` fails the gate (see
+//! [`rules::Rule::waiver_key`]). Run as `cargo run -p carpool-lint`, or
+//! `carpool lint` from the CLI; `scripts/check.sh` runs it as its lint
+//! stage. Exit codes: 0 clean, 1 un-waived findings, 2 the linter
+//! could not run.
+#![allow(
+    clippy::disallowed_methods,
+    clippy::print_stdout,
+    clippy::print_stderr,
+    reason = "tool crate: times itself and reports on the terminal"
+)]
 
-pub mod baseline;
-pub mod cache;
-pub mod callgraph;
 pub mod dataflow;
 pub mod interproc;
 pub mod items;
 pub mod manifest;
 pub mod ranges;
 pub mod rules;
-pub mod sarif;
 pub mod scanner;
-pub mod taint;
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
 
-use baseline::{Baseline, BaselineError};
-use callgraph::CallGraph;
-use interproc::HotPathStats;
 use items::{FileRecord, Section};
 use rules::{Diagnostic, Rule};
-
-/// Default baseline file name, resolved relative to the workspace root.
-pub const BASELINE_FILE: &str = "lint-baseline.json";
 
 /// Errors surfaced by the lint runner.
 #[derive(Debug)]
 pub enum LintError {
     /// Reading a file or directory failed.
     Io(PathBuf, std::io::Error),
-    /// The baseline file exists but cannot be used.
-    Baseline(PathBuf, BaselineError),
     /// The workspace root does not look like the Carpool workspace.
     NotAWorkspace(PathBuf),
 }
@@ -97,7 +64,6 @@ impl std::fmt::Display for LintError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             LintError::Io(path, e) => write!(f, "{}: {e}", path.display()),
-            LintError::Baseline(path, e) => write!(f, "{}: {e}", path.display()),
             LintError::NotAWorkspace(path) => write!(
                 f,
                 "{} does not look like the carpool workspace \
@@ -110,179 +76,83 @@ impl std::fmt::Display for LintError {
 
 impl std::error::Error for LintError {}
 
-/// Knobs for the symbol-aware analysis pass.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct AnalysisOptions {
-    /// Report hot-path slice indexing as L007 findings instead of only
-    /// counting it.
-    pub strict_indexing: bool,
-    /// Render the call-graph dump into
-    /// [`AnalysisStats::graph_dump`].
-    pub collect_graph: bool,
-}
-
-/// Call-graph statistics from the symbol-aware pass.
-#[derive(Debug, Clone, Default, PartialEq)]
+/// Coverage statistics of the workspace rules.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AnalysisStats {
-    /// Functions parsed across the workspace.
-    pub functions: usize,
-    /// Resolved call edges.
-    pub call_edges: usize,
-    /// Hot-path root/reachability/indexing numbers (L007).
-    pub hot: HotPathStats,
-    /// Flow-aware effect/interval statistics (L011–L013).
-    pub flow: interproc::FlowStats,
-    /// Determinism-taint statistics (L014).
-    pub taint: taint::TaintStats,
+    /// Functions carrying a `lint:budget` annotation (L012).
+    pub budget_fns: usize,
+    /// Distinct non-saturating ops over budgeted data that the interval
+    /// analysis bounds-checked (L012).
+    pub budget_ops_checked: usize,
+    /// Function parameters carrying a recognized unit suffix (L013).
+    pub unit_params: usize,
     /// Functions checked against the shard-protocol obligations (L015).
     pub shard_fns: usize,
-    /// Deterministic text dump of the graph, when requested.
-    pub graph_dump: Option<String>,
 }
 
-/// Result of scanning the whole workspace, before baseline comparison.
+/// Result of scanning the whole workspace.
 #[derive(Debug, Default)]
 pub struct ScanReport {
-    /// Every violation found, in deterministic (file, line) order.
+    /// Every un-waived finding, in deterministic (file, line) order.
     pub diagnostics: Vec<Diagnostic>,
     /// Number of `.rs` files scanned (src, tests, benches, examples).
     pub files_scanned: usize,
     /// Number of crates scanned.
     pub crates_scanned: usize,
-    /// Per-rule analysis time in milliseconds (`callgraph` is the
-    /// shared graph-construction cost).
+    /// Wall time per stage in milliseconds: `parse` (reading and
+    /// parsing every file), `line_rules` (L003 and L009), then one
+    /// entry per workspace rule.
     pub rule_timings_ms: BTreeMap<String, f64>,
-    /// Symbol-aware analysis statistics.
+    /// Rule coverage statistics.
     pub analysis: AnalysisStats,
 }
 
-/// Outcome of comparing a scan against the baseline ratchet.
-#[derive(Debug, Default)]
-pub struct RatchetReport {
-    /// Violations not covered by the baseline — these fail the gate.
-    pub new_violations: Vec<Diagnostic>,
-    /// Baseline entries whose counts are now too high (progress was
-    /// made): `(rule, file, baseline, actual)`. A stale baseline fails
-    /// the gate until re-ratcheted with `--write-baseline`.
-    pub stale: Vec<(String, String, usize, usize)>,
-}
-
-impl RatchetReport {
-    /// Whether the gate passes.
+impl ScanReport {
+    /// Whether the gate passes: no un-waived finding.
     pub fn ok(&self) -> bool {
-        self.new_violations.is_empty() && self.stale.is_empty()
+        self.diagnostics.is_empty()
+    }
+
+    fn time<T>(&mut self, stage: &str, f: impl FnOnce() -> T) -> T {
+        let t = Instant::now();
+        let out = f();
+        self.rule_timings_ms
+            .insert(stage.to_string(), t.elapsed().as_secs_f64() * 1e3);
+        out
     }
 }
 
-/// Scans the workspace rooted at `root` with default analysis options.
+/// Scans the workspace rooted at `root`: line rules and manifest
+/// layering over every crate's `src/`, workspace rules over the whole
+/// parsed workspace (src + tests + benches + examples as the reference
+/// corpus).
 ///
 /// # Errors
 ///
 /// Returns [`LintError`] when `root` is not the workspace or a source
 /// file cannot be read.
 pub fn scan_workspace(root: &Path) -> Result<ScanReport, LintError> {
-    scan_workspace_opts(root, &AnalysisOptions::default())
-}
-
-/// Scans the workspace rooted at `root` and returns all diagnostics:
-/// line rules over `src/` files, interprocedural rules over the whole
-/// parsed workspace (src + tests + benches + examples as the call and
-/// reference corpus).
-///
-/// # Errors
-///
-/// Returns [`LintError`] when `root` is not the workspace or a source
-/// file cannot be read.
-pub fn scan_workspace_opts(root: &Path, aopts: &AnalysisOptions) -> Result<ScanReport, LintError> {
-    Ok(scan_workspace_cached(root, aopts, None, false)?.report)
-}
-
-/// [`ScanReport`] plus how much of it the cache supplied.
-#[derive(Debug, Default)]
-pub struct ScanOutcome {
-    /// The scan result (identical whichever path produced it).
-    pub report: ScanReport,
-    /// The whole report was reconstructed from the cache without
-    /// parsing (warm fast path).
-    pub warm: bool,
-    /// Source files whose line-rule diagnostics were replayed from the
-    /// cache instead of rescanned.
-    pub reused_files: usize,
-}
-
-/// A file queued for the parallel read/parse stages.
-struct PendingFile {
-    path: PathBuf,
-    rel: String,
-    crate_name: String,
-    manifest_rel: String,
-    section: Section,
-    class: rules::CrateClass,
-    is_root: bool,
-}
-
-/// [`scan_workspace_opts`] with the incremental cache: `cache_path`
-/// names the cache file (usually [`cache::CACHE_FILE`] under `root`;
-/// `None` disables caching entirely), `read_cache` permits reuse of an
-/// existing cache (`--no-cache` passes `false` to force a cold scan
-/// that still rewrites the cache).
-///
-/// Cached or not, the returned report is identical: reuse is keyed on
-/// the rule-set fingerprint and per-file content hashes, and
-/// `--strict-indexing`/`--graph` runs bypass the cache in both
-/// directions (their output is mode-dependent).
-///
-/// # Errors
-///
-/// Returns [`LintError`] when `root` is not the workspace or a source
-/// file cannot be read.
-pub fn scan_workspace_cached(
-    root: &Path,
-    aopts: &AnalysisOptions,
-    cache_path: Option<&Path>,
-    read_cache: bool,
-) -> Result<ScanOutcome, LintError> {
     if !root.join("Cargo.toml").is_file() || !root.join("crates").is_dir() {
         return Err(LintError::NotAWorkspace(root.to_path_buf()));
     }
-    let cache_path = cache_path.filter(|_| !aopts.strict_indexing && !aopts.collect_graph);
-    let cache = cache_path
-        .filter(|_| read_cache)
-        .and_then(cache::LintCache::load)
-        .filter(|c| c.rules_hash == cache::rules_fingerprint());
-
     let mut report = ScanReport::default();
-
     let mut crate_dirs: Vec<PathBuf> = vec![root.to_path_buf()];
-    let mut entries: Vec<PathBuf> = read_dir_sorted(&root.join("crates"))?;
+    let mut entries = read_dir_sorted(&root.join("crates"))?;
     entries.retain(|p| p.join("Cargo.toml").is_file());
     crate_dirs.extend(entries);
 
-    // Stage 1 (serial): manifests — classification, layering (L003),
-    // and the worklist of source files. Manifest hashes join the file
-    // map so a manifest edit invalidates its crate.
-    let t_manifest = Instant::now();
-    let mut manifest_diags: Vec<Diagnostic> = Vec::new();
-    let mut pending: Vec<PendingFile> = Vec::new();
-    let mut file_hashes: BTreeMap<String, String> = BTreeMap::new();
+    let t = Instant::now();
+    let mut records: Vec<FileRecord> = Vec::new();
     for dir in &crate_dirs {
         let manifest_path = dir.join("Cargo.toml");
-        let manifest_text = read_file(&manifest_path)?;
-        let manifest_rel = relative(root, &manifest_path);
-        file_hashes.insert(
-            manifest_rel.clone(),
-            cache::hash_hex(manifest_text.as_bytes()),
-        );
-        let manifest = manifest::parse_manifest(&manifest_text);
+        let manifest = manifest::parse_manifest(&read_file(&manifest_path)?);
         let class = rules::classify(&manifest.name);
         report.crates_scanned += 1;
-
-        manifest_diags.extend(rules::check_manifest_layering(
+        report.diagnostics.extend(rules::check_manifest_layering(
             class,
-            &manifest_rel,
+            &relative(root, &manifest_path),
             &manifest.dependencies,
         ));
-
         const SECTIONS: [(Section, &str); 4] = [
             (Section::Src, "src"),
             (Section::Tests, "tests"),
@@ -294,502 +164,132 @@ pub fn scan_workspace_cached(
             if !section_dir.is_dir() {
                 continue;
             }
-            let crate_root_file = match section {
-                Section::Src => crate_root_of(&section_dir),
-                _ => None,
-            };
             for file in rs_files_under(&section_dir)? {
-                let rel = relative(root, &file);
-                pending.push(PendingFile {
-                    is_root: Some(file.as_path()) == crate_root_file.as_deref(),
-                    path: file,
-                    rel,
-                    crate_name: manifest.name.clone(),
-                    manifest_rel: manifest_rel.clone(),
+                let text = read_file(&file)?;
+                records.push(FileRecord::parse(
+                    &relative(root, &file),
                     section,
                     class,
-                });
-                report.files_scanned += 1;
+                    &text,
+                ));
             }
         }
     }
-
-    // Stage 2 (parallel): read + hash every file, fanned through
-    // carpool-par. Index-keyed results keep everything downstream
-    // byte-identical at any thread count.
-    let read = carpool_par::par_map_indexed(&pending, |_, p| {
-        std::fs::read_to_string(&p.path)
-            .map(|text| {
-                let hash = cache::hash_hex(text.as_bytes());
-                (text, hash)
-            })
-            .map_err(|e| (p.path.clone(), e))
-    })
-    // lint:allow(panic): a worker panic is a linter bug; run() catches it and reports exit 2
-    .unwrap_or_else(|e| panic!("parallel file read failed: {e}"));
-    let mut texts: Vec<String> = Vec::with_capacity(read.len());
-    for (p, item) in pending.iter().zip(read) {
-        let (text, hash) = item.map_err(|(path, e)| LintError::Io(path, e))?;
-        file_hashes.insert(p.rel.clone(), hash);
-        texts.push(text);
-    }
-    let manifest_ms = t_manifest.elapsed().as_secs_f64() * 1e3;
-
-    // Warm fast path: same rule set, same bytes — the cached report is
-    // the report. No parsing, no analysis.
-    if let Some(c) = &cache {
-        if c.files == file_hashes {
-            if let Some(cached) = &c.report {
-                return Ok(ScanOutcome {
-                    report: cached.to_report(),
-                    warm: true,
-                    reused_files: pending.len(),
-                });
-            }
-        }
-    }
-
-    // Stage 3 (parallel): parse changed and unchanged files alike (the
-    // call graph is a whole-workspace artifact).
-    let inputs: Vec<(&PendingFile, &str)> = pending
-        .iter()
-        .zip(texts.iter().map(String::as_str))
-        .collect();
-    let records: Vec<FileRecord> = carpool_par::par_map_indexed(&inputs, |_, (p, text)| {
-        FileRecord::parse(&p.rel, &p.crate_name, p.section, p.class, text)
-    })
-    // lint:allow(panic): a worker panic is a linter bug; run() catches it and reports exit 2
-    .unwrap_or_else(|e| panic!("parallel parse failed: {e}"));
-
-    // A file's line-rule results can be replayed only when both its
-    // bytes and its crate's manifest (the classification source) are
-    // unchanged.
-    let reusable: Vec<bool> = pending
-        .iter()
-        .map(|p| {
-            cache.as_ref().is_some_and(|c| {
-                c.files.get(&p.rel) == file_hashes.get(&p.rel)
-                    && c.files.get(&p.manifest_rel) == file_hashes.get(&p.manifest_rel)
-            })
-        })
-        .collect();
-
-    // Line rules, timed per rule, over changed src files only; cached
-    // diagnostics replay for the rest. Manifest layering is part of
-    // L003. Grouping per file keeps tie order identical to a cold scan
-    // (the final sort is stable and keys on file first).
-    let mut line_diags_by_file: BTreeMap<String, Vec<Diagnostic>> = BTreeMap::new();
-    let mut reused_files = 0usize;
-    for (idx, rec) in records.iter().enumerate() {
-        if matches!(rec.section, Section::Src) && reusable[idx] {
-            reused_files += 1;
-            if let Some(diags) = cache.as_ref().and_then(|c| c.line_diags.get(&rec.path)) {
-                line_diags_by_file.insert(rec.path.clone(), diags.clone());
-            }
-        }
-    }
-    for rule in Rule::ALL {
-        if matches!(
-            rule,
-            Rule::L007
-                | Rule::L008
-                | Rule::L010
-                | Rule::L011
-                | Rule::L012
-                | Rule::L013
-                | Rule::L014
-                | Rule::L015
-        ) {
-            continue;
-        }
-        let t = Instant::now();
-        for (idx, rec) in records.iter().enumerate() {
-            if !matches!(rec.section, Section::Src) || reusable[idx] {
-                continue;
-            }
-            let diags = rules::check_line_rule(
-                rule,
-                rec.class,
-                pending[idx].is_root,
-                &rec.path,
-                &rec.lines,
-            );
-            if !diags.is_empty() {
-                line_diags_by_file
-                    .entry(rec.path.clone())
-                    .or_default()
-                    .extend(diags);
-            }
-        }
-        let mut ms = t.elapsed().as_secs_f64() * 1e3;
-        if rule == Rule::L003 {
-            report.diagnostics.append(&mut manifest_diags);
-            ms += manifest_ms;
-        }
-        report.rule_timings_ms.insert(rule.id().to_string(), ms);
-    }
-    for diags in line_diags_by_file.values() {
-        report.diagnostics.extend(diags.iter().cloned());
-    }
-
-    // Interprocedural pass: graph construction, then L007/L008/L010.
-    let t = Instant::now();
-    let graph = CallGraph::build(&records);
-    report.analysis.functions = graph.nodes.len();
-    report.analysis.call_edges = graph.edge_count();
+    report.files_scanned = records.len();
     report
         .rule_timings_ms
-        .insert("callgraph".to_string(), t.elapsed().as_secs_f64() * 1e3);
+        .insert("parse".to_string(), t.elapsed().as_secs_f64() * 1e3);
 
-    let t = Instant::now();
-    let (d7, hot) = interproc::check_l007(&records, &graph, aopts.strict_indexing);
-    report.diagnostics.extend(d7);
-    report.analysis.hot = hot;
-    report
-        .rule_timings_ms
-        .insert(Rule::L007.id().to_string(), t.elapsed().as_secs_f64() * 1e3);
+    let line_diags = report.time("line_rules", || {
+        records
+            .iter()
+            .filter(|rec| rec.section == Section::Src)
+            .flat_map(|rec| rules::check_lines(rec.class, &rec.path, &rec.lines))
+            .collect::<Vec<_>>()
+    });
+    report.diagnostics.extend(line_diags);
 
-    let t = Instant::now();
-    report.diagnostics.extend(interproc::check_l008(&records));
-    report
-        .rule_timings_ms
-        .insert(Rule::L008.id().to_string(), t.elapsed().as_secs_f64() * 1e3);
-
-    let t = Instant::now();
-    report.diagnostics.extend(interproc::check_l010(&records));
-    report
-        .rule_timings_ms
-        .insert(Rule::L010.id().to_string(), t.elapsed().as_secs_f64() * 1e3);
-
-    // Flow-aware pass: effect classification feeds the stats; the
-    // three rules ride the same primitives.
-    let t = Instant::now();
-    let effects = interproc::flow_effects(&records);
-    report.analysis.flow.alloc_sites = effects.allocs;
-    report.analysis.flow.f64_arith_lines = effects.f64_arith;
-    report.analysis.flow.widening_ops = effects.widening;
-    report.analysis.flow.narrowing_casts = effects.narrowing;
-    let (d11, hot_allocs) = interproc::check_l011(&records, &graph);
-    report.diagnostics.extend(d11);
-    report.analysis.flow.hot_alloc_sites = hot_allocs;
-    report
-        .rule_timings_ms
-        .insert(Rule::L011.id().to_string(), t.elapsed().as_secs_f64() * 1e3);
-
-    let t = Instant::now();
-    let (d12, budget_fns, ops_checked) = interproc::check_l012(&records);
+    let d10 = report.time(Rule::L010.id(), || interproc::check_l010(&records));
+    report.diagnostics.extend(d10);
+    let (d12, budget_fns, ops_checked) =
+        report.time(Rule::L012.id(), || interproc::check_l012(&records));
     report.diagnostics.extend(d12);
-    report.analysis.flow.budget_fns = budget_fns;
-    report.analysis.flow.budget_ops_checked = ops_checked;
-    report
-        .rule_timings_ms
-        .insert(Rule::L012.id().to_string(), t.elapsed().as_secs_f64() * 1e3);
-
-    let t = Instant::now();
-    let (d13, unit_params) = interproc::check_l013(&records);
+    let (d13, unit_params) = report.time(Rule::L013.id(), || interproc::check_l013(&records));
     report.diagnostics.extend(d13);
-    report.analysis.flow.unit_params = unit_params;
-    report
-        .rule_timings_ms
-        .insert(Rule::L013.id().to_string(), t.elapsed().as_secs_f64() * 1e3);
-
-    // Determinism-taint pass: nondeterminism sources vs the
-    // byte-identical crates' reachability cone.
-    let t = Instant::now();
-    let (d14, taint_stats) = taint::check_l014(&records, &graph);
-    report.diagnostics.extend(d14);
-    report.analysis.taint = taint_stats;
-    report
-        .rule_timings_ms
-        .insert(Rule::L014.id().to_string(), t.elapsed().as_secs_f64() * 1e3);
-
-    // Shard-protocol discipline over the worker-pool obligations.
-    let t = Instant::now();
-    let (d15, shard_fns) = interproc::check_l015(&records);
+    let (d15, shard_fns) = report.time(Rule::L015.id(), || interproc::check_l015(&records));
     report.diagnostics.extend(d15);
-    report.analysis.shard_fns = shard_fns;
-    report
-        .rule_timings_ms
-        .insert(Rule::L015.id().to_string(), t.elapsed().as_secs_f64() * 1e3);
-
-    if aopts.collect_graph {
-        report.analysis.graph_dump = Some(graph.render(&records));
-    }
+    report.analysis = AnalysisStats {
+        budget_fns,
+        budget_ops_checked: ops_checked,
+        unit_params,
+        shard_fns,
+    };
 
     report
         .diagnostics
         .sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
-
-    // Refresh the cache best-effort: current hashes, per-file line-rule
-    // results (fresh and replayed alike), and the full report for the
-    // next run's fast path.
-    if let Some(path) = cache_path {
-        cache::LintCache {
-            rules_hash: cache::rules_fingerprint(),
-            files: file_hashes,
-            line_diags: line_diags_by_file,
-            report: Some(cache::CachedReport::from_report(&report)),
-        }
-        .store(path);
-    }
-    Ok(ScanOutcome {
-        report,
-        warm: false,
-        reused_files,
-    })
+    Ok(report)
 }
 
-/// The crate root file under `src/` (`lib.rs`, else `main.rs`).
-fn crate_root_of(src: &Path) -> Option<PathBuf> {
-    let lib = src.join("lib.rs");
-    if lib.is_file() {
-        return Some(lib);
-    }
-    let main = src.join("main.rs");
-    main.is_file().then_some(main)
-}
-
-/// Compares a scan against the baseline.
-pub fn ratchet(report: &ScanReport, baseline: &Baseline) -> RatchetReport {
-    // Count per (rule, file).
-    let mut actual: BTreeMap<(String, String), usize> = BTreeMap::new();
-    for d in &report.diagnostics {
-        *actual
-            .entry((d.rule.id().to_string(), d.file.clone()))
-            .or_default() += 1;
-    }
-
-    let mut out = RatchetReport::default();
-    // New violations: any (rule, file) where actual > baseline. The
-    // diagnostics listed are the whole file's worth for that rule so
-    // the developer sees every candidate line.
-    for ((rule, file), &count) in &actual {
-        let allowed = baseline.count(rule, file);
-        if count > allowed {
-            out.new_violations.extend(
-                report
-                    .diagnostics
-                    .iter()
-                    .filter(|d| d.rule.id() == rule && &d.file == file)
-                    .cloned(),
-            );
-        }
-    }
-    // Stale entries: baseline says more than reality (including files
-    // that no longer violate at all, or no longer exist).
-    for (rule, files) in &baseline.counts {
-        for (file, &allowed) in files {
-            let count = actual
-                .get(&(rule.clone(), file.clone()))
-                .copied()
-                .unwrap_or(0);
-            if count < allowed {
-                out.stale.push((rule.clone(), file.clone(), allowed, count));
-            }
-        }
-    }
-    out
-}
-
-/// Builds the baseline that exactly covers `report`, including the
-/// per-rule timings observed during the scan.
-pub fn baseline_from_scan(report: &ScanReport) -> Baseline {
-    let mut b = Baseline::default();
-    for d in &report.diagnostics {
-        *b.counts
-            .entry(d.rule.id().to_string())
-            .or_default()
-            .entry(d.file.clone())
-            .or_default() += 1;
-    }
-    b.timings_ms = report.rule_timings_ms.clone();
-    b
-}
-
-/// Per-rule totals of a scan.
+/// Per-rule finding totals of a scan (every rule present, zero or not).
 pub fn per_rule_totals(report: &ScanReport) -> BTreeMap<&'static str, usize> {
-    let mut totals: BTreeMap<&'static str, usize> = BTreeMap::new();
-    for rule in Rule::ALL {
-        totals.insert(rule.id(), 0);
-    }
+    let mut totals: BTreeMap<&'static str, usize> = Rule::ALL.iter().map(|r| (r.id(), 0)).collect();
     for d in &report.diagnostics {
         *totals.entry(d.rule.id()).or_default() += 1;
     }
     totals
 }
 
-/// Per-run metadata rendered into reports (wall-clock + budget).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct RunMeta {
-    /// Total analysis wall-clock in milliseconds.
-    pub elapsed_ms: f64,
-    /// Non-fatal runtime budget, when set (`--budget-ms`).
-    pub budget_ms: Option<u64>,
-}
-
-impl RunMeta {
-    /// Whether the run exceeded its budget (always false without one).
-    pub fn over_budget(&self) -> bool {
-        self.budget_ms.is_some_and(|b| self.elapsed_ms > b as f64)
-    }
-}
-
-/// Renders the machine-readable report (`--json`).
-pub fn render_json(
-    report: &ScanReport,
-    verdict: &RatchetReport,
-    baseline: &Baseline,
-    meta: &RunMeta,
-) -> String {
+/// Renders the machine-readable report (`--json`); `elapsed_ms` is the
+/// whole run's wall time.
+pub fn render_json(report: &ScanReport, elapsed_ms: f64) -> String {
     let mut out = String::new();
-    out.push_str("{\n  \"schema\": \"carpool-lint/v2\",\n");
+    out.push_str("{\n  \"schema\": \"carpool-lint/v3\",\n");
     let _ = writeln!(
         out,
         "  \"files_scanned\": {},\n  \"crates_scanned\": {},",
         report.files_scanned, report.crates_scanned
     );
-    out.push_str("  \"per_rule_totals\": {");
     let totals = per_rule_totals(report);
-    let mut first = true;
-    for (rule, total) in &totals {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        let _ = write!(out, "\n    \"{rule}\": {total}");
-    }
-    out.push_str("\n  },\n  \"rule_timings_ms\": {");
-    let mut first = true;
-    for (rule, ms) in &report.rule_timings_ms {
-        if !first {
-            out.push(',');
-        }
-        first = false;
-        let _ = write!(out, "\n    {}: {ms:.3}", baseline::json_string(rule));
-    }
-    out.push_str("\n  },\n  \"analysis\": {\n");
+    let totals: Vec<String> = totals
+        .iter()
+        .map(|(rule, n)| format!("\n    \"{rule}\": {n}"))
+        .collect();
+    let _ = write!(
+        out,
+        "  \"per_rule_totals\": {{{}\n  }},\n",
+        totals.join(",")
+    );
+    let timings: Vec<String> = report
+        .rule_timings_ms
+        .iter()
+        .map(|(stage, ms)| format!("\n    {}: {ms:.3}", json_string(stage)))
+        .collect();
+    let _ = write!(
+        out,
+        "  \"rule_timings_ms\": {{{}\n  }},\n",
+        timings.join(",")
+    );
+    let a = &report.analysis;
     let _ = writeln!(
         out,
-        "    \"functions\": {},\n    \"call_edges\": {},",
-        report.analysis.functions, report.analysis.call_edges
+        "  \"analysis\": {{\n    \"budget_fns\": {},\n    \"budget_ops_checked\": {},\n    \
+         \"unit_params\": {},\n    \"shard_fns\": {}\n  }},",
+        a.budget_fns, a.budget_ops_checked, a.unit_params, a.shard_fns
     );
-    out.push_str("    \"hot_roots_matched\": [");
-    for (k, spec) in report.analysis.hot.roots_matched.iter().enumerate() {
-        if k > 0 {
-            out.push_str(", ");
-        }
-        out.push_str(&baseline::json_string(spec));
-    }
-    out.push_str("],\n");
-    let _ = writeln!(
-        out,
-        "    \"hot_root_fns\": {},\n    \"hot_reachable_fns\": {},\n    \
-         \"hot_indexing_sites\": {},",
-        report.analysis.hot.root_nodes,
-        report.analysis.hot.reachable_fns,
-        report.analysis.hot.indexing_sites
-    );
-    let flow = &report.analysis.flow;
-    let _ = writeln!(
-        out,
-        "    \"flow\": {{\n      \"alloc_sites\": {},\n      \"hot_alloc_sites\": {},\n      \
-         \"budget_fns\": {},\n      \"budget_ops_checked\": {},\n      \
-         \"f64_arith_lines\": {},\n      \"widening_ops\": {},\n      \
-         \"narrowing_casts\": {},\n      \"unit_params\": {}\n    }},",
-        flow.alloc_sites,
-        flow.hot_alloc_sites,
-        flow.budget_fns,
-        flow.budget_ops_checked,
-        flow.f64_arith_lines,
-        flow.widening_ops,
-        flow.narrowing_casts,
-        flow.unit_params
-    );
-    let taint = &report.analysis.taint;
-    let _ = writeln!(
-        out,
-        "    \"taint\": {{\n      \"det_fns\": {},\n      \"det_reachable_fns\": {},\n      \
-         \"det_sources\": {}\n    }},\n    \"shard_fns\": {}",
-        taint.det_fns, taint.det_reachable_fns, taint.det_sources, report.analysis.shard_fns
-    );
-    out.push_str("  },\n");
-    let _ = writeln!(out, "  \"elapsed_ms\": {:.3},", meta.elapsed_ms);
-    if let Some(budget) = meta.budget_ms {
-        let _ = writeln!(
-            out,
-            "  \"budget_ms\": {budget},\n  \"budget_exceeded\": {},",
-            meta.over_budget()
-        );
-    }
-    let _ = writeln!(
-        out,
-        "  \"baselined_total\": {},",
-        Rule::ALL
-            .iter()
-            .map(|r| baseline.rule_total(r.id()))
-            .sum::<usize>()
-    );
-    let _ = writeln!(out, "  \"ok\": {},", verdict.ok());
-    out.push_str("  \"new_violations\": [");
-    for (k, d) in verdict.new_violations.iter().enumerate() {
-        if k > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "\n    {{\"rule\": \"{}\", \"file\": {}, \"line\": {}, \"message\": {}}}",
-            d.rule.id(),
-            baseline::json_string(&d.file),
-            d.line,
-            baseline::json_string(&d.message)
-        );
-    }
-    out.push_str("\n  ],\n  \"stale_baseline\": [");
-    for (k, (rule, file, allowed, actual)) in verdict.stale.iter().enumerate() {
-        if k > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "\n    {{\"rule\": \"{rule}\", \"file\": {}, \"baseline\": {allowed}, \
-             \"actual\": {actual}}}",
-            baseline::json_string(file),
-        );
-    }
-    out.push_str("\n  ]\n}\n");
+    let _ = writeln!(out, "  \"elapsed_ms\": {elapsed_ms:.3},");
+    let _ = writeln!(out, "  \"ok\": {},", report.ok());
+    let findings: Vec<String> = report
+        .diagnostics
+        .iter()
+        .map(|d| {
+            format!(
+                "\n    {{\"rule\": \"{}\", \"file\": {}, \"line\": {}, \"message\": {}}}",
+                d.rule.id(),
+                json_string(&d.file),
+                d.line,
+                json_string(&d.message)
+            )
+        })
+        .collect();
+    let _ = write!(out, "  \"findings\": [{}\n  ]\n}}\n", findings.join(","));
     out
 }
 
 /// Renders the human-readable report.
-pub fn render_human(
-    report: &ScanReport,
-    verdict: &RatchetReport,
-    baseline: &Baseline,
-    meta: &RunMeta,
-) -> String {
+pub fn render_human(report: &ScanReport) -> String {
     let mut out = String::new();
-    for d in &verdict.new_violations {
+    for d in &report.diagnostics {
         let _ = writeln!(out, "{d}");
     }
-    for (rule, file, allowed, actual) in &verdict.stale {
-        let _ = writeln!(
-            out,
-            "stale baseline: {rule} {file} records {allowed} but only {actual} remain \
-             — run with --write-baseline to ratchet down"
-        );
-    }
-    let totals = per_rule_totals(report);
-    let baselined: usize = Rule::ALL.iter().map(|r| baseline.rule_total(r.id())).sum();
     let _ = writeln!(
         out,
-        "carpool-lint: {} files in {} crates, {} findings ({} baselined), {} new, {} stale",
+        "carpool-lint: {} files in {} crates, {} findings",
         report.files_scanned,
         report.crates_scanned,
-        totals.values().sum::<usize>(),
-        baselined,
-        verdict.new_violations.len(),
-        verdict.stale.len()
+        report.diagnostics.len()
     );
+    let totals = per_rule_totals(report);
     for rule in Rule::ALL {
         let _ = writeln!(
             out,
@@ -799,61 +299,34 @@ pub fn render_human(
             rule.summary()
         );
     }
+    let a = &report.analysis;
     let _ = writeln!(
         out,
-        "  call graph: {} fns, {} edges; hot paths: {} roots ({} specs), {} reachable fns, \
-         {} indexing sites",
-        report.analysis.functions,
-        report.analysis.call_edges,
-        report.analysis.hot.root_nodes,
-        report.analysis.hot.roots_matched.len(),
-        report.analysis.hot.reachable_fns,
-        report.analysis.hot.indexing_sites
+        "  coverage: {} budget fns ({} ops proved), {} unit-suffixed params, \
+         {} shard-protocol fns",
+        a.budget_fns, a.budget_ops_checked, a.unit_params, a.shard_fns
     );
-    let flow = &report.analysis.flow;
-    let _ = writeln!(
-        out,
-        "  flow: {} alloc sites ({} hot), {} budget fns ({} ops proved), \
-         {} unit-suffixed params",
-        flow.alloc_sites,
-        flow.hot_alloc_sites,
-        flow.budget_fns,
-        flow.budget_ops_checked,
-        flow.unit_params
-    );
-    let taint = &report.analysis.taint;
-    let _ = writeln!(
-        out,
-        "  taint: {} det-crate fns, {} fns in their cone, {} nondeterminism sources; \
-         shard protocol: {} fns checked",
-        taint.det_fns, taint.det_reachable_fns, taint.det_sources, report.analysis.shard_fns
-    );
-    if meta.over_budget() {
-        let _ = writeln!(
-            out,
-            "  warning: analysis took {:.0} ms, over the {} ms budget (non-fatal) — \
-             see rule_timings_ms in --json",
-            meta.elapsed_ms,
-            meta.budget_ms.unwrap_or(0)
-        );
-    }
     out
 }
 
-/// Loads the baseline at `path`; a missing file is an empty baseline.
-///
-/// # Errors
-///
-/// Returns [`LintError::Baseline`] when the file exists but is
-/// malformed, and [`LintError::Io`] on read failures.
-pub fn load_baseline(path: &Path) -> Result<Baseline, LintError> {
-    match std::fs::read_to_string(path) {
-        Ok(text) => {
-            Baseline::from_json(&text).map_err(|e| LintError::Baseline(path.to_path_buf(), e))
+/// Quotes `s` as a JSON string literal.
+fn json_string(s: &str) -> String {
+    let mut out = String::with_capacity(s.len() + 2);
+    out.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\t' => out.push_str("\\t"),
+            c if u32::from(c) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", u32::from(c));
+            }
+            c => out.push(c),
         }
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(Baseline::default()),
-        Err(e) => Err(LintError::Io(path.to_path_buf(), e)),
     }
+    out.push('"');
+    out
 }
 
 /// Parsed command line shared by `carpool-lint` and `carpool lint`.
@@ -864,69 +337,34 @@ pub struct LintOptions {
     pub root: Option<PathBuf>,
     /// Emit the JSON report instead of human text.
     pub json: bool,
-    /// Rewrite the baseline to match the current scan (ratchet down).
-    pub write_baseline: bool,
-    /// Allow `--write-baseline` to *increase* counts (escape hatch).
-    pub force: bool,
     /// Print the long-form rationale of one rule and exit.
     pub explain: Option<String>,
-    /// Dump the call graph instead of linting.
-    pub graph: bool,
-    /// Non-fatal runtime budget in milliseconds.
-    pub budget_ms: Option<u64>,
-    /// Report hot-path indexing as L007 findings (off by default).
-    pub strict_indexing: bool,
-    /// Also write a SARIF 2.1.0 report to this path.
-    pub sarif: Option<PathBuf>,
-    /// Ignore the incremental cache (force a cold scan; the cache is
-    /// still rewritten afterwards).
-    pub no_cache: bool,
 }
 
 impl LintOptions {
-    /// Parses `--json`, `--write-baseline`, `--force`, `--root <dir>`,
-    /// `--explain <rule>`, `--graph`, `--budget-ms <n>`,
-    /// `--strict-indexing`, `--sarif <path>`, `--no-cache`.
+    /// Parses `--json`, `--root <dir>` and `--explain <rule>`.
     ///
     /// # Errors
     ///
-    /// Returns a usage string on unknown flags or malformed values.
+    /// Returns a usage string on unknown flags or missing values.
     pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<LintOptions, String> {
         let mut opts = LintOptions::default();
         let mut iter = args.into_iter();
         while let Some(arg) = iter.next() {
             match arg.as_str() {
                 "--json" => opts.json = true,
-                "--write-baseline" => opts.write_baseline = true,
-                "--force" => opts.force = true,
-                "--graph" => opts.graph = true,
-                "--strict-indexing" => opts.strict_indexing = true,
-                "--no-cache" => opts.no_cache = true,
                 "--root" => {
                     let dir = iter.next().ok_or("--root needs a directory")?;
                     opts.root = Some(PathBuf::from(dir));
                 }
                 "--explain" => {
-                    let rule = iter.next().ok_or("--explain needs a rule id (e.g. L007)")?;
+                    let rule = iter.next().ok_or("--explain needs a rule id (e.g. L012)")?;
                     opts.explain = Some(rule);
-                }
-                "--sarif" => {
-                    let path = iter.next().ok_or("--sarif needs an output path")?;
-                    opts.sarif = Some(PathBuf::from(path));
-                }
-                "--budget-ms" => {
-                    let value = iter.next().ok_or("--budget-ms needs a number")?;
-                    let ms: u64 = value
-                        .parse()
-                        .map_err(|_| format!("--budget-ms: '{value}' is not a number"))?;
-                    opts.budget_ms = Some(ms);
                 }
                 other => {
                     return Err(format!(
                         "unknown lint option '{other}' \
-                         (expected --json, --write-baseline, --force, --root <dir>, \
-                         --explain <rule>, --graph, --budget-ms <n>, --strict-indexing, \
-                         --sarif <path>, --no-cache)"
+                         (expected --json, --root <dir>, --explain <rule>)"
                     ));
                 }
             }
@@ -957,13 +395,12 @@ pub fn find_root(explicit: Option<&Path>) -> Option<PathBuf> {
 /// returns the process exit code.
 ///
 /// Exit-code contract (tested in `tests/exit_codes.rs`):
-/// * `0` — clean gate (or informational modes: `--explain`, `--graph`,
-///   a successful `--write-baseline`),
-/// * `1` — gate failure: new violations vs the baseline, a stale
-///   baseline, or a refused baseline growth,
-/// * `2` — internal analyzer error: unusable workspace root, unreadable
-///   sources, malformed baseline, or an analyzer panic (caught here so
-///   a linter bug is never reported as a lint verdict).
+/// * `0` — clean gate, or a successful `--explain`,
+/// * `1` — gate failure: at least one un-waived finding,
+/// * `2` — the linter could not run: unusable workspace root,
+///   unreadable sources, an unknown rule for `--explain`, or an
+///   analyzer panic (caught here so a linter bug is never reported as a
+///   lint verdict).
 pub fn run(opts: &LintOptions) -> i32 {
     if let Some(id) = &opts.explain {
         return match Rule::from_id(id) {
@@ -972,7 +409,11 @@ pub fn run(opts: &LintOptions) -> i32 {
                 0
             }
             None => {
-                eprintln!("carpool-lint: unknown rule '{id}' (expected L001..L015)");
+                let ids: Vec<&str> = Rule::ALL.iter().map(|r| r.id()).collect();
+                eprintln!(
+                    "carpool-lint: unknown rule '{id}' (expected one of {})",
+                    ids.join(", ")
+                );
                 2
             }
         };
@@ -982,17 +423,9 @@ pub fn run(opts: &LintOptions) -> i32 {
         return 2;
     };
     let started = Instant::now();
-    let baseline_path = root.join(BASELINE_FILE);
-    let aopts = AnalysisOptions {
-        strict_indexing: opts.strict_indexing,
-        collect_graph: opts.graph,
-    };
-    let cache_file = root.join(cache::CACHE_FILE);
-    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        scan_workspace_cached(&root, &aopts, Some(&cache_file), !opts.no_cache)
-    }));
+    let outcome = std::panic::catch_unwind(|| scan_workspace(&root));
     let report = match outcome {
-        Ok(Ok(o)) => o.report,
+        Ok(Ok(report)) => report,
         Ok(Err(e)) => {
             eprintln!("carpool-lint: {e}");
             return 2;
@@ -1005,39 +438,15 @@ pub fn run(opts: &LintOptions) -> i32 {
             return 2;
         }
     };
-
-    if opts.graph {
-        print!("{}", report.analysis.graph_dump.clone().unwrap_or_default());
-        return 0;
-    }
-    if opts.write_baseline {
-        return write_baseline(&report, &baseline_path, opts.force);
-    }
-
-    let baseline = match load_baseline(&baseline_path) {
-        Ok(b) => b,
-        Err(e) => {
-            eprintln!("carpool-lint: {e}");
-            return 2;
-        }
-    };
-    let verdict = ratchet(&report, &baseline);
-    let meta = RunMeta {
-        elapsed_ms: started.elapsed().as_secs_f64() * 1e3,
-        budget_ms: opts.budget_ms,
-    };
-    if let Some(path) = &opts.sarif {
-        if let Err(e) = std::fs::write(path, sarif::render_sarif(&report, &verdict)) {
-            eprintln!("carpool-lint: cannot write {}: {e}", path.display());
-            return 2;
-        }
-    }
     if opts.json {
-        print!("{}", render_json(&report, &verdict, &baseline, &meta));
+        print!(
+            "{}",
+            render_json(&report, started.elapsed().as_secs_f64() * 1e3)
+        );
     } else {
-        print!("{}", render_human(&report, &verdict, &baseline, &meta));
+        print!("{}", render_human(&report));
     }
-    i32::from(!verdict.ok())
+    i32::from(!report.ok())
 }
 
 /// Best-effort panic payload text.
@@ -1048,53 +457,6 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
         s.as_str()
     } else {
         "unknown panic payload"
-    }
-}
-
-fn write_baseline(report: &ScanReport, path: &Path, force: bool) -> i32 {
-    let fresh = baseline_from_scan(report);
-    // Initial creation has nothing to ratchet against.
-    match path.is_file().then(|| load_baseline(path)).transpose() {
-        Ok(None) => {}
-        Ok(Some(existing)) => {
-            // The ratchet only turns one way: refuse silent increases.
-            let mut grew = Vec::new();
-            for (rule, files) in &fresh.counts {
-                for (file, &count) in files {
-                    let prior = existing.count(rule, file);
-                    if count > prior {
-                        grew.push(format!("{rule} {file}: {prior} -> {count}"));
-                    }
-                }
-            }
-            if !grew.is_empty() && !force {
-                eprintln!(
-                    "carpool-lint: refusing to grow the baseline (fix the new findings, \
-                     waive them inline, or pass --force):"
-                );
-                for g in grew {
-                    eprintln!("  {g}");
-                }
-                return 1;
-            }
-        }
-        Err(e) => {
-            eprintln!("carpool-lint: warning: replacing unreadable baseline ({e})");
-        }
-    }
-    match std::fs::write(path, fresh.to_json()) {
-        Ok(()) => {
-            println!(
-                "carpool-lint: baseline written to {} ({} findings)",
-                path.display(),
-                report.diagnostics.len()
-            );
-            0
-        }
-        Err(e) => {
-            eprintln!("carpool-lint: cannot write {}: {e}", path.display());
-            2
-        }
     }
 }
 

@@ -1,5 +1,5 @@
-//! The project rules (L001–L006) evaluated over scanned source lines
-//! and parsed manifests.
+//! The project rules and the line-based checks (L003 `use` paths,
+//! L009) over scanned source lines and parsed manifests.
 //!
 //! Every rule reports `file:line` diagnostics. Inline waivers use the
 //! `// lint:allow(<key>): <reason>` comment syntax — on the offending
@@ -8,40 +8,20 @@
 
 use crate::scanner::SourceLine;
 
-/// Rule identifiers, in severity-agnostic numeric order.
+/// Rule identifiers. The numbering keeps the gaps left by rules that
+/// moved to rustc/clippy lints and runtime tests (see DESIGN.md), so an
+/// ID always means the same check.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Rule {
-    /// No `unwrap()/expect()/panic!/unreachable!/todo!/unimplemented!`
-    /// in non-test code.
-    L001,
-    /// No `println!`-family output in library crates (all I/O goes
-    /// through `carpool-obs` or the CLI).
-    L002,
     /// Crate layering: lower-layer crates must not depend on the MAC
     /// simulator, facade, CLI, bench, or lint crates.
     L003,
-    /// Numeric `as` casts in DSP-audited crates need an explicit
-    /// waiver (they silently truncate/saturate).
-    L004,
-    /// No wall-clock reads in deterministic simulation crates.
-    L005,
-    /// `pub` items in a library crate root need `///` docs.
-    L006,
-    /// Panic-reachability: no panic sites transitively reachable from
-    /// the designated hot-path roots (interprocedural).
-    L007,
-    /// No `HashMap`/`HashSet` in crates whose outputs must be
-    /// byte-identical (iteration order is nondeterministic).
-    L008,
     /// Every atomic `Ordering::` in audited crates carries an
     /// `// ordering:` justification; `Relaxed` only for counters.
     L009,
     /// Dead public API: top-level `pub` items in library crates that
-    /// no other workspace file references (interprocedural).
+    /// no other workspace file references.
     L010,
-    /// Hot-path allocation freedom: no allocating call reachable from
-    /// the hot-path roots (interprocedural, flow-aware).
-    L011,
     /// Scaling-budget verification: interval analysis proves that no
     /// non-saturating i32 op in a `lint:budget`-annotated fn can wrap.
     L012,
@@ -49,11 +29,6 @@ pub enum Rule {
     /// differently-suffixed quantities (`_s`/`_us`/`_db`/...), and
     /// call arguments must match parameter unit suffixes.
     L013,
-    /// Determinism taint: a nondeterminism source (hash iteration,
-    /// clock read, thread identity, pointer address, unordered parallel
-    /// float reduction) whose value can reach the outputs of a
-    /// byte-identical crate (interprocedural, flow-aware).
-    L014,
     /// Shard-protocol discipline: structural obligations on worker
     /// pools and sharded exchanges (ascending mailbox absorb, barrier
     /// epochs paired with a panic tag, index-keyed results, scratch
@@ -63,46 +38,28 @@ pub enum Rule {
 
 impl Rule {
     /// All rules, in order.
-    pub const ALL: [Rule; 15] = [
-        Rule::L001,
-        Rule::L002,
+    pub const ALL: [Rule; 6] = [
         Rule::L003,
-        Rule::L004,
-        Rule::L005,
-        Rule::L006,
-        Rule::L007,
-        Rule::L008,
         Rule::L009,
         Rule::L010,
-        Rule::L011,
         Rule::L012,
         Rule::L013,
-        Rule::L014,
         Rule::L015,
     ];
 
-    /// Stable identifier, e.g. `"L001"`.
+    /// Stable identifier, e.g. `"L003"`.
     pub fn id(self) -> &'static str {
         match self {
-            Rule::L001 => "L001",
-            Rule::L002 => "L002",
             Rule::L003 => "L003",
-            Rule::L004 => "L004",
-            Rule::L005 => "L005",
-            Rule::L006 => "L006",
-            Rule::L007 => "L007",
-            Rule::L008 => "L008",
             Rule::L009 => "L009",
             Rule::L010 => "L010",
-            Rule::L011 => "L011",
             Rule::L012 => "L012",
             Rule::L013 => "L013",
-            Rule::L014 => "L014",
             Rule::L015 => "L015",
         }
     }
 
-    /// Parses a rule identifier (`L007`, `l007`, or `7`).
+    /// Parses a rule identifier (`L009`, `l009`, or `9`).
     pub fn from_id(id: &str) -> Option<Rule> {
         let trimmed = id.trim();
         let digits = trimmed
@@ -110,26 +67,19 @@ impl Rule {
             .or_else(|| trimmed.strip_prefix('l'))
             .unwrap_or(trimmed);
         let n: usize = digits.parse().ok()?;
-        Rule::ALL.get(n.checked_sub(1)?).copied()
+        Rule::ALL
+            .into_iter()
+            .find(|r| r.id()[1..].parse::<usize>().ok() == Some(n))
     }
 
     /// Waiver key accepted in `lint:allow(<key>)` for this rule.
     pub fn waiver_key(self) -> &'static str {
         match self {
-            Rule::L001 => "panic",
-            Rule::L002 => "print",
             Rule::L003 => "layering",
-            Rule::L004 => "as-cast",
-            Rule::L005 => "wall-clock",
-            Rule::L006 => "missing-docs",
-            Rule::L007 => "hot-panic",
-            Rule::L008 => "hash-iter",
             Rule::L009 => "atomic-ordering",
             Rule::L010 => "dead-api",
-            Rule::L011 => "hot-alloc",
             Rule::L012 => "scaling-budget",
             Rule::L013 => "unit-mix",
-            Rule::L014 => "det",
             Rule::L015 => "shard-protocol",
         }
     }
@@ -137,20 +87,11 @@ impl Rule {
     /// One-line description used in reports.
     pub fn summary(self) -> &'static str {
         match self {
-            Rule::L001 => "panicking call in non-test code",
-            Rule::L002 => "direct stdout/stderr output in a library crate",
             Rule::L003 => "layering violation (lower crate depends on upper layer)",
-            Rule::L004 => "unwaived numeric `as` cast in a DSP-audited crate",
-            Rule::L005 => "wall-clock read in a deterministic simulation crate",
-            Rule::L006 => "undocumented `pub` item in a crate root",
-            Rule::L007 => "panic site reachable from a hot-path root",
-            Rule::L008 => "HashMap/HashSet in a byte-identical-output crate",
             Rule::L009 => "unjustified atomic memory ordering in an audited crate",
             Rule::L010 => "dead public API (pub item referenced nowhere else)",
-            Rule::L011 => "allocation reachable from a hot-path root",
             Rule::L012 => "unprovable or wrapping i32 op under a declared scaling budget",
             Rule::L013 => "arithmetic or call mixing different units of measure",
-            Rule::L014 => "nondeterminism source reaching a byte-identical crate's outputs",
             Rule::L015 => "shard-protocol violation in a worker pool or sharded exchange",
         }
     }
@@ -158,23 +99,6 @@ impl Rule {
     /// Long-form description printed by `--explain <rule>`.
     pub fn explain(self) -> &'static str {
         match self {
-            Rule::L001 => {
-                "L001 · panicking call in non-test code\n\n\
-                 Flags `unwrap()`, `.expect(...)`, `panic!`, `unreachable!`, `todo!`\n\
-                 and `unimplemented!` outside #[cfg(test)] code. The PHY/MAC pipeline\n\
-                 must degrade gracefully under any channel realization; a panic in a\n\
-                 Monte-Carlo trial aborts the whole sweep. Propagate Result/Option or\n\
-                 restructure so the failure case cannot arise.\n\n\
-                 Waive with `// lint:allow(panic): <why infallible>` when the\n\
-                 invariant is local and checkable by the reader."
-            }
-            Rule::L002 => {
-                "L002 · direct stdout/stderr output in a library crate\n\n\
-                 Library crates must not print: all operator-facing output flows\n\
-                 through carpool-obs (structured events) or is returned to the\n\
-                 caller. Applies to println!/print!/eprintln!/eprint!/dbg!.\n\n\
-                 Waive with `// lint:allow(print): <why>`."
-            }
             Rule::L003 => {
                 "L003 · crate layering\n\n\
                  Lower-layer crates (phy, bloom, channel, frame, traffic, par) must\n\
@@ -183,48 +107,6 @@ impl Rule {
                  The layering keeps the PHY reusable and the MAC simulator\n\
                  trace-reproducible.\n\n\
                  Waive with `// lint:allow(layering): <why>`."
-            }
-            Rule::L004 => {
-                "L004 · numeric `as` casts in DSP-audited crates\n\n\
-                 `as` silently truncates and saturates; in phy/mac kernels that can\n\
-                 corrupt samples and counters without any runtime signal. Use\n\
-                 From/TryFrom conversions, or document why the cast is lossless.\n\n\
-                 Waive with `// lint:allow(as-cast): <why lossless>`."
-            }
-            Rule::L005 => {
-                "L005 · wall-clock reads in deterministic simulation crates\n\n\
-                 `Instant::now`/`SystemTime` break trace reproducibility: two runs\n\
-                 of the same seed must produce byte-identical outputs. Take time\n\
-                 from the simulation clock, or measure in the obs/bench layer.\n\n\
-                 Waive with `// lint:allow(wall-clock): <why>`."
-            }
-            Rule::L006 => {
-                "L006 · undocumented `pub` items in library crate roots\n\n\
-                 Crate roots are the API surface; every `pub` item there needs a\n\
-                 `///` doc comment.\n\n\
-                 Waive with `// lint:allow(missing-docs): <why>`."
-            }
-            Rule::L007 => {
-                "L007 · panic-reachability on hot paths (interprocedural)\n\n\
-                 Builds the workspace call graph and walks it from the hot-path\n\
-                 roots — carpool_bench::run_phy, the MAC run_replications driver,\n\
-                 CarpoolLink::deliver_all, and the integer Viterbi / FFT kernels.\n\
-                 Any L001 panic token inside a function transitively reachable from\n\
-                 those roots is an error, and the diagnostic prints the full call\n\
-                 chain from the root to the panic site. Slice-indexing sites on hot\n\
-                 paths are always *counted* (see the JSON report) and become\n\
-                 findings under --strict-indexing.\n\n\
-                 Waive with `// lint:allow(hot-panic): <why>`; an existing\n\
-                 `lint:allow(panic)` waiver is honored too, since it already\n\
-                 documents infallibility."
-            }
-            Rule::L008 => {
-                "L008 · iteration-order nondeterminism (interprocedural)\n\n\
-                 HashMap/HashSet iterate in randomized order, which silently breaks\n\
-                 the byte-identical-output guarantee the figures depend on. In\n\
-                 crates whose outputs are compared byte-for-byte (sim, phy, par,\n\
-                 bench) use BTreeMap/BTreeSet, or sort before iterating.\n\n\
-                 Waive with `// lint:allow(hash-iter): <why order never observed>`."
             }
             Rule::L009 => {
                 "L009 · atomics/lock audit in concurrency crates\n\n\
@@ -237,7 +119,7 @@ impl Rule {
                  Waive with `// lint:allow(atomic-ordering): <why>`."
             }
             Rule::L010 => {
-                "L010 · dead public API (interprocedural)\n\n\
+                "L010 · dead public API (cross-crate)\n\n\
                  A top-level `pub` item in a library crate that no other workspace\n\
                  file mentions — not another crate, not a test/bench/example, not\n\
                  the CLI, not even a doc comment — is unreachable API surface:\n\
@@ -245,26 +127,6 @@ impl Rule {
                  to pub(crate). Matching is by word-bounded identifier, so any\n\
                  mention anywhere (including docs) keeps an item alive.\n\n\
                  Waive with `// lint:allow(dead-api): <why external users need it>`."
-            }
-            Rule::L011 => {
-                "L011 · hot-path allocation freedom (interprocedural, flow-aware)\n\n\
-                 Walks the call graph from the hot-path roots (bench run_phy, the\n\
-                 MAC run_replications driver, CarpoolLink::deliver_all, and the\n\
-                 integer Viterbi / FFT kernels) and flags allocation effects in any\n\
-                 function reachable from them: Vec::new, Vec::with_capacity,\n\
-                 Box::new, format!, .clone(), .collect(), .to_vec(), and .push()\n\
-                 inside a loop. PhyScratch/ViterbiScratch made these paths\n\
-                 allocation-free; this rule keeps allocations from creeping back.\n\
-                 The diagnostic prints the full call chain from the root to the\n\
-                 allocation site.\n\n\
-                 Exemptions built into the rule: tool crates (cli, lint) are out\n\
-                 of scope; constructor/builder fns (new*, with_*, build*, from_*,\n\
-                 default) are setup-time by convention; and a push-in-loop whose\n\
-                 fn pre-sizes capacity (with_capacity / reserve) is amortized\n\
-                 O(1) and exempt while the one-time allocation stays reported.\n\n\
-                 Waive with `// lint:allow(hot-alloc): <why setup-time or\n\
-                 amortized>` — e.g. a reserve() precedes the push, or the path\n\
-                 only runs at scenario construction."
             }
             Rule::L012 => {
                 "L012 · integer scaling-budget verification (flow-aware)\n\n\
@@ -294,25 +156,6 @@ impl Rule {
                  the parameter name in the callee's signature is flagged too.\n\n\
                  Waive with `// lint:allow(unit-mix): <why the units agree>`."
             }
-            Rule::L014 => {
-                "L014 · determinism taint (interprocedural)\n\n\
-                 The workspace contract is byte-identical figures and traces at\n\
-                 any thread or shard count. This pass marks nondeterminism\n\
-                 sources — iteration over `HashMap`/`HashSet`/`RandomState`\n\
-                 containers (including iteration over an identifier previously\n\
-                 bound to one, which L008's token scan misses), `Instant::now`\n\
-                 and `SystemTime` clock reads, `thread::current` identity,\n\
-                 pointer-to-address casts, and float accumulation under a lock\n\
-                 in thread-spawning functions — and walks the call graph\n\
-                 caller-ward: a source is flagged when its containing function\n\
-                 lives in, or is transitively called from, a crate whose\n\
-                 outputs must be byte-identical (`ordered_iteration` class).\n\
-                 The diagnostic prints the call chain that connects the source\n\
-                 to the deterministic crate.\n\n\
-                 Waive with `// lint:allow(det): <why the value never reaches\n\
-                 deterministic output>` — e.g. profiling-only span timers whose\n\
-                 durations are reported out-of-band."
-            }
             Rule::L015 => {
                 "L015 · shard-protocol discipline (structural)\n\n\
                  The sharded exchange in `carpool-par` keeps results\n\
@@ -341,23 +184,14 @@ impl Rule {
 /// How each workspace crate is treated by the rules.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CrateClass {
-    /// Library crate: L002 and L006 apply.
+    /// Library crate: L010 audits its public API.
     pub library: bool,
     /// Lower-layer crate: L003 applies.
     pub lower_layer: bool,
-    /// DSP-audited crate: L004 applies.
-    pub cast_audited: bool,
-    /// Deterministic simulation crate: L005 applies.
-    pub deterministic: bool,
-    /// Outputs must be byte-identical across runs/threads: L008 applies.
-    pub ordered_iteration: bool,
     /// Concurrency-audited crate: L009 applies to every `Ordering::`.
     pub atomics_audited: bool,
     /// Unit-suffix-audited crate: L013 applies to its arithmetic.
     pub units_audited: bool,
-    /// Pipeline crate: L011 audits allocations reachable from hot
-    /// roots. Tool crates (cli, lint) allocate freely.
-    pub alloc_audited: bool,
 }
 
 /// Crates that lower-layer crates must never depend on.
@@ -370,28 +204,19 @@ pub const UPPER_LAYER: [&str; 5] = [
 ];
 
 /// Classifies a workspace package by name. Unknown crates get the
-/// conservative default (library + deterministic) so that new crates
-/// are linted strictly until classified here.
+/// library default so that new crates are linted until classified here.
 pub fn classify(package: &str) -> CrateClass {
-    let lib_sim = CrateClass {
+    let library = CrateClass {
         library: true,
         lower_layer: false,
-        cast_audited: false,
-        deterministic: true,
-        ordered_iteration: true,
         atomics_audited: false,
         units_audited: true,
-        alloc_audited: true,
     };
     match package {
-        "carpool-phy" => CrateClass {
+        "carpool-phy" | "carpool-bloom" | "carpool-channel" | "carpool-frame"
+        | "carpool-traffic" => CrateClass {
             lower_layer: true,
-            cast_audited: true,
-            ..lib_sim
-        },
-        "carpool-bloom" | "carpool-channel" | "carpool-frame" | "carpool-traffic" => CrateClass {
-            lower_layer: true,
-            ..lib_sim
+            ..library
         },
         // The worker pool sits below everything that fans trials out
         // through it (mac, carpool, bench, cli): L003 keeps it from ever
@@ -400,48 +225,21 @@ pub fn classify(package: &str) -> CrateClass {
         "carpool-par" => CrateClass {
             lower_layer: true,
             atomics_audited: true,
-            ..lib_sim
+            ..library
         },
-        "carpool-mac" => CrateClass {
-            cast_audited: true,
-            ..lib_sim
-        },
-        "carpool" | "carpool-repro" => lib_sim,
-        // obs owns the process clock (profiling spans) and file sinks,
-        // so L005 is out of scope there — but the flight-recorder trace
-        // exports are diffed byte-for-byte across thread counts (L008)
-        // and the ring's overflow counter is lock-free (L009), so both
-        // audits apply.
+        // The flight recorder's overflow counter is lock-free.
         "carpool-obs" => CrateClass {
-            deterministic: false,
-            ordered_iteration: true,
             atomics_audited: true,
-            ..lib_sim
+            ..library
         },
-        // Bench is a tool crate, but its figure outputs are diffed
-        // byte-for-byte across thread counts — L008 applies.
-        "carpool-bench" => CrateClass {
+        // Tool crates: no public API audit, no unit audit.
+        "carpool-bench" | "carpool-cli" | "carpool-lint" => CrateClass {
             library: false,
             lower_layer: false,
-            cast_audited: false,
-            deterministic: false,
-            ordered_iteration: true,
             atomics_audited: false,
             units_audited: false,
-            alloc_audited: true,
         },
-        // Tool crates: terminal output and wall clock are their job.
-        "carpool-cli" | "carpool-lint" => CrateClass {
-            library: false,
-            lower_layer: false,
-            cast_audited: false,
-            deterministic: false,
-            ordered_iteration: false,
-            atomics_audited: false,
-            units_audited: false,
-            alloc_audited: false,
-        },
-        _ => lib_sim,
+        _ => library,
     }
 }
 
@@ -495,36 +293,20 @@ pub fn waivers_in_comment(comment: &str) -> Vec<String> {
 
 /// Whether `line` (or a comment-only line directly above it) carries a
 /// waiver for `rule`.
-fn is_waived(lines: &[SourceLine], idx: usize, rule: Rule) -> bool {
-    line_waived(lines, idx, rule.waiver_key())
-}
-
-/// Key-based variant of [`is_waived`] for rules that honor several
-/// waiver keys (L007 accepts both `hot-panic` and `panic`).
-pub(crate) fn line_waived(lines: &[SourceLine], idx: usize, key: &str) -> bool {
+pub(crate) fn is_waived(lines: &[SourceLine], idx: usize, rule: Rule) -> bool {
+    let key = rule.waiver_key();
     let Some(line) = lines.get(idx) else {
         return false;
     };
-    let own = waivers_in_comment(&line.comment);
-    if own.iter().any(|k| k == key) {
+    if waivers_in_comment(&line.comment).iter().any(|k| k == key) {
         return true;
     }
     // Walk up over comment-only lines (a waiver block may sit above).
-    let mut k = idx;
-    while k > 0 {
-        k -= 1;
-        let above = &lines[k];
-        if !above.code.trim().is_empty() {
-            break;
-        }
-        if above.comment.is_empty() {
-            break;
-        }
-        if waivers_in_comment(&above.comment).iter().any(|w| w == key) {
-            return true;
-        }
-    }
-    false
+    lines[..idx]
+        .iter()
+        .rev()
+        .take_while(|above| above.code.trim().is_empty() && !above.comment.is_empty())
+        .any(|above| waivers_in_comment(&above.comment).iter().any(|w| w == key))
 }
 
 /// Whether `code[at]` starts a word-boundary occurrence of `token`.
@@ -558,147 +340,22 @@ pub(crate) fn contains_token(code: &str, token: &str) -> bool {
     false
 }
 
-/// L001 trigger tokens: `(name, needs leading dot)`.
-const PANIC_TOKENS: [(&str, bool); 6] = [
-    ("unwrap()", true),
-    ("expect(", true),
-    ("panic!", false),
-    ("unreachable!", false),
-    ("todo!", false),
-    ("unimplemented!", false),
-];
-
-/// L001/L007 panic tokens present in one blanked code line.
-pub(crate) fn panic_hits(code: &str) -> Vec<&'static str> {
-    let mut hits = Vec::new();
-    for (token, needs_dot) in PANIC_TOKENS {
-        let hit = if needs_dot {
-            let dotted = format!(".{token}");
-            code.contains(&dotted)
-        } else {
-            contains_token(code, token)
-        };
-        if hit {
-            hits.push(token);
-        }
-    }
-    hits
-}
-
-/// L002 trigger tokens (macro names).
-const PRINT_TOKENS: [&str; 5] = ["println!", "print!", "eprintln!", "eprint!", "dbg!"];
-
-/// L005 trigger tokens.
-const WALL_CLOCK_TOKENS: [&str; 2] = ["Instant::now", "SystemTime"];
-
-/// Numeric types whose `as` casts L004 audits.
-const NUMERIC_TYPES: [&str; 14] = [
-    "u8", "u16", "u32", "u64", "u128", "usize", "i8", "i16", "i32", "i64", "i128", "isize", "f32",
-    "f64",
-];
-
-/// Runs all line-based rules over one scanned file.
-pub fn check_lines(
-    class: CrateClass,
-    is_crate_root: bool,
-    file: &str,
-    lines: &[SourceLine],
-) -> Vec<Diagnostic> {
-    let mut diags: Vec<Diagnostic> = Rule::ALL
-        .iter()
-        .flat_map(|&rule| check_line_rule(rule, class, is_crate_root, file, lines))
-        .collect();
-    diags.sort_by_key(|a| (a.line, a.rule));
-    diags
-}
-
-/// Runs one line-based rule over a scanned file. The interprocedural
-/// rules (L007, L008, L010) need whole-workspace context and return
-/// nothing here — see `crate::interproc`.
-pub fn check_line_rule(
-    rule: Rule,
-    class: CrateClass,
-    is_crate_root: bool,
-    file: &str,
-    lines: &[SourceLine],
-) -> Vec<Diagnostic> {
+/// Runs the line-based rules (L003 `use` paths, L009) over one
+/// scanned `src/` file.
+pub fn check_lines(class: CrateClass, file: &str, lines: &[SourceLine]) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
-    let applies = match rule {
-        Rule::L001 => true,
-        Rule::L002 => class.library,
-        Rule::L003 => class.lower_layer,
-        Rule::L004 => class.cast_audited,
-        Rule::L005 => class.deterministic,
-        Rule::L006 => {
-            if class.library && is_crate_root {
-                check_l006(lines, file, &mut diags);
-            }
-            false
+    for (idx, line) in lines.iter().enumerate() {
+        if line.in_test {
+            continue;
         }
-        Rule::L009 => class.atomics_audited,
-        Rule::L007
-        | Rule::L008
-        | Rule::L010
-        | Rule::L011
-        | Rule::L012
-        | Rule::L013
-        | Rule::L014
-        | Rule::L015 => false,
-    };
-    if applies {
-        for (idx, line) in lines.iter().enumerate() {
-            if line.in_test {
-                continue;
-            }
-            match rule {
-                Rule::L001 => check_l001(lines, idx, file, &mut diags),
-                Rule::L002 => check_l002(lines, idx, file, &mut diags),
-                Rule::L003 => check_l003_use(lines, idx, file, &mut diags),
-                Rule::L004 => check_l004(lines, idx, file, &mut diags),
-                Rule::L005 => check_l005(lines, idx, file, &mut diags),
-                Rule::L009 => check_l009(lines, idx, file, &mut diags),
-                _ => {}
-            }
+        if class.lower_layer {
+            check_l003_use(lines, idx, file, &mut diags);
+        }
+        if class.atomics_audited {
+            check_l009(lines, idx, file, &mut diags);
         }
     }
     diags
-}
-
-fn check_l001(lines: &[SourceLine], idx: usize, file: &str, diags: &mut Vec<Diagnostic>) {
-    let line = &lines[idx];
-    for token in panic_hits(&line.code) {
-        if !is_waived(lines, idx, Rule::L001) {
-            diags.push(Diagnostic {
-                rule: Rule::L001,
-                file: file.to_string(),
-                line: line.number,
-                message: format!(
-                    "`{token}` can panic at runtime; propagate an error instead, or \
-                     waive with `// lint:allow(panic): <why infallible>`"
-                ),
-            });
-        }
-    }
-}
-
-fn check_l002(lines: &[SourceLine], idx: usize, file: &str, diags: &mut Vec<Diagnostic>) {
-    let line = &lines[idx];
-    for token in PRINT_TOKENS {
-        // `print!` is a prefix of `println!`; token_at's word-boundary
-        // check rejects the shorter match because `l` follows, and the
-        // two entries fire independently, so no double counting.
-        if contains_token(&line.code, token) && !is_waived(lines, idx, Rule::L002) {
-            diags.push(Diagnostic {
-                rule: Rule::L002,
-                file: file.to_string(),
-                line: line.number,
-                message: format!(
-                    "`{token}` in a library crate; emit through carpool-obs or return \
-                     data to the caller (waiver: `// lint:allow(print): <why>`)"
-                ),
-            });
-        }
-    }
 }
 
 fn check_l003_use(lines: &[SourceLine], idx: usize, file: &str, diags: &mut Vec<Diagnostic>) {
@@ -744,58 +401,6 @@ fn references_module(code: &str, module: &str) -> bool {
         }
     }
     false
-}
-
-fn check_l004(lines: &[SourceLine], idx: usize, file: &str, diags: &mut Vec<Diagnostic>) {
-    let line = &lines[idx];
-    let code = &line.code;
-    let mut from = 0;
-    let mut hits: Vec<&str> = Vec::new();
-    while let Some(at) = code[from..].find(" as ") {
-        let at = from + at + 1; // position of the `as` word
-        from = at + 2;
-        if !token_at(code, at, "as") {
-            continue;
-        }
-        let after = code[at + 2..].trim_start();
-        for ty in NUMERIC_TYPES {
-            if token_at(after, 0, ty) {
-                hits.push(ty);
-                break;
-            }
-        }
-    }
-    if !hits.is_empty() && !is_waived(lines, idx, Rule::L004) {
-        for ty in hits {
-            diags.push(Diagnostic {
-                rule: Rule::L004,
-                file: file.to_string(),
-                line: line.number,
-                message: format!(
-                    "`as {ty}` cast can silently truncate or saturate in a DSP hot \
-                     path; use a checked/documented conversion or waive with \
-                     `// lint:allow(as-cast): <why lossless>`"
-                ),
-            });
-        }
-    }
-}
-
-fn check_l005(lines: &[SourceLine], idx: usize, file: &str, diags: &mut Vec<Diagnostic>) {
-    let line = &lines[idx];
-    for token in WALL_CLOCK_TOKENS {
-        if line.code.contains(token) && !is_waived(lines, idx, Rule::L005) {
-            diags.push(Diagnostic {
-                rule: Rule::L005,
-                file: file.to_string(),
-                line: line.number,
-                message: format!(
-                    "`{token}` breaks trace reproducibility in a simulation crate; \
-                     take time from the simulation clock or the obs layer"
-                ),
-            });
-        }
-    }
 }
 
 fn check_l009(lines: &[SourceLine], idx: usize, file: &str, diags: &mut Vec<Diagnostic>) {
@@ -855,70 +460,6 @@ fn justification_in(comment: &str) -> Option<String> {
     (!reason.is_empty()).then(|| reason.to_string())
 }
 
-/// Item keywords that need docs when `pub` at the crate-root top level.
-const DOC_ITEMS: [&str; 9] = [
-    "fn", "struct", "enum", "trait", "mod", "const", "static", "type", "union",
-];
-
-fn check_l006(lines: &[SourceLine], file: &str, diags: &mut Vec<Diagnostic>) {
-    for (idx, line) in lines.iter().enumerate() {
-        if line.in_test || line.depth != 0 {
-            continue;
-        }
-        let trimmed = line.code.trim_start();
-        let Some(rest) = trimmed.strip_prefix("pub ") else {
-            continue;
-        };
-        // `pub use` re-exports inherit upstream docs; `pub(crate)` and
-        // friends are not part of the public API.
-        let rest = rest.trim_start();
-        let keyword_ok = DOC_ITEMS.iter().any(|kw| {
-            rest.strip_prefix(kw)
-                .is_some_and(|after| after.starts_with([' ', '<', '(']))
-                || rest
-                    .strip_prefix("unsafe ")
-                    .map(str::trim_start)
-                    .and_then(|r| r.strip_prefix(kw))
-                    .is_some_and(|after| after.starts_with(' '))
-        });
-        if !keyword_ok {
-            continue;
-        }
-        if has_doc_above(lines, idx) || is_waived(lines, idx, Rule::L006) {
-            continue;
-        }
-        diags.push(Diagnostic {
-            rule: Rule::L006,
-            file: file.to_string(),
-            line: line.number,
-            message: "public item in a crate root without `///` docs".to_string(),
-        });
-    }
-}
-
-/// Walks upward over attributes and blank lines looking for a doc
-/// comment attached to the item at `idx`.
-fn has_doc_above(lines: &[SourceLine], idx: usize) -> bool {
-    let mut k = idx;
-    while k > 0 {
-        k -= 1;
-        let line = &lines[k];
-        let code = line.code.trim();
-        let comment = line.comment.trim_start();
-        if comment.starts_with("///") {
-            return true;
-        }
-        // Attribute lines (including multi-line attribute tails) and
-        // blanks are transparent; anything else ends the search.
-        let attr_like = code.starts_with("#[") || code.ends_with(']') || code.ends_with(',');
-        if code.is_empty() || attr_like {
-            continue;
-        }
-        return false;
-    }
-    false
-}
-
 /// L003 manifest check: `Cargo.toml` dependencies of a lower-layer
 /// crate must not include upper-layer crates.
 pub fn check_manifest_layering(
@@ -949,86 +490,12 @@ mod tests {
     use super::*;
     use crate::scanner::scan_source;
 
-    /// Classes used by the fixtures below.
-    fn lib_class() -> CrateClass {
-        classify("carpool-frame")
-    }
-    fn dsp_class() -> CrateClass {
-        classify("carpool-phy")
-    }
-    fn tool_class() -> CrateClass {
-        classify("carpool-cli")
-    }
-
     fn check(class: CrateClass, src: &str) -> Vec<Diagnostic> {
-        check_lines(class, false, "fix.rs", &scan_source(src))
+        check_lines(class, "fix.rs", &scan_source(src))
     }
 
     fn rules_of(diags: &[Diagnostic]) -> Vec<Rule> {
         diags.iter().map(|d| d.rule).collect()
-    }
-
-    #[test]
-    fn l001_flags_each_panicking_call() {
-        let src = "fn f(x: Option<u8>) { x.unwrap(); }\n\
-                   fn g(x: Option<u8>) { x.expect(\"m\"); }\n\
-                   fn h() { panic!(\"no\"); }\n\
-                   fn k() { unreachable!() }\n";
-        let diags = check(lib_class(), src);
-        assert_eq!(rules_of(&diags), [Rule::L001; 4]);
-        assert_eq!(
-            diags.iter().map(|d| d.line).collect::<Vec<_>>(),
-            [1, 2, 3, 4]
-        );
-    }
-
-    #[test]
-    fn l001_waiver_on_line_or_above_is_honored() {
-        let on_line = "fn f() { x.unwrap(); } // lint:allow(panic): checked above\n";
-        assert!(check(lib_class(), on_line).is_empty());
-        let above = "// lint:allow(panic): slot exists by construction\n\
-                     fn f() { x.unwrap(); }\n";
-        assert!(check(lib_class(), above).is_empty());
-    }
-
-    #[test]
-    fn l001_waiver_without_reason_is_ignored() {
-        let src = "fn f() { x.unwrap(); } // lint:allow(panic):\n";
-        assert_eq!(rules_of(&check(lib_class(), src)), [Rule::L001]);
-        let wrong_key = "fn f() { x.unwrap(); } // lint:allow(print): wrong rule\n";
-        assert_eq!(rules_of(&check(lib_class(), wrong_key)), [Rule::L001]);
-    }
-
-    #[test]
-    fn l001_test_code_is_exempt() {
-        let src = "#[cfg(test)]\n\
-                   mod tests {\n\
-                       #[test]\n\
-                       fn t() { x.unwrap(); panic!(\"fixture\"); }\n\
-                   }\n";
-        assert!(check(lib_class(), src).is_empty());
-    }
-
-    #[test]
-    fn l001_comments_and_strings_do_not_fire() {
-        let src = "// calls unwrap() and panic! in prose\n\
-                   fn f() -> &'static str { \"panic! .unwrap()\" }\n";
-        assert!(check(lib_class(), src).is_empty());
-    }
-
-    #[test]
-    fn l002_print_macros_only_in_libraries() {
-        let src = "fn f() { println!(\"x\"); eprintln!(\"y\"); }\n";
-        let diags = check(lib_class(), src);
-        assert_eq!(rules_of(&diags), [Rule::L002, Rule::L002]);
-        // A tool crate (cli/bench/lint) may print freely.
-        assert!(check(tool_class(), src).is_empty());
-    }
-
-    #[test]
-    fn l002_waiver_honored() {
-        let src = "fn f() { println!(\"x\"); } // lint:allow(print): startup banner\n";
-        assert!(check(lib_class(), src).is_empty());
     }
 
     #[test]
@@ -1043,15 +510,15 @@ mod tests {
         // must not match inside `carpool_obs`.
         let ok = "use carpool_obs::Obs;\nuse carpool_bloom::Filter;\n";
         assert!(check(class, ok).is_empty());
-    }
-
-    #[test]
-    fn l003_par_pool_is_a_lower_layer_crate() {
-        let class = classify("carpool-par");
-        assert!(class.lower_layer && class.library && class.deterministic);
-        let deps = vec!["carpool-mac".to_string()];
-        let diags = check_manifest_layering(class, "crates/par/Cargo.toml", &deps);
-        assert_eq!(rules_of(&diags), [Rule::L003]);
+        // Comments, strings, test code and waived lines do not fire.
+        let quiet = "// see carpool_mac::sim\n\
+                     fn f() -> &'static str { \"carpool_mac::x\" }\n\
+                     use carpool_mac::X; // lint:allow(layering): doc example only\n\
+                     #[cfg(test)]\n\
+                     mod tests { use carpool_mac::Y; }\n";
+        assert!(check(class, quiet).is_empty());
+        // Upper-layer crates are not audited.
+        assert!(check(classify("carpool-mac"), src).is_empty());
     }
 
     #[test]
@@ -1061,66 +528,11 @@ mod tests {
             check_manifest_layering(classify("carpool-frame"), "crates/frame/Cargo.toml", &deps);
         assert_eq!(rules_of(&diags), [Rule::L003]);
         assert!(diags[0].message.contains("carpool-mac"));
+        // The worker pool is a lower-layer crate too.
+        let par = check_manifest_layering(classify("carpool-par"), "crates/par/Cargo.toml", &deps);
+        assert_eq!(rules_of(&par), [Rule::L003]);
         // Upper-layer crates may depend on whatever they like.
         assert!(check_manifest_layering(classify("carpool-mac"), "m", &deps).is_empty());
-    }
-
-    #[test]
-    fn l004_numeric_casts_need_waivers_in_dsp_crates() {
-        let src = "fn f(x: f64) -> u8 { x as u8 }\n";
-        assert_eq!(rules_of(&check(dsp_class(), src)), [Rule::L004]);
-        // Same code in a non-audited crate passes.
-        assert!(check(classify("carpool-traffic"), src).is_empty());
-        let waived = "// lint:allow(as-cast): x is clamped to [0, 255] above\n\
-                      fn f(x: f64) -> u8 { x as u8 }\n";
-        assert!(check(dsp_class(), waived).is_empty());
-    }
-
-    #[test]
-    fn l004_non_numeric_casts_are_fine() {
-        let src = "fn f(x: &dyn E) { let y = x as &dyn Any; let p = v as *const u8; }\n";
-        // `as *const u8` is a pointer cast, not a numeric narrowing —
-        // the token after `as` is `*`, not a numeric type.
-        assert!(check(dsp_class(), src).is_empty());
-    }
-
-    #[test]
-    fn l005_wall_clock_flagged_in_simulation_crates() {
-        let src = "fn f() { let t = std::time::Instant::now(); }\n";
-        assert_eq!(rules_of(&check(lib_class(), src)), [Rule::L005]);
-        // obs owns the profiling clock; tool crates may also use it.
-        assert!(check(classify("carpool-obs"), src).is_empty());
-        assert!(check(tool_class(), src).is_empty());
-        let waived = "fn f() { let t = Instant::now(); } // lint:allow(wall-clock): profiling\n";
-        assert!(check(lib_class(), waived).is_empty());
-    }
-
-    #[test]
-    fn l006_pub_items_in_crate_root_need_docs() {
-        let src = "pub mod alpha;\n\
-                   /// Documented.\n\
-                   pub mod beta;\n\
-                   pub use alpha::Thing;\n\
-                   pub(crate) fn helper() {}\n\
-                   pub fn orphan() {}\n";
-        let diags = check_lines(lib_class(), true, "lib.rs", &scan_source(src));
-        assert_eq!(rules_of(&diags), [Rule::L006, Rule::L006]);
-        assert_eq!(
-            diags.iter().map(|d| d.line).collect::<Vec<_>>(),
-            [1, 6],
-            "undocumented mod and fn; pub use / pub(crate) exempt"
-        );
-        // Non-root files and non-library crates are exempt.
-        assert!(check_lines(lib_class(), false, "x.rs", &scan_source(src)).is_empty());
-        assert!(check_lines(tool_class(), true, "main.rs", &scan_source(src)).is_empty());
-    }
-
-    #[test]
-    fn l006_docs_seen_through_attributes() {
-        let src = "/// Documented.\n\
-                   #[derive(Debug, Clone)]\n\
-                   pub struct S;\n";
-        assert!(check_lines(lib_class(), true, "lib.rs", &scan_source(src)).is_empty());
     }
 
     #[test]
@@ -1133,7 +545,7 @@ mod tests {
                          fn f() { c.store(1, Ordering::SeqCst); }\n";
         assert!(check(class, justified).is_empty());
         // Other crates are not audited.
-        assert!(check(lib_class(), bare).is_empty());
+        assert!(check(classify("carpool-frame"), bare).is_empty());
     }
 
     #[test]
@@ -1154,8 +566,11 @@ mod tests {
         for rule in Rule::ALL {
             assert_eq!(Rule::from_id(rule.id()), Some(rule));
         }
-        assert_eq!(Rule::from_id("l008"), Some(Rule::L008));
-        assert_eq!(Rule::from_id("7"), Some(Rule::L007));
+        assert_eq!(Rule::from_id("l013"), Some(Rule::L013));
+        assert_eq!(Rule::from_id("9"), Some(Rule::L009));
+        // Retired and unknown IDs are not rules of this gate.
+        assert_eq!(Rule::from_id("L001"), None);
+        assert_eq!(Rule::from_id("L011"), None);
         assert_eq!(Rule::from_id("L016"), None);
         assert_eq!(Rule::from_id("nope"), None);
     }
@@ -1163,14 +578,14 @@ mod tests {
     #[test]
     fn waiver_parser_requires_reason() {
         assert_eq!(
-            waivers_in_comment("// lint:allow(panic): index checked above"),
-            ["panic"]
+            waivers_in_comment("// lint:allow(dead-api): used by downstream tools"),
+            ["dead-api"]
         );
-        assert!(waivers_in_comment("// lint:allow(panic)").is_empty());
-        assert!(waivers_in_comment("// lint:allow(panic):   ").is_empty());
+        assert!(waivers_in_comment("// lint:allow(dead-api)").is_empty());
+        assert!(waivers_in_comment("// lint:allow(dead-api):   ").is_empty());
         assert_eq!(
-            waivers_in_comment("// lint:allow(as-cast): fits, lint:allow(panic): safe"),
-            ["as-cast", "panic"]
+            waivers_in_comment("// lint:allow(unit-mix): same unit, lint:allow(dead-api): kept"),
+            ["unit-mix", "dead-api"]
         );
     }
 }

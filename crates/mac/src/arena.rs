@@ -27,7 +27,7 @@ pub struct Handle {
 impl Handle {
     /// The raw slot index (stable while the handle is live).
     pub fn index(&self) -> usize {
-        self.index as usize // lint:allow(as-cast): u32 slot index widens to usize
+        self.index as usize
     }
 }
 
@@ -75,7 +75,7 @@ impl<T: Default> Arena<T> {
         self.live += 1;
         if self.free_head != NIL {
             let index = self.free_head;
-            let slot = &mut self.slots[index as usize]; // lint:allow(as-cast): u32 slot index widens to usize
+            let slot = &mut self.slots[index as usize];
             self.free_head = slot.next_free;
             slot.value = value;
             slot.generation = slot.generation.wrapping_add(1);
@@ -85,8 +85,6 @@ impl<T: Default> Arena<T> {
             };
         }
         let index = u32::try_from(self.slots.len()).unwrap_or(u32::MAX - 1);
-        // lint:allow(hot-alloc): amortized arena growth; slots are
-        // recycled through the free list for the rest of the run
         self.slots.push(Slot {
             value,
             generation: 1,
@@ -101,7 +99,7 @@ impl<T: Default> Arena<T> {
     /// Releases the slot behind `handle`, returning its value, or
     /// `None` if the handle is stale.
     pub fn free(&mut self, handle: Handle) -> Option<T> {
-        let slot = self.slots.get_mut(handle.index as usize)?; // lint:allow(as-cast): u32 slot index widens to usize
+        let slot = self.slots.get_mut(handle.index as usize)?;
         if slot.generation != handle.generation || handle.generation.is_multiple_of(2) {
             return None;
         }
@@ -114,13 +112,13 @@ impl<T: Default> Arena<T> {
 
     /// Shared access to a live value.
     pub fn get(&self, handle: Handle) -> Option<&T> {
-        let slot = self.slots.get(handle.index as usize)?; // lint:allow(as-cast): u32 slot index widens to usize
+        let slot = self.slots.get(handle.index as usize)?;
         (slot.generation == handle.generation && handle.generation % 2 == 1).then_some(&slot.value)
     }
 
     /// Mutable access to a live value.
     pub fn get_mut(&mut self, handle: Handle) -> Option<&mut T> {
-        let slot = self.slots.get_mut(handle.index as usize)?; // lint:allow(as-cast): u32 slot index widens to usize
+        let slot = self.slots.get_mut(handle.index as usize)?;
         (slot.generation == handle.generation && handle.generation % 2 == 1)
             .then_some(&mut slot.value)
     }

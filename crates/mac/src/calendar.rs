@@ -85,7 +85,7 @@ impl<P> CalendarQueue<P> {
             occupancy: vec![0u64; buckets.div_ceil(64)],
             entries: Vec::with_capacity(events),
             free_head: NIL,
-            mask: (buckets - 1) as u64, // lint:allow(as-cast): bucket count is a power of two <= 2^16, widens to u64
+            mask: (buckets - 1) as u64,
             cursor: 0,
             seq: 0,
             len: 0,
@@ -113,7 +113,7 @@ impl<P> CalendarQueue<P> {
         self.seq += 1;
         let index = if self.free_head != NIL {
             let index = self.free_head;
-            let slot = &mut self.entries[index as usize]; // lint:allow(as-cast): u32 entry index widens to usize
+            let slot = &mut self.entries[index as usize];
             self.free_head = slot.next;
             *slot = Entry {
                 tick,
@@ -124,8 +124,6 @@ impl<P> CalendarQueue<P> {
             index
         } else {
             let index = u32::try_from(self.entries.len()).unwrap_or(u32::MAX - 1);
-            // lint:allow(hot-alloc): amortized slab growth; entries are
-            // recycled through the free list for the rest of the run
             self.entries.push(Entry {
                 tick,
                 seq,
@@ -134,13 +132,17 @@ impl<P> CalendarQueue<P> {
             });
             index
         };
-        let bucket = (tick & self.mask) as usize; // lint:allow(as-cast): masked to the bucket count, fits usize
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "masked to the bucket count, fits usize"
+        )]
+        let bucket = (tick & self.mask) as usize;
         let (head, tail) = self.chains[bucket];
         if head == NIL {
             self.chains[bucket] = (index, index);
             self.occupancy[bucket / 64] |= 1u64 << (bucket % 64);
         } else {
-            self.entries[tail as usize].next = index; // lint:allow(as-cast): u32 entry index widens to usize
+            self.entries[tail as usize].next = index;
             self.chains[bucket] = (head, index);
         }
         self.len += 1;
@@ -156,7 +158,7 @@ impl<P> CalendarQueue<P> {
     pub fn peek(&mut self) -> Option<(u64, &P)> {
         self.locate_earliest();
         let found = self.earliest?;
-        let entry = &self.entries[found.entry as usize]; // lint:allow(as-cast): u32 entry index widens to usize
+        let entry = &self.entries[found.entry as usize];
         Some((entry.tick, &entry.payload))
     }
 
@@ -168,7 +170,7 @@ impl<P> CalendarQueue<P> {
     {
         self.locate_earliest();
         let found = self.earliest.take()?;
-        let index = found.entry as usize; // lint:allow(as-cast): u32 entry index widens to usize
+        let index = found.entry as usize;
         let next = self.entries[index].next;
         if found.prev == NIL {
             let (_, tail) = self.chains[found.bucket];
@@ -179,7 +181,7 @@ impl<P> CalendarQueue<P> {
                 self.chains[found.bucket] = (next, tail);
             }
         } else {
-            self.entries[found.prev as usize].next = next; // lint:allow(as-cast): u32 entry index widens to usize
+            self.entries[found.prev as usize].next = next;
             let (head, tail) = self.chains[found.bucket];
             if tail == found.entry {
                 self.chains[found.bucket] = (head, found.prev);
@@ -203,12 +205,16 @@ impl<P> CalendarQueue<P> {
             return;
         }
         loop {
-            let bucket = (self.cursor & self.mask) as usize; // lint:allow(as-cast): masked to the bucket count, fits usize
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "masked to the bucket count, fits usize"
+            )]
+            let bucket = (self.cursor & self.mask) as usize;
             let word = self.occupancy[bucket / 64];
             if word == 0 {
                 // 64 consecutive empty buckets: no entry of any lap
                 // lives at these ticks; jump to the next word edge.
-                let in_word = (bucket % 64) as u64; // lint:allow(as-cast): bit offset < 64 widens to u64
+                let in_word = (bucket % 64) as u64;
                 self.cursor += 64 - in_word;
                 continue;
             }
@@ -222,7 +228,7 @@ impl<P> CalendarQueue<P> {
             let mut walk = self.chains[bucket].0;
             let mut found = false;
             while walk != NIL {
-                let entry = &self.entries[walk as usize]; // lint:allow(as-cast): u32 entry index widens to usize
+                let entry = &self.entries[walk as usize];
                 if entry.tick == self.cursor {
                     self.earliest = Some(Earliest {
                         entry: walk,

@@ -56,13 +56,11 @@ fn eifs() -> f64 {
 /// Trace-payload widening for station indices, byte counts, and symbol
 /// counts.
 fn trace_u64(v: usize) -> u64 {
-    // lint:allow(as-cast): station/byte/symbol counts are far below 2^64
     v as u64
 }
 
 /// Time span of `symbols` OFDM symbols, for flight-recorder stamps.
 fn symbol_span(symbols: usize) -> f64 {
-    // lint:allow(as-cast): symbol counts are far below 2^52, conversion exact
     symbols as f64 * SYMBOL_DURATION
 }
 
@@ -141,21 +139,21 @@ pub(crate) fn hidden_pair(seed: u64, fraction: f64, a: usize, b: usize) -> bool 
         return false;
     }
     let (lo, hi) = if a < b { (a, b) } else { (b, a) };
-    let mut x = (lo as u64) << 32 | hi as u64; // lint:allow(as-cast): two u32 halves packed into u64
+    let mut x = (lo as u64) << 32 | hi as u64;
     x ^= seed.wrapping_mul(0x9e37_79b9_7f4a_7c15);
     x ^= x >> 30;
     x = x.wrapping_mul(0xbf58_476d_1ce4_e5b9);
     x ^= x >> 27;
     x = x.wrapping_mul(0x94d0_49bb_1331_11eb);
     x ^= x >> 31;
-    (x as f64 / u64::MAX as f64) < fraction // lint:allow(as-cast): u64-to-f64 rounding is harmless for a uniform draw
+    (x as f64 / u64::MAX as f64) < fraction
 }
 
 /// Traffic-model sampling for one domain, identical to the pre-engine
 /// `Simulator::generate_arrivals`: same sources, same RNG draw order,
 /// stable-sorted by arrival time.
 pub(crate) fn generate_arrivals(cfg: &SimConfig, rng: &mut StdRng) -> Vec<ArrivalEvent> {
-    let mut arrivals = Vec::new(); // lint:allow(hot-alloc): one-time per-run arrival table
+    let mut arrivals = Vec::new();
     for sta in 0..cfg.num_stas {
         let node_id = cfg.num_aps + sta;
         let ap_id = sta % cfg.num_aps;
@@ -166,7 +164,6 @@ pub(crate) fn generate_arrivals(cfg: &SimConfig, rng: &mut StdRng) -> Vec<Arriva
                 // (~0.9 x 96 kbit/s per STA): talkspurts dominate.
                 let voip = VoipSource::with_means(5.0, 0.05);
                 for a in voip.generate(cfg.duration_s, rng) {
-                    // lint:allow(hot-alloc): one-time per-run arrival table
                     arrivals.push(ArrivalEvent {
                         time: a.time,
                         node: ap_id,
@@ -176,7 +173,6 @@ pub(crate) fn generate_arrivals(cfg: &SimConfig, rng: &mut StdRng) -> Vec<Arriva
                 }
                 if cfg.bidirectional_voip {
                     for a in voip.generate(cfg.duration_s, rng) {
-                        // lint:allow(hot-alloc): one-time per-run arrival table
                         arrivals.push(ArrivalEvent {
                             time: a.time,
                             node: node_id,
@@ -190,7 +186,6 @@ pub(crate) fn generate_arrivals(cfg: &SimConfig, rng: &mut StdRng) -> Vec<Arriva
                 // Random phase to avoid synchronised arrivals.
                 let mut t = rng.gen::<f64>() * interval_s;
                 while t < cfg.duration_s {
-                    // lint:allow(hot-alloc): one-time per-run arrival table
                     arrivals.push(ArrivalEvent {
                         time: t,
                         node: ap_id,
@@ -203,7 +198,6 @@ pub(crate) fn generate_arrivals(cfg: &SimConfig, rng: &mut StdRng) -> Vec<Arriva
             DownlinkTraffic::None => {}
         }
         if let Some(up) = cfg.uplink {
-            // lint:allow(as-cast): small station count to f64, exact below 2^53
             let transport = if (sta as f64 + 0.5) / cfg.num_stas as f64 <= up.tcp_fraction {
                 Transport::Tcp
             } else {
@@ -211,7 +205,6 @@ pub(crate) fn generate_arrivals(cfg: &SimConfig, rng: &mut StdRng) -> Vec<Arriva
             };
             let source = BackgroundSource::new(transport).with_rate_scale(up.rate_scale);
             for a in source.generate(cfg.duration_s, rng) {
-                // lint:allow(hot-alloc): one-time per-run arrival table
                 arrivals.push(ArrivalEvent {
                     time: a.time,
                     node: node_id,
@@ -228,7 +221,7 @@ pub(crate) fn generate_arrivals(cfg: &SimConfig, rng: &mut StdRng) -> Vec<Arriva
 /// Whether station node id `sta_id` negotiated Carpool at association.
 fn is_carpool_capable(cfg: &SimConfig, sta_id: usize) -> bool {
     let idx = sta_id.saturating_sub(cfg.num_aps);
-    (idx as f64) < cfg.carpool_fraction * cfg.num_stas as f64 // lint:allow(as-cast): small station count to f64, exact below 2^53
+    (idx as f64) < cfg.carpool_fraction * cfg.num_stas as f64
 }
 
 /// MCS used when transmitting to (or from) station node `sta_id`.
@@ -267,7 +260,6 @@ fn control_airtime(cfg: &SimConfig, receivers: usize) -> f64 {
         return 0.0;
     }
     let carpool_like = matches!(cfg.protocol, Protocol::Carpool | Protocol::MuAggregation);
-    // lint:allow(as-cast): receiver count to f64, exact below 2^53
     rts_airtime(carpool_like) + receivers as f64 * (SIFS + cts_airtime()) + SIFS
 }
 
@@ -322,19 +314,23 @@ impl PlanBuf {
     }
 
     fn push_single(&mut self, queue_index: usize, dest: usize, mcs: Mcs) {
-        self.selected.push(queue_index); // lint:allow(hot-alloc): reused scratch, bounded by queue depth
-        self.indices.push(queue_index); // lint:allow(hot-alloc): reused scratch, bounded by queue depth
+        self.selected.push(queue_index);
+        self.indices.push(queue_index);
         self.groups.push(GroupMeta {
             dest,
             mcs,
             start: 0,
             len: 1,
-        }); // lint:allow(hot-alloc): reused scratch, bounded by max receivers
+        });
     }
 }
 
 /// Plans the winner's TXOP into `plan`, reusing its buffers. Identical
 /// decisions (and f64 arithmetic) to the old `Simulator::plan_txop`.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "station index bounded by num_stas < 2^16"
+)]
 fn plan_into(
     cfg: &SimConfig,
     node: &Node,
@@ -357,7 +353,7 @@ fn plan_into(
                     let wire_bits = (head.bytes + WIRE_OVERHEAD_BYTES) * 8;
                     plan.push_single(0, head.dest, mcs);
                     plan.data_airtime =
-                        PLCP_OVERHEAD + mcs.symbols_for_bits(wire_bits) as f64 * SYMBOL_DURATION; // lint:allow(as-cast): symbol count to f64, exact below 2^53
+                        PLCP_OVERHEAD + mcs.symbols_for_bits(wire_bits) as f64 * SYMBOL_DURATION;
                     plan.ack_airtime_total = SIFS + ack_airtime();
                     return;
                 }
@@ -367,7 +363,7 @@ fn plan_into(
         // Under time fairness the AP presents its queue to the selector
         // ordered by the destinations' cumulative airtime, so
         // underserved stations aggregate (and transmit) first.
-        plan.order.extend(0..node.queue.len()); // lint:allow(hot-alloc): reused scratch, bounded by queue depth
+        plan.order.extend(0..node.queue.len());
         if multi_user && cfg.carpool_fraction < 1.0 {
             // Only Carpool-capable destinations may ride this aggregate;
             // legacy frames wait for their own TXOPs.
@@ -399,19 +395,22 @@ fn plan_into(
             let Some(f) = node.queue.get(k).and_then(|&h| frames.get(h)) else {
                 continue;
             };
-            // lint:allow(hot-alloc): reused scratch plan, bounded by queue depth
             plan.view.push(QueuedFrame {
-                dest: MacAddress::station(f.dest as u16), // lint:allow(as-cast): station index bounded by num_stas < 2^16
+                dest: MacAddress::station(f.dest as u16),
                 bytes: f.bytes,
                 enqueue_time: f.enqueue,
-            }); // lint:allow(hot-alloc): reused scratch, bounded by queue depth
+            });
         }
         let selection = plan
             .sel
             .select(cfg.protocol.aggregation_policy(), &plan.view, &cfg.limits);
         let receivers = selection.receiver_count().max(1);
         let header_airtime = cfg.protocol.aggregation_header_airtime(receivers);
-        // lint:allow(as-cast): header symbol counts are tiny and rounded
+        #[expect(
+            clippy::cast_possible_truncation,
+            clippy::cast_sign_loss,
+            reason = "header symbol counts are tiny and rounded"
+        )]
         let header_symbols = (header_airtime / SYMBOL_DURATION).round() as usize;
         let mut payload_symbols = 0usize;
         for (_, view_indices) in &selection.groups {
@@ -420,7 +419,7 @@ fn plan_into(
                 let Some(&k) = plan.order.get(v) else {
                     continue;
                 };
-                plan.indices.push(k); // lint:allow(hot-alloc): reused scratch, bounded by queue depth
+                plan.indices.push(k);
             }
             let len = plan.indices.len() - start;
             if len == 0 {
@@ -443,20 +442,19 @@ fn plan_into(
                 let wire_bits = (bytes + WIRE_OVERHEAD_BYTES) * 8;
                 payload_symbols += mcs.symbols_for_bits(wire_bits);
             }
-            // lint:allow(hot-alloc): reused scratch plan, bounded by receiver count
             plan.groups.push(GroupMeta {
                 dest,
                 mcs,
                 start,
                 len,
-            }); // lint:allow(hot-alloc): reused scratch, bounded by max receivers
+            });
         }
-        plan.selected.extend_from_slice(&plan.indices); // lint:allow(hot-alloc): reused scratch, bounded by queue depth
+        plan.selected.extend_from_slice(&plan.indices);
         plan.selected.sort_unstable();
         plan.data_airtime =
-            PLCP_OVERHEAD + header_airtime + payload_symbols as f64 * SYMBOL_DURATION; // lint:allow(as-cast): symbol count to f64, exact below 2^53
+            PLCP_OVERHEAD + header_airtime + payload_symbols as f64 * SYMBOL_DURATION;
         let acks = cfg.protocol.acks_per_exchange(receivers);
-        plan.ack_airtime_total = acks as f64 * (SIFS + ack_airtime()); // lint:allow(as-cast): ACK count to f64, exact below 2^53
+        plan.ack_airtime_total = acks as f64 * (SIFS + ack_airtime());
         plan.header_symbols = header_symbols;
     } else {
         // STA: single head frame to its AP at the STA's own rate. The
@@ -551,6 +549,11 @@ impl<'m> Domain<'m> {
     /// Builds a domain: seeds the RNG, samples the arrival table
     /// (identical draw order to the legacy path), loads the calendar
     /// queue, and sizes every arena and scratch buffer.
+    #[expect(
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        reason = "nonnegative finite time over a 9 µs slot"
+    )]
     pub(crate) fn new(
         cfg: SimConfig,
         model: ModelHandle<'m>,
@@ -562,7 +565,6 @@ impl<'m> Domain<'m> {
         let arrivals = generate_arrivals(&cfg, &mut rng);
         let mut calendar = CalendarQueue::with_capacity(arrivals.len());
         for a in &arrivals {
-            // lint:allow(as-cast): nonnegative finite time over a 9 µs slot
             calendar.push((a.time / SLOT_TIME) as u64, *a);
         }
         let total_nodes = cfg.num_aps + cfg.num_stas;
@@ -651,7 +653,6 @@ impl<'m> Domain<'m> {
                 attempts: 0,
                 dest: a.dest,
             });
-            // lint:allow(hot-alloc): amortized deque growth, bounded by backlog
             self.nodes[a.node].queue.push_back(handle);
             self.obs.trace_frame(
                 TraceKind::MacEnqueue,
@@ -672,16 +673,16 @@ impl<'m> Domain<'m> {
                 self.obs.emit(
                     self.now,
                     Event::TrafficArrival {
-                        dest: a.dest as u64,   // lint:allow(as-cast): small index/count widens to u64
-                        bytes: a.bytes as u64, // lint:allow(as-cast): small index/count widens to u64
+                        dest: a.dest as u64,
+                        bytes: a.bytes as u64,
                     },
                 );
                 if was_empty {
                     self.obs.emit(
                         self.now,
                         Event::Backoff {
-                            station: a.node as u64, // lint:allow(as-cast): small index/count widens to u64
-                            slots: self.nodes[a.node].backoff as u64, // lint:allow(as-cast): small index/count widens to u64
+                            station: a.node as u64,
+                            slots: self.nodes[a.node].backoff as u64,
                         },
                     );
                 }
@@ -707,7 +708,7 @@ impl<'m> Domain<'m> {
                     self.obs.emit(
                         self.now,
                         Event::MacDrop {
-                            dest: f.dest as u64, // lint:allow(as-cast): small index/count widens to u64
+                            dest: f.dest as u64,
                             delay: self.now - f.enqueue,
                         },
                     );
@@ -734,7 +735,7 @@ impl<'m> Domain<'m> {
                 true
             };
             if contending {
-                self.scratch.eligible.push(k); // lint:allow(hot-alloc): reused scratch, bounded by node count
+                self.scratch.eligible.push(k);
             }
         }
 
@@ -749,7 +750,7 @@ impl<'m> Domain<'m> {
                 priority.clear();
                 for &k in eligible.iter() {
                     if self.nodes[k].is_ap && self.nodes[k].queue.len() >= 10 {
-                        priority.push(k); // lint:allow(hot-alloc): reused scratch, bounded by node count
+                        priority.push(k);
                     }
                 }
             }
@@ -792,7 +793,7 @@ impl<'m> Domain<'m> {
             .map(|&k| self.nodes[k].backoff)
             .min()
             .unwrap_or(0);
-        self.now += DIFS + d as f64 * SLOT_TIME + self.cfg.extra_round_overhead_s; // lint:allow(as-cast): backoff slot count to f64, exact below 2^53
+        self.now += DIFS + d as f64 * SLOT_TIME + self.cfg.extra_round_overhead_s;
         {
             let RoundScratch {
                 eligible, winners, ..
@@ -801,7 +802,7 @@ impl<'m> Domain<'m> {
             for &k in eligible.iter() {
                 self.nodes[k].backoff -= d;
                 if self.nodes[k].backoff == 0 {
-                    winners.push(k); // lint:allow(hot-alloc): reused scratch, bounded by node count
+                    winners.push(k);
                 }
             }
         }
@@ -828,7 +829,7 @@ impl<'m> Domain<'m> {
             self.obs.emit(
                 self.now,
                 Event::MacCollision {
-                    contenders: self.scratch.winners.len() as u64, // lint:allow(as-cast): usize len widens to u64
+                    contenders: self.scratch.winners.len() as u64,
                 },
             );
         }
@@ -884,7 +885,7 @@ impl<'m> Domain<'m> {
                     self.obs.emit(
                         self.now,
                         Event::MacDrop {
-                            dest: f.dest as u64, // lint:allow(as-cast): small index/count widens to u64
+                            dest: f.dest as u64,
                             delay: self.now - f.enqueue,
                         },
                     );
@@ -902,8 +903,8 @@ impl<'m> Domain<'m> {
                 self.obs.emit(
                     self.now,
                     Event::Backoff {
-                        station: k as u64, // lint:allow(as-cast): small index/count widens to u64
-                        slots: self.nodes[k].backoff as u64, // lint:allow(as-cast): small index/count widens to u64
+                        station: k as u64,
+                        slots: self.nodes[k].backoff as u64,
                     },
                 );
             }
@@ -955,7 +956,7 @@ impl<'m> Domain<'m> {
                     }
                     // The hidden peer keeps counting down into the
                     // exposed window and fires if it expires inside it.
-                    let expiry = self.nodes[j].backoff as f64 * SLOT_TIME + DIFS; // lint:allow(as-cast): backoff slot count to f64, exact below 2^53
+                    let expiry = self.nodes[j].backoff as f64 * SLOT_TIME + DIFS;
                     if expiry < vulnerable {
                         hidden_loss = true;
                         let head = self.nodes[j].queue.front().copied();
@@ -976,7 +977,7 @@ impl<'m> Domain<'m> {
                                 self.obs.emit(
                                     self.now,
                                     Event::MacDrop {
-                                        dest: f.dest as u64, // lint:allow(as-cast): small index/count widens to u64
+                                        dest: f.dest as u64,
                                         delay: self.now - f.enqueue,
                                     },
                                 );
@@ -1027,19 +1028,19 @@ impl<'m> Domain<'m> {
         self.now += busy;
         self.epoch_busy_s += busy;
         self.channel.transmissions += 1;
-        self.channel.aggregated_frames += self.scratch.plan.selected.len() as u64; // lint:allow(as-cast): usize len widens to u64
-        self.channel.aggregated_receivers += self.scratch.plan.groups.len() as u64; // lint:allow(as-cast): usize len widens to u64
+        self.channel.aggregated_frames += self.scratch.plan.selected.len() as u64;
+        self.channel.aggregated_receivers += self.scratch.plan.groups.len() as u64;
         if self.obs.enabled() {
             self.obs.counter("mac.transmissions", 1);
             self.obs.counter(
                 "mac.aggregated_frames",
-                self.scratch.plan.selected.len() as u64, // lint:allow(as-cast): usize len widens to u64
+                self.scratch.plan.selected.len() as u64,
             );
             self.obs.record("mac.txop_airtime", busy);
             self.obs.emit(
                 self.now,
                 Event::MacTx {
-                    stas: self.scratch.plan.groups.len() as u64, // lint:allow(as-cast): usize len widens to u64
+                    stas: self.scratch.plan.groups.len() as u64,
                     airtime: busy,
                 },
             );
@@ -1088,7 +1089,7 @@ impl<'m> Domain<'m> {
                     let obss_hit = self.rng.gen::<f64>() < p_obss;
                     ok = ok && !obss_hit;
                 }
-                self.scratch.outcomes.push((k, ok)); // lint:allow(hot-alloc): reused scratch, bounded by queue depth
+                self.scratch.outcomes.push((k, ok));
                 if self.obs.tracing() {
                     // Membership in this TXOP's aggregate, and the
                     // frame's symbol window on air (the data PPDU starts
@@ -1122,7 +1123,7 @@ impl<'m> Domain<'m> {
                         .occupancy
                         .get_mut(g.dest.saturating_sub(self.cfg.num_aps))
                     {
-                        *slot += n_sym as f64 * SYMBOL_DURATION; // lint:allow(as-cast): symbol count to f64, exact below 2^53
+                        *slot += n_sym as f64 * SYMBOL_DURATION;
                     }
                 }
             }
@@ -1207,8 +1208,8 @@ impl<'m> Domain<'m> {
                 self.obs.emit(
                     self.now,
                     Event::MacDelivery {
-                        dest: frame.dest as u64, // lint:allow(as-cast): small index/count widens to u64
-                        bytes: frame.bytes as u64, // lint:allow(as-cast): small index/count widens to u64
+                        dest: frame.dest as u64,
+                        bytes: frame.bytes as u64,
                         delay: self.now - frame.enqueue,
                     },
                 );
@@ -1247,7 +1248,7 @@ impl<'m> Domain<'m> {
                 self.obs.emit(
                     self.now,
                     Event::MacRetransmission {
-                        dest: frame.dest as u64, // lint:allow(as-cast): small index/count widens to u64
+                        dest: frame.dest as u64,
                     },
                 );
                 self.obs.trace_frame(
@@ -1269,7 +1270,7 @@ impl<'m> Domain<'m> {
                     self.obs.emit(
                         self.now,
                         Event::MacDrop {
-                            dest: frame.dest as u64, // lint:allow(as-cast): small index/count widens to u64
+                            dest: frame.dest as u64,
                             delay: self.now - frame.enqueue,
                         },
                     );
@@ -1284,7 +1285,7 @@ impl<'m> Domain<'m> {
                     if let Some(f) = self.frames.get_mut(h) {
                         f.attempts = attempts;
                     }
-                    self.scratch.requeue.push(h); // lint:allow(hot-alloc): reused scratch, bounded by TXOP size
+                    self.scratch.requeue.push(h);
                 }
             }
         }
@@ -1299,7 +1300,6 @@ impl<'m> Domain<'m> {
             });
         }
         for ri in 0..self.scratch.requeue.len() {
-            // lint:allow(hot-alloc): amortized deque growth, bounded by backlog
             let h = self.scratch.requeue[ri];
             self.nodes[winner].queue.push_front(h);
         }
@@ -1307,20 +1307,20 @@ impl<'m> Domain<'m> {
         if self.obs.enabled() {
             self.obs.gauge(
                 "mac.winner_queue_depth",
-                self.nodes[winner].queue.len() as f64, // lint:allow(as-cast): queue depth to f64, exact below 2^53
+                self.nodes[winner].queue.len() as f64,
             );
             self.obs.emit(
                 self.now,
                 Event::QueueDepth {
-                    dest: winner as u64, // lint:allow(as-cast): small index/count widens to u64
-                    depth: self.nodes[winner].queue.len() as u64, // lint:allow(as-cast): usize len widens to u64
+                    dest: winner as u64,
+                    depth: self.nodes[winner].queue.len() as u64,
                 },
             );
             self.obs.emit(
                 self.now,
                 Event::Backoff {
-                    station: winner as u64, // lint:allow(as-cast): small index/count widens to u64
-                    slots: self.nodes[winner].backoff as u64, // lint:allow(as-cast): small index/count widens to u64
+                    station: winner as u64,
+                    slots: self.nodes[winner].backoff as u64,
                 },
             );
         }
@@ -1498,7 +1498,11 @@ where
     } else {
         duration
     };
-    // lint:allow(as-cast): epoch count is a small positive integer
+    #[expect(
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        reason = "epoch count is a small positive integer"
+    )]
     let epochs = ((duration / epoch_s).ceil() as usize).max(1);
     let tracing = obs.tracing();
 
@@ -1510,7 +1514,7 @@ where
             let domains = (lo..hi)
                 .map(|d| {
                     let cell = SimConfig {
-                        seed: cfg.cell.seed.wrapping_add(d as u64), // lint:allow(as-cast): domain index widens to u64
+                        seed: cfg.cell.seed.wrapping_add(d as u64),
                         ..cfg.cell.clone()
                     };
                     let ring = tracing.then(|| Arc::new(FlightRecorder::new(DOMAIN_RING_CAPACITY)));
@@ -1522,7 +1526,7 @@ where
                         cell,
                         ModelHandle::Owned(make_model(d)),
                         dobs,
-                        (d as u64) << 40, // lint:allow(as-cast): domain index < 2^24 shifted into the id-space
+                        (d as u64) << 40,
                         cfg.obss_coupling,
                     );
                     (domain, ring)
@@ -1531,7 +1535,7 @@ where
             Shard { lo, domains }
         },
         |shard: &mut Shard<'_>, epoch, inbox: &[ObssMsg], outbox: &mut Vec<ObssMsg>| {
-            let epoch_end = (((epoch + 1) as f64) * epoch_s).min(duration); // lint:allow(as-cast): epoch index to f64, exact below 2^53
+            let epoch_end = (((epoch + 1) as f64) * epoch_s).min(duration);
             for (i, (domain, _)) in shard.domains.iter_mut().enumerate() {
                 let d = shard.lo + i;
                 // Neighbour busy time for this epoch: messages arrive
@@ -1624,6 +1628,50 @@ mod tests {
     fn run(cfg: &DenseConfig) -> DenseReport {
         run_dense(cfg, |_| Box::new(BerBiasModel::calibrated()), &Obs::noop())
             .expect("dense run completes")
+    }
+
+    /// The event loop allocates only when a node queue or the frame
+    /// arena reaches a new high-water mark. Past a warm-up second, each
+    /// doubling stretch of simulated time then allocates a few dozen
+    /// times at most while its event count doubles: allocations do not
+    /// grow with the simulated duration, and an allocation per event (or
+    /// per frame) would add thousands. A domain steps on the calling
+    /// thread, so the per-thread count sees all of it; the process-wide
+    /// pool setting, shared with the dense-engine tests here, is left
+    /// alone.
+    #[test]
+    fn event_loop_allocations_do_not_grow_with_duration() {
+        use crate::counting_alloc::allocations_during;
+        use crate::sim::UplinkTraffic;
+        const MAX_PER_WINDOW: usize = 32;
+        for protocol in [Protocol::Carpool, Protocol::Ampdu, Protocol::Dot11] {
+            let cfg = SimConfig {
+                protocol,
+                num_stas: 20,
+                duration_s: 8.0,
+                seed: 3,
+                uplink: Some(UplinkTraffic::default()),
+                ..SimConfig::default()
+            };
+            let model = BerBiasModel::default();
+            let mut domain = Domain::new(cfg, ModelHandle::Borrowed(&model), Obs::noop(), 0, 0.0);
+            while domain.step(1.0) {}
+            let mut window_events = 0;
+            for end in [2.0, 4.0, 8.0] {
+                let before = domain.events();
+                let (allocs, ()) = allocations_during(|| while domain.step(end) {});
+                let events = domain.events() - before;
+                assert!(
+                    events > window_events,
+                    "{protocol:?}: events must grow with the window"
+                );
+                window_events = events * 3 / 2;
+                assert!(
+                    allocs <= MAX_PER_WINDOW,
+                    "{protocol:?} up to {end} s: {allocs} allocations for {events} events"
+                );
+            }
+        }
     }
 
     #[test]

@@ -1,4 +1,9 @@
 #![warn(missing_docs)]
+#![warn(
+    clippy::cast_possible_truncation,
+    clippy::cast_sign_loss,
+    clippy::cast_possible_wrap
+)]
 //! # carpool-mac — event-driven IEEE 802.11 DCF simulator
 //!
 //! Reimplements the paper's trace-driven MAC evaluation (Section 7.2):
@@ -43,6 +48,15 @@ pub mod protocol;
 pub mod rate;
 /// Single-cell simulator facade over the event engine.
 pub mod sim;
+
+// The unit tests count allocations per thread (see `engine`'s
+// allocation-budget test).
+#[cfg(test)]
+#[path = "../../obs/tests/support/counting_alloc.rs"]
+mod counting_alloc;
+#[cfg(test)]
+#[global_allocator]
+static COUNTING_ALLOC: counting_alloc::CountingAlloc = counting_alloc::CountingAlloc;
 
 pub use engine::{run_dense, DenseConfig, DenseReport};
 pub use error_model::{

@@ -250,9 +250,9 @@ impl Simulator {
         assert!(self.config.num_aps >= 1, "need at least one AP");
         let _sim_span = self.obs.span("mac.sim_loop");
         let mut domain = Domain::new(
-            self.config.clone(), // lint:allow(hot-alloc): one clone per run
+            self.config.clone(),
             ModelHandle::Borrowed(self.error_model.as_ref()),
-            self.obs.clone(), // lint:allow(hot-alloc): one handle clone per run
+            self.obs.clone(),
             0,
             0.0,
         );
@@ -288,7 +288,7 @@ where
     carpool_par::par_map_indexed(seeds, |_idx, &seed| {
         let cfg = SimConfig {
             seed,
-            ..config.clone() // lint:allow(hot-alloc): MAC event bookkeeping, per TXOP not per sample
+            ..config.clone()
         };
         Simulator::new(cfg, make_model()).run()
     })

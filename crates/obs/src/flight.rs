@@ -265,7 +265,7 @@ impl FlightRecorder {
             .state
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
-        let mut out = Vec::with_capacity(s.ring.len()); // lint:allow(hot-alloc): observer emission, active only when obs is attached
+        let mut out = Vec::with_capacity(s.ring.len());
         out.extend_from_slice(&s.ring[s.head..]);
         out.extend_from_slice(&s.ring[..s.head]);
         out
@@ -315,7 +315,7 @@ pub fn to_jsonl(records: &[TraceRecord], dropped: u64) -> String {
     let mut out = String::new();
     for (seq, rec) in records.iter().enumerate() {
         out.push_str(&rec.to_json_line(seq as u64));
-        out.push('\n'); // lint:allow(hot-alloc): observer emission, active only when obs is attached
+        out.push('\n');
     }
     let t_max = records.last().map_or(0.0, TraceRecord::t);
     let mut w = ObjectWriter::new();
@@ -363,7 +363,6 @@ pub fn to_chrome_trace(records: &[TraceRecord]) -> String {
         push(
             &mut out,
             &mut first,
-            // lint:allow(hot-alloc): observer emission, active only when obs is attached
             format!(
                 "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{},\"tid\":0,\
                  \"args\":{{\"name\":\"{layer}\"}}}}",
@@ -382,7 +381,6 @@ pub fn to_chrome_trace(records: &[TraceRecord]) -> String {
             TraceKind::AirtimeEnd => ("airtime", "E"),
             other => (other.as_str(), "i"),
         };
-        // lint:allow(hot-alloc): observer emission, active only when obs is attached
         let mut ev = format!(
             "{{\"name\":\"{name}\",\"ph\":\"{ph}\",\"ts\":{ts},\"pid\":{pid},\
              \"tid\":{}",

@@ -20,7 +20,7 @@ pub fn write_str(out: &mut String, s: &str) {
             c if (c as u32) < 0x20 => {
                 let _ = write!(out, "\\u{:04x}", c as u32);
             }
-            c => out.push(c), // lint:allow(hot-alloc): observer emission, active only when obs is attached
+            c => out.push(c),
         }
     }
     out.push('"');

@@ -108,9 +108,9 @@ impl MemoryRecorder {
             .lock()
             .unwrap_or_else(std::sync::PoisonError::into_inner);
         MetricsSnapshot {
-            counters: state.counters.clone(), // lint:allow(hot-alloc): observer emission, active only when obs is attached
-            gauges: state.gauges.clone(), // lint:allow(hot-alloc): observer emission, active only when obs is attached
-            histograms: state.histograms.clone(), // lint:allow(hot-alloc): observer emission, active only when obs is attached
+            counters: state.counters.clone(),
+            gauges: state.gauges.clone(),
+            histograms: state.histograms.clone(),
         }
     }
 }

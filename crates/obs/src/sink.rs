@@ -123,7 +123,7 @@ impl RingBufferSink {
             .unwrap_or_else(std::sync::PoisonError::into_inner)
             .iter()
             .cloned()
-            .collect() // lint:allow(hot-alloc): observer emission, active only when obs is attached
+            .collect()
     }
 
     pub fn len(&self) -> usize {
@@ -150,7 +150,7 @@ impl EventSink for RingBufferSink {
             // only, no synchronization with the event queue.
             self.dropped.fetch_add(1, Ordering::Relaxed);
         }
-        events.push_back(stamped.clone()); // lint:allow(hot-alloc): observer emission, active only when obs is attached
+        events.push_back(stamped.clone());
     }
 }
 

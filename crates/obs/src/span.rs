@@ -17,10 +17,13 @@ pub struct SpanTimer {
 }
 
 impl SpanTimer {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "profiling-only; span durations feed stderr summaries, never figure or trace payloads"
+    )]
     pub fn start(name: &'static str) -> SpanTimer {
         SpanTimer {
             name,
-            // lint:allow(det): profiling-only; span durations feed stderr summaries, never figure or trace payloads
             start: Instant::now(),
         }
     }
@@ -62,7 +65,10 @@ impl SpanStats {
 
     /// Time one call of `f` and record it; returns `f`'s output.
     pub fn time<T>(&mut self, f: impl FnOnce() -> T) -> T {
-        // lint:allow(det): profiling-only; recorded durations feed stderr summaries, never figure or trace payloads
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "profiling-only; recorded durations feed stderr summaries, never figure or trace payloads"
+        )]
         let start = Instant::now();
         let out = f();
         self.record(start.elapsed().as_secs_f64());

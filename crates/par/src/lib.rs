@@ -156,7 +156,7 @@ where
             .map(|_| {
                 scope.spawn(|| {
                     let mut scratch = make_scratch();
-                    let mut shard: Vec<(usize, R)> = Vec::new(); // lint:allow(hot-alloc): per-batch pool plumbing, amortized over the trial batch
+                    let mut shard: Vec<(usize, R)> = Vec::new();
                     loop {
                         // ordering: work-claim counter only; results are
                         // published by the scope join, not by this atomic
@@ -164,29 +164,29 @@ where
                         if i >= items.len() {
                             break;
                         }
-                        shard.push((i, f(&mut scratch, i, &items[i]))); // lint:allow(hot-alloc): per-batch pool plumbing, amortized over the trial batch
+                        shard.push((i, f(&mut scratch, i, &items[i])));
                     }
                     shard
                 })
             })
-            .collect(); // lint:allow(hot-alloc): per-batch pool plumbing, amortized over the trial batch
-                        // Joining every handle (instead of letting the scope implicitly
-                        // wait) converts worker panics into Err values here rather than
-                        // re-raising them when the scope closes.
+            .collect();
+        // Joining every handle (instead of letting the scope implicitly
+        // wait) converts worker panics into Err values here rather than
+        // re-raising them when the scope closes.
         handles
             .into_iter()
             .map(|h| h.join().map_err(|_| ParError::WorkerPanic))
-            .collect() // lint:allow(hot-alloc): per-batch pool plumbing, amortized over the trial batch
+            .collect()
     });
 
-    let mut slots: Vec<Option<R>> = Vec::with_capacity(items.len()); // lint:allow(hot-alloc): per-batch pool plumbing, amortized over the trial batch
+    let mut slots: Vec<Option<R>> = Vec::with_capacity(items.len());
     slots.resize_with(items.len(), || None);
     for shard in shards {
         for (i, r) in shard? {
             slots[i] = Some(r);
         }
     }
-    let mut out = Vec::with_capacity(items.len()); // lint:allow(hot-alloc): per-batch pool plumbing, amortized over the trial batch
+    let mut out = Vec::with_capacity(items.len());
     for slot in slots {
         match slot {
             Some(r) => out.push(r),
@@ -248,7 +248,7 @@ where
     Fi: Fn(S) -> R + Sync,
 {
     if num_shards == 0 {
-        return Ok(Vec::new()); // lint:allow(hot-alloc): empty Vec never allocates
+        return Ok(Vec::new());
     }
     let workers = thread_count().min(num_shards).max(1);
 
@@ -257,9 +257,8 @@ where
     // barrier per epoch is enough (reads and writes always touch
     // disjoint buffers).
     let mailboxes: Vec<Vec<Mutex<Vec<M>>>> = (0..2)
-        // lint:allow(hot-alloc): per-run pool plumbing, amortized over the scenario
         .map(|_| (0..num_shards).map(|_| Mutex::new(Vec::new())).collect())
-        .collect(); // lint:allow(hot-alloc): per-run pool plumbing, amortized over the scenario
+        .collect();
     let barrier = Barrier::new(workers);
     // Earliest epoch at which any worker failed (MAX = no failure).
     // The tag matters: a fast worker that passed barrier `e` may panic
@@ -276,9 +275,8 @@ where
             catch_unwind(AssertUnwindSafe(|| {
                 (w..num_shards)
                     .step_by(workers)
-                    // lint:allow(hot-alloc): per-run pool plumbing, amortized over the scenario
                     .map(|s| (s, build(s), Vec::new()))
-                    .collect() // lint:allow(hot-alloc): per-run pool plumbing, amortized over the scenario
+                    .collect()
             }))
             .map_err(|_| ParError::WorkerPanic);
         let mut local = match built {
@@ -298,7 +296,7 @@ where
                 return Err(e);
             }
         };
-        let mut inbox: Vec<M> = Vec::new(); // lint:allow(hot-alloc): per-run pool plumbing, amortized over the scenario
+        let mut inbox: Vec<M> = Vec::new();
         for epoch in 0..epochs {
             let read = &mailboxes[epoch % 2];
             let write = &mailboxes[(epoch + 1) % 2];
@@ -311,7 +309,7 @@ where
                             .unwrap_or_else(std::sync::PoisonError::into_inner);
                         for m in guard.iter() {
                             if route(m) == *s {
-                                inbox.push(m.clone()); // lint:allow(hot-alloc): reused inbox, amortized over epochs
+                                inbox.push(m.clone());
                             }
                         }
                     }
@@ -321,7 +319,7 @@ where
                         .lock()
                         .unwrap_or_else(std::sync::PoisonError::into_inner);
                     slot.clear();
-                    slot.extend(out.iter().cloned()); // lint:allow(hot-alloc): reused mailbox, amortized over epochs
+                    slot.extend(out.iter().cloned());
                 }
             }))
             .is_ok();
@@ -347,33 +345,33 @@ where
             local
                 .drain(..)
                 .map(|(s, state, _)| (s, finish(state)))
-                .collect() // lint:allow(hot-alloc): per-run pool plumbing, amortized over the scenario
+                .collect()
         }))
         .map_err(|_| ParError::WorkerPanic)
     };
 
     let per_worker: Vec<Result<Vec<(usize, R)>, ParError>> = if workers == 1 {
-        vec![worker(0)] // lint:allow(hot-alloc): per-run pool plumbing, amortized over the scenario
+        vec![worker(0)]
     } else {
         thread::scope(|scope| {
             let handles: Vec<_> = (0..workers)
                 .map(|w| scope.spawn(move || worker(w)))
-                .collect(); // lint:allow(hot-alloc): per-run pool plumbing, amortized over the scenario
+                .collect();
             handles
                 .into_iter()
                 .map(|h| h.join().unwrap_or(Err(ParError::WorkerPanic)))
-                .collect() // lint:allow(hot-alloc): per-run pool plumbing, amortized over the scenario
+                .collect()
         })
     };
 
-    let mut slots: Vec<Option<R>> = Vec::with_capacity(num_shards); // lint:allow(hot-alloc): per-run pool plumbing, amortized over the scenario
+    let mut slots: Vec<Option<R>> = Vec::with_capacity(num_shards);
     slots.resize_with(num_shards, || None);
     for worker_result in per_worker {
         for (s, r) in worker_result? {
             slots[s] = Some(r);
         }
     }
-    let mut out = Vec::with_capacity(num_shards); // lint:allow(hot-alloc): per-run pool plumbing, amortized over the scenario
+    let mut out = Vec::with_capacity(num_shards);
     for slot in slots {
         match slot {
             Some(r) => out.push(r),
@@ -414,7 +412,7 @@ where
             .iter()
             .enumerate()
             .map(|(i, t)| f(&mut scratch, i, t))
-            .collect() // lint:allow(hot-alloc): per-batch pool plumbing, amortized over the trial batch
+            .collect()
     }))
     .map_err(|_| ParError::WorkerPanic)
 }

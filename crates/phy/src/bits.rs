@@ -15,7 +15,7 @@
 /// assert_eq!(&bits[..4], &[1, 0, 1, 0]);
 /// ```
 pub fn bytes_to_bits(bytes: &[u8]) -> Vec<u8> {
-    let mut bits = Vec::with_capacity(bytes.len() * 8); // lint:allow(hot-alloc): per-frame bit buffer, pre-sized
+    let mut bits = Vec::with_capacity(bytes.len() * 8);
     for &b in bytes {
         for k in 0..8 {
             bits.push((b >> k) & 1);
@@ -33,7 +33,7 @@ pub fn bytes_to_bits(bytes: &[u8]) -> Vec<u8> {
 ///
 /// Panics if any element of `bits` is not `0` or `1`.
 pub fn bits_to_bytes(bits: &[u8]) -> Vec<u8> {
-    let mut bytes = Vec::with_capacity(bits.len().div_ceil(8)); // lint:allow(hot-alloc): per-frame bit buffer, pre-sized
+    let mut bytes = Vec::with_capacity(bits.len().div_ceil(8));
     for chunk in bits.chunks(8) {
         let mut b = 0u8;
         for (k, &bit) in chunk.iter().enumerate() {
@@ -61,7 +61,6 @@ pub fn bit_error_rate(sent: &[u8], received: &[u8]) -> f64 {
     if n == 0 {
         return 0.0;
     }
-    // lint:allow(as-cast): bit counts are far below 2^53, exact in f64
     hamming_distance(&sent[..n], &received[..n]) as f64 / n as f64
 }
 
@@ -89,7 +88,7 @@ pub fn uint_to_bits(value: u64, width: usize) -> Vec<u8> {
     assert!(width <= 64, "width {width} exceeds u64");
     (0..width)
         .map(|k| u8::from((value >> k) & 1 != 0))
-        .collect() // lint:allow(hot-alloc): per-frame bit buffer, pre-sized
+        .collect()
 }
 
 #[cfg(test)]

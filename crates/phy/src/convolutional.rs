@@ -101,7 +101,6 @@ impl CodeRate {
 
     /// The rate as a float (e.g. 0.75 for [`CodeRate::ThreeQuarters`]).
     pub fn as_f64(&self) -> f64 {
-        // lint:allow(as-cast): single-digit rate terms, exact in f64
         self.numerator() as f64 / self.denominator() as f64
     }
 
@@ -126,7 +125,6 @@ impl std::fmt::Display for CodeRate {
 
 #[inline]
 const fn parity(x: u32) -> u8 {
-    // lint:allow(as-cast): masked to 0|1; TryFrom is unavailable in const fn
     (x.count_ones() & 1) as u8
 }
 
@@ -141,7 +139,10 @@ const fn build_expected() -> [[(u8, u8); 2]; NUM_STATES] {
     while state < NUM_STATES {
         let mut input = 0;
         while input < 2 {
-            // lint:allow(as-cast): state < NUM_STATES (64) and input < 2, both fit u32; const context
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "state < NUM_STATES (64) and input < 2, both fit u32; const context"
+            )]
             let shift = ((state as u32) << 1) | input as u32;
             table[state][input] = (parity(shift & G0), parity(shift & G1));
             input += 1;
@@ -189,20 +190,21 @@ const fn build_branch_code() -> [[u8; 2]; NUM_STATES] {
     table
 }
 
-// lint:allow(as-cast): small power of two, exact in f64
 const LLR_SCALE_F: f64 = (1i64 << LLR_SCALE_BITS) as f64;
-// lint:allow(as-cast): 2^20 is exact in f64
 const LLR_CLAMP_F: f64 = LLR_QUANT_CLAMP as f64;
 
 /// Quantizes one LLR to the integer lattice: `round(llr * 2^7)`,
 /// saturated at ±[`LLR_QUANT_CLAMP`]. NaN carries no information and
 /// maps to 0 (an erasure), ±inf saturate at the clamp.
 #[inline]
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "clamped to ±2^20, exactly representable in i32"
+)]
 pub fn quantize_llr(llr: f64) -> i32 {
     if llr.is_nan() {
         return 0;
     }
-    // lint:allow(as-cast): clamped to ±2^20, exactly representable in i32
     (llr * LLR_SCALE_F).round().clamp(-LLR_CLAMP_F, LLR_CLAMP_F) as i32
 }
 
@@ -222,7 +224,7 @@ pub fn quantize_llr(llr: f64) -> i32 {
 /// assert_eq!(decode(&coded, data.len(), CodeRate::Half), data);
 /// ```
 pub fn encode(bits: &[u8], rate: CodeRate) -> Vec<u8> {
-    let mut out = Vec::with_capacity(coded_len(bits.len(), rate) + 1); // lint:allow(hot-alloc): per-decode output buffer, pre-sized from input length
+    let mut out = Vec::with_capacity(coded_len(bits.len(), rate) + 1);
     encode_into(bits, rate, &mut out);
     out
 }
@@ -468,7 +470,6 @@ const fn build_pair_code() -> [usize; HALF_STATES] {
     let mut table = [0usize; HALF_STATES];
     let mut j = 0;
     while j < HALF_STATES {
-        // lint:allow(as-cast): branch code is 0..=3, widening to usize
         table[j] = BRANCH_CODE[2 * j][0] as usize;
         j += 1;
     }
@@ -628,9 +629,7 @@ fn traceback(survivors: &[u64], message_len: usize, decoded: &mut Vec<u8>) {
     decoded.resize(total_in, 0);
     let mut state = 0usize;
     for t in (0..total_in).rev() {
-        // lint:allow(as-cast): state & 1 is 0 or 1
         decoded[t] = u8::from(state & 1 == 1);
-        // lint:allow(as-cast): single decision bit
         let high = ((survivors[t] >> state) & 1) as usize;
         state = (state >> 1) | (high << (CONSTRAINT_LENGTH - 2));
     }
@@ -657,7 +656,7 @@ pub fn decode_with(
     scratch: &mut ViterbiScratch,
 ) -> Vec<u8> {
     if message_len == 0 {
-        return Vec::new(); // lint:allow(hot-alloc): per-decode output buffer, pre-sized from input length
+        return Vec::new();
     }
     let total_in = message_len + CONSTRAINT_LENGTH - 1;
     let ViterbiScratch {
@@ -669,7 +668,7 @@ pub fn decode_with(
     depuncture_hard_into(coded, total_in, rate, int_lattice);
     acs_forward(int_lattice, survivors);
     traceback(survivors, message_len, decoded);
-    decoded.clone() // lint:allow(hot-alloc): per-decode output buffer, pre-sized from input length
+    decoded.clone()
 }
 
 /// Soft-decision Viterbi decoder.
@@ -696,6 +695,10 @@ pub fn decode_soft(llrs: &[f64], message_len: usize, rate: CodeRate) -> Vec<u8> 
 
 /// [`decode_soft`] with a caller-provided [`ViterbiScratch`]; see
 /// [`decode_with`].
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "survivor bits are a state's top or low bit: 0 or 1"
+)]
 pub fn decode_soft_with(
     llrs: &[f64],
     message_len: usize,
@@ -703,7 +706,7 @@ pub fn decode_soft_with(
     scratch: &mut ViterbiScratch,
 ) -> Vec<u8> {
     if message_len == 0 {
-        return Vec::new(); // lint:allow(hot-alloc): per-decode output buffer, pre-sized from input length
+        return Vec::new();
     }
     let total_in = message_len + CONSTRAINT_LENGTH - 1;
     let ViterbiScratch {
@@ -737,7 +740,6 @@ pub fn decode_soft_with(
                 let cand = m + bit_cost(ea, la) + bit_cost(eb, lb);
                 if cand < next[ns] {
                     next[ns] = cand;
-                    // lint:allow(as-cast): state < NUM_STATES, shifted down to its top bit: 0 or 1
                     prev_choice[ns] = (state >> (CONSTRAINT_LENGTH - 2)) as u8;
                 }
             }
@@ -788,7 +790,7 @@ pub fn decode_soft_quantized_with(
     scratch: &mut ViterbiScratch,
 ) -> Vec<u8> {
     if message_len == 0 {
-        return Vec::new(); // lint:allow(hot-alloc): per-decode output buffer, pre-sized from input length
+        return Vec::new();
     }
     let total_in = message_len + CONSTRAINT_LENGTH - 1;
     let ViterbiScratch {
@@ -800,21 +802,16 @@ pub fn decode_soft_quantized_with(
     depuncture_quantized_into(llrs, total_in, rate, int_lattice);
     acs_forward(int_lattice, survivors);
     traceback(survivors, message_len, decoded);
-    decoded.clone() // lint:allow(hot-alloc): per-decode output buffer, pre-sized from input length
+    decoded.clone()
 }
 
-/// Integer Viterbi decoder over pre-quantized levels — the
+/// Integer Viterbi decoder over pre-quantized levels, with a
+/// caller-provided [`ViterbiScratch`] (see [`decode_with`]) — the
 /// production-shaped entry point of the fused RX pipeline, which
 /// quantizes LLRs at demap time (see [`quantize_llr`]) and hands the
 /// decoder `i32` levels in coded (transmission) order. Positive favours
 /// bit 1; zero is an erasure. Decisions are bit-identical to
 /// [`decode_soft_quantized`] fed LLRs that quantize to the same levels.
-pub fn decode_levels(levels: &[i32], message_len: usize, rate: CodeRate) -> Vec<u8> {
-    decode_levels_with(levels, message_len, rate, &mut ViterbiScratch::default())
-}
-
-/// [`decode_levels`] with a caller-provided [`ViterbiScratch`]; see
-/// [`decode_with`].
 pub fn decode_levels_with(
     levels: &[i32],
     message_len: usize,
@@ -822,7 +819,7 @@ pub fn decode_levels_with(
     scratch: &mut ViterbiScratch,
 ) -> Vec<u8> {
     if message_len == 0 {
-        return Vec::new(); // lint:allow(hot-alloc): per-decode output buffer, pre-sized from input length
+        return Vec::new();
     }
     let total_in = message_len + CONSTRAINT_LENGTH - 1;
     let ViterbiScratch {
@@ -834,7 +831,7 @@ pub fn decode_levels_with(
     depuncture_levels_into(levels, total_in, rate, int_lattice);
     acs_forward(int_lattice, survivors);
     traceback(survivors, message_len, decoded);
-    decoded.clone() // lint:allow(hot-alloc): per-decode output buffer, pre-sized from input length
+    decoded.clone()
 }
 
 /// Runs the forward pass and traceback over a lattice the caller has
@@ -844,7 +841,7 @@ pub fn decode_levels_with(
 // lint:allow(shard-protocol): caller fully scatters the lattice via lattice_mut by documented contract; the forward pass then overwrites every metric column it reads
 pub(crate) fn decode_prepared(message_len: usize, scratch: &mut ViterbiScratch) -> Vec<u8> {
     if message_len == 0 {
-        return Vec::new(); // lint:allow(hot-alloc): per-decode output buffer, pre-sized from input length
+        return Vec::new();
     }
     let total_in = message_len + CONSTRAINT_LENGTH - 1;
     let ViterbiScratch {
@@ -856,7 +853,7 @@ pub(crate) fn decode_prepared(message_len: usize, scratch: &mut ViterbiScratch) 
     debug_assert_eq!(int_lattice.len(), 2 * total_in);
     acs_forward(int_lattice, survivors);
     traceback(survivors, message_len, decoded);
-    decoded.clone() // lint:allow(hot-alloc): per-decode output buffer, pre-sized from input length
+    decoded.clone()
 }
 
 #[cfg(test)]
@@ -1132,14 +1129,14 @@ mod tests {
                 .collect();
             let levels: Vec<i32> = llrs.iter().map(|&l| quantize_llr(l)).collect();
             assert_eq!(
-                decode_levels(&levels, 150, rate),
+                decode_levels_with(&levels, 150, rate, &mut ViterbiScratch::default()),
                 decode_soft_quantized(&llrs, 150, rate),
                 "rate {rate}"
             );
             for cut in 1..=7 {
                 let n = levels.len() - cut;
                 assert_eq!(
-                    decode_levels(&levels[..n], 150, rate),
+                    decode_levels_with(&levels[..n], 150, rate, &mut ViterbiScratch::default()),
                     decode_soft_quantized(&llrs[..n], 150, rate),
                     "rate {rate} cut {cut}"
                 );
@@ -1159,7 +1156,7 @@ mod tests {
             }
             let levels: Vec<i32> = coded.iter().map(|&b| if b == 1 { 1 } else { -1 }).collect();
             assert_eq!(
-                decode_levels(&levels, 96, rate),
+                decode_levels_with(&levels, 96, rate, &mut ViterbiScratch::default()),
                 decode(&coded, 96, rate),
                 "rate {rate}"
             );

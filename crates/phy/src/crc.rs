@@ -199,10 +199,10 @@ const fn build_byte_tables() -> [[u8; 256]; 8] {
             let mut reg = 0u8;
             let mut k = 0;
             while k < 8 {
-                reg = step(reg, (i >> (7 - k)) & 1, w + 1, STANDARD_POLYS[w as usize]); // lint:allow(as-cast): u8 index widens to usize
+                reg = step(reg, (i >> (7 - k)) & 1, w + 1, STANDARD_POLYS[w as usize]);
                 k += 1;
             }
-            tables[w as usize][i as usize] = reg; // lint:allow(as-cast): u8 indices widen to usize
+            tables[w as usize][i as usize] = reg;
             if i == u8::MAX {
                 break;
             }
@@ -216,11 +216,15 @@ const fn build_byte_tables() -> [[u8; 256]; 8] {
 /// One step of the bit-serial division: shifts `bit` into a
 /// `width`-bit register, XORing in `poly` when the feedback is set.
 #[inline(always)]
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "masked to width <= 8 bits above"
+)]
 const fn step(reg: u8, bit: u8, width: u8, poly: u8) -> u8 {
     let feedback = ((reg >> (width - 1)) ^ bit) & 1;
     // Widened so `width == 8` can shift its top bit out.
-    let shifted = ((reg as u16) << 1) & ((1u16 << width) - 1); // lint:allow(as-cast): u8 widens to u16
-    (shifted as u8) ^ (poly & feedback.wrapping_neg()) // lint:allow(as-cast): masked to width <= 8 bits above
+    let shifted = ((reg as u16) << 1) & ((1u16 << width) - 1);
+    (shifted as u8) ^ (poly & feedback.wrapping_neg())
 }
 
 /// IEEE 802.3 CRC-32, as used for the 802.11 frame check sequence.

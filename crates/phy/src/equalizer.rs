@@ -57,9 +57,15 @@ impl ChannelEstimate {
     pub fn from_ltf(ltf1: &[Complex64], ltf2: &[Complex64]) -> ChannelEstimate {
         assert_eq!(ltf1.len(), SYMBOL_LEN, "LTF symbol length");
         assert_eq!(ltf2.len(), SYMBOL_LEN, "LTF symbol length");
-        // lint:allow(panic): length asserted to SYMBOL_LEN above, exact FFT size
+        #[expect(
+            clippy::expect_used,
+            reason = "length asserted to SYMBOL_LEN above, exact FFT size"
+        )]
         let b1 = fft(&ltf1[CP_LEN..]).expect("64-point FFT");
-        // lint:allow(panic): length asserted to SYMBOL_LEN above, exact FFT size
+        #[expect(
+            clippy::expect_used,
+            reason = "length asserted to SYMBOL_LEN above, exact FFT size"
+        )]
         let b2 = fft(&ltf2[CP_LEN..]).expect("64-point FFT");
         let mut bins = vec![Complex64::ONE; FFT_SIZE];
         for c in -26..=26i32 {
@@ -277,7 +283,7 @@ mod tests {
 
     #[test]
     fn phase_compensation_restores_data() {
-        let bits: Vec<u8> = (0..48).map(|k| (k % 2) as u8).collect();
+        let bits: Vec<u8> = (0..48u8).map(|k| k % 2).collect();
         let data = Modulation::Bpsk.map_all(&bits);
         let mut sym = FreqSymbol::with_standard_pilots(data, 2);
         sym.rotate(1.0);

@@ -35,7 +35,6 @@ fn build_twiddles(n: usize, sign: f64) -> Vec<Complex64> {
     let mut table = Vec::with_capacity(n.saturating_sub(1));
     let mut len = 2usize;
     while len <= n {
-        // lint:allow(as-cast): len <= 2^12, exactly representable in f64
         let angle = sign * 2.0 * std::f64::consts::PI / len as f64;
         let wlen = Complex64::cis(angle);
         let mut w = Complex64::ONE;
@@ -51,7 +50,6 @@ fn build_twiddles(n: usize, sign: f64) -> Vec<Complex64> {
 /// Cached twiddle table for a power-of-two `n`, or `None` if `n` is
 /// beyond the cache size.
 fn twiddles(n: usize, inverse: bool) -> Option<&'static [Complex64]> {
-    // lint:allow(as-cast): u32 bit index widened to usize, lossless
     let log2 = n.trailing_zeros() as usize;
     if n != (1 << log2) || log2 > MAX_CACHED_LOG2 {
         return None;
@@ -88,6 +86,10 @@ impl std::error::Error for FftError {}
 
 /// Enumerates the `(i, j)` swap pairs of the size-`n` bit-reversal
 /// permutation via the carry-ripple counter.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "indices < n <= 2^12 fit in u32"
+)]
 fn build_bitrev_swaps(n: usize) -> Vec<(u32, u32)> {
     let mut pairs = Vec::new();
     let mut j = 0usize;
@@ -99,7 +101,6 @@ fn build_bitrev_swaps(n: usize) -> Vec<(u32, u32)> {
         }
         j |= bit;
         if i < j {
-            // lint:allow(as-cast): indices < n <= 2^12 fit in u32
             pairs.push((i as u32, j as u32));
         }
     }
@@ -109,7 +110,6 @@ fn build_bitrev_swaps(n: usize) -> Vec<(u32, u32)> {
 /// Cached swap-pair list for a power-of-two `n`, or `None` beyond the
 /// cache size.
 fn bitrev_swaps(n: usize) -> Option<&'static [(u32, u32)]> {
-    // lint:allow(as-cast): u32 bit index widened to usize, lossless
     let log2 = n.trailing_zeros() as usize;
     if n != (1 << log2) || log2 > MAX_CACHED_LOG2 {
         return None;
@@ -125,7 +125,6 @@ fn bit_reverse_permute(data: &mut [Complex64]) {
     let n = data.len();
     if let Some(pairs) = bitrev_swaps(n) {
         for &(i, j) in pairs {
-            // lint:allow(as-cast): swap indices were built from usize < n
             data.swap(i as usize, j as usize);
         }
         return;
@@ -222,7 +221,7 @@ const fn build_bitrev_64() -> [u8; 64] {
     let mut table = [0u8; 64];
     let mut i = 0u8;
     while i < 64 {
-        table[i as usize] = i.reverse_bits() >> 2; // lint:allow(as-cast): u8 index widens to usize
+        table[i as usize] = i.reverse_bits() >> 2;
         i += 1;
     }
     table
@@ -457,7 +456,7 @@ pub fn ifft_in_place(data: &mut [Complex64]) -> Result<(), FftError> {
 ///
 /// Returns [`FftError::NotPowerOfTwo`] if the input length is invalid.
 pub fn fft(input: &[Complex64]) -> Result<Vec<Complex64>, FftError> {
-    let mut out = input.to_vec(); // lint:allow(hot-alloc): per-transform output buffer; twiddles are cached
+    let mut out = input.to_vec();
     fft_in_place(&mut out)?;
     Ok(out)
 }
@@ -468,7 +467,7 @@ pub fn fft(input: &[Complex64]) -> Result<Vec<Complex64>, FftError> {
 ///
 /// Returns [`FftError::NotPowerOfTwo`] if the input length is invalid.
 pub fn ifft(input: &[Complex64]) -> Result<Vec<Complex64>, FftError> {
-    let mut out = input.to_vec(); // lint:allow(hot-alloc): per-transform output buffer; twiddles are cached
+    let mut out = input.to_vec();
     ifft_in_place(&mut out)?;
     Ok(out)
 }
@@ -504,7 +503,7 @@ pub fn fft_real(input: &[f64]) -> Result<Vec<Complex64>, FftError> {
     // imaginary lane of a half-size complex signal.
     let mut packed: Vec<Complex64> = (0..half)
         .map(|k| Complex64::new(input[2 * k], input[2 * k + 1]))
-        .collect(); // lint:allow(hot-alloc): per-transform output buffer; twiddles are cached
+        .collect();
     fft_in_place(&mut packed)?;
 
     // Untangle: for Z = fft(even + i*odd),
@@ -517,7 +516,6 @@ pub fn fft_real(input: &[f64]) -> Result<Vec<Complex64>, FftError> {
         let e = (zk + zmk).scale(0.5);
         let o_times_i = (zk - zmk).scale(0.5); // i * O[k]
         let o = Complex64::new(o_times_i.im, -o_times_i.re);
-        // lint:allow(as-cast): k < n <= small power of two, exact in f64
         let angle = -2.0 * std::f64::consts::PI * k as f64 / n as f64;
         let w = Complex64::cis(angle);
         let t = w * o;

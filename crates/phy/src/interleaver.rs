@@ -33,12 +33,13 @@ const fn permute(k: usize, n_cbps: usize, n_bpsc: usize) -> usize {
     s * (i / s) + (i + n_cbps - (16 * i) / n_cbps) % s
 }
 
+#[expect(clippy::cast_possible_truncation, reason = "positions are below 288")]
 const fn build_permutation(n_bpsc: usize) -> [u16; MAX_CBPS] {
     let n_cbps = n_bpsc * NUM_DATA;
     let mut table = [0u16; MAX_CBPS];
     let mut k = 0;
     while k < n_cbps {
-        table[k] = permute(k, n_cbps, n_bpsc) as u16; // lint:allow(as-cast): positions are below 288
+        table[k] = permute(k, n_cbps, n_bpsc) as u16;
         k += 1;
     }
     table
@@ -212,7 +213,7 @@ impl RxSymbolMap {
             n_cbps.is_multiple_of(kept),
             "N_CBPS {n_cbps} not a multiple of the {kept}-bit puncture period"
         );
-        let mut pairs = Vec::with_capacity(n_cbps); // lint:allow(hot-alloc): built once per (modulation, rate), cached across frames
+        let mut pairs = Vec::with_capacity(n_cbps);
         for k in 0..n_cbps {
             let dst = (k / kept) * flat + offs[k % kept];
             pairs.push((il.permute(k), dst));
@@ -284,8 +285,8 @@ mod tests {
         // positions at least a few subcarriers apart.
         let il = Interleaver::new(Modulation::Bpsk, 48);
         for k in 0..il.block_size() - 1 {
-            let a = il.permute(k) as isize;
-            let b = il.permute(k + 1) as isize;
+            let a = il.permute(k).cast_signed();
+            let b = il.permute(k + 1).cast_signed();
             assert!((a - b).abs() >= 3, "bits {k},{} land {a},{b}", k + 1);
         }
     }

@@ -1,4 +1,9 @@
 #![warn(missing_docs)]
+#![warn(
+    clippy::cast_possible_truncation,
+    clippy::cast_sign_loss,
+    clippy::cast_possible_wrap
+)]
 //! # carpool-phy — an IEEE 802.11-style OFDM PHY with Carpool extensions
 //!
 //! A from-scratch software implementation of the 20 MHz OFDM physical

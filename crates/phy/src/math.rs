@@ -276,7 +276,6 @@ pub fn mean_power(samples: &[Complex64]) -> f64 {
     if samples.is_empty() {
         return 0.0;
     }
-    // lint:allow(as-cast): sample counts are far below 2^53, exact in f64
     samples.iter().map(|s| s.norm_sqr()).sum::<f64>() / samples.len() as f64
 }
 

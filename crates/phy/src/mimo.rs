@@ -336,8 +336,8 @@ mod tests {
         // receivers hear a mixture and the interference ratio is large.
         let h = test_channel();
         let m = Modulation::Qpsk;
-        let bits0: Vec<u8> = (0..48).map(|k| (k % 2) as u8).collect();
-        let bits1: Vec<u8> = (0..48).map(|k| ((k + 1) % 2) as u8).collect();
+        let bits0: Vec<u8> = (0..48u8).map(|k| k % 2).collect();
+        let bits1: Vec<u8> = (0..48u8).map(|k| (k + 1) % 2).collect();
         let raw = PrecodedGroup {
             antennas: [
                 // training slots then payload, unprecoded

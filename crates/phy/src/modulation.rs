@@ -205,7 +205,7 @@ impl Modulation {
     ///
     /// Panics if `bits.len()` is not a multiple of the bits per symbol.
     pub fn map_all(&self, bits: &[u8]) -> Vec<Complex64> {
-        let mut out = Vec::with_capacity(bits.len() / self.bits_per_symbol().max(1)); // lint:allow(hot-alloc): per-section symbol buffer, pre-sized from bit count
+        let mut out = Vec::with_capacity(bits.len() / self.bits_per_symbol().max(1));
         self.map_all_into(bits, &mut out);
         out
     }
@@ -225,7 +225,7 @@ impl Modulation {
 
     /// Demaps a slice of points back to bits.
     pub fn demap_all(&self, points: &[Complex64]) -> Vec<u8> {
-        let mut out = Vec::with_capacity(points.len() * self.bits_per_symbol()); // lint:allow(hot-alloc): per-section symbol buffer, pre-sized from bit count
+        let mut out = Vec::with_capacity(points.len() * self.bits_per_symbol());
         for &p in points {
             self.demap_into(p, &mut out);
         }
@@ -303,7 +303,7 @@ impl Modulation {
     fn axis_llrs(&self, level: f64, noise_var: f64, out: &mut Vec<f64>) {
         let start = out.len();
         let bits = self.axis_label(0).len();
-        out.resize(start + bits, 0.0); // lint:allow(hot-alloc): per-section symbol buffer, pre-sized from bit count
+        out.resize(start + bits, 0.0);
         self.axis_llrs_slice(level, noise_var, &mut out[start..]);
     }
 
@@ -389,7 +389,7 @@ mod tests {
 
     fn all_bit_patterns(width: usize) -> Vec<Vec<u8>> {
         (0..(1usize << width))
-            .map(|v| (0..width).map(|k| ((v >> k) & 1) as u8).collect())
+            .map(|v| (0..width).map(|k| u8::from((v >> k) & 1 == 1)).collect())
             .collect()
     }
 

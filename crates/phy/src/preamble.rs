@@ -28,6 +28,10 @@ pub(crate) const LTF_SEQUENCE: [i8; 53] = [
 /// # Panics
 ///
 /// Panics if `carrier` is outside `-26..=26`.
+#[expect(
+    clippy::cast_sign_loss,
+    reason = "carrier asserted to -26..=26 below, so the index is 0..=52"
+)]
 pub fn ltf_value(carrier: i32) -> Complex64 {
     assert!(
         (-26..=26).contains(&carrier),
@@ -95,7 +99,7 @@ pub(crate) fn preamble() -> &'static [Complex64] {
     static PREAMBLE: OnceLock<Vec<Complex64>> = OnceLock::new();
     PREAMBLE.get_or_init(|| {
         let (stf, ltf) = (stf_bins(), ltf_bins());
-        let mut out = Vec::with_capacity(PREAMBLE_LEN); // lint:allow(hot-alloc): built once per process
+        let mut out = Vec::with_capacity(PREAMBLE_LEN);
         for bins in [&stf, &stf, &ltf, &ltf] {
             symbol_with_cp(bins, &mut out);
         }

@@ -16,7 +16,7 @@
 
 use crate::equalizer::ChannelEstimate;
 use crate::math::Complex64;
-use crate::ofdm::{data_carriers, pilot_polarity, FreqSymbol, PILOT_BASE, PILOT_CARRIERS};
+use crate::ofdm::{pilot_polarity, FreqSymbol, DATA_CARRIERS, PILOT_BASE, PILOT_CARRIERS};
 
 /// How a fresh data-pilot estimate is folded into the running estimate.
 ///
@@ -133,7 +133,7 @@ impl RteEstimator {
             let mut deviation = 0.0f64;
             let mut reference = 0.0f64;
             let mut n = 0usize;
-            for ((rx, tx), carrier) in received.data.iter().zip(decided).zip(data_carriers()) {
+            for ((rx, tx), carrier) in received.data.iter().zip(decided).zip(DATA_CARRIERS) {
                 if tx.norm_sqr() < 1e-12 {
                     continue;
                 }
@@ -148,7 +148,7 @@ impl RteEstimator {
                 return;
             }
         }
-        for ((rx, tx), carrier) in received.data.iter().zip(decided).zip(data_carriers()) {
+        for ((rx, tx), carrier) in received.data.iter().zip(decided).zip(DATA_CARRIERS) {
             if tx.norm_sqr() < 1e-12 {
                 continue; // cannot divide by a null decision
             }

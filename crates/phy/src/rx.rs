@@ -215,13 +215,11 @@ impl PhyScratch {
         {
             return i;
         }
-        self.rx_maps
-            // lint:allow(hot-alloc): one map per (modulation, rate) pair, cached across frames
-            .push((
-                modulation,
-                rate,
-                RxSymbolMap::new(modulation, rate, NUM_DATA),
-            ));
+        self.rx_maps.push((
+            modulation,
+            rate,
+            RxSymbolMap::new(modulation, rate, NUM_DATA),
+        ));
         self.rx_maps.len() - 1
     }
 }
@@ -410,9 +408,9 @@ impl<'a> FrameDecoder<'a> {
         if self.obs.enabled() {
             self.obs.counter("phy.eq_reset", 1);
             self.obs.emit(
-                self.symbol_index as f64, // lint:allow(as-cast): symbol count to f64, exact below 2^53
+                self.symbol_index as f64,
                 Event::EqualizerReset {
-                    symbol: self.symbol_index as u64, // lint:allow(as-cast): small index/count widens to u64
+                    symbol: self.symbol_index as u64,
                 },
             );
         }
@@ -455,15 +453,21 @@ impl<'a> FrameDecoder<'a> {
         let total_in = layout.message_bits + CONSTRAINT_LENGTH - 1;
         let map_idx = scratch.rx_map_index(modulation, rate);
 
-        let mut raw_symbol_bits = Vec::with_capacity(num_symbols); // lint:allow(hot-alloc): per-frame decode buffers, pre-sized from SIG fields
-        let mut phase_offsets = Vec::with_capacity(num_symbols); // lint:allow(hot-alloc): per-frame decode buffers, pre-sized from SIG fields
-        let mut crc_ok = Vec::new(); // lint:allow(hot-alloc): per-frame decode buffers, pre-sized from SIG fields
-        let mut side_values = Vec::new(); // lint:allow(hot-alloc): per-frame decode buffers, pre-sized from SIG fields
+        let mut raw_symbol_bits = Vec::with_capacity(num_symbols);
+        let mut phase_offsets = Vec::with_capacity(num_symbols);
+        // Side-channel verdicts and values: one per symbol, sized once.
+        let side_len = if layout.side_channel.is_some() {
+            num_symbols
+        } else {
+            0
+        };
+        let mut crc_ok = Vec::with_capacity(side_len);
+        let mut side_values = Vec::with_capacity(side_len);
 
         // One symbol's worth of LLRs, sized once per section.
         if *soft_decoding {
             scratch.llrs.clear();
-            scratch.llrs.resize(n_cbps, 0.0); // lint:allow(hot-alloc): per-frame decode buffers, pre-sized from SIG fields
+            scratch.llrs.resize(n_cbps, 0.0);
         }
         let lattice = scratch.viterbi.lattice_mut(total_in);
 
@@ -553,14 +557,17 @@ impl<'a> FrameDecoder<'a> {
                     // Mask to CRC width (a partial tail group carries a
                     // narrower checksum).
                     let width = usize::from(crc.width());
-                    // lint:allow(as-cast): masked to the CRC width (at most 8 bits), fits u8
+                    #[expect(
+                        clippy::cast_possible_truncation,
+                        reason = "masked to the CRC width (at most 8 bits), fits u8"
+                    )]
                     let checksum = (checksum & ((1u64 << width) - 1)) as u8;
                     let ok = crc.verify(&group.bits, checksum);
                     for _ in 0..group.indices.len() {
                         crc_ok.push(ok);
                     }
                     if obs.enabled() {
-                        let group_id = group.indices[0] as u64; // lint:allow(as-cast): small index/count widens to u64
+                        let group_id = group.indices[0] as u64;
                         obs.counter(
                             if ok {
                                 "phy.side_crc_ok"
@@ -570,7 +577,7 @@ impl<'a> FrameDecoder<'a> {
                             1,
                         );
                         obs.emit(
-                            idx as f64, // lint:allow(as-cast): symbol count to f64, exact below 2^53
+                            idx as f64,
                             Event::SideCrc {
                                 group: group_id,
                                 ok,
@@ -605,8 +612,8 @@ impl<'a> FrameDecoder<'a> {
                                         },
                                         1,
                                     );
-                                    let symbol = *sym_idx as u64; // lint:allow(as-cast): small index/count widens to u64
-                                    obs.emit(*sym_idx as f64, Event::RteUpdate { symbol, applied }); // lint:allow(as-cast): symbol count to f64, exact below 2^53
+                                    let symbol = *sym_idx as u64;
+                                    obs.emit(*sym_idx as f64, Event::RteUpdate { symbol, applied });
                                     obs.trace(
                                         TraceKind::RteRecal,
                                         symbol_time(*sym_idx),
@@ -623,10 +630,10 @@ impl<'a> FrameDecoder<'a> {
                         // in the group (paper Section 5 gating).
                         if estimator.rte_counters().is_some() {
                             for &sym_idx in &group.indices {
-                                let symbol = sym_idx as u64; // lint:allow(as-cast): small index/count widens to u64
+                                let symbol = sym_idx as u64;
                                 obs.counter("phy.rte_rejected", 1);
                                 obs.emit(
-                                    sym_idx as f64, // lint:allow(as-cast): symbol count to f64, exact below 2^53
+                                    sym_idx as f64,
                                     Event::RteUpdate {
                                         symbol,
                                         applied: false,
@@ -653,7 +660,7 @@ impl<'a> FrameDecoder<'a> {
             raw_symbol_bits.push(hard);
         }
         *symbol_index += num_symbols;
-        obs.counter("phy.symbols_decoded", num_symbols as u64); // lint:allow(as-cast): small index/count widens to u64
+        obs.counter("phy.symbols_decoded", num_symbols as u64);
         obs.counter("phy.sections_decoded", 1);
 
         // FEC decode and descramble.
@@ -677,7 +684,6 @@ impl<'a> FrameDecoder<'a> {
 
 /// Sim-time stamp of payload symbol `idx` for flight-recorder records.
 fn symbol_time(idx: usize) -> f64 {
-    // lint:allow(as-cast): symbol indices are far below 2^52, conversion exact
     idx as f64 * SYMBOL_DURATION
 }
 
@@ -743,7 +749,7 @@ fn receive_with(
         });
     }
     let mut decoder = FrameDecoder::new(samples, estimation)?.with_soft_decoding(soft);
-    let mut sections = Vec::with_capacity(layouts.len()); // lint:allow(hot-alloc): per-frame decode buffers, pre-sized from SIG fields
+    let mut sections = Vec::with_capacity(layouts.len());
     for layout in layouts {
         sections.push(decoder.decode_section(layout)?);
     }

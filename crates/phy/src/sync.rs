@@ -272,7 +272,7 @@ mod tests {
             let buf = embed(&frame, offset, 100);
             let sync = detect_frame(&buf, 0.6).unwrap();
             assert!(
-                (sync.start as isize - offset as isize).abs() <= 1,
+                sync.start.abs_diff(offset) <= 1,
                 "offset {offset}: detected {}",
                 sync.start
             );

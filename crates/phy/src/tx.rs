@@ -57,6 +57,10 @@ impl SideChannelConfig {
     ///
     /// Panics if the resulting width is not within 1..=8 (the paper's
     /// schemes use 1–6 bits).
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "width asserted to 1..=8 below"
+    )]
     pub fn crc_for_group(&self, symbols: usize) -> SmallCrc {
         let width = symbols * self.modulation.bits_per_symbol();
         assert!(
@@ -71,7 +75,6 @@ impl SideChannelConfig {
         let width = self.group_symbols * self.modulation.bits_per_symbol();
         if self.group_symbols == 0 || width > 8 {
             return Err(PhyError::InvalidConfig {
-                // lint:allow(hot-alloc): error path only, taken before any waveform work
                 reason: format!(
                     "side channel group of {} symbols x {} bits unsupported",
                     self.group_symbols,
@@ -195,7 +198,7 @@ fn split_crc(value: u8, width: usize, bits_per: usize, out: &mut Vec<u8>) {
     let mut remaining = width;
     while remaining > 0 {
         let take = bits_per.min(remaining);
-        out.push(v & ((1 << take) - 1)); // lint:allow(hot-alloc): amortized, the caller reserves one value per symbol
+        out.push(v & ((1 << take) - 1));
         v >>= take;
         remaining -= take;
     }
@@ -243,13 +246,13 @@ pub fn transmit(sections: &[SectionSpec]) -> Result<TxFrame, PhyError> {
             max_scrambled = max_scrambled.max(spec.bits.len());
         }
     }
-    let mut samples = Vec::with_capacity(PREAMBLE_LEN + total_symbols * SYMBOL_LEN); // lint:allow(hot-alloc): the returned waveform, sized once per frame
+    let mut samples = Vec::with_capacity(PREAMBLE_LEN + total_symbols * SYMBOL_LEN);
     samples.extend_from_slice(preamble());
-    let mut infos = Vec::with_capacity(sections.len()); // lint:allow(hot-alloc): the returned per-section metadata, sized once per frame
+    let mut infos = Vec::with_capacity(sections.len());
     let mut scratch = TxScratch {
-        scrambled: Vec::with_capacity(max_scrambled), // lint:allow(hot-alloc): bit scratch, sized once per frame for the longest section
+        scrambled: Vec::with_capacity(max_scrambled),
         // One slot of slack for `encode_into`.
-        coded: Vec::with_capacity(max_coded + 1), // lint:allow(hot-alloc): bit scratch, sized once per frame for the longest section
+        coded: Vec::with_capacity(max_coded + 1),
     };
     let mut symbol_index = 0usize;
     // Injected rotation of the previous symbol; resets after any
@@ -340,7 +343,7 @@ fn transmit_section(
     let interleaver = Interleaver::new(modulation, NUM_DATA);
     let points = modulation.point_table();
 
-    let mut symbol_bits: Vec<Vec<u8>> = Vec::with_capacity(num_symbols); // lint:allow(hot-alloc): the returned interleaved bits, sized once per section
+    let mut symbol_bits: Vec<Vec<u8>> = Vec::with_capacity(num_symbols);
     let side_len = match &spec.side_channel {
         Some(_) => num_symbols,
         None => {
@@ -348,7 +351,7 @@ fn transmit_section(
             0
         }
     };
-    let mut side_values = Vec::with_capacity(side_len); // lint:allow(hot-alloc): the returned side-channel values, sized once per section
+    let mut side_values = Vec::with_capacity(side_len);
 
     // Symbols go out group by group: a group's CRC covers all its
     // symbols' bits and sets the rotation of each of them.
@@ -406,7 +409,7 @@ fn transmit_section(
     SectionInfo {
         first_symbol,
         num_symbols,
-        spec: spec.clone(), // lint:allow(hot-alloc): the returned metadata keeps the section's spec
+        spec: spec.clone(),
         symbol_bits,
         side_values,
     }

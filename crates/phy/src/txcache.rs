@@ -112,7 +112,6 @@ impl TxCacheStats {
         if total == 0 {
             0.0
         } else {
-            // lint:allow(as-cast): counters to f64 for a display ratio
             self.hits as f64 / total as f64
         }
     }
@@ -175,7 +174,7 @@ fn insert(sections: &[SectionSpec], frame: Arc<TxFrame>) {
     if cache.len() >= MAX_ENTRIES {
         cache.remove(0);
     }
-    cache.push((sections.to_vec(), frame)); // lint:allow(hot-alloc): cache-fill copy, once per (frame, config) key
+    cache.push((sections.to_vec(), frame));
 }
 
 #[cfg(test)]

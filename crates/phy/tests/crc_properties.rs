@@ -12,6 +12,10 @@ use proptest::prelude::*;
 
 /// Bit-serial division: shift each bit in at the top, XOR the
 /// polynomial on feedback.
+#[expect(
+    clippy::expect_used,
+    reason = "test helper: a failed setup fails the test"
+)]
 fn reference(width: u8, poly: u8, bits: &[u8]) -> u8 {
     let top = 1u16 << (width - 1);
     let mask = (1u16 << width) - 1;

@@ -1,0 +1,194 @@
+//! Receive-side allocation budgets, pinned by a counting allocator.
+//!
+//! * `FrameDecoder::decode_section` with a recycled [`PhyScratch`] (the
+//!   per-station path of `CarpoolLink::deliver_all`) allocates three
+//!   vectors per section — the `raw_symbol_bits` list, the phase
+//!   offsets and the decoded bits — two more with the side channel on
+//!   (CRC verdicts and side values, both sized once), and one row per
+//!   OFDM symbol: the demapped bits kept in `raw_symbol_bits`.
+//! * `receive` adds a per-frame constant on top: the decoder setup, the
+//!   section list and a fresh scratch's first-use buffers. Nothing else
+//!   grows with the frame length.
+//! * The Viterbi decoders allocate only the bits they return once their
+//!   scratch is warm, and the 64-point FFT runs in place without
+//!   allocating at all.
+//!
+//! An allocation creeping into the symbol loop, the RTE update or the
+//! kernels changes these counts and fails here. Nothing in the PHY uses
+//! the worker pool, so every count is the calling thread's own.
+
+#[path = "../../obs/tests/support/counting_alloc.rs"]
+mod counting_alloc;
+
+use carpool_phy::convolutional::{
+    decode_levels_with, decode_soft_quantized_with, decode_with, encode, CodeRate, ViterbiScratch,
+};
+use carpool_phy::fft::{fft, fft_in_place};
+use carpool_phy::math::Complex64;
+use carpool_phy::mcs::Mcs;
+use carpool_phy::rte::CalibrationRule;
+use carpool_phy::rx::{receive, Estimation, FrameDecoder, PhyScratch, SectionLayout};
+use carpool_phy::tx::{transmit, SectionSpec, TxFrame};
+use counting_alloc::{allocations_during, CountingAlloc};
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+const ESTIMATIONS: [Estimation; 2] = [
+    Estimation::Standard,
+    Estimation::Rte(CalibrationRule::Average),
+];
+
+fn bits(len: usize) -> Vec<u8> {
+    (0..len)
+        .map(|k| u8::from((k * 7 + k / 3) % 5 < 2))
+        .collect()
+}
+
+/// An A-HDR-led frame: the QBPSK header section, then one section of
+/// `len` bits shaped by `kind` (0: scrambled payload with the side
+/// channel, 1: legacy payload, 2: plain header-style section).
+#[expect(
+    clippy::expect_used,
+    reason = "test helper: a failed setup fails the test"
+)]
+fn frame(mcs: Mcs, len: usize, kind: usize) -> (TxFrame, Vec<SectionLayout>) {
+    let body = match kind {
+        0 => SectionSpec::payload(bits(len), mcs),
+        1 => SectionSpec::payload_legacy(bits(len), mcs),
+        _ => SectionSpec {
+            mcs,
+            ..SectionSpec::header(bits(len))
+        },
+    };
+    let specs = [SectionSpec::header_qbpsk(bits(48)), body];
+    let tx = transmit(&specs).expect("valid specs");
+    (tx, specs.iter().map(SectionLayout::of).collect())
+}
+
+/// Steady-state allocations of one `decode_section` call.
+fn per_section(layout: &SectionLayout) -> usize {
+    3 + 2 * usize::from(layout.side_channel.is_some()) + layout.symbol_count()
+}
+
+#[test]
+fn decode_section_allocates_per_section_and_one_row_per_symbol() {
+    for estimation in ESTIMATIONS {
+        for mcs in [Mcs::BPSK_1_2, Mcs::QPSK_3_4, Mcs::QAM64_3_4] {
+            for len in [24, 800, 12_003] {
+                for kind in 0..3 {
+                    let (tx, layouts) = frame(mcs, len, kind);
+                    // Warm the scratch on the same shape, as a pool
+                    // worker's scratch is after its first station.
+                    let mut scratch = PhyScratch::default();
+                    for pass in 0..3 {
+                        let mut decoder = FrameDecoder::new(&tx.samples, estimation)
+                            .expect("buffer holds the preamble")
+                            .with_scratch(scratch);
+                        for layout in &layouts {
+                            let (allocs, section) =
+                                allocations_during(|| decoder.decode_section(layout));
+                            let section = section.expect("buffer holds every section");
+                            assert_eq!(section.raw_symbol_bits.len(), layout.symbol_count());
+                            if pass > 0 {
+                                assert_eq!(
+                                    allocs,
+                                    per_section(layout),
+                                    "{estimation:?} {mcs} {len} bits kind {kind}: \
+                                     {} symbols",
+                                    layout.symbol_count()
+                                );
+                            }
+                        }
+                        scratch = decoder.into_scratch();
+                    }
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn receive_adds_only_a_per_frame_constant() {
+    for estimation in ESTIMATIONS {
+        for mcs in [Mcs::BPSK_1_2, Mcs::QAM64_3_4] {
+            for kind in 0..3 {
+                // Frame setup: whatever `receive` allocates beyond the
+                // steady-state section budget. It must not depend on
+                // the frame length.
+                let setups: Vec<usize> = [800, 4_001, 12_003]
+                    .into_iter()
+                    .map(|len| {
+                        let (tx, layouts) = frame(mcs, len, kind);
+                        let (allocs, rx) =
+                            allocations_during(|| receive(&tx.samples, &layouts, estimation));
+                        assert!(rx.is_ok());
+                        allocs - layouts.iter().map(per_section).sum::<usize>()
+                    })
+                    .collect();
+                assert!(
+                    setups.windows(2).all(|w| w[0] == w[1]),
+                    "{estimation:?} {mcs} kind {kind}: setup varies with length: {setups:?}"
+                );
+                // Decoder setup (LTF estimate, noise estimate, a fresh
+                // scratch) is itself a constant; RTE copies the estimate.
+                let (tx, _) = frame(mcs, 800, kind);
+                let (allocs, decoder) =
+                    allocations_during(|| FrameDecoder::new(&tx.samples, estimation));
+                assert!(decoder.is_ok());
+                let rte = usize::from(matches!(estimation, Estimation::Rte(_)));
+                assert_eq!(allocs, 8 + rte, "{estimation:?}");
+            }
+        }
+    }
+}
+
+#[test]
+fn viterbi_kernels_allocate_only_their_output() {
+    let mut scratch = ViterbiScratch::default();
+    for rate in [CodeRate::Half, CodeRate::TwoThirds, CodeRate::ThreeQuarters] {
+        for len in [1, 150, 12_000] {
+            let message = bits(len);
+            let coded = encode(&message, rate);
+            let levels: Vec<i32> = coded.iter().map(|&b| if b == 1 { 1 } else { -1 }).collect();
+            let llrs: Vec<f64> = levels.iter().map(|&l| f64::from(l) * 4.0).collect();
+            for call in 0..3 {
+                let (hard, out) =
+                    allocations_during(|| decode_with(&coded, len, rate, &mut scratch));
+                assert_eq!(out, message);
+                let (quantized, out) = allocations_during(|| {
+                    decode_soft_quantized_with(&llrs, len, rate, &mut scratch)
+                });
+                assert_eq!(out, message);
+                let (prequantized, out) =
+                    allocations_during(|| decode_levels_with(&levels, len, rate, &mut scratch));
+                assert_eq!(out, message);
+                if call > 0 {
+                    // The returned bits; the lattice, survivors and
+                    // traceback buffers are reused.
+                    assert_eq!([hard, quantized, prequantized], [1; 3], "{rate} {len} bits");
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn fft_64_point_runs_in_place() {
+    let input: Vec<Complex64> = (0..64)
+        .map(|k| Complex64::cis(f64::from(k) * 0.37))
+        .collect();
+    let mut data = input.clone();
+    // The twiddle and bit-reversal tables are process-wide statics,
+    // built on first use.
+    assert!(fft_in_place(&mut data).is_ok());
+    for _ in 0..3 {
+        data.copy_from_slice(&input);
+        let (allocs, ok) = allocations_during(|| fft_in_place(&mut data));
+        assert!(ok.is_ok());
+        assert_eq!(allocs, 0, "in-place 64-point FFT");
+        let (allocs, out) = allocations_during(|| fft(&input));
+        assert!(out.is_ok_and(|v| v.len() == 64));
+        assert_eq!(allocs, 1, "fft returns one buffer");
+    }
+}

@@ -46,6 +46,10 @@ fn expected(specs: &[SectionSpec]) -> usize {
             .sum::<usize>()
 }
 
+#[expect(
+    clippy::expect_used,
+    reason = "test helper: a failed setup fails the test"
+)]
 fn check(specs: &[SectionSpec]) {
     let (allocs, frame) = allocations_during(|| transmit(specs));
     let frame = frame.expect("valid specs");

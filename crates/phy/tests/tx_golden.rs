@@ -83,6 +83,10 @@ fn side_options() -> Vec<Option<SideChannelConfig>> {
 const LENGTHS: [usize; 4] = [1, 37, 301, 3001];
 
 /// Hash of every single-section case of one MCS.
+#[expect(
+    clippy::expect_used,
+    reason = "test helper: a failed setup fails the test"
+)]
 fn single_section_hash(mcs: Mcs) -> u64 {
     let mut h = Fnv::new();
     let mut seed = 1u64;
@@ -108,6 +112,10 @@ fn single_section_hash(mcs: Mcs) -> u64 {
 
 /// Hash of multi-section frames, which carry the pilot index and the
 /// differential side-channel rotation across section boundaries.
+#[expect(
+    clippy::expect_used,
+    reason = "test helper: a failed setup fails the test"
+)]
 fn multi_section_hash() -> u64 {
     let mut h = Fnv::new();
     let sides = side_options();

@@ -122,7 +122,7 @@ mod tests {
     fn process_actually_fluctuates() {
         let mut rng = StdRng::seed_from_u64(5);
         let s = ActivityProcess::library().sample_series(300, &mut rng);
-        let distinct: std::collections::HashSet<usize> = s.iter().copied().collect();
+        let distinct: std::collections::BTreeSet<usize> = s.iter().copied().collect();
         assert!(
             distinct.len() >= 4,
             "only {} distinct values",

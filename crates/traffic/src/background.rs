@@ -84,10 +84,9 @@ impl BackgroundSource {
     /// Generates all arrivals in `[0, duration)`.
     pub fn generate<R: Rng + ?Sized>(&self, duration: f64, rng: &mut R) -> Vec<Arrival> {
         let mean = self.transport.mean_interarrival() / self.rate_scale;
-        let mut arrivals = Vec::new(); // lint:allow(hot-alloc): per-arrival packet generation, bounded by offered load
+        let mut arrivals = Vec::new();
         let mut t = exponential(mean, rng);
         while t < duration {
-            // lint:allow(hot-alloc): per-arrival packet generation, bounded by offered load
             arrivals.push(Arrival {
                 time: t,
                 bytes: self.sizes.sample(rng),

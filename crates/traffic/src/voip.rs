@@ -77,7 +77,7 @@ impl VoipSource {
     /// The source starts in a random phase: with probability equal to
     /// the activity factor it begins mid-talkspurt.
     pub fn generate<R: Rng + ?Sized>(&self, duration: f64, rng: &mut R) -> Vec<Arrival> {
-        let mut arrivals = Vec::new(); // lint:allow(hot-alloc): per-arrival packet generation, bounded by offered load
+        let mut arrivals = Vec::new();
         let mut t = 0.0f64;
         let mut talking = rng.gen::<f64>() < self.activity_factor();
         while t < duration {
@@ -86,7 +86,6 @@ impl VoipSource {
                 let end = (t + spurt).min(duration);
                 let mut ft = t;
                 while ft < end {
-                    // lint:allow(hot-alloc): per-arrival packet generation, bounded by offered load
                     arrivals.push(Arrival {
                         time: ft,
                         bytes: VOIP_FRAME_BYTES,

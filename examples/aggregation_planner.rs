@@ -3,6 +3,11 @@
 //! NAV schedule — the MAC-side anatomy of one transmission.
 //!
 //! Run with `cargo run --release --example aggregation_planner`.
+#![allow(
+    clippy::expect_used,
+    clippy::print_stdout,
+    reason = "example binary: printing the walkthrough is its job; a failed setup aborts the run"
+)]
 
 use carpool_bloom::analysis::{false_positive_ratio, optimal_hash_count};
 use carpool_bloom::AggregationHeader;

@@ -3,6 +3,11 @@
 //! VoIP plus uplink background traffic, under all five MAC protocols.
 //!
 //! Run with `cargo run --release --example library_wlan [num_stas]`.
+#![allow(
+    clippy::expect_used,
+    clippy::print_stdout,
+    reason = "example binary: printing the walkthrough is its job; a failed setup aborts the run"
+)]
 
 use carpool_mac::error_model::BerBiasModel;
 use carpool_mac::protocol::Protocol;

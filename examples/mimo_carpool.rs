@@ -2,6 +2,10 @@
 //! receivers than the AP has antennas into one transmission.
 //!
 //! Run with `cargo run --release --example mimo_carpool`.
+#![allow(
+    clippy::print_stdout,
+    reason = "example binary: printing the walkthrough is its job"
+)]
 
 use carpool_frame::addr::MacAddress;
 use carpool_frame::mimo::{MimoCarpoolFrame, MimoSubframe};

@@ -2,6 +2,10 @@
 //! channel — the core idea of the paper in ~40 lines.
 //!
 //! Run with `cargo run --release --example quickstart`.
+#![allow(
+    clippy::print_stdout,
+    reason = "example binary: printing the walkthrough is its job"
+)]
 
 use carpool::link::CarpoolLink;
 use carpool_frame::addr::MacAddress;

@@ -3,6 +3,10 @@
 //! the per-symbol CRCs gate data-pilot calibration.
 //!
 //! Run with `cargo run --release --example side_channel_demo`.
+#![allow(
+    clippy::print_stdout,
+    reason = "example binary: printing the walkthrough is its job"
+)]
 
 use carpool_channel::link::LinkChannel;
 use carpool_phy::bits::{bit_error_rate, hamming_distance};

@@ -11,6 +11,10 @@ fn sta(k: u16) -> MacAddress {
     MacAddress::station(k)
 }
 
+#[expect(
+    clippy::expect_used,
+    reason = "test helper: a failed setup fails the test"
+)]
 fn eight_receiver_frame() -> CarpoolFrame {
     let subframes: Vec<Subframe> = (0..8u16)
         .map(|k| {

@@ -57,6 +57,10 @@ fn mac_replications_are_thread_count_invariant() {
 
 /// Runs the fig03-shaped flight-trace scenario with a recorder attached
 /// and returns both export formats.
+#[expect(
+    clippy::expect_used,
+    reason = "test helper: a failed setup fails the test"
+)]
 fn traced_fig03(threads: usize) -> (String, String) {
     with_threads(threads, || {
         let flight = std::sync::Arc::new(carpool_obs::FlightRecorder::new(4096));
@@ -98,6 +102,10 @@ fn worker_panic_surfaces_as_err() {
 }
 
 /// One dense multi-AP run on the sharded event engine.
+#[expect(
+    clippy::expect_used,
+    reason = "test helper: a failed setup fails the test"
+)]
 fn dense_report(threads: usize, shards: usize) -> carpool_mac::DenseReport {
     let config = carpool_mac::DenseConfig {
         cell: SimConfig {

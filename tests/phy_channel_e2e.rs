@@ -34,6 +34,10 @@ fn office_link(seed: u64) -> LinkChannel {
 }
 
 /// Raw (pre-FEC) BER per symbol index averaged over frames.
+#[expect(
+    clippy::expect_used,
+    reason = "test helper: a failed setup fails the test"
+)]
 fn ber_by_symbol(estimation: Estimation, frames: usize) -> Vec<f64> {
     let spec = SectionSpec::payload(pattern_bits(24_000, 99), Mcs::QAM64_3_4);
     let tx = transmit(std::slice::from_ref(&spec)).expect("valid spec");

@@ -48,6 +48,10 @@ fn with_threads<T>(threads: usize, f: impl FnOnce() -> T) -> T {
 /// payload sizes all vary, so successive decodes stress every buffer
 /// the scratch carries (lattice growth *and* shrink, scatter-map cache
 /// across four modulations).
+#[expect(
+    clippy::expect_used,
+    reason = "test helper: a failed setup fails the test"
+)]
 fn frame_sequence() -> Vec<CarpoolFrame> {
     let mcs_cycle = [
         Mcs::BPSK_1_2,

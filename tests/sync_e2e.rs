@@ -23,6 +23,10 @@ fn noise(n: usize, amplitude: f64, rng: &mut StdRng) -> Vec<Complex64> {
         .collect()
 }
 
+#[expect(
+    clippy::expect_used,
+    reason = "test helper: a failed setup fails the test"
+)]
 fn two_sta_frame() -> CarpoolFrame {
     CarpoolFrame::new(vec![
         Subframe::new(MacAddress::station(4), Mcs::QPSK_1_2, vec![0xC3; 220]),
