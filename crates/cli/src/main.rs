@@ -82,9 +82,8 @@ COMMANDS:
                .jsonl file)
                carpool report <path.jsonl>
     lint       Run the project lint gate (crate layering, atomic
-               ordering notes, dead public API, the Viterbi i32 budget
-               proof, unit suffixes, shard protocol); any un-waived
-               finding fails
+               ordering notes, dead public API, unit suffixes, shard
+               protocol); any un-waived finding fails
                [--json] [--root <dir>] [--explain <rule>]
     help       Show this message
 

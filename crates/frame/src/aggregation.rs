@@ -67,7 +67,7 @@ pub enum AggregationPolicy {
 /// The outcome of a selection: per-receiver groups of queue indices, in
 /// subframe order.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
-// lint:allow(dead-api): appears in pub signatures; callers use it structurally without naming the type
+// lint:allow(dead-api): private_interfaces keeps it pub: pub `select`, `SelectionScratch::select` and `SelectionScratch::last` return it
 pub struct Selection {
     /// For each receiver (subframe), the indices into the queue slice.
     pub groups: Vec<(MacAddress, Vec<usize>)>,

@@ -162,7 +162,7 @@ impl CarpoolFrame {
 
 /// A subframe as seen by a receiving station.
 #[derive(Debug, Clone, PartialEq)]
-// lint:allow(dead-api): appears in pub signatures; callers use it structurally without naming the type
+// lint:allow(dead-api): private_interfaces keeps it pub: pub field `CarpoolReception::subframes` holds it
 pub struct ReceivedSubframe {
     /// Position in the frame.
     pub index: usize,

@@ -1,11 +1,11 @@
 //! Whole-workspace rules over parsed items: L010 (dead public API),
-//! L012 (scaling budget), L013 (units) and L015 (shard protocol). The
-//! line rules L003 and L009 live in [`crate::rules`].
+//! L013 (units) and L015 (shard protocol), plus the fn-signature
+//! helpers L013 and L015 share. The line rules L003 and L009 live in
+//! [`crate::rules`].
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::dataflow;
-use crate::items::{FileRecord, Section};
+use crate::items::{FileRecord, FnItem, Section};
 use crate::rules::{is_waived, Diagnostic, Rule};
 
 /// L010 dead public API: top-level `pub` items in library crates that
@@ -63,50 +63,6 @@ pub fn check_l010(files: &[FileRecord]) -> Vec<Diagnostic> {
     diags
 }
 
-/// L012 scaling-budget verification: every fn annotated with
-/// `// lint:budget(i32: [names in] ±N)` gets an interval abstract
-/// interpretation proving its non-saturating i32 arithmetic cannot
-/// wrap. Returns diagnostics plus `(annotated fns, ops checked)`.
-pub fn check_l012(files: &[FileRecord]) -> (Vec<Diagnostic>, usize, usize) {
-    let mut diags = Vec::new();
-    let mut budget_fns = 0usize;
-    let mut ops_checked = 0usize;
-    for file in files {
-        if !matches!(file.section, Section::Src) {
-            continue;
-        }
-        for item in &file.items.fns {
-            if item.in_test || item.body_start == 0 {
-                continue;
-            }
-            let specs = dataflow::budget_specs(file, item);
-            if specs.is_empty() {
-                continue;
-            }
-            budget_fns += 1;
-            let report = dataflow::check_budget_fn(file, item, &specs);
-            ops_checked += report.ops_checked;
-            for finding in report.findings {
-                let idx = finding.line.saturating_sub(1);
-                if is_waived(&file.lines, idx, Rule::L012) {
-                    continue;
-                }
-                diags.push(Diagnostic {
-                    rule: Rule::L012,
-                    file: file.path.clone(),
-                    line: finding.line,
-                    message: format!(
-                        "in `{}`: {}; or waive with \
-                         `// lint:allow(scaling-budget): <why it cannot wrap>`",
-                        item.name, finding.message
-                    ),
-                });
-            }
-        }
-    }
-    (diags, budget_fns, ops_checked)
-}
-
 /// Binary operators whose operands must share a unit (multiplication
 /// and division are exempt — they convert units).
 const MIX_OPS: [&str; 10] = ["+", "-", "+=", "-=", "<", ">", "<=", ">=", "==", "!="];
@@ -131,11 +87,11 @@ pub fn check_l013(files: &[FileRecord]) -> (Vec<Diagnostic>, usize) {
             if item.in_test {
                 continue;
             }
-            let groups = dataflow::param_names(file, item);
+            let groups = param_names(file, item);
             let units: Vec<Option<&'static str>> = groups
                 .iter()
                 .map(|g| match g.as_slice() {
-                    [single] => dataflow::unit_of(single),
+                    [single] => unit_of(single),
                     _ => None,
                 })
                 .collect();
@@ -178,8 +134,8 @@ pub fn check_l013(files: &[FileRecord]) -> (Vec<Diagnostic>, usize) {
                         "`{left} {op} {right}` mixes units ({} vs {}); convert \
                          explicitly or waive with \
                          `// lint:allow(unit-mix): <why the units agree>`",
-                        dataflow::unit_of(&left).unwrap_or("?"),
-                        dataflow::unit_of(&right).unwrap_or("?"),
+                        unit_of(&left).unwrap_or("?"),
+                        unit_of(&right).unwrap_or("?"),
                     ),
                 });
             }
@@ -277,7 +233,7 @@ fn mixed_unit_pairs(code: &str) -> Vec<(String, String, String)> {
             continue;
         }
         let Some(right) = right else { continue };
-        let (Some(lu), Some(ru)) = (dataflow::unit_of(left), dataflow::unit_of(right)) else {
+        let (Some(lu), Some(ru)) = (unit_of(left), unit_of(right)) else {
             continue;
         };
         if lu != ru {
@@ -338,7 +294,7 @@ fn unit_mismatched_args(
         }
         let Some(end) = end else { continue };
         let args_text = &code[i + 1..end];
-        for (pos, arg) in dataflow::split_args(args_text).iter().enumerate() {
+        for (pos, arg) in split_args(args_text).iter().enumerate() {
             let Some(&Some(want)) = units.get(pos) else {
                 continue;
             };
@@ -353,7 +309,7 @@ fn unit_mismatched_args(
                 continue;
             }
             let last = arg.rsplit(['.', ':']).next().unwrap_or(arg);
-            let Some(got) = dataflow::unit_of(last) else {
+            let Some(got) = unit_of(last) else {
                 continue;
             };
             if got != want {
@@ -418,9 +374,9 @@ pub fn check_l015(files: &[FileRecord]) -> (Vec<Diagnostic>, usize) {
                     .any(|l| l.code.contains("mailbox") || l.code.contains("shard"));
             let barrier_fn = has(".wait()") && has("catch_unwind");
             let pool_fn = has("thread::scope");
-            let scratch_fn = !dataflow::is_setup_fn(&item.name)
+            let scratch_fn = !is_setup_fn(&item.name)
                 && (item.name.contains("_with_scratch")
-                    || dataflow::param_names(file, item)
+                    || param_names(file, item)
                         .iter()
                         .any(|group| group.iter().any(|n| n == "scratch")));
             if shard_context || barrier_fn || pool_fn || scratch_fn {
@@ -531,6 +487,182 @@ fn collect_idents(text: &str, set: &mut BTreeSet<String>) {
     }
 }
 
+// ---------------------------------------------------------------------
+// Fn-signature helpers shared by L013 and L015
+// ---------------------------------------------------------------------
+
+/// Whether a fn name marks a setup-time path by convention:
+/// constructors and builders that merely store a scratch buffer are
+/// exempt from L015's scratch-overwrite obligation.
+fn is_setup_fn(name: &str) -> bool {
+    name == "new"
+        || name == "default"
+        || name.starts_with("new_")
+        || name.starts_with("with_")
+        || name.starts_with("build")
+        || name.starts_with("from_")
+}
+
+/// Finds a word-bounded occurrence of `word` in `text`.
+fn find_word(text: &str, word: &str) -> Option<usize> {
+    let mut from = 0usize;
+    while let Some(at) = text[from..].find(word) {
+        let at = from + at;
+        from = at + 1;
+        if crate::rules::token_at(text, at, word) {
+            return Some(at);
+        }
+    }
+    None
+}
+
+/// The signature text of `item`: the declaration line through the line
+/// the body opens on (or just the declaration line for bodiless fns),
+/// comments and strings already blanked.
+fn signature_text(file: &FileRecord, item: &FnItem) -> String {
+    let end = item.body_start.max(item.decl_line);
+    let mut out = String::new();
+    for line in &file.lines {
+        if line.number >= item.decl_line && line.number <= end {
+            out.push_str(&line.code);
+            out.push(' ');
+        }
+    }
+    out
+}
+
+/// Parameter names of `item`, in declaration order, extracted from the
+/// signature's parenthesized parameter list. `self` receivers are
+/// skipped, so positions line up with method-call arguments. Tuple
+/// patterns contribute each of their binding names at that position.
+fn param_names(file: &FileRecord, item: &FnItem) -> Vec<Vec<String>> {
+    let sig = signature_text(file, item);
+    let Some(fn_at) = find_word(&sig, "fn") else {
+        return Vec::new();
+    };
+    let after = &sig[fn_at..];
+    let Some(open_rel) = after.find('(') else {
+        return Vec::new();
+    };
+    let chars: Vec<char> = after[open_rel..].chars().collect();
+    // Balanced parameter list, respecting nested () [] groups.
+    let mut depth = 0i32;
+    let mut end = chars.len();
+    for (k, &c) in chars.iter().enumerate() {
+        match c {
+            '(' | '[' => depth += 1,
+            ')' | ']' => {
+                depth -= 1;
+                if depth == 0 {
+                    end = k;
+                    break;
+                }
+            }
+            _ => {}
+        }
+    }
+    let inner: String = chars[1..end.min(chars.len())].iter().collect();
+    let mut params: Vec<Vec<String>> = Vec::new();
+    for part in split_args(&inner) {
+        // The binding pattern sits before the `:` (generic bounds live
+        // inside the type side, which we discard).
+        let pat = part.split(':').next().unwrap_or(part);
+        let idents = idents_of(pat);
+        if idents.iter().any(|n| n == "self") {
+            continue;
+        }
+        let names: Vec<String> = idents
+            .into_iter()
+            .filter(|n| !matches!(n.as_str(), "mut" | "ref" | "_"))
+            .collect();
+        if !names.is_empty() {
+            params.push(names);
+        }
+    }
+    params
+}
+
+/// Splits an argument/parameter list on top-level commas (respecting
+/// `()`, `[]`, `{}`, and `<>` nesting).
+fn split_args(text: &str) -> Vec<&str> {
+    let mut parts = Vec::new();
+    let mut depth = 0i32;
+    let mut angle = 0i32;
+    let mut start = 0usize;
+    for (at, c) in text.char_indices() {
+        match c {
+            '(' | '[' | '{' => depth += 1,
+            ')' | ']' | '}' => depth -= 1,
+            '<' => angle += 1,
+            // `->` is not a closing angle.
+            '>' if !text[..at].ends_with('-') => angle = (angle - 1).max(0),
+            ',' if depth == 0 && angle == 0 => {
+                parts.push(&text[start..at]);
+                start = at + 1;
+            }
+            _ => {}
+        }
+    }
+    parts.push(&text[start..]);
+    parts
+}
+
+/// All identifiers in a text fragment, in order.
+fn idents_of(text: &str) -> Vec<String> {
+    let mut out = Vec::new();
+    let chars: Vec<char> = text.chars().collect();
+    let mut i = 0usize;
+    while i < chars.len() {
+        if chars[i].is_ascii_alphabetic() || chars[i] == '_' {
+            let start = i;
+            while i < chars.len() && (chars[i].is_ascii_alphanumeric() || chars[i] == '_') {
+                i += 1;
+            }
+            out.push(chars[start..i].iter().collect());
+        } else {
+            i += 1;
+        }
+    }
+    out
+}
+
+/// Recognized unit suffixes (lowercase identifiers).
+const UNIT_SUFFIXES: [(&str, &str); 6] = [
+    ("_us", "us"),
+    ("_s", "s"),
+    ("_symbols", "symbols"),
+    ("_slots", "slots"),
+    ("_db", "db"),
+    ("_linear", "linear"),
+];
+
+/// Infers the unit of one identifier from its suffix, or from
+/// `SYMBOL_DURATION`-style const naming. `None` when the name carries
+/// no recognized unit.
+fn unit_of(ident: &str) -> Option<&'static str> {
+    if ident
+        .chars()
+        .all(|c| c.is_ascii_uppercase() || c.is_ascii_digit() || c == '_')
+        && ident.chars().any(|c| c.is_ascii_uppercase())
+    {
+        // Const naming: durations and times are seconds.
+        if ident.contains("DURATION") || ident.ends_with("_TIME") || ident.ends_with("_S") {
+            return Some("s");
+        }
+        if ident.ends_with("_US") {
+            return Some("us");
+        }
+        if ident.ends_with("_DB") {
+            return Some("db");
+        }
+        return None;
+    }
+    UNIT_SUFFIXES
+        .iter()
+        .find(|(suffix, _)| ident.len() > suffix.len() && ident.ends_with(suffix))
+        .map(|&(_, unit)| unit)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -586,5 +718,60 @@ mod tests {
             "pub fn orphan() {}\n",
         )];
         assert!(check_l010(&files).is_empty());
+    }
+
+    #[test]
+    fn setup_fn_names() {
+        for name in [
+            "new",
+            "new_rician",
+            "with_obs",
+            "build",
+            "from_bits",
+            "default",
+        ] {
+            assert!(is_setup_fn(name), "{name}");
+        }
+        for name in ["transmit", "renew_lease", "newton_step"] {
+            assert!(!is_setup_fn(name), "{name}");
+        }
+    }
+
+    #[test]
+    fn param_names_align_with_call_positions() {
+        let file = record(
+            "crates/phy/src/fix.rs",
+            "carpool-phy",
+            "impl S {\n\
+                 fn go(&mut self, airtime_s: f64, n_symbols: usize) {}\n\
+             }\n\
+             fn free(delay_us: f64, (a, b): (u8, u8)) {}\n",
+        );
+        let names = |fn_name: &str| {
+            let item = file.items.fns.iter().find(|f| f.name == fn_name);
+            item.map(|f| param_names(&file, f)).unwrap_or_default()
+        };
+        assert_eq!(
+            names("go"),
+            [vec!["airtime_s".to_string()], vec!["n_symbols".to_string()]]
+        );
+        let free = names("free");
+        assert_eq!(free.len(), 2);
+        assert_eq!(free[1], ["a", "b"]);
+    }
+
+    #[test]
+    fn unit_inference_suffixes_and_consts() {
+        assert_eq!(unit_of("airtime_s"), Some("s"));
+        assert_eq!(unit_of("delay_us"), Some("us"));
+        assert_eq!(unit_of("n_symbols"), Some("symbols"));
+        assert_eq!(unit_of("backoff_slots"), Some("slots"));
+        assert_eq!(unit_of("snr_db"), Some("db"));
+        assert_eq!(unit_of("snr_linear"), Some("linear"));
+        assert_eq!(unit_of("SYMBOL_DURATION"), Some("s"));
+        assert_eq!(unit_of("SLOT_TIME"), Some("s"));
+        assert_eq!(unit_of("count"), None);
+        assert_eq!(unit_of("_s"), None, "a bare suffix is not a unit");
+        assert_eq!(unit_of("NUM_STATES"), None);
     }
 }

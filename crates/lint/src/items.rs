@@ -4,7 +4,7 @@
 //! one file into structural items: `fn` declarations with their body
 //! extents, and top-level `pub` items. It is deliberately not a full
 //! Rust parser — it tracks exactly the token shapes the workspace rules
-//! (L010, L012, L013, L015) need, never panics on malformed input, and
+//! (L010, L013, L015) need, never panics on malformed input, and
 //! degrades to "no item seen" rather than guessing.
 //!
 //! Span contract: every line number reported by the parser is one of

@@ -4,7 +4,7 @@
 //! the `[workspace.lints]` table, `clippy.toml` and `#[expect]`
 //! waivers, and counting-allocator tests pin the allocation-free hot
 //! paths (DESIGN.md, "Static analysis gate", maps each retired rule to
-//! its replacement). This crate keeps the six rules that need
+//! its replacement). This crate keeps the five rules that need
 //! knowledge of the whole workspace or of the project's conventions:
 //!
 //! | rule | meaning |
@@ -12,14 +12,16 @@
 //! | L003 | lower-layer crates never depend on mac/carpool/cli/bench/lint |
 //! | L009 | every atomic `Ordering::` in `par`/`obs` carries an `// ordering:` note |
 //! | L010 | no library `pub` item that no other workspace file names |
-//! | L012 | `lint:budget(i32: ±N)` fns provably cannot wrap i32 |
 //! | L013 | no arithmetic/calls mixing unit suffixes (`_s`, `_db`, …) |
 //! | L015 | shard-protocol discipline in worker pools and scratch fns |
 //!
 //! L003 and L009 are line rules over the comment/string-aware
-//! [`scanner`]; L010, L012, L013 and L015 run over the whole parsed
-//! workspace ([`items`], [`interproc`]), and L012 is an interval
-//! abstract interpretation ([`dataflow`] over the [`ranges`] lattice).
+//! [`scanner`]; L010, L013 and L015 run over the whole parsed
+//! workspace ([`items`], [`interproc`]). The Viterbi kernel's `i32`
+//! budget is not a lint rule: `const` asserts in
+//! `crates/phy/src/convolutional.rs` prove it at compile time and
+//! `crates/phy/tests/viterbi_overflow.rs` drives the kernel with
+//! worst-case inputs under overflow checks.
 //! `--explain <rule>` prints the full rationale for any rule.
 //!
 //! There is no baseline: any finding not waived inline with
@@ -35,11 +37,9 @@
     reason = "tool crate: times itself and reports on the terminal"
 )]
 
-pub mod dataflow;
 pub mod interproc;
 pub mod items;
 pub mod manifest;
-pub mod ranges;
 pub mod rules;
 pub mod scanner;
 
@@ -79,11 +79,6 @@ impl std::error::Error for LintError {}
 /// Coverage statistics of the workspace rules.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct AnalysisStats {
-    /// Functions carrying a `lint:budget` annotation (L012).
-    pub budget_fns: usize,
-    /// Distinct non-saturating ops over budgeted data that the interval
-    /// analysis bounds-checked (L012).
-    pub budget_ops_checked: usize,
     /// Function parameters carrying a recognized unit suffix (L013).
     pub unit_params: usize,
     /// Functions checked against the shard-protocol obligations (L015).
@@ -191,16 +186,11 @@ pub fn scan_workspace(root: &Path) -> Result<ScanReport, LintError> {
 
     let d10 = report.time(Rule::L010.id(), || interproc::check_l010(&records));
     report.diagnostics.extend(d10);
-    let (d12, budget_fns, ops_checked) =
-        report.time(Rule::L012.id(), || interproc::check_l012(&records));
-    report.diagnostics.extend(d12);
     let (d13, unit_params) = report.time(Rule::L013.id(), || interproc::check_l013(&records));
     report.diagnostics.extend(d13);
     let (d15, shard_fns) = report.time(Rule::L015.id(), || interproc::check_l015(&records));
     report.diagnostics.extend(d15);
     report.analysis = AnalysisStats {
-        budget_fns,
-        budget_ops_checked: ops_checked,
         unit_params,
         shard_fns,
     };
@@ -224,7 +214,7 @@ pub fn per_rule_totals(report: &ScanReport) -> BTreeMap<&'static str, usize> {
 /// whole run's wall time.
 pub fn render_json(report: &ScanReport, elapsed_ms: f64) -> String {
     let mut out = String::new();
-    out.push_str("{\n  \"schema\": \"carpool-lint/v3\",\n");
+    out.push_str("{\n  \"schema\": \"carpool-lint/v4\",\n");
     let _ = writeln!(
         out,
         "  \"files_scanned\": {},\n  \"crates_scanned\": {},",
@@ -253,9 +243,8 @@ pub fn render_json(report: &ScanReport, elapsed_ms: f64) -> String {
     let a = &report.analysis;
     let _ = writeln!(
         out,
-        "  \"analysis\": {{\n    \"budget_fns\": {},\n    \"budget_ops_checked\": {},\n    \
-         \"unit_params\": {},\n    \"shard_fns\": {}\n  }},",
-        a.budget_fns, a.budget_ops_checked, a.unit_params, a.shard_fns
+        "  \"analysis\": {{\n    \"unit_params\": {},\n    \"shard_fns\": {}\n  }},",
+        a.unit_params, a.shard_fns
     );
     let _ = writeln!(out, "  \"elapsed_ms\": {elapsed_ms:.3},");
     let _ = writeln!(out, "  \"ok\": {},", report.ok());
@@ -302,9 +291,8 @@ pub fn render_human(report: &ScanReport) -> String {
     let a = &report.analysis;
     let _ = writeln!(
         out,
-        "  coverage: {} budget fns ({} ops proved), {} unit-suffixed params, \
-         {} shard-protocol fns",
-        a.budget_fns, a.budget_ops_checked, a.unit_params, a.shard_fns
+        "  coverage: {} unit-suffixed params, {} shard-protocol fns",
+        a.unit_params, a.shard_fns
     );
     out
 }
@@ -358,7 +346,7 @@ impl LintOptions {
                     opts.root = Some(PathBuf::from(dir));
                 }
                 "--explain" => {
-                    let rule = iter.next().ok_or("--explain needs a rule id (e.g. L012)")?;
+                    let rule = iter.next().ok_or("--explain needs a rule id (e.g. L013)")?;
                     opts.explain = Some(rule);
                 }
                 other => {

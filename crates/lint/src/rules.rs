@@ -22,9 +22,6 @@ pub enum Rule {
     /// Dead public API: top-level `pub` items in library crates that
     /// no other workspace file references.
     L010,
-    /// Scaling-budget verification: interval analysis proves that no
-    /// non-saturating i32 op in a `lint:budget`-annotated fn can wrap.
-    L012,
     /// Unit-of-measure discipline: arithmetic must not mix
     /// differently-suffixed quantities (`_s`/`_us`/`_db`/...), and
     /// call arguments must match parameter unit suffixes.
@@ -38,14 +35,7 @@ pub enum Rule {
 
 impl Rule {
     /// All rules, in order.
-    pub const ALL: [Rule; 6] = [
-        Rule::L003,
-        Rule::L009,
-        Rule::L010,
-        Rule::L012,
-        Rule::L013,
-        Rule::L015,
-    ];
+    pub const ALL: [Rule; 5] = [Rule::L003, Rule::L009, Rule::L010, Rule::L013, Rule::L015];
 
     /// Stable identifier, e.g. `"L003"`.
     pub fn id(self) -> &'static str {
@@ -53,7 +43,6 @@ impl Rule {
             Rule::L003 => "L003",
             Rule::L009 => "L009",
             Rule::L010 => "L010",
-            Rule::L012 => "L012",
             Rule::L013 => "L013",
             Rule::L015 => "L015",
         }
@@ -78,7 +67,6 @@ impl Rule {
             Rule::L003 => "layering",
             Rule::L009 => "atomic-ordering",
             Rule::L010 => "dead-api",
-            Rule::L012 => "scaling-budget",
             Rule::L013 => "unit-mix",
             Rule::L015 => "shard-protocol",
         }
@@ -90,7 +78,6 @@ impl Rule {
             Rule::L003 => "layering violation (lower crate depends on upper layer)",
             Rule::L009 => "unjustified atomic memory ordering in an audited crate",
             Rule::L010 => "dead public API (pub item referenced nowhere else)",
-            Rule::L012 => "unprovable or wrapping i32 op under a declared scaling budget",
             Rule::L013 => "arithmetic or call mixing different units of measure",
             Rule::L015 => "shard-protocol violation in a worker pool or sharded exchange",
         }
@@ -127,22 +114,6 @@ impl Rule {
                  to pub(crate). Matching is by word-bounded identifier, so any\n\
                  mention anywhere (including docs) keeps an item alive.\n\n\
                  Waive with `// lint:allow(dead-api): <why external users need it>`."
-            }
-            Rule::L012 => {
-                "L012 · integer scaling-budget verification (flow-aware)\n\n\
-                 Functions annotated `// lint:budget(i32: [names in] ±N)` (N may\n\
-                 be `2^k`) get an interval abstract interpretation over their\n\
-                 integer locals: annotated inputs are assumed in [-N, N], and\n\
-                 every non-saturating `+ - * <<` (or negation) over data derived\n\
-                 from them must provably stay inside i32. The quantized Viterbi\n\
-                 kernel's hand-argued budget (|q| <= 2^20, costs < 2^21, spread\n\
-                 < 2^24) becomes a machine-checked invariant: loosen a clamp or\n\
-                 drop a saturating op and the gate fails. Saturating ops are\n\
-                 always safe; wrapping_* ops destroy the bound and taint their\n\
-                 result. An operand the analysis cannot bound is reported as\n\
-                 unprovable — annotate its source or use saturating arithmetic.\n\n\
-                 Waive with `// lint:allow(scaling-budget): <why the op cannot\n\
-                 wrap>`."
             }
             Rule::L013 => {
                 "L013 · unit-of-measure discipline (flow-aware)\n\n\

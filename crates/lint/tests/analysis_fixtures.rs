@@ -1,10 +1,10 @@
 //! Fixture tests for the workspace rules (L009–L015): one positive
 //! (the rule fires) and one negative (compliant code passes) per rule,
 //! plus disk-based scans of a miniature workspace that drive the full
-//! `scan_workspace` pipeline: a seeded violation of each of the six
+//! `scan_workspace` pipeline: a seeded violation of each of the five
 //! rules fails it, and the fixed tree passes.
 
-use carpool_lint::interproc::{check_l010, check_l012, check_l013, check_l015};
+use carpool_lint::interproc::{check_l010, check_l013, check_l015};
 use carpool_lint::items::{FileRecord, Section};
 use carpool_lint::rules::{check_lines, classify};
 use carpool_lint::scanner::scan_source;
@@ -87,58 +87,6 @@ fn l010_passes_when_item_is_referenced_or_waived() {
         ),
     ];
     assert!(check_l010(&files).is_empty());
-}
-
-// ---------------------------------------------------------------- L012
-
-#[test]
-fn l012_proves_a_sound_budget() {
-    let files = vec![record(
-        "crates/phy/src/convolutional.rs",
-        "carpool-phy",
-        "// lint:budget(i32: la, lb in ±2^20)\n\
-         fn acs(la: i32, lb: i32) -> i32 { la + lb }\n",
-    )];
-    let (diags, budget_fns, ops_checked) = check_l012(&files);
-    assert!(diags.is_empty(), "{diags:?}");
-    assert_eq!(budget_fns, 1);
-    assert!(ops_checked >= 1, "the `+` must have been bounds-checked");
-}
-
-#[test]
-fn l012_catches_a_deliberately_broken_budget_bound() {
-    // ±2^30 + ±2^30 = ±2^31, one past i32::MAX: the interval analysis
-    // must refuse to certify the very same code the sound bound passes.
-    let files = vec![record(
-        "crates/phy/src/convolutional.rs",
-        "carpool-phy",
-        "// lint:budget(i32: la, lb in ±2^30)\n\
-         fn acs(la: i32, lb: i32) -> i32 { la + lb }\n",
-    )];
-    let (diags, budget_fns, _) = check_l012(&files);
-    assert_eq!(budget_fns, 1);
-    assert_eq!(diags.len(), 1, "{diags:?}");
-    assert_eq!(diags[0].line, 2);
-    assert!(
-        diags[0].message.contains("acs"),
-        "diagnostic must name the annotated fn: {}",
-        diags[0].message
-    );
-}
-
-#[test]
-fn l012_waiver_silences_an_unprovable_op() {
-    let files = vec![record(
-        "crates/phy/src/convolutional.rs",
-        "carpool-phy",
-        "// lint:budget(i32: x in ±2^30)\n\
-         fn wide(x: i32) -> i32 {\n\
-             // lint:allow(scaling-budget): callers pre-clamp to ±2^10\n\
-             x + x\n\
-         }\n",
-    )];
-    let (diags, _, _) = check_l012(&files);
-    assert!(diags.is_empty(), "{diags:?}");
 }
 
 // ---------------------------------------------------------------- L013
@@ -321,12 +269,11 @@ mod end_to_end {
             &root.join("crates/par/Cargo.toml"),
             &format!("[package]\nname = \"carpool-par\"\n{par_deps}"),
         );
-        let (ordering, budget, units, absorb) = if dirty {
-            ("", "(1 << 20)", "airtime_s + backoff_us", ".rev()")
+        let (ordering, units, absorb) = if dirty {
+            ("", "airtime_s + backoff_us", ".rev()")
         } else {
             (
                 "// ordering: SeqCst publishes the slot to the joiner\n",
-                "1",
                 "airtime_s + backoff_s",
                 "",
             )
@@ -338,8 +285,6 @@ mod end_to_end {
                  pub fn publish(x: &AtomicUsize) {{\n\
                  {ordering}    x.store(1, Ordering::SeqCst);\n\
                  }}\n\
-                 // lint:budget(i32: ±2^20)\n\
-                 pub fn acs(la: i32) -> i32 {{ la * {budget} }}\n\
                  pub fn total(airtime_s: f64, backoff_{unit}: f64) -> f64 {{ {units} }}\n\
                  pub fn absorb_mailboxes(outboxes: &[u8]) {{\n\
                      for b in outboxes.iter(){absorb} {{ let _ = b; }}\n\
@@ -356,8 +301,8 @@ mod end_to_end {
             &root.join("crates/mac/src/lib.rs"),
             &format!(
                 "//! Mac fixture.\n\
-                 {orphan}fn run() {{ carpool_par::publish(); carpool_par::acs(); \
-                 carpool_par::total(); carpool_par::absorb_mailboxes(); }}\n"
+                 {orphan}fn run() {{ carpool_par::publish(); carpool_par::total(); \
+                 carpool_par::absorb_mailboxes(); }}\n"
             ),
         );
         root
@@ -374,8 +319,8 @@ mod end_to_end {
         }
         assert_eq!(report.crates_scanned, 3);
         assert_eq!(report.files_scanned, 2);
-        assert_eq!(report.analysis.budget_fns, 1);
-        for stage in ["parse", "line_rules", "L010", "L012", "L013", "L015"] {
+        assert_eq!(report.analysis.unit_params, 2);
+        for stage in ["parse", "line_rules", "L010", "L013", "L015"] {
             assert!(report.rule_timings_ms.contains_key(stage), "{stage}");
         }
         let json = carpool_lint::render_json(&report, 1.0);
@@ -389,7 +334,8 @@ mod end_to_end {
         let root = workspace("clean", false);
         let report = carpool_lint::scan_workspace(&root).expect("scan succeeds");
         assert!(report.ok(), "{:?}", report.diagnostics);
-        assert!(report.analysis.budget_ops_checked >= 1);
+        // `absorb_mailboxes` and mac's `run`, whose body names it.
+        assert_eq!(report.analysis.shard_fns, 2);
         assert!(carpool_lint::render_human(&report).contains("0 findings"));
         fs::remove_dir_all(&root).ok();
     }

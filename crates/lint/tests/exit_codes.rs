@@ -92,7 +92,7 @@ fn exit_two_on_missing_workspace() {
 
 #[test]
 fn exit_two_on_unknown_explain_rule() {
-    for id in ["L999", "L001", "L011"] {
+    for id in ["L999", "L001", "L011", "L012"] {
         let code = carpool_lint::run(&LintOptions {
             explain: Some(id.to_string()),
             ..LintOptions::default()
@@ -115,10 +115,10 @@ fn exit_zero_on_explain() {
 #[test]
 fn options_parse_only_the_three_flags() {
     let parse = |args: &[&str]| LintOptions::parse(args.iter().map(|a| a.to_string()));
-    let opts = parse(&["--json", "--root", "/tmp/ws", "--explain", "L012"]).expect("valid");
+    let opts = parse(&["--json", "--root", "/tmp/ws", "--explain", "L013"]).expect("valid");
     assert!(opts.json);
     assert_eq!(opts.root, Some(PathBuf::from("/tmp/ws")));
-    assert_eq!(opts.explain.as_deref(), Some("L012"));
+    assert_eq!(opts.explain.as_deref(), Some("L013"));
     for retired in [
         "--no-cache",
         "--sarif",

@@ -19,8 +19,10 @@
 //! * the add-compare-select loop walks all 32 butterflies as flat lane
 //!   arrays with branchless selects and *plain* (non-saturating) `i32`
 //!   adds — straight-line code the autovectorizer lifts to SIMD lanes,
-//!   proved wrap-free by the scaling analysis below (and machine-checked
-//!   by lint rule L012 against the `lint:budget` annotations);
+//!   proved wrap-free by the scaling analysis below (checked at compile
+//!   time by `const` asserts, and at run time by
+//!   `tests/viterbi_overflow.rs`, which drives the kernel with
+//!   worst-case lattices under overflow checks);
 //! * survivor memory is bit-packed — per step the 64 per-state decisions
 //!   land in a byte lane array and collapse into one `u64` word — and
 //!   traceback runs over that window into caller-provided
@@ -44,9 +46,11 @@
 //! * **Path-metric spread.** Every [`NORM_INTERVAL`] steps the minimum
 //!   metric is subtracted (a uniform shift, invisible to `argmin`). Any
 //!   state is reachable from any other in `K-1 = 6` steps, so the
-//!   normalized spread is bounded by `12 * 2^21 < 2^25`, and between
-//!   normalizations metrics drift by at most `NORM_INTERVAL * 2^21 =
-//!   2^26` from the last normalized frame.
+//!   normalized spread is bounded by `2(K-1) * 2^21 = 12 * 2^21 < 2^25`,
+//!   and between normalizations metrics drift by at most
+//!   `NORM_INTERVAL * 2^21 = 2^26` from the last normalized frame:
+//!   finite metrics stay inside `[-32 * 2^21, 44 * 2^21]`, and the
+//!   normalization subtraction `m - min` is at most `76 * 2^21 < 2^28`.
 //! * **Wrap freedom without saturation.** The kernel uses plain `i32`
 //!   adds (saturating ops compile to compare/select chains that defeat
 //!   vectorization). States not yet reached by any finite-cost path
@@ -58,6 +62,14 @@
 //!   Adversarial inputs are covered at the boundary: ±inf LLRs saturate
 //!   at the quantizer clamp and NaN quantizes to an erasure, so lattice
 //!   levels never exceed ±2^20.
+//!
+//! Each of the four bounds (branch cost, unreached marker, finite
+//! metrics, normalization subtraction) is a `const` assert next to
+//! [`NORM_INTERVAL`], evaluated in `i64`: loosening the clamp, the
+//! marker or the interval fails the build. `tests/viterbi_overflow.rs`
+//! is the runtime half — it feeds the kernel constant, alternating and
+//! erasure-mixed clamp lattices up to the longest SIG-field frame at
+//! every rate in a build that traps `i32` overflow.
 
 /// Constraint length of the 802.11 code.
 pub const CONSTRAINT_LENGTH: usize = 7;
@@ -156,15 +168,19 @@ const fn build_expected() -> [[(u8, u8); 2]; NUM_STATES] {
 pub(crate) const LLR_SCALE_BITS: u32 = 7;
 
 /// Saturation bound of a quantized LLR. See the module-level scaling
-/// analysis: per-step costs stay below `2^21` and normalized path
-/// metrics below `2^24`, so `i32` arithmetic cannot wrap.
+/// analysis: branch costs stay within `±2^21`, finite path metrics
+/// within `[-32 * 2^21, 44 * 2^21]` and unreached-state markers below
+/// `INT_INF + 7 * 2^21`, so `i32` arithmetic cannot wrap (the `const`
+/// asserts next to `NORM_INTERVAL` check each bound).
 pub const LLR_QUANT_CLAMP: i32 = 1 << 20;
 
 /// Path metric of a trellis state not yet reached by any finite-cost
 /// path. Half of `i32::MAX`: the marker survives at most `K-1 = 6`
 /// plain branch adds of `±2^21` before a finite path wins its select
 /// (every state is reachable from the seed in 6 steps), so even the
-/// worst transient `INT_INF + 6 * 2^21` stays well inside `i32`.
+/// worst transient `INT_INF + 6 * 2^21`, plus the one `±d` the next
+/// step adds to it, stays well inside `i32` (asserted next to
+/// [`NORM_INTERVAL`]).
 const INT_INF: i32 = i32::MAX / 2;
 
 /// `EXPECTED`, re-indexed for the ACS inner loop: for next-state `ns`
@@ -485,6 +501,53 @@ const fn build_pair_code() -> [usize; HALF_STATES] {
 /// bit-identical decisions.
 const NORM_INTERVAL: usize = 32;
 
+// Compile-time proof of the module-level scaling analysis. The bounds
+// are computed in `i64`, so the asserts cannot overflow themselves.
+
+/// Branch-cost budget of one trellis step: `|d| = |±q_a ± q_b|`.
+const MAX_BRANCH_COST: i64 = 1 << 21;
+/// `K-1`: every state is reachable from any other in this many steps.
+#[expect(clippy::cast_possible_wrap, reason = "K = 7")]
+const MEMORY: i64 = CONSTRAINT_LENGTH as i64 - 1;
+/// [`NORM_INTERVAL`] as a signed step count.
+#[expect(clippy::cast_possible_wrap, reason = "NORM_INTERVAL = 32")]
+const NORM_STEPS: i64 = NORM_INTERVAL as i64;
+/// `i32::MAX`, widened.
+const I32_MAX: i64 = i32::MAX as i64;
+
+// Branch cost: `|d| <= 2 * clamp <= 2^21`.
+const _: () = assert!(
+    0 < LLR_QUANT_CLAMP && 2 * (LLR_QUANT_CLAMP as i64) <= MAX_BRANCH_COST,
+    "branch cost 2 * LLR_QUANT_CLAMP exceeds 2^21"
+);
+
+// Unreached marker: `INT_INF` drifts by at most `K-1` branch costs
+// before a finite path replaces it; that, plus the `±d` of the next
+// step, fits `i32`, and the marker still loses every select against a
+// finite path (whose metric is at most `(K-1) * 2^21` by then).
+const _: () = assert!(
+    INT_INF as i64 + (MEMORY + 1) * MAX_BRANCH_COST <= I32_MAX
+        && INT_INF as i64 - (MEMORY + 1) * MAX_BRANCH_COST > MEMORY * MAX_BRANCH_COST,
+    "unreached-state marker INT_INF can wrap or win a select"
+);
+
+// Finite metrics: normalized metrics lie in `[0, 2(K-1) * 2^21]` and
+// drift by at most `NORM_INTERVAL` branch costs before the next
+// normalization, so they stay within `[-NORM_INTERVAL * 2^21,
+// (2(K-1) + NORM_INTERVAL) * 2^21]`. The first normalization runs
+// after every marker is gone (`NORM_INTERVAL > K-1`).
+const _: () = assert!(
+    NORM_STEPS > MEMORY && (2 * MEMORY + NORM_STEPS) * MAX_BRANCH_COST <= I32_MAX,
+    "finite path metrics can wrap between normalizations"
+);
+
+// Normalization subtraction in `acs_forward`: `m - min <=
+// (2(K-1) + NORM_INTERVAL) * 2^21 + NORM_INTERVAL * 2^21 = 76 * 2^21`.
+const _: () = assert!(
+    (2 * MEMORY + 2 * NORM_STEPS) * MAX_BRANCH_COST <= I32_MAX,
+    "normalization subtraction m - min can wrap"
+);
+
 /// Sign masks for the per-butterfly branch cost `d = ±la ± lb`: the
 /// `la` term is negated exactly when the pair's branch code has its
 /// `g0` bit set (`MASK_A`, bit 2), the `lb` term when the `g1` bit is
@@ -516,16 +579,14 @@ const fn build_cost_masks(bit: usize) -> [i32; HALF_STATES] {
 /// branches and no saturating ops — which the autovectorizer lifts to
 /// SIMD lanes (interleaved stride-2 stores for `nxt`).
 ///
-/// Wrap freedom of the plain adds is machine-checked by L012 from the
-/// budget annotations below: `d` is two clamped levels (`±2^21`), and
-/// every metric in `cur` is bounded by `INT_INF + 6 * 2^21 =
-/// ±1_086_324_735` (the module-level wrap-freedom bullet: unreached-
-/// state markers survive at most `K-1 = 6` steps, normalized finite
-/// metrics stay below `44 * 2^21`), so `m ± d` fits `i32` with
-/// `2^21` to spare.
+/// Wrap freedom of the plain adds: `d` is two clamped levels
+/// (`|d| <= 2^21`); an unreached-state marker in `cur` is at most
+/// `INT_INF + 6 * 2^21` (markers survive at most `K-1 = 6` steps), and
+/// finite metrics lie in `[-32 * 2^21, 44 * 2^21]` between
+/// normalizations, so `m ± d` fits `i32`. The `const` asserts next to
+/// [`NORM_INTERVAL`] check these bounds at compile time;
+/// `tests/viterbi_overflow.rs` checks them at run time.
 #[inline]
-// lint:budget(i32: d in ±2^21)
-// lint:budget(i32: m0, m1 in ±1_086_324_735)
 fn acs_step(
     la: i32,
     lb: i32,
@@ -592,7 +653,8 @@ fn pack_sel(sel: &[u8; NUM_STATES]) -> u64 {
 /// shift that preserves every comparison. The normalization subtraction
 /// itself cannot wrap: at that point every metric is finite (first pass
 /// runs at step 32 > 6) with `m <= 44 * 2^21` and `min >= -32 * 2^21`,
-/// so `m - min <= 76 * 2^21 < 2^28`.
+/// so `m - min <= 76 * 2^21 < 2^28` (a `const` assert next to
+/// [`NORM_INTERVAL`]).
 fn acs_forward(lattice: &[i32], survivors: &mut Vec<u64>) {
     let mut bufs = [[INT_INF; NUM_STATES]; 2];
     bufs[0][0] = 0; // Encoder starts in the zero state.

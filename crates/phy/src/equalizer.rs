@@ -178,8 +178,7 @@ pub fn estimate_noise_from_ltf(ltf1: &[Complex64], ltf2: &[Complex64]) -> f64 {
 
 /// Result of pilot-based phase tracking for one symbol.
 #[derive(Debug, Clone, Copy, PartialEq)]
-// lint:allow(dead-api): appears in pub signatures; callers use it structurally without naming the type
-pub struct PhaseTrack {
+pub(crate) struct PhaseTrack {
     /// Total measured common phase offset of the symbol, radians in
     /// `(-pi, pi]`. Includes both inherent (CFO/channel drift) and any
     /// injected side-channel rotation.
@@ -191,7 +190,7 @@ pub struct PhaseTrack {
 
 /// Estimates the common phase rotation of an equalised symbol from its
 /// four pilots, given the symbol index (for pilot polarity).
-pub fn track_phase(equalized: &FreqSymbol, symbol_index: usize) -> PhaseTrack {
+pub(crate) fn track_phase(equalized: &FreqSymbol, symbol_index: usize) -> PhaseTrack {
     let p = pilot_polarity(symbol_index);
     let mut acc = Complex64::ZERO;
     for (rx, base) in equalized.pilots.iter().zip(PILOT_BASE) {

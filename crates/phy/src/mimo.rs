@@ -106,7 +106,7 @@ impl Matrix2 {
 
 /// Errors from the MU-MIMO group processor.
 #[derive(Debug, Clone, PartialEq, Eq)]
-// lint:allow(dead-api): appears in pub signatures; callers use it structurally without naming the type
+// lint:allow(dead-api): private_interfaces keeps it pub: pub `ZfPrecoder::new` and `ZfPrecoder::precode` return it
 pub enum MimoError {
     /// The downlink channel matrix is singular — the two receivers are
     /// not spatially separable and must go to different groups.
@@ -128,7 +128,7 @@ impl std::error::Error for MimoError {}
 
 /// One transmitted MU-MIMO group: per-antenna subcarrier streams.
 #[derive(Debug, Clone, PartialEq)]
-// lint:allow(dead-api): appears in pub signatures; callers use it structurally without naming the type
+// lint:allow(dead-api): private_interfaces keeps it pub: pub `ZfPrecoder::precode` returns it and pub `observe` takes it
 pub struct PrecodedGroup {
     /// Per-antenna sequences of transmitted subcarrier values:
     /// `antennas[a][k]` is antenna `a`'s value at position `k`.

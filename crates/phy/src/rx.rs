@@ -80,7 +80,7 @@ impl SectionLayout {
 
 /// Decoded contents and diagnostics of one section.
 #[derive(Debug, Clone, PartialEq)]
-// lint:allow(dead-api): appears in pub signatures; callers use it structurally without naming the type
+// lint:allow(dead-api): private_interfaces keeps it pub: pub `FrameDecoder::decode_section` returns it and pub field `RxFrame::sections` holds it
 pub struct RxSection {
     /// Recovered information bits (post-Viterbi, descrambled).
     pub bits: Vec<u8>,
@@ -178,7 +178,6 @@ impl GroupBuffer {
 /// allocation beyond its per-symbol outputs; recycle it across frames
 /// with [`FrameDecoder::with_scratch`] / [`FrameDecoder::into_scratch`].
 #[derive(Debug)]
-// lint:allow(dead-api): appears in pub signatures; callers use it structurally without naming the type
 pub struct PhyScratch {
     raw: FreqSymbol,
     eq: FreqSymbol,

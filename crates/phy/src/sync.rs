@@ -34,7 +34,7 @@ pub(crate) const LTF_LAG: usize = 80;
 
 /// Result of frame synchronisation.
 #[derive(Debug, Clone, Copy, PartialEq)]
-// lint:allow(dead-api): appears in pub signatures; callers use it structurally without naming the type
+// lint:allow(dead-api): private_interfaces keeps it pub: pub `detect_frame` returns it
 pub struct FrameSync {
     /// Index of the first preamble sample.
     pub start: usize,
@@ -46,7 +46,7 @@ pub struct FrameSync {
 
 /// Errors from the synchroniser.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-// lint:allow(dead-api): appears in pub signatures; callers use it structurally without naming the type
+// lint:allow(dead-api): private_interfaces keeps it pub: pub `detect_frame` and `synchronize` return it
 pub enum SyncError {
     /// No plateau of the detection metric exceeded the threshold.
     NotDetected,

@@ -30,7 +30,7 @@ pub struct TraceRecord {
 
 /// Errors from trace parsing.
 #[derive(Debug, Clone, PartialEq, Eq)]
-// lint:allow(dead-api): appears in pub signatures; callers use it structurally without naming the type
+// lint:allow(dead-api): private_interfaces keeps it pub: pub `Trace::from_text` returns it
 pub enum TraceError {
     /// A line did not have the expected four fields.
     Malformed {

@@ -41,7 +41,7 @@ stage_begin "cargo test --workspace"
 cargo test --workspace --offline -q
 stage_end
 
-stage_begin "carpool-lint (L003 layering, L009 atomic ordering, L010 dead API, L012 budget proof, L013 units, L015 shard protocol)"
+stage_begin "carpool-lint (L003 layering, L009 atomic ordering, L010 dead API, L013 units, L015 shard protocol)"
 # One cold scan. It fails on any un-waived finding (exit 1) or when the
 # linter cannot run (exit 2). The JSON report (per-rule counts and
 # timings, coverage stats, elapsed_ms) lands next to the bench
