@@ -105,6 +105,22 @@ fn bench_fft(results: &mut Vec<SpanStats>) {
     }));
 }
 
+/// The Viterbi add-compare-select kernel `carpool-phy` runs on this
+/// host, detected the way the library picks it, so banked `viterbi_*`
+/// rows say which kernel made them.
+fn viterbi_kernel() -> &'static str {
+    #[cfg(target_arch = "x86_64")]
+    if std::is_x86_feature_detected!("avx2") {
+        return "avx2";
+    }
+    "portable"
+}
+
+/// Cores the host reports (0 when it cannot tell).
+fn nproc() -> u64 {
+    std::thread::available_parallelism().map_or(0, |n| n.get() as u64)
+}
+
 fn bench_coding(results: &mut Vec<SpanStats>) {
     let bits = pattern_bits(1000, 3);
     let coded = encode(&bits, CodeRate::Half);
@@ -795,10 +811,8 @@ fn bench_throughput(results: &[SpanStats]) {
     w.str("bench", "phy_micro_perf")
         .u64("fatal_regressions", fatal_regressions as u64)
         .bool("rx_gate_ok", fatal_regressions == 0)
-        .u64(
-            "nproc",
-            std::thread::available_parallelism().map_or(0, |n| n.get() as u64),
-        )
+        .u64("nproc", nproc())
+        .str("viterbi_kernel", viterbi_kernel())
         .u64("frames", config.frames as u64)
         .u64("payload_bits", config.payload_bits as u64)
         .u64("coded_bits_per_frame", coded_bits_per_frame as u64)
@@ -820,6 +834,7 @@ fn bench_throughput(results: &[SpanStats]) {
 }
 
 fn main() {
+    println!("viterbi kernel: {}", viterbi_kernel());
     let mut results: Vec<SpanStats> = Vec::new();
     bench_fft(&mut results);
     bench_coding(&mut results);
@@ -849,7 +864,10 @@ fn main() {
 
     let body: Vec<String> = results.iter().map(json_entry).collect();
     let json = format!(
-        "{{\"bench\":\"phy_micro\",\"samples_per_entry\":{SAMPLES},\"results\":[{}]}}\n",
+        "{{\"bench\":\"phy_micro\",\"nproc\":{},\"viterbi_kernel\":\"{}\",\
+         \"samples_per_entry\":{SAMPLES},\"results\":[{}]}}\n",
+        nproc(),
+        viterbi_kernel(),
         body.join(",")
     );
     let path = "BENCH_phy_micro.json";

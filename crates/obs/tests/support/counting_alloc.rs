@@ -11,6 +11,10 @@
 //! #[global_allocator]
 //! static GLOBAL: counting_alloc::CountingAlloc = counting_alloc::CountingAlloc;
 //! ```
+#![expect(
+    unsafe_code,
+    reason = "a `GlobalAlloc` impl is unsafe by definition; test support only"
+)]
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;

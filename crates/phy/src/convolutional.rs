@@ -16,16 +16,28 @@
 //! * per-bit observations are signed integer levels (quantized LLRs for
 //!   the soft path, ±1 for hard decisions, 0 for punctured erasures),
 //!   stored as one flat `[a, b]`-interleaved `i32` lattice;
-//! * the add-compare-select loop walks all 32 butterflies as flat lane
-//!   arrays with branchless selects and *plain* (non-saturating) `i32`
-//!   adds — straight-line code the autovectorizer lifts to SIMD lanes,
-//!   proved wrap-free by the scaling analysis below (checked at compile
-//!   time by `const` asserts, and at run time by
-//!   `tests/viterbi_overflow.rs`, which drives the kernel with
-//!   worst-case lattices under overflow checks);
-//! * survivor memory is bit-packed — per step the 64 per-state decisions
-//!   land in a byte lane array and collapse into one `u64` word — and
-//!   traceback runs over that window into caller-provided
+//! * the add-compare-select loop walks all 32 butterflies with
+//!   branchless selects and *plain* (non-saturating) `i32` adds, proved
+//!   wrap-free by the scaling analysis below. It has two
+//!   implementations with identical integer arithmetic, picked per
+//!   decode by run-time CPU detection: a hand-written AVX2 kernel
+//!   (8-lane `i32`, four butterfly blocks per step) on x86-64 hosts that
+//!   have AVX2, and the portable kernel — straight-line lane arrays the
+//!   autovectorizer lifts to baseline SIMD — everywhere else. Entering
+//!   the AVX2 kernel is the one `unsafe` block of the library code: a
+//!   call to a `#[target_feature(enable = "avx2")]` fn right after
+//!   `is_x86_feature_detected!("avx2")` said yes. The kernel itself
+//!   uses only register intrinsics (no pointer loads or stores), which
+//!   are safe inside such a fn. A unit test requires both kernels to
+//!   produce the same survivor words and final path metrics on every
+//!   run;
+//! * survivor memory is bit-packed, one `u64` word per step. State `s`
+//!   has its decision at bit `(s & 1) * 32 + (s >> 1)`: even states fill
+//!   the low half, odd states the high half, each in butterfly order, so
+//!   the AVX2 word is just two 32-bit compare masks side by side. The
+//!   portable kernel ORs each decision into its bit of the two halves,
+//!   which the autovectorizer compiles to a constant-mask AND and an OR
+//!   reduction. Traceback runs over that window into caller-provided
 //!   [`ViterbiScratch`] buffers.
 //!
 //! The f64 soft decoder [`decode_soft_with`] is kept unchanged as the
@@ -61,15 +73,22 @@
 //!   first normalization (step 32) only ever sees finite-path values.
 //!   Adversarial inputs are covered at the boundary: ±inf LLRs saturate
 //!   at the quantizer clamp and NaN quantizes to an erasure, so lattice
-//!   levels never exceed ±2^20.
+//!   levels never exceed ±2^20. The AVX2 lane adds wrap silently even in
+//!   a build that traps overflow, so its bound is inherited: it performs
+//!   the portable kernel's adds, subtractions and minima lane for lane,
+//!   and the kernel-equality unit test shows both agree on the same
+//!   worst-case lattices on which the trapping portable kernel runs
+//!   without overflow.
 //!
 //! Each of the four bounds (branch cost, unreached marker, finite
 //! metrics, normalization subtraction) is a `const` assert next to
 //! [`NORM_INTERVAL`], evaluated in `i64`: loosening the clamp, the
-//! marker or the interval fails the build. `tests/viterbi_overflow.rs`
-//! is the runtime half — it feeds the kernel constant, alternating and
+//! marker or the interval fails the build. The runtime half is a unit
+//! test that feeds the portable kernel constant, alternating and
 //! erasure-mixed clamp lattices up to the longest SIG-field frame at
-//! every rate in a build that traps `i32` overflow.
+//! every rate in a build that traps `i32` overflow;
+//! `tests/viterbi_overflow.rs` feeds the same lattices to the public
+//! decoders.
 
 /// Constraint length of the 802.11 code.
 pub const CONSTRAINT_LENGTH: usize = 7;
@@ -447,8 +466,9 @@ pub struct ViterbiScratch {
     /// Integer observation lattice of the production kernel: flat
     /// `[a, b]`-interleaved levels, `2 * total_in` entries per decode.
     int_lattice: Vec<i32>,
-    /// Survivor window: one decision word per step, bit `s` set when
-    /// state `s` selected its high predecessor.
+    /// Survivor window: one decision word per step, bit
+    /// [`survivor_bit`]`(s)` set when state `s` selected its high
+    /// predecessor.
     survivors: Vec<u64>,
     /// Traceback output buffer (`total_in` bits before truncation).
     decoded: Vec<u8>,
@@ -571,29 +591,39 @@ const fn build_cost_masks(bit: usize) -> [i32; HALF_STATES] {
     table
 }
 
-/// One batched add-compare-select step: reads the 64 path metrics from
-/// `cur`, writes the 64 updated metrics to `nxt` and the 64 per-state
-/// decisions to `sel` (1 = high predecessor chose). The 32 butterflies
+/// Bit of a step's survivor word that holds state `s`'s decision: even
+/// states `2j` at bit `j`, odd states `2j + 1` at bit `32 + j`. Both
+/// halves run in butterfly order, which is the order the ACS kernels
+/// produce them in.
+#[inline]
+const fn survivor_bit(s: usize) -> usize {
+    (s & 1) * HALF_STATES + (s >> 1)
+}
+
+/// One batched add-compare-select step of the portable kernel: reads
+/// the 64 path metrics from `cur`, writes the 64 updated metrics to
+/// `nxt` and returns the step's survivor word (bit [`survivor_bit`]`(s)`
+/// set when state `s` chose its high predecessor). The 32 butterflies
 /// are straight-line lane arithmetic — two mask-negations, four plain
 /// `i32` adds, two compares, two selects per pair, no data-dependent
 /// branches and no saturating ops — which the autovectorizer lifts to
-/// SIMD lanes (interleaved stride-2 stores for `nxt`).
+/// SIMD lanes (interleaved stride-2 stores for `nxt`). Butterfly `j`
+/// ORs its two decisions into bit `j` of the even-state and odd-state
+/// halves, which vectorizes to a constant-mask AND and an OR reduction.
+/// The AVX2 kernel performs the same operations lane for lane.
 ///
 /// Wrap freedom of the plain adds: `d` is two clamped levels
 /// (`|d| <= 2^21`); an unreached-state marker in `cur` is at most
 /// `INT_INF + 6 * 2^21` (markers survive at most `K-1 = 6` steps), and
 /// finite metrics lie in `[-32 * 2^21, 44 * 2^21]` between
 /// normalizations, so `m ± d` fits `i32`. The `const` asserts next to
-/// [`NORM_INTERVAL`] check these bounds at compile time;
-/// `tests/viterbi_overflow.rs` checks them at run time.
+/// [`NORM_INTERVAL`] check these bounds at compile time; the
+/// `portable_kernel_cannot_wrap_on_clamp_lattices` unit test checks
+/// them at run time.
 #[inline]
-fn acs_step(
-    la: i32,
-    lb: i32,
-    cur: &[i32; NUM_STATES],
-    nxt: &mut [i32; NUM_STATES],
-    sel: &mut [u8; NUM_STATES],
-) {
+fn acs_step(la: i32, lb: i32, cur: &[i32; NUM_STATES], nxt: &mut [i32; NUM_STATES]) -> u64 {
+    let mut even = 0u32;
+    let mut odd = 0u32;
     for j in 0..HALF_STATES {
         let m0 = cur[j];
         let m1 = cur[j + HALF_STATES];
@@ -612,53 +642,36 @@ fn acs_step(
         let b1 = m1 + d;
         let t1 = b1 < a1;
         nxt[2 * j + 1] = if t1 { b1 } else { a1 };
-        sel[2 * j] = u8::from(t0);
-        sel[2 * j + 1] = u8::from(t1);
+        even |= u32::from(t0) << j;
+        odd |= u32::from(t1) << j;
     }
-}
-
-/// Collapses a step's 64 decision bytes (each 0 or 1) into the packed
-/// survivor word, eight bytes at a time: the multiply by the diagonal
-/// constant places byte `k`'s bit at position `56 + k` (off-diagonal
-/// partial products land on pairwise-distinct lower positions —
-/// `7i - 8k ≡ 0 (mod 8)` has no solution for `i ≠ k` in `0..8` — so
-/// no carries reach the collected byte), and the shift extracts all
-/// eight decisions at once.
-#[inline]
-fn pack_sel(sel: &[u8; NUM_STATES]) -> u64 {
-    let mut word = 0u64;
-    for i in 0..NUM_STATES / 8 {
-        let o = 8 * i;
-        let v = u64::from_le_bytes([
-            sel[o],
-            sel[o + 1],
-            sel[o + 2],
-            sel[o + 3],
-            sel[o + 4],
-            sel[o + 5],
-            sel[o + 6],
-            sel[o + 7],
-        ]);
-        word |= (v.wrapping_mul(0x0102_0408_1020_4080) >> 56) << o;
-    }
-    word
+    u64::from(even) | u64::from(odd) << HALF_STATES
 }
 
 /// Batched add-compare-select forward pass over the flat integer
 /// lattice (`[a, b]` interleaved, two entries per trellis step).
 ///
-/// Fills `survivors` with one packed decision word per step. Path
-/// metrics ping-pong between two stack buffers (no copy-back), with the
-/// running minimum subtracted every [`NORM_INTERVAL`] steps — a uniform
-/// shift that preserves every comparison. The normalization subtraction
-/// itself cannot wrap: at that point every metric is finite (first pass
-/// runs at step 32 > 6) with `m <= 44 * 2^21` and `min >= -32 * 2^21`,
-/// so `m - min <= 76 * 2^21 < 2^28` (a `const` assert next to
-/// [`NORM_INTERVAL`]).
+/// Fills `survivors` with one packed decision word per step (layout:
+/// [`survivor_bit`]). Runs the AVX2 kernel when the host has AVX2 and
+/// the portable kernel otherwise; both produce the same words. Path
+/// metrics have the running minimum subtracted every [`NORM_INTERVAL`]
+/// steps — a uniform shift that preserves every comparison. The
+/// normalization subtraction itself cannot wrap: at that point every
+/// metric is finite (first pass runs at step 32 > 6) with
+/// `m <= 44 * 2^21` and `min >= -32 * 2^21`, so `m - min <= 76 * 2^21 <
+/// 2^28` (a `const` assert next to [`NORM_INTERVAL`]).
 fn acs_forward(lattice: &[i32], survivors: &mut Vec<u64>) {
+    if try_acs_forward_avx2(lattice, survivors).is_none() {
+        acs_forward_portable(lattice, survivors);
+    }
+}
+
+/// [`acs_forward`] on the portable kernel. Path metrics ping-pong
+/// between two stack buffers (no copy-back). Returns the final path
+/// metrics, which the tests compare with the AVX2 kernel's.
+fn acs_forward_portable(lattice: &[i32], survivors: &mut Vec<u64>) -> [i32; NUM_STATES] {
     let mut bufs = [[INT_INF; NUM_STATES]; 2];
     bufs[0][0] = 0; // Encoder starts in the zero state.
-    let mut sel = [0u8; NUM_STATES];
     let mut cur = 0usize;
     survivors.clear();
     survivors.reserve(lattice.len() / 2);
@@ -669,8 +682,7 @@ fn acs_forward(lattice: &[i32], survivors: &mut Vec<u64>) {
         } else {
             (&hi[0], &mut lo[0])
         };
-        acs_step(step[0], step[1], src, dst, &mut sel);
-        survivors.push(pack_sel(&sel));
+        survivors.push(acs_step(step[0], step[1], src, dst));
         cur ^= 1;
         if (t + 1) % NORM_INTERVAL == 0 {
             let min = bufs[cur].iter().copied().min().unwrap_or(0);
@@ -679,6 +691,141 @@ fn acs_forward(lattice: &[i32], survivors: &mut Vec<u64>) {
             }
         }
     }
+    bufs[cur]
+}
+
+/// Runs [`acs_forward_avx2`] if this host has AVX2 and returns its
+/// final path metrics; `None`, with `survivors` untouched, otherwise.
+#[cfg(target_arch = "x86_64")]
+fn try_acs_forward_avx2(lattice: &[i32], survivors: &mut Vec<u64>) -> Option<[i32; NUM_STATES]> {
+    if !std::is_x86_feature_detected!("avx2") {
+        return None;
+    }
+    #[expect(
+        unsafe_code,
+        reason = "the AVX2 ACS kernel's entry after run-time detection; the one unsafe block of the library code"
+    )]
+    // SAFETY: the only precondition of calling a
+    // `#[target_feature(enable = "avx2")]` fn is that the CPU supports
+    // AVX2, which `is_x86_feature_detected!` confirmed just above.
+    let metrics = unsafe { acs_forward_avx2(lattice, survivors) };
+    Some(metrics)
+}
+
+/// No AVX2 kernel off x86-64: the portable kernel always runs.
+#[cfg(not(target_arch = "x86_64"))]
+fn try_acs_forward_avx2(_lattice: &[i32], _survivors: &mut Vec<u64>) -> Option<[i32; NUM_STATES]> {
+    None
+}
+
+/// [`acs_forward`] on 8-lane AVX2 `i32` vectors, bit-identical to
+/// [`acs_forward_portable`]. Vector `k` holds the metrics of states
+/// `8k..8k + 8`; a step walks the butterflies `j` in four blocks of
+/// eight, with the low predecessors `j` in vector `b` and the high
+/// predecessors `j + 32` in vector `b + 4` of block `b`:
+///
+/// * the branch cost `d = ±la ± lb` is two `sign` ops against the ±1
+///   forms of [`MASK_A`] / [`MASK_B`];
+/// * each survivor metric is `min` of its two candidates, the value the
+///   portable kernel's strict-`<` select keeps, ties included;
+/// * `cmpgt` + `movemask` turns a block's eight decisions into eight
+///   bits of the survivor word in one instruction (even next-states
+///   into the low half, odd ones into the high half);
+/// * `unpacklo/hi` + `permute2x128` interleave the even and odd
+///   next-state metrics back into state order for the next step;
+/// * normalization takes a vector min tree and subtracts the broadcast
+///   minimum on the portable kernel's schedule.
+///
+/// Returns the final path metrics, in state order.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn acs_forward_avx2(lattice: &[i32], survivors: &mut Vec<u64>) -> [i32; NUM_STATES] {
+    use std::arch::x86_64::{
+        __m256i, _mm256_add_epi32, _mm256_castsi256_ps, _mm256_cmpgt_epi32, _mm256_extract_epi32,
+        _mm256_min_epi32, _mm256_movemask_ps, _mm256_permute2x128_si256, _mm256_set1_epi32,
+        _mm256_setr_epi32, _mm256_shuffle_epi32, _mm256_sign_epi32, _mm256_sub_epi32,
+        _mm256_unpackhi_epi32, _mm256_unpacklo_epi32,
+    };
+
+    /// Lanes `8 * block..8 * block + 8` of a per-butterfly mask table as
+    /// `sign` operands: -1 where the mask negates, +1 where it does not.
+    #[target_feature(enable = "avx2")]
+    fn signs(mask: &[i32; HALF_STATES], block: usize) -> __m256i {
+        let s = |k: usize| mask[8 * block + k] | 1;
+        _mm256_setr_epi32(s(0), s(1), s(2), s(3), s(4), s(5), s(6), s(7))
+    }
+
+    /// Eight decision lanes (all-ones or zero) as eight bits.
+    #[target_feature(enable = "avx2")]
+    fn decision_bits(taken: __m256i) -> u64 {
+        u64::from(_mm256_movemask_ps(_mm256_castsi256_ps(taken)).cast_unsigned())
+    }
+
+    let sign_a = [0, 1, 2, 3].map(|b| signs(&MASK_A, b));
+    let sign_b = [0, 1, 2, 3].map(|b| signs(&MASK_B, b));
+    let mut metrics = [_mm256_set1_epi32(INT_INF); 8];
+    // Encoder starts in the zero state.
+    metrics[0] = _mm256_setr_epi32(
+        0, INT_INF, INT_INF, INT_INF, INT_INF, INT_INF, INT_INF, INT_INF,
+    );
+    survivors.clear();
+    survivors.reserve(lattice.len() / 2);
+    for (t, step) in lattice.chunks_exact(2).enumerate() {
+        let la = _mm256_set1_epi32(step[0]);
+        let lb = _mm256_set1_epi32(step[1]);
+        let mut next = metrics;
+        let mut word = 0u64;
+        for b in 0..4 {
+            let d = _mm256_add_epi32(
+                _mm256_sign_epi32(la, sign_a[b]),
+                _mm256_sign_epi32(lb, sign_b[b]),
+            );
+            let (m0, m1) = (metrics[b], metrics[b + 4]);
+            // Next states 2j (input 0): low predecessor +d, high -d.
+            let a0 = _mm256_add_epi32(m0, d);
+            let b0 = _mm256_sub_epi32(m1, d);
+            // Next states 2j+1 (input 1): signs flip.
+            let a1 = _mm256_sub_epi32(m0, d);
+            let b1 = _mm256_add_epi32(m1, d);
+            word |= decision_bits(_mm256_cmpgt_epi32(a0, b0)) << (8 * b);
+            word |= decision_bits(_mm256_cmpgt_epi32(a1, b1)) << (HALF_STATES + 8 * b);
+            let (even, odd) = (_mm256_min_epi32(a0, b0), _mm256_min_epi32(a1, b1));
+            // Per 128-bit half: `lo` = states 2j, 2j+1 for j = 0, 1 and
+            // j = 4, 5 of the block, `hi` the same for j = 2, 3 and 6, 7.
+            let lo = _mm256_unpacklo_epi32(even, odd);
+            let hi = _mm256_unpackhi_epi32(even, odd);
+            next[2 * b] = _mm256_permute2x128_si256::<0x20>(lo, hi);
+            next[2 * b + 1] = _mm256_permute2x128_si256::<0x31>(lo, hi);
+        }
+        survivors.push(word);
+        metrics = next;
+        if (t + 1) % NORM_INTERVAL == 0 {
+            let mut min = metrics[0];
+            for &m in &metrics[1..] {
+                min = _mm256_min_epi32(min, m);
+            }
+            min = _mm256_min_epi32(min, _mm256_permute2x128_si256::<0x01>(min, min));
+            min = _mm256_min_epi32(min, _mm256_shuffle_epi32::<0b01_00_11_10>(min));
+            min = _mm256_min_epi32(min, _mm256_shuffle_epi32::<0b10_11_00_01>(min));
+            for m in &mut metrics {
+                *m = _mm256_sub_epi32(*m, min);
+            }
+        }
+    }
+    let mut out = [0; NUM_STATES];
+    for (lanes, v) in out.chunks_exact_mut(8).zip(metrics) {
+        lanes.copy_from_slice(&[
+            _mm256_extract_epi32::<0>(v),
+            _mm256_extract_epi32::<1>(v),
+            _mm256_extract_epi32::<2>(v),
+            _mm256_extract_epi32::<3>(v),
+            _mm256_extract_epi32::<4>(v),
+            _mm256_extract_epi32::<5>(v),
+            _mm256_extract_epi32::<6>(v),
+            _mm256_extract_epi32::<7>(v),
+        ]);
+    }
+    out
 }
 
 /// Traceback over the packed survivor window, newest step first. The
@@ -692,7 +839,7 @@ fn traceback(survivors: &[u64], message_len: usize, decoded: &mut Vec<u8>) {
     let mut state = 0usize;
     for t in (0..total_in).rev() {
         decoded[t] = u8::from(state & 1 == 1);
-        let high = ((survivors[t] >> state) & 1) as usize;
+        let high = ((survivors[t] >> survivor_bit(state)) & 1) as usize;
         state = (state >> 1) | (high << (CONSTRAINT_LENGTH - 2));
     }
     decoded.truncate(message_len);
@@ -1222,6 +1369,204 @@ mod tests {
                 decode(&coded, 96, rate),
                 "rate {rate}"
             );
+        }
+    }
+
+    const RATES: [CodeRate; 3] = [CodeRate::Half, CodeRate::TwoThirds, CodeRate::ThreeQuarters];
+
+    /// Information bits of the longest payload the 16-bit SIG length
+    /// field allows (65,535 bytes).
+    const LONGEST_FRAME_BITS: usize = 8 * 65_535;
+
+    /// The worst-case level patterns over `n` coded bits, by name: every
+    /// level at the quantizer clamp, constant or alternating in sign, or
+    /// mixed with erasures.
+    fn clamp_patterns(n: usize) -> [(&'static str, Vec<i32>); 4] {
+        let c = LLR_QUANT_CLAMP;
+        [
+            ("all +clamp", vec![c; n]),
+            ("all -clamp", vec![-c; n]),
+            (
+                "alternating ±clamp",
+                (0..n).map(|k| if k % 2 == 0 { c } else { -c }).collect(),
+            ),
+            (
+                "±clamp with erasures",
+                (0..n).map(|k| [c, 0, -c, -c, 0, c, 0][k % 7]).collect(),
+            ),
+        ]
+    }
+
+    /// `n` seeded levels, uniform over `-span..=span`.
+    fn random_levels(n: usize, span: i32, seed: u64) -> Vec<i32> {
+        let mut x = seed | 1;
+        let width = u64::from(2 * span.unsigned_abs() + 1);
+        (0..n)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                i32::try_from(x % width).unwrap() - span
+            })
+            .collect()
+    }
+
+    /// The flat trellis lattice of coded-order `levels` for a
+    /// `message_len`-bit frame.
+    fn lattice_of(levels: &[i32], message_len: usize, rate: CodeRate) -> Vec<i32> {
+        let mut lattice = Vec::new();
+        depuncture_levels_into(
+            levels,
+            message_len + CONSTRAINT_LENGTH - 1,
+            rate,
+            &mut lattice,
+        );
+        lattice
+    }
+
+    /// One kernel's output over a lattice.
+    struct KernelRun {
+        words: Vec<u64>,
+        metrics: [i32; NUM_STATES],
+    }
+
+    /// The portable kernel's run and decoded bits over `lattice`, and
+    /// the AVX2 kernel's run when this host has AVX2.
+    fn run_kernels(lattice: &[i32], message_len: usize) -> (KernelRun, Vec<u8>, Option<KernelRun>) {
+        let mut words = Vec::new();
+        let metrics = acs_forward_portable(lattice, &mut words);
+        let mut bits = Vec::new();
+        traceback(&words, message_len, &mut bits);
+        let mut avx2_words = Vec::new();
+        let avx2 = try_acs_forward_avx2(lattice, &mut avx2_words).map(|metrics| KernelRun {
+            words: avx2_words,
+            metrics,
+        });
+        (KernelRun { words, metrics }, bits, avx2)
+    }
+
+    /// Requires the AVX2 kernel (when it ran) to match the portable one
+    /// lane for lane: equal survivor words, equal final path metrics and
+    /// the same decoded bits.
+    fn assert_kernels_agree(
+        what: &str,
+        message_len: usize,
+        (portable, bits, avx2): &(KernelRun, Vec<u8>, Option<KernelRun>),
+    ) {
+        let Some(avx2) = avx2 else { return };
+        assert!(
+            avx2.words == portable.words,
+            "{what}: survivor words differ, first at step {:?} of {}",
+            avx2.words
+                .iter()
+                .zip(&portable.words)
+                .position(|(a, p)| a != p),
+            portable.words.len()
+        );
+        assert_eq!(
+            avx2.metrics, portable.metrics,
+            "{what}: final path metrics differ"
+        );
+        let mut avx2_bits = Vec::new();
+        traceback(&avx2.words, message_len, &mut avx2_bits);
+        assert_eq!(&avx2_bits, bits, "{what}: decoded bits differ");
+    }
+
+    /// Notes on stderr, past the harness's output capture, that this
+    /// host can only check the portable kernel.
+    fn note_no_avx2(test: &str) {
+        use std::io::Write;
+        let _ = writeln!(
+            std::io::stderr(),
+            "note: {test}: this host has no AVX2 kernel; only the portable kernel was checked"
+        );
+    }
+
+    #[test]
+    fn avx2_and_portable_kernels_agree_bit_for_bit() {
+        // Lengths around the phase boundaries (markers alive for the
+        // first six steps, the first normalization at step 32) plus a
+        // long frame; the trellis runs six tail steps past each.
+        let mut avx2_runs = 0;
+        for (seed, rate) in [11u64, 13, 17].into_iter().zip(RATES) {
+            for message_len in [1, 5, 6, 26, 27, 31, 32, 33, 64, 4096] {
+                let n = coded_len(message_len, rate);
+                let mut lattices = clamp_patterns(n).to_vec();
+                lattices.push(("random levels", random_levels(n, LLR_QUANT_CLAMP, seed)));
+                lattices.push(("tie-prone small levels", random_levels(n, 3, seed)));
+                for (name, levels) in lattices {
+                    let what = format!("{name}, rate {rate}, {message_len} bits");
+                    let run = run_kernels(&lattice_of(&levels, message_len, rate), message_len);
+                    // The levels are exact on the oracle's LLR grid, so the
+                    // portable kernel is held to the f64 oracle too.
+                    let llrs: Vec<f64> =
+                        levels.iter().map(|&q| f64::from(q) / LLR_SCALE_F).collect();
+                    assert_eq!(
+                        run.1,
+                        decode_soft(&llrs, message_len, rate),
+                        "{what}: portable kernel vs f64 oracle"
+                    );
+                    assert_kernels_agree(&what, message_len, &run);
+                    avx2_runs += usize::from(run.2.is_some());
+                }
+            }
+        }
+        if avx2_runs == 0 {
+            note_no_avx2("avx2_and_portable_kernels_agree_bit_for_bit");
+        }
+    }
+
+    /// Proves this build traps `i32` overflow. The probe's own "attempt
+    /// to add with overflow" panic is expected: it shows up first in a
+    /// failing test's captured output, before the panic that failed the
+    /// test.
+    fn assert_overflow_traps() {
+        let wrapped = std::panic::catch_unwind(|| std::hint::black_box(i32::MAX) + 1);
+        assert!(
+            wrapped.is_err(),
+            "this build does not trap i32 overflow, so the kernel runs below \
+             would prove nothing; run the test with overflow checks on"
+        );
+    }
+
+    /// Runs the trapping portable kernel over one worst-case lattice,
+    /// then requires the wrapping AVX2 kernel to match it lane for lane.
+    /// An all-`-clamp` lattice is the all-zeros codeword.
+    fn check_cannot_wrap(name: &str, levels: &[i32], message_len: usize, rate: CodeRate) -> bool {
+        let what = format!("{name}, rate {rate}, {message_len} bits");
+        let run = run_kernels(&lattice_of(levels, message_len, rate), message_len);
+        assert_eq!(run.1.len(), message_len, "{what}");
+        if levels.iter().all(|&q| q == -LLR_QUANT_CLAMP) {
+            assert!(
+                run.1.iter().all(|&b| b == 0),
+                "{what}: must decode to zeros"
+            );
+        }
+        assert_kernels_agree(&what, message_len, &run);
+        run.2.is_some()
+    }
+
+    #[test]
+    fn portable_kernel_cannot_wrap_on_clamp_lattices() {
+        assert_overflow_traps();
+        let mut avx2_checked = false;
+        for rate in RATES {
+            for message_len in [1, 5, 6, 26, 27, 64, 4_096] {
+                for (name, levels) in clamp_patterns(coded_len(message_len, rate)) {
+                    avx2_checked |= check_cannot_wrap(name, &levels, message_len, rate);
+                }
+            }
+        }
+        // The longest frame the SIG length field allows. One pattern per
+        // rate keeps the unoptimized run short; together the three cover
+        // a constant, an alternating and an erasure-mixed lattice over
+        // ~16k normalization passes each.
+        for (rate, pick) in RATES.into_iter().zip([0, 2, 3]) {
+            let (name, levels) = &clamp_patterns(coded_len(LONGEST_FRAME_BITS, rate))[pick];
+            avx2_checked |= check_cannot_wrap(name, levels, LONGEST_FRAME_BITS, rate);
+        }
+        if !avx2_checked {
+            note_no_avx2("portable_kernel_cannot_wrap_on_clamp_lattices");
         }
     }
 

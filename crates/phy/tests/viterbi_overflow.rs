@@ -1,16 +1,21 @@
-//! Runtime half of the integer Viterbi kernel's `i32` budget proof.
+//! The integer Viterbi kernel's worst-case lattices, through the public
+//! decoders.
 //!
-//! The compile-time half is the set of `const` asserts in
-//! `src/convolutional.rs`. They bound the branch costs, the
-//! unreached-state marker, the finite path metrics and the
-//! normalization subtraction. This test drives the production decoders
-//! with the lattices that push those bounds hardest: every level at the
+//! The compile-time half of the `i32` budget proof is the set of
+//! `const` asserts in `src/convolutional.rs`. They bound the branch
+//! costs, the unreached-state marker, the finite path metrics and the
+//! normalization subtraction. This test drives the public decoders with
+//! the lattices that push those bounds hardest: every level at the
 //! quantizer clamp, constant or alternating in sign, mixed with
 //! erasures, up to the longest frame the SIG length field allows, at
-//! every code rate. The test profile keeps overflow checks on, so any
-//! wrap in the add-compare-select loop or in the normalization panics
-//! here. The first check proves that this build traps `i32` overflow
-//! at all, so a profile change cannot make the test pass vacuously.
+//! every code rate, and checks the decoded shape and the all-zeros
+//! codeword. The test profile keeps overflow checks on, and the first
+//! check proves that this build traps `i32` overflow at all. On a host
+//! with AVX2 the decoders run the AVX2 kernel, whose lane adds wrap
+//! silently, so the runtime proof for the kernel arithmetic is the
+//! unit test `portable_kernel_cannot_wrap_on_clamp_lattices` in
+//! `src/convolutional.rs`: it runs these lattices through the trapping
+//! portable kernel and requires the AVX2 kernel to match it.
 
 use std::hint::black_box;
 
