@@ -14,7 +14,7 @@
 use carpool_bench::{banner, pattern_bits};
 use carpool_channel::link::LinkChannel;
 use carpool_phy::mcs::Mcs;
-use carpool_phy::rx::{receive, receive_soft, Estimation, SectionLayout};
+use carpool_phy::rx::{receive, receive_with, Estimation, Fec, SectionLayout};
 use carpool_phy::tx::{transmit, SectionSpec};
 
 fn fer(mcs: Mcs, snr_db: f64, frames: usize, soft: bool) -> f64 {
@@ -30,7 +30,7 @@ fn fer(mcs: Mcs, snr_db: f64, frames: usize, soft: bool) -> f64 {
             .build();
         let rx_samples = link.transmit(&tx.samples);
         let rx = if soft {
-            receive_soft(&rx_samples, &layouts, Estimation::Standard)
+            receive_with(&rx_samples, &layouts, Estimation::Standard, Fec::Soft)
         } else {
             receive(&rx_samples, &layouts, Estimation::Standard)
         }

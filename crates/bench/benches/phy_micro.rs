@@ -10,7 +10,11 @@
 //! to `BENCH_phy_micro.json` so regressions are diffable run to run. The
 //! last entries time the full RX chain with the default (no-op) handle
 //! and with a live recorder attached, bounding the observability
-//! overhead on the hot path.
+//! overhead on the hot path. `rx_1500B_qam64_prefec` times the QAM64
+//! receive with FEC off, right after `rx_1500B_qam64` on the same
+//! waveform: the difference between the two rows is the FEC stage
+//! (lattice fill, Viterbi, descrambling). The row is advisory; the
+//! baseline gate does not read it.
 //!
 //! The run ends with a wall-clock throughput section: the same
 //! [`run_phy`] Monte-Carlo workload timed at one worker thread and at
@@ -47,7 +51,7 @@ use carpool_phy::mcs::Mcs;
 use carpool_phy::modulation::Modulation;
 use carpool_phy::ofdm::FreqSymbol;
 use carpool_phy::rte::CalibrationRule;
-use carpool_phy::rx::{receive, Estimation, FrameDecoder, SectionLayout};
+use carpool_phy::rx::{receive, receive_with, Estimation, Fec, FrameDecoder, SectionLayout};
 use carpool_phy::sidechannel::{PhaseOffsetDecoder, PhaseOffsetEncoder, PhaseOffsetMod};
 use carpool_phy::tx::{transmit, SectionSpec};
 use carpool_phy::txcache;
@@ -246,6 +250,17 @@ fn bench_full_chain(results: &mut Vec<SpanStats>) {
             ))
             .ok();
         }));
+        if mcs == Mcs::QAM64_3_4 {
+            results.push(measure("rx_1500B_qam64_prefec", || {
+                black_box(receive_with(
+                    black_box(&frame.samples),
+                    &layouts,
+                    Estimation::Standard,
+                    Fec::Off,
+                ))
+                .ok();
+            }));
+        }
     }
 }
 

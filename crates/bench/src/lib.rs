@@ -17,7 +17,7 @@ use carpool_mac::sim::{SimConfig, Simulator};
 use carpool_mac::SimReport;
 use carpool_phy::bits::hamming_distance;
 use carpool_phy::mcs::Mcs;
-use carpool_phy::rx::{receive, Estimation, SectionLayout};
+use carpool_phy::rx::{receive_with, Estimation, Fec, SectionLayout};
 use carpool_phy::tx::{SectionSpec, SideChannelConfig};
 use carpool_phy::txcache::transmit_cached;
 
@@ -133,8 +133,12 @@ impl FrameTally {
     }
 }
 
-/// Runs the full PHY chain through the channel `frames` times and
-/// aggregates raw-BER statistics.
+/// Runs the PHY chain through the channel `frames` times and aggregates
+/// raw-BER statistics.
+///
+/// The receiver stops before FEC ([`Fec::Off`]): the figures tally
+/// pre-FEC BER (raw symbol bits and side-channel values), so the
+/// Viterbi decode and descrambling would only produce bits nobody reads.
 ///
 /// Frames are fanned out over the `carpool-par` worker pool: each frame's
 /// channel is seeded by `config.seed + frame`, so the result does not
@@ -185,7 +189,7 @@ pub fn run_phy(config: &PhyRunConfig) -> PhyBerResult {
         let rx_samples = link.transmit(&tx.samples);
         // The received buffer matches the transmitted layout by
         // construction; an empty tally degrades gracefully otherwise.
-        let Ok(rx) = receive(&rx_samples, &layouts, config.estimation) else {
+        let Ok(rx) = receive_with(&rx_samples, &layouts, config.estimation, Fec::Off) else {
             return tally;
         };
         for (k, (t, r)) in tx.sections[0]

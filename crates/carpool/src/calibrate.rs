@@ -11,7 +11,7 @@ use carpool_channel::link::LinkChannel;
 use carpool_mac::error_model::SymbolErrorCurve;
 use carpool_phy::mcs::Mcs;
 use carpool_phy::rte::CalibrationRule;
-use carpool_phy::rx::{receive, Estimation, SectionLayout};
+use carpool_phy::rx::{receive_with, Estimation, Fec, SectionLayout};
 use carpool_phy::tx::{transmit, SectionSpec};
 
 /// Parameters of a calibration campaign.
@@ -71,7 +71,8 @@ fn measure_scheme(config: &CalibrationConfig, estimation: Estimation) -> Vec<f64
         let rx_samples = link.transmit(&tx.samples);
         // The link preserves sample count, so the layouts always match; a
         // mismatched frame would simply not contribute failure counts.
-        let Ok(rx) = receive(&rx_samples, &layouts, estimation) else {
+        // Only the side-channel CRC verdicts are read, so skip FEC.
+        let Ok(rx) = receive_with(&rx_samples, &layouts, estimation, Fec::Off) else {
             continue;
         };
         for (k, &ok) in rx.sections[0].crc_ok.iter().enumerate() {

@@ -34,7 +34,7 @@ use carpool_phy::convolutional::CodeRate;
 use carpool_phy::mcs::Mcs;
 use carpool_phy::modulation::Modulation;
 use carpool_phy::rte::CalibrationRule;
-use carpool_phy::rx::{receive, receive_soft, Estimation, SectionLayout};
+use carpool_phy::rx::{receive_with, Estimation, Fec, SectionLayout};
 use carpool_phy::tx::SectionSpec;
 use carpool_phy::txcache::transmit_cached;
 use carpool_traffic::background::{BackgroundSource, Transport};
@@ -220,6 +220,11 @@ fn cmd_phy_ber(args: &Args, obs: &carpool_obs::Obs) -> Result<(), String> {
     let mut raw_total = 0usize;
     let mut payload_errors = 0usize;
     let mut frame_errors = 0usize;
+    let fec = if args.flag("soft") {
+        Fec::Soft
+    } else {
+        Fec::Hard
+    };
     for f in 0..frames {
         let mut link = LinkChannel::builder()
             .snr_db(snr)
@@ -230,12 +235,7 @@ fn cmd_phy_ber(args: &Args, obs: &carpool_obs::Obs) -> Result<(), String> {
             .build()
             .with_obs(obs.clone());
         let rx_samples = link.transmit(&tx.samples);
-        let rx = if args.flag("soft") {
-            receive_soft(&rx_samples, &layouts, estimation)
-        } else {
-            receive(&rx_samples, &layouts, estimation)
-        }
-        .map_err(|e| e.to_string())?;
+        let rx = receive_with(&rx_samples, &layouts, estimation, fec).map_err(|e| e.to_string())?;
         for (t, r) in tx.sections[0]
             .symbol_bits
             .iter()

@@ -15,6 +15,10 @@
 //! * [`Estimation::Rte`] — Carpool's real-time estimation: per-symbol
 //!   CRCs from the phase offset side channel gate data-pilot updates of
 //!   the channel estimate (paper Section 5).
+//!
+//! Three [`Fec`] modes choose what happens after demapping: hard- or
+//! soft-decision Viterbi decoding, or none at all for callers that only
+//! read the pre-FEC diagnostics (raw symbol bits, side channel, CRCs).
 
 use crate::convolutional::{
     coded_len, decode_prepared, CodeRate, ViterbiScratch, CONSTRAINT_LENGTH,
@@ -42,6 +46,23 @@ pub enum Estimation {
     Standard,
     /// Real-time estimation calibrated by data pilots (Carpool).
     Rte(CalibrationRule),
+}
+
+/// Forward error correction applied to each decoded section.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Fec {
+    /// Hard-decision Viterbi decoding of the demapped bits.
+    Hard,
+    /// Soft-decision (LLR) Viterbi decoding, using the noise variance
+    /// estimated from the LTF pair and the per-carrier noise
+    /// amplification of zero-forcing equalisation. Per-symbol CRC
+    /// checking and RTE gating still use hard decisions.
+    Soft,
+    /// Stop before FEC: no trellis, no Viterbi, no descrambling, and
+    /// [`RxSection::bits`] comes back empty. Every pre-FEC output (raw
+    /// symbol bits, CRC verdicts, side values, phase offsets) and the
+    /// estimator state match [`Fec::Hard`] exactly.
+    Off,
 }
 
 /// Expected layout of one received section.
@@ -82,7 +103,8 @@ impl SectionLayout {
 #[derive(Debug, Clone, PartialEq)]
 // lint:allow(dead-api): private_interfaces keeps it pub: pub `FrameDecoder::decode_section` returns it and pub field `RxFrame::sections` holds it
 pub struct RxSection {
-    /// Recovered information bits (post-Viterbi, descrambled).
+    /// Recovered information bits (post-Viterbi, descrambled). Empty
+    /// under [`Fec::Off`].
     pub bits: Vec<u8>,
     /// Hard-decision interleaved-domain bits per symbol — comparable to
     /// [`crate::tx::SectionInfo::symbol_bits`] for raw BER measurement.
@@ -258,7 +280,7 @@ pub struct FrameDecoder<'a> {
     sample_pos: usize,
     prev_phase: f64,
     noise_var: f64,
-    soft_decoding: bool,
+    fec: Fec,
     obs: Obs,
     scratch: PhyScratch,
 }
@@ -294,7 +316,7 @@ impl<'a> FrameDecoder<'a> {
             sample_pos: PREAMBLE_LEN,
             prev_phase: 0.0,
             noise_var,
-            soft_decoding: false,
+            fec: Fec::Hard,
             obs: Obs::noop(),
             scratch: PhyScratch::default(),
         })
@@ -316,19 +338,18 @@ impl<'a> FrameDecoder<'a> {
     /// Attaches an observability handle. When enabled, the decoder emits
     /// per-group [`Event::SideCrc`] verdicts, per-symbol
     /// [`Event::RteUpdate`] decisions (RTE mode only), equalizer
-    /// re-anchor events, and `phy.decode` / `phy.viterbi` timing spans.
+    /// re-anchor events, and `phy.decode` / `phy.viterbi` timing spans
+    /// (no `phy.viterbi` under [`Fec::Off`]).
     /// The timestamp on PHY events is the OFDM symbol index.
     pub fn with_obs(mut self, obs: Obs) -> Self {
         self.obs = obs;
         self
     }
 
-    /// Enables soft-decision (LLR) Viterbi decoding of payload bits,
-    /// using the noise variance estimated from the LTF pair and the
-    /// per-carrier noise amplification of zero-forcing equalisation.
-    /// Per-symbol CRC checking and RTE gating still use hard decisions.
-    pub fn with_soft_decoding(mut self, enabled: bool) -> Self {
-        self.soft_decoding = enabled;
+    /// Selects the [`Fec`] mode of every later section (default
+    /// [`Fec::Hard`]).
+    pub fn with_fec(mut self, fec: Fec) -> Self {
+        self.fec = fec;
         self
     }
 
@@ -420,8 +441,13 @@ impl<'a> FrameDecoder<'a> {
     ///
     /// # Errors
     ///
-    /// Returns [`PhyError::LengthMismatch`] if the buffer is too short.
+    /// * [`PhyError::LengthMismatch`] if the buffer is too short.
+    /// * [`PhyError::InvalidConfig`] if the layout's side-channel group
+    ///   cannot carry a CRC (see [`SideChannelConfig::validate`]).
     pub fn decode_section(&mut self, layout: &SectionLayout) -> Result<RxSection, PhyError> {
+        if let Some(sc) = &layout.side_channel {
+            sc.validate()?;
+        }
         let num_symbols = layout.symbol_count();
         self.ensure_available(num_symbols)?;
         // Split `self` into disjoint field borrows: the span guard and
@@ -435,22 +461,16 @@ impl<'a> FrameDecoder<'a> {
             sample_pos,
             prev_phase,
             noise_var,
-            soft_decoding,
+            fec,
             obs,
             scratch,
         } = self;
+        let fec = *fec;
         let _decode_span = obs.span(carpool_obs::names::PHY_DECODE);
         let modulation = layout.mcs.modulation;
         let rate = layout.mcs.code_rate;
         let n_cbps = layout.mcs.coded_bits_per_symbol();
         let bits_per_point = modulation.bits_per_symbol();
-        // Fused demap→deinterleave→depuncture: the symbol loop scatters
-        // quantized integer levels straight into the Viterbi lattice via
-        // the per-MCS map; coded bits beyond `usable` (and puncture
-        // holes) stay at the lattice's pre-zeroed erasure value.
-        let usable = coded_len(layout.message_bits, rate);
-        let total_in = layout.message_bits + CONSTRAINT_LENGTH - 1;
-        let map_idx = scratch.rx_map_index(modulation, rate);
 
         let mut raw_symbol_bits = Vec::with_capacity(num_symbols);
         let mut phase_offsets = Vec::with_capacity(num_symbols);
@@ -464,11 +484,27 @@ impl<'a> FrameDecoder<'a> {
         let mut side_values = Vec::with_capacity(side_len);
 
         // One symbol's worth of LLRs, sized once per section.
-        if *soft_decoding {
+        if fec == Fec::Soft {
             scratch.llrs.clear();
             scratch.llrs.resize(n_cbps, 0.0);
         }
-        let lattice = scratch.viterbi.lattice_mut(total_in);
+        // Fused demap→deinterleave→depuncture: the symbol loop scatters
+        // quantized integer levels straight into the Viterbi lattice via
+        // the per-MCS map; coded bits beyond `usable` (and puncture
+        // holes) stay at the lattice's pre-zeroed erasure value. Without
+        // FEC there is no lattice to fill.
+        let usable = coded_len(layout.message_bits, rate);
+        let mut trellis = match fec {
+            Fec::Off => None,
+            Fec::Hard | Fec::Soft => {
+                let map_idx = scratch.rx_map_index(modulation, rate);
+                let total_in = layout.message_bits + CONSTRAINT_LENGTH - 1;
+                Some((
+                    &scratch.rx_maps[map_idx].2,
+                    scratch.viterbi.lattice_mut(total_in),
+                ))
+            }
+        };
 
         let group = &mut scratch.group;
         group.clear();
@@ -504,7 +540,7 @@ impl<'a> FrameDecoder<'a> {
 
             // Soft path: per-carrier LLRs with ZF noise amplification
             // (noise variance on carrier c grows by 1/|H_c|^2).
-            if *soft_decoding {
+            if fec == Fec::Soft {
                 let estimate = estimator.current(initial);
                 for ((slot, point), carrier) in scratch
                     .llrs
@@ -648,13 +684,14 @@ impl<'a> FrameDecoder<'a> {
 
             *prev_phase = track.offset;
             // Scatter this symbol's coded bits into the trellis lattice.
-            let sc_map = &scratch.rx_maps[map_idx].2;
-            let limit = n_cbps.min(usable.saturating_sub(k * n_cbps));
-            let sym_lattice = &mut lattice[k * sc_map.flat_per_symbol()..];
-            if *soft_decoding {
-                sc_map.scatter_soft(&scratch.llrs, limit, sym_lattice);
-            } else {
-                sc_map.scatter_hard(&hard, limit, sym_lattice);
+            if let Some((sc_map, lattice)) = &mut trellis {
+                let limit = n_cbps.min(usable.saturating_sub(k * n_cbps));
+                let sym_lattice = &mut lattice[k * sc_map.flat_per_symbol()..];
+                if fec == Fec::Soft {
+                    sc_map.scatter_soft(&scratch.llrs, limit, sym_lattice);
+                } else {
+                    sc_map.scatter_hard(&hard, limit, sym_lattice);
+                }
             }
             raw_symbol_bits.push(hard);
         }
@@ -663,13 +700,18 @@ impl<'a> FrameDecoder<'a> {
         obs.counter("phy.sections_decoded", 1);
 
         // FEC decode and descramble.
-        let mut bits = {
-            let _viterbi_span = obs.span(carpool_obs::names::PHY_VITERBI);
-            decode_prepared(layout.message_bits, &mut scratch.viterbi)
+        let bits = if fec == Fec::Off {
+            Vec::new()
+        } else {
+            let mut bits = {
+                let _viterbi_span = obs.span(carpool_obs::names::PHY_VITERBI);
+                decode_prepared(layout.message_bits, &mut scratch.viterbi)
+            };
+            if layout.scramble {
+                Scrambler::scramble_default_in_place(&mut bits);
+            }
+            bits
         };
-        if layout.scramble {
-            Scrambler::scramble_default_in_place(&mut bits);
-        }
 
         Ok(RxSection {
             bits,
@@ -686,7 +728,8 @@ fn symbol_time(idx: usize) -> f64 {
     idx as f64 * SYMBOL_DURATION
 }
 
-/// Receives and decodes a PPDU whose full section layout is known.
+/// Receives and decodes a PPDU whose full section layout is known,
+/// with hard-decision Viterbi decoding: [`receive_with`] at [`Fec::Hard`].
 ///
 /// # Errors
 ///
@@ -714,27 +757,23 @@ pub fn receive(
     layouts: &[SectionLayout],
     estimation: Estimation,
 ) -> Result<RxFrame, PhyError> {
-    receive_with(samples, layouts, estimation, false)
+    receive_with(samples, layouts, estimation, Fec::Hard)
 }
 
-/// [`receive`] with soft-decision Viterbi decoding of the payloads.
+/// Receives a PPDU whose full section layout is known, applying `fec`
+/// to every section.
 ///
 /// # Errors
 ///
-/// Same as [`receive`].
-pub fn receive_soft(
+/// * [`PhyError::LengthMismatch`] if `samples` is shorter than the
+///   preamble plus the symbols implied by `layouts`.
+/// * [`PhyError::EmptyFrame`] if `layouts` is empty.
+/// * [`PhyError::InvalidConfig`] if a layout's side channel is invalid.
+pub fn receive_with(
     samples: &[Complex64],
     layouts: &[SectionLayout],
     estimation: Estimation,
-) -> Result<RxFrame, PhyError> {
-    receive_with(samples, layouts, estimation, true)
-}
-
-fn receive_with(
-    samples: &[Complex64],
-    layouts: &[SectionLayout],
-    estimation: Estimation,
-    soft: bool,
+    fec: Fec,
 ) -> Result<RxFrame, PhyError> {
     if layouts.is_empty() {
         return Err(PhyError::EmptyFrame);
@@ -747,7 +786,7 @@ fn receive_with(
             actual: samples.len(),
         });
     }
-    let mut decoder = FrameDecoder::new(samples, estimation)?.with_soft_decoding(soft);
+    let mut decoder = FrameDecoder::new(samples, estimation)?.with_fec(fec);
     let mut sections = Vec::with_capacity(layouts.len());
     for layout in layouts {
         sections.push(decoder.decode_section(layout)?);
@@ -944,10 +983,11 @@ mod tests {
         for mcs in [Mcs::BPSK_1_2, Mcs::QAM16_3_4, Mcs::QAM64_2_3] {
             let spec = SectionSpec::payload(pattern_bits(500), mcs);
             let frame = transmit(std::slice::from_ref(&spec)).unwrap();
-            let rx = receive_soft(
+            let rx = receive_with(
                 &frame.samples,
                 &[SectionLayout::of(&spec)],
                 Estimation::Standard,
+                Fec::Soft,
             )
             .unwrap();
             assert_eq!(rx.sections[0].bits, spec.bits, "{mcs}");

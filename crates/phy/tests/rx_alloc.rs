@@ -5,10 +5,12 @@
 //!   vectors per section — the `raw_symbol_bits` list, the phase
 //!   offsets and the decoded bits — two more with the side channel on
 //!   (CRC verdicts and side values, both sized once), and one row per
-//!   OFDM symbol: the demapped bits kept in `raw_symbol_bits`.
+//!   OFDM symbol: the demapped bits kept in `raw_symbol_bits`. Under
+//!   `Fec::Off` the decoded bits are never built: one vector fewer.
 //! * `receive` adds a per-frame constant on top: the decoder setup, the
 //!   section list and a fresh scratch's first-use buffers. Nothing else
-//!   grows with the frame length.
+//!   grows with the frame length, and under `Fec::Off` that constant
+//!   holds no Viterbi lattice or survivor buffers, so it is smaller.
 //! * The Viterbi decoders allocate only the bits they return once their
 //!   scratch is warm, and the 64-point FFT runs in place without
 //!   allocating at all.
@@ -27,7 +29,7 @@ use carpool_phy::fft::{fft, fft_in_place};
 use carpool_phy::math::Complex64;
 use carpool_phy::mcs::Mcs;
 use carpool_phy::rte::CalibrationRule;
-use carpool_phy::rx::{receive, Estimation, FrameDecoder, PhyScratch, SectionLayout};
+use carpool_phy::rx::{receive_with, Estimation, Fec, FrameDecoder, PhyScratch, SectionLayout};
 use carpool_phy::tx::{transmit, SectionSpec, TxFrame};
 use counting_alloc::{allocations_during, CountingAlloc};
 
@@ -66,13 +68,21 @@ fn frame(mcs: Mcs, len: usize, kind: usize) -> (TxFrame, Vec<SectionLayout>) {
     (tx, specs.iter().map(SectionLayout::of).collect())
 }
 
-/// Steady-state allocations of one `decode_section` call.
-fn per_section(layout: &SectionLayout) -> usize {
-    3 + 2 * usize::from(layout.side_channel.is_some()) + layout.symbol_count()
+/// Steady-state allocations of one `decode_section` call: the section
+/// vectors, one row per symbol, and the decoded bits unless FEC is off.
+fn per_section(layout: &SectionLayout, fec: Fec) -> usize {
+    2 + 2 * usize::from(layout.side_channel.is_some())
+        + layout.symbol_count()
+        + usize::from(fec != Fec::Off)
 }
 
-#[test]
-fn decode_section_allocates_per_section_and_one_row_per_symbol() {
+/// Requires every `decode_section` call on a warmed scratch to allocate
+/// exactly [`per_section`].
+#[expect(
+    clippy::expect_used,
+    reason = "test helper: a failed decode fails the test"
+)]
+fn assert_section_budget(fec: Fec) {
     for estimation in ESTIMATIONS {
         for mcs in [Mcs::BPSK_1_2, Mcs::QPSK_3_4, Mcs::QAM64_3_4] {
             for len in [24, 800, 12_003] {
@@ -84,17 +94,19 @@ fn decode_section_allocates_per_section_and_one_row_per_symbol() {
                     for pass in 0..3 {
                         let mut decoder = FrameDecoder::new(&tx.samples, estimation)
                             .expect("buffer holds the preamble")
-                            .with_scratch(scratch);
+                            .with_scratch(scratch)
+                            .with_fec(fec);
                         for layout in &layouts {
                             let (allocs, section) =
                                 allocations_during(|| decoder.decode_section(layout));
                             let section = section.expect("buffer holds every section");
                             assert_eq!(section.raw_symbol_bits.len(), layout.symbol_count());
+                            assert_eq!(section.bits.is_empty(), fec == Fec::Off);
                             if pass > 0 {
                                 assert_eq!(
                                     allocs,
-                                    per_section(layout),
-                                    "{estimation:?} {mcs} {len} bits kind {kind}: \
+                                    per_section(layout, fec),
+                                    "{fec:?} {estimation:?} {mcs} {len} bits kind {kind}: \
                                      {} symbols",
                                     layout.symbol_count()
                                 );
@@ -109,23 +121,41 @@ fn decode_section_allocates_per_section_and_one_row_per_symbol() {
 }
 
 #[test]
+fn decode_section_allocates_per_section_and_one_row_per_symbol() {
+    assert_section_budget(Fec::Hard);
+}
+
+#[test]
+fn fec_off_section_allocates_all_but_the_decoded_bits() {
+    assert_section_budget(Fec::Off);
+}
+
+/// What `receive_with` allocates beyond the steady-state section budget,
+/// for frames of 800, 4,001 and 12,003 bits.
+fn frame_setups(estimation: Estimation, mcs: Mcs, kind: usize, fec: Fec) -> Vec<usize> {
+    [800, 4_001, 12_003]
+        .into_iter()
+        .map(|len| {
+            let (tx, layouts) = frame(mcs, len, kind);
+            let (allocs, rx) =
+                allocations_during(|| receive_with(&tx.samples, &layouts, estimation, fec));
+            assert!(rx.is_ok());
+            allocs
+                - layouts
+                    .iter()
+                    .map(|layout| per_section(layout, fec))
+                    .sum::<usize>()
+        })
+        .collect()
+}
+
+#[test]
 fn receive_adds_only_a_per_frame_constant() {
     for estimation in ESTIMATIONS {
         for mcs in [Mcs::BPSK_1_2, Mcs::QAM64_3_4] {
             for kind in 0..3 {
-                // Frame setup: whatever `receive` allocates beyond the
-                // steady-state section budget. It must not depend on
-                // the frame length.
-                let setups: Vec<usize> = [800, 4_001, 12_003]
-                    .into_iter()
-                    .map(|len| {
-                        let (tx, layouts) = frame(mcs, len, kind);
-                        let (allocs, rx) =
-                            allocations_during(|| receive(&tx.samples, &layouts, estimation));
-                        assert!(rx.is_ok());
-                        allocs - layouts.iter().map(per_section).sum::<usize>()
-                    })
-                    .collect();
+                // Frame setup must not depend on the frame length.
+                let setups = frame_setups(estimation, mcs, kind, Fec::Hard);
                 assert!(
                     setups.windows(2).all(|w| w[0] == w[1]),
                     "{estimation:?} {mcs} kind {kind}: setup varies with length: {setups:?}"
@@ -138,6 +168,36 @@ fn receive_adds_only_a_per_frame_constant() {
                 assert!(decoder.is_ok());
                 let rte = usize::from(matches!(estimation, Estimation::Rte(_)));
                 assert_eq!(allocs, 8 + rte, "{estimation:?}");
+            }
+        }
+    }
+}
+
+/// First use of the side-channel group buffers on a fresh scratch: the
+/// group's bit, value, symbol, point and index lists, a symbol and a
+/// point row, and the two spare pools they are parked in.
+const SIDE_GROUP_FIRST_USE: usize = 9;
+
+#[test]
+fn fec_off_frame_setup_is_constant_and_holds_no_trellis() {
+    for estimation in ESTIMATIONS {
+        for mcs in [Mcs::BPSK_1_2, Mcs::QAM64_3_4] {
+            for kind in 0..3 {
+                let (tx, _) = frame(mcs, 800, kind);
+                let (decoder_setup, _) =
+                    allocations_during(|| FrameDecoder::new(&tx.samples, estimation));
+                // Beyond the decoder setup: the section list and, with
+                // the side channel on, the group buffers. No scatter
+                // map, lattice or survivor buffer, at any length.
+                let side = usize::from(kind == 0);
+                let expected = decoder_setup + 1 + side * SIDE_GROUP_FIRST_USE;
+                let off = frame_setups(estimation, mcs, kind, Fec::Off);
+                assert_eq!(off, [expected; 3], "{estimation:?} {mcs} kind {kind}");
+                let hard = frame_setups(estimation, mcs, kind, Fec::Hard);
+                assert!(
+                    hard.iter().all(|&h| h > expected),
+                    "{estimation:?} {mcs} kind {kind}: Hard {hard:?} vs Off {off:?}"
+                );
             }
         }
     }

@@ -1,10 +1,11 @@
 #!/bin/sh
-# Offline gate: formatting, clippy, the workspace tests and the project
-# linter across the whole workspace. Run from anywhere; everything
-# resolves relative to the repo root. Each stage reports its wall time
-# so gate slowdowns are visible in CI logs, and the analyzer budget is
-# enforced: if the project linter's cold scan takes longer than
-# LINT_BUDGET_MS the gate FAILS instead of only warning.
+# Offline gate: formatting, clippy, the workspace tests, the perfbench
+# tests and the project linter across the whole workspace. Run from
+# anywhere; everything resolves relative to the repo root. Each stage
+# reports its wall time so gate slowdowns are visible in CI logs, and
+# the analyzer budget is enforced: if the project linter's cold scan
+# takes longer than LINT_BUDGET_MS the gate FAILS instead of only
+# warning.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -39,6 +40,14 @@ stage_begin "cargo test --workspace"
 # root package: a test that only passes in isolation (say, a global
 # counter shared by the harness threads) fails here.
 cargo test --workspace --offline -q
+stage_end
+
+stage_begin "cargo test perfbench (its own workspace)"
+# perfbench/ is a package with its own [workspace] that builds the
+# library crates by path and calls their pub items, so nothing above
+# compiles it: a renamed or deleted pub fn it uses would only surface
+# when the benchmark runs. Its build lands under target/ like the rest.
+cargo test --release --offline -q --manifest-path perfbench/Cargo.toml --target-dir target/perfbench
 stage_end
 
 stage_begin "carpool-lint (L003 layering, L009 atomic ordering, L010 dead API, L013 units, L015 shard protocol)"
