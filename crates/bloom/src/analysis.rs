@@ -6,6 +6,8 @@
 //! `h = (48/N) ln 2`. For N = 4..8 and h = 4 the ratio spans 0.31%–5.59%.
 
 use crate::{AggregationHeader, BLOOM_BITS};
+use carpool_obs::flight::{AHDR_BITMAP_SHIFT, AHDR_OUTSIDER};
+use carpool_obs::TraceKind;
 use rand::Rng;
 
 /// Exact single-set false positive ratio for `hashes` hash functions and
@@ -64,11 +66,13 @@ pub fn measure_false_positive_ratio<R: Rng + ?Sized>(
     measure_false_positive_ratio_obs(hashes, receivers, trials, rng, &carpool_obs::Obs::noop())
 }
 
-/// Like [`measure_false_positive_ratio`], but reports each probe to the
-/// observability handle: `bloom.probes` / `bloom.false_hits` counters and
-/// one [`carpool_obs::Event::AhdrCheck`] per probe (the outsider is never
-/// aboard, so `expected` is always `Some(false)`), wrapped in a
-/// `bloom.fp_measure` timing span.
+/// Like [`measure_false_positive_ratio`], but records each probe to the
+/// observability handle as one graded A-HDR check
+/// ([`TraceKind::AhdrDecision`] with ground truth
+/// [`carpool_obs::flight::AHDR_OUTSIDER`]: the outsider is never
+/// aboard), stamped at the trial index. Its kind feeds the
+/// `carpool.ahdr_false_positive` / `carpool.ahdr_true_negative`
+/// counters. The whole measurement runs in a `bloom.fp_measure` span.
 pub fn measure_false_positive_ratio_obs<R: Rng + ?Sized>(
     hashes: usize,
     receivers: usize,
@@ -76,7 +80,7 @@ pub fn measure_false_positive_ratio_obs<R: Rng + ?Sized>(
     rng: &mut R,
     obs: &carpool_obs::Obs,
 ) -> f64 {
-    let _span = obs.span("bloom.fp_measure");
+    let _span = obs.span(carpool_obs::names::BLOOM_FP_MEASURE);
     let mut false_hits = 0usize;
     let mut probes = 0usize;
     for trial in 0..trials {
@@ -95,20 +99,16 @@ pub fn measure_false_positive_ratio_obs<R: Rng + ?Sized>(
                 false_hits += 1;
             }
             if obs.enabled() {
-                obs.emit(
+                obs.trace(
+                    TraceKind::AhdrDecision,
                     trial as f64,
-                    carpool_obs::Event::AhdrCheck {
-                        station,
-                        matched: hit,
-                        expected: Some(false),
-                    },
+                    station,
+                    (u64::from(hit) << (AHDR_BITMAP_SHIFT as usize + i))
+                        | hdr.probe_mask(&outsider, i),
+                    AHDR_OUTSIDER,
                 );
             }
         }
-    }
-    if obs.enabled() {
-        obs.counter("bloom.probes", probes as u64);
-        obs.counter("bloom.false_hits", false_hits as u64);
     }
     false_hits as f64 / probes as f64
 }
@@ -132,8 +132,8 @@ mod tests {
         let traced = measure_false_positive_ratio_obs(4, 6, 500, &mut b, &obs);
         assert_eq!(plain, traced);
         let snap = recorder.snapshot();
-        assert_eq!(snap.counter("bloom.probes"), 500 * 6);
-        let hits = snap.counter("bloom.false_hits");
+        let hits = snap.counter("carpool.ahdr_false_positive");
+        assert_eq!(hits + snap.counter("carpool.ahdr_true_negative"), 500 * 6);
         assert_eq!(hits as f64 / (500.0 * 6.0), traced);
     }
 

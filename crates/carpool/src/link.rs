@@ -10,7 +10,8 @@ use carpool_channel::DelayProfile;
 use carpool_frame::addr::MacAddress;
 use carpool_frame::carpool::{receive_carpool_obs_with_scratch, CarpoolFrame, CarpoolReception};
 use carpool_frame::FrameError;
-use carpool_obs::{Event, Obs};
+use carpool_obs::flight::{AHDR_ABOARD, AHDR_BITMAP_SHIFT, AHDR_OUTSIDER};
+use carpool_obs::{Obs, TraceKind};
 use carpool_phy::rte::CalibrationRule;
 use carpool_phy::rx::{Estimation, PhyScratch};
 use carpool_phy::tx::SideChannelConfig;
@@ -62,8 +63,9 @@ impl CarpoolLink {
 
     /// Attaches an observability handle used by subsequent deliveries.
     /// The facade knows which stations a frame was *really* addressed to,
-    /// so on top of the frame/PHY events it emits
-    /// [`Event::AhdrCheck`] records carrying ground truth — the basis for
+    /// so on top of the frame/PHY records it records each station's
+    /// A-HDR verdict graded against that ground truth
+    /// ([`TraceKind::AhdrDecision`] with word `c` set) — the basis for
     /// exact Bloom false-positive accounting in `carpool report`.
     pub fn with_obs(mut self, obs: Obs) -> Self {
         let channel = self.channel;
@@ -72,33 +74,25 @@ impl CarpoolLink {
         self
     }
 
-    /// Ground-truth membership check: whether `frame` carries a subframe
-    /// addressed to `station`, independent of what the A-HDR says.
-    fn emit_ahdr_truth(&self, frame: &CarpoolFrame, station: MacAddress, matched: bool) {
+    /// Grades `rx`'s A-HDR verdict against ground truth: whether `frame`
+    /// carries a subframe addressed to `station`, independent of what
+    /// the A-HDR says.
+    fn record_ahdr_truth(&self, frame: &CarpoolFrame, station: MacAddress, rx: &CarpoolReception) {
         if !self.obs.enabled() {
             return;
         }
         let aboard = frame.subframes().iter().any(|s| s.receiver == station);
-        let name = match (matched, aboard) {
-            (true, true) => "carpool.ahdr_true_positive",
-            (true, false) => "carpool.ahdr_false_positive",
-            (false, false) => "carpool.ahdr_true_negative",
-            // Bloom filters admit no false negatives; seeing one means
-            // the header itself was corrupted in flight.
-            (false, true) => "carpool.ahdr_false_negative",
-        };
-        self.obs.counter(name, 1);
         let station_id = station
             .as_bytes()
             .iter()
             .fold(0u64, |acc, &b| (acc << 8) | b as u64);
-        self.obs.emit(
+        let bitmap = rx.matched_indices.iter().fold(0u64, |m, &i| m | (1 << i));
+        self.obs.trace(
+            TraceKind::AhdrDecision,
             0.0,
-            Event::AhdrCheck {
-                station: station_id,
-                matched,
-                expected: Some(aboard),
-            },
+            station_id,
+            bitmap << AHDR_BITMAP_SHIFT,
+            if aboard { AHDR_ABOARD } else { AHDR_OUTSIDER },
         );
     }
 
@@ -123,7 +117,7 @@ impl CarpoolLink {
             &self.obs,
             &mut self.scratch,
         )?;
-        self.emit_ahdr_truth(frame, station, !rx.matched_indices.is_empty());
+        self.record_ahdr_truth(frame, station, &rx);
         Ok(rx)
     }
 
@@ -134,11 +128,11 @@ impl CarpoolLink {
     ///
     /// The per-station receive paths are independent, so they fan out
     /// across the `carpool-par` worker pool (`CARPOOL_THREADS` controls
-    /// the width). Receptions come back in station order, and each
-    /// worker records into a private observability shard whose metrics
-    /// are merged — and whose events are replayed — into this link's
-    /// handle in that same order, so threaded and serial runs produce
-    /// identical metrics and an identically ordered event stream.
+    /// the width). Receptions come back in station order. Workers count
+    /// straight into this link's metrics recorder and buffer their
+    /// records in an [`Obs::shard`], which this link absorbs in that
+    /// same station order, so threaded and serial runs produce
+    /// identical metrics and an identically ordered record stream.
     ///
     /// # Errors
     ///
@@ -151,21 +145,12 @@ impl CarpoolLink {
         frame: &CarpoolFrame,
         stations: &[MacAddress],
     ) -> Result<Vec<CarpoolReception>, FrameError> {
-        use std::sync::Arc;
-
         let tx = frame.transmit()?;
         let rx_samples = self.channel.transmit(&tx.samples);
         let estimation = self.estimation;
         let hashes = self.hashes;
         let side_channel = self.side_channel;
-        let observing = self.obs.enabled();
-        // Flight-recorder shards mirror the metric/event shards: each
-        // worker traces into a private ring sized like the link's, and
-        // the shards are absorbed in station order below, so the merged
-        // trace stream is identical at any thread count.
-        let flight_capacity = self.obs.flight().map(|f| f.capacity());
-        let frame_ctx = self.obs.frame_ctx();
-        let time_base = self.obs.time_base();
+        let obs = &self.obs;
 
         // Each pool worker keeps one PhyScratch for its whole share of
         // the stations: decode buffers, scatter maps, and the Viterbi
@@ -174,22 +159,10 @@ impl CarpoolLink {
             stations,
             PhyScratch::default,
             |scratch, _idx, &sta| {
-                let (shard_obs, shard, flight) = if observing {
-                    let recorder = Arc::new(carpool_obs::MemoryRecorder::new());
-                    let sink = Arc::new(carpool_obs::RingBufferSink::new(usize::MAX));
-                    let mut shard_obs = Obs::new(recorder.clone(), sink.clone());
-                    let mut flight = None;
-                    if let Some(cap) = flight_capacity {
-                        let f = Arc::new(carpool_obs::FlightRecorder::new(cap));
-                        shard_obs = shard_obs
-                            .with_flight(f.clone())
-                            .for_frame(frame_ctx)
-                            .with_time_base(time_base);
-                        flight = Some(f);
-                    }
-                    (shard_obs, Some((recorder, sink)), flight)
+                let shard = if obs.tracing() {
+                    obs.shard()
                 } else {
-                    (Obs::noop(), None, None)
+                    obs.clone()
                 };
                 let rx = receive_carpool_obs_with_scratch(
                     &rx_samples,
@@ -197,12 +170,10 @@ impl CarpoolLink {
                     estimation,
                     hashes,
                     side_channel,
-                    &shard_obs,
+                    &shard,
                     scratch,
                 );
-                let captured = shard.map(|(recorder, sink)| (recorder.snapshot(), sink.events()));
-                let traced = flight.map(|f| (f.records(), f.dropped()));
-                (rx, captured, traced)
+                (rx, shard.take_records())
             },
         )
         .map_err(|panic| FrameError::Malformed {
@@ -210,18 +181,10 @@ impl CarpoolLink {
         })?;
 
         let mut receptions = Vec::with_capacity(shards.len());
-        for ((rx, captured, traced), &sta) in shards.into_iter().zip(stations) {
-            if let Some((snapshot, events)) = captured {
-                self.obs.merge_metrics(&snapshot);
-                for stamped in events {
-                    self.obs.emit(stamped.t, stamped.event);
-                }
-            }
-            if let (Some(flight), Some((records, dropped))) = (self.obs.flight(), traced) {
-                flight.absorb(&records, dropped);
-            }
+        for ((rx, records), &sta) in shards.into_iter().zip(stations) {
+            self.obs.absorb(&records);
             let rx = rx?;
-            self.emit_ahdr_truth(frame, sta, !rx.matched_indices.is_empty());
+            self.record_ahdr_truth(frame, sta, &rx);
             receptions.push(rx);
         }
         Ok(receptions)

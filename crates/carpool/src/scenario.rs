@@ -120,7 +120,7 @@ pub fn fig03_flight_trace(
             .as_bytes()
             .iter()
             .fold(0u64, |acc, &b| (acc << 8) | b as u64);
-        mac_obs.trace(TraceKind::MacEnqueue, i as f64 * 10e-6, sta_id, 1500);
+        mac_obs.trace(TraceKind::MacEnqueue, i as f64 * 10e-6, sta_id, 1500, 0);
         // AggDecision payload mirrors the frame-side AhdrDecision: the
         // Bloom positions this receiver's hash set occupies.
         mac_obs.trace(
@@ -128,6 +128,7 @@ pub fn fig03_flight_trace(
             T_AIR,
             sta_id,
             header.probe_mask(sta.as_bytes(), i),
+            0,
         );
     }
 
@@ -138,6 +139,7 @@ pub fn fig03_flight_trace(
         T_AIR,
         num_stas as u64,
         tx.payload_symbols() as u64,
+        0,
     );
 
     let mut link = CarpoolLink::builder()
@@ -158,6 +160,7 @@ pub fn fig03_flight_trace(
         T_AIR + airtime,
         num_stas as u64,
         tx.payload_symbols() as u64,
+        0,
     );
 
     let mut delivered = 0usize;
@@ -170,11 +173,11 @@ pub fn fig03_flight_trace(
         let t_ack = T_AIR + airtime + SIFS * (k + 1) as f64;
         if intact {
             delivered += 1;
-            // b carries the delivery delay (enqueue → ACK) as f64 bits.
+            // c carries the delivery delay (enqueue → ACK) as f64 bits.
             let delay = t_ack - k as f64 * 10e-6;
-            mac_obs.trace(TraceKind::MacAck, t_ack, sta_id, delay.to_bits());
+            mac_obs.trace(TraceKind::MacAck, t_ack, sta_id, 1500, delay.to_bits());
         } else {
-            mac_obs.trace(TraceKind::MacDrop, t_ack, sta_id, 0);
+            mac_obs.trace(TraceKind::MacDrop, t_ack, sta_id, 0, 0);
         }
     }
 
@@ -226,7 +229,13 @@ mod tests {
         assert_eq!(count(TraceKind::AggDecision), 2);
         assert_eq!(count(TraceKind::AirtimeStart), 1);
         assert_eq!(count(TraceKind::AirtimeEnd), 1);
-        assert_eq!(count(TraceKind::AhdrDecision), 3); // 2 STAs + outsider
+        // 2 STAs + outsider, each decided by the frame walk and graded
+        // against ground truth by the link facade.
+        let graded = records
+            .iter()
+            .filter(|r| r.kind() == Some(TraceKind::AhdrDecision) && r.c() != 0)
+            .count();
+        assert_eq!((count(TraceKind::AhdrDecision), graded), (6, 3));
         assert!(count(TraceKind::StaOutcome) >= 2);
         assert_eq!(count(TraceKind::MacAck), 2);
         assert!(count(TraceKind::RteRecal) > 0, "RTE events missing");

@@ -4,8 +4,9 @@
 //! once, and the pool worker builds one receive scratch. Per station the
 //! cost is exact and does not depend on how many stations came before:
 //!
-//! * the decoder setup: LTF and noise estimates, the RTE estimate copy
-//!   and a scratch placeholder (9 allocations);
+//! * the decoder setup: LTF and noise estimates and the RTE estimate
+//!   copy (3 allocations; a no-op observability handle allocates
+//!   nothing, and workers of an unobserved link get no record shard);
 //! * every decoded section's budget (see `crates/phy/tests/rx_alloc.rs`):
 //!   3 vectors, 2 more with the side channel on, and one row per OFDM
 //!   symbol;
@@ -41,7 +42,7 @@ fn per_station(rx: &CarpoolReception) -> usize {
     let payloads = rx.subframes.iter().filter(|s| s.payload.is_some()).count();
     let sections = 1 + sigs + payloads;
     let walk = if payloads > 0 { 8 } else { 5 };
-    9 + 3 * sections + 2 * payloads + rx.symbols_decoded + walk
+    3 + 3 * sections + 2 * payloads + rx.symbols_decoded + walk
 }
 
 #[test]

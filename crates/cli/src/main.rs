@@ -77,9 +77,9 @@ COMMANDS:
                one long QAM64-3/4 aggregate over the office channel,
                traced end to end (use with --trace-out)
                --stas <4> --snr <30> --seed <42>
-    report     Render an --obs JSONL stream as per-layer summary tables
-               (including flight-recorder timelines from a --trace-out
-               .jsonl file)
+    report     Render a flight-record JSONL file (--obs, or the .jsonl
+               beside --trace-out) as per-layer tables and frame
+               timelines
                carpool report <path.jsonl>
     lint       Run the project lint gate (crate layering, atomic
                ordering notes, dead public API, unit suffixes, shard
@@ -88,15 +88,17 @@ COMMANDS:
     help       Show this message
 
 OBSERVABILITY (accepted by every command):
-    --obs <path.jsonl>   Stream structured events (PHY/frame/MAC/traffic
-                         plus timing spans) to a JSONL file; inspect with
-                         `carpool report <path.jsonl>`.
+    --obs <path.jsonl>   Stream every flight record (one per PHY/frame/
+                         MAC/traffic decision) to a JSONL file; inspect
+                         with `carpool report <path.jsonl>`.
     --obs-summary        Print the metrics registry (counters, gauges,
-                         histogram quantiles) to stderr when done.
-    --trace-out <path>   Attach the frame flight recorder and export a
-                         Chrome trace_event JSON (open in chrome://tracing
-                         or https://ui.perfetto.dev) plus <path>.jsonl
-                         when the command finishes.
+                         histogram quantiles, wall-clock spans) to stderr
+                         when done.
+    --trace-out <path>   Keep the newest records in the flight-recorder
+                         ring and export them as Chrome trace_event JSON
+                         (open in chrome://tracing or
+                         https://ui.perfetto.dev) plus <path>.jsonl when
+                         the command finishes.
 
 PARALLELISM (accepted by every command):
     --threads <N>        Worker threads for parallel trial execution.
@@ -466,7 +468,9 @@ fn cmd_trace(args: &Args, obs: &carpool_obs::Obs) -> Result<(), String> {
         return Err("--stas must be 1..=8".to_string());
     }
     if !obs.tracing() {
-        eprintln!("# note: no --trace-out given; running untraced (add --trace-out trace.json)");
+        eprintln!(
+            "# note: no --trace-out or --obs given; no records kept (add --trace-out trace.json)"
+        );
     }
     let summary = carpool::fig03_flight_trace(stas, snr, seed, obs).map_err(|e| e.to_string())?;
     println!(

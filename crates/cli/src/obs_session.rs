@@ -1,18 +1,19 @@
 //! Shared `--obs` / `--obs-summary` / `--trace-out` wiring for every
 //! subcommand.
 //!
-//! `--obs <path.jsonl>` streams structured events to a JSONL file while
-//! the command runs; `--obs-summary` prints the metrics registry
-//! (counters, gauges, histogram quantiles) to stderr afterwards;
-//! `--trace-out <path.json>` attaches the flight recorder and exports a
-//! Chrome `trace_event` JSON (plus `<path>.jsonl`) at the end. All may
-//! be combined; with none, the returned handle is the no-op one and the
-//! instrumented code paths cost a single branch.
+//! Every decision site records one flight record; the flags choose
+//! where records go. `--obs <path.jsonl>` streams every record to a
+//! JSONL file while the command runs (unbounded); `--trace-out
+//! <path.json>` keeps the newest records in the flight-recorder ring
+//! and renders it as a Chrome `trace_event` JSON plus `<path>.jsonl` in
+//! the same line format at the end; `--obs-summary` prints the metrics
+//! registry (counters, gauges, histogram quantiles) to stderr
+//! afterwards. All may be combined; with none, the returned handle is
+//! the no-op one and the instrumented code paths cost a single branch.
 
 use crate::args::Args;
 use carpool_obs::{
-    flight, EventSink, FlightRecorder, JsonlSink, MemoryRecorder, MetricsSnapshot, NoopSink, Obs,
-    DEFAULT_TRACE_CAPACITY,
+    flight, FlightRecorder, MemoryRecorder, MetricsSnapshot, Obs, DEFAULT_TRACE_CAPACITY,
 };
 use std::sync::Arc;
 
@@ -57,13 +58,12 @@ impl ObsSession {
             });
         }
         let recorder = Arc::new(MemoryRecorder::new());
-        let sink: Arc<dyn EventSink + Send + Sync> = match &path {
-            Some(p) => Arc::new(
-                JsonlSink::create(p).map_err(|e| format!("cannot create --obs file '{p}': {e}"))?,
-            ),
-            None => Arc::new(NoopSink),
-        };
-        let mut obs = Obs::new(recorder.clone(), sink);
+        let mut obs = Obs::with_recorder(recorder.clone());
+        if let Some(p) = &path {
+            let file = std::fs::File::create(p)
+                .map_err(|e| format!("cannot create --obs file '{p}': {e}"))?;
+            obs = obs.with_stream(file);
+        }
         let mut flight = None;
         if trace_path.is_some() {
             let f = Arc::new(FlightRecorder::new(DEFAULT_TRACE_CAPACITY));
@@ -85,12 +85,12 @@ impl ObsSession {
         self.obs.clone()
     }
 
-    /// Flushes the JSONL sink, exports the flight-recorder trace, and
-    /// prints the `--obs-summary` tables.
+    /// Flushes the `--obs` stream, exports the flight-recorder trace,
+    /// and prints the `--obs-summary` tables.
     pub fn finish(&self) {
         self.obs.flush();
         if let Some(p) = &self.path {
-            eprintln!("# obs events written to {p}");
+            eprintln!("# obs records written to {p}");
         }
         if let (Some(f), Some(p)) = (&self.flight, &self.trace_path) {
             let records = f.records();
@@ -187,7 +187,8 @@ mod tests {
         let s = ObsSession::from_args(&parse(&["trace", "--trace-out", "t.json"])).expect("builds");
         assert!(s.obs().enabled());
         assert!(s.obs().tracing());
-        s.obs().trace(carpool_obs::TraceKind::MacEnqueue, 0.0, 1, 2);
+        s.obs()
+            .trace(carpool_obs::TraceKind::MacEnqueue, 0.0, 1, 2, 0);
         assert_eq!(s.flight.as_ref().expect("flight").len(), 1);
     }
 

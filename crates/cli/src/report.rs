@@ -1,16 +1,19 @@
-//! `carpool report` — render an `--obs` JSONL event stream as per-layer
+//! `carpool report` — render a flight-record JSONL stream as per-layer
 //! summary tables.
 //!
-//! The stream is self-describing (every record carries `kind` and
-//! `layer`), so the report works on any mix of subcommand outputs: a
-//! `mac-sim` run yields the MAC table, a `frame` run the PHY and frame
-//! tables, and so on. Unknown kinds are counted but never fatal —
-//! forward compatibility matters more than strictness here.
+//! Both `--obs` streams and the `.jsonl` beside a `--trace-out` export
+//! are one [`TraceRecord`] per line, so the report has one reader and
+//! one dispatch table over [`TraceKind`]: a `mac-sim` run yields the MAC
+//! table, a `frame` run the PHY and frame tables, and every record tied
+//! to a frame id also lands on that frame's timeline. Unknown kinds
+//! (including the retired per-layer event format) are counted but never
+//! fatal — forward compatibility matters more than strictness here.
 
-use carpool_obs::{LogHistogram, ParsedEvent};
+use carpool_obs::flight::{AHDR_BITMAP_SHIFT, AHDR_OUTSIDER};
+use carpool_obs::{json, LogHistogram, TraceKind, TraceRecord};
 use std::collections::BTreeMap;
 
-/// Per-frame lifecycle assembled from flight-recorder `trace_*` events.
+/// Per-frame lifecycle assembled from the records carrying its id.
 #[derive(Debug, Default, Clone)]
 pub struct FrameTimeline {
     /// MAC enqueue time (sim seconds).
@@ -43,7 +46,7 @@ pub struct FrameTimeline {
 }
 
 impl FrameTimeline {
-    /// Airtime of this frame, when both endpoints were traced.
+    /// Airtime of this frame, when both endpoints were recorded.
     pub fn airtime(&self) -> Option<f64> {
         match (self.air_start, self.air_end) {
             (Some(s), Some(e)) if e >= s => Some(e - s),
@@ -52,11 +55,11 @@ impl FrameTimeline {
     }
 }
 
-/// Aggregates accumulated from one event stream.
+/// Aggregates accumulated from one record stream.
 #[derive(Debug, Default)]
 pub struct ReportAggregates {
     // Stream-wide.
-    pub events: u64,
+    pub records: u64,
     pub malformed: u64,
     pub unknown_kinds: u64,
     pub t_max: f64,
@@ -72,8 +75,8 @@ pub struct ReportAggregates {
     pub ahdr_false_positives: u64,
     pub ahdr_true_negatives: u64,
     pub subframe_accepted: u64,
-    pub subframe_rejected: u64,
     pub subframe_bytes: u64,
+    pub early_drops: u64,
     // MAC.
     pub delivered_frames: u64,
     pub delivered_bytes: u64,
@@ -85,196 +88,148 @@ pub struct ReportAggregates {
     pub airtime_s: f64,
     pub delay: LogHistogram,
     pub drop_delay: LogHistogram,
-    // Traffic.
+    // Traffic: MAC enqueues and replayed trace arrivals.
     pub arrivals: u64,
     pub arrival_bytes: u64,
-    // Spans, keyed by name.
-    pub spans: Vec<(String, SpanAgg)>,
-    // Flight recorder (trace_* kinds from --trace-out JSONL).
-    pub trace_records: u64,
-    /// Ring-overflow accounting from the `trace_summary` trailer.
-    pub trace_dropped: u64,
+    // Frame timelines.
+    /// Ring-overflow accounting from a `--trace-out` export's
+    /// `trace_summary` trailer (absent from `--obs` streams).
+    pub ring_dropped: Option<u64>,
     pub frames: BTreeMap<u64, FrameTimeline>,
-    pub trace_airtime: LogHistogram,
-    pub trace_delivery_delay: LogHistogram,
+    pub airtime: LogHistogram,
     /// Gap between consecutive applied RTE recalibrations within one
     /// frame — the recalibration cadence.
-    pub trace_rte_gap: LogHistogram,
-}
-
-/// Wall-clock span aggregate (microseconds).
-#[derive(Debug, Default, Clone)]
-pub struct SpanAgg {
-    pub count: u64,
-    pub total_us: u64,
-    pub max_us: u64,
+    pub rte_gap: LogHistogram,
 }
 
 impl ReportAggregates {
-    /// Folds one parsed event into the aggregates.
-    pub fn ingest(&mut self, e: &ParsedEvent) {
-        self.events += 1;
-        if e.t > self.t_max {
-            self.t_max = e.t;
-        }
-        match e.kind.as_str() {
-            "rte_update" => {
-                if e.bool_field("applied") == Some(true) {
-                    self.rte_applied += 1;
-                } else {
-                    self.rte_rejected += 1;
+    /// Folds one record into the layer tables and, when it carries a
+    /// frame id, that frame's timeline.
+    pub fn ingest(&mut self, rec: &TraceRecord) {
+        let Some(kind) = rec.kind() else {
+            self.unknown_kinds += 1;
+            return;
+        };
+        self.records += 1;
+        let (t, a, b, c) = (rec.t(), rec.a(), rec.b(), rec.c());
+        self.t_max = self.t_max.max(t);
+        // Records not tied to a frame (id 0) update a throwaway timeline.
+        let mut scratch = FrameTimeline::default();
+        let tl = match rec.frame() {
+            0 => &mut scratch,
+            id => self.frames.entry(id).or_default(),
+        };
+        match kind {
+            TraceKind::MacEnqueue => {
+                self.arrivals += 1;
+                self.arrival_bytes += b;
+                tl.enqueue = tl.enqueue.or(Some(t));
+            }
+            TraceKind::TrafficArrival => {
+                self.arrivals += 1;
+                self.arrival_bytes += b;
+            }
+            TraceKind::AggDecision => tl.agg = tl.agg.or(Some(t)),
+            TraceKind::AirtimeStart => {
+                tl.air_start = tl.air_start.or(Some(t));
+                tl.last_air_start = Some(t);
+            }
+            TraceKind::AirtimeEnd => {
+                tl.air_end = Some(t);
+                // Each end closes the most recent start, so a frame that
+                // retransmits contributes one sample per time on air.
+                if let Some(s) = tl.last_air_start.take() {
+                    if t >= s {
+                        self.airtime.record(t - s);
+                    }
                 }
             }
-            "side_crc" => {
-                if e.bool_field("ok") == Some(true) {
-                    self.side_crc_ok += 1;
-                } else {
-                    self.side_crc_fail += 1;
+            TraceKind::RteRecal if b == 1 => {
+                self.rte_applied += 1;
+                tl.rte_applied += 1;
+                if let Some(prev) = tl.last_rte {
+                    self.rte_gap.record(t - prev);
                 }
+                tl.last_rte = Some(t);
             }
-            "eq_reset" => self.equalizer_resets += 1,
-            "ahdr_check" => {
-                let matched = e.bool_field("matched") == Some(true);
+            TraceKind::RteRecal => {
+                self.rte_rejected += 1;
+                tl.rte_rejected += 1;
+            }
+            TraceKind::SideCrc if b == 1 => {
+                self.side_crc_ok += 1;
+                tl.side_ok += 1;
+            }
+            TraceKind::SideCrc => {
+                self.side_crc_fail += 1;
+                tl.side_fail += 1;
+            }
+            TraceKind::EqReset => self.equalizer_resets += 1,
+            TraceKind::AhdrDecision => {
+                let matched = b >> AHDR_BITMAP_SHIFT != 0;
                 if matched {
                     self.ahdr_matched += 1;
                 } else {
                     self.ahdr_missed += 1;
                 }
-                // Ground truth is only present when the emitter knew the
-                // real receiver set (facade deliveries, bloom probes).
-                match (matched, e.bool_field("expected")) {
-                    (true, Some(false)) => self.ahdr_false_positives += 1,
-                    (false, Some(false)) => self.ahdr_true_negatives += 1,
+                // Ground truth is only present when the recorder knew
+                // the real receiver set (facade deliveries, bloom probes).
+                match (matched, c) {
+                    (true, AHDR_OUTSIDER) => self.ahdr_false_positives += 1,
+                    (false, AHDR_OUTSIDER) => self.ahdr_true_negatives += 1,
                     _ => {}
                 }
+                tl.ahdr_checks += 1;
             }
-            "subframe_accept" => {
+            // b bit 0 = delivered flag, upper bits = payload bytes.
+            TraceKind::StaOutcome if b & 1 == 1 => {
                 self.subframe_accepted += 1;
-                self.subframe_bytes += e.u64_field("bytes").unwrap_or(0);
+                self.subframe_bytes += b >> 1;
+                tl.sta_delivered += 1;
             }
-            "subframe_reject" => self.subframe_rejected += 1,
-            "mac_delivery" => {
+            TraceKind::StaOutcome => {
+                self.early_drops += 1;
+                tl.sta_dropped += 1;
+            }
+            TraceKind::MacAck => {
                 self.delivered_frames += 1;
-                self.delivered_bytes += e.u64_field("bytes").unwrap_or(0);
-                if let Some(d) = e.f64_field("delay") {
-                    self.delay.record(d);
-                }
-            }
-            "mac_drop" => {
-                self.dropped_frames += 1;
-                if let Some(d) = e.f64_field("delay") {
-                    self.drop_delay.record(d);
-                }
-            }
-            "mac_retx" => self.retransmissions += 1,
-            "mac_tx" => {
-                self.transmissions += 1;
-                self.aggregated_stas += e.u64_field("stas").unwrap_or(0);
-                self.airtime_s += e.f64_field("airtime").unwrap_or(0.0);
-            }
-            "mac_collision" => self.collisions += 1,
-            "queue_depth" | "backoff" => {}
-            "traffic_arrival" => {
-                self.arrivals += 1;
-                self.arrival_bytes += e.u64_field("bytes").unwrap_or(0);
-            }
-            "span_end" => {
-                let name = e.str_field("name").unwrap_or("?").to_string();
-                let us = e.u64_field("micros").unwrap_or(0);
-                if self.spans.iter().all(|(n, _)| *n != name) {
-                    self.spans.push((name.clone(), SpanAgg::default()));
-                }
-                if let Some((_, agg)) = self.spans.iter_mut().find(|(n, _)| *n == name) {
-                    agg.count += 1;
-                    agg.total_us += us;
-                    agg.max_us = agg.max_us.max(us);
-                }
-            }
-            kind if kind.starts_with("trace_") => self.ingest_trace(kind, e),
-            _ => self.unknown_kinds += 1,
-        }
-    }
-
-    /// Folds one flight-recorder record into the per-frame timelines.
-    fn ingest_trace(&mut self, kind: &str, e: &ParsedEvent) {
-        if kind == "trace_summary" {
-            self.trace_dropped += e.u64_field("dropped").unwrap_or(0);
-            return;
-        }
-        self.trace_records += 1;
-        let frame = e.u64_field("frame").unwrap_or(0);
-        let tl = self.frames.entry(frame).or_default();
-        match kind {
-            "trace_enqueue" => tl.enqueue = tl.enqueue.or(Some(e.t)),
-            "trace_agg" => tl.agg = tl.agg.or(Some(e.t)),
-            "trace_airtime_start" => {
-                tl.air_start = tl.air_start.or(Some(e.t));
-                tl.last_air_start = Some(e.t);
-            }
-            "trace_airtime_end" => tl.air_end = Some(e.t),
-            "trace_rte" => {
-                if e.u64_field("b") == Some(1) {
-                    tl.rte_applied += 1;
-                    if let Some(prev) = tl.last_rte {
-                        self.trace_rte_gap.record(e.t - prev);
-                    }
-                    tl.last_rte = Some(e.t);
-                } else {
-                    tl.rte_rejected += 1;
-                }
-            }
-            "trace_side_crc" => {
-                if e.u64_field("b") == Some(1) {
-                    tl.side_ok += 1;
-                } else {
-                    tl.side_fail += 1;
-                }
-            }
-            "trace_ahdr" => tl.ahdr_checks += 1,
-            "trace_outcome" => {
-                // b bit 0 = delivered flag, upper bits = payload bytes.
-                if e.u64_field("b").unwrap_or(0) & 1 == 1 {
-                    tl.sta_delivered += 1;
-                } else {
-                    tl.sta_dropped += 1;
-                }
-            }
-            "trace_ack" => {
+                self.delivered_bytes += b;
+                self.delay.record(f64::from_bits(c));
                 tl.acked += 1;
-                // b carries the enqueue→ACK delay as f64 bits.
-                if let Some(bits) = e.u64_field("b") {
-                    let delay = f64::from_bits(bits);
-                    if delay.is_finite() && delay >= 0.0 {
-                        self.trace_delivery_delay.record(delay);
-                    }
-                }
             }
-            "trace_drop" => tl.dropped += 1,
-            "trace_retx" => tl.retx += 1,
-            _ => self.unknown_kinds += 1,
-        }
-        // Each end event closes the most recent start, so a frame that
-        // retransmits contributes one airtime sample per time on air.
-        if kind == "trace_airtime_end" {
-            if let Some(s) = tl.last_air_start.take() {
-                if e.t >= s {
-                    self.trace_airtime.record(e.t - s);
-                }
+            TraceKind::MacDrop => {
+                self.dropped_frames += 1;
+                self.drop_delay.record(f64::from_bits(b));
+                tl.dropped += 1;
             }
+            TraceKind::MacRetx => {
+                self.retransmissions += 1;
+                tl.retx += 1;
+            }
+            TraceKind::MacTx => {
+                self.transmissions += 1;
+                self.aggregated_stas += a;
+                self.airtime_s += f64::from_bits(b);
+            }
+            TraceKind::MacCollision => self.collisions += 1,
         }
     }
 
     /// Parses a whole JSONL document, tolerating blank lines.
     pub fn from_jsonl(text: &str) -> ReportAggregates {
         let mut agg = ReportAggregates::default();
-        for line in text.lines() {
-            let trimmed = line.trim();
-            if trimmed.is_empty() {
+        for line in text.lines().map(str::trim).filter(|l| !l.is_empty()) {
+            let Ok(value) = json::parse(line) else {
+                agg.malformed += 1;
                 continue;
-            }
-            match ParsedEvent::from_json_line(trimmed) {
-                Ok(e) => agg.ingest(&e),
-                Err(_) => agg.malformed += 1,
+            };
+            if let Some(rec) = TraceRecord::from_json(&value) {
+                agg.ingest(&rec);
+            } else if value.get("kind").and_then(json::JsonValue::as_str) == Some("trace_summary") {
+                let dropped = value.get("dropped").and_then(json::JsonValue::as_u64);
+                agg.ring_dropped = Some(agg.ring_dropped.unwrap_or(0) + dropped.unwrap_or(0));
+            } else {
+                agg.unknown_kinds += 1;
             }
         }
         agg
@@ -296,8 +251,8 @@ impl ReportAggregates {
     pub fn render(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!(
-            "events: {} ({} malformed, {} unknown kinds), time extent {:.3} s\n",
-            self.events, self.malformed, self.unknown_kinds, self.t_max
+            "records: {} ({} malformed, {} unknown kinds), time extent {:.3} s\n",
+            self.records, self.malformed, self.unknown_kinds, self.t_max
         ));
 
         if self.rte_applied
@@ -332,9 +287,7 @@ impl ReportAggregates {
             ));
         }
 
-        if self.ahdr_matched + self.ahdr_missed + self.subframe_accepted + self.subframe_rejected
-            > 0
-        {
+        if self.ahdr_matched + self.ahdr_missed + self.subframe_accepted + self.early_drops > 0 {
             out.push_str("\nFRAME / A-HDR\n");
             out.push_str(&format!(
                 "  membership checks  : {} matched / {} missed\n",
@@ -349,8 +302,8 @@ impl ReportAggregates {
                 ));
             }
             out.push_str(&format!(
-                "  subframes          : {} accepted ({} B) / {} rejected\n",
-                self.subframe_accepted, self.subframe_bytes, self.subframe_rejected
+                "  subframes          : {} accepted ({} B) / {} early A-HDR drops\n",
+                self.subframe_accepted, self.subframe_bytes, self.early_drops
             ));
         }
 
@@ -406,92 +359,75 @@ impl ReportAggregates {
             ));
         }
 
-        if self.trace_records > 0 || self.trace_dropped > 0 {
-            out.push_str("\nFLIGHT RECORDER\n");
-            out.push_str(&format!(
-                "  records            : {} across {} frames ({} lost to ring overflow)\n",
-                self.trace_records,
-                self.frames.len(),
-                self.trace_dropped
-            ));
-            let quant_line = |name: &str, h: &LogHistogram, scale: f64, unit: &str| {
-                let q = h.quantiles();
-                format!(
-                    "  {name:<19}: p50 {:.1} {unit}, p95 {:.1} {unit}, p99 {:.1} {unit}, p999 {:.1} {unit} ({} samples)\n",
-                    q.p50 * scale,
-                    q.p95 * scale,
-                    q.p99 * scale,
-                    q.p999 * scale,
-                    h.count()
-                )
-            };
-            if self.trace_airtime.count() > 0 {
-                out.push_str(&quant_line("airtime", &self.trace_airtime, 1e6, "us"));
-            }
-            if self.trace_delivery_delay.count() > 0 {
-                out.push_str(&quant_line(
-                    "delivery delay",
-                    &self.trace_delivery_delay,
-                    1e3,
-                    "ms",
-                ));
-            }
-            if self.trace_rte_gap.count() > 0 {
-                out.push_str(&quant_line("RTE cadence", &self.trace_rte_gap, 1e6, "us"));
-            }
-            // Per-frame timelines, capped to keep huge traces readable.
-            const MAX_TIMELINES: usize = 8;
-            for (id, tl) in self.frames.iter().take(MAX_TIMELINES) {
-                let stamp =
-                    |t: Option<f64>| t.map_or("-".to_string(), |t| format!("{:.1}us", t * 1e6));
-                let air = tl
-                    .airtime()
-                    .map_or(String::new(), |a| format!(" ({:.1}us)", a * 1e6));
-                out.push_str(&format!(
-                    "  frame {id:<6} enq {} | agg {} | air {}..{}{air} | rte {}+/{}- | crc {}+/{}- | ahdr {} | sta {}ok/{}drop | {}\n",
-                    stamp(tl.enqueue),
-                    stamp(tl.agg),
-                    stamp(tl.air_start),
-                    stamp(tl.air_end),
-                    tl.rte_applied,
-                    tl.rte_rejected,
-                    tl.side_ok,
-                    tl.side_fail,
-                    tl.ahdr_checks,
-                    tl.sta_delivered,
-                    tl.sta_dropped,
-                    if tl.dropped > 0 {
-                        "DROPPED".to_string()
-                    } else if tl.acked > 0 {
-                        format!("acked x{}", tl.acked)
-                    } else if tl.retx > 0 {
-                        format!("retx x{}", tl.retx)
-                    } else {
-                        "open".to_string()
-                    }
-                ));
-            }
-            if self.frames.len() > MAX_TIMELINES {
-                out.push_str(&format!(
-                    "  ... {} more frames (full detail in the .jsonl / chrome trace)\n",
-                    self.frames.len() - MAX_TIMELINES
-                ));
-            }
-        }
-
-        if !self.spans.is_empty() {
-            out.push_str("\nSPANS (wall clock)        count   total ms    mean us     max us\n");
-            for (name, a) in &self.spans {
-                out.push_str(&format!(
-                    "  {name:<22} {:>7} {:>10.2} {:>10.1} {:>10}\n",
-                    a.count,
-                    a.total_us as f64 / 1e3,
-                    a.total_us as f64 / a.count.max(1) as f64,
-                    a.max_us
-                ));
-            }
+        if !self.frames.is_empty() || self.ring_dropped.is_some() {
+            self.render_timelines(&mut out);
         }
         out
+    }
+
+    /// The per-frame section: totals, airtime and RTE-cadence quantiles,
+    /// and the first few timelines.
+    fn render_timelines(&self, out: &mut String) {
+        out.push_str("\nFRAME TIMELINES\n");
+        out.push_str(&format!("  frames             : {}", self.frames.len()));
+        if let Some(dropped) = self.ring_dropped {
+            out.push_str(&format!(" ({dropped} records lost to ring overflow)"));
+        }
+        out.push('\n');
+        let quant_line = |name: &str, h: &LogHistogram| {
+            let q = h.quantiles();
+            format!(
+                "  {name:<19}: p50 {:.1} us, p95 {:.1} us, p99 {:.1} us, p999 {:.1} us ({} samples)\n",
+                q.p50 * 1e6,
+                q.p95 * 1e6,
+                q.p99 * 1e6,
+                q.p999 * 1e6,
+                h.count()
+            )
+        };
+        if self.airtime.count() > 0 {
+            out.push_str(&quant_line("airtime", &self.airtime));
+        }
+        if self.rte_gap.count() > 0 {
+            out.push_str(&quant_line("RTE cadence", &self.rte_gap));
+        }
+        // Per-frame timelines, capped to keep huge streams readable.
+        const MAX_TIMELINES: usize = 8;
+        for (id, tl) in self.frames.iter().take(MAX_TIMELINES) {
+            let stamp = |t: Option<f64>| t.map_or("-".to_string(), |t| format!("{:.1}us", t * 1e6));
+            let air = tl
+                .airtime()
+                .map_or(String::new(), |a| format!(" ({:.1}us)", a * 1e6));
+            out.push_str(&format!(
+                "  frame {id:<6} enq {} | agg {} | air {}..{}{air} | rte {}+/{}- | crc {}+/{}- | ahdr {} | sta {}ok/{}drop | {}\n",
+                stamp(tl.enqueue),
+                stamp(tl.agg),
+                stamp(tl.air_start),
+                stamp(tl.air_end),
+                tl.rte_applied,
+                tl.rte_rejected,
+                tl.side_ok,
+                tl.side_fail,
+                tl.ahdr_checks,
+                tl.sta_delivered,
+                tl.sta_dropped,
+                if tl.dropped > 0 {
+                    "DROPPED".to_string()
+                } else if tl.acked > 0 {
+                    format!("acked x{}", tl.acked)
+                } else if tl.retx > 0 {
+                    format!("retx x{}", tl.retx)
+                } else {
+                    "open".to_string()
+                }
+            ));
+        }
+        if self.frames.len() > MAX_TIMELINES {
+            out.push_str(&format!(
+                "  ... {} more frames (full detail in the .jsonl / chrome trace)\n",
+                self.frames.len() - MAX_TIMELINES
+            ));
+        }
     }
 }
 
@@ -506,8 +442,8 @@ pub fn cmd_report(args: &crate::args::Args) -> Result<(), String> {
         .ok_or("usage: carpool report <path.jsonl>")?;
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read '{path}': {e}"))?;
     let agg = ReportAggregates::from_jsonl(&text);
-    if agg.events == 0 {
-        return Err(format!("'{path}' contains no parseable obs events"));
+    if agg.records == 0 && agg.ring_dropped.is_none() {
+        return Err(format!("'{path}' contains no parseable obs records"));
     }
     print!("{}", agg.render());
     Ok(())
@@ -516,78 +452,30 @@ pub fn cmd_report(args: &crate::args::Args) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use carpool_obs::{Event, Stamped};
+    use carpool_obs::flight;
 
-    fn line(t: f64, seq: u64, event: Event) -> String {
-        Stamped { t, seq, event }.to_json_line()
+    fn text(records: &[TraceRecord]) -> String {
+        records.iter().map(|r| r.to_json_line() + "\n").collect()
     }
 
     #[test]
     fn aggregates_match_a_small_synthetic_stream() {
-        let mut text = String::new();
-        text.push_str(&line(
-            0.1,
-            0,
-            Event::MacDelivery {
-                dest: 1,
-                bytes: 1000,
-                delay: 0.01,
-            },
-        ));
-        text.push('\n');
-        text.push_str(&line(
-            0.2,
-            1,
-            Event::MacDelivery {
-                dest: 2,
-                bytes: 500,
-                delay: 0.04,
-            },
-        ));
-        text.push('\n');
-        text.push_str(&line(
-            0.3,
-            2,
-            Event::MacDrop {
-                dest: 1,
-                delay: 0.2,
-            },
-        ));
-        text.push('\n');
-        text.push_str(&line(
-            0.3,
-            3,
-            Event::MacTx {
-                stas: 4,
-                airtime: 0.002,
-            },
-        ));
-        text.push('\n');
-        text.push_str(&line(
-            0.4,
-            4,
-            Event::AhdrCheck {
-                station: 9,
-                matched: true,
-                expected: Some(false),
-            },
-        ));
-        text.push('\n');
-        text.push_str(&line(
-            0.4,
-            5,
-            Event::AhdrCheck {
-                station: 9,
-                matched: false,
-                expected: Some(false),
-            },
-        ));
-        text.push('\n');
-        text.push_str("not json\n");
+        let matched = 1 << AHDR_BITMAP_SHIFT;
+        let mut stream = text(&[
+            TraceRecord::new(TraceKind::MacAck, 1, 0.1, 1, 1000, 0.01f64.to_bits()),
+            TraceRecord::new(TraceKind::MacAck, 2, 0.2, 2, 500, 0.04f64.to_bits()),
+            TraceRecord::new(TraceKind::MacDrop, 3, 0.3, 1, 0.2f64.to_bits(), 0),
+            TraceRecord::new(TraceKind::MacTx, 0, 0.3, 4, 0.002f64.to_bits(), 0),
+            TraceRecord::new(TraceKind::AhdrDecision, 0, 0.4, 9, matched, AHDR_OUTSIDER),
+            TraceRecord::new(TraceKind::AhdrDecision, 0, 0.4, 9, 0, AHDR_OUTSIDER),
+        ]);
+        stream.push_str("not json\n");
+        stream.push_str(r#"{"t":0.5,"seq":7,"kind":"mac_delivery","layer":"mac","dest":1}"#);
 
-        let agg = ReportAggregates::from_jsonl(&text);
-        assert_eq!(agg.events, 6);
+        let agg = ReportAggregates::from_jsonl(&stream);
+        assert_eq!(agg.records, 6);
         assert_eq!(agg.malformed, 1);
+        assert_eq!(agg.unknown_kinds, 1, "the retired event format is unknown");
         assert_eq!(agg.delivered_frames, 2);
         assert_eq!(agg.delivered_bytes, 1500);
         assert_eq!(agg.dropped_frames, 1);
@@ -595,81 +483,41 @@ mod tests {
         assert_eq!(agg.ahdr_false_positives, 1);
         assert_eq!(agg.ahdr_fp_ratio(), Some(0.5));
         assert!((agg.t_max - 0.4).abs() < 1e-12);
-        assert!((agg.delay.max() - 0.04).abs() < 1e-3);
+        assert_eq!(agg.delay.max(), 0.04);
+        assert_eq!(agg.frames.len(), 3, "frame id 0 has no timeline");
         let report = agg.render();
         assert!(report.contains("MAC"));
         assert!(report.contains("FRAME / A-HDR"));
     }
 
     #[test]
-    fn span_ends_aggregate_by_name() {
-        let mut text = String::new();
-        text.push_str(&line(
-            0.0,
-            0,
-            Event::SpanEnd {
-                name: "phy.decode",
-                micros: 100,
-            },
-        ));
-        text.push('\n');
-        text.push_str(&line(
-            0.0,
-            1,
-            Event::SpanEnd {
-                name: "phy.decode",
-                micros: 300,
-            },
-        ));
-        text.push('\n');
-        text.push_str(&line(
-            0.0,
-            2,
-            Event::SpanEnd {
-                name: "mac.sim_loop",
-                micros: 50,
-            },
-        ));
-        let agg = ReportAggregates::from_jsonl(&text);
-        assert_eq!(agg.spans.len(), 2);
-        let decode = &agg.spans.iter().find(|(n, _)| n == "phy.decode").unwrap().1;
-        assert_eq!(decode.count, 2);
-        assert_eq!(decode.total_us, 400);
-        assert_eq!(decode.max_us, 300);
-        assert!(agg.render().contains("mac.sim_loop"));
-    }
-
-    #[test]
-    fn empty_stream_reports_zero_events() {
+    fn empty_stream_reports_zero_records() {
         let agg = ReportAggregates::from_jsonl("\n\n");
-        assert_eq!(agg.events, 0);
+        assert_eq!(agg.records, 0);
     }
 
     #[test]
     fn flight_trace_stream_builds_frame_timelines() {
-        use carpool_obs::{flight, TraceKind, TraceRecord};
-
         let delay = 0.0015f64;
         let records = vec![
-            TraceRecord::new(TraceKind::MacEnqueue, 1, 0.0, 7, 1500),
-            TraceRecord::new(TraceKind::AggDecision, 1, 100e-6, 7, 0),
-            TraceRecord::new(TraceKind::AirtimeStart, 1, 100e-6, 7, 500),
-            TraceRecord::new(TraceKind::RteRecal, 1, 140e-6, 10, 1),
-            TraceRecord::new(TraceKind::RteRecal, 1, 180e-6, 20, 1),
-            TraceRecord::new(TraceKind::RteRecal, 1, 220e-6, 30, 0),
-            TraceRecord::new(TraceKind::SideCrc, 1, 180e-6, 0, 1),
-            TraceRecord::new(TraceKind::AhdrDecision, 1, 110e-6, 7, 1),
-            TraceRecord::new(TraceKind::StaOutcome, 1, 300e-6, 7, (1500 << 1) | 1),
-            TraceRecord::new(TraceKind::AirtimeEnd, 1, 500e-6, 7, 500),
-            TraceRecord::new(TraceKind::MacAck, 1, 520e-6, 7, delay.to_bits()),
-            TraceRecord::new(TraceKind::StaOutcome, 2, 10e-6, 9, 0),
+            TraceRecord::new(TraceKind::MacEnqueue, 1, 0.0, 7, 1500, 0),
+            TraceRecord::new(TraceKind::AggDecision, 1, 100e-6, 7, 0, 0),
+            TraceRecord::new(TraceKind::AirtimeStart, 1, 100e-6, 7, 500, 0),
+            TraceRecord::new(TraceKind::RteRecal, 1, 140e-6, 10, 1, 0),
+            TraceRecord::new(TraceKind::RteRecal, 1, 180e-6, 20, 1, 0),
+            TraceRecord::new(TraceKind::RteRecal, 1, 220e-6, 30, 0, 0),
+            TraceRecord::new(TraceKind::SideCrc, 1, 180e-6, 0, 1, 0),
+            TraceRecord::new(TraceKind::AhdrDecision, 1, 110e-6, 7, 1 << 48, 0),
+            TraceRecord::new(TraceKind::StaOutcome, 1, 300e-6, 7, (1500 << 1) | 1, 0),
+            TraceRecord::new(TraceKind::AirtimeEnd, 1, 500e-6, 7, 500, 0),
+            TraceRecord::new(TraceKind::MacAck, 1, 520e-6, 7, 1500, delay.to_bits()),
+            TraceRecord::new(TraceKind::StaOutcome, 2, 10e-6, 9, 0, 0),
         ];
-        let text = flight::to_jsonl(&records, 3);
-        let agg = ReportAggregates::from_jsonl(&text);
+        let agg = ReportAggregates::from_jsonl(&flight::to_jsonl(&records, 3));
         assert_eq!(agg.malformed, 0);
         assert_eq!(agg.unknown_kinds, 0);
-        assert_eq!(agg.trace_records, 12);
-        assert_eq!(agg.trace_dropped, 3);
+        assert_eq!(agg.records, 12);
+        assert_eq!(agg.ring_dropped, Some(3));
         assert_eq!(agg.frames.len(), 2);
 
         let tl = &agg.frames[&1];
@@ -682,14 +530,14 @@ mod tests {
         assert_eq!(agg.frames[&2].sta_dropped, 1);
 
         // The RTE cadence histogram saw the 40 us inter-recal gap.
-        assert_eq!(agg.trace_rte_gap.count(), 1);
-        assert!((agg.trace_delivery_delay.max() - delay).abs() < 1e-12);
+        assert_eq!(agg.rte_gap.count(), 1);
+        assert_eq!(agg.delay.max(), delay);
 
         let report = agg.render();
-        assert!(report.contains("FLIGHT RECORDER"));
-        assert!(report.contains("ring overflow"));
+        assert!(report.contains("FRAME TIMELINES"));
+        assert!(report.contains("3 records lost to ring overflow"));
         assert!(report.contains("RTE cadence"));
         assert!(report.contains("frame 1"));
-        assert!(report.contains("DROPPED") || report.contains("sta 0ok/1drop"));
+        assert!(report.contains("sta 0ok/1drop"));
     }
 }

@@ -108,3 +108,67 @@ fn mac_sim_smoke() {
     assert!(stdout.contains("downlink:"));
     assert!(stdout.contains("channel :"));
 }
+
+/// A fresh scratch directory for one test's output files.
+#[expect(
+    clippy::expect_used,
+    reason = "test helper: a failed setup fails the test"
+)]
+fn scratch_dir(test: &str) -> std::path::PathBuf {
+    let dir = std::env::temp_dir().join(format!("carpool-cli-{test}-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("scratch dir");
+    dir
+}
+
+/// The count in a report row like `  RTE updates        : 102 applied / ...`.
+fn first_count(report: &str, row: &str) -> u64 {
+    report
+        .lines()
+        .find(|l| l.trim_start().starts_with(row))
+        .and_then(|l| l.split(':').nth(1))
+        .and_then(|rest| rest.split_whitespace().next())
+        .and_then(|n| n.parse().ok())
+        .unwrap_or(0)
+}
+
+#[test]
+fn frame_obs_stream_round_trips_through_report() {
+    let dir = scratch_dir("frame-obs");
+    let stream = dir.join("x.jsonl");
+    let stream = stream.to_str().expect("utf-8 path");
+    let (ok, _, stderr) = run(&["frame", "--obs", stream]);
+    assert!(ok, "{stderr}");
+    let (ok, report, stderr) = run(&["report", stream]);
+    assert!(ok, "{stderr}");
+    for row in ["RTE updates", "side-channel CRC", "membership checks"] {
+        assert!(
+            first_count(&report, row) > 0,
+            "{row} row is zero:\n{report}"
+        );
+    }
+    assert!(report.contains("0 malformed, 0 unknown kinds"), "{report}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn trace_export_round_trips_through_report() {
+    let dir = scratch_dir("trace-out");
+    let trace = dir.join("t.json");
+    let trace = trace.to_str().expect("utf-8 path");
+    let (ok, _, stderr) = run(&["trace", "--trace-out", trace]);
+    assert!(ok, "{stderr}");
+    let (ok, report, stderr) = run(&["report", &format!("{trace}.jsonl")]);
+    assert!(ok, "{stderr}");
+    assert!(
+        report.contains("(0 records lost to ring overflow)"),
+        "dropped trailer missing:\n{report}"
+    );
+    let timeline = report
+        .lines()
+        .find(|l| l.trim_start().starts_with("frame 1 "))
+        .unwrap_or_else(|| panic!("no timeline for frame 1:\n{report}"));
+    for part in ["enq 0.0us", "agg 100.0us", "air 100.0us..", "acked x4"] {
+        assert!(timeline.contains(part), "{part} missing: {timeline}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

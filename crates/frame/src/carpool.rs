@@ -18,6 +18,8 @@ use crate::addr::MacAddress;
 use crate::sig::{Sig, SIG_BITS};
 use crate::FrameError;
 use carpool_bloom::{AggregationHeader, BLOOM_BITS, DEFAULT_HASHES, MAX_RECEIVERS};
+use carpool_obs::flight::AHDR_BITMAP_SHIFT;
+use carpool_obs::TraceKind;
 use carpool_phy::bits::{bits_to_bytes, bytes_to_bits};
 use carpool_phy::math::Complex64;
 use carpool_phy::mcs::{Mcs, SYMBOL_DURATION};
@@ -222,7 +224,7 @@ pub fn receive_carpool(
     )
 }
 
-/// Numeric station identity for event streams (address as a big-endian
+/// Numeric station identity for flight records (address as a big-endian
 /// integer over its six bytes).
 fn station_id(addr: MacAddress) -> u64 {
     addr.as_bytes()
@@ -230,13 +232,18 @@ fn station_id(addr: MacAddress) -> u64 {
         .fold(0u64, |acc, &b| (acc << 8) | b as u64)
 }
 
-/// [`receive_carpool`] with observability. Emits an
-/// [`carpool_obs::Event::AhdrCheck`] for the A-HDR membership test
-/// (ground truth unknown at this layer — callers who know whether the
-/// station was really aboard emit their own check events), per-subframe
-/// accept/skip events, and a `frame.receive` timing span. The attached
-/// PHY decoder inherits `obs`, so side-CRC and RTE events interleave in
-/// the same stream. Event timestamps are OFDM symbol positions.
+// An A-HDR record packs the probed Bloom positions below the matched
+// subframe bitmap.
+const _: () = assert!(BLOOM_BITS == AHDR_BITMAP_SHIFT as usize);
+
+/// [`receive_carpool`] with observability. Records a
+/// [`TraceKind::AhdrDecision`] for the A-HDR membership test (ground
+/// truth unknown at this layer — callers who know whether the station
+/// was really aboard record their own graded check), a
+/// [`TraceKind::StaOutcome`] per decoded subframe or early drop, and a
+/// `frame.receive` timing span. The attached PHY decoder inherits
+/// `obs`, so side-CRC and RTE records interleave in the same stream.
+/// Records are stamped at OFDM symbol positions in seconds.
 ///
 /// # Errors
 ///
@@ -282,7 +289,7 @@ pub fn receive_carpool_obs_with_scratch(
     obs: &carpool_obs::Obs,
     scratch: &mut PhyScratch,
 ) -> Result<CarpoolReception, FrameError> {
-    let _receive_span = obs.span("frame.receive");
+    let _receive_span = obs.span(carpool_obs::names::FRAME_RECEIVE);
     let mut decoder = FrameDecoder::new(samples, estimation)
         .map_err(FrameError::Phy)?
         .with_obs(obs.clone())
@@ -321,24 +328,7 @@ fn walk_carpool_frame(
     let mut symbols_skipped = 0usize;
 
     if obs.enabled() {
-        let matched = !matched_indices.is_empty();
-        obs.counter(
-            if matched {
-                "frame.ahdr_match"
-            } else {
-                "frame.ahdr_miss"
-            },
-            1,
-        );
-        obs.emit(
-            decoder.position() as f64,
-            carpool_obs::Event::AhdrCheck {
-                station: station_id(station),
-                matched,
-                expected: None,
-            },
-        );
-        // Trace payload: low 48 bits = union of the Bloom positions the
+        // Payload b: low 48 bits = union of the Bloom positions the
         // station's matched hash sets probed, bits 48..56 = matched
         // subframe bitmap. Captures *which* filter bits drove the
         // membership decision, not just the verdict.
@@ -347,10 +337,11 @@ fn walk_carpool_frame(
             .fold(0u64, |m, &i| m | header.probe_mask(station.as_bytes(), i));
         let bitmap = matched_indices.iter().fold(0u64, |m, &i| m | (1 << i));
         obs.trace(
-            carpool_obs::TraceKind::AhdrDecision,
+            TraceKind::AhdrDecision,
             decoder.position() as f64 * SYMBOL_DURATION,
             station_id(station),
-            (bitmap << BLOOM_BITS) | probe_union,
+            (bitmap << AHDR_BITMAP_SHIFT) | probe_union,
+            0,
         );
     }
 
@@ -361,9 +352,10 @@ fn walk_carpool_frame(
         // Outcome payload b: bit 0 = delivered flag, upper bits = bytes.
         // An early A-HDR drop is b = 0.
         obs.trace(
-            carpool_obs::TraceKind::StaOutcome,
+            TraceKind::StaOutcome,
             decoder.position() as f64 * SYMBOL_DURATION,
             station_id(station),
+            0,
             0,
         );
         return Ok(CarpoolReception {
@@ -404,24 +396,15 @@ fn walk_carpool_frame(
                 .map_err(FrameError::Phy)?;
             symbols_decoded += payload_layout.symbol_count();
             let bytes = bits_to_bytes(&section.bits);
-            if obs.enabled() {
-                obs.counter("frame.subframe_decoded", 1);
-                obs.emit(
-                    decoder.position() as f64,
-                    carpool_obs::Event::SubframeAccept {
-                        station: station_id(station),
-                        bytes: bytes.len() as u64,
-                    },
-                );
-                // Outcome payload b mirrors the early-drop site: bit 0 =
-                // delivered, upper bits = payload length in bytes.
-                obs.trace(
-                    carpool_obs::TraceKind::StaOutcome,
-                    decoder.position() as f64 * SYMBOL_DURATION,
-                    station_id(station),
-                    ((bytes.len() as u64) << 1) | 1,
-                );
-            }
+            // Outcome payload b mirrors the early-drop site: bit 0 =
+            // delivered, upper bits = payload length in bytes.
+            obs.trace(
+                TraceKind::StaOutcome,
+                decoder.position() as f64 * SYMBOL_DURATION,
+                station_id(station),
+                ((bytes.len() as u64) << 1) | 1,
+                0,
+            );
             Some(bytes)
         } else {
             decoder
@@ -568,14 +551,14 @@ mod tests {
 
     #[test]
     fn obs_traces_membership_and_subframe_outcomes() {
-        use carpool_obs::{Event, MemoryRecorder, Obs, RingBufferSink};
+        use carpool_obs::{FlightRecorder, MemoryRecorder, Obs};
         use std::sync::Arc;
 
         let frame = build_frame(3);
         let tx = frame.transmit().unwrap();
         let recorder = Arc::new(MemoryRecorder::new());
-        let sink = Arc::new(RingBufferSink::new(4096));
-        let obs = Obs::new(recorder.clone(), sink.clone());
+        let ring = Arc::new(FlightRecorder::new(4096));
+        let obs = Obs::with_recorder(recorder.clone()).with_flight(ring.clone());
 
         let rx = receive_carpool_obs(
             &tx.samples,
@@ -595,18 +578,16 @@ mod tests {
         // PHY events flow through the same handle.
         assert!(snap.counter("phy.sections_decoded") > 0);
 
-        let events = sink.events();
-        let accepted: u64 = events
+        let records = ring.records();
+        let accepted: u64 = records
             .iter()
-            .filter_map(|e| match e.event {
-                Event::SubframeAccept { bytes, .. } => Some(bytes),
-                _ => None,
-            })
+            .filter(|r| r.kind() == Some(TraceKind::StaOutcome) && r.b() & 1 == 1)
+            .map(|r| r.b() >> 1)
             .sum();
         assert_eq!(accepted, frame.subframes()[1].payload.len() as u64);
-        assert!(events
-            .iter()
-            .any(|e| matches!(e.event, Event::AhdrCheck { matched: true, .. })));
+        assert!(records.iter().any(
+            |r| r.kind() == Some(TraceKind::AhdrDecision) && r.b() >> AHDR_BITMAP_SHIFT == 0b10
+        ));
     }
 
     #[test]

@@ -39,14 +39,13 @@ use carpool_frame::airtime::{
     ack_airtime, ahdr_airtime, cts_airtime, data_frame_airtime, rts_airtime, CW_MAX, DIFS,
     PLCP_OVERHEAD, SIFS, SLOT_TIME,
 };
-use carpool_obs::{Event, FlightRecorder, Obs, TraceKind};
+use carpool_obs::{Obs, TraceKind};
 use carpool_phy::mcs::{Mcs, SYMBOL_DURATION};
 use carpool_traffic::background::{BackgroundSource, Transport};
 use carpool_traffic::voip::VoipSource;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::VecDeque;
-use std::sync::Arc;
 
 /// Extended interframe space after a collision (no ACK arrives).
 fn eifs() -> f64 {
@@ -506,7 +505,7 @@ impl ModelHandle<'_> {
 /// hop, a collision round, an aborted RTS exchange, or a data TXOP —
 /// and returns `false` once the clock has reached `limit`. Stepping to
 /// intermediate limits and then continuing is *trajectory-invariant*:
-/// the sequence of RNG draws and emitted events depends only on the
+/// the sequence of RNG draws and flight records depends only on the
 /// configuration, never on where the limits fell (arrival ingest is
 /// idempotent and the idle hop clamps to the active limit).
 pub(crate) struct Domain<'m> {
@@ -654,38 +653,20 @@ impl<'m> Domain<'m> {
                 dest: a.dest,
             });
             self.nodes[a.node].queue.push_back(handle);
+            // Recorded at the ingestion clock (the moment the MAC sees
+            // the frame), which keeps the stream monotone; the arrival's
+            // own timestamp survives as queueing delay in the eventual
+            // delivery/drop record.
             self.obs.trace_frame(
                 TraceKind::MacEnqueue,
                 id,
                 self.now,
                 trace_u64(a.dest),
                 trace_u64(a.bytes),
+                0,
             );
             if was_empty {
                 self.nodes[a.node].draw_backoff(&mut self.rng);
-            }
-            if self.obs.enabled() {
-                self.obs.counter("traffic.arrivals", 1);
-                // Stamped with the ingestion clock (the moment the MAC
-                // sees the frame), which keeps the stream monotone; the
-                // arrival's own timestamp survives as queueing delay in
-                // the eventual delivery/drop event.
-                self.obs.emit(
-                    self.now,
-                    Event::TrafficArrival {
-                        dest: a.dest as u64,
-                        bytes: a.bytes as u64,
-                    },
-                );
-                if was_empty {
-                    self.obs.emit(
-                        self.now,
-                        Event::Backoff {
-                            station: a.node as u64,
-                            slots: self.nodes[a.node].backoff as u64,
-                        },
-                    );
-                }
             }
         }
         if self.now >= limit {
@@ -705,20 +686,7 @@ impl<'m> Domain<'m> {
                     self.nodes[k].queue.pop_front();
                     self.frames.free(h);
                     self.downlink.record_drop(self.now - f.enqueue);
-                    self.obs.emit(
-                        self.now,
-                        Event::MacDrop {
-                            dest: f.dest as u64,
-                            delay: self.now - f.enqueue,
-                        },
-                    );
-                    self.obs.trace_frame(
-                        TraceKind::MacDrop,
-                        f.id,
-                        self.now,
-                        trace_u64(f.dest),
-                        (self.now - f.enqueue).to_bits(),
-                    );
+                    self.trace_drop(&f);
                 }
             }
         }
@@ -824,15 +792,6 @@ impl<'m> Domain<'m> {
     /// attempt, retry accounting, exponential backoff.
     fn collision_round(&mut self) {
         self.channel.collisions += 1;
-        if self.obs.enabled() {
-            self.obs.counter("mac.collisions", 1);
-            self.obs.emit(
-                self.now,
-                Event::MacCollision {
-                    contenders: self.scratch.winners.len() as u64,
-                },
-            );
-        }
         // Collision: channel busy for the longest attempt. With RTS/CTS
         // the clash is detected after the short RTS.
         let busy = if self.cfg.use_rts_cts {
@@ -858,6 +817,15 @@ impl<'m> Domain<'m> {
         };
         self.now += busy + eifs();
         self.epoch_busy_s += busy;
+        // Recorded when the garbled burst clears, ahead of any retry-limit
+        // drop it causes.
+        self.obs.trace(
+            TraceKind::MacCollision,
+            self.now,
+            trace_u64(self.scratch.winners.len()),
+            0,
+            0,
+        );
         for i in 0..self.scratch.winners.len() {
             let k = self.scratch.winners[i];
             // Head-frame retry accounting.
@@ -882,32 +850,10 @@ impl<'m> Domain<'m> {
                         &mut self.uplink
                     };
                     metrics.record_drop(self.now - f.enqueue);
-                    self.obs.emit(
-                        self.now,
-                        Event::MacDrop {
-                            dest: f.dest as u64,
-                            delay: self.now - f.enqueue,
-                        },
-                    );
-                    self.obs.trace_frame(
-                        TraceKind::MacDrop,
-                        f.id,
-                        self.now,
-                        trace_u64(f.dest),
-                        (self.now - f.enqueue).to_bits(),
-                    );
+                    self.trace_drop(&f);
                 }
             }
             self.nodes[k].on_collision(&mut self.rng);
-            if self.obs.enabled() {
-                self.obs.emit(
-                    self.now,
-                    Event::Backoff {
-                        station: k as u64,
-                        slots: self.nodes[k].backoff as u64,
-                    },
-                );
-            }
         }
         // Everyone else overhears the garbled burst.
         for (sta, air) in self.sta_airtime.iter_mut().enumerate() {
@@ -974,20 +920,7 @@ impl<'m> Domain<'m> {
                                 .and_then(|hh| self.frames.free(hh))
                             {
                                 self.uplink.record_drop(self.now - f.enqueue);
-                                self.obs.emit(
-                                    self.now,
-                                    Event::MacDrop {
-                                        dest: f.dest as u64,
-                                        delay: self.now - f.enqueue,
-                                    },
-                                );
-                                self.obs.trace_frame(
-                                    TraceKind::MacDrop,
-                                    f.id,
-                                    self.now,
-                                    trace_u64(f.dest),
-                                    (self.now - f.enqueue).to_bits(),
-                                );
+                                self.trace_drop(&f);
                             }
                         }
                         self.nodes[j].on_collision(&mut self.rng);
@@ -1030,21 +963,7 @@ impl<'m> Domain<'m> {
         self.channel.transmissions += 1;
         self.channel.aggregated_frames += self.scratch.plan.selected.len() as u64;
         self.channel.aggregated_receivers += self.scratch.plan.groups.len() as u64;
-        if self.obs.enabled() {
-            self.obs.counter("mac.transmissions", 1);
-            self.obs.counter(
-                "mac.aggregated_frames",
-                self.scratch.plan.selected.len() as u64,
-            );
-            self.obs.record("mac.txop_airtime", busy);
-            self.obs.emit(
-                self.now,
-                Event::MacTx {
-                    stas: self.scratch.plan.groups.len() as u64,
-                    airtime: busy,
-                },
-            );
-        }
+        self.obs.record("mac.txop_airtime", busy);
 
         // Evaluate per-frame success at its symbol position, and charge
         // each destination's time-occupancy account.
@@ -1090,32 +1009,26 @@ impl<'m> Domain<'m> {
                     ok = ok && !obss_hit;
                 }
                 self.scratch.outcomes.push((k, ok));
-                if self.obs.tracing() {
-                    // Membership in this TXOP's aggregate, and the
-                    // frame's symbol window on air (the data PPDU starts
-                    // at `now - busy`).
+                if self.obs.enabled() {
+                    // Membership in this TXOP's aggregate and the frame's
+                    // symbol window on air (the data PPDU started at
+                    // `now - busy`). Stamped where the frame's symbols
+                    // start, so a TXOP's records stay monotone.
                     let t_tx = self.now - busy;
-                    self.obs.trace_frame(
-                        TraceKind::AggDecision,
-                        frame.id,
-                        t_tx,
-                        trace_u64(g.dest),
-                        trace_u64(start_sym),
-                    );
-                    self.obs.trace_frame(
-                        TraceKind::AirtimeStart,
-                        frame.id,
-                        t_tx + symbol_span(start_sym),
-                        trace_u64(g.dest),
-                        trace_u64(n_sym),
-                    );
-                    self.obs.trace_frame(
-                        TraceKind::AirtimeEnd,
-                        frame.id,
-                        t_tx + symbol_span(start_sym + n_sym),
-                        trace_u64(g.dest),
-                        trace_u64(n_sym),
-                    );
+                    for (kind, t, b) in [
+                        (TraceKind::AggDecision, start_sym, start_sym),
+                        (TraceKind::AirtimeStart, start_sym, n_sym),
+                        (TraceKind::AirtimeEnd, start_sym + n_sym, n_sym),
+                    ] {
+                        self.obs.trace_frame(
+                            kind,
+                            frame.id,
+                            t_tx + symbol_span(t),
+                            trace_u64(g.dest),
+                            trace_u64(b),
+                            0,
+                        );
+                    }
                 }
                 start_sym += n_sym;
                 if winner_is_ap {
@@ -1128,6 +1041,14 @@ impl<'m> Domain<'m> {
                 }
             }
         }
+
+        self.obs.trace(
+            TraceKind::MacTx,
+            self.now,
+            trace_u64(self.scratch.plan.groups.len()),
+            busy.to_bits(),
+            0,
+        );
 
         // Airtime accounting for STAs.
         let is_downlink = winner_is_ap;
@@ -1205,20 +1126,12 @@ impl<'m> Domain<'m> {
                     &mut self.uplink
                 };
                 metrics.record_delivery(frame.bytes, self.now - frame.enqueue, self.cfg.deadline);
-                self.obs.emit(
-                    self.now,
-                    Event::MacDelivery {
-                        dest: frame.dest as u64,
-                        bytes: frame.bytes as u64,
-                        delay: self.now - frame.enqueue,
-                    },
-                );
-                // b = enqueue→ACK delay as f64 bits.
                 self.obs.trace_frame(
                     TraceKind::MacAck,
                     frame.id,
                     self.now,
                     trace_u64(frame.dest),
+                    trace_u64(frame.bytes),
                     (self.now - frame.enqueue).to_bits(),
                 );
                 if winner_is_ap {
@@ -1245,18 +1158,13 @@ impl<'m> Domain<'m> {
                     };
                     metrics.record_retransmission();
                 }
-                self.obs.emit(
-                    self.now,
-                    Event::MacRetransmission {
-                        dest: frame.dest as u64,
-                    },
-                );
                 self.obs.trace_frame(
                     TraceKind::MacRetx,
                     frame.id,
                     self.now,
                     trace_u64(frame.dest),
                     u64::from(frame.attempts) + 1,
+                    0,
                 );
                 let attempts = frame.attempts + 1;
                 if attempts > self.cfg.retry_limit {
@@ -1267,20 +1175,7 @@ impl<'m> Domain<'m> {
                         &mut self.uplink
                     };
                     metrics.record_drop(self.now - frame.enqueue);
-                    self.obs.emit(
-                        self.now,
-                        Event::MacDrop {
-                            dest: frame.dest as u64,
-                            delay: self.now - frame.enqueue,
-                        },
-                    );
-                    self.obs.trace_frame(
-                        TraceKind::MacDrop,
-                        frame.id,
-                        self.now,
-                        trace_u64(frame.dest),
-                        (self.now - frame.enqueue).to_bits(),
-                    );
+                    self.trace_drop(&frame);
                 } else {
                     if let Some(f) = self.frames.get_mut(h) {
                         f.attempts = attempts;
@@ -1304,26 +1199,22 @@ impl<'m> Domain<'m> {
             self.nodes[winner].queue.push_front(h);
         }
         self.nodes[winner].on_success(&mut self.rng);
-        if self.obs.enabled() {
-            self.obs.gauge(
-                "mac.winner_queue_depth",
-                self.nodes[winner].queue.len() as f64,
-            );
-            self.obs.emit(
-                self.now,
-                Event::QueueDepth {
-                    dest: winner as u64,
-                    depth: self.nodes[winner].queue.len() as u64,
-                },
-            );
-            self.obs.emit(
-                self.now,
-                Event::Backoff {
-                    station: winner as u64,
-                    slots: self.nodes[winner].backoff as u64,
-                },
-            );
-        }
+        self.obs.gauge(
+            "mac.winner_queue_depth",
+            self.nodes[winner].queue.len() as f64,
+        );
+    }
+
+    /// Records a frame the MAC gave up on (already off its queue).
+    fn trace_drop(&self, f: &PendingFrame) {
+        self.obs.trace_frame(
+            TraceKind::MacDrop,
+            f.id,
+            self.now,
+            trace_u64(f.dest),
+            (self.now - f.enqueue).to_bits(),
+            0,
+        );
     }
 
     /// Finalizes the run: idle fill-up, observability flush, report.
@@ -1453,14 +1344,11 @@ fn shard_of(domains: usize, shards: usize, domain: usize) -> usize {
     }
 }
 
-/// Per-domain flight-trace capacity when the caller's recorder traces.
-const DOMAIN_RING_CAPACITY: usize = 1 << 15;
-
 /// One shard's state while stepping: its first domain index and the
-/// domains it owns, each with an optional private trace ring.
+/// domains it owns.
 struct Shard<'m> {
     lo: usize,
-    domains: Vec<(Domain<'m>, Option<Arc<FlightRecorder>>)>,
+    domains: Vec<Domain<'m>>,
 }
 
 /// Runs a dense multi-AP scenario on the sharded engine.
@@ -1473,11 +1361,11 @@ struct Shard<'m> {
 /// by domain index, so the returned report is byte-identical for every
 /// thread count and every shard count.
 ///
-/// If `obs` traces (has a flight recorder), each domain records into a
-/// private ring; the rings are absorbed into `obs`'s recorder in
-/// domain order after the run — same discipline as the PR 6
-/// per-station merge. A worker panic surfaces as
-/// [`carpool_par::ParError::WorkerPanic`].
+/// If `obs` keeps records, each domain records into a private
+/// [`Obs::shard`] buffer; the buffers are absorbed into `obs` in domain
+/// order after the run — same discipline as `CarpoolLink::deliver_all`'s
+/// per-station merge. Domains keep no metrics. A worker panic surfaces
+/// as [`carpool_par::ParError::WorkerPanic`].
 pub fn run_dense<F>(
     cfg: &DenseConfig,
     make_model: F,
@@ -1517,26 +1405,25 @@ where
                         seed: cfg.cell.seed.wrapping_add(d as u64),
                         ..cfg.cell.clone()
                     };
-                    let ring = tracing.then(|| Arc::new(FlightRecorder::new(DOMAIN_RING_CAPACITY)));
-                    let dobs = match &ring {
-                        Some(r) => Obs::noop().with_flight(Arc::clone(r)),
-                        None => Obs::noop(),
+                    let dobs = if tracing {
+                        Obs::noop().shard()
+                    } else {
+                        Obs::noop()
                     };
-                    let domain = Domain::new(
+                    Domain::new(
                         cell,
                         ModelHandle::Owned(make_model(d)),
                         dobs,
                         (d as u64) << 40,
                         cfg.obss_coupling,
-                    );
-                    (domain, ring)
+                    )
                 })
                 .collect();
             Shard { lo, domains }
         },
         |shard: &mut Shard<'_>, epoch, inbox: &[ObssMsg], outbox: &mut Vec<ObssMsg>| {
             let epoch_end = (((epoch + 1) as f64) * epoch_s).min(duration);
-            for (i, (domain, _)) in shard.domains.iter_mut().enumerate() {
+            for (i, domain) in shard.domains.iter_mut().enumerate() {
                 let d = shard.lo + i;
                 // Neighbour busy time for this epoch: messages arrive
                 // ordered by source domain, so the (two-term) sum is
@@ -1568,10 +1455,10 @@ where
             shard
                 .domains
                 .into_iter()
-                .map(|(domain, ring)| {
+                .map(|domain| {
                     let events = domain.events();
-                    let trace = ring.map(|r| (r.records(), r.dropped()));
-                    (domain.finish(), events, trace)
+                    let records = domain.obs.take_records();
+                    (domain.finish(), events, records)
                 })
                 .collect::<Vec<_>>()
         },
@@ -1583,15 +1470,13 @@ where
     let mut channel = ChannelStats::default();
     let mut events = 0u64;
     for shard in shard_results {
-        for (report, domain_events, trace) in shard {
+        for (report, domain_events, records) in shard {
             downlink.merge(&report.downlink);
             uplink.merge(&report.uplink);
             channel.merge(&report.channel);
             events += domain_events;
-            if let (Some(flight), Some((records, dropped))) = (obs.flight(), trace) {
-                // Rings merge in domain order: deterministic transcript.
-                flight.absorb(&records, dropped);
-            }
+            // Domain order: a deterministic transcript.
+            obs.absorb(&records);
             per_domain.push(report);
         }
     }

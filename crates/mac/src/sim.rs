@@ -213,13 +213,12 @@ impl Simulator {
     }
 
     /// Attaches an observability handle. During [`Simulator::run`] the
-    /// simulator streams simulation-clock-stamped events (arrivals as the
-    /// MAC ingests them, deliveries, drops, retransmissions, collisions,
-    /// TXOPs, queue depths, backoff draws) and mirrors the per-direction
-    /// [`crate::metrics::FlowMetrics`] into the recorder's
-    /// `mac.downlink.*` / `mac.uplink.*` counters and delay histograms.
-    /// Event timestamps never decrease: every event is stamped with the
-    /// current value of the simulation clock.
+    /// simulator records simulation-clock-stamped flight records
+    /// (arrivals as the MAC ingests them, aggregation decisions, airtime
+    /// windows, TXOPs, collisions, deliveries, drops, retransmissions)
+    /// and mirrors the per-direction [`crate::metrics::FlowMetrics`]
+    /// into the recorder's `mac.downlink.*` / `mac.uplink.*` counters
+    /// and delay histograms. Record timestamps never decrease.
     pub fn with_obs(mut self, obs: Obs) -> Simulator {
         self.obs = obs;
         self
@@ -244,11 +243,10 @@ impl Simulator {
     ///
     /// This drives a single [`crate::engine`] domain from 0 to
     /// `duration_s` in one stride — the event loop, calendar queue, and
-    /// frame arena all live there. The emitted byte stream (metrics,
-    /// events, traces) is identical to the pre-engine inline loop.
+    /// frame arena all live there.
     pub fn run(&self) -> SimReport {
         assert!(self.config.num_aps >= 1, "need at least one AP");
-        let _sim_span = self.obs.span("mac.sim_loop");
+        let _sim_span = self.obs.span(carpool_obs::names::MAC_SIM_LOOP);
         let mut domain = Domain::new(
             self.config.clone(),
             ModelHandle::Borrowed(self.error_model.as_ref()),

@@ -1,16 +1,26 @@
-//! Integration tests for the simulator's observability event stream.
+//! Integration tests for the simulator's `--obs` record stream: the
+//! JSONL lines the handle writes, read back as flight records.
 
 use carpool_mac::error_model::{BerBiasModel, PerfectChannel};
 use carpool_mac::protocol::Protocol;
 use carpool_mac::sim::{SimConfig, Simulator, UplinkTraffic};
-use carpool_obs::{Event, MemoryRecorder, Obs, RingBufferSink};
+use carpool_obs::flight::TraceKind;
+use carpool_obs::{json, MemoryRecorder, Obs, TraceRecord};
+use shared_buf::SharedBuf;
 use std::sync::Arc;
 
+#[path = "../../obs/tests/support/shared_buf.rs"]
+mod shared_buf;
+
+#[expect(
+    clippy::expect_used,
+    reason = "test helper: a failed setup fails the test"
+)]
 fn run_with_obs(
     protocol: Protocol,
     stas: usize,
 ) -> (
-    Vec<carpool_obs::Stamped>,
+    Vec<TraceRecord>,
     carpool_obs::MetricsSnapshot,
     carpool_mac::metrics::SimReport,
 ) {
@@ -23,71 +33,61 @@ fn run_with_obs(
         ..SimConfig::default()
     };
     let recorder = Arc::new(MemoryRecorder::new());
-    let sink = Arc::new(RingBufferSink::new(1 << 20));
-    let obs = Obs::new(recorder.clone(), sink.clone());
+    let stream = SharedBuf::default();
+    let obs = Obs::with_recorder(recorder.clone()).with_stream(stream.clone());
     let report = Simulator::new(cfg, Box::new(BerBiasModel::default()))
         .with_obs(obs)
         .run();
-    (sink.events(), recorder.snapshot(), report)
+    let records = stream
+        .text()
+        .lines()
+        .map(|line| {
+            let value = json::parse(line).expect("every line is JSON");
+            TraceRecord::from_json(&value).expect("every line is a known record")
+        })
+        .collect();
+    (records, recorder.snapshot(), report)
 }
 
 #[test]
 fn event_stream_is_monotone_in_simulation_time() {
-    let (events, _, _) = run_with_obs(Protocol::Carpool, 10);
-    assert!(!events.is_empty(), "an active simulation must emit events");
+    let (records, _, _) = run_with_obs(Protocol::Carpool, 10);
+    assert!(!records.is_empty(), "an active simulation must record");
     let mut prev_t = f64::NEG_INFINITY;
-    let mut prev_seq = 0u64;
-    for (i, e) in events.iter().enumerate() {
-        // SpanEnd events carry wall-clock durations, not sim time.
-        if matches!(e.event, Event::SpanEnd { .. }) {
-            continue;
-        }
+    for (i, r) in records.iter().enumerate() {
         assert!(
-            e.t >= prev_t,
-            "event {i} ({:?}) at t={} after t={prev_t}",
-            e.event,
-            e.t
+            r.t() >= prev_t,
+            "record {i} ({r:?}) at t={} after t={prev_t}",
+            r.t()
         );
-        if i > 0 {
-            assert!(e.seq > prev_seq, "seq must strictly increase");
-        }
-        prev_t = e.t;
-        prev_seq = e.seq;
+        prev_t = r.t();
     }
 }
 
 #[test]
 fn event_stream_agrees_with_report_aggregates() {
-    let (events, snap, report) = run_with_obs(Protocol::Carpool, 10);
+    let (records, snap, report) = run_with_obs(Protocol::Carpool, 10);
+    let of = |kind| records.iter().filter(move |r| r.kind() == Some(kind));
 
-    let deliveries = events
-        .iter()
-        .filter(|e| matches!(e.event, Event::MacDelivery { .. }))
-        .count() as u64;
     assert_eq!(
-        deliveries,
+        of(TraceKind::MacAck).count() as u64,
         report.downlink.delivered_frames + report.uplink.delivered_frames
     );
-
-    let delivered_bytes: u64 = events
-        .iter()
-        .filter_map(|e| match e.event {
-            Event::MacDelivery { bytes, .. } => Some(bytes),
-            _ => None,
-        })
-        .sum();
     assert_eq!(
-        delivered_bytes,
+        of(TraceKind::MacAck).map(TraceRecord::b).sum::<u64>(),
         report.downlink.delivered_bytes + report.uplink.delivered_bytes
     );
-
-    let drops = events
-        .iter()
-        .filter(|e| matches!(e.event, Event::MacDrop { .. }))
-        .count() as u64;
     assert_eq!(
-        drops,
+        of(TraceKind::MacDrop).count() as u64,
         report.downlink.dropped_frames + report.uplink.dropped_frames
+    );
+    assert_eq!(
+        of(TraceKind::MacTx).count() as u64,
+        report.channel.transmissions
+    );
+    assert_eq!(
+        of(TraceKind::MacCollision).count() as u64,
+        report.channel.collisions
     );
 
     // Recorder counters mirror the same totals.
@@ -104,6 +104,10 @@ fn event_stream_agrees_with_report_aggregates() {
         report.channel.transmissions
     );
     assert_eq!(snap.counter("mac.collisions"), report.channel.collisions);
+    assert_eq!(
+        snap.counter("mac.aggregated_frames"),
+        report.channel.aggregated_frames
+    );
 
     // Delay histogram max matches the report's max_delay (drops included
     // in FlowMetrics::max_delay may exceed the delivered-only histogram).
@@ -125,7 +129,7 @@ fn obs_does_not_perturb_simulation_results() {
     };
     let baseline = Simulator::new(cfg.clone(), Box::new(PerfectChannel)).run();
     let observed = Simulator::new(cfg, Box::new(PerfectChannel))
-        .with_obs(Obs::with_sink(Arc::new(RingBufferSink::new(1 << 16))))
+        .with_obs(Obs::noop().with_stream(std::io::sink()))
         .run();
     assert_eq!(baseline.downlink, observed.downlink);
     assert_eq!(baseline.uplink, observed.uplink);

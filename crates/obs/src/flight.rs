@@ -1,23 +1,29 @@
-//! Frame flight recorder: a fixed-capacity, allocation-free ring of
-//! packed binary trace records covering the full life of a frame across
-//! layers — MAC enqueue, aggregation decision (A-HDR membership and
-//! Bloom probe positions), airtime start/end, per-symbol RTE
-//! recalibration and side-channel CRC verdicts, per-STA decode outcome,
-//! and ACK/drop — correlated by frame id.
+//! The flight record: one typed record per decision, and the forms it
+//! is read in.
+//!
+//! Every instrumented decision in the stack — an RTE recalibration, a
+//! side-channel CRC verdict, an A-HDR membership test, a MAC delivery —
+//! is reported once, as a [`TraceRecord`] of one [`TraceKind`], through
+//! [`crate::Obs::trace`]. Everything else reads that record:
+//!
+//! - metrics counters follow from the kind ([`TraceRecord::counters`]),
+//!   so no site counts a decision beside recording it;
+//! - `--obs` streams each record as one JSONL line
+//!   ([`TraceRecord::to_json_line`]);
+//! - `--trace-out` keeps records in a [`FlightRecorder`] ring and renders
+//!   it as Chrome trace JSON ([`to_chrome_trace`]) plus the same JSONL
+//!   ([`to_jsonl`]);
+//! - `carpool report` parses the JSONL back ([`TraceRecord::from_json`]).
 //!
 //! Records are stamped in **simulation time** (seconds, or OFDM symbol
-//! positions converted to seconds), never wall clock, so a trace is
-//! byte-identical at any thread count. Each record is four packed `u64`
-//! words (32 bytes, `Copy`, no heap); the ring is preallocated at
+//! positions converted to seconds), never wall clock, so every form is
+//! byte-identical at any thread count. A record is five packed `u64`
+//! words (40 bytes, `Copy`, no heap); the ring is preallocated at
 //! construction so recording never allocates. When the ring wraps, the
 //! oldest record is overwritten and a monotonic dropped counter ticks —
 //! overflow is visible, never silent.
-//!
-//! Two export forms: Chrome `trace_event` JSON (loadable in
-//! chrome://tracing or Perfetto, one track per frame id) and a JSONL
-//! stream digestible by `carpool report`.
 
-use crate::json::{write_f64, ObjectWriter};
+use crate::json::{write_f64, JsonValue, ObjectWriter};
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -25,19 +31,29 @@ use std::sync::Mutex;
 /// Default ring capacity used by the CLI's `--trace-out` wiring.
 pub const DEFAULT_TRACE_CAPACITY: usize = 65_536;
 
-/// What happened to the frame at this point of its life.
+/// [`TraceKind::AhdrDecision`] word `c`: the station was not aboard.
+pub const AHDR_OUTSIDER: u64 = 1;
+/// [`TraceKind::AhdrDecision`] word `c`: the station was aboard.
+pub const AHDR_ABOARD: u64 = 2;
+
+/// Shift of the matched-subframe bitmap inside an A-HDR record's `b`
+/// word; the bits below it hold the Bloom positions the station probed.
+pub const AHDR_BITMAP_SHIFT: u32 = 48;
+
+/// The decision a record reports. One kind per decision; the payload
+/// words `a`, `b` and `c` are kind-specific (unused words are 0).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 #[repr(u8)]
 pub enum TraceKind {
-    /// MAC queued the frame for a destination (`a` = dest, `b` = bytes).
+    /// MAC queued the frame (`a` = dest, `b` = bytes).
     MacEnqueue = 1,
-    /// The aggregator put the frame aboard a Carpool PPDU
-    /// (`a` = subframe slot, `b` = A-HDR Bloom probe-position mask).
+    /// The aggregator put the frame aboard a PPDU (`a` = dest or
+    /// station, `b` = first payload symbol or Bloom probe mask).
     AggDecision = 2,
-    /// The PPDU carrying the frame hit the air (`a` = receivers aboard,
-    /// `b` = airtime seconds as `f64` bits).
+    /// The frame's symbols hit the air (`a` = dest or receivers aboard,
+    /// `b` = payload symbols).
     AirtimeStart = 3,
-    /// The PPDU left the air (`a` = receivers aboard, `b` = airtime bits).
+    /// The frame's symbols left the air (same payload as the start).
     AirtimeEnd = 4,
     /// RTE considered a data-pilot update for one OFDM symbol
     /// (`a` = symbol index, `b` = 1 if applied, 0 if gated off).
@@ -45,24 +61,57 @@ pub enum TraceKind {
     /// Side-channel CRC verdict over one symbol group
     /// (`a` = first symbol of the group, `b` = 1 ok / 0 fail).
     SideCrc = 6,
-    /// A station's A-HDR membership verdict (`a` = station id,
-    /// `b` = bitmap of matched subframe indices; 0 = early drop).
+    /// An A-HDR membership test (`a` = station id; `b` = matched
+    /// subframe bitmap above [`AHDR_BITMAP_SHIFT`], probed Bloom
+    /// positions below it; `c` = ground truth: 0 unknown,
+    /// [`AHDR_OUTSIDER`] or [`AHDR_ABOARD`]).
     AhdrDecision = 7,
     /// Per-STA decode outcome (`a` = station id,
-    /// `b` = `bytes << 1 | decoded`; `b` = 0 for a clean early drop).
+    /// `b` = `bytes << 1 | decoded`; `b` = 0 for an early A-HDR drop).
     StaOutcome = 8,
-    /// MAC delivery acknowledged (`a` = dest, `b` = bytes).
+    /// MAC delivered the frame (`a` = dest, `b` = bytes,
+    /// `c` = enqueue-to-ACK delay as `f64` bits).
     MacAck = 9,
-    /// MAC gave up on the frame (`a` = dest, `b` = queue delay as
+    /// MAC gave up on the frame (`a` = dest, `b` = queueing delay as
     /// `f64` bits).
     MacDrop = 10,
-    /// MAC scheduled a retransmission (`a` = dest).
+    /// MAC scheduled a retransmission (`a` = dest, `b` = attempt).
     MacRetx = 11,
+    /// The receiver re-anchored its equalizer phase tracking after a
+    /// skipped section (`a` = next symbol index).
+    EqReset = 12,
+    /// A transmission opportunity ended (`a` = receivers aboard,
+    /// `b` = channel occupancy in seconds as `f64` bits).
+    MacTx = 13,
+    /// Two or more contenders drew the same backoff slot
+    /// (`a` = contenders).
+    MacCollision = 14,
+    /// A replayed traffic trace offered a frame (`a` = station,
+    /// `b` = bytes, `c` = 1 for uplink, 0 for downlink).
+    TrafficArrival = 15,
 }
 
+/// Every kind, in discriminant order.
+const KINDS: [TraceKind; 15] = [
+    TraceKind::MacEnqueue,
+    TraceKind::AggDecision,
+    TraceKind::AirtimeStart,
+    TraceKind::AirtimeEnd,
+    TraceKind::RteRecal,
+    TraceKind::SideCrc,
+    TraceKind::AhdrDecision,
+    TraceKind::StaOutcome,
+    TraceKind::MacAck,
+    TraceKind::MacDrop,
+    TraceKind::MacRetx,
+    TraceKind::EqReset,
+    TraceKind::MacTx,
+    TraceKind::MacCollision,
+    TraceKind::TrafficArrival,
+];
+
 impl TraceKind {
-    /// JSONL discriminant. Prefixed `trace_` so flight records never
-    /// collide with the live [`crate::Event`] kinds in a mixed report.
+    /// JSONL discriminant.
     pub fn as_str(self) -> &'static str {
         match self {
             TraceKind::MacEnqueue => "trace_enqueue",
@@ -76,7 +125,16 @@ impl TraceKind {
             TraceKind::MacAck => "trace_ack",
             TraceKind::MacDrop => "trace_drop",
             TraceKind::MacRetx => "trace_retx",
+            TraceKind::EqReset => "trace_eq_reset",
+            TraceKind::MacTx => "trace_tx",
+            TraceKind::MacCollision => "trace_collision",
+            TraceKind::TrafficArrival => "trace_arrival",
         }
+    }
+
+    /// The kind whose [`TraceKind::as_str`] is `name`.
+    pub fn from_name(name: &str) -> Option<TraceKind> {
+        KINDS.into_iter().find(|k| k.as_str() == name)
     }
 
     /// Stack layer the record originates from.
@@ -88,41 +146,33 @@ impl TraceKind {
             | TraceKind::AirtimeEnd
             | TraceKind::MacAck
             | TraceKind::MacDrop
-            | TraceKind::MacRetx => "mac",
-            TraceKind::RteRecal | TraceKind::SideCrc => "phy",
+            | TraceKind::MacRetx
+            | TraceKind::MacTx
+            | TraceKind::MacCollision => "mac",
+            TraceKind::RteRecal | TraceKind::SideCrc | TraceKind::EqReset => "phy",
             TraceKind::AhdrDecision | TraceKind::StaOutcome => "frame",
+            TraceKind::TrafficArrival => "traffic",
         }
     }
 
     fn from_u8(v: u8) -> Option<TraceKind> {
-        Some(match v {
-            1 => TraceKind::MacEnqueue,
-            2 => TraceKind::AggDecision,
-            3 => TraceKind::AirtimeStart,
-            4 => TraceKind::AirtimeEnd,
-            5 => TraceKind::RteRecal,
-            6 => TraceKind::SideCrc,
-            7 => TraceKind::AhdrDecision,
-            8 => TraceKind::StaOutcome,
-            9 => TraceKind::MacAck,
-            10 => TraceKind::MacDrop,
-            11 => TraceKind::MacRetx,
-            _ => return None,
-        })
+        KINDS.get(usize::from(v).checked_sub(1)?).copied()
     }
 }
 
-/// One flight-recorder record: four packed `u64` words, no heap.
+/// One flight record: five packed `u64` words, no heap.
 ///
 /// Word 0 carries the kind in its top byte and the frame id in the low
-/// 56 bits; word 1 is the sim-time stamp as `f64` bits; words 2 and 3
-/// are kind-specific payloads (see [`TraceKind`]).
+/// 56 bits (0 when the record is not tied to a MAC frame); word 1 is
+/// the sim-time stamp as `f64` bits; words 2 to 4 are the kind-specific
+/// payloads `a`, `b` and `c` (see [`TraceKind`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceRecord {
     meta: u64,
     t_bits: u64,
     a: u64,
     b: u64,
+    c: u64,
 }
 
 /// Frame ids occupy the low 56 bits of the meta word.
@@ -130,12 +180,13 @@ const FRAME_MASK: u64 = (1 << 56) - 1;
 
 impl TraceRecord {
     /// Packs a record. Frame ids wider than 56 bits are truncated.
-    pub fn new(kind: TraceKind, frame: u64, t: f64, a: u64, b: u64) -> TraceRecord {
+    pub fn new(kind: TraceKind, frame: u64, t: f64, a: u64, b: u64, c: u64) -> TraceRecord {
         TraceRecord {
             meta: ((kind as u64) << 56) | (frame & FRAME_MASK),
             t_bits: t.to_bits(),
             a,
             b,
+            c,
         }
     }
 
@@ -144,7 +195,7 @@ impl TraceRecord {
         TraceKind::from_u8((self.meta >> 56) as u8)
     }
 
-    /// The frame id this record belongs to.
+    /// The frame id this record belongs to (0: none).
     pub fn frame(&self) -> u64 {
         self.meta & FRAME_MASK
     }
@@ -164,34 +215,92 @@ impl TraceRecord {
         self.b
     }
 
-    /// The raw packed representation.
-    pub fn words(&self) -> [u64; 4] {
-        [self.meta, self.t_bits, self.a, self.b]
+    /// Third payload word.
+    pub fn c(&self) -> u64 {
+        self.c
     }
 
-    /// Rebuilds a record from its packed words.
-    pub fn from_words(words: [u64; 4]) -> TraceRecord {
-        TraceRecord {
-            meta: words[0],
-            t_bits: words[1],
-            a: words[2],
-            b: words[3],
+    /// The metrics counters this record advances, as `(name, delta)`.
+    ///
+    /// This is the one table from decisions to counters: a counter that
+    /// counts one kind (split at most by a payload bit) lives here and
+    /// nowhere else, so a site records its decision once and the count
+    /// follows. Counters that are not one record per event (symbols
+    /// decoded, sections decoded) stay plain [`crate::Obs::counter`]
+    /// calls.
+    pub fn counters(&self) -> [Option<(&'static str, u64)>; 2] {
+        let one = |name: &'static str| [Some((name, 1)), None];
+        let (b, c) = (self.b, self.c);
+        let Some(kind) = self.kind() else {
+            return [None, None];
+        };
+        match kind {
+            TraceKind::RteRecal if b == 1 => one("phy.rte_applied"),
+            TraceKind::RteRecal => one("phy.rte_rejected"),
+            TraceKind::SideCrc if b == 1 => one("phy.side_crc_ok"),
+            TraceKind::SideCrc => one("phy.side_crc_fail"),
+            TraceKind::EqReset => one("phy.eq_reset"),
+            TraceKind::AhdrDecision => one(match (c, b >> AHDR_BITMAP_SHIFT != 0) {
+                (AHDR_ABOARD, true) => "carpool.ahdr_true_positive",
+                (AHDR_OUTSIDER, true) => "carpool.ahdr_false_positive",
+                (AHDR_OUTSIDER, false) => "carpool.ahdr_true_negative",
+                // Bloom filters admit no false negatives; seeing one
+                // means the header itself was corrupted in flight.
+                (AHDR_ABOARD, false) => "carpool.ahdr_false_negative",
+                (_, true) => "frame.ahdr_match",
+                (_, false) => "frame.ahdr_miss",
+            }),
+            TraceKind::StaOutcome if b & 1 == 1 => one("frame.subframe_decoded"),
+            TraceKind::MacEnqueue => one("traffic.arrivals"),
+            TraceKind::AggDecision => one("mac.aggregated_frames"),
+            TraceKind::MacTx => one("mac.transmissions"),
+            TraceKind::MacCollision => one("mac.collisions"),
+            TraceKind::TrafficArrival if c == 1 => [
+                Some(("traffic.uplink.frames", 1)),
+                Some(("traffic.uplink.bytes", b)),
+            ],
+            TraceKind::TrafficArrival => [
+                Some(("traffic.downlink.frames", 1)),
+                Some(("traffic.downlink.bytes", b)),
+            ],
+            TraceKind::StaOutcome
+            | TraceKind::AirtimeStart
+            | TraceKind::AirtimeEnd
+            | TraceKind::MacAck
+            | TraceKind::MacDrop
+            | TraceKind::MacRetx => [None, None],
         }
     }
 
-    /// One JSONL line (no trailing newline). Includes a `seq` field so
-    /// the line parses as a [`crate::ParsedEvent`].
-    pub fn to_json_line(&self, seq: u64) -> String {
+    /// One JSONL line (no trailing newline).
+    pub fn to_json_line(&self) -> String {
         let kind = self.kind();
         let mut w = ObjectWriter::new();
         w.f64("t", self.t())
-            .u64("seq", seq)
             .str("kind", kind.map_or("trace_unknown", TraceKind::as_str))
             .str("layer", kind.map_or("app", TraceKind::layer))
             .u64("frame", self.frame())
             .u64("a", self.a)
-            .u64("b", self.b);
+            .u64("b", self.b)
+            .u64("c", self.c);
         w.finish()
+    }
+
+    /// Reads back one parsed [`TraceRecord::to_json_line`] object.
+    /// `None` when the kind is unknown (an older stream format, or the
+    /// `trace_summary` trailer) or a required field is missing; a
+    /// missing `c` (written before the third word existed) reads as 0.
+    pub fn from_json(value: &JsonValue) -> Option<TraceRecord> {
+        let kind = TraceKind::from_name(value.get("kind")?.as_str()?)?;
+        let word = |key: &str| value.get(key).and_then(JsonValue::as_u64);
+        Some(TraceRecord::new(
+            kind,
+            word("frame")?,
+            value.get("t")?.as_f64()?,
+            word("a")?,
+            word("b")?,
+            word("c").unwrap_or(0),
+        ))
     }
 }
 
@@ -233,11 +342,6 @@ impl FlightRecorder {
             dropped: AtomicU64::new(0),
             capacity,
         }
-    }
-
-    /// Ring capacity in records.
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 
     /// Records one trace record, overwriting the oldest when full.
@@ -291,21 +395,6 @@ impl FlightRecorder {
         // constraint against other memory.
         self.dropped.load(Ordering::Relaxed)
     }
-
-    /// Folds a worker shard's records into this recorder in order, and
-    /// accounts the shard's own overwrites into the dropped counter.
-    /// Calling this in a deterministic shard order (e.g. station order)
-    /// keeps the merged stream byte-identical at any thread count.
-    pub fn absorb(&self, records: &[TraceRecord], shard_dropped: u64) {
-        for &rec in records {
-            self.record(rec);
-        }
-        if shard_dropped > 0 {
-            // ordering: counter merge; same monotonic-total contract as
-            // the overwrite increment above.
-            self.dropped.fetch_add(shard_dropped, Ordering::Relaxed);
-        }
-    }
 }
 
 /// Serializes records as JSONL: one record per line plus a trailing
@@ -313,14 +402,13 @@ impl FlightRecorder {
 /// `carpool report` surfaces as ring-overflow accounting.
 pub fn to_jsonl(records: &[TraceRecord], dropped: u64) -> String {
     let mut out = String::new();
-    for (seq, rec) in records.iter().enumerate() {
-        out.push_str(&rec.to_json_line(seq as u64));
+    for rec in records {
+        out.push_str(&rec.to_json_line());
         out.push('\n');
     }
     let t_max = records.last().map_or(0.0, TraceRecord::t);
     let mut w = ObjectWriter::new();
     w.f64("t", t_max)
-        .u64("seq", records.len() as u64)
         .str("kind", "trace_summary")
         .str("layer", "app")
         .u64("records", records.len() as u64)
@@ -330,15 +418,11 @@ pub fn to_jsonl(records: &[TraceRecord], dropped: u64) -> String {
     out
 }
 
-/// Layers given their own Chrome "process" row, in pid order 1..=3.
-const CHROME_LAYERS: [&str; 3] = ["mac", "frame", "phy"];
+/// Layers given their own Chrome "process" row, in pid order from 1.
+const CHROME_LAYERS: [&str; 4] = ["mac", "frame", "phy", "traffic"];
 
-fn layer_pid(layer: &str) -> u64 {
-    match layer {
-        "mac" => 1,
-        "frame" => 2,
-        _ => 3,
-    }
+fn layer_pid(layer: &str) -> usize {
+    CHROME_LAYERS.iter().position(|l| *l == layer).unwrap_or(0) + 1
 }
 
 /// Serializes records as Chrome `trace_event` JSON, loadable in
@@ -389,7 +473,13 @@ pub fn to_chrome_trace(records: &[TraceRecord]) -> String {
         if ph == "i" {
             ev.push_str(",\"s\":\"t\"");
         }
-        let _ = write!(ev, ",\"args\":{{\"a\":{},\"b\":{}}}}}", rec.a(), rec.b());
+        let _ = write!(
+            ev,
+            ",\"args\":{{\"a\":{},\"b\":{},\"c\":{}}}}}",
+            rec.a(),
+            rec.b(),
+            rec.c()
+        );
         push(&mut out, &mut first, ev);
     }
     out.push_str("\n]}\n");
@@ -399,29 +489,88 @@ pub fn to_chrome_trace(records: &[TraceRecord]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ParsedEvent;
+    use crate::json::parse;
 
     fn rec(kind: TraceKind, frame: u64, t: f64) -> TraceRecord {
-        TraceRecord::new(kind, frame, t, 7, 9)
+        TraceRecord::new(kind, frame, t, 7, 9, 0)
     }
 
     #[test]
     fn record_packs_and_unpacks() {
-        let r = TraceRecord::new(TraceKind::RteRecal, 0x00AB_CDEF, 1.25, 42, 43);
+        let r = TraceRecord::new(TraceKind::RteRecal, 0x00AB_CDEF, 1.25, 42, 43, 44);
         assert_eq!(r.kind(), Some(TraceKind::RteRecal));
         assert_eq!(r.frame(), 0x00AB_CDEF);
         assert_eq!(r.t(), 1.25);
-        assert_eq!(r.a(), 42);
-        assert_eq!(r.b(), 43);
-        assert_eq!(TraceRecord::from_words(r.words()), r);
-        assert_eq!(std::mem::size_of::<TraceRecord>(), 32);
+        assert_eq!((r.a(), r.b(), r.c()), (42, 43, 44));
+        assert_eq!(std::mem::size_of::<TraceRecord>(), 40);
     }
 
     #[test]
     fn frame_id_truncates_to_56_bits() {
-        let r = TraceRecord::new(TraceKind::MacAck, u64::MAX, 0.0, 0, 0);
+        let r = TraceRecord::new(TraceKind::MacAck, u64::MAX, 0.0, 0, 0, 0);
         assert_eq!(r.frame(), FRAME_MASK);
         assert_eq!(r.kind(), Some(TraceKind::MacAck));
+    }
+
+    #[test]
+    fn every_kind_round_trips_through_its_name_and_byte() {
+        for (i, kind) in KINDS.into_iter().enumerate() {
+            assert_eq!(kind as usize, i + 1);
+            assert_eq!(TraceKind::from_u8(kind as u8), Some(kind));
+            assert_eq!(TraceKind::from_name(kind.as_str()), Some(kind));
+        }
+        assert_eq!(TraceKind::from_u8(0), None);
+        assert_eq!(TraceKind::from_name("mac_delivery"), None);
+    }
+
+    #[test]
+    fn json_line_round_trips_every_word_exactly() {
+        // Payload words above 2^53 (f64 bits, A-HDR bitmaps) must
+        // survive the text form bit for bit.
+        for kind in KINDS {
+            let r = TraceRecord::new(kind, 3, 0.25, u64::MAX, 0.0123f64.to_bits(), 1 << 55);
+            let value = parse(&r.to_json_line()).expect("valid JSON");
+            assert_eq!(TraceRecord::from_json(&value), Some(r));
+        }
+    }
+
+    #[test]
+    fn json_without_c_reads_as_zero_and_unknown_kinds_as_none() {
+        let old = r#"{"t":0.5,"seq":0,"kind":"trace_ack","layer":"mac","frame":1,"a":2,"b":3}"#;
+        let r = TraceRecord::from_json(&parse(old).unwrap()).unwrap();
+        assert_eq!((r.kind(), r.c()), (Some(TraceKind::MacAck), 0));
+        let event = r#"{"t":0.1,"seq":0,"kind":"mac_delivery","layer":"mac","dest":1}"#;
+        assert_eq!(TraceRecord::from_json(&parse(event).unwrap()), None);
+    }
+
+    #[test]
+    fn counters_follow_kind_and_payload_bits() {
+        let counters = |kind, b, c| TraceRecord::new(kind, 0, 0.0, 0, b, c).counters();
+        assert_eq!(
+            counters(TraceKind::RteRecal, 1, 0),
+            [Some(("phy.rte_applied", 1)), None]
+        );
+        assert_eq!(
+            counters(TraceKind::SideCrc, 0, 0),
+            [Some(("phy.side_crc_fail", 1)), None]
+        );
+        let matched = 1 << AHDR_BITMAP_SHIFT;
+        assert_eq!(
+            counters(TraceKind::AhdrDecision, matched, 0)[0],
+            Some(("frame.ahdr_match", 1))
+        );
+        assert_eq!(
+            counters(TraceKind::AhdrDecision, matched, AHDR_OUTSIDER)[0],
+            Some(("carpool.ahdr_false_positive", 1))
+        );
+        assert_eq!(
+            counters(TraceKind::TrafficArrival, 120, 1),
+            [
+                Some(("traffic.uplink.frames", 1)),
+                Some(("traffic.uplink.bytes", 120))
+            ]
+        );
+        assert_eq!(counters(TraceKind::StaOutcome, 0, 0), [None, None]);
     }
 
     #[test]
@@ -447,21 +596,7 @@ mod tests {
     }
 
     #[test]
-    fn absorb_preserves_order_and_drop_totals() {
-        let main = FlightRecorder::new(16);
-        let shard = FlightRecorder::new(2);
-        for k in 0..5u64 {
-            shard.record(rec(TraceKind::StaOutcome, k, k as f64));
-        }
-        main.record(rec(TraceKind::MacEnqueue, 100, 0.0));
-        main.absorb(&shard.records(), shard.dropped());
-        let frames: Vec<u64> = main.records().iter().map(TraceRecord::frame).collect();
-        assert_eq!(frames, vec![100, 3, 4]);
-        assert_eq!(main.dropped(), 3);
-    }
-
-    #[test]
-    fn jsonl_lines_parse_as_events_with_summary_trailer() {
+    fn jsonl_has_one_line_per_record_and_a_summary_trailer() {
         let records = vec![
             rec(TraceKind::MacEnqueue, 1, 0.5),
             rec(TraceKind::AhdrDecision, 1, 0.6),
@@ -469,14 +604,15 @@ mod tests {
         let text = to_jsonl(&records, 3);
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 3);
-        let first = ParsedEvent::from_json_line(lines[0]).unwrap();
-        assert_eq!(first.kind, "trace_enqueue");
-        assert_eq!(first.u64_field("frame"), Some(1));
-        assert_eq!(first.u64_field("a"), Some(7));
-        let summary = ParsedEvent::from_json_line(lines[2]).unwrap();
-        assert_eq!(summary.kind, "trace_summary");
-        assert_eq!(summary.u64_field("dropped"), Some(3));
-        assert_eq!(summary.u64_field("records"), Some(2));
+        let first = parse(lines[0]).unwrap();
+        assert_eq!(TraceRecord::from_json(&first), Some(records[0]));
+        let summary = parse(lines[2]).unwrap();
+        assert_eq!(
+            summary.get("kind").and_then(JsonValue::as_str),
+            Some("trace_summary")
+        );
+        assert_eq!(summary.get("dropped").and_then(JsonValue::as_u64), Some(3));
+        assert_eq!(summary.get("records").and_then(JsonValue::as_u64), Some(2));
     }
 
     #[test]
@@ -484,33 +620,33 @@ mod tests {
         let airtime = 0.002f64.to_bits();
         let records = vec![
             rec(TraceKind::MacEnqueue, 4, 0.0),
-            TraceRecord::new(TraceKind::AirtimeStart, 4, 0.001, 2, airtime),
-            TraceRecord::new(TraceKind::RteRecal, 4, 0.0015, 10, 1),
-            TraceRecord::new(TraceKind::AirtimeEnd, 4, 0.003, 2, airtime),
+            TraceRecord::new(TraceKind::AirtimeStart, 4, 0.001, 2, airtime, 0),
+            TraceRecord::new(TraceKind::RteRecal, 4, 0.0015, 10, 1, 0),
+            TraceRecord::new(TraceKind::AirtimeEnd, 4, 0.003, 2, airtime, 0),
         ];
         let text = to_chrome_trace(&records);
-        let value = crate::json::parse(&text).expect("valid JSON");
+        let value = parse(&text).expect("valid JSON");
         let events = match value.get("traceEvents").unwrap() {
-            crate::json::JsonValue::Array(items) => items,
+            JsonValue::Array(items) => items,
             other => panic!("expected array, got {other:?}"),
         };
-        // 3 metadata rows + 4 records.
-        assert_eq!(events.len(), 7);
+        // 4 layer metadata rows + 4 records.
+        assert_eq!(events.len(), 8);
         let phases: Vec<&str> = events
             .iter()
             .filter_map(|e| e.get("ph").and_then(|p| p.as_str()))
             .collect();
         assert!(phases.contains(&"B") && phases.contains(&"E"));
         // Frame id becomes the track id.
-        assert_eq!(events[3].get("tid").unwrap().as_u64(), Some(4));
+        assert_eq!(events[4].get("tid").unwrap().as_u64(), Some(4));
         // Sim-time microseconds.
-        assert_eq!(events[4].get("ts").unwrap().as_f64(), Some(1000.0));
+        assert_eq!(events[5].get("ts").unwrap().as_f64(), Some(1000.0));
     }
 
     #[test]
     fn chrome_trace_is_deterministic() {
         let records: Vec<TraceRecord> = (0..50)
-            .map(|k| TraceRecord::new(TraceKind::SideCrc, k % 3, k as f64 * 1e-4, k, k & 1))
+            .map(|k| TraceRecord::new(TraceKind::SideCrc, k % 3, k as f64 * 1e-4, k, k & 1, 0))
             .collect();
         assert_eq!(to_chrome_trace(&records), to_chrome_trace(&records));
         assert_eq!(to_jsonl(&records, 0), to_jsonl(&records, 0));

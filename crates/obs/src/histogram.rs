@@ -74,8 +74,8 @@ impl LogHistogram {
     }
 
     /// Record `n` identical samples in one bucket update. Counts
-    /// saturate rather than wrap, so a merge of pathological inputs can
-    /// never overflow quantile accounting.
+    /// saturate rather than wrap, so pathological inputs can never
+    /// overflow quantile accounting.
     pub fn record_many(&mut self, value: f64, n: u64) {
         if n == 0 {
             return;
@@ -176,18 +176,6 @@ impl LogHistogram {
             *slot = self.max;
         }
         Quantiles::from_array(out)
-    }
-
-    /// Merge another histogram into this one. Bucket and sample counts
-    /// saturate rather than wrap.
-    pub fn merge(&mut self, other: &LogHistogram) {
-        for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *a = a.saturating_add(*b);
-        }
-        self.count = self.count.saturating_add(other.count);
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
     }
 
     /// Number of buckets in the fixed layout.
@@ -303,27 +291,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_matches_sequential_recording() {
-        let mut a = LogHistogram::new();
-        let mut b = LogHistogram::new();
-        let mut all = LogHistogram::new();
-        for i in 0..100 {
-            let v = (i as f64 + 1.0) * 7e-4;
-            if i % 2 == 0 {
-                a.record(v);
-            } else {
-                b.record(v);
-            }
-            all.record(v);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), all.count());
-        assert_eq!(a.max(), all.max());
-        assert!((a.sum() - all.sum()).abs() < 1e-9);
-        assert_eq!(a.quantile(0.5), all.quantile(0.5));
-    }
-
-    #[test]
     fn quantiles_struct_matches_individual_queries() {
         let mut h = LogHistogram::new();
         for i in 1..=10_000 {
@@ -423,12 +390,6 @@ mod tests {
         let q = h.quantiles();
         assert!(q.p50 >= 1e-3 && q.p50 <= 2.0);
         assert!(q.p999 <= 2.0);
-        // Merging a saturated histogram is also safe.
-        let mut other = LogHistogram::new();
-        other.record_many(1e-3, u64::MAX);
-        h.merge(&other);
-        assert_eq!(h.count(), u64::MAX);
-        assert_eq!(h.max(), 2.0);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Hand-rolled JSON support so the crate stays zero-dependency.
 //!
 //! The writer emits compact single-line objects; the parser accepts any
-//! standard JSON value. Both exist to serve the JSONL event stream, not as
+//! standard JSON value. Both exist to serve the JSONL record stream, not as
 //! a general serialization framework.
 
 use std::collections::BTreeMap;
@@ -87,17 +87,6 @@ impl ObjectWriter {
         self
     }
 
-    pub fn opt_bool(&mut self, key: &str, value: Option<bool>) -> &mut Self {
-        match value {
-            Some(v) => self.bool(key, v),
-            None => {
-                self.key(key);
-                self.buf.push_str("null");
-                self
-            }
-        }
-    }
-
     pub fn finish(mut self) -> String {
         self.buf.push('}');
         self.buf
@@ -116,6 +105,9 @@ pub enum JsonValue {
     Null,
     Bool(bool),
     Number(f64),
+    /// A non-negative integer literal, kept exact (an `f64` would round
+    /// words above 2^53, such as packed `f64` bits).
+    UInt(u64),
     String(String),
     Array(Vec<JsonValue>),
     Object(BTreeMap<String, JsonValue>),
@@ -132,12 +124,14 @@ impl JsonValue {
     pub fn as_f64(&self) -> Option<f64> {
         match self {
             JsonValue::Number(n) => Some(*n),
+            JsonValue::UInt(n) => Some(*n as f64),
             _ => None,
         }
     }
 
     pub fn as_u64(&self) -> Option<u64> {
         match self {
+            JsonValue::UInt(n) => Some(*n),
             JsonValue::Number(n) if *n >= 0.0 && n.fract() == 0.0 => Some(*n as u64),
             _ => None,
         }
@@ -348,6 +342,9 @@ impl<'a> Parser<'a> {
         }
         let text =
             std::str::from_utf8(&self.bytes[start..self.pos]).map_err(|_| "invalid utf-8")?;
+        if let Ok(n) = text.parse::<u64>() {
+            return Ok(JsonValue::UInt(n));
+        }
         text.parse::<f64>()
             .map(JsonValue::Number)
             .map_err(|_| format!("bad number {text:?} at byte {start}"))
@@ -364,12 +361,11 @@ mod tests {
         w.str("kind", "side\"crc\n")
             .u64("symbol", 42)
             .f64("t", 1.25)
-            .bool("ok", true)
-            .opt_bool("expected", None);
+            .bool("ok", true);
         let line = w.finish();
         assert_eq!(
             line,
-            r#"{"kind":"side\"crc\n","symbol":42,"t":1.25,"ok":true,"expected":null}"#
+            r#"{"kind":"side\"crc\n","symbol":42,"t":1.25,"ok":true}"#
         );
     }
 

@@ -1,36 +1,40 @@
 //! carpool-obs: observability layer for the Carpool PHY/MAC stack.
 //!
-//! Zero-dependency metrics, structured event tracing, and profiling spans:
+//! Zero-dependency, and built around one record:
 //!
+//! - [`TraceRecord`] — the flight record. Each decision site (an RTE
+//!   recalibration, a side-channel CRC verdict, an A-HDR membership
+//!   test, a MAC delivery, ...) reports itself once, as one record of
+//!   one [`TraceKind`], through [`Obs::trace`]. The record feeds every
+//!   output: the metrics counters it implies
+//!   ([`TraceRecord::counters`]), the `--obs` JSONL stream, and the
+//!   `--trace-out` [`FlightRecorder`] ring with its Chrome-trace and
+//!   JSONL renderings ([`flight`]). `carpool report` reads that JSONL.
 //! - [`Recorder`] — counters, gauges, and log-bucketed histograms, with a
 //!   free no-op default ([`NoopRecorder`]) and an in-memory aggregator
 //!   ([`MemoryRecorder`]).
-//! - [`Event`] / [`EventSink`] — structured per-decision events from RTE
-//!   recalibration down to MAC drops, streamed as JSON lines
-//!   ([`JsonlSink`]) or retained in memory ([`RingBufferSink`]).
-//! - [`Obs::span`] — RAII wall-clock spans that report into both the
-//!   metrics registry (`span.<name>` histogram, seconds) and the event
-//!   stream ([`Event::SpanEnd`], microseconds).
+//! - [`Obs::span`] — RAII wall-clock spans that report into the metrics
+//!   registry only (`span.<name>` histogram, seconds; names in
+//!   [`names`]), so records stay a pure function of the simulated run.
 //!
-//! The [`Obs`] handle bundles a recorder and a sink behind `Arc`s so it
-//! clones cheaply into every layer. `Obs::noop()` is the default
-//! everywhere; instrumented code guards non-trivial work with
+//! The [`Obs`] handle bundles a recorder and the record outputs behind
+//! `Arc`s so it clones cheaply into every layer. `Obs::noop()` is the
+//! default everywhere; instrumented code guards non-trivial work with
 //! [`Obs::enabled`], which keeps the disabled-path cost to one branch.
+//! Parallel workers record through [`Obs::shard`] and the caller
+//! [`Obs::absorb`]s their records in a fixed order, so every output is
+//! byte-identical at any thread count.
 
-#[expect(
-    missing_docs,
-    reason = "member docs not written yet; only crate-root items were ever audited"
-)]
-mod event;
-/// Flight recorder: packed binary trace records of whole frame
-/// lifecycles, with Chrome-trace and JSONL exporters.
+/// The flight record: kinds, the packed record, the ring, and the
+/// JSONL and Chrome-trace renderings.
 pub mod flight;
 #[expect(
     missing_docs,
     reason = "member docs not written yet; only crate-root items were ever audited"
 )]
 mod histogram;
-/// Minimal JSON writer/parser shared by the sinks and bench snapshots.
+/// Minimal JSON writer/parser shared by the record stream and bench
+/// snapshots.
 #[expect(
     missing_docs,
     reason = "member docs not written yet; only crate-root items were ever audited"
@@ -38,42 +42,30 @@ mod histogram;
 pub mod json;
 /// Canonical metric and span names shared by the instrumented crates.
 pub mod names;
-#[expect(
-    missing_docs,
-    reason = "member docs not written yet; only crate-root items were ever audited"
-)]
 mod recorder;
-#[expect(
-    missing_docs,
-    reason = "member docs not written yet; only crate-root items were ever audited"
-)]
-mod sink;
 #[expect(
     missing_docs,
     reason = "member docs not written yet; only crate-root items were ever audited"
 )]
 mod span;
 
-pub use event::{Event, Layer, ParsedEvent, Stamped};
 pub use flight::{FlightRecorder, TraceKind, TraceRecord, DEFAULT_TRACE_CAPACITY};
 pub use histogram::{LogHistogram, Quantiles};
 pub use recorder::{MemoryRecorder, MetricsSnapshot, NoopRecorder, Recorder};
-pub use sink::{EventSink, JsonlSink, NoopSink, RingBufferSink};
-pub use span::{SpanStats, SpanTimer};
+pub use span::SpanStats;
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use span::SpanTimer;
+use std::io::{BufWriter, Write};
+use std::sync::{Arc, LazyLock, Mutex, PoisonError};
 
-/// Shared observability handle: one recorder, one event sink, an
-/// optional flight recorder, and a sequence counter. Clones share all
-/// of them; the frame-context and time-base fields are per-clone so a
-/// layer can stamp its records for one frame without touching siblings.
+/// Shared observability handle: one metrics recorder and the outputs
+/// records go to. Clones share both; the frame-context and time-base
+/// fields are per-clone so a layer can stamp its records for one frame
+/// without touching siblings.
 #[derive(Clone)]
 pub struct Obs {
     recorder: Arc<dyn Recorder + Send + Sync>,
-    sink: Arc<dyn EventSink + Send + Sync>,
-    flight: Option<Arc<FlightRecorder>>,
-    seq: Arc<AtomicU64>,
+    records: Records,
     enabled: bool,
     /// Frame id stamped on [`Obs::trace`] records from this clone.
     frame_ctx: u64,
@@ -83,14 +75,29 @@ pub struct Obs {
     t0: f64,
 }
 
+/// The `--obs` JSONL writer.
+type Stream = Mutex<BufWriter<Box<dyn Write + Send>>>;
+
+/// Where a handle's records go.
+#[derive(Clone)]
+enum Records {
+    /// Nowhere: the no-op and metrics-only handles.
+    Off,
+    /// The run's outputs: the `--trace-out` ring and the `--obs` stream.
+    Out {
+        ring: Option<Arc<FlightRecorder>>,
+        stream: Option<Arc<Stream>>,
+    },
+    /// A parallel worker's private buffer (see [`Obs::shard`]).
+    Shard(Arc<Mutex<Vec<TraceRecord>>>),
+}
+
 impl std::fmt::Debug for Obs {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Obs")
             .field("enabled", &self.enabled)
-            .field("tracing", &self.flight.is_some())
-            // ordering: counter read for debug display only; no
-            // synchronization intended.
-            .field("seq", &self.seq.load(Ordering::Relaxed))
+            .field("tracing", &self.tracing())
+            .field("frame_ctx", &self.frame_ctx)
             .finish()
     }
 }
@@ -103,53 +110,90 @@ impl Default for Obs {
 
 impl Obs {
     /// A handle that observes nothing. [`Obs::enabled`] returns false, so
-    /// instrumented hot paths skip event construction entirely.
+    /// instrumented hot paths skip record construction entirely.
+    /// Allocation-free: every no-op handle shares one recorder.
     pub fn noop() -> Obs {
-        Obs {
-            recorder: Arc::new(NoopRecorder),
-            sink: Arc::new(NoopSink),
-            flight: None,
-            seq: Arc::new(AtomicU64::new(0)),
-            enabled: false,
-            frame_ctx: 0,
-            t0: 0.0,
-        }
+        static NOOP: LazyLock<Arc<NoopRecorder>> = LazyLock::new(|| Arc::new(NoopRecorder));
+        Obs::with_recorder(NOOP.clone())
     }
 
-    /// Build a handle from explicit recorder and sink implementations.
-    pub fn new(
-        recorder: Arc<dyn Recorder + Send + Sync>,
-        sink: Arc<dyn EventSink + Send + Sync>,
-    ) -> Obs {
-        let enabled = recorder.is_enabled() || sink.is_enabled();
-        Obs {
-            recorder,
-            sink,
-            flight: None,
-            seq: Arc::new(AtomicU64::new(0)),
-            enabled,
-            frame_ctx: 0,
-            t0: 0.0,
-        }
-    }
-
-    /// Metrics-only handle (events are dropped).
+    /// A metrics-only handle; attach record outputs with
+    /// [`Obs::with_flight`] and [`Obs::with_stream`].
     pub fn with_recorder(recorder: Arc<dyn Recorder + Send + Sync>) -> Obs {
-        Obs::new(recorder, Arc::new(NoopSink))
+        Obs {
+            enabled: recorder.is_enabled(),
+            recorder,
+            records: Records::Off,
+            frame_ctx: 0,
+            t0: 0.0,
+        }
     }
 
-    /// Events-only handle (metrics are dropped).
-    pub fn with_sink(sink: Arc<dyn EventSink + Send + Sync>) -> Obs {
-        Obs::new(Arc::new(NoopRecorder), sink)
+    /// Also keeps every record in `flight`'s ring (consuming builder).
+    pub fn with_flight(self, flight: Arc<FlightRecorder>) -> Obs {
+        let stream = match self.records {
+            Records::Out { stream, .. } => stream,
+            _ => None,
+        };
+        Obs {
+            records: Records::Out {
+                ring: Some(flight),
+                stream,
+            },
+            enabled: true,
+            ..self
+        }
     }
 
-    /// Attaches a [`FlightRecorder`] (consuming builder). The handle
-    /// becomes enabled so instrumented sites inside `enabled()` guards
-    /// also reach their `trace` calls.
-    pub fn with_flight(mut self, flight: Arc<FlightRecorder>) -> Obs {
-        self.flight = Some(flight);
-        self.enabled = true;
-        self
+    /// Also writes every record to `writer` as one JSONL line (consuming
+    /// builder); [`Obs::flush`] flushes it. Write errors are ignored: a
+    /// truncated stream is the accepted failure mode for a full disk.
+    pub fn with_stream(self, writer: impl Write + Send + 'static) -> Obs {
+        let ring = match self.records {
+            Records::Out { ring, .. } => ring,
+            _ => None,
+        };
+        let writer: Box<dyn Write + Send> = Box::new(writer);
+        Obs {
+            records: Records::Out {
+                ring,
+                stream: Some(Arc::new(Mutex::new(BufWriter::new(writer)))),
+            },
+            enabled: true,
+            ..self
+        }
+    }
+
+    /// A handle for one parallel worker: metrics go straight to this
+    /// handle's recorder (counter adds commute), records to a private
+    /// buffer that the caller drains with [`Obs::take_records`] and
+    /// hands to [`Obs::absorb`] in a fixed order (station or domain),
+    /// so the outputs are identical at any thread count.
+    pub fn shard(&self) -> Obs {
+        Obs {
+            records: Records::Shard(Arc::new(Mutex::new(Vec::new()))),
+            enabled: true,
+            ..self.clone()
+        }
+    }
+
+    /// Drains a [`Obs::shard`] handle's buffered records, oldest first
+    /// (empty for any other handle).
+    pub fn take_records(&self) -> Vec<TraceRecord> {
+        match &self.records {
+            Records::Shard(buf) => {
+                std::mem::take(&mut *buf.lock().unwrap_or_else(PoisonError::into_inner))
+            }
+            _ => Vec::new(),
+        }
+    }
+
+    /// Sends a worker's records to this handle's outputs, in order. The
+    /// worker already counted them, so no counter moves here.
+    pub fn absorb(&self, records: &[TraceRecord]) {
+        for &rec in records {
+            self.keep(rec);
+        }
     }
 
     /// Whether any backend is live. Gate non-trivial instrumentation on
@@ -159,66 +203,71 @@ impl Obs {
         self.enabled
     }
 
-    /// Whether a flight recorder is attached. The disabled path is this
-    /// single branch; [`Obs::trace`] re-checks it internally, so callers
-    /// only need this to skip argument computation.
+    /// Whether records are kept anywhere (a ring, a stream, or a shard
+    /// buffer), as opposed to only feeding metrics counters.
     #[inline]
     pub fn tracing(&self) -> bool {
-        self.flight.is_some()
-    }
-
-    /// The attached flight recorder, for export and shard merging.
-    pub fn flight(&self) -> Option<&Arc<FlightRecorder>> {
-        self.flight.as_ref()
+        !matches!(self.records, Records::Off)
     }
 
     /// A clone whose [`Obs::trace`] records are stamped with `frame`.
-    /// Cheap (three `Arc` bumps); hand it to layers that cannot thread a
+    /// Cheap (two `Arc` bumps); hand it to layers that cannot thread a
     /// frame id through their own APIs.
     pub fn for_frame(&self, frame: u64) -> Obs {
-        let mut clone = self.clone();
-        clone.frame_ctx = frame;
-        clone
-    }
-
-    /// The frame id stamped on this clone's trace records.
-    pub fn frame_ctx(&self) -> u64 {
-        self.frame_ctx
+        Obs {
+            frame_ctx: frame,
+            ..self.clone()
+        }
     }
 
     /// A clone whose [`Obs::trace`] stamps are offset by `t0` seconds,
     /// anchoring frame-relative clocks (PHY symbol time) to the
     /// absolute sim timeline.
     pub fn with_time_base(&self, t0: f64) -> Obs {
-        let mut clone = self.clone();
-        clone.t0 = t0;
-        clone
+        Obs { t0, ..self.clone() }
     }
 
-    /// The sim-time offset applied to this clone's trace stamps.
-    pub fn time_base(&self) -> f64 {
-        self.t0
-    }
-
-    /// Records a flight-recorder trace for this clone's frame context at
-    /// sim time `t0 + t`. One branch when no recorder is attached.
+    /// Records one decision for this clone's frame context at sim time
+    /// `t0 + t`: the counters its kind implies and the record itself.
+    /// One branch when the handle is disabled.
     #[inline]
-    pub fn trace(&self, kind: TraceKind, t: f64, a: u64, b: u64) {
-        if let Some(flight) = &self.flight {
-            flight.record(TraceRecord::new(kind, self.frame_ctx, self.t0 + t, a, b));
-        }
+    pub fn trace(&self, kind: TraceKind, t: f64, a: u64, b: u64, c: u64) {
+        self.trace_frame(kind, self.frame_ctx, t, a, b, c);
     }
 
     /// [`Obs::trace`] with an explicit frame id — for emitters like the
     /// MAC simulator that track many frames through one handle.
     #[inline]
-    pub fn trace_frame(&self, kind: TraceKind, frame: u64, t: f64, a: u64, b: u64) {
-        if let Some(flight) = &self.flight {
-            flight.record(TraceRecord::new(kind, frame, self.t0 + t, a, b));
+    pub fn trace_frame(&self, kind: TraceKind, frame: u64, t: f64, a: u64, b: u64, c: u64) {
+        if !self.enabled {
+            return;
+        }
+        let rec = TraceRecord::new(kind, frame, self.t0 + t, a, b, c);
+        for (name, delta) in rec.counters().into_iter().flatten() {
+            self.recorder.counter(name, delta);
+        }
+        self.keep(rec);
+    }
+
+    fn keep(&self, rec: TraceRecord) {
+        match &self.records {
+            Records::Off => {}
+            Records::Out { ring, stream } => {
+                if let Some(ring) = ring {
+                    ring.record(rec);
+                }
+                if let Some(stream) = stream {
+                    let mut line = rec.to_json_line();
+                    line.push('\n');
+                    let mut w = stream.lock().unwrap_or_else(PoisonError::into_inner);
+                    let _ = w.write_all(line.as_bytes());
+                }
+            }
+            Records::Shard(buf) => buf.lock().unwrap_or_else(PoisonError::into_inner).push(rec),
         }
     }
 
-    /// Add `delta` to a monotonic counter.
+    /// Add `delta` to a monotonic counter that no record kind implies.
     #[inline]
     pub fn counter(&self, name: &'static str, delta: u64) {
         if self.enabled {
@@ -242,48 +291,30 @@ impl Obs {
         }
     }
 
-    /// Folds a [`MetricsSnapshot`] captured by another recorder (e.g. a
-    /// parallel worker's shard) into this handle's recorder. Counters
-    /// add, gauges last-write-win, histograms merge bucket-wise — see
-    /// [`Recorder::absorb`].
-    pub fn merge_metrics(&self, snapshot: &MetricsSnapshot) {
-        if self.enabled {
-            self.recorder.absorb(snapshot);
-        }
-    }
-
-    /// Emit a structured event stamped with clock value `t` and the next
-    /// sequence number.
-    #[inline]
-    pub fn emit(&self, t: f64, event: Event) {
-        if !self.enabled {
-            return;
-        }
-        // ordering: sequence counter; only monotonic uniqueness is
-        // needed, ordering relative to other memory is irrelevant.
-        let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        self.sink.emit(&Stamped { t, seq, event });
-    }
-
-    /// Open a wall-clock profiling span. On drop the guard records the
-    /// duration into the `span.<name>` histogram and emits
-    /// [`Event::SpanEnd`]. Inert (no clock read) when disabled.
+    /// Open a wall-clock profiling span named from [`names`]. On drop
+    /// the guard records the duration into the `span.<name>` histogram.
+    /// Inert (no clock read) when disabled.
     #[inline]
     pub fn span(&self, name: &'static str) -> SpanGuard<'_> {
         SpanGuard {
             obs: self,
-            timer: if self.enabled {
-                Some(SpanTimer::start(name))
-            } else {
-                None
-            },
+            timer: self.enabled.then(SpanTimer::start),
             name,
         }
     }
 
-    /// Flush the underlying sink (e.g. buffered JSONL output).
+    /// Flush the `--obs` stream, if any.
     pub fn flush(&self) {
-        self.sink.flush();
+        if let Records::Out {
+            stream: Some(stream),
+            ..
+        } = &self.records
+        {
+            let _ = stream
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .flush();
+        }
     }
 }
 
@@ -294,130 +325,78 @@ pub struct SpanGuard<'a> {
     name: &'static str,
 }
 
-impl SpanGuard<'_> {
-    /// The span's metric name.
-    pub fn name(&self) -> &'static str {
-        self.name
-    }
-}
-
 impl Drop for SpanGuard<'_> {
     fn drop(&mut self) {
         if let Some(timer) = self.timer {
-            let secs = timer.elapsed_secs();
-            self.obs.recorder.record(span_metric_name(self.name), secs);
-            self.obs.emit(
-                0.0,
-                Event::SpanEnd {
-                    name: self.name,
-                    micros: (secs * 1e6) as u64,
-                },
-            );
+            self.obs
+                .recorder
+                .record(span_metric_name(self.name), timer.elapsed_secs());
         }
     }
 }
 
-/// Metric name for a span's duration histogram. Span names are a small
-/// fixed vocabulary, so the mapping is a static table rather than a
-/// runtime `format!` (which would allocate on the hot path).
+/// Metric name for a span's duration histogram, from the static
+/// [`names`] table (a runtime `format!` would allocate on the hot path).
 fn span_metric_name(span: &'static str) -> &'static str {
-    match span {
-        "phy.encode" => "span.phy.encode",
-        "phy.decode" => "span.phy.decode",
-        "phy.equalize" => "span.phy.equalize",
-        "phy.viterbi" => "span.phy.viterbi",
-        "phy.fft" => "span.phy.fft",
-        "mac.sim_loop" => "span.mac.sim_loop",
-        "mac.txop" => "span.mac.txop",
-        "frame.receive" => "span.frame.receive",
-        "channel.transmit" => "span.channel.transmit",
-        "bloom.fp_measure" => "span.bloom.fp_measure",
-        _ => "span.other",
-    }
+    names::SPANS
+        .iter()
+        .find(|(name, _)| *name == span)
+        .map_or("span.other", |(_, metric)| metric)
 }
+
+#[cfg(test)]
+#[path = "../tests/support/shared_buf.rs"]
+mod shared_buf;
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::shared_buf::SharedBuf;
 
     #[test]
     fn noop_handle_is_disabled_and_silent() {
         let obs = Obs::noop();
-        assert!(!obs.enabled());
+        assert!(!obs.enabled() && !obs.tracing());
         obs.counter("c", 1);
         obs.gauge("g", 1.0);
         obs.record("h", 1.0);
-        obs.emit(0.0, Event::MacCollision { contenders: 2 });
+        obs.trace(TraceKind::MacCollision, 0.0, 2, 0, 0);
         {
-            let _span = obs.span("phy.decode");
+            let _span = obs.span(names::PHY_DECODE);
         }
         obs.flush();
+        assert!(obs.take_records().is_empty());
     }
 
     #[test]
-    fn emit_assigns_increasing_seq() {
-        let sink = Arc::new(RingBufferSink::new(16));
-        let obs = Obs::with_sink(sink.clone());
-        assert!(obs.enabled());
-        for i in 0..5 {
-            obs.emit(i as f64, Event::EqualizerReset { symbol: i });
-        }
-        let seqs: Vec<u64> = sink.events().iter().map(|e| e.seq).collect();
-        assert_eq!(seqs, vec![0, 1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn clones_share_seq_counter() {
-        let sink = Arc::new(RingBufferSink::new(16));
-        let obs = Obs::with_sink(sink.clone());
-        let clone = obs.clone();
-        obs.emit(0.0, Event::EqualizerReset { symbol: 0 });
-        clone.emit(0.0, Event::EqualizerReset { symbol: 1 });
-        obs.emit(0.0, Event::EqualizerReset { symbol: 2 });
-        let seqs: Vec<u64> = sink.events().iter().map(|e| e.seq).collect();
-        assert_eq!(seqs, vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn span_reports_to_recorder_and_sink() {
+    fn trace_feeds_counters_ring_and_stream_once() {
         let recorder = Arc::new(MemoryRecorder::new());
-        let sink = Arc::new(RingBufferSink::new(4));
-        let obs = Obs::new(recorder.clone(), sink.clone());
-        {
-            let _span = obs.span("phy.decode");
-            std::hint::black_box(0u64);
-        }
+        let ring = Arc::new(FlightRecorder::new(8));
+        let text = SharedBuf::default();
+        let obs = Obs::with_recorder(recorder.clone())
+            .with_stream(text.clone())
+            .with_flight(ring.clone());
+        obs.trace(TraceKind::SideCrc, 0.5, 3, 1, 0);
+        obs.trace(TraceKind::SideCrc, 0.75, 6, 0, 0);
+        obs.flush();
+
         let snap = recorder.snapshot();
-        let h = snap.histogram("span.phy.decode").expect("span histogram");
-        assert_eq!(h.count(), 1);
-        let events = sink.events();
-        assert_eq!(events.len(), 1);
-        assert!(matches!(
-            events[0].event,
-            Event::SpanEnd {
-                name: "phy.decode",
-                ..
-            }
-        ));
+        assert_eq!(snap.counter("phy.side_crc_ok"), 1);
+        assert_eq!(snap.counter("phy.side_crc_fail"), 1);
+        let records = ring.records();
+        assert_eq!(records.len(), 2);
+        let lines: Vec<String> = records.iter().map(|r| r.to_json_line() + "\n").collect();
+        assert_eq!(text.text(), lines.concat());
     }
 
     #[test]
-    fn trace_is_inert_without_flight_recorder() {
-        let obs = Obs::noop();
-        assert!(!obs.tracing());
-        obs.trace(TraceKind::MacEnqueue, 0.0, 1, 2);
-        obs.trace_frame(TraceKind::MacAck, 9, 0.0, 1, 2);
-        assert!(obs.flight().is_none());
-    }
-
-    #[test]
-    fn flight_handle_stamps_frame_ctx_and_time_base() {
+    fn handle_stamps_frame_ctx_and_time_base() {
         let flight = Arc::new(FlightRecorder::new(8));
         let obs = Obs::noop().with_flight(flight.clone());
         assert!(obs.enabled() && obs.tracing());
         let framed = obs.for_frame(42).with_time_base(1.0);
-        framed.trace(TraceKind::RteRecal, 0.25, 3, 1);
-        framed.trace_frame(TraceKind::MacAck, 77, 0.5, 0, 0);
+        framed.trace(TraceKind::RteRecal, 0.25, 3, 1, 0);
+        framed.trace_frame(TraceKind::MacAck, 77, 0.5, 0, 0, 0);
         let recs = flight.records();
         assert_eq!(recs.len(), 2);
         assert_eq!(recs[0].frame(), 42);
@@ -426,8 +405,45 @@ mod tests {
         assert_eq!(recs[1].frame(), 77);
         assert_eq!(recs[1].t(), 1.5);
         // The base handle is untouched by the per-clone context.
-        assert_eq!(obs.frame_ctx(), 0);
-        assert_eq!(obs.time_base(), 0.0);
+        assert_eq!((obs.frame_ctx, obs.t0), (0, 0.0));
+    }
+
+    #[test]
+    fn shard_counts_at_once_and_absorb_only_forwards_records() {
+        let recorder = Arc::new(MemoryRecorder::new());
+        let ring = Arc::new(FlightRecorder::new(8));
+        let parent = Obs::with_recorder(recorder.clone())
+            .with_flight(ring.clone())
+            .for_frame(5)
+            .with_time_base(2.0);
+        let worker = parent.shard();
+        worker.trace(TraceKind::EqReset, 0.5, 9, 0, 0);
+        // Counted by the worker, not yet in the parent's ring.
+        assert_eq!(recorder.snapshot().counter("phy.eq_reset"), 1);
+        assert!(ring.is_empty());
+
+        let records = worker.take_records();
+        assert!(worker.take_records().is_empty(), "take drains");
+        parent.absorb(&records);
+        assert_eq!(recorder.snapshot().counter("phy.eq_reset"), 1);
+        let kept = ring.records();
+        assert_eq!(kept, records);
+        assert_eq!((kept[0].frame(), kept[0].t()), (5, 2.5));
+    }
+
+    #[test]
+    fn span_reports_to_recorder_only() {
+        let recorder = Arc::new(MemoryRecorder::new());
+        let ring = Arc::new(FlightRecorder::new(4));
+        let obs = Obs::with_recorder(recorder.clone()).with_flight(ring.clone());
+        {
+            let _span = obs.span(names::PHY_DECODE);
+            std::hint::black_box(0u64);
+        }
+        let snap = recorder.snapshot();
+        let h = snap.histogram("span.phy.decode").expect("span histogram");
+        assert_eq!(h.count(), 1);
+        assert!(ring.is_empty(), "wall-clock spans never become records");
     }
 
     #[test]

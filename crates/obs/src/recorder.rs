@@ -3,7 +3,8 @@
 //! Instrumented code talks to a [`Recorder`]; production paths install the
 //! no-op implementation (every call is a dynamic dispatch to an empty body,
 //! no allocation, no locking), while tools install [`MemoryRecorder`] and
-//! read the aggregates back out.
+//! read the aggregates back out. Parallel workers share one recorder:
+//! counter adds commute, so the totals do not depend on scheduling.
 
 use std::collections::BTreeMap;
 use std::sync::Mutex;
@@ -30,21 +31,6 @@ pub trait Recorder {
     fn is_enabled(&self) -> bool {
         true
     }
-
-    /// Folds a [`MetricsSnapshot`] captured elsewhere (e.g. a parallel
-    /// worker's shard recorder) into this recorder: counters add, gauges
-    /// last-write-win, histograms merge bucket-wise. The default
-    /// implementation replays counters and gauges through the scalar
-    /// methods but cannot represent whole histograms, so histogram-capable
-    /// recorders (like [`MemoryRecorder`]) override it for exact merging.
-    fn absorb(&self, snapshot: &MetricsSnapshot) {
-        for (name, delta) in &snapshot.counters {
-            self.counter(name, *delta);
-        }
-        for (name, value) in &snapshot.gauges {
-            self.gauge(name, *value);
-        }
-    }
 }
 
 /// Discards everything. All methods are empty bodies, so an
@@ -64,96 +50,71 @@ impl Recorder for NoopRecorder {
 /// Point-in-time view of everything a [`MemoryRecorder`] has collected.
 #[derive(Debug, Default, Clone)]
 pub struct MetricsSnapshot {
+    /// Counter totals by name.
     pub counters: BTreeMap<&'static str, u64>,
+    /// Last value written to each gauge.
     pub gauges: BTreeMap<&'static str, f64>,
+    /// Histograms by name.
     pub histograms: BTreeMap<&'static str, LogHistogram>,
 }
 
 impl MetricsSnapshot {
+    /// The named counter's total (0 if it was never touched).
     pub fn counter(&self, name: &str) -> u64 {
         self.counters.get(name).copied().unwrap_or(0)
     }
 
+    /// The named gauge's last value, if it was ever set.
     pub fn gauge(&self, name: &str) -> Option<f64> {
         self.gauges.get(name).copied()
     }
 
+    /// The named histogram, if it holds any sample.
     pub fn histogram(&self, name: &str) -> Option<&LogHistogram> {
         self.histograms.get(name)
     }
-}
-
-#[derive(Debug, Default)]
-struct MemoryState {
-    counters: BTreeMap<&'static str, u64>,
-    gauges: BTreeMap<&'static str, f64>,
-    histograms: BTreeMap<&'static str, LogHistogram>,
 }
 
 /// Aggregates metrics in memory behind a mutex. Intended for tests, the
 /// CLI, and benches — not for per-sample hot loops (batch there first).
 #[derive(Debug, Default)]
 pub struct MemoryRecorder {
-    state: Mutex<MemoryState>,
+    state: Mutex<MetricsSnapshot>,
 }
 
 impl MemoryRecorder {
+    /// An empty registry.
     pub fn new() -> MemoryRecorder {
         MemoryRecorder::default()
     }
 
+    /// A copy of everything recorded so far.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        let state = self
-            .state
+        self.lock().clone()
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, MetricsSnapshot> {
+        self.state
             .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        MetricsSnapshot {
-            counters: state.counters.clone(),
-            gauges: state.gauges.clone(),
-            histograms: state.histograms.clone(),
-        }
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 }
 
 impl Recorder for MemoryRecorder {
     fn counter(&self, name: &'static str, delta: u64) {
-        let mut state = self
-            .state
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        *state.counters.entry(name).or_insert(0) += delta;
+        *self.lock().counters.entry(name).or_insert(0) += delta;
     }
 
     fn gauge(&self, name: &'static str, value: f64) {
-        let mut state = self
-            .state
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        state.gauges.insert(name, value);
+        self.lock().gauges.insert(name, value);
     }
 
     fn record(&self, name: &'static str, value: f64) {
-        let mut state = self
-            .state
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        state.histograms.entry(name).or_default().record(value);
-    }
-
-    fn absorb(&self, snapshot: &MetricsSnapshot) {
-        let mut state = self
-            .state
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        for (name, delta) in &snapshot.counters {
-            *state.counters.entry(name).or_insert(0) += delta;
-        }
-        for (name, value) in &snapshot.gauges {
-            state.gauges.insert(name, *value);
-        }
-        for (name, hist) in &snapshot.histograms {
-            state.histograms.entry(name).or_default().merge(hist);
-        }
+        self.lock()
+            .histograms
+            .entry(name)
+            .or_default()
+            .record(value);
     }
 }
 
@@ -168,38 +129,6 @@ mod tests {
         r.gauge("y", 2.0);
         r.record("z", 3.0);
         assert!(!r.is_enabled());
-    }
-
-    #[test]
-    fn absorb_merges_shards_exactly() {
-        // Sequential recording vs. two shards merged: identical snapshots.
-        let whole = MemoryRecorder::new();
-        let shard_a = MemoryRecorder::new();
-        let shard_b = MemoryRecorder::new();
-        for i in 0..50u64 {
-            let target = if i % 2 == 0 { &shard_a } else { &shard_b };
-            for r in [&whole, target] {
-                r.counter("frames", 1);
-                r.record("delay", (i as f64 + 1.0) * 1e-4);
-            }
-        }
-        whole.gauge("depth", 9.0);
-        shard_b.gauge("depth", 9.0);
-
-        let merged = MemoryRecorder::new();
-        merged.absorb(&shard_a.snapshot());
-        merged.absorb(&shard_b.snapshot());
-        let (want, got) = (whole.snapshot(), merged.snapshot());
-        assert_eq!(want.counters, got.counters);
-        assert_eq!(want.gauges, got.gauges);
-        let (wh, gh) = (
-            want.histogram("delay").unwrap(),
-            got.histogram("delay").unwrap(),
-        );
-        assert_eq!(wh.count(), gh.count());
-        assert!((wh.sum() - gh.sum()).abs() < 1e-12);
-        assert_eq!(wh.quantile(0.5), gh.quantile(0.5));
-        assert_eq!(wh.nonzero_buckets(), gh.nonzero_buckets());
     }
 
     #[test]

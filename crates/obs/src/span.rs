@@ -1,45 +1,30 @@
 //! Lightweight wall-clock profiling spans.
 //!
-//! A [`SpanTimer`] measures one region; the RAII [`SpanGuard`] returned by
-//! [`crate::Obs::span`] reports the duration to the histogram metric
-//! `span.<name>` (in seconds) and emits a [`crate::Event::SpanEnd`] event
-//! when it drops. When observability is disabled the guard is inert: no
-//! clock read, no event.
+//! A [`SpanTimer`] measures one region for the RAII [`crate::SpanGuard`]
+//! returned by [`crate::Obs::span`], which reports the duration to the
+//! histogram metric `span.<name>` (in seconds) when it drops. Spans are
+//! metrics only: wall-clock time never enters a flight record, so
+//! record streams stay a pure function of the simulated run. When
+//! observability is disabled the guard is inert: no clock read.
 
 use std::time::Instant;
 
-/// Manual start/stop timer for when RAII scoping is inconvenient
-/// (e.g. timing across loop iterations or collecting raw samples).
+/// Start time of one open span.
 #[derive(Debug, Clone, Copy)]
-pub struct SpanTimer {
-    name: &'static str,
-    start: Instant,
-}
+pub(crate) struct SpanTimer(Instant);
 
 impl SpanTimer {
     #[expect(
         clippy::disallowed_methods,
         reason = "profiling-only; span durations feed stderr summaries, never figure or trace payloads"
     )]
-    pub fn start(name: &'static str) -> SpanTimer {
-        SpanTimer {
-            name,
-            start: Instant::now(),
-        }
-    }
-
-    pub fn name(&self) -> &'static str {
-        self.name
+    pub(crate) fn start() -> SpanTimer {
+        SpanTimer(Instant::now())
     }
 
     /// Seconds elapsed since `start`.
-    pub fn elapsed_secs(&self) -> f64 {
-        self.start.elapsed().as_secs_f64()
-    }
-
-    /// Whole microseconds elapsed since `start`.
-    pub fn elapsed_micros(&self) -> u64 {
-        self.start.elapsed().as_micros() as u64
+    pub(crate) fn elapsed_secs(&self) -> f64 {
+        self.0.elapsed().as_secs_f64()
     }
 }
 
@@ -133,9 +118,7 @@ mod tests {
 
     #[test]
     fn timer_measures_nonnegative_time() {
-        let timer = SpanTimer::start("test");
-        assert_eq!(timer.name(), "test");
-        assert!(timer.elapsed_secs() >= 0.0);
+        assert!(SpanTimer::start().elapsed_secs() >= 0.0);
     }
 
     #[test]

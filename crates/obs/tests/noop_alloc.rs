@@ -6,7 +6,7 @@
 //! per thread, so tests running in parallel do not see each other's
 //! allocations.
 
-use carpool_obs::{Event, Obs};
+use carpool_obs::{names, Obs, TraceKind};
 
 #[path = "support/counting_alloc.rs"]
 mod counting_alloc;
@@ -25,15 +25,8 @@ fn noop_handle_never_allocates() {
             obs.counter("mac.transmissions", 1);
             obs.gauge("mac.queue_depth", i as f64);
             obs.record("mac.delay", 0.001 * i as f64);
-            obs.emit(
-                i as f64,
-                Event::MacDelivery {
-                    dest: i,
-                    bytes: 1500,
-                    delay: 0.01,
-                },
-            );
-            let _span = obs.span("phy.decode");
+            obs.trace(TraceKind::MacAck, i as f64, i, 1500, 0.01f64.to_bits());
+            let _span = obs.span(names::PHY_DECODE);
         }
     });
     assert_eq!(allocs, 0, "no-op Obs allocated {allocs} times");

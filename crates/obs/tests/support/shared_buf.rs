@@ -1,0 +1,31 @@
+//! An in-memory `Write` target a test can read back, for capturing the
+//! JSONL stream an `Obs::with_stream` handle writes.
+
+use std::io::Write;
+use std::sync::{Arc, Mutex, PoisonError};
+
+/// Clones share one buffer: hand one to the handle, keep one to read.
+#[derive(Clone, Default)]
+pub struct SharedBuf(Arc<Mutex<Vec<u8>>>);
+
+impl SharedBuf {
+    /// Everything written so far, as text.
+    pub fn text(&self) -> String {
+        let bytes = self.0.lock().unwrap_or_else(PoisonError::into_inner);
+        String::from_utf8_lossy(&bytes).into_owned()
+    }
+}
+
+impl Write for SharedBuf {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.0
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .extend_from_slice(buf);
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}

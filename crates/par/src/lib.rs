@@ -26,11 +26,11 @@
 //! this crate is a pure function of `(items, f)` — the thread count only
 //! changes wall-clock time.
 //!
-//! Observability rides the same contract: workers that record events or
-//! flight-recorder trace records do so into *private* per-item shards,
-//! which the caller merges serially in item order afterwards (see
-//! `CarpoolLink::deliver_all` and `FlightRecorder::absorb`). That keeps
-//! every trace export byte-identical at any thread count.
+//! Observability rides the same contract: workers record flight records
+//! into *private* per-item buffers (`Obs::shard`), which the caller
+//! absorbs serially in item order afterwards (see
+//! `CarpoolLink::deliver_all` and `Obs::absorb`). That keeps every
+//! record output byte-identical at any thread count.
 //!
 //! # Thread count
 //!

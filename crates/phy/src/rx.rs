@@ -36,7 +36,7 @@ use crate::rte::{CalibrationRule, RteEstimator};
 use crate::scrambler::Scrambler;
 use crate::tx::{SectionSpec, SideChannelConfig};
 use crate::PhyError;
-use carpool_obs::{Event, Obs, TraceKind};
+use carpool_obs::{Obs, TraceKind};
 
 /// Channel estimation strategy.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -335,12 +335,12 @@ impl<'a> FrameDecoder<'a> {
         self.scratch
     }
 
-    /// Attaches an observability handle. When enabled, the decoder emits
-    /// per-group [`Event::SideCrc`] verdicts, per-symbol
-    /// [`Event::RteUpdate`] decisions (RTE mode only), equalizer
-    /// re-anchor events, and `phy.decode` / `phy.viterbi` timing spans
-    /// (no `phy.viterbi` under [`Fec::Off`]).
-    /// The timestamp on PHY events is the OFDM symbol index.
+    /// Attaches an observability handle. When enabled, the decoder records
+    /// per-group [`TraceKind::SideCrc`] verdicts, per-symbol
+    /// [`TraceKind::RteRecal`] decisions (RTE mode only), equalizer
+    /// re-anchors ([`TraceKind::EqReset`]), and `phy.decode` /
+    /// `phy.viterbi` timing spans (no `phy.viterbi` under [`Fec::Off`]).
+    /// Records are stamped at the OFDM symbol's position in seconds.
     pub fn with_obs(mut self, obs: Obs) -> Self {
         self.obs = obs;
         self
@@ -425,15 +425,13 @@ impl<'a> FrameDecoder<'a> {
         // Re-anchor the differential phase reference on the next decoded
         // symbol rather than across the gap.
         self.prev_phase = f64::NAN;
-        if self.obs.enabled() {
-            self.obs.counter("phy.eq_reset", 1);
-            self.obs.emit(
-                self.symbol_index as f64,
-                Event::EqualizerReset {
-                    symbol: self.symbol_index as u64,
-                },
-            );
-        }
+        self.obs.trace(
+            TraceKind::EqReset,
+            symbol_time(self.symbol_index),
+            self.symbol_index as u64,
+            0,
+            0,
+        );
         Ok(())
     }
 
@@ -601,30 +599,13 @@ impl<'a> FrameDecoder<'a> {
                     for _ in 0..group.indices.len() {
                         crc_ok.push(ok);
                     }
-                    if obs.enabled() {
-                        let group_id = group.indices[0] as u64;
-                        obs.counter(
-                            if ok {
-                                "phy.side_crc_ok"
-                            } else {
-                                "phy.side_crc_fail"
-                            },
-                            1,
-                        );
-                        obs.emit(
-                            idx as f64,
-                            Event::SideCrc {
-                                group: group_id,
-                                ok,
-                            },
-                        );
-                        obs.trace(
-                            TraceKind::SideCrc,
-                            symbol_time(idx),
-                            group_id,
-                            u64::from(ok),
-                        );
-                    }
+                    obs.trace(
+                        TraceKind::SideCrc,
+                        symbol_time(idx),
+                        group.indices[0] as u64,
+                        u64::from(ok),
+                        0,
+                    );
                     if ok {
                         for ((rx_sym, decided), sym_idx) in group
                             .compensated
@@ -638,22 +619,12 @@ impl<'a> FrameDecoder<'a> {
                                 if let (Some((b, _)), Some((a, _))) =
                                     (before, estimator.rte_counters())
                                 {
-                                    let applied = a > b;
-                                    obs.counter(
-                                        if applied {
-                                            "phy.rte_applied"
-                                        } else {
-                                            "phy.rte_rejected"
-                                        },
-                                        1,
-                                    );
-                                    let symbol = *sym_idx as u64;
-                                    obs.emit(*sym_idx as f64, Event::RteUpdate { symbol, applied });
                                     obs.trace(
                                         TraceKind::RteRecal,
                                         symbol_time(*sym_idx),
-                                        symbol,
-                                        u64::from(applied),
+                                        *sym_idx as u64,
+                                        u64::from(a > b),
+                                        0,
                                     );
                                 }
                             } else {
@@ -666,15 +637,7 @@ impl<'a> FrameDecoder<'a> {
                         if estimator.rte_counters().is_some() {
                             for &sym_idx in &group.indices {
                                 let symbol = sym_idx as u64;
-                                obs.counter("phy.rte_rejected", 1);
-                                obs.emit(
-                                    sym_idx as f64,
-                                    Event::RteUpdate {
-                                        symbol,
-                                        applied: false,
-                                    },
-                                );
-                                obs.trace(TraceKind::RteRecal, symbol_time(sym_idx), symbol, 0);
+                                obs.trace(TraceKind::RteRecal, symbol_time(sym_idx), symbol, 0, 0);
                             }
                         }
                     }
@@ -1004,14 +967,14 @@ mod tests {
 
     #[test]
     fn obs_captures_crc_and_rte_decisions() {
-        use carpool_obs::{MemoryRecorder, Obs, RingBufferSink};
+        use carpool_obs::{FlightRecorder, MemoryRecorder, Obs};
         use std::sync::Arc;
 
         let spec = SectionSpec::payload(pattern_bits(800), Mcs::QPSK_1_2);
         let frame = transmit(std::slice::from_ref(&spec)).unwrap();
         let recorder = Arc::new(MemoryRecorder::new());
-        let sink = Arc::new(RingBufferSink::new(4096));
-        let obs = Obs::new(recorder.clone(), sink.clone());
+        let ring = Arc::new(FlightRecorder::new(4096));
+        let obs = Obs::with_recorder(recorder.clone()).with_flight(ring.clone());
 
         let mut dec = FrameDecoder::new(&frame.samples, Estimation::Rte(CalibrationRule::Average))
             .unwrap()
@@ -1037,22 +1000,18 @@ mod tests {
         assert!(snap.histogram("span.phy.decode").is_some());
         assert!(snap.histogram("span.phy.viterbi").is_some());
 
-        let events = sink.events();
-        let crc_events = events
-            .iter()
-            .filter(|e| matches!(e.event, carpool_obs::Event::SideCrc { .. }))
-            .count();
-        assert!(crc_events > 0);
-        let rte_events = events
-            .iter()
-            .filter(|e| matches!(e.event, carpool_obs::Event::RteUpdate { .. }))
-            .count();
-        assert_eq!(rte_events, layout.symbol_count());
+        let records = ring.records();
+        let count = |kind| records.iter().filter(|r| r.kind() == Some(kind)).count();
+        assert_eq!(
+            count(TraceKind::SideCrc) as u64,
+            snap.counter("phy.side_crc_ok")
+        );
+        assert_eq!(count(TraceKind::RteRecal), layout.symbol_count());
     }
 
     #[test]
     fn obs_skip_emits_equalizer_reset() {
-        use carpool_obs::{Obs, RingBufferSink};
+        use carpool_obs::{FlightRecorder, Obs};
         use std::sync::Arc;
 
         let specs = vec![
@@ -1060,15 +1019,15 @@ mod tests {
             SectionSpec::payload(pattern_bits(300), Mcs::QPSK_1_2),
         ];
         let frame = transmit(&specs).unwrap();
-        let sink = Arc::new(RingBufferSink::new(64));
+        let ring = Arc::new(FlightRecorder::new(64));
         let mut dec = FrameDecoder::new(&frame.samples, Estimation::Standard)
             .unwrap()
-            .with_obs(Obs::with_sink(sink.clone()));
+            .with_obs(Obs::noop().with_flight(ring.clone()));
         dec.skip_section(&SectionLayout::of(&specs[0])).unwrap();
-        assert!(sink
-            .events()
+        assert!(ring
+            .records()
             .iter()
-            .any(|e| matches!(e.event, carpool_obs::Event::EqualizerReset { .. })));
+            .any(|r| r.kind() == Some(TraceKind::EqReset)));
     }
 
     #[test]

@@ -122,31 +122,22 @@ impl Trace {
         self.records.is_empty()
     }
 
-    /// Replays the trace into an observability stream: one
-    /// [`carpool_obs::Event::TrafficArrival`] per record (stamped with the
-    /// record's arrival time, so the stream stays monotone) plus
-    /// per-direction frame/byte counters.
+    /// Replays the trace into an observability handle: one
+    /// [`carpool_obs::TraceKind::TrafficArrival`] per record, stamped with the
+    /// record's arrival time (so the stream stays monotone); its kind
+    /// feeds the per-direction frame/byte counters.
     pub fn emit_obs(&self, obs: &carpool_obs::Obs) {
         if !obs.enabled() {
             return;
         }
         for r in &self.records {
-            match r.direction {
-                Direction::Downlink => {
-                    obs.counter("traffic.downlink.frames", 1);
-                    obs.counter("traffic.downlink.bytes", r.bytes as u64);
-                }
-                Direction::Uplink => {
-                    obs.counter("traffic.uplink.frames", 1);
-                    obs.counter("traffic.uplink.bytes", r.bytes as u64);
-                }
-            }
-            obs.emit(
+            let uplink = matches!(r.direction, Direction::Uplink);
+            obs.trace(
+                carpool_obs::TraceKind::TrafficArrival,
                 r.time,
-                carpool_obs::Event::TrafficArrival {
-                    dest: r.sta as u64,
-                    bytes: r.bytes as u64,
-                },
+                r.sta as u64,
+                r.bytes as u64,
+                u64::from(uplink),
             );
         }
     }
@@ -316,7 +307,7 @@ mod tests {
 
     #[test]
     fn emit_obs_mirrors_volume_stats() {
-        use carpool_obs::{MemoryRecorder, Obs, RingBufferSink};
+        use carpool_obs::{FlightRecorder, MemoryRecorder, Obs};
         use std::sync::Arc;
 
         let mut rng = StdRng::seed_from_u64(9);
@@ -325,8 +316,8 @@ mod tests {
         let trace = Trace::from_arrivals(&[(1, down)], &[(2, up)]);
 
         let recorder = Arc::new(MemoryRecorder::new());
-        let sink = Arc::new(RingBufferSink::new(1 << 16));
-        trace.emit_obs(&Obs::new(recorder.clone(), sink.clone()));
+        let ring = Arc::new(FlightRecorder::new(1 << 16));
+        trace.emit_obs(&Obs::with_recorder(recorder.clone()).with_flight(ring.clone()));
 
         let stats = trace.volume_stats();
         let snap = recorder.snapshot();
@@ -334,10 +325,14 @@ mod tests {
             snap.counter("traffic.downlink.frames") + snap.counter("traffic.uplink.frames"),
             stats.total_frames()
         );
-        let events = sink.events();
-        assert_eq!(events.len() as u64, stats.total_frames());
-        for w in events.windows(2) {
-            assert!(w[0].t <= w[1].t, "replayed stream must stay monotone");
+        assert_eq!(
+            snap.counter("traffic.downlink.bytes") + snap.counter("traffic.uplink.bytes"),
+            stats.total_bytes()
+        );
+        let records = ring.records();
+        assert_eq!(records.len() as u64, stats.total_frames());
+        for w in records.windows(2) {
+            assert!(w[0].t() <= w[1].t(), "replayed stream must stay monotone");
         }
     }
 

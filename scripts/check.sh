@@ -25,6 +25,20 @@ stage_end() {
     echo "-- stage wall time: $(( $(now_ms) - stage_t0 )) ms"
 }
 
+stage_begin "size report (report only)"
+# Lines of Rust and `pub fn` declarations per crate, so a removal change
+# can quote its before/after from one command. Informational: it never
+# fails the gate, and perfbench/ (the benchmark harness) is not counted.
+for dir in crates/* src tests examples; do
+    [ -d "$dir" ] || continue
+    lines=$(find "$dir" -name '*.rs' -exec cat {} + | wc -l) || lines=?
+    pub_fns=$(grep -rh --include='*.rs' 'pub fn' "$dir" | wc -l) || pub_fns=?
+    printf '  %-20s %7s lines %5s pub fn\n' "$dir" "$lines" "$pub_fns"
+done
+total=$(find crates src tests examples -name '*.rs' -exec cat {} + | wc -l) || total=?
+echo "  workspace .rs total: $total lines"
+stage_end
+
 stage_begin "cargo fmt --check"
 cargo fmt --all --check
 stage_end

@@ -7,7 +7,11 @@ use carpool_bench::{run_phy, PhyRunConfig};
 use carpool_mac::error_model::{BerBiasModel, FrameErrorModel};
 use carpool_mac::sim::{run_replications, SimConfig};
 use carpool_mac::SimReport;
+use shared_buf::SharedBuf;
 use std::sync::Mutex;
+
+#[path = "../crates/obs/tests/support/shared_buf.rs"]
+mod shared_buf;
 
 /// The thread override is process-wide state and the tests in this
 /// binary run concurrently, so every mutation holds this lock.
@@ -55,38 +59,48 @@ fn mac_replications_are_thread_count_invariant() {
     assert_eq!(one, four);
 }
 
-/// Runs the fig03-shaped flight-trace scenario with a recorder attached
-/// and returns both export formats.
+/// Runs the fig03-shaped flight-trace scenario with a ring and a JSONL
+/// stream attached and returns the two ring exports and the stream.
 #[expect(
     clippy::expect_used,
     reason = "test helper: a failed setup fails the test"
 )]
-fn traced_fig03(threads: usize) -> (String, String) {
+fn traced_fig03(threads: usize) -> (String, String, String) {
     with_threads(threads, || {
         let flight = std::sync::Arc::new(carpool_obs::FlightRecorder::new(4096));
-        let obs = carpool_obs::Obs::noop().with_flight(flight.clone());
+        let stream = SharedBuf::default();
+        let obs = carpool_obs::Obs::noop()
+            .with_flight(flight.clone())
+            .with_stream(stream.clone());
         carpool::fig03_flight_trace(4, 14.0, 7, &obs).expect("scenario runs");
+        obs.flush();
         let records = flight.records();
         (
             carpool_obs::flight::to_chrome_trace(&records),
             carpool_obs::flight::to_jsonl(&records, flight.dropped()),
+            stream.text(),
         )
     })
 }
 
-/// The flight recorder rides the same shard-merge contract as every
-/// other observable: per-worker rings absorbed in station order, so both
-/// trace exports must be byte-identical whatever the thread count.
+/// The flight record rides the same shard-merge contract as every other
+/// observable: per-worker buffers absorbed in station order, so both
+/// ring exports and the `--obs` stream must be byte-identical whatever
+/// the thread count.
 #[test]
 fn flight_trace_is_thread_count_invariant() {
-    let (chrome_one, jsonl_one) = traced_fig03(1);
-    let (chrome_four, jsonl_four) = traced_fig03(4);
+    let (chrome_one, jsonl_one, stream_one) = traced_fig03(1);
+    let (chrome_four, jsonl_four, stream_four) = traced_fig03(4);
     assert!(
         jsonl_one.contains("trace_enqueue") && jsonl_one.contains("trace_outcome"),
         "trace should span MAC enqueue through per-STA outcome"
     );
     assert_eq!(chrome_one, chrome_four, "chrome trace differs by threads");
     assert_eq!(jsonl_one, jsonl_four, "jsonl trace differs by threads");
+    assert_eq!(stream_one, stream_four, "obs stream differs by threads");
+    // Nothing overflowed, so the stream is the ring export minus its
+    // summary trailer.
+    assert!(jsonl_one.starts_with(&stream_one) && jsonl_one.len() > stream_one.len());
 }
 
 #[test]
