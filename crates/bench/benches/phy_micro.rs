@@ -39,10 +39,7 @@ use carpool_bloom::AggregationHeader;
 use carpool_channel::link::LinkChannel;
 use carpool_obs::json::{self, ObjectWriter};
 use carpool_obs::{FlightRecorder, MemoryRecorder, Obs, SpanStats};
-use carpool_phy::convolutional::{
-    decode, decode_levels_with, decode_soft, decode_soft_quantized, encode, CodeRate,
-    ViterbiScratch,
-};
+use carpool_phy::convolutional::{decode, decode_levels_with, encode, CodeRate, ViterbiScratch};
 use carpool_phy::equalizer::ChannelEstimate;
 use carpool_phy::fft::{fft_in_place, fft_real, ifft_in_place};
 use carpool_phy::interleaver::Interleaver;
@@ -133,26 +130,6 @@ fn bench_coding(results: &mut Vec<SpanStats>) {
     }));
     results.push(measure("viterbi_decode_1kbit", || {
         black_box(decode(black_box(&coded), bits.len(), CodeRate::Half));
-    }));
-    // The soft-decision path on the same frame: the f64 reference oracle
-    // next to the production hard decode, so the kernel cost of each is
-    // a separate row in the snapshot.
-    let llrs: Vec<f64> = coded
-        .iter()
-        .map(|&b| if b == 1 { 4.0 } else { -4.0 })
-        .collect();
-    results.push(measure("viterbi_soft_f64_1kbit", || {
-        black_box(decode_soft(black_box(&llrs), bits.len(), CodeRate::Half));
-    }));
-    // The same LLR frame through the f64-in quantizing entry point —
-    // this row includes the quantize pass the fused RX path no longer
-    // performs separately.
-    results.push(measure("viterbi_quantize_1kbit", || {
-        black_box(decode_soft_quantized(
-            black_box(&llrs),
-            bits.len(),
-            CodeRate::Half,
-        ));
     }));
     // The production integer kernel as the fused RX path drives it:
     // pre-quantized levels in, trellis scratch reused across frames.
@@ -782,8 +759,6 @@ fn bench_throughput(results: &[SpanStats]) {
     ];
     for (row, key) in [
         ("viterbi_decode_1kbit", "viterbi_hard_us"),
-        ("viterbi_soft_f64_1kbit", "viterbi_soft_f64_us"),
-        ("viterbi_quantize_1kbit", "viterbi_quantize_us"),
         ("viterbi_int_1kbit", "viterbi_int_us"),
         ("fft64_forward", "fft64_us"),
         ("fft64_real", "fft64_real_us"),

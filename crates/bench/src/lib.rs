@@ -224,10 +224,8 @@ pub fn run_phy(config: &PhyRunConfig) -> PhyBerResult {
         sym_errors: vec![0usize; n_sym],
         ..FrameTally::default()
     };
-    let total =
-        carpool_par::par_map_reduce(&vec![(); config.frames], per_frame, init, |acc, tally| {
-            acc.add(&tally)
-        })
+    let total = carpool_par::par_map_indexed(&vec![(); config.frames], per_frame)
+        .map(|tallies| tallies.into_iter().fold(init, |acc, tally| acc.add(&tally)))
         .unwrap_or_default();
 
     PhyBerResult {

@@ -5,7 +5,7 @@
 //! every SIG gives the following payload's MCS and byte length so that a
 //! station can hop over foreign subframes decoding only SIG symbols.
 //!
-//! The station-side flow implemented by [`receive_carpool`]:
+//! The station-side flow implemented by [`receive_carpool_obs_with_scratch`]:
 //!
 //! 1. decode the A-HDR and compute the matched subframe indices — if
 //!    none match, drop the frame immediately (only 2 symbols decoded);
@@ -197,33 +197,6 @@ impl CarpoolReception {
     }
 }
 
-/// Station-side processing of a received Carpool frame.
-///
-/// `side_channel` must mirror the transmitter's configuration (it is a
-/// capability negotiated at association, paper Section 4.3).
-///
-/// # Errors
-///
-/// * [`FrameError::Phy`] for malformed sample buffers.
-/// * [`FrameError::BadSig`] if a SIG fails its parity — the station
-///   cannot navigate past an unreadable SIG, so parsing stops there.
-pub fn receive_carpool(
-    samples: &[Complex64],
-    station: MacAddress,
-    estimation: Estimation,
-    hashes: usize,
-    side_channel: Option<SideChannelConfig>,
-) -> Result<CarpoolReception, FrameError> {
-    receive_carpool_obs(
-        samples,
-        station,
-        estimation,
-        hashes,
-        side_channel,
-        &carpool_obs::Obs::noop(),
-    )
-}
-
 /// Numeric station identity for flight records (address as a big-endian
 /// integer over its six bytes).
 fn station_id(addr: MacAddress) -> u64 {
@@ -236,49 +209,35 @@ fn station_id(addr: MacAddress) -> u64 {
 // subframe bitmap.
 const _: () = assert!(BLOOM_BITS == AHDR_BITMAP_SHIFT as usize);
 
-/// [`receive_carpool`] with observability. Records a
-/// [`TraceKind::AhdrDecision`] for the A-HDR membership test (ground
-/// truth unknown at this layer — callers who know whether the station
-/// was really aboard record their own graded check), a
+/// Station-side processing of a received Carpool frame: the one receive
+/// entry point.
+///
+/// `side_channel` must mirror the transmitter's configuration (it is a
+/// capability negotiated at association, paper Section 4.3).
+///
+/// Records a [`TraceKind::AhdrDecision`] for the A-HDR membership test
+/// (ground truth unknown at this layer — callers who know whether the
+/// station was really aboard record their own graded check), a
 /// [`TraceKind::StaOutcome`] per decoded subframe or early drop, and a
 /// `frame.receive` timing span. The attached PHY decoder inherits
 /// `obs`, so side-CRC and RTE records interleave in the same stream.
-/// Records are stamped at OFDM symbol positions in seconds.
+/// Records are stamped at OFDM symbol positions in seconds. Pass
+/// [`carpool_obs::Obs::noop`] to record nothing.
+///
+/// `scratch` is the caller's [`PhyScratch`]: its decode buffers, cached
+/// RX scatter maps and Viterbi trellis are borrowed for this frame and
+/// handed back (grown, never shrunk) on every exit path, so a worker
+/// decoding frame after frame reuses them all; a one-off caller passes
+/// `&mut PhyScratch::default()`. Results are bit-identical to a fresh
+/// scratch — the workspace carries capacity, never values (see the
+/// `carpool-par` determinism contract).
 ///
 /// # Errors
 ///
-/// Same as [`receive_carpool`].
-pub fn receive_carpool_obs(
-    samples: &[Complex64],
-    station: MacAddress,
-    estimation: Estimation,
-    hashes: usize,
-    side_channel: Option<SideChannelConfig>,
-    obs: &carpool_obs::Obs,
-) -> Result<CarpoolReception, FrameError> {
-    let mut scratch = PhyScratch::default();
-    receive_carpool_obs_with_scratch(
-        samples,
-        station,
-        estimation,
-        hashes,
-        side_channel,
-        obs,
-        &mut scratch,
-    )
-}
-
-/// [`receive_carpool_obs`] with a caller-owned [`PhyScratch`], the
-/// allocation-free form for batch delivery: the scratch's decode
-/// buffers, cached RX scatter maps, and Viterbi trellis are borrowed
-/// for this frame and handed back (grown, never shrunk) on every exit
-/// path, so a worker decoding frame after frame reuses them all.
-/// Results are bit-identical to a fresh scratch — the workspace carries
-/// capacity, never values (see the `carpool-par` determinism contract).
-///
-/// # Errors
-///
-/// Same as [`receive_carpool`].
+/// * [`FrameError::Phy`] for malformed sample buffers, or a SIG whose
+///   length or MCS points past the end of the buffer.
+/// * [`FrameError::BadSig`] if a SIG fails its parity — the station
+///   cannot navigate past an unreadable SIG, so parsing stops there.
 #[allow(clippy::too_many_arguments)]
 pub fn receive_carpool_obs_with_scratch(
     samples: &[Complex64],
@@ -301,8 +260,8 @@ pub fn receive_carpool_obs_with_scratch(
     result
 }
 
-/// Frame walk shared by the scratch and non-scratch receive paths; the
-/// caller owns the decoder so it can reclaim the scratch afterwards.
+/// The frame walk of [`receive_carpool_obs_with_scratch`]; the caller
+/// owns the decoder so it can reclaim the scratch afterwards.
 fn walk_carpool_frame(
     decoder: &mut FrameDecoder<'_>,
     station: MacAddress,
@@ -446,6 +405,24 @@ mod tests {
         MacAddress::station(k)
     }
 
+    /// One unobserved receive with a fresh scratch.
+    fn receive(
+        samples: &[Complex64],
+        station: MacAddress,
+        estimation: Estimation,
+        side_channel: Option<SideChannelConfig>,
+    ) -> Result<CarpoolReception, FrameError> {
+        receive_carpool_obs_with_scratch(
+            samples,
+            station,
+            estimation,
+            DEFAULT_HASHES,
+            side_channel,
+            &carpool_obs::Obs::noop(),
+            &mut PhyScratch::default(),
+        )
+    }
+
     fn build_frame(n: usize) -> CarpoolFrame {
         let subframes: Vec<Subframe> = (0..n)
             .map(|k| {
@@ -468,11 +445,10 @@ mod tests {
         let frame = build_frame(4);
         let tx = frame.transmit().unwrap();
         for k in 0..4u16 {
-            let rx = receive_carpool(
+            let rx = receive(
                 &tx.samples,
                 sta(k),
                 Estimation::Standard,
-                DEFAULT_HASHES,
                 Some(SideChannelConfig::default()),
             )
             .unwrap();
@@ -490,11 +466,10 @@ mod tests {
     fn outsider_mostly_drops_without_payload_decoding() {
         let frame = build_frame(3);
         let tx = frame.transmit().unwrap();
-        let rx = receive_carpool(
+        let rx = receive(
             &tx.samples,
             sta(999),
             Estimation::Standard,
-            DEFAULT_HASHES,
             Some(SideChannelConfig::default()),
         )
         .unwrap();
@@ -517,11 +492,10 @@ mod tests {
     fn middle_receiver_skips_foreign_payloads() {
         let frame = build_frame(5);
         let tx = frame.transmit().unwrap();
-        let rx = receive_carpool(
+        let rx = receive(
             &tx.samples,
             sta(2),
             Estimation::Standard,
-            DEFAULT_HASHES,
             Some(SideChannelConfig::default()),
         )
         .unwrap();
@@ -538,11 +512,10 @@ mod tests {
         use carpool_phy::rte::CalibrationRule;
         let frame = build_frame(2);
         let tx = frame.transmit().unwrap();
-        let rx = receive_carpool(
+        let rx = receive(
             &tx.samples,
             sta(1),
             Estimation::Rte(CalibrationRule::Average),
-            DEFAULT_HASHES,
             Some(SideChannelConfig::default()),
         )
         .unwrap();
@@ -560,13 +533,14 @@ mod tests {
         let ring = Arc::new(FlightRecorder::new(4096));
         let obs = Obs::with_recorder(recorder.clone()).with_flight(ring.clone());
 
-        let rx = receive_carpool_obs(
+        let rx = receive_carpool_obs_with_scratch(
             &tx.samples,
             sta(1),
             Estimation::Standard,
             DEFAULT_HASHES,
             Some(SideChannelConfig::default()),
             &obs,
+            &mut PhyScratch::default(),
         )
         .unwrap();
         assert!(rx.payload_at(1).is_some());
@@ -627,14 +601,7 @@ mod tests {
         let subframes = vec![Subframe::new(sta(0), Mcs::QPSK_1_2, vec![9; 200])];
         let frame = CarpoolFrame::with_options(subframes, DEFAULT_HASHES, None).unwrap();
         let tx = frame.transmit().unwrap();
-        let rx = receive_carpool(
-            &tx.samples,
-            sta(0),
-            Estimation::Standard,
-            DEFAULT_HASHES,
-            None,
-        )
-        .unwrap();
+        let rx = receive(&tx.samples, sta(0), Estimation::Standard, None).unwrap();
         assert_eq!(rx.payload_at(0).unwrap(), &frame.subframes()[0].payload[..]);
     }
 }

@@ -18,9 +18,10 @@
 //!
 //! ```
 //! use carpool_frame::addr::MacAddress;
-//! use carpool_frame::carpool::{receive_carpool, CarpoolFrame, Subframe};
+//! use carpool_frame::carpool::{receive_carpool_obs_with_scratch, CarpoolFrame, Subframe};
+//! use carpool_obs::Obs;
 //! use carpool_phy::mcs::Mcs;
-//! use carpool_phy::rx::Estimation;
+//! use carpool_phy::rx::{Estimation, PhyScratch};
 //! use carpool_phy::tx::SideChannelConfig;
 //!
 //! # fn main() -> Result<(), carpool_frame::FrameError> {
@@ -29,12 +30,14 @@
 //!     Subframe::new(MacAddress::station(2), Mcs::QAM16_3_4, vec![0xCD; 400]),
 //! ])?;
 //! let tx = frame.transmit()?;
-//! let rx = receive_carpool(
+//! let rx = receive_carpool_obs_with_scratch(
 //!     &tx.samples,
 //!     MacAddress::station(2),
 //!     Estimation::Standard,
 //!     carpool_bloom::DEFAULT_HASHES,
 //!     Some(SideChannelConfig::default()),
+//!     &Obs::noop(),
+//!     &mut PhyScratch::default(),
 //! )?;
 //! assert_eq!(rx.payload_at(1).unwrap(), &[0xCD; 400][..]);
 //! # Ok(())

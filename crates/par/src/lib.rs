@@ -14,9 +14,10 @@
 //!   scratch workspace built once per thread, so decode buffers are
 //!   reused across every frame a worker claims instead of reallocated
 //!   per item.
-//! - [`par_map_reduce`] — the same map followed by a serial, in-index-
-//!   order fold: the deterministic reduction used to merge per-trial
-//!   tallies (and per-worker observability shards) exactly.
+//!
+//! A deterministic reduction is `par_map_indexed(..)?.into_iter().fold(..)`:
+//! the fold runs serially on the calling thread in item order, so
+//! per-trial tallies merge exactly.
 //!
 //! # Determinism contract
 //!
@@ -381,24 +382,6 @@ where
     Ok(out)
 }
 
-/// [`par_map_indexed`] followed by a serial fold of the mapped results
-/// in item order — the deterministic reduction for merging per-trial
-/// tallies. `fold` runs on the calling thread only.
-///
-/// # Errors
-///
-/// Returns [`ParError::WorkerPanic`] if `map` panics on any item.
-pub fn par_map_reduce<T, R, A, F, G>(items: &[T], map: F, init: A, fold: G) -> Result<A, ParError>
-where
-    T: Sync,
-    R: Send,
-    F: Fn(usize, &T) -> R + Sync,
-    G: FnMut(A, R) -> A,
-{
-    let mapped = par_map_indexed(items, map)?;
-    Ok(mapped.into_iter().fold(init, fold))
-}
-
 /// Single-threaded path: same in-order semantics, same panic-to-error
 /// contract, same one-scratch-per-worker discipline, no thread spawns.
 fn serial_map<T, R, S, G, F>(items: &[T], make_scratch: &G, f: &F) -> Result<Vec<R>, ParError>
@@ -456,6 +439,19 @@ mod tests {
             assert_eq!(i, k);
             assert_eq!(v, trial(k));
         }
+        // A serial fold over the output is the in-index-order reduction.
+        let concat = with_threads(4, || {
+            par_map_indexed(&items[..50], |i, _| i.to_string())
+                .unwrap()
+                .into_iter()
+                .fold(String::new(), |mut acc, s| {
+                    acc.push_str(&s);
+                    acc.push(',');
+                    acc
+                })
+        });
+        let expected: String = (0..50).map(|i| format!("{i},")).collect();
+        assert_eq!(concat, expected);
     }
 
     #[test]
@@ -545,26 +541,6 @@ mod tests {
             });
             assert_eq!(err, ParError::WorkerPanic, "threads = {threads}");
         }
-    }
-
-    #[test]
-    fn reduce_folds_in_index_order() {
-        let items: Vec<usize> = (0..50).collect();
-        let concat = with_threads(4, || {
-            par_map_reduce(
-                &items,
-                |i, _| i.to_string(),
-                String::new(),
-                |mut acc, s| {
-                    acc.push_str(&s);
-                    acc.push(',');
-                    acc
-                },
-            )
-            .unwrap()
-        });
-        let expected: String = (0..50).map(|i| format!("{i},")).collect();
-        assert_eq!(concat, expected);
     }
 
     #[test]

@@ -10,11 +10,12 @@
 //!
 //! # Decoder architecture
 //!
-//! Both production decoders ([`decode`] hard, [`decode_soft_quantized`]
-//! soft) run on one fixed-cost integer kernel:
+//! Both public decoders ([`decode`] hard, [`decode_levels_with`] over
+//! quantized LLRs) and the crate-private fused RX path run on one
+//! fixed-cost integer kernel:
 //!
 //! * per-bit observations are signed integer levels (quantized LLRs for
-//!   the soft path, ±1 for hard decisions, 0 for punctured erasures),
+//!   soft decisions, ±1 for hard decisions, 0 for punctured erasures),
 //!   stored as one flat `[a, b]`-interleaved `i32` lattice;
 //! * the add-compare-select loop walks all 32 butterflies with
 //!   branchless selects and *plain* (non-saturating) `i32` adds, proved
@@ -40,9 +41,10 @@
 //!   reduction. Traceback runs over that window into caller-provided
 //!   [`ViterbiScratch`] buffers.
 //!
-//! The f64 soft decoder [`decode_soft_with`] is kept unchanged as the
-//! reference oracle; the golden-corpus test in `tests/` proves the
-//! integer kernel's hard decisions identical to it.
+//! The reference is a plain f64 Viterbi oracle in
+//! `tests/viterbi_golden.rs`: its golden corpus proves the integer
+//! kernel's decisions identical to it on LLRs that sit on the
+//! quantization grid.
 //!
 //! # Quantization scaling analysis
 //!
@@ -330,83 +332,6 @@ pub fn coded_len(message_len: usize, rate: CodeRate) -> usize {
     n
 }
 
-/// Depunctures a soft (LLR) stream into `out`; punctured/missing
-/// positions become zero-information LLRs.
-fn depuncture_soft_into(llrs: &[f64], total_in: usize, rate: CodeRate, out: &mut Vec<(f64, f64)>) {
-    let pattern = rate.puncture_pattern();
-    let mut it = llrs.iter();
-    out.clear();
-    out.reserve(total_in);
-    for k in 0..total_in {
-        let (keep_a, keep_b) = pattern[k % pattern.len()];
-        let a = if keep_a {
-            it.next().copied().unwrap_or(0.0)
-        } else {
-            0.0
-        };
-        let b = if keep_b {
-            it.next().copied().unwrap_or(0.0)
-        } else {
-            0.0
-        };
-        out.push((a, b));
-    }
-}
-
-/// Depunctures a quantized-LLR stream into the flat `[a, b]`-interleaved
-/// lattice `out`; punctured/missing positions become zero-information
-/// (erased) levels.
-fn depuncture_quantized_into(llrs: &[f64], total_in: usize, rate: CodeRate, out: &mut Vec<i32>) {
-    let pattern = rate.puncture_pattern();
-    let mut it = llrs.iter();
-    out.clear();
-    out.reserve(2 * total_in);
-    for k in 0..total_in {
-        let (keep_a, keep_b) = pattern[k % pattern.len()];
-        let a = if keep_a {
-            it.next().map(|&l| quantize_llr(l)).unwrap_or(0)
-        } else {
-            0
-        };
-        let b = if keep_b {
-            it.next().map(|&l| quantize_llr(l)).unwrap_or(0)
-        } else {
-            0
-        };
-        out.push(a);
-        out.push(b);
-    }
-}
-
-/// Depunctures hard decisions into integer levels: bit 1 → +1, bit 0 →
-/// −1, punctured/missing → 0 (erasure). On these levels the integer
-/// kernel's path costs are an affine function of the Hamming metric
-/// (`cost = 2 * mismatches − observed_bits`, the offset identical for
-/// every path at a given step), so its decisions — ties included — match
-/// a classical hard-decision Viterbi exactly.
-fn depuncture_hard_into(coded: &[u8], total_in: usize, rate: CodeRate, out: &mut Vec<i32>) {
-    let level = |b: &u8| if *b == 1 { 1 } else { -1 };
-    let pattern = rate.puncture_pattern();
-    let mut it = coded.iter();
-    out.clear();
-    out.reserve(2 * total_in);
-    for k in 0..total_in {
-        let (keep_a, keep_b) = pattern[k % pattern.len()];
-        let a = if keep_a {
-            it.next().map(level).unwrap_or(0)
-        } else {
-            0
-        };
-        let b = if keep_b {
-            it.next().map(level).unwrap_or(0)
-        } else {
-            0
-        };
-        out.push(a);
-        out.push(b);
-    }
-}
-
 /// Flat-lattice addressing of the puncture pattern, per period:
 /// `(kept_bits, flat_stride, offsets)` where surviving coded bit `r` of
 /// a period lands at flat index `period * flat_stride + offsets[r]`.
@@ -422,11 +347,10 @@ pub(crate) fn depuncture_layout(rate: CodeRate) -> (usize, usize, &'static [usiz
     }
 }
 
-/// Depunctures pre-quantized integer levels (coded order, as produced by
-/// the fused demap path or [`quantize_llr`]) into the flat lattice. The
-/// specialization per rate turns the per-bit pattern branches of the
-/// legacy depuncturers into straight period-chunk copies — rate 1/2 is
-/// one `copy_from_slice`.
+/// Depunctures integer levels in coded (transmission) order into the
+/// flat lattice; punctured and missing positions stay zero (erasures).
+/// Each rate is a straight period-chunk copy through
+/// [`depuncture_layout`] — rate 1/2 is one `copy_from_slice`.
 fn depuncture_levels_into(levels: &[i32], total_in: usize, rate: CodeRate, out: &mut Vec<i32>) {
     out.clear();
     out.resize(2 * total_in, 0);
@@ -453,17 +377,16 @@ fn depuncture_levels_into(levels: &[i32], total_in: usize, rate: CodeRate, out: 
     }
 }
 
-/// Reusable decoder workspace: the depunctured lattices, the bit-packed
-/// survivor window and traceback buffers, recycled across calls so the
-/// per-frame decode loop allocates nothing after warm-up.
+/// Reusable decoder workspace: the depunctured lattice, the bit-packed
+/// survivor window and the traceback buffer, recycled across calls so
+/// the per-frame decode loop allocates nothing after warm-up.
 ///
 /// Create one with `ViterbiScratch::default()` and pass it to
-/// [`decode_with`] / [`decode_soft_quantized_with`] /
-/// [`decode_soft_with`]; the plain wrappers allocate a fresh one per
-/// call.
+/// [`decode_levels_with`]; [`decode`] allocates a fresh one per call.
+/// The receiver keeps one in its `PhyScratch`.
 #[derive(Debug, Default)]
 pub struct ViterbiScratch {
-    /// Integer observation lattice of the production kernel: flat
+    /// Integer observation lattice of the kernel: flat
     /// `[a, b]`-interleaved levels, `2 * total_in` entries per decode.
     int_lattice: Vec<i32>,
     /// Survivor window: one decision word per step, bit
@@ -472,10 +395,6 @@ pub struct ViterbiScratch {
     survivors: Vec<u64>,
     /// Traceback output buffer (`total_in` bits before truncation).
     decoded: Vec<u8>,
-    /// f64 lattice of the reference oracle [`decode_soft_with`].
-    soft_lattice: Vec<(f64, f64)>,
-    /// Per-step predecessor choices of the reference oracle.
-    history: Vec<[u8; NUM_STATES]>,
 }
 
 impl ViterbiScratch {
@@ -851,176 +770,44 @@ fn traceback(survivors: &[u64], message_len: usize, decoded: &mut Vec<u8>) {
 /// handled internally). Extra or missing coded bits degrade gracefully:
 /// missing tail positions are treated as erasures. Non-bit input values
 /// are treated as 0.
-pub fn decode(coded: &[u8], message_len: usize, rate: CodeRate) -> Vec<u8> {
-    decode_with(coded, message_len, rate, &mut ViterbiScratch::default())
-}
-
-/// [`decode`] with a caller-provided [`ViterbiScratch`], so repeated
-/// decodes (the per-frame hot path) reuse the lattice and traceback
-/// buffers instead of reallocating them.
-pub fn decode_with(
-    coded: &[u8],
-    message_len: usize,
-    rate: CodeRate,
-    scratch: &mut ViterbiScratch,
-) -> Vec<u8> {
-    if message_len == 0 {
-        return Vec::new();
-    }
-    let total_in = message_len + CONSTRAINT_LENGTH - 1;
-    let ViterbiScratch {
-        int_lattice,
-        survivors,
-        decoded,
-        ..
-    } = scratch;
-    depuncture_hard_into(coded, total_in, rate, int_lattice);
-    acs_forward(int_lattice, survivors);
-    traceback(survivors, message_len, decoded);
-    decoded.clone()
-}
-
-/// Soft-decision Viterbi decoder.
 ///
-/// `llrs` are per-coded-bit log-likelihood ratios in transmission order
-/// (positive favours bit 1), e.g. from
-/// [`crate::modulation::Modulation::demap_soft_into`]. Soft decoding
-/// gains ~2 dB over hard decisions on an AWGN channel.
+/// Bit 1 becomes level +1 and every other value −1, then
+/// [`decode_levels_with`] runs. On these levels the kernel's path costs
+/// are an affine function of the Hamming metric (`cost = 2 *
+/// mismatches − observed_bits`, the offset identical for every path at
+/// a given step), so its decisions — ties included — match a classical
+/// hard-decision Viterbi exactly.
+pub fn decode(coded: &[u8], message_len: usize, rate: CodeRate) -> Vec<u8> {
+    let levels: Vec<i32> = coded.iter().map(|&b| if b == 1 { 1 } else { -1 }).collect();
+    decode_levels_with(&levels, message_len, rate, &mut ViterbiScratch::default())
+}
+
+/// Integer Viterbi decoder over quantized levels, with a caller-provided
+/// [`ViterbiScratch`] so repeated decodes reuse the lattice and
+/// traceback buffers instead of reallocating them.
+///
+/// `levels` are per-coded-bit observations in coded (transmission)
+/// order: quantized LLRs (see [`quantize_llr`]) for soft decisions, ±1
+/// for hard ones. Positive favours bit 1; zero is an erasure, as is
+/// every position past the end of `levels`.
 ///
 /// # Examples
 ///
 /// ```
-/// use carpool_phy::convolutional::{decode_soft, encode, CodeRate};
+/// use carpool_phy::convolutional::{
+///     decode_levels_with, encode, quantize_llr, CodeRate, ViterbiScratch,
+/// };
 ///
 /// let data = vec![1u8, 0, 1, 1, 0, 0, 1, 0];
 /// let coded = encode(&data, CodeRate::Half);
-/// // Perfectly confident LLRs: +4 for 1, -4 for 0.
-/// let llrs: Vec<f64> = coded.iter().map(|&b| if b == 1 { 4.0 } else { -4.0 }).collect();
-/// assert_eq!(decode_soft(&llrs, data.len(), CodeRate::Half), data);
+/// // Confident LLRs: +4 for 1, -4 for 0.
+/// let levels: Vec<i32> = coded
+///     .iter()
+///     .map(|&b| quantize_llr(if b == 1 { 4.0 } else { -4.0 }))
+///     .collect();
+/// let mut scratch = ViterbiScratch::default();
+/// assert_eq!(decode_levels_with(&levels, data.len(), CodeRate::Half, &mut scratch), data);
 /// ```
-pub fn decode_soft(llrs: &[f64], message_len: usize, rate: CodeRate) -> Vec<u8> {
-    decode_soft_with(llrs, message_len, rate, &mut ViterbiScratch::default())
-}
-
-/// [`decode_soft`] with a caller-provided [`ViterbiScratch`]; see
-/// [`decode_with`].
-#[expect(
-    clippy::cast_possible_truncation,
-    reason = "survivor bits are a state's top or low bit: 0 or 1"
-)]
-pub fn decode_soft_with(
-    llrs: &[f64],
-    message_len: usize,
-    rate: CodeRate,
-    scratch: &mut ViterbiScratch,
-) -> Vec<u8> {
-    if message_len == 0 {
-        return Vec::new();
-    }
-    let total_in = message_len + CONSTRAINT_LENGTH - 1;
-    let ViterbiScratch {
-        soft_lattice,
-        history,
-        ..
-    } = scratch;
-    depuncture_soft_into(llrs, total_in, rate, soft_lattice);
-
-    // Linear branch cost: hypothesising bit 1 costs -llr, bit 0 costs
-    // +llr (constant offsets cancel along paths).
-    let bit_cost = |bit: u8, llr: f64| if bit == 1 { -llr } else { llr };
-
-    const INF: f64 = f64::INFINITY;
-    let mut metrics = [INF; NUM_STATES];
-    metrics[0] = 0.0;
-    let mut next = [INF; NUM_STATES];
-    history.clear();
-    history.reserve(total_in);
-
-    for &(la, lb) in soft_lattice.iter() {
-        next.fill(INF);
-        let mut prev_choice = [0u8; NUM_STATES];
-        for state in 0..NUM_STATES {
-            let m = metrics[state];
-            if !m.is_finite() {
-                continue;
-            }
-            for (input, &(ea, eb)) in EXPECTED[state].iter().enumerate() {
-                let ns = ((state << 1) | input) & (NUM_STATES - 1);
-                let cand = m + bit_cost(ea, la) + bit_cost(eb, lb);
-                if cand < next[ns] {
-                    next[ns] = cand;
-                    prev_choice[ns] = (state >> (CONSTRAINT_LENGTH - 2)) as u8;
-                }
-            }
-        }
-        std::mem::swap(&mut metrics, &mut next);
-        history.push(prev_choice);
-    }
-
-    let mut state = 0usize;
-    if !metrics[0].is_finite() {
-        state = metrics
-            .iter()
-            .enumerate()
-            .min_by(|(_, a), (_, b)| a.total_cmp(b))
-            .map(|(s, _)| s)
-            .unwrap_or(0);
-    }
-    let mut decoded = vec![0u8; total_in];
-    for t in (0..total_in).rev() {
-        decoded[t] = (state & 1) as u8;
-        let old_bit = usize::from(history[t][state]);
-        state = (state >> 1) | (old_bit << (CONSTRAINT_LENGTH - 2));
-    }
-    decoded.truncate(message_len);
-    decoded
-}
-
-/// Integer soft-decision Viterbi decoder: the production kernel behind
-/// the receive hot path.
-///
-/// Quantizes each LLR with [`quantize_llr`] (fixed-point scale
-/// `2^LLR_SCALE_BITS`, saturating clamp at `±LLR_QUANT_CLAMP`), then
-/// runs the branchless add-compare-select forward pass with bit-packed
-/// survivor memory. On LLRs whose scaled values are exactly
-/// representable, decisions — including ties — match the f64 reference
-/// oracle [`decode_soft`] bit for bit; on general inputs the only
-/// divergence is the sub-quantum rounding of the `2^-7` LLR grid.
-pub fn decode_soft_quantized(llrs: &[f64], message_len: usize, rate: CodeRate) -> Vec<u8> {
-    decode_soft_quantized_with(llrs, message_len, rate, &mut ViterbiScratch::default())
-}
-
-/// [`decode_soft_quantized`] with a caller-provided [`ViterbiScratch`];
-/// see [`decode_with`].
-pub fn decode_soft_quantized_with(
-    llrs: &[f64],
-    message_len: usize,
-    rate: CodeRate,
-    scratch: &mut ViterbiScratch,
-) -> Vec<u8> {
-    if message_len == 0 {
-        return Vec::new();
-    }
-    let total_in = message_len + CONSTRAINT_LENGTH - 1;
-    let ViterbiScratch {
-        int_lattice,
-        survivors,
-        decoded,
-        ..
-    } = scratch;
-    depuncture_quantized_into(llrs, total_in, rate, int_lattice);
-    acs_forward(int_lattice, survivors);
-    traceback(survivors, message_len, decoded);
-    decoded.clone()
-}
-
-/// Integer Viterbi decoder over pre-quantized levels, with a
-/// caller-provided [`ViterbiScratch`] (see [`decode_with`]) — the
-/// production-shaped entry point of the fused RX pipeline, which
-/// quantizes LLRs at demap time (see [`quantize_llr`]) and hands the
-/// decoder `i32` levels in coded (transmission) order. Positive favours
-/// bit 1; zero is an erasure. Decisions are bit-identical to
-/// [`decode_soft_quantized`] fed LLRs that quantize to the same levels.
 pub fn decode_levels_with(
     levels: &[i32],
     message_len: usize,
@@ -1035,7 +822,6 @@ pub fn decode_levels_with(
         int_lattice,
         survivors,
         decoded,
-        ..
     } = scratch;
     depuncture_levels_into(levels, total_in, rate, int_lattice);
     acs_forward(int_lattice, survivors);
@@ -1057,7 +843,6 @@ pub(crate) fn decode_prepared(message_len: usize, scratch: &mut ViterbiScratch) 
         int_lattice,
         survivors,
         decoded,
-        ..
     } = scratch;
     debug_assert_eq!(int_lattice.len(), 2 * total_in);
     acs_forward(int_lattice, survivors);
@@ -1192,109 +977,6 @@ mod tests {
     }
 
     #[test]
-    fn quantized_matches_oracle_on_integer_grid_llrs() {
-        // On LLRs that are exact multiples of the quantization step the
-        // integer kernel must reproduce the f64 oracle bit for bit,
-        // ties included; exercise noisy, tie-prone small magnitudes.
-        for (seed, rate) in [
-            (3u64, CodeRate::Half),
-            (5, CodeRate::TwoThirds),
-            (7, CodeRate::ThreeQuarters),
-        ] {
-            let bits = pseudo_random_bits(160, seed);
-            let coded = encode(&bits, rate);
-            let llrs: Vec<f64> = coded
-                .iter()
-                .enumerate()
-                .map(|(k, &b)| {
-                    let sign = if b == 1 { 1.0 } else { -1.0 };
-                    // Integer-valued LLRs in [-3, 3]: many exact ties.
-                    let mag = ((k * 2654435761) >> 7) % 4;
-                    sign * mag as f64 * if k % 17 == 0 { -1.0 } else { 1.0 }
-                })
-                .collect();
-            assert_eq!(
-                decode_soft_quantized(&llrs, 160, rate),
-                decode_soft(&llrs, 160, rate),
-                "rate {rate}"
-            );
-        }
-    }
-
-    #[test]
-    fn soft_round_trip_all_rates() {
-        for rate in [CodeRate::Half, CodeRate::TwoThirds, CodeRate::ThreeQuarters] {
-            let bits = pseudo_random_bits(200, 5);
-            let coded = encode(&bits, rate);
-            let llrs: Vec<f64> = coded
-                .iter()
-                .map(|&b| if b == 1 { 3.0 } else { -3.0 })
-                .collect();
-            assert_eq!(decode_soft(&llrs, 200, rate), bits, "rate {rate}");
-        }
-    }
-
-    #[test]
-    fn soft_decoder_uses_confidence() {
-        // Flip three adjacent bits but mark them low-confidence: the
-        // soft decoder recovers where a hard decoder may not.
-        let bits = pseudo_random_bits(120, 21);
-        let coded = encode(&bits, CodeRate::Half);
-        let mut llrs: Vec<f64> = coded
-            .iter()
-            .map(|&b| if b == 1 { 4.0 } else { -4.0 })
-            .collect();
-        for k in 40..43 {
-            // Wrong sign, tiny magnitude.
-            llrs[k] = if coded[k] == 1 { -0.1 } else { 0.1 };
-        }
-        assert_eq!(decode_soft(&llrs, 120, CodeRate::Half), bits);
-    }
-
-    #[test]
-    fn soft_handles_truncated_input() {
-        let bits = pseudo_random_bits(64, 3);
-        let coded = encode(&bits, CodeRate::Half);
-        let llrs: Vec<f64> = coded[..coded.len() - 8]
-            .iter()
-            .map(|&b| if b == 1 { 2.0 } else { -2.0 })
-            .collect();
-        let decoded = decode_soft(&llrs, 64, CodeRate::Half);
-        assert_eq!(decoded.len(), 64);
-        assert_eq!(&decoded[..50], &bits[..50]);
-    }
-
-    #[test]
-    fn soft_empty_message() {
-        assert!(decode_soft(&[], 0, CodeRate::Half).is_empty());
-    }
-
-    #[test]
-    fn scratch_reuse_across_rates_and_lengths_matches_fresh_decodes() {
-        let mut scratch = ViterbiScratch::default();
-        for rate in [CodeRate::Half, CodeRate::TwoThirds, CodeRate::ThreeQuarters] {
-            for n in [1usize, 48, 200, 17] {
-                let bits = pseudo_random_bits(n, n as u64 + 31);
-                let coded = encode(&bits, rate);
-                assert_eq!(
-                    decode_with(&coded, n, rate, &mut scratch),
-                    decode(&coded, n, rate),
-                    "hard rate {rate} n {n}"
-                );
-                let llrs: Vec<f64> = coded
-                    .iter()
-                    .map(|&b| if b == 1 { 2.5 } else { -2.5 })
-                    .collect();
-                assert_eq!(
-                    decode_soft_with(&llrs, n, rate, &mut scratch),
-                    decode_soft(&llrs, n, rate),
-                    "soft rate {rate} n {n}"
-                );
-            }
-        }
-    }
-
-    #[test]
     fn consistent_with_puncture_pattern() {
         // depuncture_layout is a flat-index re-statement of
         // puncture_pattern; derive one from the other and compare.
@@ -1313,62 +995,6 @@ mod tests {
             }
             assert_eq!(kept, expect.len(), "rate {rate}");
             assert_eq!(offs, expect.as_slice(), "rate {rate}");
-        }
-    }
-
-    #[test]
-    fn decode_levels_matches_quantized_path() {
-        // The specialized period-chunk depuncturer must agree with the
-        // legacy per-bit one for every rate, including truncated tails
-        // landing mid-period.
-        for (seed, rate) in [
-            (11u64, CodeRate::Half),
-            (13, CodeRate::TwoThirds),
-            (17, CodeRate::ThreeQuarters),
-        ] {
-            let bits = pseudo_random_bits(150, seed);
-            let coded = encode(&bits, rate);
-            let llrs: Vec<f64> = coded
-                .iter()
-                .enumerate()
-                .map(|(k, &b)| {
-                    let sign = if b == 1 { 1.0 } else { -1.0 };
-                    sign * (((k * 2654435761) >> 5) % 5) as f64 * 0.5
-                })
-                .collect();
-            let levels: Vec<i32> = llrs.iter().map(|&l| quantize_llr(l)).collect();
-            assert_eq!(
-                decode_levels_with(&levels, 150, rate, &mut ViterbiScratch::default()),
-                decode_soft_quantized(&llrs, 150, rate),
-                "rate {rate}"
-            );
-            for cut in 1..=7 {
-                let n = levels.len() - cut;
-                assert_eq!(
-                    decode_levels_with(&levels[..n], 150, rate, &mut ViterbiScratch::default()),
-                    decode_soft_quantized(&llrs[..n], 150, rate),
-                    "rate {rate} cut {cut}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn decode_levels_hard_levels_match_hard_decoder() {
-        // ±1 levels are exactly what depuncture_hard_into produces, so
-        // decode_levels on them must reproduce the hard decoder.
-        for rate in [CodeRate::Half, CodeRate::TwoThirds, CodeRate::ThreeQuarters] {
-            let bits = pseudo_random_bits(96, 29);
-            let mut coded = encode(&bits, rate);
-            for pos in (0..coded.len()).step_by(37) {
-                coded[pos] ^= 1;
-            }
-            let levels: Vec<i32> = coded.iter().map(|&b| if b == 1 { 1 } else { -1 }).collect();
-            assert_eq!(
-                decode_levels_with(&levels, 96, rate, &mut ViterbiScratch::default()),
-                decode(&coded, 96, rate),
-                "rate {rate}"
-            );
         }
     }
 
@@ -1497,15 +1123,6 @@ mod tests {
                 for (name, levels) in lattices {
                     let what = format!("{name}, rate {rate}, {message_len} bits");
                     let run = run_kernels(&lattice_of(&levels, message_len, rate), message_len);
-                    // The levels are exact on the oracle's LLR grid, so the
-                    // portable kernel is held to the f64 oracle too.
-                    let llrs: Vec<f64> =
-                        levels.iter().map(|&q| f64::from(q) / LLR_SCALE_F).collect();
-                    assert_eq!(
-                        run.1,
-                        decode_soft(&llrs, message_len, rate),
-                        "{what}: portable kernel vs f64 oracle"
-                    );
                     assert_kernels_agree(&what, message_len, &run);
                     avx2_runs += usize::from(run.2.is_some());
                 }

@@ -125,57 +125,20 @@ impl Interleaver {
         }
     }
 
-    /// Appends `values` in deinterleaved order to `out`.
-    fn gather_into<T: Copy>(&self, values: &[T], out: &mut Vec<T>) {
+    /// Inverts [`Interleaver::interleave`] on one block of any per-bit
+    /// values: hard bits or LLRs. The receiver never calls it (its
+    /// [`RxSymbolMap`] folds this permutation into the Viterbi scatter);
+    /// it is the reference the map and the round-trip tests check against.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `values.len() != self.block_size()`.
+    pub fn deinterleave<T: Copy>(&self, values: &[T]) -> Vec<T> {
         assert_eq!(values.len(), self.n_cbps, "block size mismatch");
-        out.reserve(self.n_cbps);
         match self.table() {
-            Some(table) => out.extend(table.iter().map(|&p| values[usize::from(p)])),
-            None => out.extend((0..self.n_cbps).map(|k| values[self.permute(k)])),
+            Some(table) => table.iter().map(|&p| values[usize::from(p)]).collect(),
+            None => (0..self.n_cbps).map(|k| values[self.permute(k)]).collect(),
         }
-    }
-
-    /// Inverts [`Interleaver::interleave`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bits.len() != self.block_size()`.
-    pub fn deinterleave(&self, bits: &[u8]) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.n_cbps);
-        self.deinterleave_into(bits, &mut out);
-        out
-    }
-
-    /// Appends the deinterleaved block to `out` — the allocation-free
-    /// form used by the symbol hot loop, which accumulates the coded
-    /// stream across symbols.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bits.len() != self.block_size()`.
-    pub fn deinterleave_into(&self, bits: &[u8], out: &mut Vec<u8>) {
-        self.gather_into(bits, out);
-    }
-
-    /// Deinterleaves soft values (LLRs) with the same permutation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `values.len() != self.block_size()`.
-    pub fn deinterleave_soft(&self, values: &[f64]) -> Vec<f64> {
-        let mut out = Vec::with_capacity(self.n_cbps);
-        self.deinterleave_soft_into(values, &mut out);
-        out
-    }
-
-    /// Appends the deinterleaved soft block to `out`; see
-    /// [`Interleaver::deinterleave_into`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `values.len() != self.block_size()`.
-    pub fn deinterleave_soft_into(&self, values: &[f64], out: &mut Vec<f64>) {
-        self.gather_into(values, out);
     }
 }
 
@@ -350,7 +313,7 @@ mod tests {
                 let bits: Vec<u8> = (0..n).map(|k| ((k * 13 + 5) % 3 == 0) as u8).collect();
                 let llrs: Vec<f64> = (0..n).map(|k| (k as f64 - 20.0) * 0.37).collect();
                 let coded = il.deinterleave(&bits);
-                let coded_llrs = il.deinterleave_soft(&llrs);
+                let coded_llrs = il.deinterleave(&llrs);
 
                 // Truncated limits exercise the erasure tail a section's
                 // last symbol sees.

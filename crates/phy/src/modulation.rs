@@ -174,31 +174,6 @@ impl Modulation {
         }
     }
 
-    /// Hard-decision demapping of one equalised constellation point.
-    pub fn demap(&self, point: Complex64) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.bits_per_symbol());
-        self.demap_into(point, &mut out);
-        out
-    }
-
-    /// Demaps into an existing buffer (avoids per-point allocation).
-    pub fn demap_into(&self, point: Complex64, out: &mut Vec<u8>) {
-        let k = self.normalization();
-        let re = point.re / k;
-        let im = point.im / k;
-        match self {
-            Modulation::Bpsk => self.axis_bits(re, out),
-            Modulation::Qpsk => {
-                self.axis_bits(re, out);
-                self.axis_bits(im, out);
-            }
-            Modulation::Qam16 | Modulation::Qam64 => {
-                self.axis_bits(re, out);
-                self.axis_bits(im, out);
-            }
-        }
-    }
-
     /// Maps a full bit slice to constellation points.
     ///
     /// # Panics
@@ -223,11 +198,16 @@ impl Modulation {
         out.extend(bits.chunks(bps).map(|c| self.map(c)));
     }
 
-    /// Demaps a slice of points back to bits.
+    /// Hard-decision demapping of equalised constellation points, each to
+    /// its [`Modulation::bits_per_symbol`] Gray-label bits.
     pub fn demap_all(&self, points: &[Complex64]) -> Vec<u8> {
+        let k = self.normalization();
         let mut out = Vec::with_capacity(points.len() * self.bits_per_symbol());
-        for &p in points {
-            self.demap_into(p, &mut out);
+        for p in points {
+            self.axis_bits(p.re / k, &mut out);
+            if *self != Modulation::Bpsk {
+                self.axis_bits(p.im / k, &mut out);
+            }
         }
         out
     }
@@ -299,38 +279,12 @@ impl Modulation {
         }
     }
 
-    /// Vec-appending form of [`Modulation::axis_llrs_slice`].
-    fn axis_llrs(&self, level: f64, noise_var: f64, out: &mut Vec<f64>) {
-        let start = out.len();
-        let bits = self.axis_label(0).len();
-        out.resize(start + bits, 0.0);
-        self.axis_llrs_slice(level, noise_var, &mut out[start..]);
-    }
-
-    /// Max-log LLR demapping of one equalised constellation point.
-    ///
-    /// Returns [`Modulation::bits_per_symbol`] LLRs in the same bit order
-    /// as [`Modulation::demap`]; positive favours 1. `noise_var` is the
-    /// total complex noise variance (split evenly between axes).
-    pub fn demap_soft_into(&self, point: Complex64, noise_var: f64, out: &mut Vec<f64>) {
-        let k = self.normalization();
-        let re = point.re / k;
-        let im = point.im / k;
-        // Normalising the point by K scales the noise by 1/K^2.
-        let axis_var = noise_var / (2.0 * k * k);
-        match self {
-            Modulation::Bpsk => self.axis_llrs(re, axis_var, out),
-            Modulation::Qpsk | Modulation::Qam16 | Modulation::Qam64 => {
-                self.axis_llrs(re, axis_var, out);
-                self.axis_llrs(im, axis_var, out);
-            }
-        }
-    }
-
-    /// [`Modulation::demap_soft_into`] writing to a pre-sized slice of
-    /// exactly [`Modulation::bits_per_symbol`] slots — the fused RX
-    /// pipeline's form, which demaps every point of a symbol into one
-    /// section-sized buffer with no per-point bookkeeping.
+    /// Max-log LLR demapping of one equalised constellation point into a
+    /// pre-sized slice of exactly [`Modulation::bits_per_symbol`] slots,
+    /// in the same bit order as [`Modulation::demap_all`]; positive
+    /// favours 1. `noise_var` is the total complex noise variance (split
+    /// evenly between axes). The fused RX pipeline demaps every point of
+    /// a symbol into one section-sized buffer this way.
     pub fn demap_soft_slice(&self, point: Complex64, noise_var: f64, out: &mut [f64]) {
         debug_assert_eq!(out.len(), self.bits_per_symbol());
         let k = self.normalization();
@@ -346,15 +300,6 @@ impl Modulation {
                 self.axis_llrs_slice(im, axis_var, hi);
             }
         }
-    }
-
-    /// Soft-demaps a slice of points into LLRs.
-    pub fn demap_soft_all(&self, points: &[Complex64], noise_var: f64) -> Vec<f64> {
-        let mut out = Vec::with_capacity(points.len() * self.bits_per_symbol());
-        for &p in points {
-            self.demap_soft_into(p, noise_var, &mut out);
-        }
-        out
     }
 }
 
@@ -398,7 +343,7 @@ mod tests {
         for m in Modulation::ALL {
             for bits in all_bit_patterns(m.bits_per_symbol()) {
                 let p = m.map(&bits);
-                assert_eq!(m.demap(p), bits, "{m} bits {bits:?}");
+                assert_eq!(m.demap_all(&[p]), bits, "{m} bits {bits:?}");
             }
         }
     }
@@ -436,7 +381,7 @@ mod tests {
             let margin = m.min_distance() * 0.45;
             for bits in all_bit_patterns(m.bits_per_symbol()) {
                 let p = m.map(&bits) + Complex64::new(margin / 2.0, -margin / 2.0);
-                assert_eq!(m.demap(p), bits, "{m}");
+                assert_eq!(m.demap_all(&[p]), bits, "{m}");
             }
         }
     }
@@ -457,16 +402,15 @@ mod tests {
     }
 
     #[test]
-    fn demap_soft_slice_matches_vec_form() {
+    fn soft_demap_signs_agree_with_hard_demap() {
         for m in Modulation::ALL {
             let bps = m.bits_per_symbol();
             for bits in all_bit_patterns(bps) {
                 let p = m.map(&bits) + Complex64::new(0.07, -0.11);
-                let mut pushed = Vec::new();
-                m.demap_soft_into(p, 0.3, &mut pushed);
-                let mut sliced = vec![0.0; bps];
-                m.demap_soft_slice(p, 0.3, &mut sliced);
-                assert_eq!(pushed, sliced, "{m} bits {bits:?}");
+                let mut llrs = vec![0.0; bps];
+                m.demap_soft_slice(p, 0.3, &mut llrs);
+                let signs: Vec<u8> = llrs.iter().map(|&l| u8::from(l > 0.0)).collect();
+                assert_eq!(signs, m.demap_all(&[p]), "{m} bits {bits:?}");
             }
         }
     }

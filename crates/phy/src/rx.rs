@@ -353,16 +353,6 @@ impl<'a> FrameDecoder<'a> {
         self
     }
 
-    /// The noise variance estimated from the two LTF repetitions.
-    pub fn noise_variance(&self) -> f64 {
-        self.noise_var
-    }
-
-    /// The LTF-derived estimate captured at construction.
-    pub fn initial_estimate(&self) -> &ChannelEstimate {
-        &self.initial
-    }
-
     /// Index of the next payload OFDM symbol to be processed.
     pub fn position(&self) -> usize {
         self.symbol_index
@@ -962,7 +952,7 @@ mod tests {
         let spec = SectionSpec::payload(pattern_bits(100), Mcs::QPSK_1_2);
         let frame = transmit(std::slice::from_ref(&spec)).unwrap();
         let dec = FrameDecoder::new(&frame.samples, Estimation::Standard).unwrap();
-        assert!(dec.noise_variance() < 1e-12, "{}", dec.noise_variance());
+        assert!(dec.noise_var < 1e-12, "{}", dec.noise_var);
     }
 
     #[test]

@@ -1,22 +1,26 @@
-//! Golden-corpus equivalence: the integer Viterbi kernel against the
-//! f64 reference oracle.
+//! Golden-corpus equivalence: the integer Viterbi kernel against an f64
+//! reference oracle.
 //!
-//! The production decoder (`decode_soft_quantized`) quantizes LLRs to a
-//! `2^-7` fixed-point grid before running the branchless integer ACS
-//! kernel. On LLRs that already sit on that grid, quantization is exact
-//! and the kernel must reproduce the oracle's hard decisions *bit for
-//! bit* — including tie-breaks, which both decoders resolve towards the
-//! low-numbered predecessor. The corpus below drives both decoders over
-//! more than 10,000 seeded frames at every code rate, weighted towards
-//! tie-prone small magnitudes and erasure-heavy punctured rates, and
-//! requires zero mismatches.
+//! The receiver's decoder quantizes LLRs to a `2^-7` fixed-point grid
+//! (`quantize_llr`) and runs the branchless integer ACS kernel over the
+//! levels; `decode_levels_with` is the public entry to that kernel. The
+//! oracle below is a textbook f64 Viterbi with its own depuncturer and
+//! trellis table, sharing no code with the library. On LLRs that
+//! already sit on the quantization grid, quantization is exact and the
+//! kernel must reproduce the oracle's decisions *bit for bit* —
+//! including tie-breaks, which both resolve towards the low-numbered
+//! predecessor. The corpus drives both over more than 10,000 seeded
+//! frames at every code rate, weighted towards tie-prone small
+//! magnitudes and erasure-heavy punctured rates, and requires zero
+//! mismatches. Smaller tests hold the oracle and the kernel to the same
+//! round trips, truncations and worst-case clamp lattices.
 //!
 //! A proptest section separately exercises the saturation edges of
 //! [`quantize_llr`]: huge finite LLRs, infinities and NaN.
 
 use carpool_phy::convolutional::{
-    coded_len, decode_levels_with, decode_soft_quantized_with, decode_soft_with, decode_with,
-    encode, quantize_llr, CodeRate, ViterbiScratch, LLR_QUANT_CLAMP,
+    coded_len, decode, decode_levels_with, encode, quantize_llr, CodeRate, ViterbiScratch,
+    CONSTRAINT_LENGTH, LLR_QUANT_CLAMP,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -24,9 +28,132 @@ use rand::{Rng, SeedableRng};
 
 const RATES: [CodeRate; 3] = [CodeRate::Half, CodeRate::TwoThirds, CodeRate::ThreeQuarters];
 
+/// Trellis states of the K = 7 code.
+const NUM_STATES: usize = 1 << (CONSTRAINT_LENGTH - 1);
+
+/// Quantization step of `quantize_llr`: one level is `1 / LLR_SCALE`.
+const LLR_SCALE: f64 = 128.0;
+
 /// Frames per (rate, flavour) combination; 3 rates x 2 flavours x 1700
 /// frames > 10,000 frames total.
 const FRAMES_PER_CASE: usize = 1700;
+
+/// Puncture pattern per input-bit period as `(keep_a, keep_b)` pairs,
+/// IEEE 802.11-2012 Figure 18-9.
+fn puncture_pattern(rate: CodeRate) -> &'static [(bool, bool)] {
+    match rate {
+        CodeRate::Half => &[(true, true)],
+        CodeRate::TwoThirds => &[(true, true), (true, false)],
+        CodeRate::ThreeQuarters => &[(true, true), (true, false), (false, true)],
+    }
+}
+
+/// `(g0, g1)` output bits of the transition from `state` on `input`,
+/// for the generators `g0 = 133` and `g1 = 171` (octal).
+fn expected_outputs(state: usize, input: usize) -> (u8, u8) {
+    let shift = ((state << 1) | input) as u32;
+    let parity = |g: u32| ((shift & g).count_ones() & 1) as u8;
+    (parity(0o133), parity(0o171))
+}
+
+/// Depunctures an LLR stream into per-step `(a, b)` pairs; punctured
+/// and missing positions become zero-information LLRs.
+fn oracle_depuncture(llrs: &[f64], total_in: usize, rate: CodeRate) -> Vec<(f64, f64)> {
+    let pattern = puncture_pattern(rate);
+    let mut it = llrs.iter();
+    let mut take = |keep: bool| {
+        if keep {
+            it.next().copied().unwrap_or(0.0)
+        } else {
+            0.0
+        }
+    };
+    (0..total_in)
+        .map(|k| {
+            let (keep_a, keep_b) = pattern[k % pattern.len()];
+            let a = take(keep_a);
+            (a, take(keep_b))
+        })
+        .collect()
+}
+
+/// The f64 reference Viterbi decoder. `llrs` are per-coded-bit LLRs in
+/// transmission order, positive favouring bit 1. States are scanned in
+/// ascending order and a candidate replaces the survivor only when
+/// strictly better, so ties keep the low predecessor.
+fn oracle_decode(llrs: &[f64], message_len: usize, rate: CodeRate) -> Vec<u8> {
+    if message_len == 0 {
+        return Vec::new();
+    }
+    let total_in = message_len + CONSTRAINT_LENGTH - 1;
+    // Hypothesising bit 1 costs -llr, bit 0 costs +llr (constant
+    // offsets cancel along paths).
+    let bit_cost = |bit: u8, llr: f64| if bit == 1 { -llr } else { llr };
+    let mut metrics = [f64::INFINITY; NUM_STATES];
+    metrics[0] = 0.0;
+    let mut history: Vec<[usize; NUM_STATES]> = Vec::with_capacity(total_in);
+    for (la, lb) in oracle_depuncture(llrs, total_in, rate) {
+        let mut next = [f64::INFINITY; NUM_STATES];
+        let mut pred = [0usize; NUM_STATES];
+        for (state, &m) in metrics.iter().enumerate() {
+            if !m.is_finite() {
+                continue;
+            }
+            for input in 0..2 {
+                let (ea, eb) = expected_outputs(state, input);
+                let ns = ((state << 1) | input) & (NUM_STATES - 1);
+                let cand = m + bit_cost(ea, la) + bit_cost(eb, lb);
+                if cand < next[ns] {
+                    next[ns] = cand;
+                    pred[ns] = state;
+                }
+            }
+        }
+        metrics = next;
+        history.push(pred);
+    }
+    // The tail bits drive the encoder back to the zero state.
+    let mut state = 0usize;
+    let mut decoded = vec![0u8; total_in];
+    for t in (0..total_in).rev() {
+        decoded[t] = (state & 1) as u8;
+        state = history[t][state];
+    }
+    decoded.truncate(message_len);
+    decoded
+}
+
+/// The integer kernel on f64 LLRs: quantize each, then decode the levels.
+fn kernel_decode(
+    llrs: &[f64],
+    message_len: usize,
+    rate: CodeRate,
+    scratch: &mut ViterbiScratch,
+) -> Vec<u8> {
+    let levels: Vec<i32> = llrs.iter().map(|&l| quantize_llr(l)).collect();
+    decode_levels_with(&levels, message_len, rate, scratch)
+}
+
+/// Seeded xorshift bits, so the small tests need no RNG.
+fn pseudo_random_bits(n: usize, seed: u64) -> Vec<u8> {
+    let mut x = seed | 1;
+    (0..n)
+        .map(|_| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            (x & 1) as u8
+        })
+        .collect()
+}
+
+/// `magnitude` with the sign of each coded bit (+ for 1, - for 0).
+fn confident_llrs(coded: &[u8], magnitude: f64) -> Vec<f64> {
+    coded
+        .iter()
+        .map(|&b| if b == 1 { magnitude } else { -magnitude })
+        .collect()
+}
 
 /// Integer-valued LLR in [-64, 64]: exactly representable both as an
 /// f64 path-metric summand and on the 2^-7 quantization grid (where it
@@ -73,7 +200,6 @@ fn noise_frame(rng: &mut StdRng, rate: CodeRate, message_len: usize) -> Vec<f64>
 fn golden_corpus_integer_kernel_matches_f64_oracle() {
     let mut rng = StdRng::seed_from_u64(0xC0DE_2026);
     let mut scratch = ViterbiScratch::default();
-    let mut oracle_scratch = ViterbiScratch::default();
     let mut frames = 0usize;
     for rate in RATES {
         for flavour in 0..2 {
@@ -84,8 +210,8 @@ fn golden_corpus_integer_kernel_matches_f64_oracle() {
                 } else {
                     noise_frame(&mut rng, rate, message_len)
                 };
-                let fast = decode_soft_quantized_with(&llrs, message_len, rate, &mut scratch);
-                let oracle = decode_soft_with(&llrs, message_len, rate, &mut oracle_scratch);
+                let fast = kernel_decode(&llrs, message_len, rate, &mut scratch);
+                let oracle = oracle_decode(&llrs, message_len, rate);
                 assert_eq!(
                     fast, oracle,
                     "mismatch at rate {rate}, flavour {flavour}, frame {frames}"
@@ -98,15 +224,12 @@ fn golden_corpus_integer_kernel_matches_f64_oracle() {
 }
 
 #[test]
-fn golden_corpus_prequantized_levels_match_quantizing_path() {
-    // The fused RX pipeline hands the batched-ACS kernel pre-quantized
-    // levels instead of f64 LLRs; that entry point must reproduce the
-    // quantizing entry point (and, by the corpus above, the f64 oracle)
-    // bit for bit — including frames truncated mid-puncture-period the
-    // way a section's usable-length cut truncates its last symbol.
+fn golden_corpus_truncated_frames_match_oracle() {
+    // A section's usable-length cut truncates its last symbol, so the
+    // kernel sees frames that end mid-puncture-period: the missing
+    // positions are erasures for both decoders.
     let mut rng = StdRng::seed_from_u64(0xBA7C_4AC5);
     let mut scratch = ViterbiScratch::default();
-    let mut ref_scratch = ViterbiScratch::default();
     let mut frames = 0usize;
     for rate in RATES {
         for flavour in 0..2 {
@@ -121,12 +244,10 @@ fn golden_corpus_prequantized_levels_match_quantizing_path() {
                 // period boundary offset for every rate.
                 let cut = rng.gen_range(0usize..8).min(llrs.len());
                 llrs.truncate(llrs.len() - cut);
-                let levels: Vec<i32> = llrs.iter().map(|&l| quantize_llr(l)).collect();
-                let via_levels = decode_levels_with(&levels, message_len, rate, &mut scratch);
-                let via_f64 =
-                    decode_soft_quantized_with(&llrs, message_len, rate, &mut ref_scratch);
+                let fast = kernel_decode(&llrs, message_len, rate, &mut scratch);
+                let oracle = oracle_decode(&llrs, message_len, rate);
                 assert_eq!(
-                    via_levels, via_f64,
+                    fast, oracle,
                     "mismatch at rate {rate}, flavour {flavour}, frame {frames}, cut {cut}"
                 );
                 frames += 1;
@@ -140,11 +261,10 @@ fn golden_corpus_prequantized_levels_match_quantizing_path() {
 fn golden_corpus_hard_levels_match_hard_decoder() {
     // The fused hard path scatters ±1 levels; fed those, the levels
     // entry point must match the hard-input decoder on every frame,
-    // channel errors included (both resolve ties to the low-numbered
-    // predecessor).
+    // channel errors included, and both must match the oracle fed ±1
+    // LLRs (a Hamming-metric Viterbi with the same tie-break).
     let mut rng = StdRng::seed_from_u64(0x5EED_2026);
     let mut scratch = ViterbiScratch::default();
-    let mut hard_scratch = ViterbiScratch::default();
     for (frame, rate) in RATES.iter().cycle().take(900).enumerate() {
         let message_len = rng.gen_range(48..=128);
         let bits: Vec<u8> = (0..message_len).map(|_| rng.gen_range(0..=1)).collect();
@@ -158,25 +278,28 @@ fn golden_corpus_hard_levels_match_hard_decoder() {
         }
         let levels: Vec<i32> = coded.iter().map(|&b| i32::from(b) * 2 - 1).collect();
         let via_levels = decode_levels_with(&levels, message_len, *rate, &mut scratch);
-        let via_hard = decode_with(&coded, message_len, *rate, &mut hard_scratch);
+        let via_hard = decode(&coded, message_len, *rate);
         assert_eq!(
             via_levels, via_hard,
             "mismatch at rate {rate}, frame {frame}"
+        );
+        let oracle = oracle_decode(&confident_llrs(&coded, 1.0), message_len, *rate);
+        assert_eq!(
+            via_hard, oracle,
+            "oracle mismatch at rate {rate}, frame {frame}"
         );
     }
 }
 
 #[test]
-fn saturated_levels_at_clamp_match_quantizing_path() {
+fn saturated_levels_at_clamp_match_oracle() {
     // Frames dominated by full-scale ±LLR_QUANT_CLAMP levels drive the
     // branch metric to its declared ±2^21 budget edge on nearly every
     // step; the plain (non-saturating) adds of the batched kernel must
-    // still agree with the quantizing path exactly. Levels on the 2^-7
-    // grid map back to f64 losslessly, so both entries see identical
-    // inputs.
+    // still agree with the oracle exactly. Levels on the 2^-7 grid map
+    // back to f64 losslessly, so both decoders see identical inputs.
     let mut rng = StdRng::seed_from_u64(0xC1A3_2026);
     let mut scratch = ViterbiScratch::default();
-    let mut ref_scratch = ViterbiScratch::default();
     const ALPHABET: [i32; 7] = [
         -LLR_QUANT_CLAMP,
         -LLR_QUANT_CLAMP,
@@ -199,13 +322,163 @@ fn saturated_levels_at_clamp_match_quantizing_path() {
                     }
                 })
                 .collect();
-            let llrs: Vec<f64> = levels.iter().map(|&q| f64::from(q) / 128.0).collect();
+            let llrs: Vec<f64> = levels.iter().map(|&q| f64::from(q) / LLR_SCALE).collect();
             let via_levels = decode_levels_with(&levels, message_len, rate, &mut scratch);
-            let via_f64 = decode_soft_quantized_with(&llrs, message_len, rate, &mut ref_scratch);
+            let oracle = oracle_decode(&llrs, message_len, rate);
+            assert_eq!(via_levels, oracle, "mismatch at rate {rate}, frame {frame}");
+        }
+    }
+}
+
+#[test]
+fn grid_llrs_match_oracle_at_every_rate() {
+    // Integer LLRs in [-3, 3], a few with the wrong sign: many exact
+    // ties, which both decoders must break the same way.
+    for (seed, rate) in [3u64, 5, 7].into_iter().zip(RATES) {
+        let bits = pseudo_random_bits(160, seed);
+        let coded = encode(&bits, rate);
+        let llrs: Vec<f64> = coded
+            .iter()
+            .enumerate()
+            .map(|(k, &b)| {
+                let sign = if b == 1 { 1.0 } else { -1.0 };
+                let mag = ((k * 2654435761) >> 7) % 4;
+                sign * mag as f64 * if k % 17 == 0 { -1.0 } else { 1.0 }
+            })
+            .collect();
+        assert_eq!(
+            kernel_decode(&llrs, 160, rate, &mut ViterbiScratch::default()),
+            oracle_decode(&llrs, 160, rate),
+            "rate {rate}"
+        );
+    }
+}
+
+#[test]
+fn soft_round_trip_all_rates() {
+    let mut scratch = ViterbiScratch::default();
+    for rate in RATES {
+        let bits = pseudo_random_bits(200, 5);
+        let llrs = confident_llrs(&encode(&bits, rate), 3.0);
+        assert_eq!(oracle_decode(&llrs, 200, rate), bits, "oracle, rate {rate}");
+        assert_eq!(
+            kernel_decode(&llrs, 200, rate, &mut scratch),
+            bits,
+            "kernel, rate {rate}"
+        );
+    }
+}
+
+#[test]
+fn soft_decoders_use_confidence() {
+    // Three adjacent bits with the wrong sign but tiny magnitude: a
+    // soft decoder recovers where a hard decoder may not.
+    let bits = pseudo_random_bits(120, 21);
+    let coded = encode(&bits, CodeRate::Half);
+    let mut llrs = confident_llrs(&coded, 4.0);
+    for k in 40..43 {
+        llrs[k] = if coded[k] == 1 { -0.1 } else { 0.1 };
+    }
+    assert_eq!(oracle_decode(&llrs, 120, CodeRate::Half), bits);
+    let kernel = kernel_decode(&llrs, 120, CodeRate::Half, &mut ViterbiScratch::default());
+    assert_eq!(kernel, bits);
+}
+
+#[test]
+fn truncated_input_decodes_its_head() {
+    // The last eight coded bits are missing: erasures for both decoders,
+    // which still recover everything the surviving bits cover.
+    let bits = pseudo_random_bits(64, 3);
+    let coded = encode(&bits, CodeRate::Half);
+    let llrs = confident_llrs(&coded[..coded.len() - 8], 2.0);
+    let oracle = oracle_decode(&llrs, 64, CodeRate::Half);
+    let kernel = kernel_decode(&llrs, 64, CodeRate::Half, &mut ViterbiScratch::default());
+    assert_eq!(oracle.len(), 64);
+    assert_eq!(&oracle[..50], &bits[..50]);
+    assert_eq!(kernel, oracle);
+}
+
+#[test]
+fn empty_message_decodes_to_nothing() {
+    assert!(oracle_decode(&[], 0, CodeRate::Half).is_empty());
+    assert!(decode_levels_with(&[], 0, CodeRate::Half, &mut ViterbiScratch::default()).is_empty());
+    assert!(decode(&[], 0, CodeRate::Half).is_empty());
+}
+
+#[test]
+fn scratch_reuse_across_rates_and_lengths_matches_fresh_decodes() {
+    // One scratch carried through every rate and a growing, then
+    // shrinking, frame length must decode exactly as a fresh decoder.
+    let mut scratch = ViterbiScratch::default();
+    for rate in RATES {
+        for n in [1usize, 48, 200, 17] {
+            let bits = pseudo_random_bits(n, n as u64 + 31);
+            let coded = encode(&bits, rate);
+            let levels: Vec<i32> = coded.iter().map(|&b| i32::from(b) * 2 - 1).collect();
             assert_eq!(
-                via_levels, via_f64,
-                "mismatch at rate {rate}, frame {frame}"
+                decode_levels_with(&levels, n, rate, &mut scratch),
+                decode(&coded, n, rate),
+                "hard rate {rate} n {n}"
             );
+            let llrs = confident_llrs(&coded, 2.5);
+            assert_eq!(
+                kernel_decode(&llrs, n, rate, &mut scratch),
+                oracle_decode(&llrs, n, rate),
+                "soft rate {rate} n {n}"
+            );
+        }
+    }
+}
+
+/// `n` seeded levels, uniform over `-span..=span`.
+fn random_levels(n: usize, span: i32, seed: u64) -> Vec<i32> {
+    let mut x = seed | 1;
+    let width = u64::from(2 * span.unsigned_abs() + 1);
+    (0..n)
+        .map(|_| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            (x % width) as i32 - span
+        })
+        .collect()
+}
+
+#[test]
+fn worst_case_lattices_match_oracle() {
+    // The lattices on which the unit tests hold the AVX2 kernel to the
+    // portable one — every level at the clamp (constant, alternating,
+    // with erasures), uniform random levels and tie-prone small ones —
+    // at lengths around the kernel's phase boundaries (markers alive
+    // for the first six steps, the first normalization at step 32) plus
+    // a long frame. The levels are exact on the oracle's LLR grid.
+    let c = LLR_QUANT_CLAMP;
+    for (seed, rate) in [11u64, 13, 17].into_iter().zip(RATES) {
+        for message_len in [1, 5, 6, 26, 27, 31, 32, 33, 64, 4096] {
+            let n = coded_len(message_len, rate);
+            let lattices: [(&str, Vec<i32>); 6] = [
+                ("all +clamp", vec![c; n]),
+                ("all -clamp", vec![-c; n]),
+                (
+                    "alternating ±clamp",
+                    (0..n).map(|k| if k % 2 == 0 { c } else { -c }).collect(),
+                ),
+                (
+                    "±clamp with erasures",
+                    (0..n).map(|k| [c, 0, -c, -c, 0, c, 0][k % 7]).collect(),
+                ),
+                ("random levels", random_levels(n, c, seed)),
+                ("tie-prone small levels", random_levels(n, 3, seed)),
+            ];
+            let mut scratch = ViterbiScratch::default();
+            for (name, levels) in lattices {
+                let llrs: Vec<f64> = levels.iter().map(|&q| f64::from(q) / LLR_SCALE).collect();
+                assert_eq!(
+                    decode_levels_with(&levels, message_len, rate, &mut scratch),
+                    oracle_decode(&llrs, message_len, rate),
+                    "{name}, rate {rate}, {message_len} bits"
+                );
+            }
         }
     }
 }
@@ -260,12 +533,7 @@ proptest! {
                 }
             })
             .collect();
-        let decoded = decode_soft_quantized_with(
-            &llrs,
-            bits.len(),
-            rate,
-            &mut ViterbiScratch::default(),
-        );
+        let decoded = kernel_decode(&llrs, bits.len(), rate, &mut ViterbiScratch::default());
         prop_assert_eq!(decoded, bits);
     }
 }

@@ -20,8 +20,7 @@
 use std::hint::black_box;
 
 use carpool_phy::convolutional::{
-    coded_len, decode_levels_with, decode_soft_quantized_with, CodeRate, ViterbiScratch,
-    LLR_QUANT_CLAMP,
+    coded_len, decode_levels_with, quantize_llr, CodeRate, ViterbiScratch, LLR_QUANT_CLAMP,
 };
 
 const RATES: [CodeRate; 3] = [CodeRate::Half, CodeRate::TwoThirds, CodeRate::ThreeQuarters];
@@ -137,7 +136,8 @@ fn infinite_llrs_saturate_at_the_clamp_and_cannot_wrap() {
                 ),
             ];
             for (name, llrs) in lattices {
-                let decoded = decode_soft_quantized_with(&llrs, message_len, rate, &mut scratch);
+                let levels: Vec<i32> = llrs.iter().map(|&l| quantize_llr(l)).collect();
+                let decoded = decode_levels_with(&levels, message_len, rate, &mut scratch);
                 assert_eq!(decoded.len(), message_len, "{name}, rate {rate}");
                 if name == "all -inf" {
                     assert!(decoded.iter().all(|&b| b == 0), "{name}, rate {rate}");

@@ -1,6 +1,7 @@
 #!/bin/sh
-# Offline gate: formatting, clippy, the workspace tests, the perfbench
-# tests and the project linter across the whole workspace. Run from
+# Offline gate: the `pub fn` ratchet, formatting, clippy, the workspace
+# tests, the perfbench tests and the project linter across the whole
+# workspace. Run from
 # anywhere; everything resolves relative to the repo root. Each stage
 # reports its wall time so gate slowdowns are visible in CI logs, and
 # the analyzer budget is enforced: if the project linter's cold scan
@@ -25,18 +26,32 @@ stage_end() {
     echo "-- stage wall time: $(( $(now_ms) - stage_t0 )) ms"
 }
 
-stage_begin "size report (report only)"
+stage_begin "size report and pub fn ratchet"
 # Lines of Rust and `pub fn` declarations per crate, so a removal change
-# can quote its before/after from one command. Informational: it never
-# fails the gate, and perfbench/ (the benchmark harness) is not counted.
+# can quote its before/after from one command. The line counts are
+# informational. The `pub fn` counts are a ratchet: each directory's
+# count may not exceed its ceiling in scripts/pub_fn_ceilings.txt (a
+# directory with no ceiling has a ceiling of 0), so the public surface
+# never grows. A change that removes pub fns lowers the ceilings it
+# beats. perfbench/ (the benchmark harness) is not counted.
+ceilings=scripts/pub_fn_ceilings.txt
+over=0
 for dir in crates/* src tests examples; do
     [ -d "$dir" ] || continue
     lines=$(find "$dir" -name '*.rs' -exec cat {} + | wc -l) || lines=?
-    pub_fns=$(grep -rh --include='*.rs' 'pub fn' "$dir" | wc -l) || pub_fns=?
-    printf '  %-20s %7s lines %5s pub fn\n' "$dir" "$lines" "$pub_fns"
+    pub_fns=$(grep -rh --include='*.rs' 'pub fn' "$dir" | wc -l)
+    ceiling=$(awk -v d="$dir" '$1 == d { print $2 }' "$ceilings")
+    printf '  %-20s %7s lines %5s pub fn (ceiling %s)\n' "$dir" "$lines" "$pub_fns" "${ceiling:-0}"
+    if [ "$pub_fns" -gt "${ceiling:-0}" ]; then
+        echo "  FATAL: $dir has $pub_fns pub fn, over its ceiling of ${ceiling:-0} in $ceilings"
+        over=1
+    fi
 done
 total=$(find crates src tests examples -name '*.rs' -exec cat {} + | wc -l) || total=?
 echo "  workspace .rs total: $total lines"
+if [ "$over" -ne 0 ]; then
+    exit 1
+fi
 stage_end
 
 stage_begin "cargo fmt --check"

@@ -22,9 +22,7 @@
 use carpool_bench::{run_mac, run_phy, Fading, PhyRunConfig, OFFICE_FADING};
 use carpool_channel::link::LinkChannel;
 use carpool_frame::addr::MacAddress;
-use carpool_frame::carpool::{
-    receive_carpool_obs, receive_carpool_obs_with_scratch, CarpoolFrame, Subframe,
-};
+use carpool_frame::carpool::{receive_carpool_obs_with_scratch, CarpoolFrame, Subframe};
 use carpool_mac::sim::SimConfig;
 use carpool_phy::mcs::Mcs;
 use carpool_phy::rx::{Estimation, PhyScratch};
@@ -101,13 +99,14 @@ fn shared_scratch_matches_fresh_scratch_frame_by_frame() {
                 &obs,
                 &mut shared,
             );
-            let fresh = receive_carpool_obs(
+            let fresh = receive_carpool_obs_with_scratch(
                 rx_samples,
                 station,
                 Estimation::Standard,
                 carpool_bloom::DEFAULT_HASHES,
                 None,
                 &obs,
+                &mut PhyScratch::default(),
             );
             match (warmed, fresh) {
                 (Ok(a), Ok(b)) => assert_eq!(a, b, "frame {i}, station {station:?}"),

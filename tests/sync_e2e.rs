@@ -2,11 +2,12 @@
 //! receiver — the full "RF detector → decoder" flow of paper Fig. 2.
 
 use carpool_frame::addr::MacAddress;
-use carpool_frame::carpool::{receive_carpool, CarpoolFrame, Subframe};
+use carpool_frame::carpool::{receive_carpool_obs_with_scratch, CarpoolFrame, Subframe};
 use carpool_frame::coexist::{classify, FrameClass};
+use carpool_obs::Obs;
 use carpool_phy::math::Complex64;
 use carpool_phy::mcs::Mcs;
-use carpool_phy::rx::Estimation;
+use carpool_phy::rx::{Estimation, PhyScratch};
 use carpool_phy::sync::{correct_cfo, detect_frame, synchronize};
 use carpool_phy::tx::SideChannelConfig;
 use rand::rngs::StdRng;
@@ -61,12 +62,14 @@ fn detect_cfo_correct_then_receive_carpool() {
     assert!((sync.cfo_hz - 9_000.0).abs() < 300.0, "cfo {}", sync.cfo_hz);
 
     let aligned = synchronize(&air, 0.6).expect("aligned");
-    let rx = receive_carpool(
+    let rx = receive_carpool_obs_with_scratch(
         &aligned,
         MacAddress::station(5),
         Estimation::Standard,
         carpool_bloom::DEFAULT_HASHES,
         Some(SideChannelConfig::default()),
+        &Obs::noop(),
+        &mut PhyScratch::default(),
     )
     .expect("parses");
     assert_eq!(rx.payload_at(1).expect("matched"), &[0x3C; 330][..]);
