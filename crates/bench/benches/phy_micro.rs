@@ -41,7 +41,7 @@ use carpool_obs::json::{self, ObjectWriter};
 use carpool_obs::{FlightRecorder, MemoryRecorder, Obs, SpanStats};
 use carpool_phy::convolutional::{decode, decode_levels_with, encode, CodeRate, ViterbiScratch};
 use carpool_phy::equalizer::ChannelEstimate;
-use carpool_phy::fft::{fft_in_place, fft_real, ifft_in_place};
+use carpool_phy::fft::{fft_in_place, ifft_in_place};
 use carpool_phy::interleaver::Interleaver;
 use carpool_phy::math::Complex64;
 use carpool_phy::mcs::Mcs;
@@ -91,18 +91,14 @@ fn json_entry(stats: &SpanStats) -> String {
 }
 
 fn bench_fft(results: &mut Vec<SpanStats>) {
-    let input: Vec<Complex64> = (0..64).map(|k| Complex64::cis(k as f64 * 0.11)).collect();
+    let input: [Complex64; 64] = std::array::from_fn(|k| Complex64::cis(k as f64 * 0.11));
     results.push(measure("fft64_forward", || {
-        let mut buf = input.clone();
-        fft_in_place(black_box(&mut buf)).expect("64 is a power of two");
+        let mut buf = input;
+        fft_in_place(black_box(&mut buf));
     }));
     results.push(measure("fft64_inverse", || {
-        let mut buf = input.clone();
-        ifft_in_place(black_box(&mut buf)).expect("64 is a power of two");
-    }));
-    let real_input: Vec<f64> = (0..64).map(|k| (k as f64 * 0.11).cos()).collect();
-    results.push(measure("fft64_real", || {
-        black_box(fft_real(black_box(&real_input)).expect("64 is a power of two"));
+        let mut buf = input;
+        ifft_in_place(black_box(&mut buf));
     }));
 }
 
@@ -761,7 +757,6 @@ fn bench_throughput(results: &[SpanStats]) {
         ("viterbi_decode_1kbit", "viterbi_hard_us"),
         ("viterbi_int_1kbit", "viterbi_int_us"),
         ("fft64_forward", "fft64_us"),
-        ("fft64_real", "fft64_real_us"),
         ("equalize_symbol", "equalize_symbol_us"),
         ("tx_1500B_qpsk12", "tx_1500B_qpsk12_us"),
         ("tx_1500B_qam16", "tx_1500B_qam16_us"),

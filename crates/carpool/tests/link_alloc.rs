@@ -4,9 +4,10 @@
 //! once, and the pool worker builds one receive scratch. Per station the
 //! cost is exact and does not depend on how many stations came before:
 //!
-//! * the decoder setup: LTF and noise estimates and the RTE estimate
-//!   copy (3 allocations; a no-op observability handle allocates
-//!   nothing, and workers of an unobserved link get no record shard);
+//! * a per-station constant from the decoder setup (1 allocation: the
+//!   two LTF FFTs of the channel estimate run on stack arrays, a no-op
+//!   observability handle allocates nothing, and workers of an
+//!   unobserved link get no record shard);
 //! * every decoded section's budget (see `crates/phy/tests/rx_alloc.rs`):
 //!   3 vectors, 2 more with the side channel on, and one row per OFDM
 //!   symbol;
@@ -42,7 +43,7 @@ fn per_station(rx: &CarpoolReception) -> usize {
     let payloads = rx.subframes.iter().filter(|s| s.payload.is_some()).count();
     let sections = 1 + sigs + payloads;
     let walk = if payloads > 0 { 8 } else { 5 };
-    3 + 3 * sections + 2 * payloads + rx.symbols_decoded + walk
+    1 + 3 * sections + 2 * payloads + rx.symbols_decoded + walk
 }
 
 #[test]
@@ -64,8 +65,8 @@ fn deliver_all_allocations_are_per_station() {
             Err(e) => panic!("{} stations: {e}", stations.len()),
         }
     };
-    // Process-wide tables (preamble, twiddles, interleaver maps) are
-    // built on first use.
+    // Process-wide tables (preamble, interleaver maps) are built on
+    // first use.
     deliver(&[sta(1), sta(2), sta(3), sta(9)]);
 
     // First subframe, a later subframe, and a station the A-HDR drops.

@@ -12,10 +12,7 @@
 //!   evolution parameterised by *coherence time* (the cause of the BER
 //!   bias in Fig. 3 and the target of real-time channel estimation),
 //! * [`cfo`] — residual carrier frequency offset (the *inherent phase
-//!   offset* the differential side channel is designed around),
-//! * [`jakes`] — Clarke/Jakes sum-of-sinusoids fading with the physical
-//!   `J0(2 pi f_d tau)` autocorrelation, as an alternative temporal
-//!   model.
+//!   offset* the differential side channel is designed around).
 //!
 //! [`link::LinkChannel`] composes all three behind a builder.
 //!
@@ -38,12 +35,10 @@
 
 pub mod cfo;
 pub mod fading;
-pub(crate) mod jakes;
 pub mod link;
 pub mod noise;
 
 pub use cfo::ResidualCfo;
 pub use fading::{DelayProfile, FadingChannel};
-pub use jakes::{bessel_j0, JakesFading};
 pub use link::{power_magnitude_to_snr_db, LinkChannel, LinkChannelBuilder};
 pub use noise::Awgn;

@@ -81,9 +81,8 @@ COMMANDS:
                beside --trace-out) as per-layer tables and frame
                timelines
                carpool report <path.jsonl>
-    lint       Run the project lint gate (crate layering, atomic
-               ordering notes, dead public API, unit suffixes, shard
-               protocol); any un-waived finding fails
+    lint       Run the project lint gate (dead public API, unit
+               suffixes, shard protocol); any un-waived finding fails
                [--json] [--root <dir>] [--explain <rule>]
     help       Show this message
 

@@ -370,7 +370,6 @@ fn walk_carpool_frame(
                 .skip_section(&payload_layout)
                 .map_err(FrameError::Phy)?;
             symbols_skipped += payload_layout.symbol_count();
-            obs.counter("frame.subframe_skipped", 1);
             None
         };
         subframes.push(ReceivedSubframe {
@@ -551,6 +550,10 @@ mod tests {
         assert!(snap.histogram("span.frame.receive").is_some());
         // PHY events flow through the same handle.
         assert!(snap.counter("phy.sections_decoded") > 0);
+        // Matching subframe 1 of 3, the station skips one body (subframe
+        // 0's) and drops the tail: one equalizer re-anchor.
+        assert_eq!(rx.matched_indices, [1]);
+        assert_eq!(snap.counter("phy.eq_reset"), 1);
 
         let records = ring.records();
         let accepted: u64 = records

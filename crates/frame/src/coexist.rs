@@ -27,6 +27,7 @@ use carpool_phy::tx::{transmit, SectionSpec, TxFrame};
 
 /// PPDU format classes distinguishable at the first payload symbol.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+// lint:allow(dead-api): private_interfaces keeps it pub: pub `classify` returns it
 pub enum FrameClass {
     /// A Carpool aggregate (QBPSK A-HDR right after the preamble).
     Carpool,
@@ -52,6 +53,7 @@ pub fn classify(samples: &[Complex64]) -> Result<FrameClass, FrameError> {
 
 /// A legacy (single-receiver, non-Carpool) PPDU: `[preamble][SIG][payload]`.
 #[derive(Debug, Clone, PartialEq, Eq)]
+// lint:allow(dead-api): the legacy transmit path of paper Section 4.3; this module's tests classify and decode its frames
 pub struct LegacyFrame {
     /// Payload MCS.
     pub mcs: Mcs,

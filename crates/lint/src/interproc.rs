@@ -1,7 +1,6 @@
 //! Whole-workspace rules over parsed items: L010 (dead public API),
 //! L013 (units) and L015 (shard protocol), plus the fn-signature
-//! helpers L013 and L015 share. The line rules L003 and L009 live in
-//! [`crate::rules`].
+//! helpers L013 and L015 share.
 
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -677,12 +676,12 @@ mod tests {
         let files = vec![
             record(
                 "crates/frame/src/lib.rs",
-                "carpool-frame",
+                "frame",
                 "pub fn used() {}\npub fn orphan() {}\n",
             ),
             record(
                 "crates/mac/src/lib.rs",
-                "carpool-mac",
+                "mac",
                 "fn f() { carpool_frame::used(); }\n",
             ),
         ];
@@ -696,14 +695,14 @@ mod tests {
         let files = vec![
             record(
                 "crates/frame/src/lib.rs",
-                "carpool-frame",
+                "frame",
                 "pub fn documented() {}\n\
                  // lint:allow(dead-api): kept for downstream experiments\n\
                  pub fn waived() {}\n",
             ),
             record(
                 "crates/mac/src/lib.rs",
-                "carpool-mac",
+                "mac",
                 "// see `documented` in carpool-frame\nfn f() {}\n",
             ),
         ];
@@ -714,7 +713,7 @@ mod tests {
     fn l010_tool_crates_are_exempt() {
         let files = vec![record(
             "crates/cli/src/main.rs",
-            "carpool-cli",
+            "cli",
             "pub fn orphan() {}\n",
         )];
         assert!(check_l010(&files).is_empty());
@@ -741,7 +740,7 @@ mod tests {
     fn param_names_align_with_call_positions() {
         let file = record(
             "crates/phy/src/fix.rs",
-            "carpool-phy",
+            "phy",
             "impl S {\n\
                  fn go(&mut self, airtime_s: f64, n_symbols: usize) {}\n\
              }\n\

@@ -4,20 +4,20 @@
 //! the `[workspace.lints]` table, `clippy.toml` and `#[expect]`
 //! waivers, and counting-allocator tests pin the allocation-free hot
 //! paths (DESIGN.md, "Static analysis gate", maps each retired rule to
-//! its replacement). This crate keeps the five rules that need
+//! its replacement). This crate keeps the three rules that need
 //! knowledge of the whole workspace or of the project's conventions:
 //!
 //! | rule | meaning |
 //! |------|---------|
-//! | L003 | lower-layer crates never depend on mac/carpool/cli/bench/lint |
-//! | L009 | every atomic `Ordering::` in `par`/`obs` carries an `// ordering:` note |
 //! | L010 | no library `pub` item that no other workspace file names |
 //! | L013 | no arithmetic/calls mixing unit suffixes (`_s`, `_db`, …) |
 //! | L015 | shard-protocol discipline in worker pools and scratch fns |
 //!
-//! L003 and L009 are line rules over the comment/string-aware
-//! [`scanner`]; L010, L013 and L015 run over the whole parsed
-//! workspace ([`items`], [`interproc`]). The Viterbi kernel's `i32`
+//! All three run over the whole workspace, scanned by the
+//! comment/string-aware [`scanner`] and parsed into [`items`]
+//! ([`interproc`] holds the rules). Crate layering is Cargo's and
+//! `tests/layering.rs`'s job, and the atomic-ordering notes in `par` and
+//! `obs` are a `scripts/check.sh` stage. The Viterbi kernel's `i32`
 //! budget is not a lint rule: `const` asserts in
 //! `crates/phy/src/convolutional.rs` prove it at compile time and
 //! `crates/phy/tests/viterbi_overflow.rs` drives the kernel with
@@ -39,7 +39,6 @@
 
 pub mod interproc;
 pub mod items;
-pub mod manifest;
 pub mod rules;
 pub mod scanner;
 
@@ -95,8 +94,7 @@ pub struct ScanReport {
     /// Number of crates scanned.
     pub crates_scanned: usize,
     /// Wall time per stage in milliseconds: `parse` (reading and
-    /// parsing every file), `line_rules` (L003 and L009), then one
-    /// entry per workspace rule.
+    /// parsing every file), then one entry per rule.
     pub rule_timings_ms: BTreeMap<String, f64>,
     /// Rule coverage statistics.
     pub analysis: AnalysisStats,
@@ -117,8 +115,7 @@ impl ScanReport {
     }
 }
 
-/// Scans the workspace rooted at `root`: line rules and manifest
-/// layering over every crate's `src/`, workspace rules over the whole
+/// Scans the workspace rooted at `root`: the rules run over the whole
 /// parsed workspace (src + tests + benches + examples as the reference
 /// corpus).
 ///
@@ -139,15 +136,14 @@ pub fn scan_workspace(root: &Path) -> Result<ScanReport, LintError> {
     let t = Instant::now();
     let mut records: Vec<FileRecord> = Vec::new();
     for dir in &crate_dirs {
-        let manifest_path = dir.join("Cargo.toml");
-        let manifest = manifest::parse_manifest(&read_file(&manifest_path)?);
-        let class = rules::classify(&manifest.name);
+        // The root package is "", a member its directory under crates/.
+        let name = if dir == root {
+            ""
+        } else {
+            dir.file_name().and_then(|n| n.to_str()).unwrap_or("")
+        };
+        let class = rules::classify(name);
         report.crates_scanned += 1;
-        report.diagnostics.extend(rules::check_manifest_layering(
-            class,
-            &relative(root, &manifest_path),
-            &manifest.dependencies,
-        ));
         const SECTIONS: [(Section, &str); 4] = [
             (Section::Src, "src"),
             (Section::Tests, "tests"),
@@ -174,15 +170,6 @@ pub fn scan_workspace(root: &Path) -> Result<ScanReport, LintError> {
     report
         .rule_timings_ms
         .insert("parse".to_string(), t.elapsed().as_secs_f64() * 1e3);
-
-    let line_diags = report.time("line_rules", || {
-        records
-            .iter()
-            .filter(|rec| rec.section == Section::Src)
-            .flat_map(|rec| rules::check_lines(rec.class, &rec.path, &rec.lines))
-            .collect::<Vec<_>>()
-    });
-    report.diagnostics.extend(line_diags);
 
     let d10 = report.time(Rule::L010.id(), || interproc::check_l010(&records));
     report.diagnostics.extend(d10);
@@ -214,7 +201,7 @@ pub fn per_rule_totals(report: &ScanReport) -> BTreeMap<&'static str, usize> {
 /// whole run's wall time.
 pub fn render_json(report: &ScanReport, elapsed_ms: f64) -> String {
     let mut out = String::new();
-    out.push_str("{\n  \"schema\": \"carpool-lint/v4\",\n");
+    out.push_str("{\n  \"schema\": \"carpool-lint/v5\",\n");
     let _ = writeln!(
         out,
         "  \"files_scanned\": {},\n  \"crates_scanned\": {},",

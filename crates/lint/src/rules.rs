@@ -1,5 +1,4 @@
-//! The project rules and the line-based checks (L003 `use` paths,
-//! L009) over scanned source lines and parsed manifests.
+//! The project rules, crate classification, diagnostics and waivers.
 //!
 //! Every rule reports `file:line` diagnostics. Inline waivers use the
 //! `// lint:allow(<key>): <reason>` comment syntax — on the offending
@@ -9,16 +8,10 @@
 use crate::scanner::SourceLine;
 
 /// Rule identifiers. The numbering keeps the gaps left by rules that
-/// moved to rustc/clippy lints and runtime tests (see DESIGN.md), so an
-/// ID always means the same check.
+/// moved to rustc/clippy lints, Cargo, tests and `scripts/check.sh`
+/// (see DESIGN.md), so an ID always means the same check.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Rule {
-    /// Crate layering: lower-layer crates must not depend on the MAC
-    /// simulator, facade, CLI, bench, or lint crates.
-    L003,
-    /// Every atomic `Ordering::` in audited crates carries an
-    /// `// ordering:` justification; `Relaxed` only for counters.
-    L009,
     /// Dead public API: top-level `pub` items in library crates that
     /// no other workspace file references.
     L010,
@@ -35,20 +28,18 @@ pub enum Rule {
 
 impl Rule {
     /// All rules, in order.
-    pub const ALL: [Rule; 5] = [Rule::L003, Rule::L009, Rule::L010, Rule::L013, Rule::L015];
+    pub const ALL: [Rule; 3] = [Rule::L010, Rule::L013, Rule::L015];
 
-    /// Stable identifier, e.g. `"L003"`.
+    /// Stable identifier, e.g. `"L013"`.
     pub fn id(self) -> &'static str {
         match self {
-            Rule::L003 => "L003",
-            Rule::L009 => "L009",
             Rule::L010 => "L010",
             Rule::L013 => "L013",
             Rule::L015 => "L015",
         }
     }
 
-    /// Parses a rule identifier (`L009`, `l009`, or `9`).
+    /// Parses a rule identifier (`L013`, `l013`, or `13`).
     pub fn from_id(id: &str) -> Option<Rule> {
         let trimmed = id.trim();
         let digits = trimmed
@@ -64,8 +55,6 @@ impl Rule {
     /// Waiver key accepted in `lint:allow(<key>)` for this rule.
     pub fn waiver_key(self) -> &'static str {
         match self {
-            Rule::L003 => "layering",
-            Rule::L009 => "atomic-ordering",
             Rule::L010 => "dead-api",
             Rule::L013 => "unit-mix",
             Rule::L015 => "shard-protocol",
@@ -75,8 +64,6 @@ impl Rule {
     /// One-line description used in reports.
     pub fn summary(self) -> &'static str {
         match self {
-            Rule::L003 => "layering violation (lower crate depends on upper layer)",
-            Rule::L009 => "unjustified atomic memory ordering in an audited crate",
             Rule::L010 => "dead public API (pub item referenced nowhere else)",
             Rule::L013 => "arithmetic or call mixing different units of measure",
             Rule::L015 => "shard-protocol violation in a worker pool or sharded exchange",
@@ -86,25 +73,6 @@ impl Rule {
     /// Long-form description printed by `--explain <rule>`.
     pub fn explain(self) -> &'static str {
         match self {
-            Rule::L003 => {
-                "L003 · crate layering\n\n\
-                 Lower-layer crates (phy, bloom, channel, frame, traffic, par) must\n\
-                 never depend on upper-layer crates (mac, carpool, cli, bench,\n\
-                 lint) — neither via Cargo.toml dependencies nor via paths in code.\n\
-                 The layering keeps the PHY reusable and the MAC simulator\n\
-                 trace-reproducible.\n\n\
-                 Waive with `// lint:allow(layering): <why>`."
-            }
-            Rule::L009 => {
-                "L009 · atomics/lock audit in concurrency crates\n\n\
-                 Every `Ordering::` use in crates/par must carry an `// ordering:`\n\
-                 justification comment on the same line or directly above, so each\n\
-                 memory-ordering choice is reviewable. `Ordering::Relaxed` is\n\
-                 additionally only accepted when the justification describes a\n\
-                 counter (word `counter` present) — Relaxed provides no\n\
-                 happens-before edges, which is only sound for standalone counts.\n\n\
-                 Waive with `// lint:allow(atomic-ordering): <why>`."
-            }
             Rule::L010 => {
                 "L010 · dead public API (cross-crate)\n\n\
                  A top-level `pub` item in a library crate that no other workspace\n\
@@ -157,60 +125,19 @@ impl Rule {
 pub struct CrateClass {
     /// Library crate: L010 audits its public API.
     pub library: bool,
-    /// Lower-layer crate: L003 applies.
-    pub lower_layer: bool,
-    /// Concurrency-audited crate: L009 applies to every `Ordering::`.
-    pub atomics_audited: bool,
     /// Unit-suffix-audited crate: L013 applies to its arithmetic.
     pub units_audited: bool,
 }
 
-/// Crates that lower-layer crates must never depend on.
-pub const UPPER_LAYER: [&str; 5] = [
-    "carpool-mac",
-    "carpool",
-    "carpool-cli",
-    "carpool-bench",
-    "carpool-lint",
-];
-
-/// Classifies a workspace package by name. Unknown crates get the
-/// library default so that new crates are linted until classified here.
-pub fn classify(package: &str) -> CrateClass {
-    let library = CrateClass {
-        library: true,
-        lower_layer: false,
-        atomics_audited: false,
-        units_audited: true,
-    };
-    match package {
-        "carpool-phy" | "carpool-bloom" | "carpool-channel" | "carpool-frame"
-        | "carpool-traffic" => CrateClass {
-            lower_layer: true,
-            ..library
-        },
-        // The worker pool sits below everything that fans trials out
-        // through it (mac, carpool, bench, cli): L003 keeps it from ever
-        // depending back up on those crates. Its atomics are the one
-        // place thread interleavings touch results, so L009 audits it.
-        "carpool-par" => CrateClass {
-            lower_layer: true,
-            atomics_audited: true,
-            ..library
-        },
-        // The flight recorder's overflow counter is lock-free.
-        "carpool-obs" => CrateClass {
-            atomics_audited: true,
-            ..library
-        },
-        // Tool crates: no public API audit, no unit audit.
-        "carpool-bench" | "carpool-cli" | "carpool-lint" => CrateClass {
-            library: false,
-            lower_layer: false,
-            atomics_audited: false,
-            units_audited: false,
-        },
-        _ => library,
+/// Classifies a workspace package by its directory name under
+/// `crates/` (the root package passes `""`). The tool crates are
+/// exempt from the API and unit audits; every other crate, including
+/// a new one, is linted as a library.
+pub fn classify(dir: &str) -> CrateClass {
+    let library = !matches!(dir, "bench" | "cli" | "lint");
+    CrateClass {
+        library,
+        units_audited: library,
     }
 }
 
@@ -298,238 +225,20 @@ pub(crate) fn token_at(code: &str, at: usize, token: &str) -> bool {
     before_ok && after_ok
 }
 
-/// Finds all word-boundary occurrences of `token` in `code`.
-pub(crate) fn contains_token(code: &str, token: &str) -> bool {
-    let mut from = 0;
-    while let Some(at) = code[from..].find(token) {
-        let at = from + at;
-        if token_at(code, at, token) {
-            return true;
-        }
-        from = at + 1;
-    }
-    false
-}
-
-/// Runs the line-based rules (L003 `use` paths, L009) over one
-/// scanned `src/` file.
-pub fn check_lines(class: CrateClass, file: &str, lines: &[SourceLine]) -> Vec<Diagnostic> {
-    let mut diags = Vec::new();
-    for (idx, line) in lines.iter().enumerate() {
-        if line.in_test {
-            continue;
-        }
-        if class.lower_layer {
-            check_l003_use(lines, idx, file, &mut diags);
-        }
-        if class.atomics_audited {
-            check_l009(lines, idx, file, &mut diags);
-        }
-    }
-    diags
-}
-
-fn check_l003_use(lines: &[SourceLine], idx: usize, file: &str, diags: &mut Vec<Diagnostic>) {
-    let line = &lines[idx];
-    for upper in UPPER_LAYER {
-        let module = upper.replace('-', "_");
-        // Word-boundary matching is essential: `carpool` must not match
-        // inside `carpool_obs` or `carpool_phy`.
-        if references_module(&line.code, &module) {
-            if is_waived(lines, idx, Rule::L003) {
-                continue;
-            }
-            diags.push(Diagnostic {
-                rule: Rule::L003,
-                file: file.to_string(),
-                line: line.number,
-                message: format!(
-                    "lower-layer crate references `{module}`; the PHY/channel/frame/\
-                     traffic layers must not reach up into MAC/facade/tool crates"
-                ),
-            });
-        }
-    }
-}
-
-/// Whether `code` references crate `module`: `module::…`, a
-/// word-bounded `use module…` import, or `extern crate module`.
-fn references_module(code: &str, module: &str) -> bool {
-    let mut from = 0;
-    while let Some(at) = code[from..].find(module) {
-        let at = from + at;
-        from = at + 1;
-        if !token_at(code, at, module) {
-            continue;
-        }
-        let after = &code[at + module.len()..];
-        if after.starts_with("::") {
-            return true;
-        }
-        let before = code[..at].trim_end();
-        if before.ends_with("use") || before.ends_with("extern crate") {
-            return true;
-        }
-    }
-    false
-}
-
-fn check_l009(lines: &[SourceLine], idx: usize, file: &str, diags: &mut Vec<Diagnostic>) {
-    let line = &lines[idx];
-    if !line.code.contains("Ordering::") || is_waived(lines, idx, Rule::L009) {
-        return;
-    }
-    let Some(reason) = ordering_justification(lines, idx) else {
-        diags.push(Diagnostic {
-            rule: Rule::L009,
-            file: file.to_string(),
-            line: line.number,
-            message: "atomic `Ordering::` use without an `// ordering: <why>` \
-                      justification comment on the line or directly above"
-                .to_string(),
-        });
-        return;
-    };
-    if line.code.contains("Ordering::Relaxed")
-        && !contains_token(&reason.to_ascii_lowercase(), "counter")
-    {
-        diags.push(Diagnostic {
-            rule: Rule::L009,
-            file: file.to_string(),
-            line: line.number,
-            message: "`Ordering::Relaxed` outside a counter: Relaxed creates no \
-                      happens-before edges, so the justification must describe a \
-                      standalone counter (or use Acquire/Release/SeqCst)"
-                .to_string(),
-        });
-    }
-}
-
-/// The text after `// ordering:` on the line or on comment-only lines
-/// directly above; `None` when absent or empty.
-fn ordering_justification(lines: &[SourceLine], idx: usize) -> Option<String> {
-    if let Some(r) = justification_in(&lines[idx].comment) {
-        return Some(r);
-    }
-    let mut k = idx;
-    while k > 0 {
-        k -= 1;
-        let above = &lines[k];
-        if !above.code.trim().is_empty() || above.comment.is_empty() {
-            break;
-        }
-        if let Some(r) = justification_in(&above.comment) {
-            return Some(r);
-        }
-    }
-    None
-}
-
-fn justification_in(comment: &str) -> Option<String> {
-    let at = comment.find("ordering:")?;
-    let reason = comment[at + "ordering:".len()..].trim();
-    (!reason.is_empty()).then(|| reason.to_string())
-}
-
-/// L003 manifest check: `Cargo.toml` dependencies of a lower-layer
-/// crate must not include upper-layer crates.
-pub fn check_manifest_layering(
-    class: CrateClass,
-    manifest_path: &str,
-    dependencies: &[String],
-) -> Vec<Diagnostic> {
-    if !class.lower_layer {
-        return Vec::new();
-    }
-    dependencies
-        .iter()
-        .filter(|dep| UPPER_LAYER.contains(&dep.as_str()))
-        .map(|dep| Diagnostic {
-            rule: Rule::L003,
-            file: manifest_path.to_string(),
-            line: 0,
-            message: format!(
-                "Cargo.toml dependency on `{dep}` from a lower-layer crate breaks \
-                 the phy/bloom/channel/frame/traffic < mac/carpool/cli/bench layering"
-            ),
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scanner::scan_source;
-
-    fn check(class: CrateClass, src: &str) -> Vec<Diagnostic> {
-        check_lines(class, "fix.rs", &scan_source(src))
-    }
-
-    fn rules_of(diags: &[Diagnostic]) -> Vec<Rule> {
-        diags.iter().map(|d| d.rule).collect()
-    }
 
     #[test]
-    fn l003_upper_layer_references_flagged_with_word_boundaries() {
-        let class = classify("carpool-channel");
-        assert!(class.lower_layer);
-        let src = "use carpool_mac::Schedule;\n";
-        assert_eq!(rules_of(&check(class, src)), [Rule::L003]);
-        let qualified = "fn f() { let x = carpool_cli::main(); }\n";
-        assert_eq!(rules_of(&check(class, qualified)), [Rule::L003]);
-        // Sibling lower-layer and obs imports are fine, and `carpool`
-        // must not match inside `carpool_obs`.
-        let ok = "use carpool_obs::Obs;\nuse carpool_bloom::Filter;\n";
-        assert!(check(class, ok).is_empty());
-        // Comments, strings, test code and waived lines do not fire.
-        let quiet = "// see carpool_mac::sim\n\
-                     fn f() -> &'static str { \"carpool_mac::x\" }\n\
-                     use carpool_mac::X; // lint:allow(layering): doc example only\n\
-                     #[cfg(test)]\n\
-                     mod tests { use carpool_mac::Y; }\n";
-        assert!(check(class, quiet).is_empty());
-        // Upper-layer crates are not audited.
-        assert!(check(classify("carpool-mac"), src).is_empty());
-    }
-
-    #[test]
-    fn l003_manifest_dependencies_checked() {
-        let deps = vec!["carpool-obs".to_string(), "carpool-mac".to_string()];
-        let diags =
-            check_manifest_layering(classify("carpool-frame"), "crates/frame/Cargo.toml", &deps);
-        assert_eq!(rules_of(&diags), [Rule::L003]);
-        assert!(diags[0].message.contains("carpool-mac"));
-        // The worker pool is a lower-layer crate too.
-        let par = check_manifest_layering(classify("carpool-par"), "crates/par/Cargo.toml", &deps);
-        assert_eq!(rules_of(&par), [Rule::L003]);
-        // Upper-layer crates may depend on whatever they like.
-        assert!(check_manifest_layering(classify("carpool-mac"), "m", &deps).is_empty());
-    }
-
-    #[test]
-    fn l009_ordering_needs_justification() {
-        let class = classify("carpool-par");
-        assert!(class.atomics_audited);
-        let bare = "fn f() { c.fetch_add(1, Ordering::SeqCst); }\n";
-        assert_eq!(rules_of(&check(class, bare)), [Rule::L009]);
-        let justified = "// ordering: SeqCst — publishes the result slot to the join\n\
-                         fn f() { c.store(1, Ordering::SeqCst); }\n";
-        assert!(check(class, justified).is_empty());
-        // Other crates are not audited.
-        assert!(check(classify("carpool-frame"), bare).is_empty());
-    }
-
-    #[test]
-    fn l009_relaxed_only_for_counters() {
-        let class = classify("carpool-par");
-        let counter = "// ordering: Relaxed — work-claim counter only\n\
-                       fn f() { c.fetch_add(1, Ordering::Relaxed); }\n";
-        assert!(check(class, counter).is_empty());
-        let not_counter = "fn f() { c.store(1, Ordering::Relaxed); } // ordering: fast\n";
-        assert_eq!(rules_of(&check(class, not_counter)), [Rule::L009]);
-        let waived =
-            "fn f() { c.load(Ordering::Relaxed); } // lint:allow(atomic-ordering): bench-only\n";
-        assert!(check(class, waived).is_empty());
+    fn tool_crates_are_exempt_from_the_library_audits() {
+        for dir in ["bench", "cli", "lint"] {
+            let class = classify(dir);
+            assert!(!class.library && !class.units_audited, "{dir}");
+        }
+        for dir in ["", "phy", "par", "obs", "some-new-crate"] {
+            let class = classify(dir);
+            assert!(class.library && class.units_audited, "{dir:?}");
+        }
     }
 
     #[test]
@@ -538,7 +247,7 @@ mod tests {
             assert_eq!(Rule::from_id(rule.id()), Some(rule));
         }
         assert_eq!(Rule::from_id("l013"), Some(Rule::L013));
-        assert_eq!(Rule::from_id("9"), Some(Rule::L009));
+        assert_eq!(Rule::from_id("15"), Some(Rule::L015));
         // Retired and unknown IDs are not rules of this gate.
         assert_eq!(Rule::from_id("L001"), None);
         assert_eq!(Rule::from_id("L011"), None);

@@ -1,56 +1,15 @@
-//! Fixture tests for the workspace rules (L009–L015): one positive
+//! Fixture tests for the workspace rules (L010–L015): one positive
 //! (the rule fires) and one negative (compliant code passes) per rule,
 //! plus disk-based scans of a miniature workspace that drive the full
-//! `scan_workspace` pipeline: a seeded violation of each of the five
+//! `scan_workspace` pipeline: a seeded violation of each of the three
 //! rules fails it, and the fixed tree passes.
 
 use carpool_lint::interproc::{check_l010, check_l013, check_l015};
 use carpool_lint::items::{FileRecord, Section};
-use carpool_lint::rules::{check_lines, classify};
-use carpool_lint::scanner::scan_source;
+use carpool_lint::rules::classify;
 
-fn record(path: &str, crate_name: &str, src: &str) -> FileRecord {
-    FileRecord::parse(path, Section::Src, classify(crate_name), src)
-}
-
-// ---------------------------------------------------------------- L009
-
-fn l009(src: &str) -> Vec<carpool_lint::rules::Diagnostic> {
-    check_lines(
-        classify("carpool-par"),
-        "crates/par/src/lib.rs",
-        &scan_source(src),
-    )
-}
-
-#[test]
-fn l009_fires_on_unjustified_ordering() {
-    let diags = l009("fn f(x: &AtomicUsize) { x.store(1, Ordering::SeqCst); }\n");
-    assert_eq!(diags.len(), 1, "{diags:?}");
-    assert!(diags[0].message.contains("ordering:"));
-}
-
-#[test]
-fn l009_passes_with_justification_comment() {
-    let diags = l009(
-        "// ordering: release pairs with the acquire load in `poll`\n\
-         fn f(x: &AtomicUsize) { x.store(1, Ordering::Release); }\n",
-    );
-    assert!(diags.is_empty(), "{diags:?}");
-}
-
-#[test]
-fn l009_relaxed_requires_counter_justification() {
-    let bad = l009(
-        "// ordering: fast path, no synchronization needed\n\
-         fn f(x: &AtomicUsize) { x.fetch_add(1, Ordering::Relaxed); }\n",
-    );
-    assert_eq!(bad.len(), 1, "{bad:?}");
-    let good = l009(
-        "// ordering: statistics counter only, never synchronizes data\n\
-         fn f(x: &AtomicUsize) { x.fetch_add(1, Ordering::Relaxed); }\n",
-    );
-    assert!(good.is_empty(), "{good:?}");
+fn record(path: &str, crate_dir: &str, src: &str) -> FileRecord {
+    FileRecord::parse(path, Section::Src, classify(crate_dir), src)
 }
 
 // ---------------------------------------------------------------- L010
@@ -60,10 +19,10 @@ fn l010_fires_on_orphan_pub_item() {
     let files = vec![
         record(
             "crates/phy/src/lib.rs",
-            "carpool-phy",
+            "phy",
             "pub fn orphan_helper() {}\n",
         ),
-        record("crates/mac/src/lib.rs", "carpool-mac", "fn other() {}\n"),
+        record("crates/mac/src/lib.rs", "mac", "fn other() {}\n"),
     ];
     let diags = check_l010(&files);
     assert_eq!(diags.len(), 1, "{diags:?}");
@@ -75,14 +34,14 @@ fn l010_passes_when_item_is_referenced_or_waived() {
     let files = vec![
         record(
             "crates/phy/src/lib.rs",
-            "carpool-phy",
+            "phy",
             "pub fn used_helper() {}\n\
              // lint:allow(dead-api): kept for downstream users\n\
              pub fn kept_helper() {}\n",
         ),
         record(
             "crates/mac/src/lib.rs",
-            "carpool-mac",
+            "mac",
             "fn other() { carpool_phy::used_helper(); }\n",
         ),
     ];
@@ -95,7 +54,7 @@ fn l010_passes_when_item_is_referenced_or_waived() {
 fn l013_fires_on_mixed_unit_arithmetic() {
     let files = vec![record(
         "crates/frame/src/airtime.rs",
-        "carpool-frame",
+        "frame",
         "fn total(airtime_s: f64, backoff_us: f64) -> f64 { airtime_s + backoff_us }\n",
     )];
     let (diags, unit_params) = check_l013(&files);
@@ -112,7 +71,7 @@ fn l013_fires_on_mixed_unit_arithmetic() {
 fn l013_passes_matching_units_and_unit_converting_ops() {
     let files = vec![record(
         "crates/frame/src/airtime.rs",
-        "carpool-frame",
+        "frame",
         // Same unit adds fine; multiplication/division convert units by
         // design and are exempt from the mixing check.
         "fn ok(airtime_s: f64, gap_s: f64, rate_linear: f64) -> f64 {\n\
@@ -127,7 +86,7 @@ fn l013_passes_matching_units_and_unit_converting_ops() {
 fn l013_flags_call_argument_unit_mismatch() {
     let files = vec![record(
         "crates/frame/src/airtime.rs",
-        "carpool-frame",
+        "frame",
         "fn wait(timeout_s: f64) -> f64 { timeout_s }\n\
          fn caller(delay_us: f64) -> f64 { wait(delay_us) }\n",
     )];
@@ -148,7 +107,7 @@ fn l015_fires_on_out_of_order_mailbox_absorb() {
     // inbox assembly is no longer a pure function of shard indices.
     let files = vec![record(
         "crates/par/src/lib.rs",
-        "carpool-par",
+        "par",
         "fn absorb_mailboxes(outboxes: &[Vec<u8>], inbox: &mut Vec<u8>) {\n\
              for source in outboxes.iter().rev() {\n\
                  inbox.extend_from_slice(source);\n\
@@ -170,7 +129,7 @@ fn l015_fires_on_out_of_order_mailbox_absorb() {
 fn l015_fires_on_barrier_without_panic_tag_and_unreset_scratch() {
     let files = vec![record(
         "crates/par/src/lib.rs",
-        "carpool-par",
+        "par",
         // A barrier epoch loop that catches panics but never tags the
         // failing epoch with fetch_min: peers cannot agree on where to
         // stop deterministically.
@@ -197,7 +156,7 @@ fn l015_fires_on_barrier_without_panic_tag_and_unreset_scratch() {
 fn l015_passes_compliant_shard_protocol_code() {
     let files = vec![record(
         "crates/par/src/lib.rs",
-        "carpool-par",
+        "par",
         // Ascending absorb; barrier paired with fetch_min; scratch
         // fully taken over per the history-independence contract.
         "fn absorb_mailboxes(outboxes: &[Vec<u8>], inbox: &mut Vec<u8>) {\n\
@@ -254,37 +213,25 @@ mod end_to_end {
         fs::write(path, text).expect("write fixture file");
     }
 
-    /// A miniature workspace: a lower-layer `carpool-par` crate and an
-    /// upper-layer `carpool-mac` crate that uses it. `dirty` seeds one
-    /// violation of every rule into it.
+    /// A miniature workspace: a `carpool-par` crate and a `carpool-mac`
+    /// crate that uses it. `dirty` seeds one violation of every rule
+    /// into it.
     fn workspace(tag: &str, dirty: bool) -> PathBuf {
         let root = scratch(tag);
         write(&root.join("Cargo.toml"), "[workspace]\nmembers = []\n");
-        let par_deps = if dirty {
-            "[dependencies]\ncarpool-mac = { path = \"../mac\" }\n"
-        } else {
-            ""
-        };
         write(
             &root.join("crates/par/Cargo.toml"),
-            &format!("[package]\nname = \"carpool-par\"\n{par_deps}"),
+            "[package]\nname = \"carpool-par\"\n",
         );
-        let (ordering, units, absorb) = if dirty {
-            ("", "airtime_s + backoff_us", ".rev()")
+        let (units, absorb) = if dirty {
+            ("airtime_s + backoff_us", ".rev()")
         } else {
-            (
-                "// ordering: SeqCst publishes the slot to the joiner\n",
-                "airtime_s + backoff_s",
-                "",
-            )
+            ("airtime_s + backoff_s", "")
         };
         write(
             &root.join("crates/par/src/lib.rs"),
             &format!(
                 "//! Pool fixture.\n\
-                 pub fn publish(x: &AtomicUsize) {{\n\
-                 {ordering}    x.store(1, Ordering::SeqCst);\n\
-                 }}\n\
                  pub fn total(airtime_s: f64, backoff_{unit}: f64) -> f64 {{ {units} }}\n\
                  pub fn absorb_mailboxes(outboxes: &[u8]) {{\n\
                      for b in outboxes.iter(){absorb} {{ let _ = b; }}\n\
@@ -301,8 +248,7 @@ mod end_to_end {
             &root.join("crates/mac/src/lib.rs"),
             &format!(
                 "//! Mac fixture.\n\
-                 {orphan}fn run() {{ carpool_par::publish(); carpool_par::total(); \
-                 carpool_par::absorb_mailboxes(); }}\n"
+                 {orphan}fn run() {{ carpool_par::total(); carpool_par::absorb_mailboxes(); }}\n"
             ),
         );
         root
@@ -320,12 +266,12 @@ mod end_to_end {
         assert_eq!(report.crates_scanned, 3);
         assert_eq!(report.files_scanned, 2);
         assert_eq!(report.analysis.unit_params, 2);
-        for stage in ["parse", "line_rules", "L010", "L013", "L015"] {
+        for stage in ["parse", "L010", "L013", "L015"] {
             assert!(report.rule_timings_ms.contains_key(stage), "{stage}");
         }
         let json = carpool_lint::render_json(&report, 1.0);
         assert!(json.contains("\"ok\": false"));
-        assert!(json.contains("\"file\": \"crates/par/Cargo.toml\""));
+        assert!(json.contains("\"file\": \"crates/par/src/lib.rs\""));
         fs::remove_dir_all(&root).ok();
     }
 

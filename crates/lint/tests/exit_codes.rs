@@ -31,8 +31,8 @@ fn write(path: &Path, text: &str) {
     fs::write(path, text).expect("write fixture file");
 }
 
-/// A minimal workspace with one lower-layer crate (`carpool-phy`)
-/// whose `lib.rs` is `body`.
+/// A minimal workspace with one library crate (`carpool-phy`) whose
+/// `lib.rs` is `body`.
 fn workspace(tag: &str, body: &str) -> PathBuf {
     let root = scratch(tag);
     write(&root.join("Cargo.toml"), "[workspace]\nmembers = []\n");
@@ -59,12 +59,9 @@ fn exit_zero_on_clean_workspace() {
 }
 
 #[test]
-fn exit_one_on_seeded_layering_violation() {
-    // A lower-layer crate reaching up into the MAC simulator (L003).
-    let root = workspace(
-        "dirty",
-        "//! Demo.\n\nfn up() { carpool_mac::sim::run(); }\n",
-    );
+fn exit_one_on_seeded_finding() {
+    // A public item no other file names (L010).
+    let root = workspace("dirty", "//! Demo.\n\npub struct Orphan;\n");
     assert_eq!(run_at(&root), 1);
     // The JSON report carries the same verdict.
     let json = carpool_lint::run(&LintOptions {
@@ -77,8 +74,8 @@ fn exit_one_on_seeded_layering_violation() {
     write(
         &root.join("crates/phy/src/lib.rs"),
         "//! Demo.\n\n\
-         // lint:allow(layering): fixture exercising the waiver\n\
-         fn up() { carpool_mac::sim::run(); }\n",
+         // lint:allow(dead-api): fixture exercising the waiver\n\
+         pub struct Orphan;\n",
     );
     assert_eq!(run_at(&root), 0);
     fs::remove_dir_all(&root).ok();
@@ -92,7 +89,7 @@ fn exit_two_on_missing_workspace() {
 
 #[test]
 fn exit_two_on_unknown_explain_rule() {
-    for id in ["L999", "L001", "L011", "L012"] {
+    for id in ["L999", "L001", "L003", "L009", "L011", "L012"] {
         let code = carpool_lint::run(&LintOptions {
             explain: Some(id.to_string()),
             ..LintOptions::default()

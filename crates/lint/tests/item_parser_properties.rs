@@ -46,7 +46,7 @@ proptest! {
         let _ = FileRecord::parse(
             "crates/x/src/soup.rs",
             Section::Src,
-            classify("carpool-x"),
+            classify("x"),
             &src,
         );
     }

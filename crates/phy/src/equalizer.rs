@@ -47,26 +47,14 @@ impl ChannelEstimate {
         ChannelEstimate { bins }
     }
 
-    /// Least-squares estimate from the two received LTF symbols.
-    ///
-    /// Each LTF symbol is `SYMBOL_LEN` time samples (CP included).
-    ///
-    /// # Panics
-    ///
-    /// Panics if either slice has the wrong length.
-    pub fn from_ltf(ltf1: &[Complex64], ltf2: &[Complex64]) -> ChannelEstimate {
-        assert_eq!(ltf1.len(), SYMBOL_LEN, "LTF symbol length");
-        assert_eq!(ltf2.len(), SYMBOL_LEN, "LTF symbol length");
-        #[expect(
-            clippy::expect_used,
-            reason = "length asserted to SYMBOL_LEN above, exact FFT size"
-        )]
-        let b1 = fft(&ltf1[CP_LEN..]).expect("64-point FFT");
-        #[expect(
-            clippy::expect_used,
-            reason = "length asserted to SYMBOL_LEN above, exact FFT size"
-        )]
-        let b2 = fft(&ltf2[CP_LEN..]).expect("64-point FFT");
+    /// Least-squares estimate from the two received LTF symbols (each
+    /// one symbol of time samples, CP included).
+    pub fn from_ltf(
+        ltf1: &[Complex64; SYMBOL_LEN],
+        ltf2: &[Complex64; SYMBOL_LEN],
+    ) -> ChannelEstimate {
+        let b1 = fft(&std::array::from_fn(|k| ltf1[CP_LEN + k]));
+        let b2 = fft(&std::array::from_fn(|k| ltf2[CP_LEN + k]));
         let mut bins = vec![Complex64::ONE; FFT_SIZE];
         for c in -26..=26i32 {
             if c == 0 {
@@ -160,19 +148,16 @@ impl ChannelEstimate {
 
 /// Estimates the complex noise variance per sample from the difference
 /// of the two (identical) received LTF symbols: `var = E|l1 - l2|^2 / 2`.
-///
-/// # Panics
-///
-/// Panics if the slices have different or zero lengths.
-pub fn estimate_noise_from_ltf(ltf1: &[Complex64], ltf2: &[Complex64]) -> f64 {
-    assert_eq!(ltf1.len(), ltf2.len(), "LTF lengths differ");
-    assert!(!ltf1.is_empty(), "empty LTF");
+pub fn estimate_noise_from_ltf(
+    ltf1: &[Complex64; SYMBOL_LEN],
+    ltf2: &[Complex64; SYMBOL_LEN],
+) -> f64 {
     let diff_power: f64 = ltf1
         .iter()
         .zip(ltf2)
         .map(|(a, b)| (*a - *b).norm_sqr())
         .sum::<f64>()
-        / ltf1.len() as f64;
+        / SYMBOL_LEN as f64;
     diff_power / 2.0
 }
 
@@ -225,6 +210,15 @@ mod tests {
         samples.iter().map(|s| *s * h).collect()
     }
 
+    /// The estimate from the two LTF symbols of a received preamble.
+    fn estimate_from_preamble(pre: &[Complex64]) -> ChannelEstimate {
+        let ltf = |at: usize| -> &[Complex64; SYMBOL_LEN] {
+            pre[at..at + SYMBOL_LEN].try_into().unwrap()
+        };
+        let [a, b] = ltf_offsets();
+        ChannelEstimate::from_ltf(ltf(a), ltf(b))
+    }
+
     #[test]
     fn identity_estimate_is_transparent() {
         let est = ChannelEstimate::identity();
@@ -239,9 +233,7 @@ mod tests {
     #[test]
     fn ltf_estimation_recovers_flat_channel() {
         let h = Complex64::from_polar(0.8, 0.6);
-        let pre = apply_flat_channel(&generate_preamble(), h);
-        let [a, b] = ltf_offsets();
-        let est = ChannelEstimate::from_ltf(&pre[a..a + SYMBOL_LEN], &pre[b..b + SYMBOL_LEN]);
+        let est = estimate_from_preamble(&apply_flat_channel(&generate_preamble(), h));
         for c in [-26, -7, 1, 21, 26] {
             assert!((est.at(c) - h).abs() < 1e-9, "carrier {c}");
         }
@@ -253,13 +245,10 @@ mod tests {
         let bits: Vec<u8> = (0..96).map(|k| (k % 5 < 2) as u8).collect();
         let data = Modulation::Qpsk.map_all(&bits);
         let sym = FreqSymbol::with_standard_pilots(data, 7);
-        let time = apply_flat_channel(&modulate_symbol(&sym).unwrap(), h);
+        let time = apply_flat_channel(&modulate_symbol(&sym), h);
+        let est = estimate_from_preamble(&apply_flat_channel(&generate_preamble(), h));
 
-        let pre = apply_flat_channel(&generate_preamble(), h);
-        let [a, b] = ltf_offsets();
-        let est = ChannelEstimate::from_ltf(&pre[a..a + SYMBOL_LEN], &pre[b..b + SYMBOL_LEN]);
-
-        let rx = crate::ofdm::demodulate_symbol(&time).unwrap();
+        let rx = crate::ofdm::demodulate_symbol(time.as_slice().try_into().unwrap());
         let eq = est.equalize(&rx);
         assert_eq!(Modulation::Qpsk.demap_all(&eq.data), bits);
     }

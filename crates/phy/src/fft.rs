@@ -1,216 +1,17 @@
-//! Radix-2 decimation-in-time FFT used for OFDM (de)modulation.
+//! The 64-point radix-2 decimation-in-time FFT used for OFDM
+//! (de)modulation.
 //!
-//! The OFDM symbol size in IEEE 802.11a/g/n (20 MHz) is 64 subcarriers, so
-//! a simple iterative radix-2 implementation is entirely sufficient. Both
-//! directions use the engineering convention: the *inverse* transform
-//! carries the `1/N` normalisation, so `ifft(fft(x)) == x`.
+//! Every 20 MHz IEEE 802.11a/g/n OFDM symbol has 64 subcarriers, so the
+//! transform has exactly one size and its inputs are `[Complex64; 64]`
+//! arrays. The bit-reversal permutation and the twiddle factors are
+//! compile-time tables; the test module keeps the textbook radix-2 loop
+//! as the bit-exact reference they must reproduce. Both directions use
+//! the engineering convention: the *inverse* transform carries the `1/N`
+//! normalisation, so `ifft(&fft(&x)) == x` up to rounding.
 
 use crate::math::Complex64;
-use std::sync::OnceLock;
 
-/// Largest transform size (as log2) whose twiddle factors are cached.
-/// OFDM uses 64-point transforms (log2 = 6); anything beyond the cache
-/// falls back to computing the `cis` recurrence per call.
-const MAX_CACHED_LOG2: usize = 12;
-
-/// Per-size forward twiddle tables, keyed by log2(n). Each table holds
-/// the butterfly factors of every stage concatenated (stage `len` starts
-/// at offset `len/2 - 1` and holds `len/2` factors), `n - 1` in total.
-static FWD_TWIDDLES: [OnceLock<Vec<Complex64>>; MAX_CACHED_LOG2 + 1] =
-    [const { OnceLock::new() }; MAX_CACHED_LOG2 + 1];
-/// Inverse-direction counterpart of [`FWD_TWIDDLES`].
-static INV_TWIDDLES: [OnceLock<Vec<Complex64>>; MAX_CACHED_LOG2 + 1] =
-    [const { OnceLock::new() }; MAX_CACHED_LOG2 + 1];
-/// Per-size bit-reversal permutations, keyed by log2(n). Each entry is
-/// the list of `(i, j)` swap pairs (with `i < j`) that the carry-ripple
-/// permutation loop would perform, so applying the cached pairs is
-/// trivially identical to recomputing the permutation per call.
-static BITREV_SWAPS: [OnceLock<Vec<(u32, u32)>>; MAX_CACHED_LOG2 + 1] =
-    [const { OnceLock::new() }; MAX_CACHED_LOG2 + 1];
-
-/// Builds one direction's twiddle table for a size-`n` transform using
-/// the exact multiplicative recurrence of the butterfly loop, so cached
-/// and uncached transforms are bit-identical.
-fn build_twiddles(n: usize, sign: f64) -> Vec<Complex64> {
-    let mut table = Vec::with_capacity(n.saturating_sub(1));
-    let mut len = 2usize;
-    while len <= n {
-        let angle = sign * 2.0 * std::f64::consts::PI / len as f64;
-        let wlen = Complex64::cis(angle);
-        let mut w = Complex64::ONE;
-        for _ in 0..len / 2 {
-            table.push(w);
-            w *= wlen;
-        }
-        len <<= 1;
-    }
-    table
-}
-
-/// Cached twiddle table for a power-of-two `n`, or `None` if `n` is
-/// beyond the cache size.
-fn twiddles(n: usize, inverse: bool) -> Option<&'static [Complex64]> {
-    let log2 = n.trailing_zeros() as usize;
-    if n != (1 << log2) || log2 > MAX_CACHED_LOG2 {
-        return None;
-    }
-    let (cache, sign) = if inverse {
-        (&INV_TWIDDLES[log2], 1.0)
-    } else {
-        (&FWD_TWIDDLES[log2], -1.0)
-    };
-    Some(cache.get_or_init(|| build_twiddles(n, sign)).as_slice())
-}
-
-/// Errors returned by FFT routines.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FftError {
-    /// The input length is not a power of two.
-    NotPowerOfTwo {
-        /// Offending length.
-        len: usize,
-    },
-}
-
-impl std::fmt::Display for FftError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            FftError::NotPowerOfTwo { len } => {
-                write!(f, "fft length {len} is not a power of two")
-            }
-        }
-    }
-}
-
-impl std::error::Error for FftError {}
-
-/// Enumerates the `(i, j)` swap pairs of the size-`n` bit-reversal
-/// permutation via the carry-ripple counter.
-#[expect(
-    clippy::cast_possible_truncation,
-    reason = "indices < n <= 2^12 fit in u32"
-)]
-fn build_bitrev_swaps(n: usize) -> Vec<(u32, u32)> {
-    let mut pairs = Vec::new();
-    let mut j = 0usize;
-    for i in 1..n {
-        let mut bit = n >> 1;
-        while j & bit != 0 {
-            j ^= bit;
-            bit >>= 1;
-        }
-        j |= bit;
-        if i < j {
-            pairs.push((i as u32, j as u32));
-        }
-    }
-    pairs
-}
-
-/// Cached swap-pair list for a power-of-two `n`, or `None` beyond the
-/// cache size.
-fn bitrev_swaps(n: usize) -> Option<&'static [(u32, u32)]> {
-    let log2 = n.trailing_zeros() as usize;
-    if n != (1 << log2) || log2 > MAX_CACHED_LOG2 {
-        return None;
-    }
-    Some(
-        BITREV_SWAPS[log2]
-            .get_or_init(|| build_bitrev_swaps(n))
-            .as_slice(),
-    )
-}
-
-fn bit_reverse_permute(data: &mut [Complex64]) {
-    let n = data.len();
-    if let Some(pairs) = bitrev_swaps(n) {
-        for &(i, j) in pairs {
-            data.swap(i as usize, j as usize);
-        }
-        return;
-    }
-    let mut j = 0usize;
-    for i in 1..n {
-        let mut bit = n >> 1;
-        while j & bit != 0 {
-            j ^= bit;
-            bit >>= 1;
-        }
-        j |= bit;
-        if i < j {
-            data.swap(i, j);
-        }
-    }
-}
-
-fn transform(data: &mut [Complex64], inverse: bool) -> Result<(), FftError> {
-    if let Ok(block) = <&mut [Complex64; 64]>::try_from(&mut *data) {
-        bit_reverse_64(block);
-        butterflies_64(block, inverse);
-        if inverse {
-            for x in block.iter_mut() {
-                *x = x.scale(INV_SCALE_64);
-            }
-        }
-        return Ok(());
-    }
-    transform_generic(data, inverse)
-}
-
-/// The radix-2 loop for any power-of-two size. 64-point transforms take
-/// the specialised kernel instead, which computes the same result.
-fn transform_generic(data: &mut [Complex64], inverse: bool) -> Result<(), FftError> {
-    let n = data.len();
-    if n == 0 || !n.is_power_of_two() {
-        return Err(FftError::NotPowerOfTwo { len: n });
-    }
-    bit_reverse_permute(data);
-    if let Some(table) = twiddles(n, inverse) {
-        let mut len = 2;
-        while len <= n {
-            let half = len / 2;
-            let stage = &table[half - 1..half - 1 + half];
-            for chunk in data.chunks_mut(len) {
-                for (k, &w) in stage.iter().enumerate() {
-                    let u = chunk[k];
-                    let v = chunk[k + half] * w;
-                    chunk[k] = u + v;
-                    chunk[k + half] = u - v;
-                }
-            }
-            len <<= 1;
-        }
-    } else {
-        let sign = if inverse { 1.0 } else { -1.0 };
-        let mut len = 2;
-        while len <= n {
-            let angle = sign * 2.0 * std::f64::consts::PI / len as f64;
-            let wlen = Complex64::cis(angle);
-            for chunk in data.chunks_mut(len) {
-                let mut w = Complex64::ONE;
-                let half = len / 2;
-                for k in 0..half {
-                    let u = chunk[k];
-                    let v = chunk[k + half] * w;
-                    chunk[k] = u + v;
-                    chunk[k + half] = u - v;
-                    w *= wlen;
-                }
-            }
-            len <<= 1;
-        }
-    }
-    if inverse {
-        let scale = 1.0 / n as f64;
-        for x in data.iter_mut() {
-            *x = x.scale(scale);
-        }
-    }
-    Ok(())
-}
-
-/// Inverse-transform normalisation of the 64-point kernel; equal to the
-/// generic loop's `1.0 / n as f64` for `n = 64`.
+/// Inverse-transform normalisation of the 64-point kernel.
 pub(crate) const INV_SCALE_64: f64 = 1.0 / 64.0;
 
 /// Bit-reversed position of every 6-bit index: input sample `k` of a
@@ -227,10 +28,10 @@ const fn build_bitrev_64() -> [u8; 64] {
     table
 }
 
-// The 64-point twiddle tables, stage after stage as `build_twiddles`
-// lays them out (stage `len` starts at `len/2 - 1`). They are the exact
-// values of its `cis` recurrence, written out so the kernel needs no
-// lookup; `kernel_twiddles_match_the_recurrence` pins them.
+// The 64-point twiddle tables, stage after stage (stage `len` starts at
+// `len/2 - 1` and holds `len/2` factors). They are the exact values of
+// the radix-2 loop's `cis` recurrence, written out so the kernel needs
+// no lookup; `kernel_twiddles_match_the_recurrence` pins them.
 #[expect(
     clippy::approx_constant,
     reason = "recurrence values, some an ulp away from the named constants"
@@ -382,8 +183,8 @@ fn bit_reverse_64(data: &mut [Complex64; 64]) {
 
 /// The six radix-2 stages of a 64-point transform over input already in
 /// bit-reversed order, without the inverse `1/64` scaling. Twiddles and
-/// butterfly order are those of the generic loop, so the output is
-/// bit-identical to it; the fixed size lets every stage run without
+/// butterfly order are those of the textbook radix-2 loop, so the output
+/// is bit-identical to it; the fixed size lets every stage run without
 /// bounds checks.
 #[inline]
 pub(crate) fn butterflies_64(data: &mut [Complex64; 64], inverse: bool) {
@@ -416,113 +217,44 @@ fn stage_64<const HALF: usize>(data: &mut [Complex64; 64], table: &[Complex64; 6
 
 /// In-place forward FFT.
 ///
-/// # Errors
-///
-/// Returns [`FftError::NotPowerOfTwo`] if `data.len()` is zero or not a
-/// power of two.
-///
 /// # Examples
 ///
 /// ```
 /// use carpool_phy::fft::fft_in_place;
 /// use carpool_phy::math::Complex64;
 ///
-/// # fn main() -> Result<(), carpool_phy::fft::FftError> {
-/// let mut x = vec![Complex64::ONE; 8];
-/// fft_in_place(&mut x)?;
+/// let mut x = [Complex64::ONE; 64];
+/// fft_in_place(&mut x);
 /// // A constant signal concentrates all energy in bin 0.
-/// assert!((x[0].re - 8.0).abs() < 1e-12);
+/// assert!((x[0].re - 64.0).abs() < 1e-12);
 /// assert!(x[1].abs() < 1e-12);
-/// # Ok(())
-/// # }
 /// ```
-pub fn fft_in_place(data: &mut [Complex64]) -> Result<(), FftError> {
-    transform(data, false)
+pub fn fft_in_place(data: &mut [Complex64; 64]) {
+    bit_reverse_64(data);
+    butterflies_64(data, false);
 }
 
 /// In-place inverse FFT with `1/N` normalisation.
-///
-/// # Errors
-///
-/// Returns [`FftError::NotPowerOfTwo`] if `data.len()` is zero or not a
-/// power of two.
-pub fn ifft_in_place(data: &mut [Complex64]) -> Result<(), FftError> {
-    transform(data, true)
+pub fn ifft_in_place(data: &mut [Complex64; 64]) {
+    bit_reverse_64(data);
+    butterflies_64(data, true);
+    for x in data.iter_mut() {
+        *x = x.scale(INV_SCALE_64);
+    }
 }
 
 /// Out-of-place forward FFT.
-///
-/// # Errors
-///
-/// Returns [`FftError::NotPowerOfTwo`] if the input length is invalid.
-pub fn fft(input: &[Complex64]) -> Result<Vec<Complex64>, FftError> {
-    let mut out = input.to_vec();
-    fft_in_place(&mut out)?;
-    Ok(out)
+pub fn fft(input: &[Complex64; 64]) -> [Complex64; 64] {
+    let mut out = *input;
+    fft_in_place(&mut out);
+    out
 }
 
 /// Out-of-place inverse FFT with `1/N` normalisation.
-///
-/// # Errors
-///
-/// Returns [`FftError::NotPowerOfTwo`] if the input length is invalid.
-pub fn ifft(input: &[Complex64]) -> Result<Vec<Complex64>, FftError> {
-    let mut out = input.to_vec();
-    ifft_in_place(&mut out)?;
-    Ok(out)
-}
-
-/// Forward FFT of a *real-valued* signal, at roughly half the cost of
-/// the complex transform.
-///
-/// Packs the even/odd samples into a half-size complex sequence, runs
-/// one `N/2`-point complex FFT, and untangles the conjugate-symmetric
-/// halves. This is the natural kernel for real correlation metrics on
-/// the preamble path — e.g. spectra of the Schmidl–Cox timing metric or
-/// matched-filter magnitude profiles — where the imaginary part of the
-/// input is identically zero and the full complex transform wastes half
-/// its butterflies.
-///
-/// Returns the full `N`-bin spectrum (the upper half is the conjugate
-/// mirror of the lower, as for any real input). Results agree with
-/// [`fft`] on the zero-padded complex input to floating-point rounding
-/// (not bit-exactly: the half-size factorization evaluates a different
-/// but mathematically equal expression).
-///
-/// # Errors
-///
-/// Returns [`FftError::NotPowerOfTwo`] if `input.len()` is zero, one,
-/// or not a power of two (the split-radix step needs `N >= 2`).
-pub fn fft_real(input: &[f64]) -> Result<Vec<Complex64>, FftError> {
-    let n = input.len();
-    if n < 2 || !n.is_power_of_two() {
-        return Err(FftError::NotPowerOfTwo { len: n });
-    }
-    let half = n / 2;
-    // Pack even samples into the real lane and odd samples into the
-    // imaginary lane of a half-size complex signal.
-    let mut packed: Vec<Complex64> = (0..half)
-        .map(|k| Complex64::new(input[2 * k], input[2 * k + 1]))
-        .collect();
-    fft_in_place(&mut packed)?;
-
-    // Untangle: for Z = fft(even + i*odd),
-    //   E[k] = (Z[k] + conj(Z[-k])) / 2,  O[k] = (Z[k] - conj(Z[-k])) / 2i,
-    //   X[k] = E[k] + w^k O[k],  X[k + N/2] = E[k] - w^k O[k].
-    let mut out = vec![Complex64::ZERO; n];
-    for k in 0..half {
-        let zk = packed[k];
-        let zmk = packed[(half - k) % half].conj();
-        let e = (zk + zmk).scale(0.5);
-        let o_times_i = (zk - zmk).scale(0.5); // i * O[k]
-        let o = Complex64::new(o_times_i.im, -o_times_i.re);
-        let angle = -2.0 * std::f64::consts::PI * k as f64 / n as f64;
-        let w = Complex64::cis(angle);
-        let t = w * o;
-        out[k] = e + t;
-        out[k + half] = e - t;
-    }
-    Ok(out)
+pub fn ifft(input: &[Complex64; 64]) -> [Complex64; 64] {
+    let mut out = *input;
+    ifft_in_place(&mut out);
+    out
 }
 
 #[cfg(test)]
@@ -537,21 +269,54 @@ mod tests {
         );
     }
 
-    #[test]
-    fn rejects_non_power_of_two() {
-        let mut x = vec![Complex64::ZERO; 12];
-        assert_eq!(
-            fft_in_place(&mut x).unwrap_err(),
-            FftError::NotPowerOfTwo { len: 12 }
-        );
-        assert!(ifft(&[]).is_err());
+    /// The textbook radix-2 loop for any power-of-two size: carry-ripple
+    /// bit reversal, then each stage's twiddles by the multiplicative
+    /// `cis` recurrence, then the inverse `1/n` scaling. The kernel's
+    /// tables and butterfly order must reproduce it bit for bit.
+    fn reference_transform(data: &mut [Complex64], inverse: bool) {
+        let n = data.len();
+        let mut j = 0usize;
+        for i in 1..n {
+            let mut bit = n >> 1;
+            while j & bit != 0 {
+                j ^= bit;
+                bit >>= 1;
+            }
+            j |= bit;
+            if i < j {
+                data.swap(i, j);
+            }
+        }
+        let sign = if inverse { 1.0 } else { -1.0 };
+        let mut len = 2;
+        while len <= n {
+            let wlen = Complex64::cis(sign * 2.0 * std::f64::consts::PI / len as f64);
+            for chunk in data.chunks_mut(len) {
+                let mut w = Complex64::ONE;
+                let half = len / 2;
+                for k in 0..half {
+                    let u = chunk[k];
+                    let v = chunk[k + half] * w;
+                    chunk[k] = u + v;
+                    chunk[k + half] = u - v;
+                    w *= wlen;
+                }
+            }
+            len <<= 1;
+        }
+        if inverse {
+            let scale = 1.0 / n as f64;
+            for x in data.iter_mut() {
+                *x = x.scale(scale);
+            }
+        }
     }
 
     #[test]
     fn impulse_has_flat_spectrum() {
-        let mut x = vec![Complex64::ZERO; 16];
+        let mut x = [Complex64::ZERO; 64];
         x[0] = Complex64::ONE;
-        fft_in_place(&mut x).unwrap();
+        fft_in_place(&mut x);
         for bin in x {
             assert_close(bin, Complex64::ONE);
         }
@@ -561,10 +326,10 @@ mod tests {
     fn single_tone_lands_in_one_bin() {
         let n = 64;
         let tone = 5;
-        let x: Vec<Complex64> = (0..n)
-            .map(|t| Complex64::cis(2.0 * std::f64::consts::PI * tone as f64 * t as f64 / n as f64))
-            .collect();
-        let spec = fft(&x).unwrap();
+        let x: [Complex64; 64] = std::array::from_fn(|t| {
+            Complex64::cis(2.0 * std::f64::consts::PI * tone as f64 * t as f64 / n as f64)
+        });
+        let spec = fft(&x);
         for (k, bin) in spec.iter().enumerate() {
             if k == tone {
                 assert!((bin.abs() - n as f64).abs() < 1e-9);
@@ -576,10 +341,10 @@ mod tests {
 
     #[test]
     fn round_trip_is_identity() {
-        let x: Vec<Complex64> = (0..64)
-            .map(|k| Complex64::new((k as f64 * 0.37).sin(), (k as f64 * 0.91).cos()))
-            .collect();
-        let y = ifft(&fft(&x).unwrap()).unwrap();
+        let x: [Complex64; 64] = std::array::from_fn(|k| {
+            Complex64::new((k as f64 * 0.37).sin(), (k as f64 * 0.91).cos())
+        });
+        let y = ifft(&fft(&x));
         for (a, b) in x.iter().zip(y.iter()) {
             assert_close(*a, *b);
         }
@@ -587,115 +352,42 @@ mod tests {
 
     #[test]
     fn linearity() {
-        let a: Vec<Complex64> = (0..32).map(|k| Complex64::new(k as f64, -1.0)).collect();
-        let b: Vec<Complex64> = (0..32).map(|k| Complex64::new(0.5, k as f64)).collect();
-        let sum: Vec<Complex64> = a.iter().zip(&b).map(|(x, y)| *x + *y).collect();
-        let fa = fft(&a).unwrap();
-        let fb = fft(&b).unwrap();
-        let fsum = fft(&sum).unwrap();
-        for k in 0..32 {
+        let a: [Complex64; 64] = std::array::from_fn(|k| Complex64::new(k as f64, -1.0));
+        let b: [Complex64; 64] = std::array::from_fn(|k| Complex64::new(0.5, k as f64));
+        let sum: [Complex64; 64] = std::array::from_fn(|k| a[k] + b[k]);
+        let (fa, fb, fsum) = (fft(&a), fft(&b), fft(&sum));
+        for k in 0..64 {
             assert_close(fsum[k], fa[k] + fb[k]);
         }
     }
 
     #[test]
-    fn cached_twiddles_are_bit_identical_to_the_recurrence() {
-        // The cache must reproduce the butterfly recurrence exactly so
-        // printed bench numbers do not move by a ulp.
-        for inverse in [false, true] {
-            let sign = if inverse { 1.0 } else { -1.0 };
-            let table = twiddles(64, inverse).unwrap();
-            let mut idx = 0;
-            let mut len = 2usize;
-            while len <= 64 {
-                let angle = sign * 2.0 * std::f64::consts::PI / len as f64;
-                let wlen = Complex64::cis(angle);
-                let mut w = Complex64::ONE;
-                for _ in 0..len / 2 {
-                    assert_eq!(table[idx].re.to_bits(), w.re.to_bits());
-                    assert_eq!(table[idx].im.to_bits(), w.im.to_bits());
-                    idx += 1;
-                    w *= wlen;
-                }
-                len <<= 1;
-            }
-            assert_eq!(idx, 63);
-        }
-    }
-
-    #[test]
-    fn uncached_sizes_fall_back_to_the_direct_path() {
-        let n = 1 << (MAX_CACHED_LOG2 + 1);
-        assert!(twiddles(n, false).is_none());
-        let mut x = vec![Complex64::ZERO; n];
-        x[0] = Complex64::ONE;
-        fft_in_place(&mut x).unwrap();
-        for bin in x.iter().take(8) {
-            assert_close(*bin, Complex64::ONE);
-        }
-    }
-
-    #[test]
-    fn cached_bitrev_swaps_match_the_ripple_loop() {
-        for log2 in 1..=6 {
-            let n = 1usize << log2;
-            let cached = bitrev_swaps(n).unwrap();
-            assert_eq!(cached, build_bitrev_swaps(n).as_slice());
-        }
-        assert!(bitrev_swaps(1 << (MAX_CACHED_LOG2 + 1)).is_none());
-        assert!(bitrev_swaps(12).is_none());
-    }
-
-    #[test]
-    fn real_fft_matches_complex_fft() {
-        for n in [2usize, 4, 8, 64, 128] {
-            let x: Vec<f64> = (0..n).map(|k| (k as f64 * 0.73).sin() + 0.25).collect();
-            let complex_in: Vec<Complex64> = x.iter().map(|&r| Complex64::new(r, 0.0)).collect();
-            let want = fft(&complex_in).unwrap();
-            let got = fft_real(&x).unwrap();
-            assert_eq!(got.len(), n);
-            for (a, b) in got.iter().zip(want.iter()) {
-                assert_close(*a, *b);
-            }
-        }
-    }
-
-    #[test]
-    fn real_fft_spectrum_is_conjugate_symmetric() {
-        let x: Vec<f64> = (0..64).map(|k| (k as f64 * 1.3).cos()).collect();
-        let spec = fft_real(&x).unwrap();
-        for k in 1..32 {
-            assert_close(spec[64 - k], spec[k].conj());
-        }
-    }
-
-    #[test]
-    fn real_fft_rejects_bad_lengths() {
-        assert!(fft_real(&[]).is_err());
-        assert!(fft_real(&[1.0]).is_err());
-        assert!(fft_real(&[1.0, 2.0, 3.0]).is_err());
-    }
-
-    #[test]
     fn parseval_energy_conservation() {
-        let x: Vec<Complex64> = (0..128)
-            .map(|k| Complex64::new((k as f64).sin(), (k as f64 * 2.0).cos()))
-            .collect();
+        let x: [Complex64; 64] =
+            std::array::from_fn(|k| Complex64::new((k as f64).sin(), (k as f64 * 2.0).cos()));
         let time_energy: f64 = x.iter().map(|s| s.norm_sqr()).sum();
-        let spec = fft(&x).unwrap();
-        let freq_energy: f64 = spec.iter().map(|s| s.norm_sqr()).sum::<f64>() / 128.0;
+        let freq_energy: f64 = fft(&x).iter().map(|s| s.norm_sqr()).sum::<f64>() / 64.0;
         assert!((time_energy - freq_energy).abs() < 1e-6);
     }
 
     #[test]
     fn kernel_twiddles_match_the_recurrence() {
         for (inverse, table) in [(false, &FWD_TWIDDLES_64), (true, &INV_TWIDDLES_64)] {
-            let built = build_twiddles(64, if inverse { 1.0 } else { -1.0 });
-            assert_eq!(built.len(), table.len());
-            for (a, b) in table.iter().zip(&built) {
-                assert_eq!(a.re.to_bits(), b.re.to_bits());
-                assert_eq!(a.im.to_bits(), b.im.to_bits());
+            let sign = if inverse { 1.0 } else { -1.0 };
+            let mut idx = 0;
+            let mut len = 2usize;
+            while len <= 64 {
+                let wlen = Complex64::cis(sign * 2.0 * std::f64::consts::PI / len as f64);
+                let mut w = Complex64::ONE;
+                for _ in 0..len / 2 {
+                    assert_eq!(table[idx].re.to_bits(), w.re.to_bits(), "entry {idx}");
+                    assert_eq!(table[idx].im.to_bits(), w.im.to_bits(), "entry {idx}");
+                    idx += 1;
+                    w *= wlen;
+                }
+                len <<= 1;
             }
+            assert_eq!(idx, table.len());
         }
     }
 
@@ -706,39 +398,24 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(64);
         let specials = [0.0, -0.0, 1.0, -1.0, 1e-310, -1e300, 0.1];
         for trial in 0..200 {
-            let x: Vec<Complex64> = (0..64)
-                .map(|k| {
-                    if trial % 4 == 0 {
-                        // Signed zeros and extremes, where an
-                        // algebraically equal shortcut would differ.
-                        Complex64::new(specials[k % 7], specials[(k * 3 + trial) % 7])
-                    } else {
-                        Complex64::new(rng.gen::<f64>() - 0.5, rng.gen::<f64>() - 0.5)
-                    }
-                })
-                .collect();
-            for inverse in [false, true] {
-                let mut generic = x.clone();
-                transform_generic(&mut generic, inverse).unwrap();
-                let mut fast = x.clone();
-                if inverse {
-                    ifft_in_place(&mut fast).unwrap();
+            let x: [Complex64; 64] = std::array::from_fn(|k| {
+                if trial % 4 == 0 {
+                    // Signed zeros and extremes, where an
+                    // algebraically equal shortcut would differ.
+                    Complex64::new(specials[k % 7], specials[(k * 3 + trial) % 7])
                 } else {
-                    fft_in_place(&mut fast).unwrap();
+                    Complex64::new(rng.gen::<f64>() - 0.5, rng.gen::<f64>() - 0.5)
                 }
+            });
+            for inverse in [false, true] {
+                let mut generic = x;
+                reference_transform(&mut generic, inverse);
+                let fast = if inverse { ifft(&x) } else { fft(&x) };
                 for (a, b) in fast.iter().zip(&generic) {
                     assert_eq!(a.re.to_bits(), b.re.to_bits(), "trial {trial}");
                     assert_eq!(a.im.to_bits(), b.im.to_bits(), "trial {trial}");
                 }
             }
-        }
-    }
-
-    #[test]
-    fn bitrev_table_matches_the_swap_pairs() {
-        for &(i, j) in bitrev_swaps(64).unwrap() {
-            assert_eq!(u32::from(BITREV_64[i as usize]), j);
-            assert_eq!(u32::from(BITREV_64[j as usize]), i);
         }
     }
 }

@@ -55,7 +55,6 @@ pub mod rte;
 pub mod rx;
 pub mod scrambler;
 pub mod sidechannel;
-pub mod sync;
 pub mod tx;
 /// Process-wide memoization of encoded TX waveforms (see module docs).
 pub mod txcache;
@@ -63,8 +62,6 @@ pub mod txcache;
 /// Errors produced by the PHY layer.
 #[derive(Debug, Clone, PartialEq)]
 pub enum PhyError {
-    /// An FFT was attempted on an invalid length.
-    Fft(fft::FftError),
     /// The sample buffer does not match the expected frame structure.
     LengthMismatch {
         /// Samples required by the layout.
@@ -84,7 +81,6 @@ pub enum PhyError {
 impl std::fmt::Display for PhyError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            PhyError::Fft(e) => write!(f, "fft error: {e}"),
             PhyError::LengthMismatch { expected, actual } => {
                 write!(f, "expected {expected} samples, got {actual}")
             }
@@ -94,20 +90,7 @@ impl std::fmt::Display for PhyError {
     }
 }
 
-impl std::error::Error for PhyError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            PhyError::Fft(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<fft::FftError> for PhyError {
-    fn from(e: fft::FftError) -> PhyError {
-        PhyError::Fft(e)
-    }
-}
+impl std::error::Error for PhyError {}
 
 #[cfg(test)]
 mod tests {
@@ -115,15 +98,12 @@ mod tests {
 
     #[test]
     fn error_display_and_source() {
-        let e = PhyError::Fft(fft::FftError::NotPowerOfTwo { len: 3 });
-        assert!(e.to_string().contains("power of two"));
-        assert!(std::error::Error::source(&e).is_some());
-        let e2 = PhyError::LengthMismatch {
+        let e = PhyError::LengthMismatch {
             expected: 10,
             actual: 4,
         };
-        assert!(e2.to_string().contains("10"));
-        assert!(std::error::Error::source(&e2).is_none());
+        assert!(e.to_string().contains("10"));
+        assert!(std::error::Error::source(&e).is_none());
     }
 
     #[test]

@@ -8,9 +8,8 @@
 //! the least-squares channel estimate Ĥo that standard decoding uses for
 //! the whole frame (and that RTE then calibrates).
 
-use crate::fft::BITREV_64;
 use crate::math::Complex64;
-use crate::ofdm::{carrier_to_bin, emit_symbol, FFT_SIZE, SYMBOL_LEN};
+use crate::ofdm::{carrier_to_bin, emit_bins, FFT_SIZE, SYMBOL_LEN};
 use std::sync::OnceLock;
 
 /// L-LTF training values on logical subcarriers -26..=26 (DC included as 0),
@@ -85,15 +84,6 @@ pub(crate) const PREAMBLE_SYMBOLS: usize = 4;
 /// Total preamble length in samples.
 pub const PREAMBLE_LEN: usize = PREAMBLE_SYMBOLS * SYMBOL_LEN;
 
-/// Appends one symbol (cyclic prefix + IFFT of `bins`) to `out`.
-fn symbol_with_cp(bins: &[Complex64], out: &mut Vec<Complex64>) {
-    let mut block = [Complex64::ZERO; FFT_SIZE];
-    for (&value, &slot) in bins.iter().zip(&BITREV_64) {
-        block[usize::from(slot)] = value;
-    }
-    emit_symbol(&mut block, out);
-}
-
 /// The preamble waveform, built once: every PPDU starts with it.
 pub(crate) fn preamble() -> &'static [Complex64] {
     static PREAMBLE: OnceLock<Vec<Complex64>> = OnceLock::new();
@@ -101,7 +91,7 @@ pub(crate) fn preamble() -> &'static [Complex64] {
         let (stf, ltf) = (stf_bins(), ltf_bins());
         let mut out = Vec::with_capacity(PREAMBLE_LEN);
         for bins in [&stf, &stf, &ltf, &ltf] {
-            symbol_with_cp(bins, &mut out);
+            emit_bins(bins, &mut out);
         }
         out
     })
@@ -153,7 +143,7 @@ mod tests {
     fn ltf_round_trips_through_fft() {
         let pre = generate_preamble();
         let [a, _] = ltf_offsets();
-        let bins = fft(&pre[a + CP_LEN..a + SYMBOL_LEN]).unwrap();
+        let bins = fft(&std::array::from_fn(|k| pre[a + CP_LEN + k]));
         for c in -26..=26i32 {
             if c == 0 {
                 continue;
@@ -169,7 +159,7 @@ mod tests {
         // Energy only on every 4th carrier makes the STF time signal
         // periodic with period 16 samples.
         let mut stf = Vec::new();
-        symbol_with_cp(&stf_bins(), &mut stf);
+        emit_bins(&stf_bins(), &mut stf);
         let body = &stf[CP_LEN..];
         for k in 0..FFT_SIZE - 16 {
             assert!(

@@ -300,10 +300,9 @@ impl<'a> FrameDecoder<'a> {
             });
         }
         let [l1, l2] = ltf_offsets();
-        let initial =
-            ChannelEstimate::from_ltf(&samples[l1..l1 + SYMBOL_LEN], &samples[l2..l2 + SYMBOL_LEN]);
-        let noise_var =
-            estimate_noise_from_ltf(&samples[l1..l1 + SYMBOL_LEN], &samples[l2..l2 + SYMBOL_LEN]);
+        let (ltf1, ltf2) = (symbol_at(samples, l1)?, symbol_at(samples, l2)?);
+        let initial = ChannelEstimate::from_ltf(ltf1, ltf2);
+        let noise_var = estimate_noise_from_ltf(ltf1, ltf2);
         let estimator = match estimation {
             Estimation::Standard => Estimator::Fixed,
             Estimation::Rte(rule) => Estimator::Rte(RteEstimator::new(initial.clone(), rule)),
@@ -384,9 +383,7 @@ impl<'a> FrameDecoder<'a> {
     ///
     /// Returns [`PhyError::LengthMismatch`] if no symbol remains.
     pub fn peek_is_qbpsk(&self) -> Result<bool, PhyError> {
-        self.ensure_available(1)?;
-        let raw = demodulate_symbol(&self.samples[self.sample_pos..self.sample_pos + SYMBOL_LEN])
-            .map_err(PhyError::Fft)?;
+        let raw = demodulate_symbol(symbol_at(self.samples, self.sample_pos)?);
         let mut eq = self.estimator.current(&self.initial).equalize(&raw);
         let track = track_phase(&eq, self.symbol_index);
         compensate_phase(&mut eq, track.offset);
@@ -502,11 +499,7 @@ impl<'a> FrameDecoder<'a> {
             .unwrap_or(0);
 
         for k in 0..num_symbols {
-            demodulate_symbol_into(
-                &samples[*sample_pos..*sample_pos + SYMBOL_LEN],
-                &mut scratch.raw,
-            )
-            .map_err(PhyError::Fft)?;
+            demodulate_symbol_into(symbol_at(samples, *sample_pos)?, &mut scratch.raw);
             *sample_pos += SYMBOL_LEN;
             let idx = *symbol_index + k;
 
@@ -674,6 +667,22 @@ impl<'a> FrameDecoder<'a> {
             phase_offsets,
         })
     }
+}
+
+/// The `SYMBOL_LEN` samples of the OFDM symbol that starts at `pos`.
+///
+/// # Errors
+///
+/// Returns [`PhyError::LengthMismatch`] if `samples` ends before the
+/// symbol does.
+fn symbol_at(samples: &[Complex64], pos: usize) -> Result<&[Complex64; SYMBOL_LEN], PhyError> {
+    samples
+        .get(pos..)
+        .and_then(<[Complex64]>::first_chunk)
+        .ok_or(PhyError::LengthMismatch {
+            expected: pos.saturating_add(SYMBOL_LEN),
+            actual: samples.len(),
+        })
 }
 
 /// Sim-time stamp of payload symbol `idx` for flight-recorder records.

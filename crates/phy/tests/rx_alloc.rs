@@ -12,8 +12,7 @@
 //!   grows with the frame length, and under `Fec::Off` that constant
 //!   holds no Viterbi lattice or survivor buffers, so it is smaller.
 //! * The Viterbi decoder allocates only the bits it returns once its
-//!   scratch is warm, and the 64-point FFT runs in place without
-//!   allocating at all.
+//!   scratch is warm.
 //!
 //! An allocation creeping into the symbol loop, the RTE update or the
 //! kernels changes these counts and fails here. Nothing in the PHY uses
@@ -23,8 +22,6 @@
 mod counting_alloc;
 
 use carpool_phy::convolutional::{decode_levels_with, encode, CodeRate, ViterbiScratch};
-use carpool_phy::fft::{fft, fft_in_place};
-use carpool_phy::math::Complex64;
 use carpool_phy::mcs::Mcs;
 use carpool_phy::rte::CalibrationRule;
 use carpool_phy::rx::{receive_with, Estimation, Fec, FrameDecoder, PhyScratch, SectionLayout};
@@ -158,8 +155,9 @@ fn receive_adds_only_a_per_frame_constant() {
                     setups.windows(2).all(|w| w[0] == w[1]),
                     "{estimation:?} {mcs} kind {kind}: setup varies with length: {setups:?}"
                 );
-                // Decoder setup (LTF estimate, noise estimate, a fresh
-                // scratch; the default no-op observability handle
+                // Decoder setup (the LTF channel estimate, whose FFTs
+                // run on stack arrays, and a fresh scratch's two symbol
+                // buffers; the default no-op observability handle
                 // allocates nothing) is itself a constant; RTE copies
                 // the estimate.
                 let (tx, _) = frame(mcs, 800, kind);
@@ -167,7 +165,7 @@ fn receive_adds_only_a_per_frame_constant() {
                     allocations_during(|| FrameDecoder::new(&tx.samples, estimation));
                 assert!(decoder.is_ok());
                 let rte = usize::from(matches!(estimation, Estimation::Rte(_)));
-                assert_eq!(allocs, 5 + rte, "{estimation:?}");
+                assert_eq!(allocs, 3 + rte, "{estimation:?}");
             }
         }
     }
@@ -222,25 +220,5 @@ fn viterbi_kernel_allocates_only_its_output() {
                 }
             }
         }
-    }
-}
-
-#[test]
-fn fft_64_point_runs_in_place() {
-    let input: Vec<Complex64> = (0..64)
-        .map(|k| Complex64::cis(f64::from(k) * 0.37))
-        .collect();
-    let mut data = input.clone();
-    // The twiddle and bit-reversal tables are process-wide statics,
-    // built on first use.
-    assert!(fft_in_place(&mut data).is_ok());
-    for _ in 0..3 {
-        data.copy_from_slice(&input);
-        let (allocs, ok) = allocations_during(|| fft_in_place(&mut data));
-        assert!(ok.is_ok());
-        assert_eq!(allocs, 0, "in-place 64-point FFT");
-        let (allocs, out) = allocations_during(|| fft(&input));
-        assert!(out.is_ok_and(|v| v.len() == 64));
-        assert_eq!(allocs, 1, "fft returns one buffer");
     }
 }

@@ -1,7 +1,7 @@
 #!/bin/sh
-# Offline gate: the `pub fn` ratchet, formatting, clippy, the workspace
-# tests, the perfbench tests and the project linter across the whole
-# workspace. Run from
+# Offline gate: the `pub fn` ratchet, the atomic-ordering notes,
+# formatting, clippy, the workspace tests, the perfbench tests and the
+# project linter across the whole workspace. Run from
 # anywhere; everything resolves relative to the repo root. Each stage
 # reports its wall time so gate slowdowns are visible in CI logs, and
 # the analyzer budget is enforced: if the project linter's cold scan
@@ -54,6 +54,27 @@ if [ "$over" -ne 0 ]; then
 fi
 stage_end
 
+stage_begin "atomic ordering notes (crates/par, crates/obs)"
+# The two crates whose atomics touch results: every `Ordering::` in their
+# non-test code (a file's test module comes last) carries an
+# `// ordering: <why>` note, on its line or in the comment block directly
+# above. `Relaxed` orders nothing else, so its note must name a counter.
+awk 'FNR == 1 { in_test = 0; note = "" }
+    /^mod tests/ { in_test = 1 }
+    in_test { next }
+    /^[[:space:]]*\/\// { note = note " " $0; next }
+    /Ordering::/ {
+        own = index($0, "//") ? substr($0, index($0, "//")) : ""
+        text = tolower(note " " own)
+        if (text !~ /ordering:/ || (/Ordering::Relaxed/ && text !~ /(^|[^a-z0-9_])counter([^a-z0-9_]|$)/)) {
+            print FILENAME ":" FNR ": `Ordering::` without an `// ordering:` note (a counter, for Relaxed)"
+            bad = 1
+        }
+    }
+    { note = "" }
+    END { exit bad }' crates/par/src/*.rs crates/obs/src/*.rs
+stage_end
+
 stage_begin "cargo fmt --check"
 cargo fmt --all --check
 stage_end
@@ -79,7 +100,7 @@ stage_begin "cargo test perfbench (its own workspace)"
 cargo test --release --offline -q --manifest-path perfbench/Cargo.toml --target-dir target/perfbench
 stage_end
 
-stage_begin "carpool-lint (L003 layering, L009 atomic ordering, L010 dead API, L013 units, L015 shard protocol)"
+stage_begin "carpool-lint (L010 dead API, L013 units, L015 shard protocol)"
 # One cold scan. It fails on any un-waived finding (exit 1) or when the
 # linter cannot run (exit 2). The JSON report (per-rule counts and
 # timings, coverage stats, elapsed_ms) lands next to the bench
