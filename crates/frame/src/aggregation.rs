@@ -16,20 +16,16 @@
 //! frame reaches the maximum latency limit" (Section 7.2.2); selection
 //! is FIFO within and across destinations, matching the paper's
 //! first-in-first-out service discipline (Section 8, Fairness).
+//!
+//! [`select`] reads candidate frames lazily, as `(queue position, dest,
+//! bytes)` in the order the scheduler presents them, and stops once the
+//! limits are full. A queue holding fewer frames for the head
+//! destination than the per-receiver cap (A-MPDU), or fewer destinations
+//! than receiver slots (multi-user), is read to its end, since a later
+//! frame could still join. The latency trigger lives in the MAC engine,
+//! which decides when an AP contends.
 
-use crate::addr::MacAddress;
 use carpool_bloom::MAX_RECEIVERS;
-
-/// A frame waiting in a downlink queue.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct QueuedFrame {
-    /// Destination station.
-    pub dest: MacAddress,
-    /// MAC payload size in bytes.
-    pub bytes: usize,
-    /// Time the frame entered the queue, seconds.
-    pub enqueue_time: f64,
-}
 
 /// Limits ending the aggregation process.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -64,339 +60,278 @@ pub enum AggregationPolicy {
     MultiUser,
 }
 
-/// The outcome of a selection: per-receiver groups of queue indices, in
-/// subframe order.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
-// lint:allow(dead-api): private_interfaces keeps it pub: pub `select`, `SelectionScratch::select` and `SelectionScratch::last` return it
-pub struct Selection {
-    /// For each receiver (subframe), the indices into the queue slice.
-    pub groups: Vec<(MacAddress, Vec<usize>)>,
+/// One receiver's subframe in a selection: its destination and the
+/// queue positions at `positions[start..start + len]`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Group<D> {
+    /// Destination of every frame in the group.
+    pub dest: D,
+    /// Index of the group's first position in the positions buffer.
+    pub start: usize,
+    /// Number of frames in the group.
+    pub len: usize,
 }
 
-impl Selection {
-    /// Total frames selected.
-    pub fn frame_count(&self) -> usize {
-        self.groups.iter().map(|(_, v)| v.len()).sum()
-    }
-
-    /// Number of receivers (subframes).
-    pub fn receiver_count(&self) -> usize {
-        self.groups.len()
-    }
-
-    /// All selected queue indices in ascending order.
-    pub fn indices(&self) -> Vec<usize> {
-        let mut v: Vec<usize> = self
-            .groups
-            .iter()
-            .flat_map(|(_, g)| g.iter().copied())
-            .collect();
-        v.sort_unstable();
-        v
-    }
-
-    /// `true` if nothing was selected.
-    pub fn is_empty(&self) -> bool {
-        self.groups.is_empty()
-    }
-}
-
-/// Reusable buffers for [`select_into`]: the [`Selection`] being built
-/// plus a pool of spare per-receiver index vectors recycled from the
-/// previous call, so steady-state selection does no heap allocation.
-#[derive(Debug, Clone, Default)]
-pub struct SelectionScratch {
-    selection: Selection,
-    spare: Vec<Vec<usize>>,
-}
-
-impl SelectionScratch {
-    /// Runs [`select_into`] against the scratch and returns the result.
-    pub fn select(
-        &mut self,
-        policy: AggregationPolicy,
-        queue: &[QueuedFrame],
-        limits: &AggregationLimits,
-    ) -> &Selection {
-        select_into(policy, queue, limits, self);
-        &self.selection
-    }
-
-    /// The selection produced by the last [`SelectionScratch::select`].
-    pub fn last(&self) -> &Selection {
-        &self.selection
-    }
-
-    /// Pops a recycled group vector (cleared) or makes a fresh one.
-    fn take_group(&mut self) -> Vec<usize> {
-        self.spare.pop().unwrap_or_default()
-    }
-}
-
-/// Selects frames from `queue` (FIFO order) under `limits` according to
+/// Selects the frames of the next TXOP under `limits` according to
 /// `policy`.
 ///
-/// Returns an empty selection for an empty queue. The head-of-line frame
-/// is always selected if present (even if it alone exceeds `max_bytes`,
-/// it must eventually be served).
-pub fn select(
+/// `candidates` yields `(queue position, dest, bytes)` in presentation
+/// order (FIFO, or the scheduler's ranking) and is read only until the
+/// limits are full: one entry for [`AggregationPolicy::None`], until the
+/// head destination's group is full or the byte cap is hit for
+/// [`AggregationPolicy::Ampdu`], until the byte cap is hit or every
+/// receiver slot is full for [`AggregationPolicy::MultiUser`]. Frames
+/// for a full group neither join nor count towards the byte cap, so
+/// while those limits cannot fill, every candidate is read.
+///
+/// Replaces `groups` with the receivers in subframe order (first
+/// appearance) and `positions` with the selected queue positions, group
+/// by group, in presentation order within each group. The first
+/// candidate is always selected, even if it alone exceeds `max_bytes`:
+/// it must eventually be served. No candidates select nothing.
+pub fn select<D: Copy + PartialEq>(
     policy: AggregationPolicy,
-    queue: &[QueuedFrame],
     limits: &AggregationLimits,
-) -> Selection {
-    let mut scratch = SelectionScratch::default();
-    select_into(policy, queue, limits, &mut scratch);
-    scratch.selection
-}
-
-/// Allocation-free form of [`select`]: builds the selection inside
-/// `scratch`, recycling its group buffers from the previous TXOP.
-/// Identical output to [`select`] (which delegates here).
-pub(crate) fn select_into(
-    policy: AggregationPolicy,
-    queue: &[QueuedFrame],
-    limits: &AggregationLimits,
-    scratch: &mut SelectionScratch,
+    candidates: impl IntoIterator<Item = (usize, D, usize)>,
+    groups: &mut Vec<Group<D>>,
+    positions: &mut Vec<usize>,
 ) {
-    let SelectionScratch { selection, spare } = &mut *scratch;
-    while let Some((_, mut group)) = selection.groups.pop() {
-        group.clear();
-        spare.push(group);
+    groups.clear();
+    positions.clear();
+    let mut candidates = candidates.into_iter();
+    let max_receivers = limits.max_receivers.min(MAX_RECEIVERS);
+    if policy == AggregationPolicy::MultiUser && max_receivers == 0 {
+        return;
     }
-    let Some(head) = queue.first() else {
+    let Some((head_pos, head, mut total)) = candidates.next() else {
         return;
     };
+    groups.push(Group {
+        dest: head,
+        start: 0,
+        len: 1,
+    });
+    positions.push(head_pos);
     match policy {
-        AggregationPolicy::None => {
-            let mut group = scratch.take_group();
-            group.push(0);
-            scratch.selection.groups.push((head.dest, group));
-        }
+        AggregationPolicy::None => {}
         AggregationPolicy::Ampdu => {
-            let mut indices = scratch.take_group();
-            let mut bytes = 0usize;
-            for (k, f) in queue.iter().enumerate() {
-                if f.dest != head.dest {
+            while positions.len() < limits.max_frames_per_receiver {
+                let Some((pos, dest, bytes)) = candidates.next() else {
+                    break;
+                };
+                if dest != head {
                     continue;
                 }
-                if !indices.is_empty()
-                    && (bytes + f.bytes > limits.max_bytes
-                        || indices.len() >= limits.max_frames_per_receiver)
-                {
+                if total + bytes > limits.max_bytes {
                     break;
                 }
-                bytes += f.bytes;
-                indices.push(k);
+                total += bytes;
+                positions.push(pos);
+                groups[0].len += 1;
             }
-            scratch.selection.groups.push((head.dest, indices));
         }
         AggregationPolicy::MultiUser => {
-            let mut bytes = 0usize;
-            let max_receivers = limits.max_receivers.min(MAX_RECEIVERS);
-            for (k, f) in queue.iter().enumerate() {
-                let groups = &mut scratch.selection.groups;
-                let existing = groups.iter_mut().position(|(d, _)| *d == f.dest);
-                let first = k == 0;
-                if !first && bytes + f.bytes > limits.max_bytes {
+            let full = |g: &Group<D>| g.len >= limits.max_frames_per_receiver;
+            while groups.len() < max_receivers || !groups.iter().all(full) {
+                let Some((pos, dest, bytes)) = candidates.next() else {
+                    break;
+                };
+                if total + bytes > limits.max_bytes {
                     break;
                 }
-                match existing {
-                    Some(g) => {
-                        if scratch.selection.groups[g].1.len() >= limits.max_frames_per_receiver {
-                            continue;
+                match groups.iter().position(|g| g.dest == dest) {
+                    Some(k) if full(&groups[k]) => continue,
+                    Some(k) => {
+                        positions.insert(groups[k].start + groups[k].len, pos);
+                        groups[k].len += 1;
+                        for later in &mut groups[k + 1..] {
+                            later.start += 1;
                         }
-                        scratch.selection.groups[g].1.push(k);
                     }
-                    None => {
-                        if scratch.selection.groups.len() >= max_receivers {
-                            continue;
-                        }
-                        let mut group = scratch.take_group();
-                        group.push(k);
-                        scratch.selection.groups.push((f.dest, group));
+                    None if groups.len() < max_receivers => {
+                        groups.push(Group {
+                            dest,
+                            start: positions.len(),
+                            len: 1,
+                        });
+                        positions.push(pos);
                     }
+                    None => continue,
                 }
-                bytes += f.bytes;
+                total += bytes;
             }
         }
     }
-}
-
-/// Whether the oldest queued frame has exceeded its latency bound at
-/// time `now` — the trigger that ends aggregation early (Section 7.2.2).
-#[cfg(test)]
-fn deadline_reached(queue: &[QueuedFrame], now: f64, max_latency: f64) -> bool {
-    queue
-        .first()
-        .map(|f| now - f.enqueue_time >= max_latency)
-        .unwrap_or(false)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn q(dest: u16, bytes: usize, t: f64) -> QueuedFrame {
-        QueuedFrame {
-            dest: MacAddress::station(dest),
-            bytes,
-            enqueue_time: t,
-        }
+    /// Runs the selector over `(dest, bytes)` in FIFO order; returns each
+    /// group as `(dest, queue positions)`.
+    fn pick(
+        policy: AggregationPolicy,
+        queue: &[(u16, usize)],
+        limits: &AggregationLimits,
+    ) -> Vec<(u16, Vec<usize>)> {
+        let (mut groups, mut positions) = (Vec::new(), Vec::new());
+        let fifo = queue.iter().enumerate().map(|(k, &(d, b))| (k, d, b));
+        select(policy, limits, fifo, &mut groups, &mut positions);
+        groups
+            .iter()
+            .map(|g| (g.dest, positions[g.start..g.start + g.len].to_vec()))
+            .collect()
     }
+
+    const POLICIES: [AggregationPolicy; 3] = [
+        AggregationPolicy::None,
+        AggregationPolicy::Ampdu,
+        AggregationPolicy::MultiUser,
+    ];
 
     #[test]
     fn empty_queue_selects_nothing() {
-        for policy in [
-            AggregationPolicy::None,
-            AggregationPolicy::Ampdu,
-            AggregationPolicy::MultiUser,
-        ] {
-            assert!(select(policy, &[], &AggregationLimits::default()).is_empty());
+        for policy in POLICIES {
+            assert!(pick(policy, &[], &AggregationLimits::default()).is_empty());
         }
     }
 
     #[test]
     fn legacy_takes_only_head() {
-        let queue = [q(1, 100, 0.0), q(1, 100, 0.1), q(2, 100, 0.2)];
-        let sel = select(
+        let queue = [(1, 100), (1, 100), (2, 100)];
+        let sel = pick(
             AggregationPolicy::None,
             &queue,
             &AggregationLimits::default(),
         );
-        assert_eq!(sel.frame_count(), 1);
-        assert_eq!(sel.indices(), vec![0]);
+        assert_eq!(sel, vec![(1, vec![0])]);
     }
 
     #[test]
     fn ampdu_aggregates_only_head_destination() {
-        let queue = [
-            q(1, 100, 0.0),
-            q(2, 100, 0.1),
-            q(1, 100, 0.2),
-            q(3, 100, 0.3),
-            q(1, 100, 0.4),
-        ];
-        let sel = select(
+        let queue = [(1, 100), (2, 100), (1, 100), (3, 100), (1, 100)];
+        let sel = pick(
             AggregationPolicy::Ampdu,
             &queue,
             &AggregationLimits::default(),
         );
-        assert_eq!(sel.receiver_count(), 1);
-        assert_eq!(sel.indices(), vec![0, 2, 4]);
+        assert_eq!(sel, vec![(1, vec![0, 2, 4])]);
     }
 
     #[test]
     fn multi_user_spans_destinations_in_fifo_order() {
-        let queue = [
-            q(1, 100, 0.0),
-            q(2, 100, 0.1),
-            q(1, 100, 0.2),
-            q(3, 100, 0.3),
-        ];
-        let sel = select(
+        let queue = [(1, 100), (2, 100), (1, 100), (3, 100)];
+        let sel = pick(
             AggregationPolicy::MultiUser,
             &queue,
             &AggregationLimits::default(),
         );
-        assert_eq!(sel.receiver_count(), 3);
-        assert_eq!(sel.frame_count(), 4);
-        // Subframe order follows first appearance.
-        assert_eq!(sel.groups[0].0, MacAddress::station(1));
-        assert_eq!(sel.groups[1].0, MacAddress::station(2));
-        assert_eq!(sel.groups[2].0, MacAddress::station(3));
+        // Subframe order follows first appearance; each group is FIFO.
+        assert_eq!(sel, vec![(1, vec![0, 2]), (2, vec![1]), (3, vec![3])]);
     }
 
     #[test]
     fn byte_limit_ends_aggregation() {
-        let queue = [q(1, 400, 0.0), q(2, 400, 0.1), q(3, 400, 0.2)];
+        let queue = [(1, 400), (2, 400), (3, 400)];
         let limits = AggregationLimits {
             max_bytes: 900,
             ..Default::default()
         };
-        let sel = select(AggregationPolicy::MultiUser, &queue, &limits);
-        assert_eq!(sel.frame_count(), 2);
+        let sel = pick(AggregationPolicy::MultiUser, &queue, &limits);
+        assert_eq!(sel, vec![(1, vec![0]), (2, vec![1])]);
     }
 
     #[test]
     fn head_of_line_always_served_even_if_oversized() {
-        let queue = [q(1, 100_000, 0.0)];
         let limits = AggregationLimits {
             max_bytes: 1500,
             ..Default::default()
         };
-        for policy in [
-            AggregationPolicy::None,
-            AggregationPolicy::Ampdu,
-            AggregationPolicy::MultiUser,
-        ] {
-            assert_eq!(select(policy, &queue, &limits).frame_count(), 1);
+        for policy in POLICIES {
+            assert_eq!(pick(policy, &[(1, 100_000)], &limits), vec![(1, vec![0])]);
         }
     }
 
     #[test]
     fn receiver_limit_respected() {
-        let queue: Vec<QueuedFrame> = (0..12).map(|k| q(k, 100, k as f64)).collect();
-        let sel = select(
+        let queue: Vec<(u16, usize)> = (0..12).map(|k| (k, 100)).collect();
+        let sel = pick(
             AggregationPolicy::MultiUser,
             &queue,
             &AggregationLimits::default(),
         );
-        assert_eq!(sel.receiver_count(), MAX_RECEIVERS);
         // The overflow destinations are left queued.
-        assert_eq!(sel.frame_count(), MAX_RECEIVERS);
+        let expect: Vec<(u16, Vec<usize>)> =
+            (0..MAX_RECEIVERS).map(|k| (k as u16, vec![k])).collect();
+        assert_eq!(sel, expect);
     }
 
     #[test]
     fn per_receiver_frame_cap() {
-        let queue: Vec<QueuedFrame> = (0..10).map(|k| q(1, 50, k as f64)).collect();
         let limits = AggregationLimits {
             max_frames_per_receiver: 4,
             ..Default::default()
         };
-        let sel = select(AggregationPolicy::Ampdu, &queue, &limits);
-        assert_eq!(sel.frame_count(), 4);
+        let sel = pick(AggregationPolicy::Ampdu, &[(1, 50); 10], &limits);
+        assert_eq!(sel, vec![(1, vec![0, 1, 2, 3])]);
     }
 
+    /// Counts the candidates `select` reads from `queue`.
+    fn reads(
+        policy: AggregationPolicy,
+        limits: &AggregationLimits,
+        queue: impl Iterator<Item = (usize, usize, usize)>,
+    ) -> usize {
+        let (mut groups, mut positions, mut reads) = (Vec::new(), Vec::new(), 0);
+        select(
+            policy,
+            limits,
+            queue.inspect(|_| reads += 1),
+            &mut groups,
+            &mut positions,
+        );
+        reads
+    }
+
+    /// An overloaded queue, 30 destinations in round robin, is read only
+    /// up to where the limits fill: the same number of entries whatever
+    /// lies beyond.
     #[test]
-    fn select_into_matches_select_across_scratch_reuse() {
-        let queues: [&[QueuedFrame]; 4] = [
-            &[],
-            &[q(1, 100, 0.0), q(1, 100, 0.1), q(2, 100, 0.2)],
-            &[
-                q(3, 400, 0.0),
-                q(2, 400, 0.1),
-                q(3, 400, 0.2),
-                q(1, 50, 0.3),
-            ],
-            &[q(1, 100_000, 0.0)],
-        ];
-        let limits = AggregationLimits {
-            max_bytes: 900,
-            max_frames_per_receiver: 2,
+    fn reads_stop_where_the_limits_fill() {
+        let round_robin = |len: usize| (0..len).map(|k| (k, k % 30, 1500));
+        let four_per_receiver = AggregationLimits {
+            max_frames_per_receiver: 4,
             ..Default::default()
         };
-        let mut scratch = SelectionScratch::default();
-        for _ in 0..3 {
-            for queue in queues {
-                for policy in [
-                    AggregationPolicy::None,
-                    AggregationPolicy::Ampdu,
-                    AggregationPolicy::MultiUser,
-                ] {
-                    let expect = select(policy, queue, &limits);
-                    let got = scratch.select(policy, queue, &limits);
-                    assert_eq!(*got, expect, "{policy:?}");
-                    assert_eq!(*scratch.last(), expect);
-                }
+        for limits in [AggregationLimits::default(), four_per_receiver] {
+            let legacy = reads(AggregationPolicy::None, &limits, round_robin(10_000));
+            assert_eq!(legacy, 1);
+            for policy in [AggregationPolicy::Ampdu, AggregationPolicy::MultiUser] {
+                let short = reads(policy, &limits, round_robin(5_000));
+                assert!(short < 5_000, "{policy:?} read {short}");
+                assert_eq!(reads(policy, &limits, round_robin(10_000)), short);
             }
         }
     }
 
+    /// While the limits cannot fill, a later frame could still join, so
+    /// the whole queue is read: multi-user with fewer destinations than
+    /// receiver slots, A-MPDU with fewer head-destination frames than
+    /// the per-receiver cap.
     #[test]
-    fn deadline_detection() {
-        let queue = [q(1, 100, 1.0)];
-        assert!(!deadline_reached(&queue, 1.005, 0.01));
-        assert!(deadline_reached(&queue, 1.02, 0.01));
-        assert!(!deadline_reached(&[], 99.0, 0.01));
+    fn reads_reach_the_end_while_the_limits_cannot_fill() {
+        let limits = AggregationLimits {
+            max_frames_per_receiver: 4,
+            ..Default::default()
+        };
+        for len in [5_000, 10_000] {
+            // 5 destinations fill 4 frames each, 2,000 bytes in all.
+            let five = (0..len).map(|k| (k, k % 5, 100));
+            assert_eq!(reads(AggregationPolicy::MultiUser, &limits, five), len);
+            // Destination 0 has 2 frames queued, the first and the last.
+            let head_twice = (0..len).map(|k| (k, usize::from(k % (len - 1) != 0), 100));
+            assert_eq!(reads(AggregationPolicy::Ampdu, &limits, head_twice), len);
+        }
     }
 }

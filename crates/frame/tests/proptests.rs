@@ -1,7 +1,7 @@
 //! Property-based tests for framing, aggregation and NAV arithmetic.
 
 use carpool_frame::addr::MacAddress;
-use carpool_frame::aggregation::{select, AggregationLimits, AggregationPolicy, QueuedFrame};
+use carpool_frame::aggregation::{select, AggregationLimits, AggregationPolicy, Group};
 use carpool_frame::airtime::{ack_airtime, SIFS};
 use carpool_frame::mac_frame::{AmpduBundle, FrameKind, MacFrame};
 use carpool_frame::nav::{ack_start_offset, nav_ack, nav_data, nav_receiver};
@@ -21,18 +21,26 @@ fn any_policy() -> impl Strategy<Value = AggregationPolicy> {
     ])
 }
 
-fn queue_strategy() -> impl Strategy<Value = Vec<QueuedFrame>> {
+/// `(dest, bytes)` per queued frame, head first.
+fn queue_strategy() -> impl Strategy<Value = Vec<(MacAddress, usize)>> {
     prop::collection::vec((0u16..12, 40usize..1500), 1..40).prop_map(|entries| {
         entries
             .into_iter()
-            .enumerate()
-            .map(|(k, (dest, bytes))| QueuedFrame {
-                dest: MacAddress::station(dest),
-                bytes,
-                enqueue_time: k as f64 * 1e-3,
-            })
+            .map(|(dest, bytes)| (MacAddress::station(dest), bytes))
             .collect()
     })
+}
+
+/// Runs the selector over `queue` in FIFO order.
+fn select_fifo(
+    policy: AggregationPolicy,
+    queue: &[(MacAddress, usize)],
+    limits: &AggregationLimits,
+) -> (Vec<Group<MacAddress>>, Vec<usize>) {
+    let (mut groups, mut positions) = (Vec::new(), Vec::new());
+    let fifo = queue.iter().enumerate().map(|(k, &(d, b))| (k, d, b));
+    select(policy, limits, fifo, &mut groups, &mut positions);
+    (groups, positions)
 }
 
 proptest! {
@@ -82,32 +90,37 @@ proptest! {
     #[test]
     fn selection_invariants(queue in queue_strategy(), policy in any_policy()) {
         let limits = AggregationLimits::default();
-        let sel = select(policy, &queue, &limits);
+        let (groups, positions) = select_fifo(policy, &queue, &limits);
         // Head-of-line always served.
-        prop_assert!(sel.indices().contains(&0));
-        // Indices valid and unique.
-        let idx = sel.indices();
-        prop_assert!(idx.iter().all(|&k| k < queue.len()));
-        let unique: std::collections::BTreeSet<usize> = idx.iter().copied().collect();
-        prop_assert_eq!(unique.len(), idx.len());
-        // Each group is single-destination and within the receiver cap.
-        prop_assert!(sel.receiver_count() <= limits.max_receivers);
-        for (dest, group) in &sel.groups {
-            prop_assert!(!group.is_empty());
+        prop_assert!(positions.contains(&0));
+        // Positions valid and unique.
+        prop_assert!(positions.iter().all(|&k| k < queue.len()));
+        let unique: std::collections::BTreeSet<usize> = positions.iter().copied().collect();
+        prop_assert_eq!(unique.len(), positions.len());
+        // The groups tile the positions; each is single-destination,
+        // FIFO and within the caps.
+        prop_assert!(groups.len() <= limits.max_receivers);
+        prop_assert_eq!(groups.iter().map(|g| g.len).sum::<usize>(), positions.len());
+        let mut start = 0;
+        for g in &groups {
+            prop_assert_eq!(g.start, start);
+            prop_assert!(g.len >= 1 && g.len <= limits.max_frames_per_receiver);
+            let group = &positions[g.start..g.start + g.len];
+            prop_assert!(group.windows(2).all(|w| w[0] < w[1]));
             for &k in group {
-                prop_assert_eq!(queue[k].dest, *dest);
+                prop_assert_eq!(queue[k].0, g.dest);
             }
-            prop_assert!(group.len() <= limits.max_frames_per_receiver);
+            start += g.len;
         }
     }
 
     #[test]
     fn byte_cap_respected_beyond_head(queue in queue_strategy(), cap in 500usize..4000) {
         let limits = AggregationLimits { max_bytes: cap, ..Default::default() };
-        let sel = select(AggregationPolicy::MultiUser, &queue, &limits);
-        let total: usize = sel.indices().iter().map(|&k| queue[k].bytes).sum();
+        let (_, positions) = select_fifo(AggregationPolicy::MultiUser, &queue, &limits);
+        let total: usize = positions.iter().map(|&k| queue[k].1).sum();
         // Either within cap, or the head alone exceeded it.
-        prop_assert!(total <= cap || sel.frame_count() == 1);
+        prop_assert!(total <= cap || positions.len() == 1);
     }
 
     #[test]

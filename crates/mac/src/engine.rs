@@ -3,7 +3,7 @@
 //! The virtual-slot DCF loop that used to live inline in
 //! [`Simulator::run`](crate::sim::Simulator::run) is extracted here as
 //! [`Domain`]: one collision domain that can be stepped to an arbitrary
-//! time bound. Three structural changes make the stepper fast without
+//! time bound. Four structural changes make the stepper fast without
 //! changing a single emitted byte:
 //!
 //! * arrivals sit in an indexed [`CalendarQueue`] (slot-tick buckets,
@@ -15,8 +15,14 @@
 //!   free list, and retransmissions keep their slot — no per-frame heap
 //!   traffic and no per-TXOP `requeue` rebuilds;
 //! * every per-round temporary (eligible set, winners, TXOP plan,
-//!   outcomes) is a scratch buffer reused across rounds, mirroring the
-//!   PR 8 scratch discipline.
+//!   outcomes) is a scratch buffer reused across rounds;
+//! * a TXOP plan reads the winner's queue in place through the arena
+//!   and stops where the aggregation limits fill. 802.11 reads only the
+//!   head; A-MPDU and Carpool stop early once the head destination's
+//!   group (A-MPDU) or every receiver slot (Carpool) fills or the byte
+//!   cap is hit, but read to the end of the queue while fewer
+//!   destinations are queued than those limits need. Only time-fair
+//!   ranking sorts the whole queue.
 //!
 //! On top of single-domain stepping, [`run_dense`] runs many
 //! co-channel AP domains as one scenario: domains are partitioned into
@@ -33,8 +39,7 @@ use crate::error_model::{EstimationScheme, FrameErrorModel};
 use crate::metrics::{AirtimeShare, ChannelStats, FlowCollector, FlowMetrics, SimReport};
 use crate::protocol::Protocol;
 use crate::sim::{DownlinkTraffic, SchedulerPolicy, SimConfig, WIRE_OVERHEAD_BYTES};
-use carpool_frame::addr::MacAddress;
-use carpool_frame::aggregation::{QueuedFrame, SelectionScratch};
+use carpool_frame::aggregation::{select, Group};
 use carpool_frame::airtime::{
     ack_airtime, ahdr_airtime, cts_airtime, data_frame_airtime, rts_airtime, CW_MAX, DIFS,
     PLCP_OVERHEAD, SIFS, SLOT_TIME,
@@ -105,6 +110,11 @@ impl Node {
         }
     }
 
+    /// The frame at queue position `k`, resolved through the arena.
+    fn frame<'a>(&self, frames: &'a Arena<PendingFrame>, k: usize) -> Option<&'a PendingFrame> {
+        frames.get(*self.queue.get(k)?)
+    }
+
     fn draw_backoff(&mut self, rng: &mut StdRng) {
         self.backoff = rng.gen_range(0..=self.cw);
     }
@@ -120,15 +130,6 @@ impl Node {
         self.cw = (self.cw * 2 + 1).min(CW_MAX);
         self.draw_backoff(rng);
     }
-}
-
-/// Total bytes queued at `node` (frames resolved through the arena).
-fn queued_bytes(node: &Node, frames: &Arena<PendingFrame>) -> usize {
-    node.queue
-        .iter()
-        .filter_map(|&h| frames.get(h))
-        .map(|f| f.bytes)
-        .sum()
 }
 
 /// Deterministically decides whether two STA node ids are mutually
@@ -238,16 +239,19 @@ fn mcs_for(cfg: &SimConfig, sta_id: usize) -> Mcs {
 
 /// Whether a backlogged AP may contend now (aggregation-wait trigger).
 fn ap_eligible(cfg: &SimConfig, node: &Node, frames: &Arena<PendingFrame>, now: f64) -> bool {
-    let Some(&h) = node.queue.front() else {
-        return false;
-    };
-    let Some(head) = frames.get(h) else {
+    let Some(head) = node.frame(frames, 0) else {
         return false;
     };
     match cfg.aggregation_wait {
         None => true,
         Some(w) => {
-            now - head.enqueue >= w.max_latency_s || queued_bytes(node, frames) >= w.max_bytes
+            // The queued bytes reach the cap: scanned only until they do.
+            let mut bytes = 0;
+            now - head.enqueue >= w.max_latency_s
+                || node.queue.iter().filter_map(|&h| frames.get(h)).any(|f| {
+                    bytes += f.bytes;
+                    bytes >= w.max_bytes
+                })
         }
     }
 }
@@ -262,31 +266,16 @@ fn control_airtime(cfg: &SimConfig, receivers: usize) -> f64 {
     rts_airtime(carpool_like) + receivers as f64 * (SIFS + cts_airtime()) + SIFS
 }
 
-/// One per-receiver subframe group of the planned TXOP. Indices live in
-/// [`PlanBuf::indices`] at `[start, start + len)`.
-#[derive(Debug, Clone, Copy)]
-struct GroupMeta {
-    dest: usize,
-    mcs: Mcs,
-    start: usize,
-    len: usize,
-}
-
 /// Reusable TXOP-planning buffers: the flattened equivalent of the old
 /// per-round `TxopPlan` allocation, refilled in place every round.
 #[derive(Debug, Default)]
 struct PlanBuf {
-    /// Scratch: candidate queue positions in selector presentation order.
-    order: Vec<usize>,
-    /// Scratch: the selector's view of the queue.
-    view: Vec<QueuedFrame>,
-    /// Selector scratch (recycled per-receiver index buffers).
-    sel: SelectionScratch,
-    /// Queue indices selected, ascending (for removal).
-    selected: Vec<usize>,
-    /// Per-receiver groups in subframe order.
-    groups: Vec<GroupMeta>,
-    /// Flat queue-index storage backing `groups`.
+    /// Time-fair scheduling only: `(destination airtime, queue
+    /// position)` of every candidate, in presentation order.
+    order: Vec<(f64, usize)>,
+    /// Per-receiver groups in subframe order, indexing `indices`.
+    groups: Vec<Group<usize>>,
+    /// Selected queue positions, group by group.
     indices: Vec<usize>,
     /// Airtime of the data PPDU (PLCP + headers + payload).
     data_airtime: f64,
@@ -303,8 +292,6 @@ impl PlanBuf {
 
     fn clear(&mut self) {
         self.order.clear();
-        self.view.clear();
-        self.selected.clear();
         self.groups.clear();
         self.indices.clear();
         self.data_airtime = 0.0;
@@ -312,12 +299,11 @@ impl PlanBuf {
         self.header_symbols = 0;
     }
 
-    fn push_single(&mut self, queue_index: usize, dest: usize, mcs: Mcs) {
-        self.selected.push(queue_index);
-        self.indices.push(queue_index);
-        self.groups.push(GroupMeta {
+    /// Plans the head frame alone, to `dest`.
+    fn push_head(&mut self, dest: usize) {
+        self.indices.push(0);
+        self.groups.push(Group {
             dest,
-            mcs,
             start: 0,
             len: 1,
         });
@@ -325,11 +311,9 @@ impl PlanBuf {
 }
 
 /// Plans the winner's TXOP into `plan`, reusing its buffers. Identical
-/// decisions (and f64 arithmetic) to the old `Simulator::plan_txop`.
-#[expect(
-    clippy::cast_possible_truncation,
-    reason = "station index bounded by num_stas < 2^16"
-)]
+/// decisions (and f64 arithmetic) to the old `Simulator::plan_txop`;
+/// the selector reads the queue in place, so a FIFO plan touches only
+/// the frames up to where the aggregation limits fill.
 fn plan_into(
     cfg: &SimConfig,
     node: &Node,
@@ -339,135 +323,82 @@ fn plan_into(
     plan: &mut PlanBuf,
 ) {
     plan.clear();
-    if node.is_ap {
-        // Mixed deployments (Section 4.3): a multi-receiver AP serves a
-        // legacy head-of-line client with a plain single-frame
-        // transmission, and never aggregates legacy clients into a
-        // Carpool frame.
-        let multi_user = matches!(cfg.protocol, Protocol::Carpool | Protocol::MuAggregation);
-        if multi_user {
-            if let Some(head) = node.queue.front().and_then(|&h| frames.get(h)) {
-                if !is_carpool_capable(cfg, head.dest) {
-                    let mcs = mcs_for(cfg, head.dest);
-                    let wire_bits = (head.bytes + WIRE_OVERHEAD_BYTES) * 8;
-                    plan.push_single(0, head.dest, mcs);
-                    plan.data_airtime =
-                        PLCP_OVERHEAD + mcs.symbols_for_bits(wire_bits) as f64 * SYMBOL_DURATION;
-                    plan.ack_airtime_total = SIFS + ack_airtime();
-                    return;
-                }
-            }
-        }
-
-        // Under time fairness the AP presents its queue to the selector
-        // ordered by the destinations' cumulative airtime, so
-        // underserved stations aggregate (and transmit) first.
-        plan.order.extend(0..node.queue.len());
-        if multi_user && cfg.carpool_fraction < 1.0 {
-            // Only Carpool-capable destinations may ride this aggregate;
-            // legacy frames wait for their own TXOPs.
-            plan.order.retain(|&k| {
-                node.queue
-                    .get(k)
-                    .and_then(|&h| frames.get(h))
-                    .is_some_and(|f| is_carpool_capable(cfg, f.dest))
-            });
-        }
-        if cfg.scheduler == SchedulerPolicy::TimeFair {
-            plan.order.sort_by(|&a, &b| {
-                let occ = |k: usize| {
-                    let dest = node
-                        .queue
-                        .get(k)
-                        .and_then(|&h| frames.get(h))
-                        .map(|f| f.dest)
-                        .unwrap_or(0);
-                    occupancy
-                        .get(dest.saturating_sub(cfg.num_aps))
-                        .copied()
-                        .unwrap_or(0.0)
-                };
-                occ(a).total_cmp(&occ(b)).then(a.cmp(&b))
-            });
-        }
-        for &k in &plan.order {
-            let Some(f) = node.queue.get(k).and_then(|&h| frames.get(h)) else {
-                continue;
-            };
-            plan.view.push(QueuedFrame {
-                dest: MacAddress::station(f.dest as u16),
-                bytes: f.bytes,
-                enqueue_time: f.enqueue,
-            });
-        }
-        let selection = plan
-            .sel
-            .select(cfg.protocol.aggregation_policy(), &plan.view, &cfg.limits);
-        let receivers = selection.receiver_count().max(1);
-        let header_airtime = cfg.protocol.aggregation_header_airtime(receivers);
-        #[expect(
-            clippy::cast_possible_truncation,
-            clippy::cast_sign_loss,
-            reason = "header symbol counts are tiny and rounded"
-        )]
-        let header_symbols = (header_airtime / SYMBOL_DURATION).round() as usize;
-        let mut payload_symbols = 0usize;
-        for (_, view_indices) in &selection.groups {
-            let start = plan.indices.len();
-            for &v in view_indices {
-                let Some(&k) = plan.order.get(v) else {
-                    continue;
-                };
-                plan.indices.push(k);
-            }
-            let len = plan.indices.len() - start;
-            if len == 0 {
-                continue;
-            }
-            let dest = node
-                .queue
-                .get(plan.indices[start])
-                .and_then(|&h| frames.get(h))
-                .map(|f| f.dest)
-                .unwrap_or(0);
-            let mcs = mcs_for(cfg, dest);
-            for &k in &plan.indices[start..start + len] {
-                let bytes = node
-                    .queue
-                    .get(k)
-                    .and_then(|&h| frames.get(h))
-                    .map(|f| f.bytes)
-                    .unwrap_or(0);
-                let wire_bits = (bytes + WIRE_OVERHEAD_BYTES) * 8;
-                payload_symbols += mcs.symbols_for_bits(wire_bits);
-            }
-            plan.groups.push(GroupMeta {
-                dest,
-                mcs,
-                start,
-                len,
-            });
-        }
-        plan.selected.extend_from_slice(&plan.indices);
-        plan.selected.sort_unstable();
-        plan.data_airtime =
-            PLCP_OVERHEAD + header_airtime + payload_symbols as f64 * SYMBOL_DURATION;
-        let acks = cfg.protocol.acks_per_exchange(receivers);
-        plan.ack_airtime_total = acks as f64 * (SIFS + ack_airtime());
-        plan.header_symbols = header_symbols;
-    } else {
-        // STA: single head frame to its AP at the STA's own rate. The
-        // contention loop never selects an empty queue, so an empty
-        // plan here is a graceful fallback rather than a reachable path.
-        let Some(head) = node.queue.front().and_then(|&h| frames.get(h)) else {
-            return;
-        };
-        let mcs = mcs_for(cfg, node_id);
+    // The contention loop never selects an empty queue, so an empty
+    // plan is a graceful fallback rather than a reachable path.
+    let Some(head) = node.frame(frames, 0) else {
+        return;
+    };
+    if !node.is_ap {
+        // STA: single head frame to its AP at the STA's own rate.
         let wire = head.bytes + WIRE_OVERHEAD_BYTES - 2; // no delimiter
-        plan.push_single(0, head.dest, mcs);
-        plan.data_airtime = data_frame_airtime(wire, mcs);
+        plan.push_head(head.dest);
+        plan.data_airtime = data_frame_airtime(wire, mcs_for(cfg, node_id));
         plan.ack_airtime_total = SIFS + ack_airtime();
+        return;
     }
+    // Mixed deployments (Section 4.3): a multi-receiver AP serves a
+    // legacy head-of-line client with a plain single-frame
+    // transmission, and never aggregates legacy clients into a Carpool
+    // frame.
+    let multi_user = matches!(cfg.protocol, Protocol::Carpool | Protocol::MuAggregation);
+    if multi_user && !is_carpool_capable(cfg, head.dest) {
+        let wire_bits = (head.bytes + WIRE_OVERHEAD_BYTES) * 8;
+        plan.push_head(head.dest);
+        plan.data_airtime = PLCP_OVERHEAD
+            + mcs_for(cfg, head.dest).symbols_for_bits(wire_bits) as f64 * SYMBOL_DURATION;
+        plan.ack_airtime_total = SIFS + ack_airtime();
+        return;
+    }
+
+    // Only Carpool-capable destinations may ride this aggregate; legacy
+    // frames wait for their own TXOPs.
+    let skip_legacy = multi_user && cfg.carpool_fraction < 1.0;
+    let entry = |k: usize| {
+        let f = node.frame(frames, k)?;
+        (!skip_legacy || is_carpool_capable(cfg, f.dest)).then_some((k, f.dest, f.bytes))
+    };
+    let policy = cfg.protocol.aggregation_policy();
+    let (groups, indices) = (&mut plan.groups, &mut plan.indices);
+    if cfg.scheduler == SchedulerPolicy::TimeFair {
+        // Under time fairness the AP presents its queue ordered by the
+        // destinations' cumulative airtime, so underserved stations
+        // aggregate (and transmit) first.
+        let airtime = |dest: usize| {
+            let sta = dest.saturating_sub(cfg.num_aps);
+            occupancy.get(sta).copied().unwrap_or(0.0)
+        };
+        let order = &mut plan.order;
+        order.extend(
+            (0..node.queue.len()).filter_map(|k| entry(k).map(|(_, d, _)| (airtime(d), k))),
+        );
+        order.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        let ranked = order.iter().filter_map(|&(_, k)| entry(k));
+        select(policy, &cfg.limits, ranked, groups, indices);
+    } else {
+        let fifo = (0..node.queue.len()).filter_map(entry);
+        select(policy, &cfg.limits, fifo, groups, indices);
+    }
+
+    let receivers = plan.groups.len().max(1);
+    let header_airtime = cfg.protocol.aggregation_header_airtime(receivers);
+    #[expect(
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        reason = "header symbol counts are tiny and rounded"
+    )]
+    let header_symbols = (header_airtime / SYMBOL_DURATION).round() as usize;
+    let mut payload_symbols = 0usize;
+    for g in &plan.groups {
+        let mcs = mcs_for(cfg, g.dest);
+        for &k in &plan.indices[g.start..g.start + g.len] {
+            let bytes = node.frame(frames, k).map_or(0, |f| f.bytes);
+            payload_symbols += mcs.symbols_for_bits((bytes + WIRE_OVERHEAD_BYTES) * 8);
+        }
+    }
+    plan.data_airtime = PLCP_OVERHEAD + header_airtime + payload_symbols as f64 * SYMBOL_DURATION;
+    let acks = cfg.protocol.acks_per_exchange(receivers);
+    plan.ack_airtime_total = acks as f64 * (SIFS + ack_airtime());
+    plan.header_symbols = header_symbols;
 }
 
 /// Per-round scratch buffers, reused for the life of the domain.
@@ -736,11 +667,7 @@ impl<'m> Domain<'m> {
             }
             if let Some(w) = self.cfg.aggregation_wait {
                 for k in 0..self.cfg.num_aps {
-                    if let Some(head) = self.nodes[k]
-                        .queue
-                        .front()
-                        .and_then(|&h| self.frames.get(h))
-                    {
+                    if let Some(head) = self.nodes[k].frame(&self.frames, 0) {
                         next = next.min(head.enqueue + w.max_latency_s);
                     }
                 }
@@ -961,7 +888,7 @@ impl<'m> Domain<'m> {
         self.now += busy;
         self.epoch_busy_s += busy;
         self.channel.transmissions += 1;
-        self.channel.aggregated_frames += self.scratch.plan.selected.len() as u64;
+        self.channel.aggregated_frames += self.scratch.plan.indices.len() as u64;
         self.channel.aggregated_receivers += self.scratch.plan.groups.len() as u64;
         self.obs.record("mac.txop_airtime", busy);
 
@@ -974,27 +901,20 @@ impl<'m> Domain<'m> {
             let g = self.scratch.plan.groups[gi];
             // The station whose link decides this subframe's fate: the
             // destination for downlink, the sender for uplink.
-            let link_sta = if winner_is_ap {
-                g.dest.saturating_sub(self.cfg.num_aps)
-            } else {
-                winner.saturating_sub(self.cfg.num_aps)
-            };
+            let link = if winner_is_ap { g.dest } else { winner };
+            let link_sta = link.saturating_sub(self.cfg.num_aps);
+            let mcs = mcs_for(&self.cfg, link);
             for fi in g.start..g.start + g.len {
                 let k = self.scratch.plan.indices[fi];
-                let Some(frame) = self.nodes[winner]
-                    .queue
-                    .get(k)
-                    .and_then(|&h| self.frames.get(h))
-                    .copied()
-                else {
+                let Some(frame) = self.nodes[winner].frame(&self.frames, k).copied() else {
                     continue;
                 };
                 let wire_bits = (frame.bytes + WIRE_OVERHEAD_BYTES) * 8;
-                let n_sym = g.mcs.symbols_for_bits(wire_bits);
+                let n_sym = mcs.symbols_for_bits(wire_bits);
                 let p = self.model.get().subframe_success_prob_for(
                     link_sta,
                     self.scheme,
-                    g.mcs,
+                    mcs,
                     start_sym,
                     n_sym,
                 );
@@ -1067,6 +987,7 @@ impl<'m> Domain<'m> {
             if addressed {
                 if carpool_like {
                     // A-HDR plus (approximately) its own share.
+                    let mcs = mcs_for(&self.cfg, id);
                     let own: f64 = self
                         .scratch
                         .plan
@@ -1078,13 +999,10 @@ impl<'m> Domain<'m> {
                                 .iter()
                                 .map(|&k| {
                                     let bytes = self.nodes[winner]
-                                        .queue
-                                        .get(k)
-                                        .and_then(|&h| self.frames.get(h))
-                                        .map(|f| f.bytes)
-                                        .unwrap_or(0);
+                                        .frame(&self.frames, k)
+                                        .map_or(0, |f| f.bytes);
                                     let bits = (bytes + WIRE_OVERHEAD_BYTES) * 8;
-                                    g.mcs.airtime_for_bits(bits)
+                                    mcs.airtime_for_bits(bits)
                                 })
                                 .sum::<f64>()
                         })
@@ -1494,6 +1412,7 @@ where
 mod tests {
     use super::*;
     use crate::error_model::BerBiasModel;
+    use carpool_frame::aggregation::{AggregationLimits, AggregationPolicy};
 
     fn dense_cfg(domains: usize, stas: usize, shards: usize) -> DenseConfig {
         DenseConfig {
@@ -1556,6 +1475,128 @@ mod tests {
                     "{protocol:?} up to {end} s: {allocs} allocations for {events} events"
                 );
             }
+        }
+    }
+
+    /// The slice-based selector the engine ran on a copy of the AP queue
+    /// before it read the queue in place: `(dest, bytes)` in presentation
+    /// order in, per-receiver groups of view indices out.
+    fn oracle_select(
+        policy: AggregationPolicy,
+        view: &[(usize, usize)],
+        limits: &AggregationLimits,
+    ) -> Vec<(usize, Vec<usize>)> {
+        let mut groups: Vec<(usize, Vec<usize>)> = Vec::new();
+        let Some(&(head, _)) = view.first() else {
+            return groups;
+        };
+        let mut bytes = 0;
+        match policy {
+            AggregationPolicy::None => groups.push((head, vec![0])),
+            AggregationPolicy::Ampdu => {
+                let mut indices = Vec::new();
+                for (v, &(_, b)) in view.iter().enumerate().filter(|(_, f)| f.0 == head) {
+                    if !indices.is_empty()
+                        && (bytes + b > limits.max_bytes
+                            || indices.len() >= limits.max_frames_per_receiver)
+                    {
+                        break;
+                    }
+                    bytes += b;
+                    indices.push(v);
+                }
+                groups.push((head, indices));
+            }
+            AggregationPolicy::MultiUser => {
+                let max_receivers = limits.max_receivers.min(carpool_bloom::MAX_RECEIVERS);
+                for (v, &(dest, b)) in view.iter().enumerate() {
+                    if v > 0 && bytes + b > limits.max_bytes {
+                        break;
+                    }
+                    match groups.iter().position(|(d, _)| *d == dest) {
+                        Some(g) if groups[g].1.len() >= limits.max_frames_per_receiver => continue,
+                        Some(g) => groups[g].1.push(v),
+                        None if groups.len() >= max_receivers => continue,
+                        None => groups.push((dest, vec![v])),
+                    }
+                    bytes += b;
+                }
+            }
+        }
+        groups
+    }
+
+    /// The AP's TXOP selection as the engine made it with the oracle:
+    /// legacy head, legacy filter and time-fair ranking applied to a
+    /// copied view, view indices mapped back to queue positions.
+    fn oracle_plan(
+        cfg: &SimConfig,
+        queue: &[(usize, usize)],
+        occupancy: &[f64],
+    ) -> Vec<(usize, Vec<usize>)> {
+        let multi_user = matches!(cfg.protocol, Protocol::Carpool | Protocol::MuAggregation);
+        if multi_user && !is_carpool_capable(cfg, queue[0].0) {
+            return vec![(queue[0].0, vec![0])];
+        }
+        let skip_legacy = multi_user && cfg.carpool_fraction < 1.0;
+        let mut order: Vec<usize> = (0..queue.len())
+            .filter(|&k| !skip_legacy || is_carpool_capable(cfg, queue[k].0))
+            .collect();
+        if cfg.scheduler == SchedulerPolicy::TimeFair {
+            let occ = |k: usize| occupancy[queue[k].0 - cfg.num_aps];
+            order.sort_by(|&a, &b| occ(a).total_cmp(&occ(b)).then(a.cmp(&b)));
+        }
+        let view: Vec<(usize, usize)> = order.iter().map(|&k| queue[k]).collect();
+        oracle_select(cfg.protocol.aggregation_policy(), &view, &cfg.limits)
+            .into_iter()
+            .map(|(dest, vs)| (dest, vs.into_iter().map(|v| order[v]).collect()))
+            .collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        // `plan_into`, reading the queue in place, selects what the
+        // oracle selected from its copy, for 802.11, A-MPDU and Carpool
+        // under FIFO and time-fair ranking, with and without legacy
+        // clients.
+        #[test]
+        fn in_place_selection_matches_the_oracle(
+            entries in proptest::collection::vec((0usize..12, 40usize..1500), 1..80),
+            airtime in proptest::collection::vec(0u8..4, 12),
+            protocol in proptest::sample::select(vec![Protocol::Dot11, Protocol::Ampdu, Protocol::Carpool]),
+            time_fair in proptest::prelude::any::<bool>(),
+            carpool_fraction in proptest::sample::select(vec![1.0, 0.5]),
+            max_bytes in proptest::sample::select(vec![900, 4000, 65_535]),
+            max_frames_per_receiver in 1usize..6,
+            max_receivers in 0usize..10,
+        ) {
+            let cfg = SimConfig {
+                protocol,
+                num_aps: 2,
+                num_stas: 12,
+                carpool_fraction,
+                scheduler: if time_fair { SchedulerPolicy::TimeFair } else { SchedulerPolicy::Fifo },
+                limits: AggregationLimits { max_bytes, max_receivers, max_frames_per_receiver },
+                ..SimConfig::default()
+            };
+            let queue: Vec<(usize, usize)> = entries.iter().map(|&(s, b)| (s + 2, b)).collect();
+            // Few distinct airtimes, so time-fair ties fall back to FIFO.
+            let occupancy: Vec<f64> = airtime.iter().map(|&a| f64::from(a) * 1e-3).collect();
+            let mut node = Node::new(true, 15);
+            let mut frames = Arena::with_capacity(queue.len());
+            for &(dest, bytes) in &queue {
+                let frame = PendingFrame { dest, bytes, ..PendingFrame::default() };
+                node.queue.push_back(frames.alloc(frame));
+            }
+            let mut plan = PlanBuf::default();
+            plan_into(&cfg, &node, 0, &occupancy, &frames, &mut plan);
+            let planned: Vec<(usize, Vec<usize>)> = plan
+                .groups
+                .iter()
+                .map(|g| (g.dest, plan.indices[g.start..g.start + g.len].to_vec()))
+                .collect();
+            proptest::prop_assert_eq!(planned, oracle_plan(&cfg, &queue, &occupancy));
         }
     }
 

@@ -12,14 +12,15 @@
 use carpool_bloom::analysis::{false_positive_ratio, optimal_hash_count};
 use carpool_bloom::AggregationHeader;
 use carpool_frame::addr::MacAddress;
-use carpool_frame::aggregation::{select, AggregationLimits, AggregationPolicy, QueuedFrame};
+use carpool_frame::aggregation::{select, AggregationLimits, AggregationPolicy};
 use carpool_frame::airtime::{ack_airtime, carpool_frame_airtime, SIFS};
 use carpool_frame::nav::{ack_start_offset, nav_ack, nav_data, nav_receiver};
 use carpool_phy::mcs::Mcs;
 
 fn main() {
-    // A backlogged AP queue: interleaved frames for five stations.
-    let queue: Vec<QueuedFrame> = [
+    // A backlogged AP queue: interleaved frames for five stations, as
+    // (destination, bytes).
+    let queue: Vec<(MacAddress, usize)> = [
         (1u16, 300),
         (2, 1200),
         (1, 300),
@@ -32,13 +33,17 @@ fn main() {
         (5, 150),
     ]
     .iter()
-    .enumerate()
-    .map(|(k, &(sta, bytes))| QueuedFrame {
-        dest: MacAddress::station(sta),
-        bytes,
-        enqueue_time: k as f64 * 1e-3,
-    })
+    .map(|&(sta, bytes)| (MacAddress::station(sta), bytes))
     .collect();
+    // The selector reads `(queue position, dest, bytes)` lazily, head
+    // first, and stops once the limits are full.
+    let fifo = || {
+        queue
+            .iter()
+            .enumerate()
+            .map(|(k, &(dest, bytes))| (k, dest, bytes))
+    };
+    let (mut groups, mut positions) = (Vec::new(), Vec::new());
 
     println!("queue: {} frames for 5 stations", queue.len());
     for policy in [
@@ -46,22 +51,24 @@ fn main() {
         AggregationPolicy::Ampdu,
         AggregationPolicy::MultiUser,
     ] {
-        let sel = select(policy, &queue, &AggregationLimits::default());
+        select(
+            policy,
+            &AggregationLimits::default(),
+            fifo(),
+            &mut groups,
+            &mut positions,
+        );
         println!(
             "  {policy:?}: {} frames across {} receivers",
-            sel.frame_count(),
-            sel.receiver_count()
+            positions.len(),
+            groups.len()
         );
     }
     println!();
 
-    // Carpool takes the multi-user selection; build its A-HDR.
-    let selection = select(
-        AggregationPolicy::MultiUser,
-        &queue,
-        &AggregationLimits::default(),
-    );
-    let receivers: Vec<MacAddress> = selection.groups.iter().map(|(d, _)| *d).collect();
+    // Carpool takes the multi-user selection (the last one above);
+    // build its A-HDR.
+    let receivers: Vec<MacAddress> = groups.iter().map(|g| g.dest).collect();
     let header = AggregationHeader::for_receivers(&receivers, 4).expect("<=8 receivers");
     println!("A-HDR: {header} ({} bits set)", header.popcount());
     println!(
@@ -77,11 +84,11 @@ fn main() {
     println!();
 
     // Airtime and the sequential-ACK schedule.
-    let subframes: Vec<(usize, Mcs)> = selection
-        .groups
+    let subframes: Vec<(usize, Mcs)> = groups
         .iter()
-        .map(|(_, idxs)| {
-            let bytes: usize = idxs.iter().map(|&k| queue[k].bytes).sum();
+        .map(|g| {
+            let group = &positions[g.start..g.start + g.len];
+            let bytes: usize = group.iter().map(|&k| queue[k].1).sum();
             (bytes, Mcs::QAM64_3_4)
         })
         .collect();
