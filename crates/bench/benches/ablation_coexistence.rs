@@ -28,10 +28,11 @@ fn main() {
         cfg.carpool_fraction = fraction;
         let r = run_mac(cfg);
         let legacy_start = (fraction * 30.0).ceil() as usize;
-        let legacy_rx: f64 = r.sta_airtime[legacy_start.min(30)..]
+        // Folded from +0.0: an empty `f64` sum is -0.0, which would
+        // print as "-0.00" at full adoption.
+        let legacy_rx = r.sta_airtime[legacy_start.min(30)..]
             .iter()
-            .map(|s| s.rx_s)
-            .sum();
+            .fold(0.0, |acc, s| acc + s.rx_s);
         println!(
             "{:>9.0}% {:>9.2} Mb {:>8.3} s {:>14.2} {:>14.2}",
             fraction * 100.0,

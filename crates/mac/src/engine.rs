@@ -1,28 +1,24 @@
 //! Sharded, allocation-free MAC event engine.
 //!
-//! The virtual-slot DCF loop that used to live inline in
-//! [`Simulator::run`](crate::sim::Simulator::run) is extracted here as
-//! [`Domain`]: one collision domain that can be stepped to an arbitrary
-//! time bound. Four structural changes make the stepper fast without
-//! changing a single emitted byte:
+//! `Domain` is one collision domain running the virtual-slot DCF
+//! loop, steppable to an arbitrary time bound:
 //!
-//! * arrivals sit in an indexed [`CalendarQueue`] (slot-tick buckets,
-//!   intrusive chains, free-listed slab) instead of a sorted `Vec`
-//!   scanned by index — dequeue order `(tick, insertion seq)` is
-//!   provably the old scan order (see `calendar_proptests.rs`);
-//! * pending frames live in a generational-index [`Arena`]; node queues
-//!   hold [`Handle`]s, delivered/dropped frames drain back into the
-//!   free list, and retransmissions keep their slot — no per-frame heap
-//!   traffic and no per-TXOP `requeue` rebuilds;
+//! * a domain's traffic is fully known before it starts:
+//!   `generate_arrivals` samples it into one `Vec` sorted by time, and
+//!   a cursor ingests it in that order;
+//! * pending frames sit by value in their node's `VecDeque`; failed
+//!   frames return to the head with their attempt count;
 //! * every per-round temporary (eligible set, winners, TXOP plan,
-//!   outcomes) is a scratch buffer reused across rounds;
-//! * a TXOP plan reads the winner's queue in place through the arena
-//!   and stops where the aggregation limits fill. 802.11 reads only the
-//!   head; A-MPDU and Carpool stop early once the head destination's
-//!   group (A-MPDU) or every receiver slot (Carpool) fills or the byte
-//!   cap is hit, but read to the end of the queue while fewer
-//!   destinations are queued than those limits need. Only time-fair
-//!   ranking sorts the whole queue.
+//!   outcomes, requeued frames) is a scratch buffer reused across
+//!   rounds, so the loop allocates only when a buffer reaches a new
+//!   high-water mark;
+//! * a TXOP plan reads the winner's queue in place and stops where the
+//!   aggregation limits fill. 802.11 reads only the head; A-MPDU and
+//!   Carpool stop early once the head destination's group (A-MPDU) or
+//!   every receiver slot (Carpool) fills or the byte cap is hit, but
+//!   read to the end of the queue while fewer destinations are queued
+//!   than those limits need. Only time-fair ranking sorts the whole
+//!   queue.
 //!
 //! On top of single-domain stepping, [`run_dense`] runs many
 //! co-channel AP domains as one scenario: domains are partitioned into
@@ -33,12 +29,12 @@
 //! keyed by domain index and merged in domain order, so the report is
 //! byte-identical at any thread count *and* any shard count.
 
-use crate::arena::{Arena, Handle};
-use crate::calendar::CalendarQueue;
 use crate::error_model::{EstimationScheme, FrameErrorModel};
 use crate::metrics::{AirtimeShare, ChannelStats, FlowCollector, FlowMetrics, SimReport};
 use crate::protocol::Protocol;
-use crate::sim::{DownlinkTraffic, SchedulerPolicy, SimConfig, WIRE_OVERHEAD_BYTES};
+use crate::sim::{
+    DownlinkTraffic, SchedulerPolicy, SimConfig, DATA_MCS, RETRY_LIMIT, WIRE_OVERHEAD_BYTES,
+};
 use carpool_frame::aggregation::{select, Group};
 use carpool_frame::airtime::{
     ack_airtime, ahdr_airtime, cts_airtime, data_frame_airtime, rts_airtime, CW_MAX, DIFS,
@@ -68,8 +64,8 @@ fn symbol_span(symbols: usize) -> f64 {
     symbols as f64 * SYMBOL_DURATION
 }
 
-/// A traffic arrival scheduled in the calendar queue.
-#[derive(Debug, Clone, Copy, Default)]
+/// A traffic arrival: frame of `bytes` from `node` to `dest` at `time`.
+#[derive(Debug, Clone, Copy)]
 pub(crate) struct ArrivalEvent {
     pub(crate) time: f64,
     pub(crate) node: usize,
@@ -77,7 +73,7 @@ pub(crate) struct ArrivalEvent {
     pub(crate) bytes: usize,
 }
 
-/// A frame waiting in a node queue, stored in the frame arena.
+/// A frame waiting in a node queue.
 #[derive(Debug, Clone, Copy, Default)]
 struct PendingFrame {
     /// Flight-recorder correlation id, assigned in arrival order at
@@ -92,7 +88,7 @@ struct PendingFrame {
 
 #[derive(Debug)]
 struct Node {
-    queue: VecDeque<Handle>,
+    queue: VecDeque<PendingFrame>,
     backoff: u32,
     cw: u32,
     cw_min: u32,
@@ -108,11 +104,6 @@ impl Node {
             cw_min,
             is_ap,
         }
-    }
-
-    /// The frame at queue position `k`, resolved through the arena.
-    fn frame<'a>(&self, frames: &'a Arena<PendingFrame>, k: usize) -> Option<&'a PendingFrame> {
-        frames.get(*self.queue.get(k)?)
     }
 
     fn draw_backoff(&mut self, rng: &mut StdRng) {
@@ -149,9 +140,10 @@ pub(crate) fn hidden_pair(seed: u64, fraction: f64, a: usize, b: usize) -> bool 
     (x as f64 / u64::MAX as f64) < fraction
 }
 
-/// Traffic-model sampling for one domain, identical to the pre-engine
-/// `Simulator::generate_arrivals`: same sources, same RNG draw order,
-/// stable-sorted by arrival time.
+/// Samples one domain's traffic: every STA's downlink (and two-way
+/// VoIP uplink) and background uplink sources, drawn in station order,
+/// then stable-sorted by arrival time. The engine ingests the result
+/// front to back, so it must be non-decreasing in `time`.
 pub(crate) fn generate_arrivals(cfg: &SimConfig, rng: &mut StdRng) -> Vec<ArrivalEvent> {
     let mut arrivals = Vec::new();
     for sta in 0..cfg.num_stas {
@@ -231,15 +223,15 @@ fn mcs_for(cfg: &SimConfig, sta_id: usize) -> Mcs {
             let idx = sta_id.saturating_sub(cfg.num_aps);
             snrs.get(idx)
                 .map(|&snr| crate::rate::mcs_for_snr(snr))
-                .unwrap_or(cfg.data_mcs)
+                .unwrap_or(DATA_MCS)
         }
-        None => cfg.data_mcs,
+        None => DATA_MCS,
     }
 }
 
 /// Whether a backlogged AP may contend now (aggregation-wait trigger).
-fn ap_eligible(cfg: &SimConfig, node: &Node, frames: &Arena<PendingFrame>, now: f64) -> bool {
-    let Some(head) = node.frame(frames, 0) else {
+fn ap_eligible(cfg: &SimConfig, node: &Node, now: f64) -> bool {
+    let Some(head) = node.queue.front() else {
         return false;
     };
     match cfg.aggregation_wait {
@@ -248,7 +240,7 @@ fn ap_eligible(cfg: &SimConfig, node: &Node, frames: &Arena<PendingFrame>, now: 
             // The queued bytes reach the cap: scanned only until they do.
             let mut bytes = 0;
             now - head.enqueue >= w.max_latency_s
-                || node.queue.iter().filter_map(|&h| frames.get(h)).any(|f| {
+                || node.queue.iter().any(|f| {
                     bytes += f.bytes;
                     bytes >= w.max_bytes
                 })
@@ -266,8 +258,7 @@ fn control_airtime(cfg: &SimConfig, receivers: usize) -> f64 {
     rts_airtime(carpool_like) + receivers as f64 * (SIFS + cts_airtime()) + SIFS
 }
 
-/// Reusable TXOP-planning buffers: the flattened equivalent of the old
-/// per-round `TxopPlan` allocation, refilled in place every round.
+/// Reusable TXOP-planning buffers, refilled in place every round.
 #[derive(Debug, Default)]
 struct PlanBuf {
     /// Time-fair scheduling only: `(destination airtime, queue
@@ -310,22 +301,14 @@ impl PlanBuf {
     }
 }
 
-/// Plans the winner's TXOP into `plan`, reusing its buffers. Identical
-/// decisions (and f64 arithmetic) to the old `Simulator::plan_txop`;
-/// the selector reads the queue in place, so a FIFO plan touches only
-/// the frames up to where the aggregation limits fill.
-fn plan_into(
-    cfg: &SimConfig,
-    node: &Node,
-    node_id: usize,
-    occupancy: &[f64],
-    frames: &Arena<PendingFrame>,
-    plan: &mut PlanBuf,
-) {
+/// Plans the winner's TXOP into `plan`, reusing its buffers. The
+/// selector reads the queue in place, so a FIFO plan touches only the
+/// frames up to where the aggregation limits fill.
+fn plan_into(cfg: &SimConfig, node: &Node, node_id: usize, occupancy: &[f64], plan: &mut PlanBuf) {
     plan.clear();
     // The contention loop never selects an empty queue, so an empty
     // plan is a graceful fallback rather than a reachable path.
-    let Some(head) = node.frame(frames, 0) else {
+    let Some(head) = node.queue.front() else {
         return;
     };
     if !node.is_ap {
@@ -354,7 +337,7 @@ fn plan_into(
     // frames wait for their own TXOPs.
     let skip_legacy = multi_user && cfg.carpool_fraction < 1.0;
     let entry = |k: usize| {
-        let f = node.frame(frames, k)?;
+        let f = &node.queue[k];
         (!skip_legacy || is_carpool_capable(cfg, f.dest)).then_some((k, f.dest, f.bytes))
     };
     let policy = cfg.protocol.aggregation_policy();
@@ -391,7 +374,7 @@ fn plan_into(
     for g in &plan.groups {
         let mcs = mcs_for(cfg, g.dest);
         for &k in &plan.indices[g.start..g.start + g.len] {
-            let bytes = node.frame(frames, k).map_or(0, |f| f.bytes);
+            let bytes = node.queue[k].bytes;
             payload_symbols += mcs.symbols_for_bits((bytes + WIRE_OVERHEAD_BYTES) * 8);
         }
     }
@@ -408,7 +391,7 @@ struct RoundScratch {
     priority: Vec<usize>,
     winners: Vec<usize>,
     outcomes: Vec<(usize, bool)>,
-    requeue: Vec<Handle>,
+    requeue: Vec<PendingFrame>,
     plan: PlanBuf,
 }
 
@@ -445,8 +428,10 @@ pub(crate) struct Domain<'m> {
     obs: Obs,
     rng: StdRng,
     nodes: Vec<Node>,
-    frames: Arena<PendingFrame>,
-    calendar: CalendarQueue<ArrivalEvent>,
+    /// The domain's traffic, sorted by time.
+    arrivals: Vec<ArrivalEvent>,
+    /// Index of the first arrival not yet ingested.
+    next_arrival: usize,
     downlink: FlowCollector,
     uplink: FlowCollector,
     channel: ChannelStats,
@@ -464,8 +449,9 @@ pub(crate) struct Domain<'m> {
     /// Engine events processed: arrival ingests plus contention rounds
     /// plus idle hops (the unit of the `mac_dense` events/s benchmark).
     events: u64,
-    /// OBSS coupling strength; 0 disables the extra per-subframe draw
-    /// (single-domain runs keep the exact legacy RNG stream).
+    /// OBSS coupling strength; 0 disables the extra per-subframe draw,
+    /// so a decoupled domain draws exactly what a single-domain run
+    /// draws.
     obss_coupling: f64,
     /// Fraction of the current epoch the neighbouring domains spent
     /// transmitting (input, set at each epoch boundary).
@@ -476,14 +462,8 @@ pub(crate) struct Domain<'m> {
 }
 
 impl<'m> Domain<'m> {
-    /// Builds a domain: seeds the RNG, samples the arrival table
-    /// (identical draw order to the legacy path), loads the calendar
-    /// queue, and sizes every arena and scratch buffer.
-    #[expect(
-        clippy::cast_possible_truncation,
-        clippy::cast_sign_loss,
-        reason = "nonnegative finite time over a 9 µs slot"
-    )]
+    /// Builds a domain: seeds the RNG, samples the arrival table, and
+    /// sets up one empty queue per node.
     pub(crate) fn new(
         cfg: SimConfig,
         model: ModelHandle<'m>,
@@ -493,10 +473,6 @@ impl<'m> Domain<'m> {
     ) -> Domain<'m> {
         let mut rng = StdRng::seed_from_u64(cfg.seed);
         let arrivals = generate_arrivals(&cfg, &mut rng);
-        let mut calendar = CalendarQueue::with_capacity(arrivals.len());
-        for a in &arrivals {
-            calendar.push((a.time / SLOT_TIME) as u64, *a);
-        }
         let total_nodes = cfg.num_aps + cfg.num_stas;
         let nodes: Vec<Node> = (0..total_nodes)
             .map(|k| {
@@ -516,13 +492,13 @@ impl<'m> Domain<'m> {
         let per_sta_downlink = vec![FlowMetrics::default(); cfg.num_stas];
         let scheme = cfg.protocol.estimation();
         Domain {
-            frames: Arena::with_capacity(64),
             cfg,
             model,
             obs,
             rng,
             nodes,
-            calendar,
+            arrivals,
+            next_arrival: 0,
             downlink,
             uplink,
             channel: ChannelStats::default(),
@@ -564,26 +540,22 @@ impl<'m> Domain<'m> {
         let total_nodes = self.cfg.num_aps + self.cfg.num_stas;
 
         // Ingest arrivals up to `now`.
-        loop {
-            let due = matches!(self.calendar.peek(), Some((_, a)) if a.time <= self.now);
-            if !due {
+        while let Some(&a) = self.arrivals.get(self.next_arrival) {
+            if a.time > self.now {
                 break;
             }
-            let Some((_, _, a)) = self.calendar.pop() else {
-                break;
-            };
+            self.next_arrival += 1;
             self.events += 1;
             let was_empty = self.nodes[a.node].queue.is_empty();
             self.next_frame_id += 1;
             let id = self.id_base + self.next_frame_id;
-            let handle = self.frames.alloc(PendingFrame {
+            self.nodes[a.node].queue.push_back(PendingFrame {
                 id,
                 bytes: a.bytes,
                 enqueue: a.time,
                 attempts: 0,
                 dest: a.dest,
             });
-            self.nodes[a.node].queue.push_back(handle);
             // Recorded at the ingestion clock (the moment the MAC sees
             // the frame), which keeps the stream monotone; the arrival's
             // own timestamp survives as queueing delay in the eventual
@@ -607,15 +579,11 @@ impl<'m> Domain<'m> {
         // Expired delay-sensitive downlink frames are discarded.
         if let Some(expiry) = self.cfg.drop_expired_s {
             for k in 0..self.cfg.num_aps {
-                while let Some(&h) = self.nodes[k].queue.front() {
-                    let Some(f) = self.frames.get(h).copied() else {
-                        break;
-                    };
+                while let Some(&f) = self.nodes[k].queue.front() {
                     if self.now - f.enqueue <= expiry {
                         break;
                     }
                     self.nodes[k].queue.pop_front();
-                    self.frames.free(h);
                     self.downlink.record_drop(self.now - f.enqueue);
                     self.trace_drop(&f);
                 }
@@ -629,7 +597,7 @@ impl<'m> Domain<'m> {
             let contending = if n.queue.is_empty() {
                 false
             } else if n.is_ap {
-                ap_eligible(&self.cfg, n, &self.frames, self.now)
+                ap_eligible(&self.cfg, n, self.now)
             } else {
                 true
             };
@@ -662,12 +630,12 @@ impl<'m> Domain<'m> {
             // Advance to the next event: arrival, AP release time, or
             // the step limit (epoch boundary), whichever comes first.
             let mut next = limit.min(self.cfg.duration_s);
-            if let Some((_, a)) = self.calendar.peek() {
+            if let Some(a) = self.arrivals.get(self.next_arrival) {
                 next = next.min(a.time);
             }
             if let Some(w) = self.cfg.aggregation_wait {
                 for k in 0..self.cfg.num_aps {
-                    if let Some(head) = self.nodes[k].frame(&self.frames, 0) {
+                    if let Some(head) = self.nodes[k].queue.front() {
                         next = next.min(head.enqueue + w.max_latency_s);
                     }
                 }
@@ -735,7 +703,6 @@ impl<'m> Domain<'m> {
                     &self.nodes[k],
                     k,
                     &self.occupancy,
-                    &self.frames,
                     &mut self.scratch.plan,
                 );
                 longest = longest.max(self.scratch.plan.data_airtime);
@@ -756,21 +723,16 @@ impl<'m> Domain<'m> {
         for i in 0..self.scratch.winners.len() {
             let k = self.scratch.winners[i];
             // Head-frame retry accounting.
-            let head = self.nodes[k].queue.front().copied();
-            let drop = match head.and_then(|h| self.frames.get_mut(h)) {
+            let drop = match self.nodes[k].queue.front_mut() {
                 Some(frame) => {
                     frame.attempts += 1;
-                    frame.attempts > self.cfg.retry_limit
+                    frame.attempts > RETRY_LIMIT
                 }
                 None => false,
             };
             if drop {
                 let is_ap = self.nodes[k].is_ap;
-                if let Some(f) = self.nodes[k]
-                    .queue
-                    .pop_front()
-                    .and_then(|h| self.frames.free(h))
-                {
+                if let Some(f) = self.nodes[k].queue.pop_front() {
                     let metrics = if is_ap {
                         &mut self.downlink
                     } else {
@@ -801,7 +763,6 @@ impl<'m> Domain<'m> {
             &self.nodes[winner],
             winner,
             &self.occupancy,
-            &self.frames,
             &mut self.scratch.plan,
         );
         let control = control_airtime(&self.cfg, self.scratch.plan.groups.len());
@@ -832,20 +793,15 @@ impl<'m> Domain<'m> {
                     let expiry = self.nodes[j].backoff as f64 * SLOT_TIME + DIFS;
                     if expiry < vulnerable {
                         hidden_loss = true;
-                        let head = self.nodes[j].queue.front().copied();
-                        let drop = match head.and_then(|hh| self.frames.get_mut(hh)) {
+                        let drop = match self.nodes[j].queue.front_mut() {
                             Some(frame) => {
                                 frame.attempts += 1;
-                                frame.attempts > self.cfg.retry_limit
+                                frame.attempts > RETRY_LIMIT
                             }
                             None => false,
                         };
                         if drop {
-                            if let Some(f) = self.nodes[j]
-                                .queue
-                                .pop_front()
-                                .and_then(|hh| self.frames.free(hh))
-                            {
+                            if let Some(f) = self.nodes[j].queue.pop_front() {
                                 self.uplink.record_drop(self.now - f.enqueue);
                                 self.trace_drop(&f);
                             }
@@ -866,13 +822,10 @@ impl<'m> Domain<'m> {
             let busy = rts_airtime(true) + eifs();
             self.now += busy;
             self.epoch_busy_s += busy;
-            {
-                let head = self.nodes[winner].queue.front().copied();
-                if let Some(frame) = head.and_then(|h| self.frames.get_mut(h)) {
-                    frame.attempts += 1;
-                }
-                self.nodes[winner].on_collision(&mut self.rng);
+            if let Some(frame) = self.nodes[winner].queue.front_mut() {
+                frame.attempts += 1;
             }
+            self.nodes[winner].on_collision(&mut self.rng);
             for (sta, air) in self.sta_airtime.iter_mut().enumerate() {
                 let id = self.cfg.num_aps + sta;
                 if id == winner {
@@ -906,9 +859,7 @@ impl<'m> Domain<'m> {
             let mcs = mcs_for(&self.cfg, link);
             for fi in g.start..g.start + g.len {
                 let k = self.scratch.plan.indices[fi];
-                let Some(frame) = self.nodes[winner].frame(&self.frames, k).copied() else {
-                    continue;
-                };
+                let frame = self.nodes[winner].queue[k];
                 let wire_bits = (frame.bytes + WIRE_OVERHEAD_BYTES) * 8;
                 let n_sym = mcs.symbols_for_bits(wire_bits);
                 let p = self.model.get().subframe_success_prob_for(
@@ -998,9 +949,7 @@ impl<'m> Domain<'m> {
                             self.scratch.plan.indices[g.start..g.start + g.len]
                                 .iter()
                                 .map(|&k| {
-                                    let bytes = self.nodes[winner]
-                                        .frame(&self.frames, k)
-                                        .map_or(0, |f| f.bytes);
+                                    let bytes = self.nodes[winner].queue[k].bytes;
                                     let bits = (bytes + WIRE_OVERHEAD_BYTES) * 8;
                                     mcs.airtime_for_bits(bits)
                                 })
@@ -1022,27 +971,22 @@ impl<'m> Domain<'m> {
         }
 
         // Deliver or requeue, removing selected entries in descending
-        // index order to keep indices valid. Delivered and dropped
-        // frames drain straight back into the arena free list;
-        // retransmissions keep their slot and only requeue the handle.
+        // index order to keep indices valid.
         self.scratch
             .outcomes
             .sort_by_key(|&(k, _)| std::cmp::Reverse(k));
         self.scratch.requeue.clear();
         for oi in 0..self.scratch.outcomes.len() {
             let (k, ok) = self.scratch.outcomes[oi];
-            let Some(h) = self.nodes[winner].queue.remove(k) else {
+            let Some(mut frame) = self.nodes[winner].queue.remove(k) else {
                 continue;
             };
+            let metrics = if winner_is_ap {
+                &mut self.downlink
+            } else {
+                &mut self.uplink
+            };
             if ok {
-                let Some(frame) = self.frames.free(h) else {
-                    continue;
-                };
-                let metrics = if winner_is_ap {
-                    &mut self.downlink
-                } else {
-                    &mut self.uplink
-                };
                 metrics.record_delivery(frame.bytes, self.now - frame.enqueue, self.cfg.deadline);
                 self.obs.trace_frame(
                     TraceKind::MacAck,
@@ -1065,56 +1009,30 @@ impl<'m> Domain<'m> {
                     }
                 }
             } else {
-                let Some(frame) = self.frames.get(h).copied() else {
-                    continue;
-                };
-                {
-                    let metrics = if winner_is_ap {
-                        &mut self.downlink
-                    } else {
-                        &mut self.uplink
-                    };
-                    metrics.record_retransmission();
-                }
+                metrics.record_retransmission();
+                frame.attempts += 1;
                 self.obs.trace_frame(
                     TraceKind::MacRetx,
                     frame.id,
                     self.now,
                     trace_u64(frame.dest),
-                    u64::from(frame.attempts) + 1,
+                    u64::from(frame.attempts),
                     0,
                 );
-                let attempts = frame.attempts + 1;
-                if attempts > self.cfg.retry_limit {
-                    self.frames.free(h);
-                    let metrics = if winner_is_ap {
-                        &mut self.downlink
-                    } else {
-                        &mut self.uplink
-                    };
+                if frame.attempts > RETRY_LIMIT {
                     metrics.record_drop(self.now - frame.enqueue);
                     self.trace_drop(&frame);
                 } else {
-                    if let Some(f) = self.frames.get_mut(h) {
-                        f.attempts = attempts;
-                    }
-                    self.scratch.requeue.push(h);
+                    self.scratch.requeue.push(frame);
                 }
             }
         }
         // Failed frames return to the head, oldest first.
-        {
-            let RoundScratch { requeue, .. } = &mut self.scratch;
-            let frames = &self.frames;
-            requeue.sort_by(|&a, &b| {
-                let ea = frames.get(a).map(|f| f.enqueue).unwrap_or(0.0);
-                let eb = frames.get(b).map(|f| f.enqueue).unwrap_or(0.0);
-                eb.total_cmp(&ea)
-            });
-        }
-        for ri in 0..self.scratch.requeue.len() {
-            let h = self.scratch.requeue[ri];
-            self.nodes[winner].queue.push_front(h);
+        self.scratch
+            .requeue
+            .sort_by(|a, b| b.enqueue.total_cmp(&a.enqueue));
+        for &frame in &self.scratch.requeue {
+            self.nodes[winner].queue.push_front(frame);
         }
         self.nodes[winner].on_success(&mut self.rng);
         self.obs.gauge(
@@ -1434,8 +1352,8 @@ mod tests {
             .expect("dense run completes")
     }
 
-    /// The event loop allocates only when a node queue or the frame
-    /// arena reaches a new high-water mark. Past a warm-up second, each
+    /// The event loop allocates only when a node queue or a scratch
+    /// buffer reaches a new high-water mark. Past a warm-up second, each
     /// doubling stretch of simulated time then allocates a few dozen
     /// times at most while its event count doubles: allocations do not
     /// grow with the simulated duration, and an allocation per event (or
@@ -1478,9 +1396,48 @@ mod tests {
         }
     }
 
-    /// The slice-based selector the engine ran on a copy of the AP queue
-    /// before it read the queue in place: `(dest, bytes)` in presentation
-    /// order in, per-receiver groups of view indices out.
+    /// The ingest cursor reads arrivals front to back, so the arrival
+    /// table must be sorted by time for every traffic mix: two-way VoIP,
+    /// CBR, and the background uplink on top of either.
+    #[test]
+    fn generated_arrivals_are_non_decreasing_in_time() {
+        use crate::sim::UplinkTraffic;
+        let cbr = DownlinkTraffic::Cbr {
+            interval_s: 0.013,
+            bytes: 400,
+        };
+        for (downlink, uplink) in [
+            (DownlinkTraffic::Voip, None),
+            (cbr, None),
+            (DownlinkTraffic::Voip, Some(UplinkTraffic::default())),
+            (cbr, Some(UplinkTraffic::default())),
+            (DownlinkTraffic::None, Some(UplinkTraffic::default())),
+        ] {
+            for seed in 1..=4 {
+                let cfg = SimConfig {
+                    num_stas: 12,
+                    duration_s: 3.0,
+                    seed,
+                    downlink,
+                    uplink,
+                    ..SimConfig::default()
+                };
+                let arrivals = generate_arrivals(&cfg, &mut StdRng::seed_from_u64(seed));
+                assert!(
+                    arrivals.len() > 100,
+                    "{downlink:?}/{uplink:?}: too little traffic"
+                );
+                assert!(
+                    arrivals.windows(2).all(|w| w[0].time <= w[1].time),
+                    "{downlink:?}/{uplink:?} seed {seed}: arrivals out of order"
+                );
+            }
+        }
+    }
+
+    /// A slice-based reference selector over a copy of the AP queue:
+    /// `(dest, bytes)` in presentation order in, per-receiver groups of
+    /// view indices out.
     fn oracle_select(
         policy: AggregationPolicy,
         view: &[(usize, usize)],
@@ -1526,9 +1483,9 @@ mod tests {
         groups
     }
 
-    /// The AP's TXOP selection as the engine made it with the oracle:
-    /// legacy head, legacy filter and time-fair ranking applied to a
-    /// copied view, view indices mapped back to queue positions.
+    /// The AP's TXOP selection made with the reference selector: legacy
+    /// head, legacy filter and time-fair ranking applied to a copied
+    /// view, view indices mapped back to queue positions.
     fn oracle_plan(
         cfg: &SimConfig,
         queue: &[(usize, usize)],
@@ -1584,13 +1541,11 @@ mod tests {
             // Few distinct airtimes, so time-fair ties fall back to FIFO.
             let occupancy: Vec<f64> = airtime.iter().map(|&a| f64::from(a) * 1e-3).collect();
             let mut node = Node::new(true, 15);
-            let mut frames = Arena::with_capacity(queue.len());
             for &(dest, bytes) in &queue {
-                let frame = PendingFrame { dest, bytes, ..PendingFrame::default() };
-                node.queue.push_back(frames.alloc(frame));
+                node.queue.push_back(PendingFrame { dest, bytes, ..PendingFrame::default() });
             }
             let mut plan = PlanBuf::default();
-            plan_into(&cfg, &node, 0, &occupancy, &frames, &mut plan);
+            plan_into(&cfg, &node, 0, &occupancy, &mut plan);
             let planned: Vec<(usize, Vec<usize>)> = plan
                 .groups
                 .iter()
@@ -1657,8 +1612,8 @@ mod tests {
     #[test]
     fn decoupled_domain_matches_standalone_simulator() {
         // With zero coupling, each dense domain must reproduce the
-        // single-domain simulator byte for byte: the engine extraction
-        // preserves the exact legacy RNG stream.
+        // single-domain simulator byte for byte: it draws the same RNG
+        // stream.
         let mut cfg = dense_cfg(3, 6, 0);
         cfg.obss_coupling = 0.0;
         let dense = run(&cfg);

@@ -15,6 +15,12 @@
 //! `carpool-phy` Monte-Carlo experiments (the stand-in for the paper's
 //! USRP traces).
 //!
+//! [`sim::Simulator`] runs one domain; [`engine::run_dense`] runs many
+//! co-channel domains in parallel shards. Both step the same
+//! [`engine`] loop, which samples a domain's traffic up front, ingests
+//! it in time order, and keeps pending frames by value in per-node
+//! FIFO queues.
+//!
 //! # Examples
 //!
 //! ```
@@ -32,10 +38,6 @@
 //! assert!(report.downlink.delivered_frames > 0);
 //! ```
 
-/// Generational arena for pending frames (allocation-free steady state).
-pub mod arena;
-/// Indexed calendar queue keyed by 9 µs slot ticks.
-pub mod calendar;
 /// Sharded, allocation-free MAC event engine and dense-scenario driver.
 pub mod engine;
 /// Pluggable frame-decoding outcome models.

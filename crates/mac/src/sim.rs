@@ -15,10 +15,9 @@
 //!
 //! This module holds the configuration surface and the single-domain
 //! driver; the event loop itself lives in [`crate::engine`] as a
-//! steppable [`Domain`](crate::engine) built on the calendar queue
-//! ([`crate::calendar`]) and frame arena ([`crate::arena`]), which is
-//! also what the sharded dense-scenario runner
-//! ([`crate::engine::run_dense`]) drives in parallel.
+//! steppable [`Domain`](crate::engine), which is also what the sharded
+//! dense-scenario runner ([`crate::engine::run_dense`]) drives in
+//! parallel.
 
 use crate::engine::{Domain, ModelHandle};
 use crate::error_model::FrameErrorModel;
@@ -31,6 +30,14 @@ use carpool_phy::mcs::Mcs;
 
 /// Per-MPDU wire overhead: MAC header + FCS + A-MPDU delimiter.
 pub(crate) const WIRE_OVERHEAD_BYTES: usize = MAC_HEADER_BYTES + FCS_BYTES + 2;
+
+/// Data MCS: the paper's 65 Mbit/s 802.11n rate maps to the closest
+/// 802.11a/g rate, 54 Mbit/s QAM64-3/4, in this PHY. Stations without a
+/// per-STA SNR ([`SimConfig::per_sta_snr_db`]) are served at it.
+pub(crate) const DATA_MCS: Mcs = Mcs::QAM64_3_4;
+
+/// Retry limit: a frame whose attempts exceed it is dropped.
+pub(crate) const RETRY_LIMIT: u32 = 7;
 
 /// Downlink traffic offered to each STA.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -114,9 +121,6 @@ pub struct SimConfig {
     pub duration_s: f64,
     /// RNG seed.
     pub seed: u64,
-    /// Data MCS (the paper's 65 Mbit/s 802.11n rate maps to the closest
-    /// 802.11a/g rate, 54 Mbit/s QAM64-3/4, in this PHY).
-    pub data_mcs: Mcs,
     /// Downlink workload per STA.
     pub downlink: DownlinkTraffic,
     /// Optional uplink background workload.
@@ -131,8 +135,6 @@ pub struct SimConfig {
     /// traffic discards expired frames instead of queueing them forever,
     /// as in the paper's Fig. 17 experiments).
     pub drop_expired_s: Option<f64>,
-    /// Retry limit before a frame is dropped.
-    pub retry_limit: u32,
     /// Whether VoIP calls are two-way (each STA also sends an uplink
     /// VoIP stream). Two-way calls create the uplink contention that
     /// starves the AP — the downlink/uplink asymmetry of Section 2.
@@ -141,7 +143,7 @@ pub struct SimConfig {
     /// station is served at the MCS its link supports
     /// ([`crate::rate::mcs_for_snr`]) — "different subframes can adopt
     /// different MCSs" (paper Section 4.1). `None` serves everyone at
-    /// [`SimConfig::data_mcs`].
+    /// QAM64-3/4.
     pub per_sta_snr_db: Option<Vec<f64>>,
     /// Downlink scheduling discipline.
     pub scheduler: SchedulerPolicy,
@@ -171,7 +173,6 @@ impl Default for SimConfig {
             num_aps: 2,
             duration_s: 10.0,
             seed: 1,
-            data_mcs: Mcs::QAM64_3_4,
             downlink: DownlinkTraffic::Voip,
             uplink: None,
             // Per-receiver MPDU budget bounded by the block-ACK window
@@ -183,7 +184,6 @@ impl Default for SimConfig {
             aggregation_wait: None,
             deadline: None,
             drop_expired_s: None,
-            retry_limit: 7,
             bidirectional_voip: true,
             per_sta_snr_db: None,
             scheduler: SchedulerPolicy::Fifo,
@@ -242,8 +242,7 @@ impl Simulator {
     /// Runs the simulation to completion.
     ///
     /// This drives a single [`crate::engine`] domain from 0 to
-    /// `duration_s` in one stride — the event loop, calendar queue, and
-    /// frame arena all live there.
+    /// `duration_s` in one stride; the event loop lives there.
     pub fn run(&self) -> SimReport {
         assert!(self.config.num_aps >= 1, "need at least one AP");
         let _sim_span = self.obs.span(carpool_obs::names::MAC_SIM_LOOP);
