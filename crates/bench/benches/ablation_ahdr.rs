@@ -10,7 +10,8 @@
     reason = "bench target: the printed table is its output"
 )]
 
-use carpool_bench::{banner, run_mac, voip_config};
+use carpool::voip_cell;
+use carpool_bench::{banner, run_mac};
 use carpool_frame::airtime::{ahdr_airtime, CONTROL_MCS};
 use carpool_mac::protocol::Protocol;
 
@@ -43,7 +44,7 @@ fn main() {
     println!();
     println!("30-STA VoIP scenario, downlink goodput:");
     for p in [Protocol::Carpool, Protocol::MuAggregation] {
-        let r = run_mac(voip_config(p, 30, 21));
+        let r = run_mac(voip_cell(p, 30, 21));
         println!(
             "  {:<16} {:>6.2} Mbit/s (mean delay {:.3} s)",
             p.name(),

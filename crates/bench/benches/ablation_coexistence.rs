@@ -10,7 +10,8 @@
     reason = "bench target: the printed table is its output"
 )]
 
-use carpool_bench::{banner, run_mac, voip_config};
+use carpool::voip_cell;
+use carpool_bench::{banner, run_mac};
 use carpool_mac::protocol::Protocol;
 
 fn main() {
@@ -24,7 +25,7 @@ fn main() {
     );
     let mut last = 0.0;
     for fraction in [0.0, 0.25, 0.5, 0.75, 1.0] {
-        let mut cfg = voip_config(Protocol::Carpool, 30, 2);
+        let mut cfg = voip_cell(Protocol::Carpool, 30, 2);
         cfg.carpool_fraction = fraction;
         let r = run_mac(cfg);
         let legacy_start = (fraction * 30.0).ceil() as usize;

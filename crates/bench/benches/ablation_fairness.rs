@@ -11,7 +11,8 @@
     reason = "bench target: the printed table is its output"
 )]
 
-use carpool_bench::{banner, run_mac, voip_config};
+use carpool::voip_cell;
+use carpool_bench::{banner, run_mac};
 use carpool_mac::protocol::Protocol;
 use carpool_mac::sim::SchedulerPolicy;
 
@@ -34,7 +35,7 @@ fn main() {
         ("FIFO", SchedulerPolicy::Fifo),
         ("time-fair", SchedulerPolicy::TimeFair),
     ] {
-        let mut cfg = voip_config(Protocol::Carpool, 20, 4);
+        let mut cfg = voip_cell(Protocol::Carpool, 20, 4);
         cfg.per_sta_snr_db = Some(snrs.clone());
         cfg.scheduler = scheduler;
         let r = run_mac(cfg);

@@ -10,9 +10,10 @@
     reason = "bench target: the printed table is its output"
 )]
 
-use carpool_bench::{banner, run_mac, voip_config};
+use carpool::busy_cell;
+use carpool_bench::{banner, run_mac};
 use carpool_mac::protocol::Protocol;
-use carpool_mac::sim::{HiddenTerminals, UplinkTraffic};
+use carpool_mac::sim::HiddenTerminals;
 
 fn main() {
     banner(
@@ -26,8 +27,7 @@ fn main() {
     for fraction in [0.0, 0.2, 0.5] {
         let mut results = Vec::new();
         for use_rts in [false, true] {
-            let mut cfg = voip_config(Protocol::Carpool, 20, 13);
-            cfg.uplink = Some(UplinkTraffic::default());
+            let mut cfg = busy_cell(Protocol::Carpool, 20, 13);
             cfg.use_rts_cts = use_rts;
             if fraction > 0.0 {
                 cfg.hidden_terminals = Some(HiddenTerminals { fraction });

@@ -8,7 +8,8 @@
     reason = "bench target: the printed table is its output"
 )]
 
-use carpool_bench::{banner, run_mac, voip_config, ResultsTable, SWEEP_PROTOCOLS};
+use carpool::voip_cell;
+use carpool_bench::{banner, run_mac, ResultsTable, SWEEP_PROTOCOLS};
 
 fn main() {
     banner(
@@ -21,7 +22,7 @@ fn main() {
         let mut goodput_row = vec![n.to_string()];
         let mut latency_row = vec![n.to_string()];
         for p in SWEEP_PROTOCOLS {
-            let report = run_mac(voip_config(p, n, 1));
+            let report = run_mac(voip_cell(p, n, 1));
             goodput_row.push(format!("{:.2}", report.downlink_goodput_mbps()));
             latency_row.push(format!("{:.3}", report.downlink_delay_s()));
         }

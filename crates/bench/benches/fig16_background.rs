@@ -10,8 +10,8 @@
     reason = "bench target: the printed table is its output"
 )]
 
-use carpool_bench::{banner, run_mac, voip_config, ResultsTable, SWEEP_PROTOCOLS};
-use carpool_mac::sim::UplinkTraffic;
+use carpool::busy_cell;
+use carpool_bench::{banner, run_mac, ResultsTable, SWEEP_PROTOCOLS};
 
 fn main() {
     banner(
@@ -26,9 +26,7 @@ fn main() {
         let mut latency_row = vec![n.to_string()];
         let mut goodputs = Vec::new();
         for p in SWEEP_PROTOCOLS {
-            let mut cfg = voip_config(p, n, 3);
-            cfg.uplink = Some(UplinkTraffic::default());
-            let report = run_mac(cfg);
+            let report = run_mac(busy_cell(p, n, 3));
             goodput_row.push(format!("{:.2}", report.downlink_goodput_mbps()));
             latency_row.push(format!("{:.3}", report.downlink_delay_s()));
             goodputs.push(report.downlink_goodput_mbps());

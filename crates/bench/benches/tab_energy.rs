@@ -14,7 +14,8 @@ use carpool::energy::{
     compare_energy, energy_overhead_bound, false_positive_rx_overhead, psm_savings,
     DevicePowerModel, PSM_SLEEP_W,
 };
-use carpool_bench::{banner, run_mac, voip_config};
+use carpool::voip_cell;
+use carpool_bench::{banner, run_mac};
 use carpool_mac::protocol::Protocol;
 
 fn main() {
@@ -37,8 +38,8 @@ fn main() {
         "mean client power in the 30-STA VoIP scenario (E-MiLi model)",
     );
     let model = DevicePowerModel::E_MILI;
-    let carpool = run_mac(voip_config(Protocol::Carpool, 30, 7));
-    let legacy = run_mac(voip_config(Protocol::Dot11, 30, 7));
+    let carpool = run_mac(voip_cell(Protocol::Carpool, 30, 7));
+    let legacy = run_mac(voip_cell(Protocol::Dot11, 30, 7));
     let avg = |report: &carpool_mac::SimReport| {
         let shares = &report.sta_airtime;
         let sum: f64 = shares.iter().map(|s| model.mean_power_w(s)).sum();

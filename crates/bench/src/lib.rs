@@ -251,17 +251,6 @@ pub fn run_mac_perfect(config: SimConfig) -> SimReport {
     Simulator::new(config, Box::new(PerfectChannel)).run()
 }
 
-/// Standard VoIP-scenario config for the Fig. 15/16 sweeps.
-pub fn voip_config(protocol: Protocol, num_stas: usize, seed: u64) -> SimConfig {
-    SimConfig {
-        protocol,
-        num_stas,
-        duration_s: 8.0,
-        seed,
-        ..SimConfig::default()
-    }
-}
-
 /// Formats bit/s as Mbit/s with two decimals.
 pub fn mbps(bps: f64) -> String {
     format!("{:.2}", bps / 1e6)
@@ -398,7 +387,7 @@ mod tests {
 
     #[test]
     fn mac_runner_smoke() {
-        let mut cfg = voip_config(Protocol::Carpool, 10, 1);
+        let mut cfg = carpool::voip_cell(Protocol::Carpool, 10, 1);
         cfg.duration_s = 1.0;
         let r = run_mac(cfg);
         assert!(r.downlink.delivered_frames > 0);

@@ -32,8 +32,14 @@ pub fn busy_cell(protocol: Protocol, num_stas: usize, seed: u64) -> SimConfig {
     }
 }
 
-/// Fig. 17: deadline-bounded CBR downlink at the VoIP packet rate with
-/// expired-frame dropping and a deadline-driven aggregation trigger.
+/// Fig. 17 (paper Section 7.2.2): 30 STAs, deadline-bounded CBR downlink
+/// at the VoIP packet rate, and uplink background scaled by
+/// `uplink_scale` (it stands in for the STAs' own VoIP and TCP/UDP
+/// uplink streams, which the paper keeps while replacing the downlink).
+/// Expired frames are dropped, and the deadline also ends aggregation
+/// early: "the aggregation process is ended when the size of the
+/// buffered frames reaches the maximum frame size or the delay of the
+/// oldest frame reaches the maximum latency limit".
 pub fn deadline_cell(
     protocol: Protocol,
     frame_bytes: usize,

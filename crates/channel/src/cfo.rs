@@ -8,7 +8,7 @@
 //!
 //! The ramp is a unit phasor advanced by one complex multiply per
 //! sample and re-anchored from the exact `cis(phase)` every
-//! [`ANCHOR_INTERVAL`] samples, so a sine and a cosine are paid once per
+//! `ANCHOR_INTERVAL` samples, so a sine and a cosine are paid once per
 //! block rather than per sample. Rounding drift between anchors stays
 //! far below 1e-12; the scalar phase track is the plain per-sample
 //! wrapped sum either way.

@@ -81,9 +81,6 @@ COMMANDS:
                beside --trace-out) as per-layer tables and frame
                timelines
                carpool report <path.jsonl>
-    lint       Run the project lint gate (dead public API, unit
-               suffixes, shard protocol); any un-waived finding fails
-               [--json] [--root <dir>] [--explain <rule>]
     help       Show this message
 
 OBSERVABILITY (accepted by every command):
@@ -153,7 +150,6 @@ fn command_options(command: Option<&str>) -> Option<&'static [&'static str]> {
         Some("bloom") => &["receivers", "hashes", "trials"],
         Some("gen-trace") => &["stas", "duration", "seed", "background"],
         Some("report") => &["path"],
-        Some("lint") => &["json", "root", "explain"],
         Some("help") => &[],
         Some(_) => return None,
     })
@@ -550,27 +546,6 @@ fn cmd_gen_trace(args: &Args, obs: &carpool_obs::Obs) -> Result<(), String> {
     Ok(())
 }
 
-/// Runs the lint gate and returns its process exit code verbatim
-/// (0 clean, 1 gate failure, 2 internal analyzer error), so scripts
-/// can distinguish "the code is dirty" from "the linter broke".
-fn cmd_lint(args: &Args) -> i32 {
-    let opts = carpool_lint::LintOptions {
-        root: args.get("root").map(std::path::PathBuf::from),
-        json: args.flag("json"),
-        explain: args.get("explain").map(str::to_string),
-    };
-    let code = carpool_lint::run(&opts);
-    match code {
-        0 => {}
-        1 => eprintln!("error: lint gate failed: un-waived findings (see above)"),
-        _ => eprintln!(
-            "error: lint could not run (bad workspace root, unreadable sources, \
-             unknown rule, or an internal analyzer error)"
-        ),
-    }
-    code
-}
-
 fn main() {
     let args = match Args::parse(std::env::args().skip(1)) {
         Ok(a) => a,
@@ -618,11 +593,6 @@ fn main() {
         Some("bloom") => cmd_bloom(&args, &obs),
         Some("gen-trace") => cmd_gen_trace(&args, &obs),
         Some("report") => report::cmd_report(&args),
-        Some("lint") => {
-            let code = cmd_lint(&args);
-            session.finish();
-            std::process::exit(code);
-        }
         Some("help") | None => {
             println!("{HELP}");
             Ok(())

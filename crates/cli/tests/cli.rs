@@ -36,12 +36,12 @@ fn no_arguments_shows_help() {
 
 #[test]
 fn unknown_options_are_rejected_by_name() {
-    // Options a subcommand does not read — typos and retired lint
-    // flags alike — fail before any work starts.
+    // Options a subcommand does not read — typos, and options of
+    // another subcommand — fail before any work starts.
     for (args, flag) in [
         (&["mac-sim", "--stass", "30"][..], "--stass"),
-        (&["lint", "--no-cache"][..], "--no-cache"),
-        (&["lint", "--sarif", "out"][..], "--sarif"),
+        (&["bloom", "--no-cache"][..], "--no-cache"),
+        (&["report", "--sarif", "out"][..], "--sarif"),
         (
             &["phy-ber", "--frames", "1", "--snr-db", "20"][..],
             "--snr-db",

@@ -40,7 +40,6 @@
 
 /// Sharded, allocation-free MAC event engine and dense-scenario driver.
 pub mod engine;
-/// Pluggable frame-decoding outcome models.
 pub mod error_model;
 /// Flow/channel metrics and the per-run report types.
 pub mod metrics;

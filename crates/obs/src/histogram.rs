@@ -45,7 +45,7 @@ impl LogHistogram {
         }
     }
 
-    /// Bucket index for `value`. Values at or below [`MIN_VALUE`] map to 0;
+    /// Bucket index for `value`. Values at or below `MIN_VALUE` map to 0;
     /// values beyond the covered range clamp into the last bucket.
     pub fn bucket_index(value: f64) -> usize {
         // NaN also lands here: `<=` is false for NaN, so check it explicitly

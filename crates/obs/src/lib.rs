@@ -25,8 +25,6 @@
 //! [`Obs::absorb`]s their records in a fixed order, so every output is
 //! byte-identical at any thread count.
 
-/// The flight record: kinds, the packed record, the ring, and the
-/// JSONL and Chrome-trace renderings.
 pub mod flight;
 #[expect(
     missing_docs,
@@ -40,7 +38,6 @@ mod histogram;
     reason = "member docs not written yet; only crate-root items were ever audited"
 )]
 pub mod json;
-/// Canonical metric and span names shared by the instrumented crates.
 pub mod names;
 mod recorder;
 #[expect(

@@ -1,6 +1,6 @@
 //! Canonical span and counter names used across the stack.
 //!
-//! Every span some site opens is named here and listed in [`SPANS`],
+//! Every span some site opens is named here and listed in `SPANS`,
 //! the table that gives each its own `span.<name>` histogram; counter
 //! names that are not derived from a record kind (see
 //! [`crate::TraceRecord::counters`]) are centralised here so call sites

@@ -467,6 +467,29 @@ mod tests {
     }
 
     #[test]
+    fn results_are_keyed_by_index_not_by_arrival() {
+        // Item 0 finishes only after item 1 has, so item 1's result
+        // arrives first; the output must still be in item order.
+        let (done, wait) = std::sync::mpsc::channel();
+        let wait = Mutex::new(wait);
+        let out = with_threads(2, || {
+            par_map_indexed(&[0usize, 1], |i, _| {
+                if i == 0 {
+                    let _ = wait
+                        .lock()
+                        .unwrap()
+                        .recv_timeout(std::time::Duration::from_secs(60));
+                } else {
+                    done.send(()).unwrap();
+                }
+                i
+            })
+            .unwrap()
+        });
+        assert_eq!(out, [0, 1]);
+    }
+
+    #[test]
     fn empty_and_single_item_inputs() {
         let empty: [u8; 0] = [];
         assert_eq!(
@@ -664,6 +687,46 @@ mod tests {
                 .unwrap_err()
             });
             assert_eq!(err, ParError::WorkerPanic, "threads = {threads}");
+        }
+    }
+
+    #[test]
+    fn sharded_panics_at_different_epochs_are_reported_not_hung() {
+        // Shards 1, 4 and 6 (three workers at four threads) panic at
+        // epochs 3, 1 and 2: the epoch-1 failure must stop every worker
+        // after that barrier, before the later ones are reached. The call
+        // runs on a helper thread, so a worker that leaves the barrier
+        // schedule fails this test instead of hanging it.
+        for threads in [1, 4] {
+            let (done, result) = std::sync::mpsc::channel();
+            let (helper, outcome) = with_threads(threads, || {
+                let helper = std::thread::spawn(move || {
+                    let out = run_sharded(
+                        8,
+                        6,
+                        |s| s,
+                        |state: &mut usize, epoch, _inbox: &[(usize, u8)], outbox| {
+                            if matches!((*state, epoch), (1, 3) | (4, 1) | (6, 2)) {
+                                panic!("boom");
+                            }
+                            outbox.push(((*state + 1) % 8, 0));
+                        },
+                        |m: &(usize, u8)| m.0,
+                        |state| state,
+                    );
+                    let _ = done.send(out);
+                });
+                (
+                    helper,
+                    result.recv_timeout(std::time::Duration::from_secs(60)),
+                )
+            });
+            assert_eq!(
+                outcome,
+                Ok(Err(ParError::WorkerPanic)),
+                "threads = {threads}"
+            );
+            helper.join().unwrap();
         }
     }
 

@@ -57,7 +57,7 @@
 //!   point this PHY sweeps.
 //! * **Branch cost.** A step's cost is `±q_a ± q_b`, so
 //!   `|cost| <= 2 * 2^20 < 2^21` — no overflow in a single add.
-//! * **Path-metric spread.** Every [`NORM_INTERVAL`] steps the minimum
+//! * **Path-metric spread.** Every `NORM_INTERVAL` steps the minimum
 //!   metric is subtracted (a uniform shift, invisible to `argmin`). Any
 //!   state is reachable from any other in `K-1 = 6` steps, so the
 //!   normalized spread is bounded by `2(K-1) * 2^21 = 12 * 2^21 < 2^25`,
@@ -84,7 +84,7 @@
 //!
 //! Each of the four bounds (branch cost, unreached marker, finite
 //! metrics, normalization subtraction) is a `const` assert next to
-//! [`NORM_INTERVAL`], evaluated in `i64`: loosening the clamp, the
+//! `NORM_INTERVAL`, evaluated in `i64`: loosening the clamp, the
 //! marker or the interval fails the build. The runtime half is a unit
 //! test that feeds the portable kernel constant, alternating and
 //! erasure-mixed clamp lattices up to the longest SIG-field frame at
@@ -833,7 +833,9 @@ pub fn decode_levels_with(
 /// already scattered into [`ViterbiScratch::lattice_mut`] — the final
 /// stage of the fused demap→deinterleave→depuncture RX path, which
 /// skips the coded-order intermediate entirely.
-// lint:allow(shard-protocol): caller fully scatters the lattice via lattice_mut by documented contract; the forward pass then overwrites every metric column it reads
+// The scratch is not cleared here: the caller fully scatters the lattice
+// through `lattice_mut` by contract, and the forward pass then
+// overwrites every metric column it reads.
 pub(crate) fn decode_prepared(message_len: usize, scratch: &mut ViterbiScratch) -> Vec<u8> {
     if message_len == 0 {
         return Vec::new();

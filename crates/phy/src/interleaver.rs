@@ -127,7 +127,7 @@ impl Interleaver {
 
     /// Inverts [`Interleaver::interleave`] on one block of any per-bit
     /// values: hard bits or LLRs. The receiver never calls it (its
-    /// [`RxSymbolMap`] folds this permutation into the Viterbi scatter);
+    /// `RxSymbolMap` folds this permutation into the Viterbi scatter);
     /// it is the reference the map and the round-trip tests check against.
     ///
     /// # Panics

@@ -56,7 +56,6 @@ pub mod rx;
 pub mod scrambler;
 pub mod sidechannel;
 pub mod tx;
-/// Process-wide memoization of encoded TX waveforms (see module docs).
 pub mod txcache;
 
 /// Errors produced by the PHY layer.
