@@ -23,17 +23,46 @@ use crate::preamble::ltf_value;
 /// Per-subcarrier complex channel estimate over the 64 FFT bins.
 ///
 /// Unused bins hold `1 + 0i` so that equalising a null carrier is a
-/// harmless no-op.
-#[derive(Debug, Clone, PartialEq)]
+/// harmless no-op. Each bin keeps its reciprocal beside it, refreshed
+/// whenever the bin changes, so equalising multiplies instead of
+/// dividing: `Complex64` division *is* multiplication by `rhs.inv()`,
+/// so the product has the same bits as the quotient, and a fixed
+/// estimate inverts each bin once rather than once per symbol.
+#[derive(Debug, Clone)]
 pub struct ChannelEstimate {
-    bins: Vec<Complex64>,
+    bins: Vec<Bin>,
+}
+
+/// One FFT bin's channel value and its cached reciprocal.
+#[derive(Debug, Clone, Copy)]
+struct Bin {
+    h: Complex64,
+    inv: Complex64,
+}
+
+impl Bin {
+    fn new(h: Complex64) -> Bin {
+        Bin { h, inv: h.inv() }
+    }
+}
+
+/// Estimates are equal when their channel values are: the reciprocals
+/// follow from them (and a zero bin's NaN reciprocal must not make an
+/// estimate unequal to itself).
+impl PartialEq for ChannelEstimate {
+    fn eq(&self, other: &ChannelEstimate) -> bool {
+        self.bins
+            .iter()
+            .map(|b| b.h)
+            .eq(other.bins.iter().map(|b| b.h))
+    }
 }
 
 impl ChannelEstimate {
     /// An identity (flat, unit-gain) estimate.
     pub fn identity() -> ChannelEstimate {
         ChannelEstimate {
-            bins: vec![Complex64::ONE; FFT_SIZE],
+            bins: vec![Bin::new(Complex64::ONE); FFT_SIZE],
         }
     }
 
@@ -44,7 +73,9 @@ impl ChannelEstimate {
     /// Panics if `bins.len() != 64`.
     pub fn from_bins(bins: Vec<Complex64>) -> ChannelEstimate {
         assert_eq!(bins.len(), FFT_SIZE, "need {FFT_SIZE} bins");
-        ChannelEstimate { bins }
+        ChannelEstimate {
+            bins: bins.into_iter().map(Bin::new).collect(),
+        }
     }
 
     /// Least-squares estimate from the two received LTF symbols (each
@@ -55,7 +86,7 @@ impl ChannelEstimate {
     ) -> ChannelEstimate {
         let b1 = fft(&std::array::from_fn(|k| ltf1[CP_LEN + k]));
         let b2 = fft(&std::array::from_fn(|k| ltf2[CP_LEN + k]));
-        let mut bins = vec![Complex64::ONE; FFT_SIZE];
+        let mut estimate = ChannelEstimate::identity();
         for c in -26..=26i32 {
             if c == 0 {
                 continue;
@@ -63,19 +94,25 @@ impl ChannelEstimate {
             let x = ltf_value(c);
             let bin = carrier_to_bin(c);
             let avg = (b1[bin] + b2[bin]).scale(0.5);
-            bins[bin] = avg / x;
+            estimate.set(c, avg / x);
         }
-        ChannelEstimate { bins }
+        estimate
     }
 
     /// Channel value on a logical carrier.
     pub fn at(&self, carrier: i32) -> Complex64 {
-        self.bins[carrier_to_bin(carrier)]
+        self.bins[carrier_to_bin(carrier)].h
     }
 
-    /// Mutable access for calibration (used by the RTE estimator).
-    pub(crate) fn at_mut(&mut self, carrier: i32) -> &mut Complex64 {
-        &mut self.bins[carrier_to_bin(carrier)]
+    /// Sets the channel value on a logical carrier, and its reciprocal
+    /// (calibration by the RTE estimator goes through here).
+    pub(crate) fn set(&mut self, carrier: i32, h: Complex64) {
+        self.bins[carrier_to_bin(carrier)] = Bin::new(h);
+    }
+
+    /// The cached reciprocal `1 / h` on a logical carrier.
+    fn inverse(&self, carrier: i32) -> Complex64 {
+        self.bins[carrier_to_bin(carrier)].inv
     }
 
     /// Zero-forcing equalisation of a received frequency symbol.
@@ -96,10 +133,10 @@ impl ChannelEstimate {
             sym.data
                 .iter()
                 .zip(DATA_CARRIERS)
-                .map(|(v, c)| *v / self.at(c)),
+                .map(|(v, c)| *v * self.inverse(c)),
         );
         for (k, (v, c)) in sym.pilots.iter().zip(PILOT_CARRIERS).enumerate() {
-            out.pilots[k] = *v / self.at(c);
+            out.pilots[k] = *v * self.inverse(c);
         }
     }
 
@@ -116,7 +153,7 @@ impl ChannelEstimate {
             return self.clone();
         }
         let used: Vec<i32> = (-26..=26).filter(|&c| c != 0).collect();
-        let mut bins = self.bins.clone();
+        let mut smoothed = self.clone();
         for &c in &used {
             let mut acc = Complex64::ZERO;
             let mut n = 0usize;
@@ -126,9 +163,9 @@ impl ChannelEstimate {
                     n += 1;
                 }
             }
-            bins[carrier_to_bin(c)] = acc / n as f64;
+            smoothed.set(c, acc / n as f64);
         }
-        ChannelEstimate { bins }
+        smoothed
     }
 
     /// Mean squared error against another estimate over used carriers.
@@ -203,7 +240,7 @@ pub fn compensate_phase(sym: &mut FreqSymbol, offset: f64) {
 mod tests {
     use super::*;
     use crate::modulation::Modulation;
-    use crate::ofdm::modulate_symbol;
+    use crate::ofdm::{modulate_symbol, NUM_DATA};
     use crate::preamble::{generate_preamble, ltf_offsets};
 
     fn apply_flat_channel(samples: &[Complex64], h: Complex64) -> Vec<Complex64> {
@@ -336,6 +373,58 @@ mod tests {
         let selective = ChannelEstimate::from_bins(bins);
         let smoothed = selective.smoothed(6);
         assert!(smoothed.mse(&selective) > 0.1);
+    }
+
+    #[test]
+    fn reciprocal_equalization_matches_division_bit_for_bit() {
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        // Moderate values, and every f64 bit pattern class (zeros,
+        // subnormals, infinities, NaN) from raw words.
+        let mut value = move |raw: bool| {
+            let w = next();
+            if raw {
+                f64::from_bits(w)
+            } else {
+                (w >> 11) as f64 / (1u64 << 51) as f64 - 2.0
+            }
+        };
+        for round in 0..64 {
+            let raw = round % 2 == 1;
+            let bins = (0..FFT_SIZE)
+                .map(|_| Complex64::new(value(raw), value(raw)))
+                .collect();
+            let mut est = ChannelEstimate::from_bins(bins);
+            // The mutator keeps the reciprocals in step.
+            for c in [-26, -21, -1, 1, 7, 26] {
+                est.set(c, Complex64::new(value(raw), value(raw)));
+            }
+            est.set(3, Complex64::ZERO);
+            let data = (0..NUM_DATA)
+                .map(|_| Complex64::new(value(raw), value(raw)))
+                .collect();
+            let sym = FreqSymbol::with_standard_pilots(data, round);
+            let eq = est.equalize(&sym);
+            // Rust leaves the sign and payload of a NaN result open (a
+            // constant-folded 0/0 and a computed one may differ), so a
+            // NaN component matches any NaN; every other value must
+            // match bit for bit.
+            let bits = |z: Complex64| {
+                let word = |x: f64| if x.is_nan() { None } else { Some(x.to_bits()) };
+                (word(z.re), word(z.im))
+            };
+            for ((got, v), c) in eq.data.iter().zip(&sym.data).zip(DATA_CARRIERS) {
+                assert_eq!(bits(*got), bits(*v / est.at(c)), "carrier {c}");
+            }
+            for ((got, v), c) in eq.pilots.iter().zip(&sym.pilots).zip(PILOT_CARRIERS) {
+                assert_eq!(bits(*got), bits(*v / est.at(c)), "pilot {c}");
+            }
+        }
     }
 
     #[test]

@@ -51,34 +51,23 @@ impl Modulation {
         }
     }
 
-    /// Per-axis Gray map: bits -> unnormalised PAM level.
+    /// Per-axis Gray map: bits -> unnormalised PAM level. Only the
+    /// least significant bit of each entry is read.
     fn axis_level(&self, bits: &[u8]) -> f64 {
+        let label = bits
+            .iter()
+            .fold(0, |label, &bit| label << 1 | usize::from(bit & 1));
+        self.label_levels()[label]
+    }
+
+    /// Unnormalised PAM level of each per-axis Gray label (the label's
+    /// bits read as a binary number, first bit most significant), per
+    /// IEEE 802.11-2012 Table 18-8..18-11.
+    fn label_levels(&self) -> &'static [f64] {
         match self {
-            Modulation::Bpsk | Modulation::Qpsk => {
-                if bits[0] == 0 {
-                    -1.0
-                } else {
-                    1.0
-                }
-            }
-            // Matching on the LSB as bool keeps the Gray map exhaustive
-            // without an unreachable arm (callers only pass 0/1).
-            Modulation::Qam16 => match (bits[0] & 1 == 1, bits[1] & 1 == 1) {
-                (false, false) => -3.0,
-                (false, true) => -1.0,
-                (true, true) => 1.0,
-                (true, false) => 3.0,
-            },
-            Modulation::Qam64 => match (bits[0] & 1 == 1, bits[1] & 1 == 1, bits[2] & 1 == 1) {
-                (false, false, false) => -7.0,
-                (false, false, true) => -5.0,
-                (false, true, true) => -3.0,
-                (false, true, false) => -1.0,
-                (true, true, false) => 1.0,
-                (true, true, true) => 3.0,
-                (true, false, true) => 5.0,
-                (true, false, false) => 7.0,
-            },
+            Modulation::Bpsk | Modulation::Qpsk => &[-1.0, 1.0],
+            Modulation::Qam16 => &[-3.0, -1.0, 3.0, 1.0],
+            Modulation::Qam64 => &[-7.0, -5.0, -1.0, -3.0, 7.0, 5.0, 1.0, 3.0],
         }
     }
 
@@ -97,39 +86,6 @@ impl Modulation {
             *point = self.map(&bits[..bps]);
         }
         table
-    }
-
-    /// Per-axis Gray demap: PAM level decision -> bits.
-    fn axis_bits(&self, level: f64, out: &mut Vec<u8>) {
-        match self {
-            Modulation::Bpsk | Modulation::Qpsk => {
-                out.push((level >= 0.0) as u8);
-            }
-            Modulation::Qam16 => {
-                let l = nearest_level(level, &[-3.0, -1.0, 1.0, 3.0]);
-                let bits: [u8; 2] = match l {
-                    0 => [0, 0],
-                    1 => [0, 1],
-                    2 => [1, 1],
-                    _ => [1, 0],
-                };
-                out.extend_from_slice(&bits);
-            }
-            Modulation::Qam64 => {
-                let l = nearest_level(level, &[-7.0, -5.0, -3.0, -1.0, 1.0, 3.0, 5.0, 7.0]);
-                let bits: [u8; 3] = match l {
-                    0 => [0, 0, 0],
-                    1 => [0, 0, 1],
-                    2 => [0, 1, 1],
-                    3 => [0, 1, 0],
-                    4 => [1, 1, 0],
-                    5 => [1, 1, 1],
-                    6 => [1, 0, 1],
-                    _ => [1, 0, 0],
-                };
-                out.extend_from_slice(&bits);
-            }
-        }
     }
 
     /// Maps a group of [`Modulation::bits_per_symbol`] bits to one
@@ -156,22 +112,18 @@ impl Modulation {
             self
         );
         assert!(bits.iter().all(|&b| b <= 1), "non-binary bit value");
+        self.point(bits)
+    }
+
+    /// [`Modulation::map`] without its checks: the same `level * k`
+    /// products, bit for bit.
+    fn point(&self, bits: &[u8]) -> Complex64 {
         let k = self.normalization();
-        match self {
-            Modulation::Bpsk => Complex64::new(self.axis_level(bits) * k, 0.0),
-            Modulation::Qpsk => Complex64::new(
-                self.axis_level(&bits[0..1]) * k,
-                self.axis_level(&bits[1..2]) * k,
-            ),
-            Modulation::Qam16 => Complex64::new(
-                self.axis_level(&bits[0..2]) * k,
-                self.axis_level(&bits[2..4]) * k,
-            ),
-            Modulation::Qam64 => Complex64::new(
-                self.axis_level(&bits[0..3]) * k,
-                self.axis_level(&bits[3..6]) * k,
-            ),
+        if *self == Modulation::Bpsk {
+            return Complex64::new(self.axis_level(bits) * k, 0.0);
         }
+        let (re, im) = bits.split_at(bits.len() / 2);
+        Complex64::new(self.axis_level(re) * k, self.axis_level(im) * k)
     }
 
     /// Maps a full bit slice to constellation points.
@@ -180,33 +132,50 @@ impl Modulation {
     ///
     /// Panics if `bits.len()` is not a multiple of the bits per symbol.
     pub fn map_all(&self, bits: &[u8]) -> Vec<Complex64> {
-        let mut out = Vec::with_capacity(bits.len() / self.bits_per_symbol().max(1));
-        self.map_all_into(bits, &mut out);
-        out
-    }
-
-    /// Appends the mapped points for `bits` to `out` — the reusable-buffer
-    /// form of [`Modulation::map_all`] used by the receive hot loop.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bits.len()` is not a multiple of the bits per symbol.
-    pub fn map_all_into(&self, bits: &[u8], out: &mut Vec<Complex64>) {
         let bps = self.bits_per_symbol();
         assert_eq!(bits.len() % bps, 0, "bit count not a multiple of {bps}");
-        out.reserve(bits.len() / bps);
-        out.extend(bits.chunks(bps).map(|c| self.map(c)));
+        bits.chunks(bps).map(|c| self.map(c)).collect()
+    }
+
+    /// Re-modulates demapped bits (0/1 values, [`Modulation::bits_per_symbol`]
+    /// per point) into `out`, one point per slot: what
+    /// [`Modulation::map_all`] returns, bit for bit, without its
+    /// per-point checks. RTE's data pilots are built this way.
+    pub(crate) fn remap_into(&self, bits: &[u8], out: &mut [Complex64]) {
+        for (point, label) in out
+            .iter_mut()
+            .zip(bits.chunks_exact(self.bits_per_symbol()))
+        {
+            *point = self.point(label);
+        }
     }
 
     /// Hard-decision demapping of equalised constellation points, each to
     /// its [`Modulation::bits_per_symbol`] Gray-label bits.
     pub fn demap_all(&self, points: &[Complex64]) -> Vec<u8> {
         let k = self.normalization();
-        let mut out = Vec::with_capacity(points.len() * self.bits_per_symbol());
-        for p in points {
-            self.axis_bits(p.re / k, &mut out);
-            if *self != Modulation::Bpsk {
-                self.axis_bits(p.im / k, &mut out);
+        let bps = self.bits_per_symbol();
+        let mut out = vec![0u8; points.len() * bps];
+        match self {
+            Modulation::Bpsk => {
+                for (bit, p) in out.iter_mut().zip(points) {
+                    *bit = u8::from(p.re / k >= 0.0);
+                }
+            }
+            Modulation::Qpsk => {
+                for (bits, p) in out.chunks_exact_mut(2).zip(points) {
+                    bits[0] = u8::from(p.re / k >= 0.0);
+                    bits[1] = u8::from(p.im / k >= 0.0);
+                }
+            }
+            Modulation::Qam16 | Modulation::Qam64 => {
+                let levels = self.axis_levels();
+                let mids = self.axis_midpoints();
+                for (bits, p) in out.chunks_exact_mut(bps).zip(points) {
+                    let (re, im) = bits.split_at_mut(bps / 2);
+                    write_label(nearest_level(p.re / k, levels, mids), re);
+                    write_label(nearest_level(p.im / k, levels, mids), im);
+                }
             }
         }
         out
@@ -228,31 +197,13 @@ impl Modulation {
         }
     }
 
-    /// Bits of the Gray label of axis level index `idx`, most-significant
-    /// label bit first (matching [`Modulation::axis_bits`] output order).
-    fn axis_label(&self, idx: usize) -> &'static [u8] {
+    /// Midpoints between adjacent [`Modulation::axis_levels`]: the
+    /// hard-decision thresholds.
+    fn axis_midpoints(&self) -> &'static [f64] {
         match self {
-            Modulation::Bpsk | Modulation::Qpsk => {
-                const L: [[u8; 1]; 2] = [[0], [1]];
-                &L[idx]
-            }
-            Modulation::Qam16 => {
-                const L: [[u8; 2]; 4] = [[0, 0], [0, 1], [1, 1], [1, 0]];
-                &L[idx]
-            }
-            Modulation::Qam64 => {
-                const L: [[u8; 3]; 8] = [
-                    [0, 0, 0],
-                    [0, 0, 1],
-                    [0, 1, 1],
-                    [0, 1, 0],
-                    [1, 1, 0],
-                    [1, 1, 1],
-                    [1, 0, 1],
-                    [1, 0, 0],
-                ];
-                &L[idx]
-            }
+            Modulation::Bpsk | Modulation::Qpsk => &[0.0],
+            Modulation::Qam16 => &[-2.0, 0.0, 2.0],
+            Modulation::Qam64 => &[-6.0, -4.0, -2.0, 0.0, 2.0, 4.0, 6.0],
         }
     }
 
@@ -264,12 +215,13 @@ impl Modulation {
     fn axis_llrs_slice(&self, level: f64, noise_var: f64, out: &mut [f64]) {
         let levels = self.axis_levels();
         let inv = 1.0 / (2.0 * noise_var.max(1e-12));
-        for (b, slot) in out.iter_mut().enumerate() {
+        // Label bits run most significant first.
+        for (shift, slot) in (0..out.len()).rev().zip(out.iter_mut()) {
             let mut best0 = f64::INFINITY;
             let mut best1 = f64::INFINITY;
             for (idx, &l) in levels.iter().enumerate() {
                 let d = (level - l) * (level - l);
-                if self.axis_label(idx)[b] == 0 {
+                if (gray(idx) >> shift) & 1 == 0 {
                     best0 = best0.min(d);
                 } else {
                     best1 = best1.min(d);
@@ -315,17 +267,34 @@ impl std::fmt::Display for Modulation {
     }
 }
 
-fn nearest_level(value: f64, levels: &[f64]) -> usize {
-    let mut best = 0;
-    let mut best_d = f64::INFINITY;
-    for (k, &l) in levels.iter().enumerate() {
-        let d = (value - l).abs();
-        if d < best_d {
-            best_d = d;
-            best = k;
-        }
+/// Gray label of the PAM level with ascending index `idx`.
+const fn gray(idx: usize) -> usize {
+    idx ^ (idx >> 1)
+}
+
+/// Writes the Gray label of level index `idx` into `out`, most
+/// significant bit first.
+fn write_label(idx: usize, out: &mut [u8]) {
+    let label = gray(idx);
+    for (shift, bit) in (0..out.len()).rev().zip(out.iter_mut()) {
+        *bit = u8::from((label >> shift) & 1 == 1);
     }
-    best
+}
+
+/// Index of the first of `levels` (ascending) at the least rounded
+/// distance `|value - level|`; `mids` are the midpoints of adjacent
+/// levels. This is exactly what a scan keeping the first strict minimum
+/// returns, rounding ties, huge values, ±inf and NaN (all index 0)
+/// included: the count of midpoints strictly below `value` indexes an
+/// exactly nearest level, and rounding keeps the distances' order
+/// weakly, so any rounded tie with it lies to its left, and the walk
+/// left lands on the first.
+fn nearest_level(value: f64, levels: &[f64], mids: &[f64]) -> usize {
+    let mut j = mids.iter().filter(|&&m| m < value).count();
+    while j > 0 && (value - levels[j - 1]).abs() <= (value - levels[j]).abs() {
+        j -= 1;
+    }
+    j
 }
 
 #[cfg(test)]
@@ -424,5 +393,145 @@ mod tests {
     #[test]
     fn display_names() {
         assert_eq!(Modulation::Qam64.to_string(), "QAM64");
+    }
+
+    /// Reference slicer: a scan over every level keeping the first
+    /// strict minimum of `|v - l|`.
+    fn scan_nearest_level(value: f64, levels: &[f64]) -> usize {
+        let mut best = 0;
+        let mut best_d = f64::INFINITY;
+        for (k, &l) in levels.iter().enumerate() {
+            let d = (value - l).abs();
+            if d < best_d {
+                best_d = d;
+                best = k;
+            }
+        }
+        best
+    }
+
+    /// Reference hard demap: per axis, the scan above and an explicit
+    /// Gray label table (`>= 0` for BPSK and QPSK).
+    fn oracle_demap(m: Modulation, points: &[Complex64]) -> Vec<u8> {
+        const Q16: [[u8; 2]; 4] = [[0, 0], [0, 1], [1, 1], [1, 0]];
+        const Q64: [[u8; 3]; 8] = [
+            [0, 0, 0],
+            [0, 0, 1],
+            [0, 1, 1],
+            [0, 1, 0],
+            [1, 1, 0],
+            [1, 1, 1],
+            [1, 0, 1],
+            [1, 0, 0],
+        ];
+        let k = m.normalization();
+        let mut out = Vec::new();
+        let mut axis = |v: f64| match m {
+            Modulation::Bpsk | Modulation::Qpsk => out.push(u8::from(v >= 0.0)),
+            Modulation::Qam16 => out.extend(Q16[scan_nearest_level(v, m.axis_levels())]),
+            Modulation::Qam64 => out.extend(Q64[scan_nearest_level(v, m.axis_levels())]),
+        };
+        for p in points {
+            axis(p.re / k);
+            if m != Modulation::Bpsk {
+                axis(p.im / k);
+            }
+        }
+        out
+    }
+
+    /// Axis values where a slicer can go wrong: ±64 ulps around every
+    /// midpoint and level, signed zeros, infinities, NaN and huge and
+    /// tiny magnitudes.
+    fn edge_values(m: Modulation) -> Vec<f64> {
+        let mut out = vec![0.0, -0.0, f64::INFINITY, f64::NEG_INFINITY, f64::NAN];
+        for e in [1e17, 1e-17, 1e300, 1e-300, f64::MAX, f64::MIN_POSITIVE] {
+            out.extend([e, -e]);
+        }
+        for &centre in m.axis_midpoints().iter().chain(m.axis_levels()) {
+            let (mut up, mut down) = (centre, centre);
+            out.push(centre);
+            for _ in 0..64 {
+                up = up.next_up();
+                down = down.next_down();
+                out.extend([up, down]);
+            }
+        }
+        out
+    }
+
+    /// Every f64 bit pattern class: xorshift64 words read as f64.
+    fn random_values(n: usize) -> impl Iterator<Item = f64> {
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        (0..n).map(move |_| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            f64::from_bits(x)
+        })
+    }
+
+    #[test]
+    fn threshold_slicer_matches_the_scan_exactly() {
+        for m in [Modulation::Qam16, Modulation::Qam64] {
+            let (levels, mids) = (m.axis_levels(), m.axis_midpoints());
+            let values = edge_values(m).into_iter().chain(random_values(1 << 21));
+            for v in values {
+                assert_eq!(
+                    nearest_level(v, levels, mids),
+                    scan_nearest_level(v, levels),
+                    "{m} at {v:e} ({:#018x})",
+                    v.to_bits()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn demap_all_matches_the_scanning_demap() {
+        for m in Modulation::ALL {
+            let axis: Vec<f64> = edge_values(m)
+                .into_iter()
+                .chain(random_values(4096))
+                .collect();
+            // Every edge value on each axis, paired with a random one.
+            let points: Vec<Complex64> = axis
+                .iter()
+                .zip(axis.iter().rev())
+                .flat_map(|(&a, &b)| {
+                    [
+                        Complex64::new(a * m.normalization(), b),
+                        Complex64::new(b, a),
+                    ]
+                })
+                .collect();
+            let got = m.demap_all(&points);
+            let want = oracle_demap(m, &points);
+            assert_eq!(got.len(), want.len(), "{m}");
+            for (k, p) in points.iter().enumerate() {
+                let bps = m.bits_per_symbol();
+                let range = k * bps..(k + 1) * bps;
+                assert_eq!(got[range.clone()], want[range], "{m} at {p:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn remap_matches_map_bit_for_bit_for_every_label() {
+        for m in Modulation::ALL {
+            let bps = m.bits_per_symbol();
+            let labels = all_bit_patterns(bps);
+            let bits: Vec<u8> = labels.concat();
+            let mut points = vec![Complex64::new(f64::NAN, f64::NAN); labels.len()];
+            m.remap_into(&bits, &mut points);
+            for (label, point) in labels.iter().zip(&points) {
+                let want = m.map(label);
+                assert_eq!(
+                    (point.re.to_bits(), point.im.to_bits()),
+                    (want.re.to_bits(), want.im.to_bits()),
+                    "{m} {label:?}"
+                );
+            }
+        }
     }
 }

@@ -16,7 +16,9 @@
 
 use crate::equalizer::ChannelEstimate;
 use crate::math::Complex64;
-use crate::ofdm::{pilot_polarity, FreqSymbol, DATA_CARRIERS, PILOT_BASE, PILOT_CARRIERS};
+use crate::ofdm::{
+    pilot_polarity, FreqSymbol, DATA_CARRIERS, NUM_DATA, PILOT_BASE, PILOT_CARRIERS,
+};
 
 /// How a fresh data-pilot estimate is folded into the running estimate.
 ///
@@ -127,17 +129,34 @@ impl RteEstimator {
     /// Panics if `decided.len() != 48`.
     pub fn update(&mut self, received: &FreqSymbol, decided: &[Complex64], symbol_index: usize) {
         assert_eq!(decided.len(), received.data.len(), "decided point count");
+        // Fresh per-carrier estimates `rx / tx` with their reliability
+        // weights, computed once for the gate and the fold. A null
+        // decision yields none: it cannot be divided by. Dividing by a
+        // low-energy (inner) constellation point amplifies receiver
+        // noise by 1/|Y|^2 — up to ~20x for inner 64-QAM points — so the
+        // innovation is scaled by min(1, |Y|^2): weak data pilots nudge
+        // rather than overwrite the estimate.
+        let mut fresh = [None; NUM_DATA];
+        for (slot, (rx, tx)) in fresh.iter_mut().zip(received.data.iter().zip(decided)) {
+            *slot = if tx.norm_sqr() < 1e-12 {
+                None
+            } else {
+                Some((*rx / *tx, tx.norm_sqr().min(1.0)))
+            };
+        }
+        let usable = || {
+            DATA_CARRIERS
+                .iter()
+                .zip(&fresh)
+                .filter_map(|(&c, f)| Some((c, (*f)?)))
+        };
         // Innovation gate: compare the fresh per-carrier estimates to the
         // running ones before committing anything.
         if self.innovation_gate.is_finite() {
             let mut deviation = 0.0f64;
             let mut reference = 0.0f64;
             let mut n = 0usize;
-            for ((rx, tx), carrier) in received.data.iter().zip(decided).zip(DATA_CARRIERS) {
-                if tx.norm_sqr() < 1e-12 {
-                    continue;
-                }
-                let fresh = *rx / *tx;
+            for (carrier, (fresh, _)) in usable() {
                 let current = self.estimate.at(carrier);
                 deviation += (fresh - current).norm_sqr();
                 reference += current.norm_sqr();
@@ -148,27 +167,17 @@ impl RteEstimator {
                 return;
             }
         }
-        for ((rx, tx), carrier) in received.data.iter().zip(decided).zip(DATA_CARRIERS) {
-            if tx.norm_sqr() < 1e-12 {
-                continue; // cannot divide by a null decision
-            }
-            let fresh = *rx / *tx;
-            // Reliability weighting: dividing by a low-energy (inner)
-            // constellation point amplifies receiver noise by 1/|Y|^2 —
-            // up to ~20x for inner 64-QAM points. Scale the innovation
-            // by min(1, |Y|^2) so weak data pilots nudge rather than
-            // overwrite the estimate.
-            let weight = tx.norm_sqr().min(1.0);
-            let slot = self.estimate.at_mut(carrier);
-            let folded = self.rule.fold(*slot, fresh);
-            *slot = *slot + (folded - *slot).scale(weight);
+        for (carrier, (fresh, weight)) in usable() {
+            let old = self.estimate.at(carrier);
+            let folded = self.rule.fold(old, fresh);
+            self.estimate
+                .set(carrier, old + (folded - old).scale(weight));
         }
         let polarity = pilot_polarity(symbol_index);
         for ((rx, base), carrier) in received.pilots.iter().zip(PILOT_BASE).zip(PILOT_CARRIERS) {
             let known = Complex64::new(base * polarity, 0.0);
-            let fresh = *rx / known;
-            let slot = self.estimate.at_mut(carrier);
-            *slot = self.rule.fold(*slot, fresh);
+            let old = self.estimate.at(carrier);
+            self.estimate.set(carrier, self.rule.fold(old, *rx / known));
         }
         self.updates += 1;
     }

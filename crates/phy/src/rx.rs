@@ -141,55 +141,26 @@ impl Estimator {
             Estimator::Rte(r) => r.estimate(),
         }
     }
-
-    fn update(&mut self, received: &FreqSymbol, decided: &[Complex64], idx: usize) {
-        if let Estimator::Rte(r) = self {
-            r.update(received, decided, idx);
-        }
-    }
-
-    /// `(updates, rejected)` counters when running RTE, `None` otherwise.
-    fn rte_counters(&self) -> Option<(usize, usize)> {
-        match self {
-            Estimator::Fixed => None,
-            Estimator::Rte(r) => Some((r.updates(), r.rejected())),
-        }
-    }
 }
 
-/// Buffered state for one side-channel CRC group. Cleared buffers are
-/// parked in spare pools instead of dropped, so the per-symbol
-/// `compensated`/`decided` entries recycle their allocations.
-#[derive(Debug)]
+/// Buffered state for one side-channel CRC group: its demapped bits and
+/// side values and, under RTE only, copies of its raw symbols before the
+/// last (the last is still in [`PhyScratch`]'s `raw` slot when the group
+/// closes). Cleared symbol copies are parked in a spare pool instead of
+/// dropped, so they recycle their allocations.
+#[derive(Debug, Default)]
 struct GroupBuffer {
     bits: Vec<u8>,
     side_values: Vec<u8>,
-    compensated: Vec<FreqSymbol>,
-    decided: Vec<Vec<Complex64>>,
-    indices: Vec<usize>,
-    spare_syms: Vec<FreqSymbol>,
-    spare_points: Vec<Vec<Complex64>>,
+    received: Vec<FreqSymbol>,
+    spare: Vec<FreqSymbol>,
 }
 
 impl GroupBuffer {
-    fn new() -> GroupBuffer {
-        GroupBuffer {
-            bits: Vec::new(),
-            side_values: Vec::new(),
-            compensated: Vec::new(),
-            decided: Vec::new(),
-            indices: Vec::new(),
-            spare_syms: Vec::new(),
-            spare_points: Vec::new(),
-        }
-    }
-
     fn clear(&mut self) {
         self.bits.clear();
         self.side_values.clear();
-        self.spare_syms.append(&mut self.compensated);
-        self.spare_points.append(&mut self.decided);
-        self.indices.clear();
+        self.spare.append(&mut self.received);
     }
 }
 
@@ -217,7 +188,7 @@ impl Default for PhyScratch {
             eq: FreqSymbol::zeroed(),
             llrs: Vec::new(),
             viterbi: ViterbiScratch::default(),
-            group: GroupBuffer::new(),
+            group: GroupBuffer::default(),
             rx_maps: Vec::new(),
         }
     }
@@ -492,7 +463,12 @@ impl<'a> FrameDecoder<'a> {
         };
 
         let group = &mut scratch.group;
-        group.clear();
+        if let Some(sc) = &layout.side_channel {
+            // Size the group's bits once: one row per symbol.
+            group
+                .bits
+                .reserve(sc.group_symbols.min(num_symbols) * n_cbps);
+        }
         let bits_per = layout
             .side_channel
             .map(|sc| sc.modulation.bits_per_symbol())
@@ -544,28 +520,23 @@ impl<'a> FrameDecoder<'a> {
                     sc.modulation.demodulate(track.offset - *prev_phase)
                 };
                 side_values.push(value);
-
-                // Buffer the group for CRC check and RTE update. The RTE
-                // update uses the *raw* symbol with the tracked common
-                // phase removed, keeping the preamble phase convention.
-                let mut compensated_raw = group.spare_syms.pop().unwrap_or_else(FreqSymbol::zeroed);
-                compensated_raw.data.clear();
-                compensated_raw.data.extend_from_slice(&scratch.raw.data);
-                compensated_raw.pilots = scratch.raw.pilots;
-                compensate_phase(&mut compensated_raw, track.offset);
-                let mut decided = group.spare_points.pop().unwrap_or_default();
-                decided.clear();
-                layout.mcs.modulation.map_all_into(&hard, &mut decided);
                 group.bits.extend_from_slice(&hard);
                 group.side_values.push(value);
-                group.compensated.push(compensated_raw);
-                group.decided.push(decided);
-                group.indices.push(idx);
 
-                let group_full = group.indices.len() == sc.group_symbols;
-                let last_symbol = k == num_symbols - 1;
-                if group_full || last_symbol {
-                    let crc = sc.crc_for_group(group.indices.len());
+                let len = group.side_values.len();
+                if len < sc.group_symbols && k < num_symbols - 1 {
+                    // The group stays open. RTE may update from this
+                    // symbol once the group's CRC is known, so it keeps
+                    // a copy of the raw symbol; nothing else reads it.
+                    if let Estimator::Rte(_) = estimator {
+                        let mut held = group.spare.pop().unwrap_or_else(FreqSymbol::zeroed);
+                        held.data.clone_from(&scratch.raw.data);
+                        held.pilots = scratch.raw.pilots;
+                        group.received.push(held);
+                    }
+                } else {
+                    let first = idx + 1 - len;
+                    let crc = sc.crc_for_group(len);
                     let mut checksum = 0u64;
                     for (j, &v) in group.side_values.iter().enumerate() {
                         checksum |= u64::from(v) << (j * bits_per);
@@ -579,50 +550,50 @@ impl<'a> FrameDecoder<'a> {
                     )]
                     let checksum = (checksum & ((1u64 << width) - 1)) as u8;
                     let ok = crc.verify(&group.bits, checksum);
-                    for _ in 0..group.indices.len() {
+                    for _ in 0..len {
                         crc_ok.push(ok);
                     }
                     obs.trace(
                         TraceKind::SideCrc,
                         symbol_time(idx),
-                        group.indices[0] as u64,
+                        first as u64,
                         u64::from(ok),
                         0,
                     );
-                    if ok {
-                        for ((rx_sym, decided), sym_idx) in group
-                            .compensated
-                            .iter()
-                            .zip(&group.decided)
-                            .zip(&group.indices)
-                        {
-                            if obs.enabled() {
-                                let before = estimator.rte_counters();
-                                estimator.update(rx_sym, decided, *sym_idx);
-                                if let (Some((b, _)), Some((a, _))) =
-                                    (before, estimator.rte_counters())
-                                {
-                                    obs.trace(
-                                        TraceKind::RteRecal,
-                                        symbol_time(*sym_idx),
-                                        *sym_idx as u64,
-                                        u64::from(a > b),
-                                        0,
-                                    );
-                                }
-                            } else {
-                                estimator.update(rx_sym, decided, *sym_idx);
+                    match estimator {
+                        Estimator::Rte(rte) if ok => {
+                            // Each symbol is a data pilot: its raw value
+                            // with the tracked common phase removed
+                            // (keeping the preamble phase convention)
+                            // against its decided points, re-modulated
+                            // from the demapped bits.
+                            let held = group.received.iter_mut();
+                            let symbols = held.chain(std::iter::once(&mut scratch.raw));
+                            let rows = group.bits.chunks_exact(n_cbps);
+                            let offsets = &phase_offsets[k + 1 - len..];
+                            for (j, ((sym, row), &offset)) in
+                                symbols.zip(rows).zip(offsets).enumerate()
+                            {
+                                compensate_phase(sym, offset);
+                                let mut decided = [Complex64::ZERO; NUM_DATA];
+                                modulation.remap_into(row, &mut decided);
+                                let before = rte.updates();
+                                rte.update(sym, &decided, first + j);
+                                let applied = rte.updates() > before;
+                                let t = symbol_time(first + j);
+                                let symbol = (first + j) as u64;
+                                obs.trace(TraceKind::RteRecal, t, symbol, u64::from(applied), 0);
                             }
                         }
-                    } else if obs.enabled() {
-                        // A failed group CRC vetoes every candidate update
-                        // in the group (paper Section 5 gating).
-                        if estimator.rte_counters().is_some() {
-                            for &sym_idx in &group.indices {
-                                let symbol = sym_idx as u64;
-                                obs.trace(TraceKind::RteRecal, symbol_time(sym_idx), symbol, 0, 0);
+                        Estimator::Rte(_) => {
+                            // A failed group CRC vetoes every candidate
+                            // update in the group (paper Section 5 gating).
+                            for sym_idx in first..=idx {
+                                let t = symbol_time(sym_idx);
+                                obs.trace(TraceKind::RteRecal, t, sym_idx as u64, 0, 0);
                             }
                         }
+                        Estimator::Fixed => {}
                     }
                     group.clear();
                 }

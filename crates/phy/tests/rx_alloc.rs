@@ -11,6 +11,10 @@
 //!   section list and a fresh scratch's first-use buffers. Nothing else
 //!   grows with the frame length, and under `Fec::Off` that constant
 //!   holds no Viterbi lattice or survivor buffers, so it is smaller.
+//!   The side-channel group buffers in it depend on the estimator:
+//!   Standard keeps only each CRC group's bits and side values, while
+//!   RTE, on groups of more than one symbol, also keeps copies of the
+//!   raw symbols it may update from once the group's CRC is known.
 //! * The Viterbi decoder allocates only the bits it returns once its
 //!   scratch is warm.
 //!
@@ -25,7 +29,8 @@ use carpool_phy::convolutional::{decode_levels_with, encode, CodeRate, ViterbiSc
 use carpool_phy::mcs::Mcs;
 use carpool_phy::rte::CalibrationRule;
 use carpool_phy::rx::{receive_with, Estimation, Fec, FrameDecoder, PhyScratch, SectionLayout};
-use carpool_phy::tx::{transmit, SectionSpec, TxFrame};
+use carpool_phy::sidechannel::PhaseOffsetMod;
+use carpool_phy::tx::{transmit, SectionSpec, SideChannelConfig, TxFrame};
 use counting_alloc::{allocations_during, CountingAlloc};
 
 #[global_allocator]
@@ -42,9 +47,23 @@ fn bits(len: usize) -> Vec<u8> {
         .collect()
 }
 
+/// Body shapes of [`frame`]: a scrambled payload with the default side
+/// channel (CRC groups of one symbol), a legacy payload, a plain
+/// header-style section, and a payload whose CRC groups span three
+/// symbols.
+const KINDS: usize = 4;
+
+/// Symbols per side-channel CRC group of body `kind`, 0 without one.
+fn group_symbols(kind: usize) -> usize {
+    match kind {
+        0 => 1,
+        3 => 3,
+        _ => 0,
+    }
+}
+
 /// An A-HDR-led frame: the QBPSK header section, then one section of
-/// `len` bits shaped by `kind` (0: scrambled payload with the side
-/// channel, 1: legacy payload, 2: plain header-style section).
+/// `len` bits shaped by `kind` (see [`KINDS`]).
 #[expect(
     clippy::expect_used,
     reason = "test helper: a failed setup fails the test"
@@ -53,9 +72,16 @@ fn frame(mcs: Mcs, len: usize, kind: usize) -> (TxFrame, Vec<SectionLayout>) {
     let body = match kind {
         0 => SectionSpec::payload(bits(len), mcs),
         1 => SectionSpec::payload_legacy(bits(len), mcs),
-        _ => SectionSpec {
+        2 => SectionSpec {
             mcs,
             ..SectionSpec::header(bits(len))
+        },
+        _ => SectionSpec {
+            side_channel: Some(SideChannelConfig {
+                modulation: PhaseOffsetMod::TwoBit,
+                group_symbols: 3,
+            }),
+            ..SectionSpec::payload(bits(len), mcs)
         },
     };
     let specs = [SectionSpec::header_qbpsk(bits(48)), body];
@@ -81,7 +107,7 @@ fn assert_section_budget(fec: Fec) {
     for estimation in ESTIMATIONS {
         for mcs in [Mcs::BPSK_1_2, Mcs::QPSK_3_4, Mcs::QAM64_3_4] {
             for len in [24, 800, 12_003] {
-                for kind in 0..3 {
+                for kind in 0..KINDS {
                     let (tx, layouts) = frame(mcs, len, kind);
                     // Warm the scratch on the same shape, as a pool
                     // worker's scratch is after its first station.
@@ -148,7 +174,7 @@ fn frame_setups(estimation: Estimation, mcs: Mcs, kind: usize, fec: Fec) -> Vec<
 fn receive_adds_only_a_per_frame_constant() {
     for estimation in ESTIMATIONS {
         for mcs in [Mcs::BPSK_1_2, Mcs::QAM64_3_4] {
-            for kind in 0..3 {
+            for kind in 0..KINDS {
                 // Frame setup must not depend on the frame length.
                 let setups = frame_setups(estimation, mcs, kind, Fec::Hard);
                 assert!(
@@ -171,24 +197,34 @@ fn receive_adds_only_a_per_frame_constant() {
     }
 }
 
-/// First use of the side-channel group buffers on a fresh scratch: the
-/// group's bit, value, symbol, point and index lists, a symbol and a
-/// point row, and the two spare pools they are parked in.
-const SIDE_GROUP_FIRST_USE: usize = 9;
+/// First use of the side-channel group buffers on a fresh scratch, for
+/// CRC groups of `group` symbols (0: no side channel): the group's bit
+/// and value lists. RTE on groups of more than one symbol also keeps a
+/// copy of each raw symbol but the last until the group's CRC is known:
+/// the list of copies, the copies themselves and the spare pool they are
+/// parked in. Standard estimation never reads them, so it keeps none.
+fn side_group_first_use(estimation: Estimation, group: usize) -> usize {
+    let lists = if group > 0 { 2 } else { 0 };
+    let copies = match estimation {
+        Estimation::Rte(_) if group > 1 => 1 + (group - 1) + 1,
+        _ => 0,
+    };
+    lists + copies
+}
 
 #[test]
 fn fec_off_frame_setup_is_constant_and_holds_no_trellis() {
     for estimation in ESTIMATIONS {
         for mcs in [Mcs::BPSK_1_2, Mcs::QAM64_3_4] {
-            for kind in 0..3 {
+            for kind in 0..KINDS {
                 let (tx, _) = frame(mcs, 800, kind);
                 let (decoder_setup, _) =
                     allocations_during(|| FrameDecoder::new(&tx.samples, estimation));
                 // Beyond the decoder setup: the section list and, with
                 // the side channel on, the group buffers. No scatter
                 // map, lattice or survivor buffer, at any length.
-                let side = usize::from(kind == 0);
-                let expected = decoder_setup + 1 + side * SIDE_GROUP_FIRST_USE;
+                let expected =
+                    decoder_setup + 1 + side_group_first_use(estimation, group_symbols(kind));
                 let off = frame_setups(estimation, mcs, kind, Fec::Off);
                 assert_eq!(off, [expected; 3], "{estimation:?} {mcs} kind {kind}");
                 let hard = frame_setups(estimation, mcs, kind, Fec::Hard);

@@ -18,6 +18,15 @@
 //!   thread-count invariance tests; a `store` in place of the
 //!   `fetch_min` behaves the same under today's barrier schedule, so
 //!   only this check notices it.
+//! - **`pub fn` ratchet.** The `pub fn` declarations of each directory
+//!   (a crate under `crates/`, or a section of the root package) must
+//!   number exactly its ceiling in [`PUB_FN_CEILINGS`] (0 when unlisted):
+//!   a count over the ceiling fails, so the public surface never grows,
+//!   and a count under it fails with the lower ceiling to write, so a
+//!   removal ratchets it down. Raising a ceiling needs a stated reason
+//!   in the change. A declaration is `pub`, any of `const`, `async`,
+//!   `unsafe` and `extern "ABI"`, then `fn`, in code: the words in a
+//!   string or a comment do not count.
 //!
 //! The scan leans on the rustfmt layout `scripts/check.sh` enforces: a
 //! top-level item starts at column 0, so the `pub` items are the code
@@ -36,6 +45,23 @@ use std::path::{Path, PathBuf};
 
 /// Crates under `crates/` whose sources the rules do not audit.
 const TOOL_CRATES: [&str; 2] = ["bench", "cli"];
+
+/// The `pub fn` ratchet's ceiling per directory; an unlisted directory
+/// (the root package's `src/`, `tests/` and `examples/` among them) has
+/// a ceiling of 0.
+const PUB_FN_CEILINGS: [(&str, usize); 11] = [
+    ("crates/bench", 11),
+    ("crates/bloom", 18),
+    ("crates/carpool", 28),
+    ("crates/channel", 34),
+    ("crates/cli", 19),
+    ("crates/frame", 61),
+    ("crates/mac", 39),
+    ("crates/obs", 84),
+    ("crates/par", 5),
+    ("crates/phy", 144),
+    ("crates/traffic", 45),
+];
 
 /// One line of a file after [`blank`].
 #[derive(Debug, Default)]
@@ -73,6 +99,17 @@ impl File {
             }),
             Some((section, _)) => ("", section),
             None => ("", ""),
+        }
+    }
+
+    /// The directory the `pub fn` ratchet counts this file under: its
+    /// crate (`crates/<name>`) or its section of the root package.
+    fn ratchet_dir(&self) -> &str {
+        let mut parts = self.path.splitn(3, '/');
+        match (parts.next(), parts.next()) {
+            (Some("crates"), Some(name)) => &self.path[.."crates/".len() + name.len()],
+            (Some(section), _) => section,
+            (None, _) => "",
         }
     }
 
@@ -648,6 +685,55 @@ fn barrier_tag(files: &[File]) -> Vec<String> {
         .collect()
 }
 
+// ---------------------------------------------------- the pub fn ratchet
+
+/// Words that may stand between `pub` and `fn` in a declaration; `""`
+/// is an `extern` ABI string after blanking.
+const FN_QUALIFIERS: [&str; 5] = ["const", "async", "unsafe", "extern", "\"\""];
+
+/// Whether a blanked code line declares a `pub` function.
+fn declares_pub_fn(code: &str) -> bool {
+    let tokens: Vec<&str> = code.split_whitespace().collect();
+    tokens.iter().enumerate().any(|(k, &token)| {
+        token == "pub"
+            && tokens[k + 1..]
+                .iter()
+                .find(|t| !FN_QUALIFIERS.contains(t))
+                .is_some_and(|&t| t == "fn")
+    })
+}
+
+/// A finding for each directory whose `pub fn` count is not its ceiling
+/// (0 for a directory `ceilings` does not list).
+fn pub_fn_ratchet(sources: &[(String, String)], ceilings: &[(&str, usize)]) -> Vec<String> {
+    let files: Vec<File> = sources.iter().map(|(p, t)| File::new(p, t)).collect();
+    let mut counts: BTreeMap<&str, usize> = ceilings.iter().map(|&(dir, _)| (dir, 0)).collect();
+    for file in &files {
+        let declared = file.lines.iter().filter(|l| declares_pub_fn(&l.code));
+        *counts.entry(file.ratchet_dir()).or_default() += declared.count();
+    }
+    let ceiling = |dir: &str| {
+        ceilings
+            .iter()
+            .find(|(d, _)| *d == dir)
+            .map_or(0, |&(_, c)| c)
+    };
+    counts
+        .into_iter()
+        .filter_map(|(dir, count)| match count.cmp(&ceiling(dir)) {
+            std::cmp::Ordering::Greater => Some(format!(
+                "{dir}: {count} pub fn, over its ceiling of {}",
+                ceiling(dir)
+            )),
+            std::cmp::Ordering::Less => Some(format!(
+                "{dir}: {count} pub fn, under its ceiling of {}: lower the ceiling to {count}",
+                ceiling(dir)
+            )),
+            std::cmp::Ordering::Equal => None,
+        })
+        .collect()
+}
+
 // ------------------------------------------------------- the real tree
 
 /// Every `.rs` file under `dir`, recursively.
@@ -701,32 +787,78 @@ fn workspace_passes_every_source_rule() {
     assert!(found.is_empty(), "{}", found.join("\n"));
 }
 
+#[test]
+fn workspace_pub_fns_match_their_ceilings() {
+    let sources = workspace_sources().expect("read the workspace sources");
+    let found = pub_fn_ratchet(&sources, &PUB_FN_CEILINGS);
+    assert!(found.is_empty(), "{}", found.join("\n"));
+}
+
 // ------------------------------------------------------------- fixtures
 
-// Fixture text writes a public fn as `pub\x20fn`, so the declaration
-// ratchet of `scripts/check.sh` (a grep for the two words) skips it.
-
 fn check(files: &[(&str, &str)]) -> Vec<String> {
-    let sources: Vec<(String, String)> = files
+    findings(&owned(files))
+}
+
+fn owned(files: &[(&str, &str)]) -> Vec<(String, String)> {
+    files
         .iter()
         .map(|(p, t)| (p.to_string(), t.to_string()))
-        .collect();
-    findings(&sources)
+        .collect()
+}
+
+#[test]
+fn pub_fn_ratchet_counts_declarations_not_words() {
+    let sources = owned(&[
+        (
+            "crates/phy/src/lib.rs",
+            "pub fn a() {}\n\
+             \x20   pub const fn b() {}\n\
+             pub unsafe extern \"C\" fn c() {}\n\
+             pub(crate) fn d() {}\n\
+             // pub fn e\n\
+             /* pub fn f */\n\
+             const S: &str = \"pub fn g\";\n",
+        ),
+        ("crates/phy/tests/t.rs", "pub fn h() {}\n"),
+        (
+            "tests/root.rs",
+            "fn i() -> &'static str { r\"pub fn j() {}\" }\n",
+        ),
+    ]);
+    assert_eq!(
+        pub_fn_ratchet(&sources, &[("crates/phy", 4)]),
+        Vec::<String>::new()
+    );
+    assert_eq!(
+        pub_fn_ratchet(&sources, &[("crates/phy", 3)]),
+        ["crates/phy: 4 pub fn, over its ceiling of 3"]
+    );
+    assert_eq!(
+        pub_fn_ratchet(&sources, &[("crates/phy", 5)]),
+        ["crates/phy: 4 pub fn, under its ceiling of 5: lower the ceiling to 4"]
+    );
+    // An unlisted directory has a ceiling of 0.
+    let seeded = owned(&[("examples/demo.rs", "pub fn demo() {}\n")]);
+    assert_eq!(
+        pub_fn_ratchet(&seeded, &[]),
+        ["examples: 1 pub fn, over its ceiling of 0"]
+    );
 }
 
 #[test]
 fn l010_fires_on_an_orphan_pub_item() {
     let found = check(&[
-        ("crates/phy/src/lib.rs", "pub\x20fn orphan_helper() {}\n"),
+        ("crates/phy/src/lib.rs", "pub fn orphan_helper() {}\n"),
         ("crates/mac/src/lib.rs", "fn other() {}\n"),
     ]);
     assert_eq!(found.len(), 1, "{found:?}");
-    assert!(found[0].starts_with("crates/phy/src/lib.rs:1: L010 pub\x20fn `orphan_helper`"));
+    assert!(found[0].starts_with("crates/phy/src/lib.rs:1: L010 pub fn `orphan_helper`"));
 
     let found = check(&[
         (
             "crates/frame/src/lib.rs",
-            "pub\x20fn used() {}\npub\x20fn orphan() {}\n",
+            "pub fn used() {}\npub fn orphan() {}\n",
         ),
         (
             "crates/mac/src/lib.rs",
@@ -742,10 +874,10 @@ fn l010_passes_referenced_documented_and_waived_items() {
     let found = check(&[
         (
             "crates/phy/src/lib.rs",
-            "pub\x20fn used_helper() {}\n\
-             pub\x20fn documented() {}\n\
+            "pub fn used_helper() {}\n\
+             pub fn documented() {}\n\
              // lint:allow(dead-api): kept for downstream users\n\
-             pub\x20fn kept_helper() {}\n",
+             pub fn kept_helper() {}\n",
         ),
         (
             "crates/mac/src/lib.rs",
@@ -762,10 +894,10 @@ fn l010_needs_a_reason_to_waive_and_another_file_to_count() {
         (
             "crates/phy/src/lib.rs",
             "// lint:allow(dead-api)\n\
-         pub\x20fn bare_waiver() {}\n\
-         pub\x20fn self_named() {}\n\
+         pub fn bare_waiver() {}\n\
+         pub fn self_named() {}\n\
          fn caller() { self_named(); }\n\
-         pub\x20fn in_a_string() {}\n",
+         pub fn in_a_string() {}\n",
         ),
         (
             "crates/mac/src/lib.rs",
@@ -778,16 +910,16 @@ fn l010_needs_a_reason_to_waive_and_another_file_to_count() {
 #[test]
 fn l010_skips_tool_crates_tests_and_non_public_items() {
     let found = check(&[
-        ("crates/cli/src/main.rs", "pub\x20fn orphan_cli() {}\n"),
-        ("crates/bench/src/lib.rs", "pub\x20fn orphan_bench() {}\n"),
-        ("crates/phy/tests/t.rs", "pub\x20fn orphan_test() {}\n"),
+        ("crates/cli/src/main.rs", "pub fn orphan_cli() {}\n"),
+        ("crates/bench/src/lib.rs", "pub fn orphan_bench() {}\n"),
+        ("crates/phy/tests/t.rs", "pub fn orphan_test() {}\n"),
         (
             "crates/phy/src/lib.rs",
             "pub(crate) fn internal() {}\n\
              pub use a::b::{self, c};\n\
-             impl S {\n    pub\x20fn method() {}\n}\n\
+             impl S {\n    pub fn method() {}\n}\n\
              #[cfg(test)]\n\
-             mod tests {\n    pub\x20fn helper() {}\n}\n",
+             mod tests {\n    pub fn helper() {}\n}\n",
         ),
     ]);
     assert!(found.is_empty(), "{found:?}");
@@ -944,7 +1076,7 @@ fn test_only_items_end_where_their_body_ends() {
 fn a_seeded_workspace_fails_and_its_fixed_twin_passes() {
     let workspace = |dirty: bool| {
         let (unit, orphan) = if dirty {
-            ("us", "pub\x20fn orphan() {}\n")
+            ("us", "pub fn orphan() {}\n")
         } else {
             ("s", "")
         };
@@ -953,7 +1085,7 @@ fn a_seeded_workspace_fails_and_its_fixed_twin_passes() {
                 "crates/par/src/lib.rs",
                 &format!(
                     "//! Pool fixture.\n\
-                     pub\x20fn total(airtime_s: f64, backoff_{unit}: f64) -> f64 {{ airtime_s + backoff_{unit} }}\n"
+                     pub fn total(airtime_s: f64, backoff_{unit}: f64) -> f64 {{ airtime_s + backoff_{unit} }}\n"
                 ),
             ),
             (
