@@ -1,4 +1,5 @@
-//! Micro-benchmarks of the PHY primitives, with machine-readable output.
+//! Micro-benchmarks of the PHY primitives, with machine-readable output
+//! and a paired regression gate.
 //!
 //! Not a paper figure — these quantify the software cost of the blocks
 //! Carpool adds (A-HDR generation/check, phase offset encode/decode)
@@ -6,38 +7,51 @@
 //! "processing latency" discussion.
 //!
 //! Unlike the figure benches this one runs on the `carpool-obs` span
-//! machinery ([`SpanStats`]) instead of criterion, and writes its results
-//! to `BENCH_phy_micro.json` so regressions are diffable run to run. The
-//! last entries time the full RX chain with the default (no-op) handle
-//! and with a live recorder attached, bounding the observability
-//! overhead on the hot path. `rx_1500B_qam64_prefec` times the QAM64
-//! receive with FEC off, right after `rx_1500B_qam64` on the same
-//! waveform: the difference between the two rows is the FEC stage
-//! (lattice fill, Viterbi, descrambling). The row is advisory; the
-//! baseline gate does not read it.
+//! machinery ([`SpanStats`]) instead of criterion. A plain run times
+//! every row and writes each row's median and min to
+//! `BENCH_phy_micro.json`. Besides the PHY rows it times the full RX
+//! chain with the default (no-op) handle and with a live recorder
+//! attached, bounding the observability overhead on the hot path, and
+//! one `mac_dense_16ap` row on the sharded MAC event engine.
+//! `rx_1500B_qam64_prefec` times the QAM64 receive with FEC off, right
+//! after `rx_1500B_qam64` on the same waveform: the difference between
+//! the two rows is the FEC stage (lattice fill, Viterbi, descrambling).
 //!
-//! The run ends with a wall-clock throughput section: the same
-//! [`run_phy`] Monte-Carlo workload timed at one worker thread and at
-//! the pool default, reported as frames/s, coded Mbit/s, and the
-//! speedup, and snapshotted to `BENCH_perf.json`. When a previous
-//! snapshot exists, throughput drops beyond 15% are flagged as
-//! regressions on stdout.
+//! `phy_micro --against <parent phy_micro binary>` is the regression
+//! gate. It runs the parent binary and this one [`PAIRS`] times each,
+//! alternating which goes first, each in its own scratch directory, and
+//! reads every run's `BENCH_phy_micro.json`. For each row both report,
+//! the verdict is the median of the per-pair change/parent ratios of
+//! the row medians, with a 95% bootstrap interval
+//! ([`carpool_bench::paired_ratio`]). A [`FATAL_ROWS`] row fails the
+//! gate only when its whole interval lies above [`REGRESSION_BOUND`],
+//! and a fatal row the change no longer reports fails it too. The obs
+//! gate is the same statistic over the change's own runs: the
+//! tracing-disabled decode against the plain one, fatal above
+//! [`DISABLED_BOUND`], and enabled tracing against untraced decoding,
+//! advisory above [`TRACING_BOUND`]. The verdicts land in
+//! `BENCH_perf.json` and `BENCH_obs.json`, and the process exits 1 when
+//! a fatal gate fires. No absolute number is banked: on a shared host
+//! the same code reads up to 2x apart between runs, so only the parent,
+//! timed on the same host in the same minutes, is a fair reference.
 #![allow(
     clippy::disallowed_methods,
     clippy::expect_used,
     clippy::print_stderr,
     clippy::print_stdout,
-    clippy::unreachable,
     reason = "timing harness: prints its report, reads the wall clock and aborts on a failed setup"
 )]
 
 use std::hint::black_box;
+use std::path::{Path, PathBuf};
+use std::process::{Command, Stdio};
+use std::sync::Arc;
 use std::time::Instant;
 
-use carpool_bench::{pattern_bits, run_phy, PhyBerResult, PhyRunConfig};
+use carpool_bench::{paired_ratio, pattern_bits};
 use carpool_bloom::AggregationHeader;
 use carpool_channel::link::LinkChannel;
-use carpool_obs::json::{self, ObjectWriter};
+use carpool_obs::json::{self, JsonValue, ObjectWriter};
 use carpool_obs::{FlightRecorder, MemoryRecorder, Obs, SpanStats};
 use carpool_phy::convolutional::{decode, decode_levels_with, encode, CodeRate, ViterbiScratch};
 use carpool_phy::equalizer::ChannelEstimate;
@@ -51,11 +65,58 @@ use carpool_phy::rte::CalibrationRule;
 use carpool_phy::rx::{receive, receive_with, Estimation, Fec, FrameDecoder, SectionLayout};
 use carpool_phy::sidechannel::{PhaseOffsetDecoder, PhaseOffsetEncoder, PhaseOffsetMod};
 use carpool_phy::tx::{transmit, SectionSpec};
-use carpool_phy::txcache;
-use std::sync::Arc;
 
 const SAMPLES: usize = 20;
 const WARMUP: usize = 3;
+
+/// Runs of each binary in a paired comparison. Ten pairs caught a
+/// seeded 30% Viterbi slowdown in only two of three tries; twenty
+/// caught it every time.
+const PAIRS: usize = 20;
+
+/// A [`FATAL_ROWS`] row fails the gate when the whole interval of its
+/// change/parent ratio lies above this (15% slower).
+const REGRESSION_BOUND: f64 = 1.15;
+
+/// The tracing-disabled decode may cost at most 1% over the plain
+/// decode — one predicted branch per hook, nothing more. Fatal.
+const DISABLED_BOUND: f64 = 1.01;
+
+/// Documented budget for *enabled* flight-recorder tracing on the RTE +
+/// side-channel decode (the hook-densest path: one record per symbol
+/// recalibration plus one per CRC group). Exceeding it is a warning, not
+/// a failure — opting into tracing is allowed to cost something.
+const TRACING_BOUND: f64 = 1.25;
+
+/// The rows this repo's perf work is anchored on: the TX, channel and RX
+/// full chains, the Viterbi kernels and the sharded MAC event engine.
+/// Every other row is advisory — wall-clock noise on shared machines
+/// must not fail the gate for rows nobody optimizes deliberately.
+const FATAL_ROWS: [&str; 12] = [
+    "tx_1500B_qpsk12",
+    "tx_1500B_qam16",
+    "tx_1500B_qam64",
+    "channel_1500B_awgn",
+    "channel_1500B_cfo",
+    "channel_1500B_office",
+    "rx_1500B_qpsk12",
+    "rx_1500B_qam16",
+    "rx_1500B_qam64",
+    "viterbi_decode_1kbit",
+    "viterbi_int_1kbit",
+    "mac_dense_16ap",
+];
+
+/// Where a plain run writes its rows (cargo runs benches with the
+/// package root as the working directory, so this is
+/// `crates/bench/BENCH_phy_micro.json`).
+const ROWS_PATH: &str = "BENCH_phy_micro.json";
+
+/// Where a paired run writes the row verdicts.
+const PERF_PATH: &str = "BENCH_perf.json";
+
+/// Where a paired run writes the obs-overhead verdicts.
+const OBS_PATH: &str = "BENCH_obs.json";
 
 /// Times `f` WARMUP+SAMPLES times and keeps the timed samples.
 fn measure(name: &'static str, mut f: impl FnMut()) -> SpanStats {
@@ -70,36 +131,15 @@ fn measure(name: &'static str, mut f: impl FnMut()) -> SpanStats {
     stats
 }
 
-/// Per-tail fraction dropped by the trimmed mean reported next to the
-/// median — two scheduler spikes out of [`SAMPLES`]=20 are discarded,
-/// which is what stabilizes the noisy `rx_1500B_*` rows run to run.
-const TRIM_FRACTION: f64 = 0.1;
-
 fn json_entry(stats: &SpanStats) -> String {
     let mut w = ObjectWriter::new();
     w.str("name", stats.name)
         .u64("samples", stats.count() as u64)
         .f64("mean_us", stats.mean_secs() * 1e6)
-        .f64(
-            "trimmed_mean_us",
-            stats.trimmed_mean_secs(TRIM_FRACTION) * 1e6,
-        )
         .f64("median_us", stats.median_secs() * 1e6)
         .f64("min_us", stats.min_secs() * 1e6)
         .f64("max_us", stats.max_secs() * 1e6);
     w.finish()
-}
-
-fn bench_fft(results: &mut Vec<SpanStats>) {
-    let input: [Complex64; 64] = std::array::from_fn(|k| Complex64::cis(k as f64 * 0.11));
-    results.push(measure("fft64_forward", || {
-        let mut buf = input;
-        fft_in_place(black_box(&mut buf));
-    }));
-    results.push(measure("fft64_inverse", || {
-        let mut buf = input;
-        ifft_in_place(black_box(&mut buf));
-    }));
 }
 
 /// The Viterbi add-compare-select kernel `carpool-phy` runs on this
@@ -116,6 +156,18 @@ fn viterbi_kernel() -> &'static str {
 /// Cores the host reports (0 when it cannot tell).
 fn nproc() -> u64 {
     std::thread::available_parallelism().map_or(0, |n| n.get() as u64)
+}
+
+fn bench_fft(results: &mut Vec<SpanStats>) {
+    let input: [Complex64; 64] = std::array::from_fn(|k| Complex64::cis(k as f64 * 0.11));
+    results.push(measure("fft64_forward", || {
+        let mut buf = input;
+        fft_in_place(black_box(&mut buf));
+    }));
+    results.push(measure("fft64_inverse", || {
+        let mut buf = input;
+        ifft_in_place(black_box(&mut buf));
+    }));
 }
 
 fn bench_coding(results: &mut Vec<SpanStats>) {
@@ -210,8 +262,7 @@ fn bench_full_chain(results: &mut Vec<SpanStats>) {
         // These full-chain rows are the noisiest in the table (longest
         // per-sample time, most cache/page state), so they get a
         // dedicated warmup pass on top of measure()'s before the timed
-        // samples start; the trimmed mean in the report absorbs what
-        // the warmup cannot.
+        // samples start.
         for _ in 0..WARMUP {
             black_box(receive(&frame.samples, &layouts, Estimation::Standard)).ok();
         }
@@ -289,7 +340,7 @@ fn bench_obs_overhead(results: &mut Vec<SpanStats>) {
     // with the noop row so CPU frequency/thermal drift between bench
     // sections cancels out of the ratio (the sc_* pair below gets this
     // for free by construction). The headline `rx_1500B_qam64` row in
-    // bench_full_chain keeps its own timing for the perf baseline.
+    // bench_full_chain keeps its own timing for the paired gate.
     results.push(measure("rx_1500B_qam64_obs_plain", || {
         black_box(receive(
             black_box(&frame.samples),
@@ -342,259 +393,16 @@ fn bench_obs_overhead(results: &mut Vec<SpanStats>) {
     );
 }
 
-/// Where the throughput snapshot lands (cargo runs benches with the
-/// package root as the working directory, so this is
-/// `crates/bench/BENCH_perf.json`).
-const PERF_PATH: &str = "BENCH_perf.json";
-
-/// Committed reference snapshot this run is compared against
-/// (`crates/bench/BENCH_perf_baseline.json`, checked into the repo).
-const BASELINE_PATH: &str = "BENCH_perf_baseline.json";
-
-/// Deviations beyond this fraction in the losing direction are flagged
-/// as regressions.
-const REGRESSION_FRACTION: f64 = 0.15;
-
-/// SNR sweep points of the end-to-end sweep benchmark — the fig03/fig12
-/// usage pattern: same payload spec, channel and receiver re-run per
-/// point.
-const SWEEP_SNRS: [f64; 5] = [10.0, 16.0, 22.0, 28.0, 34.0];
-
-/// One timed throughput row.
-struct Throughput {
-    threads: usize,
-    elapsed_s: f64,
-    frames_per_s: f64,
-    coded_mbit_per_s: f64,
-}
-
-/// Best-of-three wall-clock time of one `run_phy` invocation (after one
-/// warmup), plus the last result for the determinism cross-check.
-fn time_run(config: &PhyRunConfig) -> (f64, PhyBerResult) {
-    run_phy(config);
-    let mut best = f64::INFINITY;
-    let mut result = PhyBerResult::default();
-    for _ in 0..3 {
-        let t0 = Instant::now();
-        result = run_phy(config);
-        best = best.min(t0.elapsed().as_secs_f64());
-    }
-    (best, result)
-}
-
-/// Runs `config` at every [`SWEEP_SNRS`] point. Returns the per-point
-/// results in order.
-fn run_sweep(config: &PhyRunConfig) -> Vec<PhyBerResult> {
-    SWEEP_SNRS
-        .iter()
-        .map(|&snr_db| run_phy(&PhyRunConfig { snr_db, ..*config }))
-        .collect()
-}
-
-/// For regression orientation: keys where larger is faster/better.
-fn higher_is_better(key: &str) -> bool {
-    key.ends_with("frames_per_s")
-        || key.ends_with("mbit_per_s")
-        || key.ends_with("events_per_s")
-        || key == "speedup"
-}
-
-/// For regression orientation: keys where smaller is faster/better.
-fn lower_is_better(key: &str) -> bool {
-    key.ends_with("_us") || key.ends_with("_elapsed_s")
-}
-
-/// Whether a regression on this key fails the build: the TX, channel
-/// and RX full chains (`tx_1500B_*`, `channel_1500B_*`, `rx_1500B_*`),
-/// the Viterbi kernels (`viterbi_*`) and the sharded MAC event engine
-/// (`mac_dense_events_per_s`) are the rows this repo's perf work is
-/// anchored on, so check.sh treats losing >15% on any of them as fatal.
-/// Everything else stays advisory — wall-clock noise on shared machines
-/// must not fail the gate for rows nobody optimizes deliberately.
-fn fatal_on_regression(key: &str) -> bool {
-    key.starts_with("tx_1500B_")
-        || key.starts_with("channel_1500B_")
-        || key.starts_with("rx_1500B_")
-        || key.starts_with("viterbi_")
-        || key == "mac_dense_events_per_s"
-}
-
-/// Compares this run's metrics against the committed
-/// `BENCH_perf_baseline.json`, printing a per-key delta table (kernel
-/// timings included). Returns the number of regressed
-/// [`fatal_on_regression`] keys, which the snapshot records as the
-/// `rx_gate_ok` verdict check.sh enforces; regressions on the remaining
-/// keys are flagged but non-fatal (wall-clock noise on shared machines
-/// should not fail the gate for unanchored rows).
-fn compare_to_baseline(entries: &[(&'static str, f64)]) -> usize {
-    let Ok(previous) = std::fs::read_to_string(BASELINE_PATH) else {
-        println!("no committed {BASELINE_PATH}; skipping baseline comparison");
-        return 0;
-    };
-    let Ok(parsed) = json::parse(previous.trim()) else {
-        println!("committed {BASELINE_PATH} unparseable; skipping baseline comparison");
-        return 0;
-    };
-    println!("\nvs {BASELINE_PATH}:");
-    println!(
-        "{:<28} {:>12} {:>12} {:>9}",
-        "metric", "current", "baseline", "delta"
-    );
-    let mut regressions = 0usize;
-    let mut fatal = 0usize;
-    for &(key, current) in entries {
-        let Some(old) = parsed.get(key).and_then(|v| v.as_f64()) else {
-            println!("{key:<28} {current:>12.2} {:>12} {:>9}", "n/a", "new");
-            continue;
-        };
-        if old == 0.0 {
-            continue;
-        }
-        let delta = (current - old) / old * 100.0;
-        let regressed = (higher_is_better(key) && current < old * (1.0 - REGRESSION_FRACTION))
-            || (lower_is_better(key) && current > old * (1.0 + REGRESSION_FRACTION));
-        let marker = match (regressed, fatal_on_regression(key)) {
-            (true, true) => "  <-- REGRESSION (fatal in check.sh)",
-            (true, false) => "  <-- REGRESSION",
-            (false, _) => "",
-        };
-        println!("{key:<28} {current:>12.2} {old:>12.2} {delta:>+8.1}%{marker}");
-        regressions += usize::from(regressed);
-        fatal += usize::from(regressed && fatal_on_regression(key));
-    }
-    if fatal > 0 {
-        println!(
-            "PERF REGRESSION: {fatal} TX/channel/RX/Viterbi/MAC metric(s) worse than baseline by >15% \
-             (FATAL in check.sh)"
-        );
-    } else if regressions > 0 {
-        println!(
-            "PERF REGRESSION: {regressions} metric(s) worse than baseline by >15% (non-fatal)"
-        );
-    } else {
-        println!("perf ok: no metric worse than baseline by >15%");
-    }
-    fatal
-}
-
-/// Median of a named row from the micro section, in microseconds.
-fn median_us(results: &[SpanStats], name: &str) -> Option<f64> {
-    results
-        .iter()
-        .find(|s| s.name == name)
-        .map(|s| s.median_secs() * 1e6)
-}
-
-/// Minimum of a named row from the micro section, in microseconds. The
-/// min over samples is the least-noise estimator on a shared machine, so
-/// the tight obs-overhead gate compares mins, not medians.
-fn min_us(results: &[SpanStats], name: &str) -> Option<f64> {
-    results
-        .iter()
-        .find(|s| s.name == name)
-        .map(|s| s.min_secs() * 1e6)
-}
-
-/// Where the observability-overhead verdict lands
-/// (`crates/bench/BENCH_obs.json`).
-const OBS_PATH: &str = "BENCH_obs.json";
-
-/// The tracing-disabled decode may cost at most this fraction over the
-/// plain decode — one predicted branch per hook, nothing more. `check.sh`
-/// fails the build when this budget is blown.
-const DISABLED_BUDGET_FRACTION: f64 = 0.01;
-
-/// Documented budget for *enabled* flight-recorder tracing on the RTE +
-/// side-channel decode (the hook-densest path: one record per symbol
-/// recalibration plus one per CRC group). Exceeding it is a warning, not
-/// a failure — opting into tracing is allowed to cost something.
-const TRACING_BUDGET_FRACTION: f64 = 0.25;
-
-/// Distills the obs-overhead rows into `BENCH_obs.json`: the disabled
-/// path (`rx_1500B_qam64_obs_noop` vs the adjacent
-/// `rx_1500B_qam64_obs_plain` decode) must stay within
-/// [`DISABLED_BUDGET_FRACTION`]; the enabled path
-/// (`rx_1500B_qam64_sc_tracing` vs `rx_1500B_qam64_sc_plain`) is held to
-/// [`TRACING_BUDGET_FRACTION`] as a non-fatal budget. Both pairs are
-/// timed back-to-back inside [`bench_obs_overhead`] so run-to-run drift
-/// cancels out of the ratios.
-fn bench_obs_snapshot(results: &[SpanStats]) {
-    let rows = [
-        "rx_1500B_qam64_obs_plain",
-        "rx_1500B_qam64_obs_noop",
-        "rx_1500B_qam64_obs_recording",
-        "rx_1500B_qam64_sc_plain",
-        "rx_1500B_qam64_sc_tracing",
-    ];
-    let mins: Vec<f64> = rows
-        .iter()
-        .map(|name| min_us(results, name).unwrap_or(f64::NAN))
-        .collect();
-    let [plain, noop, recording, sc_plain, sc_tracing] = mins[..] else {
-        unreachable!("rows and mins have the same length");
-    };
-    let disabled_overhead = noop / plain - 1.0;
-    let tracing_overhead = sc_tracing / sc_plain - 1.0;
-    // NaN comparisons are false, so a missing row never *passes* the
-    // fatal gate silently: it shows up as nulls in the JSON instead.
-    let disabled_regressed = disabled_overhead > DISABLED_BUDGET_FRACTION;
-    let tracing_within_budget = tracing_overhead <= TRACING_BUDGET_FRACTION;
-
-    println!("\nobs overhead gate:");
-    println!(
-        "  disabled path: {noop:.2}us vs {plain:.2}us plain ({:+.2}% — budget {:.0}%){}",
-        disabled_overhead * 100.0,
-        DISABLED_BUDGET_FRACTION * 100.0,
-        if disabled_regressed {
-            "  <-- REGRESSION (fatal in check.sh)"
-        } else {
-            ", ok"
-        }
-    );
-    println!(
-        "  enabled tracing: {sc_tracing:.2}us vs {sc_plain:.2}us untraced ({:+.2}% — budget {:.0}%){}",
-        tracing_overhead * 100.0,
-        TRACING_BUDGET_FRACTION * 100.0,
-        if tracing_within_budget {
-            ", ok"
-        } else {
-            "  <-- over budget (warning only)"
-        }
-    );
-
-    let mut w = ObjectWriter::new();
-    w.str("bench", "obs_overhead")
-        .u64("samples_per_entry", SAMPLES as u64)
-        .f64("plain_rx_min_us", plain)
-        .f64("noop_rx_min_us", noop)
-        .f64("recording_rx_min_us", recording)
-        .f64("sc_plain_min_us", sc_plain)
-        .f64("sc_tracing_min_us", sc_tracing)
-        .f64("disabled_overhead_frac", disabled_overhead)
-        .f64("disabled_budget_frac", DISABLED_BUDGET_FRACTION)
-        .f64("tracing_overhead_frac", tracing_overhead)
-        .f64("tracing_budget_frac", TRACING_BUDGET_FRACTION)
-        .bool("disabled_regressed", disabled_regressed)
-        .bool("tracing_within_budget", tracing_within_budget);
-    let json = format!("{}\n", w.finish());
-    match std::fs::write(OBS_PATH, &json) {
-        Ok(()) => println!("wrote {OBS_PATH}"),
-        Err(e) => eprintln!("cannot write {OBS_PATH}: {e}"),
-    }
-}
-
-/// Times the `mac_dense_16ap` scenario — 16 AP contention domains of
-/// 64 STAs each on the sharded MAC event engine, best of three after a
-/// warmup — and returns `(elapsed_s, events_per_s)`. The events/s row
-/// is one of the fatal perf anchors: the engine's whole point is
-/// allocation-free event dispatch, so losing >15% here means the MAC
-/// hot path regressed.
-fn time_mac_dense() -> (f64, f64) {
+/// Times the `mac_dense_16ap` scenario: 16 AP contention domains of 64
+/// STAs each on the sharded MAC event engine, for half a simulated
+/// second. The engine's whole point is allocation-free event
+/// dispatch, so a slower row means the MAC hot path regressed.
+fn bench_mac_dense(results: &mut Vec<SpanStats>) {
     let config = carpool_mac::DenseConfig {
         cell: carpool_mac::sim::SimConfig {
             num_stas: 64,
             num_aps: 1,
-            duration_s: 1.0,
+            duration_s: 0.5,
             seed: 7,
             ..carpool_mac::sim::SimConfig::default()
         },
@@ -602,223 +410,18 @@ fn time_mac_dense() -> (f64, f64) {
         ..carpool_mac::DenseConfig::default()
     };
     let obs = Obs::noop();
-    let run = || {
-        carpool_mac::run_dense(
+    results.push(measure("mac_dense_16ap", || {
+        black_box(carpool_mac::run_dense(
             &config,
             |_| Box::new(carpool_mac::BerBiasModel::calibrated()),
             &obs,
-        )
-        .expect("dense run does not panic")
-    };
-    run();
-    let mut best = f64::INFINITY;
-    let mut events = 0u64;
-    for _ in 0..3 {
-        let t0 = Instant::now();
-        let report = run();
-        best = best.min(t0.elapsed().as_secs_f64());
-        events = report.events;
-    }
-    (best, events as f64 / best)
+        ))
+        .expect("dense run does not panic");
+    }));
 }
 
-/// Times the parallel Monte-Carlo driver end to end — single run and
-/// full SNR sweep — and snapshots the numbers together with the
-/// per-kernel medians. The 1-thread and pool-default runs must agree to
-/// the bit — the `carpool-par` determinism contract — and the cached
-/// sweep must match the uncached one; both checks ride along with the
-/// timing.
-fn bench_throughput(results: &[SpanStats]) {
-    let config = PhyRunConfig {
-        frames: 16,
-        payload_bits: 2 * 1024 * 8,
-        seed: 4242,
-        ..PhyRunConfig::default()
-    };
-    let spec = SectionSpec {
-        bits: pattern_bits(config.payload_bits, 77),
-        mcs: config.mcs,
-        scramble: true,
-        side_channel: config.side_channel,
-        qbpsk: false,
-    };
-    let coded_bits_per_frame = transmit(std::slice::from_ref(&spec))
-        .map(|tx| tx.sections[0].num_symbols * config.mcs.coded_bits_per_symbol())
-        .unwrap_or(0);
-    let throughput = |threads: usize, frames: usize, elapsed_s: f64| Throughput {
-        threads,
-        elapsed_s,
-        frames_per_s: frames as f64 / elapsed_s,
-        coded_mbit_per_s: (frames * coded_bits_per_frame) as f64 / elapsed_s / 1e6,
-    };
-
-    carpool_par::set_thread_override(Some(1));
-    let (serial_s, serial_result) = time_run(&config);
-    // The pool leg always runs at least two workers — on a single-core
-    // runner the ambient default collapses to one thread and the
-    // "pool" row silently re-measures the serial leg (recorded as
-    // pool_threads: 1, speedup ~1.0x). CARPOOL_THREADS still wins when
-    // it asks for more; the effective count is what lands in the JSON.
-    carpool_par::set_thread_override(None);
-    let pool_threads = carpool_par::thread_count().max(2);
-    carpool_par::set_thread_override(Some(pool_threads));
-    let (pool_s, pool_result) = time_run(&config);
-    carpool_par::set_thread_override(None);
-    let serial = throughput(1, config.frames, serial_s);
-    let pool = throughput(pool_threads, config.frames, pool_s);
-    let speedup = serial.elapsed_s / pool.elapsed_s;
-    let deterministic = serial_result.data_ber.to_bits() == pool_result.data_ber.to_bits()
-        && serial_result.side_ber.to_bits() == pool_result.side_ber.to_bits();
-
-    // End-to-end SNR sweep: one TX encode serves every point when the
-    // cache is on. Each timed repetition starts from a cold cache so the
-    // hit rate describes exactly one sweep.
-    let sweep_config = PhyRunConfig {
-        frames: 8,
-        ..config
-    };
-    let sweep_frames = sweep_config.frames * SWEEP_SNRS.len();
-    // The timed repetitions below run in the ambient cache configuration
-    // (so CARPOOL_NO_TX_CACHE=1 measures the honest uncached sweep); the
-    // reference pass here is always uncached for the bit-identity check.
-    let cache_on = txcache::is_enabled();
-    txcache::set_enabled(false);
-    txcache::reset();
-    let uncached = run_sweep(&sweep_config);
-    txcache::set_enabled(cache_on);
-    let mut sweep_best = f64::INFINITY;
-    let mut cached = Vec::new();
-    let mut cache_stats = txcache::TxCacheStats::default();
-    for _ in 0..3 {
-        txcache::reset();
-        let t0 = Instant::now();
-        cached = run_sweep(&sweep_config);
-        sweep_best = sweep_best.min(t0.elapsed().as_secs_f64());
-        cache_stats = txcache::stats();
-    }
-    let sweep = throughput(carpool_par::thread_count(), sweep_frames, sweep_best);
-    let cache_identical = uncached.len() == cached.len()
-        && uncached.iter().zip(&cached).all(|(u, c)| {
-            u.data_ber.to_bits() == c.data_ber.to_bits()
-                && u.side_ber.to_bits() == c.side_ber.to_bits()
-        });
-
-    println!(
-        "\n{:<24} {:>8} {:>12} {:>12} {:>14}",
-        "throughput (run_phy)", "threads", "elapsed s", "frames/s", "coded Mbit/s"
-    );
-    for t in [&serial, &pool, &sweep] {
-        println!(
-            "{:<24} {:>8} {:>12.3} {:>12.1} {:>14.2}",
-            "", t.threads, t.elapsed_s, t.frames_per_s, t.coded_mbit_per_s
-        );
-    }
-    println!(
-        "speedup {speedup:.2}x at {} thread(s); 1-thread and pool results bit-identical: \
-         {deterministic}",
-        pool.threads
-    );
-    println!(
-        "sweep: {} SNR points x {} frames, tx-cache hit rate {:.0}% ({} hits / {} misses), \
-         cached == uncached: {cache_identical}",
-        SWEEP_SNRS.len(),
-        sweep_config.frames,
-        cache_stats.hit_rate() * 100.0,
-        cache_stats.hits,
-        cache_stats.misses
-    );
-
-    let (dense_s, dense_events_per_s) = time_mac_dense();
-    println!(
-        "mac_dense_16ap: 16 domains x 64 STAs x 1.0 s in {dense_s:.3} s wall \
-         ({:.2} Mevents/s)",
-        dense_events_per_s / 1e6
-    );
-
-    // Everything numeric lands in one flat list: the same rows are
-    // written to BENCH_perf.json and compared against the committed
-    // baseline.
-    let mut entries: Vec<(&'static str, f64)> = vec![
-        ("mac_dense_elapsed_s", dense_s),
-        ("mac_dense_events_per_s", dense_events_per_s),
-        ("serial_elapsed_s", serial.elapsed_s),
-        ("serial_frames_per_s", serial.frames_per_s),
-        ("serial_coded_mbit_per_s", serial.coded_mbit_per_s),
-        ("pool_elapsed_s", pool.elapsed_s),
-        ("pool_frames_per_s", pool.frames_per_s),
-        ("pool_coded_mbit_per_s", pool.coded_mbit_per_s),
-        ("speedup", speedup),
-        ("sweep_elapsed_s", sweep.elapsed_s),
-        ("sweep_frames_per_s", sweep.frames_per_s),
-        ("sweep_coded_mbit_per_s", sweep.coded_mbit_per_s),
-        ("tx_cache_hit_rate", cache_stats.hit_rate()),
-    ];
-    for (row, key) in [
-        ("viterbi_decode_1kbit", "viterbi_hard_us"),
-        ("viterbi_int_1kbit", "viterbi_int_us"),
-        ("fft64_forward", "fft64_us"),
-        ("equalize_symbol", "equalize_symbol_us"),
-        ("tx_1500B_qpsk12", "tx_1500B_qpsk12_us"),
-        ("tx_1500B_qam16", "tx_1500B_qam16_us"),
-        ("tx_1500B_qam64", "tx_1500B_qam64_us"),
-        ("channel_1500B_awgn", "channel_1500B_awgn_us"),
-        ("channel_1500B_cfo", "channel_1500B_cfo_us"),
-        ("channel_1500B_office", "channel_1500B_office_us"),
-        ("rx_1500B_qpsk12", "rx_1500B_qpsk12_us"),
-        ("rx_1500B_qam16", "rx_1500B_qam16_us"),
-        ("rx_1500B_qam64", "rx_1500B_qam64_us"),
-    ] {
-        if let Some(us) = median_us(results, row) {
-            entries.push((key, us));
-        }
-    }
-    // Trimmed-mean companions for the noisy full-chain rows: the stable
-    // location estimate the fatal TX/channel/RX gate in check.sh keys
-    // off.
-    for (row, key) in [
-        ("tx_1500B_qpsk12", "tx_1500B_qpsk12_trimmed_us"),
-        ("tx_1500B_qam16", "tx_1500B_qam16_trimmed_us"),
-        ("tx_1500B_qam64", "tx_1500B_qam64_trimmed_us"),
-        ("channel_1500B_awgn", "channel_1500B_awgn_trimmed_us"),
-        ("channel_1500B_cfo", "channel_1500B_cfo_trimmed_us"),
-        ("channel_1500B_office", "channel_1500B_office_trimmed_us"),
-        ("rx_1500B_qpsk12", "rx_1500B_qpsk12_trimmed_us"),
-        ("rx_1500B_qam16", "rx_1500B_qam16_trimmed_us"),
-        ("rx_1500B_qam64", "rx_1500B_qam64_trimmed_us"),
-    ] {
-        if let Some(s) = results.iter().find(|s| s.name == row) {
-            entries.push((key, s.trimmed_mean_secs(TRIM_FRACTION) * 1e6));
-        }
-    }
-    let fatal_regressions = compare_to_baseline(&entries);
-
-    let mut w = ObjectWriter::new();
-    w.str("bench", "phy_micro_perf")
-        .u64("fatal_regressions", fatal_regressions as u64)
-        .bool("rx_gate_ok", fatal_regressions == 0)
-        .u64("nproc", nproc())
-        .str("viterbi_kernel", viterbi_kernel())
-        .u64("frames", config.frames as u64)
-        .u64("payload_bits", config.payload_bits as u64)
-        .u64("coded_bits_per_frame", coded_bits_per_frame as u64)
-        .u64("pool_threads", pool.threads as u64)
-        .u64("sweep_points", SWEEP_SNRS.len() as u64)
-        .u64("sweep_frames", sweep_frames as u64)
-        .u64("tx_cache_hits", cache_stats.hits)
-        .u64("tx_cache_misses", cache_stats.misses)
-        .bool("deterministic", deterministic)
-        .bool("tx_cache_bit_identical", cache_identical);
-    for (key, value) in &entries {
-        w.f64(key, *value);
-    }
-    let json = format!("{}\n", w.finish());
-    match std::fs::write(PERF_PATH, &json) {
-        Ok(()) => println!("wrote {PERF_PATH}"),
-        Err(e) => eprintln!("cannot write {PERF_PATH}: {e}"),
-    }
-}
-
-fn main() {
+/// Times every row, prints the table and writes [`ROWS_PATH`].
+fn run_rows() {
     println!("viterbi kernel: {}", viterbi_kernel());
     let mut results: Vec<SpanStats> = Vec::new();
     bench_fft(&mut results);
@@ -830,37 +433,299 @@ fn main() {
     bench_full_chain(&mut results);
     bench_channel(&mut results);
     bench_obs_overhead(&mut results);
+    bench_mac_dense(&mut results);
 
     println!(
-        "{:<36} {:>8} {:>12} {:>12} {:>12} {:>12}",
-        "benchmark", "samples", "median us", "trimmed us", "min us", "max us"
+        "{:<36} {:>8} {:>12} {:>12} {:>12}",
+        "benchmark", "samples", "median us", "min us", "max us"
     );
     for s in &results {
         println!(
-            "{:<36} {:>8} {:>12.2} {:>12.2} {:>12.2} {:>12.2}",
+            "{:<36} {:>8} {:>12.2} {:>12.2} {:>12.2}",
             s.name,
             s.count(),
             s.median_secs() * 1e6,
-            s.trimmed_mean_secs(TRIM_FRACTION) * 1e6,
             s.min_secs() * 1e6,
             s.max_secs() * 1e6
         );
     }
 
     let body: Vec<String> = results.iter().map(json_entry).collect();
-    let json = format!(
-        "{{\"bench\":\"phy_micro\",\"nproc\":{},\"viterbi_kernel\":\"{}\",\
-         \"samples_per_entry\":{SAMPLES},\"results\":[{}]}}\n",
-        nproc(),
-        viterbi_kernel(),
-        body.join(",")
+    write_json(
+        ROWS_PATH,
+        &format!(
+            "{{\"bench\":\"phy_micro\",\"nproc\":{},\"viterbi_kernel\":\"{}\",\
+             \"samples_per_entry\":{SAMPLES},\"results\":[{}]}}\n",
+            nproc(),
+            viterbi_kernel(),
+            body.join(",")
+        ),
     );
-    let path = "BENCH_phy_micro.json";
-    match std::fs::write(path, &json) {
-        Ok(()) => println!("\nwrote {path}"),
-        Err(e) => eprintln!("\ncannot write {path}: {e}"),
-    }
+}
 
-    bench_obs_snapshot(&results);
-    bench_throughput(&results);
+/// One row of one run, as `BENCH_phy_micro.json` holds it.
+struct Row {
+    name: String,
+    median_us: f64,
+    min_us: f64,
+}
+
+/// One run's rows, in table order.
+type Rows = Vec<Row>;
+
+/// Runs `exe` with `dir` as its working directory and reads the rows it
+/// wrote there.
+fn run_child(exe: &Path, dir: &Path) -> Result<Rows, String> {
+    let path = dir.join(ROWS_PATH);
+    // A stale file must not stand in for a run that wrote nothing.
+    let _ = std::fs::remove_file(&path);
+    let status = Command::new(exe)
+        .current_dir(dir)
+        .stdout(Stdio::null())
+        .status()
+        .map_err(|e| format!("cannot run {}: {e}", exe.display()))?;
+    if !status.success() {
+        return Err(format!("{} failed: {status}", exe.display()));
+    }
+    let text = std::fs::read_to_string(&path)
+        .map_err(|e| format!("{} wrote no {}: {e}", exe.display(), path.display()))?;
+    let doc = json::parse(text.trim()).map_err(|e| format!("{}: {e}", path.display()))?;
+    let Some(JsonValue::Array(results)) = doc.get("results") else {
+        return Err(format!("{}: no results array", path.display()));
+    };
+    let rows: Rows = results
+        .iter()
+        .filter_map(|row| {
+            Some(Row {
+                name: row.get("name")?.as_str()?.to_string(),
+                median_us: row.get("median_us")?.as_f64()?,
+                min_us: row.get("min_us")?.as_f64()?,
+            })
+        })
+        .collect();
+    if rows.is_empty() {
+        return Err(format!("{}: no rows", path.display()));
+    }
+    Ok(rows)
+}
+
+/// The paired runs: `[parent, change]`, [`PAIRS`] runs each.
+fn run_pairs(parent: &Path) -> Result<[Vec<Rows>; 2], String> {
+    let change = std::env::current_exe().map_err(|e| format!("cannot find this binary: {e}"))?;
+    let exes = [parent, change.as_path()];
+    let scratch = Path::new(env!("CARGO_TARGET_TMPDIR")).join("phy_micro_pairs");
+    let dirs = [scratch.join("parent"), scratch.join("change")];
+    for dir in &dirs {
+        std::fs::create_dir_all(dir).map_err(|e| format!("{}: {e}", dir.display()))?;
+    }
+    let t0 = Instant::now();
+    let mut runs: [Vec<Rows>; 2] = Default::default();
+    for pair in 0..PAIRS {
+        // Alternate which binary goes first, so a drift within a pair
+        // does not always favour the same side.
+        let order = if pair % 2 == 0 { [0, 1] } else { [1, 0] };
+        for side in order {
+            runs[side].push(run_child(exes[side], &dirs[side])?);
+        }
+    }
+    println!(
+        "{PAIRS} paired runs of each binary in {:.1} s",
+        t0.elapsed().as_secs_f64()
+    );
+    Ok(runs)
+}
+
+/// One statistic of `row` from every run, NaN where a run lacks the row.
+fn column(runs: &[Rows], row: &str, pick: fn(&Row) -> f64) -> Vec<f64> {
+    runs.iter()
+        .map(|run| run.iter().find(|r| r.name == row).map_or(f64::NAN, pick))
+        .collect()
+}
+
+/// Compares this binary against `parent` and writes the verdicts.
+/// Returns whether every fatal gate passed.
+fn paired(parent: &Path) -> Result<bool, String> {
+    let [parent_runs, change_runs] = run_pairs(parent)?;
+
+    // The change's rows in table order, then any fatal row it dropped.
+    let mut names: Vec<&str> = change_runs[0].iter().map(|r| r.name.as_str()).collect();
+    for row in FATAL_ROWS {
+        if !names.contains(&row) {
+            names.push(row);
+        }
+    }
+    println!(
+        "\n{PAIRS} pairs on {} core(s); change/parent ratio of the row medians, \
+         median [95% interval]",
+        nproc()
+    );
+    let mut fatal = 0usize;
+    let mut rows_json = Vec::new();
+    for name in names {
+        if !parent_runs.iter().flatten().any(|r| r.name == name) {
+            println!("{name:<36} new row, nothing to compare");
+            continue;
+        }
+        let is_fatal = FATAL_ROWS.contains(&name);
+        let v = paired_ratio(
+            &column(&change_runs, name, |r| r.median_us),
+            &column(&parent_runs, name, |r| r.median_us),
+            REGRESSION_BOUND,
+        );
+        let marker = match (v.above_bound, is_fatal) {
+            (true, true) => "  <-- REGRESSION (fatal)",
+            (true, false) => "  <-- slower (advisory)",
+            (false, _) => "",
+        };
+        println!(
+            "{name:<36} {:>7.3} [{:.3}, {:.3}]{marker}",
+            v.median, v.lo, v.hi
+        );
+        fatal += usize::from(v.above_bound && is_fatal);
+        let mut w = ObjectWriter::new();
+        w.str("name", name)
+            .f64("ratio", v.median)
+            .f64("lo", v.lo)
+            .f64("hi", v.hi)
+            .bool("fatal_row", is_fatal)
+            .bool("regressed", v.above_bound);
+        rows_json.push(w.finish());
+    }
+    let rows_ok = fatal == 0;
+    if rows_ok {
+        println!("perf gate ok: no fatal row slower than the parent by >15%");
+    } else {
+        println!("PERF REGRESSION: {fatal} fatal row(s) slower than the parent by >15%");
+    }
+    write_json(
+        PERF_PATH,
+        &format!(
+            "{{\"bench\":\"phy_micro_paired\",\"nproc\":{},\"pairs\":{PAIRS},\
+             \"viterbi_kernel\":\"{}\",\"bound\":{REGRESSION_BOUND},\
+             \"fatal_regressions\":{fatal},\"gate_ok\":{rows_ok},\"rows\":[{}]}}\n",
+            nproc(),
+            viterbi_kernel(),
+            rows_json.join(",")
+        ),
+    );
+
+    // The obs gate: mins over the change's own runs, where each pair of
+    // rows was timed back to back.
+    let mins = |row| column(&change_runs, row, |r| r.min_us);
+    let disabled = paired_ratio(
+        &mins("rx_1500B_qam64_obs_noop"),
+        &mins("rx_1500B_qam64_obs_plain"),
+        DISABLED_BOUND,
+    );
+    let tracing = paired_ratio(
+        &mins("rx_1500B_qam64_sc_tracing"),
+        &mins("rx_1500B_qam64_sc_plain"),
+        TRACING_BOUND,
+    );
+    println!("\nobs overhead gate (change runs, min/min, median [95% interval]):");
+    println!(
+        "  disabled path vs plain: {:.4} [{:.4}, {:.4}], bound {DISABLED_BOUND}{}",
+        disabled.median,
+        disabled.lo,
+        disabled.hi,
+        if disabled.above_bound {
+            "  <-- REGRESSION (fatal)"
+        } else {
+            ", ok"
+        }
+    );
+    println!(
+        "  enabled tracing vs untraced: {:.4} [{:.4}, {:.4}], budget {TRACING_BOUND}{}",
+        tracing.median,
+        tracing.lo,
+        tracing.hi,
+        if tracing.above_bound {
+            "  <-- over budget (warning only)"
+        } else {
+            ", ok"
+        }
+    );
+    let mut w = ObjectWriter::new();
+    w.str("bench", "obs_overhead")
+        .u64("nproc", nproc())
+        .u64("pairs", PAIRS as u64)
+        .f64("disabled_ratio", disabled.median)
+        .f64("disabled_lo", disabled.lo)
+        .f64("disabled_hi", disabled.hi)
+        .f64("disabled_bound", DISABLED_BOUND)
+        .bool("disabled_regressed", disabled.above_bound)
+        .f64("tracing_ratio", tracing.median)
+        .f64("tracing_lo", tracing.lo)
+        .f64("tracing_hi", tracing.hi)
+        .f64("tracing_bound", TRACING_BOUND)
+        .bool("tracing_within_budget", !tracing.above_bound);
+    write_json(OBS_PATH, &format!("{}\n", w.finish()));
+    Ok(rows_ok && !disabled.above_bound)
+}
+
+fn write_json(path: &str, json: &str) {
+    match std::fs::write(path, json) {
+        Ok(()) => println!("wrote {path}"),
+        Err(e) => eprintln!("cannot write {path}: {e}"),
+    }
+}
+
+/// Whether `path` names an executable file.
+fn is_executable(path: &Path) -> bool {
+    let Ok(meta) = std::fs::metadata(path) else {
+        return false;
+    };
+    #[cfg(unix)]
+    {
+        use std::os::unix::fs::PermissionsExt;
+        meta.is_file() && meta.permissions().mode() & 0o111 != 0
+    }
+    #[cfg(not(unix))]
+    {
+        meta.is_file()
+    }
+}
+
+/// The parent binary `--against` names, if any. Cargo passes `--bench`;
+/// any other argument is an error.
+fn parse_args(mut args: impl Iterator<Item = String>) -> Result<Option<PathBuf>, String> {
+    let mut against = None;
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            "--bench" => {}
+            "--against" if against.is_none() => {
+                let path = PathBuf::from(args.next().ok_or("--against needs a path")?);
+                if !is_executable(&path) {
+                    return Err(format!(
+                        "--against {}: not an executable file",
+                        path.display()
+                    ));
+                }
+                against = Some(path);
+            }
+            _ => return Err(format!("unexpected argument `{arg}`")),
+        }
+    }
+    Ok(against)
+}
+
+fn main() {
+    let against = parse_args(std::env::args().skip(1)).unwrap_or_else(|e| {
+        eprintln!(
+            "phy_micro: {e}\nusage: phy_micro [--bench] [--against <parent phy_micro binary>]"
+        );
+        std::process::exit(2);
+    });
+    let Some(parent) = against else {
+        run_rows();
+        return;
+    };
+    match paired(&parent) {
+        Ok(true) => {}
+        Ok(false) => std::process::exit(1),
+        Err(e) => {
+            eprintln!("phy_micro: {e}");
+            std::process::exit(2);
+        }
+    }
 }

@@ -11,7 +11,7 @@
 )]
 
 use carpool_channel::link::LinkChannel;
-use carpool_mac::error_model::{BerBiasModel, PerfectChannel};
+use carpool_mac::error_model::BerBiasModel;
 use carpool_mac::protocol::Protocol;
 use carpool_mac::sim::{SimConfig, Simulator};
 use carpool_mac::SimReport;
@@ -244,18 +244,6 @@ pub fn run_mac(config: SimConfig) -> SimReport {
     Simulator::new(config, Box::new(BerBiasModel::calibrated())).run()
 }
 
-/// Runs the MAC simulator with an error-free channel — the paper's
-/// Fig. 17 assumption that "frame retransmission is only caused by
-/// collision".
-pub fn run_mac_perfect(config: SimConfig) -> SimReport {
-    Simulator::new(config, Box::new(PerfectChannel)).run()
-}
-
-/// Formats bit/s as Mbit/s with two decimals.
-pub fn mbps(bps: f64) -> String {
-    format!("{:.2}", bps / 1e6)
-}
-
 /// The five protocols every MAC sweep compares, in paper order.
 pub const SWEEP_PROTOCOLS: [Protocol; 5] = [
     Protocol::Carpool,
@@ -338,6 +326,82 @@ impl ResultsTable {
     }
 }
 
+/// Bootstrap resamples behind a [`PairedRatio`] interval.
+const BOOTSTRAP_RESAMPLES: usize = 2000;
+
+/// Seed of the bootstrap's xorshift stream, fixed so that the same
+/// samples always give the same interval.
+const BOOTSTRAP_SEED: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// A paired comparison of two timings of the same row, run by run: the
+/// median of the ratios `change[i] / parent[i]` and its 95% percentile
+/// bootstrap interval.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct PairedRatio {
+    /// Median of the per-run ratios.
+    pub median: f64,
+    /// 2.5th percentile of the bootstrapped medians.
+    pub lo: f64,
+    /// 97.5th percentile of the bootstrapped medians.
+    pub hi: f64,
+    /// Whether the whole interval lies above the bound: the change is
+    /// slower than `bound` times the parent beyond the run-to-run noise.
+    pub above_bound: bool,
+}
+
+/// Compares `change` against `parent`, where `change[i]` and
+/// `parent[i]` were timed in the same pair of runs.
+///
+/// Fails closed: samples that are missing (an empty `change`), unequal
+/// in number, or not all finite and positive (a NaN stands for a row a
+/// run did not report) give NaN statistics and `above_bound`.
+pub fn paired_ratio(change: &[f64], parent: &[f64], bound: f64) -> PairedRatio {
+    let valid = |x: &f64| x.is_finite() && *x > 0.0;
+    if change.is_empty() || change.len() != parent.len() || !change.iter().chain(parent).all(valid)
+    {
+        return PairedRatio {
+            median: f64::NAN,
+            lo: f64::NAN,
+            hi: f64::NAN,
+            above_bound: true,
+        };
+    }
+    let mut ratios: Vec<f64> = change.iter().zip(parent).map(|(c, p)| c / p).collect();
+    let mut x = BOOTSTRAP_SEED;
+    let mut resample = vec![0.0; ratios.len()];
+    let mut medians: Vec<f64> = (0..BOOTSTRAP_RESAMPLES)
+        .map(|_| {
+            for slot in &mut resample {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                *slot = ratios[(x % ratios.len() as u64) as usize];
+            }
+            median(&mut resample)
+        })
+        .collect();
+    medians.sort_by(f64::total_cmp);
+    let lo = medians[BOOTSTRAP_RESAMPLES / 40];
+    let hi = medians[BOOTSTRAP_RESAMPLES - 1 - BOOTSTRAP_RESAMPLES / 40];
+    PairedRatio {
+        median: median(&mut ratios),
+        lo,
+        hi,
+        above_bound: lo > bound,
+    }
+}
+
+/// Median of a non-empty slice, sorting it in place.
+fn median(xs: &mut [f64]) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    let n = xs.len();
+    if n % 2 == 1 {
+        xs[n / 2]
+    } else {
+        (xs[n / 2 - 1] + xs[n / 2]) / 2.0
+    }
+}
+
 /// Prints a bench banner so `cargo bench` output is navigable.
 pub fn banner(id: &str, caption: &str) {
     println!();
@@ -393,9 +457,53 @@ mod tests {
         assert!(r.downlink.delivered_frames > 0);
     }
 
+    /// Twenty deterministic timings around `base` with a few percent of
+    /// spread, like one row of twenty `phy_micro` runs.
+    fn timings(base: f64, seed: u64) -> Vec<f64> {
+        pattern_bits(20 * 8, seed)
+            .chunks(8)
+            .map(|byte| {
+                let level = byte.iter().fold(0u32, |acc, &b| acc * 2 + u32::from(b));
+                base * (0.95 + 0.1 * f64::from(level) / 255.0)
+            })
+            .collect()
+    }
+
     #[test]
-    fn mbps_formatting() {
-        assert_eq!(mbps(2_500_000.0), "2.50");
+    fn paired_ratio_of_identical_samples_contains_one() {
+        let parent = timings(400.0, 3);
+        let same = paired_ratio(&parent, &parent, 1.15);
+        assert_eq!((same.median, same.lo, same.hi), (1.0, 1.0, 1.0));
+        assert!(!same.above_bound);
+        // Two independent draws from one distribution: an A/A run.
+        let a_a = paired_ratio(&timings(400.0, 5), &parent, 1.15);
+        assert!(a_a.lo <= 1.0 && 1.0 <= a_a.hi, "{a_a:?}");
+        assert!(!a_a.above_bound);
+        // The same inputs give the same interval.
+        assert_eq!(a_a, paired_ratio(&timings(400.0, 5), &parent, 1.15));
+    }
+
+    #[test]
+    fn paired_ratio_flags_a_thirty_percent_slowdown() {
+        let parent = timings(15.0, 7);
+        let slower: Vec<f64> = timings(15.0, 9).iter().map(|t| t * 1.3).collect();
+        let verdict = paired_ratio(&slower, &parent, 1.15);
+        assert!(verdict.lo > 1.15, "{verdict:?}");
+        assert!(verdict.above_bound);
+        assert!(verdict.lo <= verdict.median && verdict.median <= verdict.hi);
+    }
+
+    #[test]
+    fn paired_ratio_fails_closed_on_missing_or_nan_samples() {
+        let parent = timings(400.0, 3);
+        let mut nan = parent.clone();
+        nan[4] = f64::NAN;
+        for change in [&[][..], &vec![f64::NAN; parent.len()], &nan, &parent[1..]] {
+            let verdict = paired_ratio(change, &parent, 1.15);
+            assert!(verdict.above_bound, "{change:?}");
+            assert!(verdict.median.is_nan());
+        }
+        assert!(paired_ratio(&parent, &nan, 1.15).above_bound);
     }
 
     #[test]

@@ -125,11 +125,6 @@ impl AggregationHeader {
         AggregationHeader { bits: 0, hashes }
     }
 
-    /// Creates an empty header with the paper's default `h = 4`.
-    pub fn with_default_hashes() -> AggregationHeader {
-        AggregationHeader::new(DEFAULT_HASHES)
-    }
-
     /// Builds the header for an ordered list of receiver addresses, one
     /// subframe per receiver.
     ///
@@ -261,7 +256,7 @@ mod tests {
 
     #[test]
     fn probe_mask_agrees_with_insert_and_query() {
-        let mut hdr = AggregationHeader::with_default_hashes();
+        let mut hdr = AggregationHeader::new(DEFAULT_HASHES);
         let mask = hdr.probe_mask(&mac(1), 0);
         // h hash functions probe at most h distinct 48-bit positions.
         assert!(mask.count_ones() as usize <= hdr.hashes());
@@ -402,7 +397,7 @@ mod tests {
 
     #[test]
     fn display_is_nonempty() {
-        let hdr = AggregationHeader::with_default_hashes();
+        let hdr = AggregationHeader::new(DEFAULT_HASHES);
         assert!(!hdr.to_string().is_empty());
     }
 

@@ -38,7 +38,7 @@ impl DevicePowerModel {
     /// Energy in joules for an airtime breakdown. Overheard frames are
     /// billed at receive power (the radio demodulates them even if the
     /// MAC discards them).
-    pub fn energy_j(&self, share: &AirtimeShare) -> f64 {
+    fn energy_j(&self, share: &AirtimeShare) -> f64 {
         self.tx_w * share.tx_s
             + self.rx_w * (share.rx_s + share.overhear_s)
             + self.idle_w * share.idle_s

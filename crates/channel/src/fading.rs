@@ -174,11 +174,6 @@ impl FadingChannel {
         }
     }
 
-    /// The Gauss–Markov memory coefficient in use.
-    pub fn rho(&self) -> f64 {
-        self.rho
-    }
-
     /// Current tap values (for tests and analysis).
     pub fn taps(&self) -> &[Complex64] {
         &self.taps
@@ -293,7 +288,7 @@ mod tests {
         let input = vec![Complex64::ONE; 1000];
         ch.process(&input, &mut rng);
         assert_eq!(ch.taps(), &before[..]);
-        assert!((ch.rho() - 1.0).abs() < 1e-12);
+        assert!((ch.rho - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -304,7 +299,7 @@ mod tests {
         let input = vec![Complex64::ONE; 8000];
         ch.process(&input, &mut rng);
         assert_ne!(ch.taps(), &before[..]);
-        assert!(ch.rho() < 1.0);
+        assert!(ch.rho < 1.0);
     }
 
     #[test]
@@ -314,7 +309,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let ch = FadingChannel::new(DelayProfile::flat(), coherence, update, &mut rng);
         let updates_per_coherence = coherence * SAMPLE_RATE / update as f64;
-        let decay = ch.rho().powf(updates_per_coherence);
+        let decay = ch.rho.powf(updates_per_coherence);
         assert!((decay - 0.5).abs() < 1e-9, "decay {decay}");
     }
 

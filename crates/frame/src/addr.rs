@@ -46,11 +46,6 @@ impl MacAddress {
     pub fn as_bytes(&self) -> &[u8] {
         &self.0
     }
-
-    /// `true` for the broadcast address.
-    pub fn is_broadcast(&self) -> bool {
-        *self == MacAddress::BROADCAST
-    }
 }
 
 impl AsRef<[u8]> for MacAddress {
@@ -92,12 +87,6 @@ mod tests {
         for id in 0..100 {
             assert_ne!(MacAddress::station(id), MacAddress::access_point(id));
         }
-    }
-
-    #[test]
-    fn broadcast_detection() {
-        assert!(MacAddress::BROADCAST.is_broadcast());
-        assert!(!MacAddress::station(1).is_broadcast());
     }
 
     #[test]

@@ -78,7 +78,7 @@ impl CarpoolFrame {
     /// # Errors
     ///
     /// See [`CarpoolFrame::new`].
-    pub fn with_options(
+    fn with_options(
         subframes: Vec<Subframe>,
         hashes: usize,
         side_channel: Option<SideChannelConfig>,

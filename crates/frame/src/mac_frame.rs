@@ -79,19 +79,8 @@ impl MacFrame {
         }
     }
 
-    /// Creates an ACK for a received frame.
-    pub fn ack(dest: MacAddress, src: MacAddress, seq: u16) -> MacFrame {
-        MacFrame {
-            kind: FrameKind::Ack,
-            dest,
-            src,
-            seq,
-            body: Vec::new(),
-        }
-    }
-
     /// Serialised length including header and FCS.
-    pub fn wire_len(&self) -> usize {
+    fn wire_len(&self) -> usize {
         MAC_HEADER_BYTES + self.body.len() + FCS_BYTES
     }
 
@@ -201,7 +190,7 @@ impl AmpduBundle {
     }
 
     /// Serialised length.
-    pub fn wire_len(&self) -> usize {
+    fn wire_len(&self) -> usize {
         self.frames.iter().map(|f| 2 + f.wire_len()).sum()
     }
 
@@ -259,7 +248,13 @@ mod tests {
 
     #[test]
     fn ack_round_trip() {
-        let a = MacFrame::ack(MacAddress::access_point(0), MacAddress::station(3), 99);
+        let a = MacFrame {
+            kind: FrameKind::Ack,
+            dest: MacAddress::access_point(0),
+            src: MacAddress::station(3),
+            seq: 99,
+            body: Vec::new(),
+        };
         let parsed = MacFrame::from_bytes(&a.to_bytes()).unwrap();
         assert_eq!(parsed.kind, FrameKind::Ack);
         assert_eq!(parsed.seq, 99);

@@ -133,7 +133,7 @@ impl TraceKind {
     }
 
     /// The kind whose [`TraceKind::as_str`] is `name`.
-    pub fn from_name(name: &str) -> Option<TraceKind> {
+    fn from_name(name: &str) -> Option<TraceKind> {
         KINDS.into_iter().find(|k| k.as_str() == name)
     }
 

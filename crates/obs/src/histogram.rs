@@ -47,7 +47,7 @@ impl LogHistogram {
 
     /// Bucket index for `value`. Values at or below `MIN_VALUE` map to 0;
     /// values beyond the covered range clamp into the last bucket.
-    pub fn bucket_index(value: f64) -> usize {
+    fn bucket_index(value: f64) -> usize {
         // NaN also lands here: `<=` is false for NaN, so check it explicitly
         // rather than relying on a negated comparison.
         if value <= MIN_VALUE || value.is_nan() {
@@ -59,7 +59,7 @@ impl LogHistogram {
     }
 
     /// Upper bound of bucket `idx` (the largest value that maps into it).
-    pub fn bucket_upper_bound(idx: usize) -> f64 {
+    fn bucket_upper_bound(idx: usize) -> f64 {
         if idx == 0 {
             return MIN_VALUE;
         }
@@ -76,7 +76,7 @@ impl LogHistogram {
     /// Record `n` identical samples in one bucket update. Counts
     /// saturate rather than wrap, so pathological inputs can never
     /// overflow quantile accounting.
-    pub fn record_many(&mut self, value: f64, n: u64) {
+    fn record_many(&mut self, value: f64, n: u64) {
         if n == 0 {
             return;
         }
@@ -176,21 +176,6 @@ impl LogHistogram {
             *slot = self.max;
         }
         Quantiles::from_array(out)
-    }
-
-    /// Number of buckets in the fixed layout.
-    pub fn num_buckets() -> usize {
-        NUM_BUCKETS
-    }
-
-    /// Non-empty buckets as `(upper_bound, count)` pairs.
-    pub fn nonzero_buckets(&self) -> Vec<(f64, u64)> {
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter(|(_, &n)| n > 0)
-            .map(|(i, &n)| (Self::bucket_upper_bound(i), n))
-            .collect()
     }
 }
 
@@ -342,7 +327,7 @@ mod tests {
     fn bucket_boundary_values_stay_in_their_bucket() {
         // A value recorded exactly at a bucket's upper bound must be
         // reported at (not above) that bound.
-        for idx in [0, 1, 16, 80, LogHistogram::num_buckets() - 1] {
+        for idx in [0, 1, 16, 80, NUM_BUCKETS - 1] {
             let bound = LogHistogram::bucket_upper_bound(idx);
             let mut h = LogHistogram::new();
             h.record(bound);

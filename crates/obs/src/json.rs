@@ -143,13 +143,6 @@ impl JsonValue {
             _ => None,
         }
     }
-
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            JsonValue::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
 }
 
 /// Parse a single JSON document. Trailing whitespace is allowed; trailing
@@ -392,7 +385,7 @@ mod tests {
         assert_eq!(arr[1].as_f64(), Some(-25.0));
         assert_eq!(arr[2].as_str(), Some("xA"));
         assert_eq!(arr[3], JsonValue::Null);
-        assert_eq!(arr[4].get("b").unwrap().as_bool(), Some(false));
+        assert_eq!(arr[4].get("b"), Some(&JsonValue::Bool(false)));
     }
 
     #[test]

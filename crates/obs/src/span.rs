@@ -64,7 +64,7 @@ impl SpanStats {
         self.samples.len()
     }
 
-    pub fn total_secs(&self) -> f64 {
+    fn total_secs(&self) -> f64 {
         self.samples.iter().sum()
     }
 
@@ -93,23 +93,6 @@ impl SpanStats {
         sorted.sort_by(|a, b| a.total_cmp(b));
         sorted[sorted.len() / 2]
     }
-
-    /// Mean after dropping `⌊n·trim⌋` samples from each tail of the
-    /// sorted sequence (0.0 when empty) — a scheduler-noise-robust
-    /// location estimate for bench rows on shared machines. `trim` is
-    /// the per-tail fraction; it is clamped so at least one sample
-    /// always survives.
-    pub fn trimmed_mean_secs(&self, trim: f64) -> f64 {
-        if self.samples.is_empty() {
-            return 0.0;
-        }
-        let mut sorted = self.samples.clone();
-        sorted.sort_by(|a, b| a.total_cmp(b));
-        let cut =
-            ((sorted.len() as f64 * trim.clamp(0.0, 0.5)) as usize).min((sorted.len() - 1) / 2);
-        let kept = &sorted[cut..sorted.len() - cut];
-        kept.iter().sum::<f64>() / kept.len() as f64
-    }
 }
 
 #[cfg(test)]
@@ -133,22 +116,6 @@ mod tests {
         assert_eq!(stats.min_secs(), 0.002);
         assert_eq!(stats.max_secs(), 0.004);
         assert_eq!(stats.median_secs(), 0.003);
-    }
-
-    #[test]
-    fn trimmed_mean_discards_tails() {
-        let mut stats = SpanStats::new("rx");
-        // One wild outlier among nine tight samples: the 10%-per-tail
-        // trim drops the min and the max, leaving the tight cluster.
-        for s in [3.0, 3.0, 3.0, 3.0, 3.0, 3.0, 3.0, 3.0, 0.1, 100.0] {
-            stats.record(s);
-        }
-        assert_eq!(stats.trimmed_mean_secs(0.1), 3.0);
-        // Untrimmed degenerates to the plain mean.
-        assert!((stats.trimmed_mean_secs(0.0) - stats.mean_secs()).abs() < 1e-12);
-        // Extreme trim keeps at least one (central) sample.
-        assert_eq!(stats.trimmed_mean_secs(0.5), 3.0);
-        assert_eq!(SpanStats::new("empty").trimmed_mean_secs(0.2), 0.0);
     }
 
     #[test]

@@ -82,6 +82,7 @@ pub fn set_thread_override(threads: Option<usize>) {
 /// Resolves the worker-thread count: programmatic override, then the
 /// `CARPOOL_THREADS` environment variable, then
 /// `available_parallelism()` (1 if even that is unavailable).
+// lint:allow(dead-api): perfbench, a workspace of its own, records the thread count
 pub fn thread_count() -> usize {
     // ordering: standalone counter-style cell; stale reads only pick an
     // old thread count, never tear data

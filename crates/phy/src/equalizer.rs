@@ -139,48 +139,6 @@ impl ChannelEstimate {
             out.pilots[k] = *v * self.inverse(c);
         }
     }
-
-    /// Frequency-domain smoothing: replaces each used carrier's value
-    /// with the average of used carriers within `window` logical
-    /// indices. The channel's frequency response is continuous, so for
-    /// delay spreads well inside the cyclic prefix this suppresses
-    /// estimation noise (variance shrinks by ~the averaging width) at
-    /// the cost of bias on strongly frequency-selective channels.
-    ///
-    /// `window = 0` returns the estimate unchanged.
-    pub fn smoothed(&self, window: usize) -> ChannelEstimate {
-        if window == 0 {
-            return self.clone();
-        }
-        let used: Vec<i32> = (-26..=26).filter(|&c| c != 0).collect();
-        let mut smoothed = self.clone();
-        for &c in &used {
-            let mut acc = Complex64::ZERO;
-            let mut n = 0usize;
-            for &other in &used {
-                if (other - c).unsigned_abs() as usize <= window {
-                    acc += self.at(other);
-                    n += 1;
-                }
-            }
-            smoothed.set(c, acc / n as f64);
-        }
-        smoothed
-    }
-
-    /// Mean squared error against another estimate over used carriers.
-    pub fn mse(&self, other: &ChannelEstimate) -> f64 {
-        let mut sum = 0.0;
-        let mut n = 0usize;
-        for c in -26..=26i32 {
-            if c == 0 {
-                continue;
-            }
-            sum += (self.at(c) - other.at(c)).norm_sqr();
-            n += 1;
-        }
-        sum / n as f64
-    }
 }
 
 /// Estimates the complex noise variance per sample from the difference
@@ -330,52 +288,6 @@ mod tests {
     }
 
     #[test]
-    fn mse_zero_against_self() {
-        let est = ChannelEstimate::identity();
-        assert_eq!(est.mse(&est), 0.0);
-    }
-
-    #[test]
-    fn smoothing_reduces_noise_on_flat_channels() {
-        // A flat channel observed through noisy per-carrier estimates:
-        // averaging across carriers must approach the truth.
-        let h = Complex64::from_polar(0.9, 0.4);
-        let mut bins = vec![Complex64::ONE; FFT_SIZE];
-        for (k, c) in (-26..=26i32).filter(|&c| c != 0).enumerate() {
-            // Deterministic pseudo-noise per carrier.
-            let n = Complex64::new(
-                ((k * 37 % 17) as f64 / 17.0 - 0.5) * 0.3,
-                ((k * 53 % 19) as f64 / 19.0 - 0.5) * 0.3,
-            );
-            bins[carrier_to_bin(c)] = h + n;
-        }
-        let noisy = ChannelEstimate::from_bins(bins);
-        let truth = {
-            let mut b = vec![Complex64::ONE; FFT_SIZE];
-            for c in (-26..=26i32).filter(|&c| c != 0) {
-                b[carrier_to_bin(c)] = h;
-            }
-            ChannelEstimate::from_bins(b)
-        };
-        let before = noisy.mse(&truth);
-        let after = noisy.smoothed(4).mse(&truth);
-        assert!(after < before / 2.0, "before {before}, after {after}");
-    }
-
-    #[test]
-    fn smoothing_biases_selective_channels() {
-        // A rapidly varying frequency response: wide smoothing must
-        // introduce bias (the classic variance/bias tradeoff).
-        let mut bins = vec![Complex64::ONE; FFT_SIZE];
-        for c in (-26..=26i32).filter(|&c| c != 0) {
-            bins[carrier_to_bin(c)] = Complex64::cis(c as f64 * 1.2);
-        }
-        let selective = ChannelEstimate::from_bins(bins);
-        let smoothed = selective.smoothed(6);
-        assert!(smoothed.mse(&selective) > 0.1);
-    }
-
-    #[test]
     fn reciprocal_equalization_matches_division_bit_for_bit() {
         let mut x = 0x2545_f491_4f6c_dd1du64;
         let mut next = move || {
@@ -425,11 +337,5 @@ mod tests {
                 assert_eq!(bits(*got), bits(*v / est.at(c)), "pilot {c}");
             }
         }
-    }
-
-    #[test]
-    fn zero_window_is_identity() {
-        let est = ChannelEstimate::identity();
-        assert_eq!(est.smoothed(0), est);
     }
 }

@@ -73,7 +73,7 @@ impl Matrix2 {
     }
 
     /// Matrix-vector product.
-    pub fn mul_vec(&self, v: [Complex64; 2]) -> [Complex64; 2] {
+    fn mul_vec(&self, v: [Complex64; 2]) -> [Complex64; 2] {
         [self.a * v[0] + self.b * v[1], self.c * v[0] + self.d * v[1]]
     }
 
@@ -89,7 +89,7 @@ impl Matrix2 {
 
     /// Scales each column to unit norm (per-stream transmit power
     /// normalisation) and returns the per-column scale factors applied.
-    pub fn normalize_columns(&self) -> (Matrix2, [f64; 2]) {
+    fn normalize_columns(&self) -> (Matrix2, [f64; 2]) {
         let n0 = (self.a.norm_sqr() + self.c.norm_sqr()).sqrt().max(1e-12);
         let n1 = (self.b.norm_sqr() + self.d.norm_sqr()).sqrt().max(1e-12);
         (

@@ -181,13 +181,6 @@ impl Modulation {
         out
     }
 
-    /// Minimum distance between constellation points (after normalisation).
-    ///
-    /// Useful for analytical BER sanity checks in tests.
-    pub fn min_distance(&self) -> f64 {
-        2.0 * self.normalization()
-    }
-
     /// Per-axis PAM levels of this constellation (unnormalised).
     fn axis_levels(&self) -> &'static [f64] {
         match self {
@@ -347,7 +340,8 @@ mod tests {
     #[test]
     fn demap_is_robust_to_small_noise() {
         for m in Modulation::ALL {
-            let margin = m.min_distance() * 0.45;
+            // Adjacent points sit two normalised units apart.
+            let margin = 2.0 * m.normalization() * 0.45;
             for bits in all_bit_patterns(m.bits_per_symbol()) {
                 let p = m.map(&bits) + Complex64::new(margin / 2.0, -margin / 2.0);
                 assert_eq!(m.demap_all(&[p]), bits, "{m}");

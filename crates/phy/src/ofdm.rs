@@ -162,7 +162,8 @@ impl FreqSymbol {
     }
 
     /// Expands to the 64 FFT bins (guards and DC zeroed).
-    pub fn to_bins(&self) -> Vec<Complex64> {
+    #[cfg(test)]
+    fn to_bins(&self) -> Vec<Complex64> {
         let mut bins = vec![Complex64::ZERO; FFT_SIZE];
         for (value, carrier) in self.data.iter().zip(DATA_CARRIERS) {
             bins[carrier_to_bin(carrier)] = *value;
@@ -193,7 +194,7 @@ impl FreqSymbol {
     /// # Panics
     ///
     /// Panics if `bins.len() != 64`.
-    pub fn fill_from_bins(&mut self, bins: &[Complex64]) {
+    fn fill_from_bins(&mut self, bins: &[Complex64]) {
         assert_eq!(bins.len(), FFT_SIZE, "need {FFT_SIZE} bins");
         self.data.clear();
         self.data
@@ -204,7 +205,7 @@ impl FreqSymbol {
     }
 
     /// An empty symbol (48 zero data carriers, zero pilots) to use as a
-    /// reusable target for [`FreqSymbol::fill_from_bins`] and friends.
+    /// reusable target for the in-place demodulation paths.
     pub fn zeroed() -> FreqSymbol {
         FreqSymbol {
             data: vec![Complex64::ZERO; NUM_DATA],

@@ -62,11 +62,21 @@ pub struct RteEstimator {
     rule: CalibrationRule,
     updates: usize,
     rejected: usize,
+    /// The relative innovation gate.
+    ///
+    /// The premise of RTE is that the channel varies *slowly* relative
+    /// to a symbol (Section 5): a genuine data-pilot estimate is always
+    /// close to the running one. A fresh estimate whose mean squared
+    /// deviation exceeds `gate^2` times the running estimate's mean
+    /// power is therefore a mis-decoded symbol that slipped past the
+    /// narrow per-symbol CRC (a CRC-2 false positive), and is discarded
+    /// instead of corrupting `H̃`. `f64::INFINITY` disables it.
     innovation_gate: f64,
 }
 
 impl RteEstimator {
-    /// Default innovation gate (see [`RteEstimator::with_innovation_gate`]).
+    /// Default relative innovation gate: a data-pilot estimate further
+    /// than this from the running one is rejected as a CRC false positive.
     pub const DEFAULT_INNOVATION_GATE: f64 = 0.35;
 
     /// Starts from an initial (usually LTF-derived) estimate.
@@ -78,20 +88,6 @@ impl RteEstimator {
             rejected: 0,
             innovation_gate: Self::DEFAULT_INNOVATION_GATE,
         }
-    }
-
-    /// Sets the relative innovation gate.
-    ///
-    /// The premise of RTE is that the channel varies *slowly* relative
-    /// to a symbol (Section 5): a genuine data-pilot estimate is always
-    /// close to the running one. A fresh estimate whose mean squared
-    /// deviation exceeds `gate^2` times the running estimate's mean
-    /// power is therefore a mis-decoded symbol that slipped past the
-    /// narrow per-symbol CRC (a CRC-2 false positive), and is discarded
-    /// instead of corrupting `H̃`. Set to `f64::INFINITY` to disable.
-    pub fn with_innovation_gate(mut self, gate: f64) -> RteEstimator {
-        self.innovation_gate = gate;
-        self
     }
 
     /// The current calibrated estimate `H̃`.
@@ -188,6 +184,13 @@ mod tests {
     use super::*;
     use crate::modulation::Modulation;
 
+    /// An estimator with the innovation gate disabled.
+    fn ungated(initial: ChannelEstimate, rule: CalibrationRule) -> RteEstimator {
+        let mut rte = RteEstimator::new(initial, rule);
+        rte.innovation_gate = f64::INFINITY;
+        rte
+    }
+
     fn flat_received(data: &[Complex64], h: Complex64, index: usize) -> FreqSymbol {
         let mut sym = FreqSymbol::with_standard_pilots(data.to_vec(), index);
         for d in &mut sym.data {
@@ -208,8 +211,7 @@ mod tests {
         for b in bins.iter_mut() {
             *b = h_stale;
         }
-        let mut rte = RteEstimator::new(ChannelEstimate::from_bins(bins), CalibrationRule::Average)
-            .with_innovation_gate(f64::INFINITY);
+        let mut rte = ungated(ChannelEstimate::from_bins(bins), CalibrationRule::Average);
         let bits: Vec<u8> = (0..96).map(|k| (k % 3 == 0) as u8).collect();
         let tx = Modulation::Qpsk.map_all(&bits);
         for n in 0..12 {
@@ -225,8 +227,7 @@ mod tests {
     #[test]
     fn replace_rule_matches_single_update() {
         let h_true = Complex64::from_polar(0.4, -0.5);
-        let mut rte = RteEstimator::new(ChannelEstimate::identity(), CalibrationRule::Replace)
-            .with_innovation_gate(f64::INFINITY);
+        let mut rte = ungated(ChannelEstimate::identity(), CalibrationRule::Replace);
         let tx = Modulation::Bpsk.map_all(&[1u8; 48]);
         let rx = flat_received(&tx, h_true, 0);
         rte.update(&rx, &tx, 0);
@@ -236,8 +237,7 @@ mod tests {
     #[test]
     fn ewma_rule_moves_fractionally() {
         let h_true = Complex64::new(0.0, 1.0);
-        let mut rte = RteEstimator::new(ChannelEstimate::identity(), CalibrationRule::Ewma(0.25))
-            .with_innovation_gate(f64::INFINITY);
+        let mut rte = ungated(ChannelEstimate::identity(), CalibrationRule::Ewma(0.25));
         let tx = Modulation::Bpsk.map_all(&[0u8; 48]);
         let rx = flat_received(&tx, h_true, 0);
         rte.update(&rx, &tx, 0);
@@ -260,8 +260,7 @@ mod tests {
         // Using *incorrect* decided points corrupts the estimate — this
         // is why the per-symbol CRC (and innovation gate) matter.
         let h_true = Complex64::ONE;
-        let mut rte = RteEstimator::new(ChannelEstimate::identity(), CalibrationRule::Average)
-            .with_innovation_gate(f64::INFINITY);
+        let mut rte = ungated(ChannelEstimate::identity(), CalibrationRule::Average);
         let bits_tx = vec![1u8; 48];
         let tx = Modulation::Bpsk.map_all(&bits_tx);
         let wrong = Modulation::Bpsk.map_all(&[0u8; 48]);

@@ -41,14 +41,14 @@ impl Scrambler {
     }
 
     /// Produces the next bit of the scrambling sequence.
-    pub fn next_bit(&mut self) -> u8 {
+    fn next_bit(&mut self) -> u8 {
         let (state, out) = lfsr_step(self.state);
         self.state = state;
         out
     }
 
     /// Scrambles (or descrambles) `bits` in place from the default seed,
-    /// exactly as `Scrambler::default().scramble_in_place(bits)` does,
+    /// exactly as `Scrambler::default().scramble(bits)` does,
     /// by XORing a table of the sequence's 127-bit period. The PPDU
     /// transmitter and receiver run it on every payload section.
     ///
@@ -78,14 +78,6 @@ impl Scrambler {
                 b ^ self.next_bit()
             })
             .collect()
-    }
-
-    /// Scrambles in place, advancing `self` (useful for streaming use).
-    pub fn scramble_in_place(&mut self, bits: &mut [u8]) {
-        for b in bits.iter_mut() {
-            assert!(*b <= 1, "bit value {b} out of range");
-            *b ^= self.next_bit();
-        }
     }
 }
 
@@ -150,17 +142,6 @@ mod tests {
             assert_eq!(twice, data, "seed {seed:#x}");
             assert_ne!(once, data, "seed {seed:#x} should change the data");
         }
-    }
-
-    #[test]
-    fn streaming_matches_one_shot() {
-        let data: Vec<u8> = (0..64u8).map(|k| k & 1).collect();
-        let one_shot = Scrambler::default().scramble(&data);
-        let mut streaming = Scrambler::default();
-        let mut buf = data.clone();
-        streaming.scramble_in_place(&mut buf[..32]);
-        streaming.scramble_in_place(&mut buf[32..]);
-        assert_eq!(buf, one_shot);
     }
 
     #[test]

@@ -72,8 +72,11 @@ impl SideChannelConfig {
 
     /// Validates the configuration.
     pub fn validate(&self) -> Result<(), PhyError> {
-        let width = self.group_symbols * self.modulation.bits_per_symbol();
-        if self.group_symbols == 0 || width > 8 {
+        // A huge group must not wrap to a small width.
+        let width = self
+            .group_symbols
+            .checked_mul(self.modulation.bits_per_symbol());
+        if !matches!(width, Some(1..=8)) {
             return Err(PhyError::InvalidConfig {
                 reason: format!(
                     "side channel group of {} symbols x {} bits unsupported",
@@ -508,5 +511,16 @@ mod tests {
             transmit(&[spec]),
             Err(PhyError::InvalidConfig { .. })
         ));
+    }
+
+    #[test]
+    fn oversized_side_channel_group_does_not_wrap() {
+        // 2^63 symbols (on 64 bits) x 2 bits wraps to a width of 0 in
+        // unchecked release arithmetic.
+        let sc = SideChannelConfig {
+            modulation: PhaseOffsetMod::TwoBit,
+            group_symbols: 1 << (usize::BITS - 1),
+        };
+        assert!(matches!(sc.validate(), Err(PhyError::InvalidConfig { .. })));
     }
 }

@@ -107,6 +107,7 @@ pub struct TxCacheStats {
 
 impl TxCacheStats {
     /// Hits as a fraction of all lookups (0 when there were none).
+    // lint:allow(dead-api): perfbench, a workspace of its own, reports it as `phy.txcache_hit_ratio`
     pub fn hit_rate(&self) -> f64 {
         let total = self.hits + self.misses;
         if total == 0 {

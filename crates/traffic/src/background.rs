@@ -28,7 +28,7 @@ pub enum Transport {
 
 impl Transport {
     /// Mean inter-arrival time of this transport in the trace.
-    pub fn mean_interarrival(&self) -> f64 {
+    fn mean_interarrival(&self) -> f64 {
         match self {
             Transport::Tcp => TCP_INTERARRIVAL_S,
             Transport::Udp => UDP_INTERARRIVAL_S,
@@ -62,12 +62,6 @@ impl BackgroundSource {
     pub fn with_rate_scale(mut self, scale: f64) -> BackgroundSource {
         assert!(scale > 0.0, "rate scale must be positive");
         self.rate_scale = scale;
-        self
-    }
-
-    /// Replaces the frame-size distribution.
-    pub fn with_sizes(mut self, sizes: FrameSizeDistribution) -> BackgroundSource {
-        self.sizes = sizes;
         self
     }
 

@@ -1,7 +1,5 @@
 //! Aggregate trace statistics (paper Fig. 1(c) and Section 2).
 
-use crate::voip::Arrival;
-
 /// Published downlink traffic-volume ratios of the three traces
 /// (paper Fig. 1(c)).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -72,13 +70,6 @@ impl VolumeStats {
                 self.uplink_bytes += bytes as u64;
                 self.uplink_frames += 1;
             }
-        }
-    }
-
-    /// Records a whole arrival stream in one direction.
-    pub fn record_stream(&mut self, direction: Direction, arrivals: &[Arrival]) {
-        for a in arrivals {
-            self.record(direction, a.bytes);
         }
     }
 
@@ -164,23 +155,5 @@ mod tests {
         let cdf = empirical_cdf(&samples, &[99, 100, 250, 400, 1000]);
         assert_eq!(cdf, vec![0.0, 0.25, 0.5, 1.0, 1.0]);
         assert_eq!(empirical_cdf(&[], &[1]), vec![0.0]);
-    }
-
-    #[test]
-    fn record_stream_counts_all() {
-        let arrivals = vec![
-            Arrival {
-                time: 0.0,
-                bytes: 10,
-            },
-            Arrival {
-                time: 1.0,
-                bytes: 20,
-            },
-        ];
-        let mut v = VolumeStats::new();
-        v.record_stream(Direction::Uplink, &arrivals);
-        assert_eq!(v.total_bytes(), 30);
-        assert_eq!(v.total_frames(), 2);
     }
 }

@@ -80,7 +80,7 @@ impl Trace {
     }
 
     /// Builds a trace from records, sorting them by time.
-    pub fn from_records(mut records: Vec<TraceRecord>) -> Trace {
+    fn from_records(mut records: Vec<TraceRecord>) -> Trace {
         // total_cmp orders finite times identically to partial_cmp and is total.
         records.sort_by(|a, b| a.time.total_cmp(&b.time));
         Trace { records }

@@ -63,7 +63,7 @@ impl VoipSource {
     }
 
     /// Long-run fraction of time spent talking.
-    pub fn activity_factor(&self) -> f64 {
+    fn activity_factor(&self) -> f64 {
         self.talkspurt_mean / (self.talkspurt_mean + self.silence_mean)
     }
 
