@@ -218,12 +218,6 @@ impl CarpoolLinkBuilder {
         self
     }
 
-    /// AWGN from a USRP-style power magnitude.
-    pub fn power_magnitude(&mut self, magnitude: f64) -> &mut Self {
-        self.channel.power_magnitude(magnitude);
-        self
-    }
-
     /// Time-varying Rayleigh fading with the given coherence time.
     pub fn coherence_time(&mut self, seconds: f64) -> &mut Self {
         self.channel.coherence_time(seconds);

@@ -73,6 +73,7 @@ pub fn deadline_cell(
 
 /// What [`fig03_flight_trace`] delivered, per station.
 #[derive(Debug, Clone, PartialEq, Eq)]
+// lint:allow(dead-api): private_interfaces keeps it pub: pub `fig03_flight_trace` returns it
 pub struct FlightTraceSummary {
     /// Stations whose own subframe decoded byte-exact.
     pub delivered: usize,

@@ -46,11 +46,6 @@ impl ResidualCfo {
         }
     }
 
-    /// The configured offset in Hz.
-    pub fn freq_hz(&self) -> f64 {
-        self.freq_hz
-    }
-
     /// Phase advance per sample in radians.
     pub fn phase_per_sample(&self) -> f64 {
         2.0 * std::f64::consts::PI * self.freq_hz / self.sample_rate

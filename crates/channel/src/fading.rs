@@ -30,7 +30,7 @@ pub struct DelayProfile {
 
 impl DelayProfile {
     /// A single-tap (frequency-flat) profile.
-    pub fn flat() -> DelayProfile {
+    pub(crate) fn flat() -> DelayProfile {
         DelayProfile { powers: vec![1.0] }
     }
 
@@ -78,7 +78,7 @@ impl DelayProfile {
     }
 
     /// Normalised tap powers.
-    pub fn powers(&self) -> &[f64] {
+    pub(crate) fn powers(&self) -> &[f64] {
         &self.powers
     }
 }
@@ -91,7 +91,7 @@ impl DelayProfile {
 /// component of the first tap, modelling the strong direct path of the
 /// paper's office testbed where deep fades are rare.
 #[derive(Debug, Clone)]
-pub struct FadingChannel {
+pub(crate) struct FadingChannel {
     los: Vec<Complex64>,
     scattered: Vec<Complex64>,
     scatter_powers: Vec<f64>,
@@ -105,33 +105,19 @@ impl FadingChannel {
     /// Creates a channel with fresh random taps.
     ///
     /// * `profile` — power delay profile.
+    /// * `k_factor` — Rician K-factor: the first tap carries a fixed
+    ///   line-of-sight component holding `k_factor / (k_factor + 1)` of
+    ///   its power (`k_factor = 0` degenerates to Rayleigh). Typical
+    ///   indoor LOS links have K of 5–20 (7–13 dB).
     /// * `coherence_time_s` — time for the tap autocorrelation to decay
     ///   to 1/2; `f64::INFINITY` freezes the channel (block fading).
-    /// * `update_interval` — samples between tap updates (80 = one OFDM
-    ///   symbol is a good default).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `coherence_time_s <= 0` or `update_interval == 0`.
-    pub fn new<R: Rng + ?Sized>(
-        profile: DelayProfile,
-        coherence_time_s: f64,
-        update_interval: usize,
-        rng: &mut R,
-    ) -> FadingChannel {
-        FadingChannel::new_rician(profile, 0.0, coherence_time_s, update_interval, rng)
-    }
-
-    /// Creates a Rician channel: the first tap carries a fixed
-    /// line-of-sight component holding `k_factor / (k_factor + 1)` of
-    /// its power (`k_factor = 0` degenerates to Rayleigh). Typical
-    /// indoor LOS links have K of 5–20 (7–13 dB).
+    /// * `update_interval` — samples between tap updates.
     ///
     /// # Panics
     ///
     /// Panics if `k_factor < 0`, `coherence_time_s <= 0` or
     /// `update_interval == 0`.
-    pub fn new_rician<R: Rng + ?Sized>(
+    pub(crate) fn new_rician<R: Rng + ?Sized>(
         profile: DelayProfile,
         k_factor: f64,
         coherence_time_s: f64,
@@ -174,11 +160,6 @@ impl FadingChannel {
         }
     }
 
-    /// Current tap values (for tests and analysis).
-    pub fn taps(&self) -> &[Complex64] {
-        &self.taps
-    }
-
     fn evolve<R: Rng + ?Sized>(&mut self, rng: &mut R) {
         if self.rho >= 1.0 {
             return;
@@ -202,7 +183,11 @@ impl FadingChannel {
     /// beyond the input length is truncated (the cyclic prefix of OFDM
     /// symbols absorbs inter-symbol leakage as long as the profile is
     /// shorter than the CP).
-    pub fn process<R: Rng + ?Sized>(&mut self, input: &[Complex64], rng: &mut R) -> Vec<Complex64> {
+    pub(crate) fn process<R: Rng + ?Sized>(
+        &mut self,
+        input: &[Complex64],
+        rng: &mut R,
+    ) -> Vec<Complex64> {
         let l = self.taps.len();
         let mut out = vec![Complex64::ZERO; input.len()];
         if l == 1 {
@@ -266,8 +251,9 @@ mod tests {
     #[test]
     fn static_channel_is_pure_convolution() {
         let mut rng = StdRng::seed_from_u64(5);
-        let mut ch = FadingChannel::new(DelayProfile::flat(), f64::INFINITY, 80, &mut rng);
-        let h = ch.taps()[0];
+        let mut ch =
+            FadingChannel::new_rician(DelayProfile::flat(), 0.0, f64::INFINITY, 80, &mut rng);
+        let h = ch.taps[0];
         let input: Vec<Complex64> = (0..100).map(|k| Complex64::new(k as f64, 0.5)).collect();
         let out = ch.process(&input, &mut rng);
         for (o, i) in out.iter().zip(&input) {
@@ -278,27 +264,28 @@ mod tests {
     #[test]
     fn infinite_coherence_freezes_taps() {
         let mut rng = StdRng::seed_from_u64(9);
-        let mut ch = FadingChannel::new(
+        let mut ch = FadingChannel::new_rician(
             DelayProfile::exponential(4, 0.5),
+            0.0,
             f64::INFINITY,
             10,
             &mut rng,
         );
-        let before = ch.taps().to_vec();
+        let before = ch.taps.clone();
         let input = vec![Complex64::ONE; 1000];
         ch.process(&input, &mut rng);
-        assert_eq!(ch.taps(), &before[..]);
+        assert_eq!(ch.taps, before);
         assert!((ch.rho - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn finite_coherence_evolves_taps() {
         let mut rng = StdRng::seed_from_u64(13);
-        let mut ch = FadingChannel::new(DelayProfile::flat(), 1e-3, 80, &mut rng);
-        let before = ch.taps().to_vec();
+        let mut ch = FadingChannel::new_rician(DelayProfile::flat(), 0.0, 1e-3, 80, &mut rng);
+        let before = ch.taps.clone();
         let input = vec![Complex64::ONE; 8000];
         ch.process(&input, &mut rng);
-        assert_ne!(ch.taps(), &before[..]);
+        assert_ne!(ch.taps, before);
         assert!(ch.rho < 1.0);
     }
 
@@ -307,7 +294,7 @@ mod tests {
         let update = 80usize;
         let coherence = 500e-6;
         let mut rng = StdRng::seed_from_u64(1);
-        let ch = FadingChannel::new(DelayProfile::flat(), coherence, update, &mut rng);
+        let ch = FadingChannel::new_rician(DelayProfile::flat(), 0.0, coherence, update, &mut rng);
         let updates_per_coherence = coherence * SAMPLE_RATE / update as f64;
         let decay = ch.rho.powf(updates_per_coherence);
         assert!((decay - 0.5).abs() < 1e-9, "decay {decay}");
@@ -322,8 +309,9 @@ mod tests {
         let mut total = 0.0;
         let reps = 3000;
         for _ in 0..reps {
-            let mut ch = FadingChannel::new(
+            let mut ch = FadingChannel::new_rician(
                 DelayProfile::exponential(4, 0.5),
+                0.0,
                 f64::INFINITY,
                 80,
                 &mut rng,
@@ -338,13 +326,13 @@ mod tests {
     #[test]
     fn evolution_preserves_tap_power_statistics() {
         let mut rng = StdRng::seed_from_u64(33);
-        let mut ch = FadingChannel::new(DelayProfile::flat(), 50e-6, 16, &mut rng);
+        let mut ch = FadingChannel::new_rician(DelayProfile::flat(), 0.0, 50e-6, 16, &mut rng);
         let input = vec![Complex64::ONE; 16];
         let mut acc = 0.0;
         let reps = 20_000;
         for _ in 0..reps {
             ch.process(&input, &mut rng);
-            acc += ch.taps()[0].norm_sqr();
+            acc += ch.taps[0].norm_sqr();
         }
         let avg = acc / reps as f64;
         // The Gauss-Markov tap process is strongly autocorrelated at a

@@ -39,6 +39,5 @@ pub mod link;
 pub mod noise;
 
 pub use cfo::ResidualCfo;
-pub use fading::{DelayProfile, FadingChannel};
+pub use fading::DelayProfile;
 pub use link::{power_magnitude_to_snr_db, LinkChannel, LinkChannelBuilder};
-pub use noise::Awgn;

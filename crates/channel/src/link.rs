@@ -15,6 +15,9 @@ use carpool_phy::math::Complex64;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+/// Samples between fading tap updates: one OFDM symbol.
+const FADING_UPDATE_INTERVAL: usize = 80;
+
 /// SNR (dB) corresponding to the paper's lowest power magnitude 0.0125.
 ///
 /// Chosen so that at magnitude 0.0125 QAM64 is heavily errored while
@@ -97,7 +100,6 @@ pub struct LinkChannelBuilder {
     profile: DelayProfile,
     coherence_time_s: Option<f64>,
     rician_k: f64,
-    update_interval: usize,
     cfo_hz: f64,
     seed: u64,
 }
@@ -109,7 +111,6 @@ impl Default for LinkChannelBuilder {
             profile: DelayProfile::flat(),
             coherence_time_s: None,
             rician_k: 0.0,
-            update_interval: 80,
             cfo_hz: 0.0,
             seed: 0,
         }
@@ -121,13 +122,6 @@ impl LinkChannelBuilder {
     /// noiseless.
     pub fn snr_db(&mut self, snr_db: f64) -> &mut Self {
         self.snr_db = Some(snr_db);
-        self
-    }
-
-    /// Sets AWGN from a USRP-style power magnitude (see
-    /// [`power_magnitude_to_snr_db`]).
-    pub fn power_magnitude(&mut self, magnitude: f64) -> &mut Self {
-        self.snr_db = Some(power_magnitude_to_snr_db(magnitude));
         self
     }
 
@@ -159,12 +153,6 @@ impl LinkChannelBuilder {
         self
     }
 
-    /// Samples between fading updates (default 80 = one OFDM symbol).
-    pub fn update_interval(&mut self, samples: usize) -> &mut Self {
-        self.update_interval = samples;
-        self
-    }
-
     /// Residual carrier frequency offset in Hz (default 0).
     pub fn cfo_hz(&mut self, hz: f64) -> &mut Self {
         self.cfo_hz = hz;
@@ -185,7 +173,7 @@ impl LinkChannelBuilder {
                 self.profile.clone(),
                 self.rician_k,
                 ct,
-                self.update_interval,
+                FADING_UPDATE_INTERVAL,
                 &mut rng,
             )
         });

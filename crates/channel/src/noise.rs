@@ -136,24 +136,19 @@ pub fn complex_gaussian<R: Rng + ?Sized>(rng: &mut R, variance: f64) -> Complex6
 /// power is measured from each processed buffer — so the configured SNR
 /// is met exactly in expectation regardless of the transmit scaling.
 #[derive(Debug, Clone)]
-pub struct Awgn {
+pub(crate) struct Awgn {
     snr_db: f64,
 }
 
 impl Awgn {
     /// Creates an AWGN stage targeting `snr_db` decibels.
-    pub fn new(snr_db: f64) -> Awgn {
+    pub(crate) fn new(snr_db: f64) -> Awgn {
         Awgn { snr_db }
-    }
-
-    /// Target signal-to-noise ratio in dB.
-    pub fn snr_db(&self) -> f64 {
-        self.snr_db
     }
 
     /// Adds noise to `samples` in place, scaled to the measured signal
     /// power of the buffer.
-    pub fn apply<R: Rng + ?Sized>(&self, samples: &mut [Complex64], rng: &mut R) {
+    pub(crate) fn apply<R: Rng + ?Sized>(&self, samples: &mut [Complex64], rng: &mut R) {
         let signal_power = mean_power(samples);
         if signal_power == 0.0 {
             return;

@@ -7,7 +7,7 @@ use std::collections::BTreeMap;
 /// (e.g. the trace path in `carpool report run.jsonl`) and `--key value`
 /// options (`--flag` without a value is stored as `"true"`).
 #[derive(Debug, Clone, Default)]
-pub struct Args {
+pub(crate) struct Args {
     command: Option<String>,
     positionals: Vec<String>,
     options: BTreeMap<String, String>,
@@ -15,7 +15,7 @@ pub struct Args {
 
 /// Errors from argument parsing and lookup.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ArgError {
+pub(crate) enum ArgError {
     /// An option's value failed to parse.
     BadValue {
         /// Option name (without dashes).
@@ -57,7 +57,7 @@ impl Args {
     ///
     /// Infallible today (the `Result` is kept for option-value errors
     /// surfaced later by [`Args::get_or`]).
-    pub fn parse<I: IntoIterator<Item = String>>(raw: I) -> Result<Args, ArgError> {
+    pub(crate) fn parse<I: IntoIterator<Item = String>>(raw: I) -> Result<Args, ArgError> {
         let mut args = Args::default();
         let mut iter = raw.into_iter().peekable();
         if let Some(first) = iter.peek() {
@@ -79,27 +79,27 @@ impl Args {
     }
 
     /// The subcommand, if any.
-    pub fn command(&self) -> Option<&str> {
+    pub(crate) fn command(&self) -> Option<&str> {
         self.command.as_deref()
     }
 
     /// Bare positional arguments after the subcommand, in order.
-    pub fn positionals(&self) -> &[String] {
+    pub(crate) fn positionals(&self) -> &[String] {
         &self.positionals
     }
 
     /// The `idx`-th positional argument.
-    pub fn positional(&self, idx: usize) -> Option<&str> {
+    pub(crate) fn positional(&self, idx: usize) -> Option<&str> {
         self.positionals.get(idx).map(String::as_str)
     }
 
     /// Raw string option.
-    pub fn get(&self, key: &str) -> Option<&str> {
+    pub(crate) fn get(&self, key: &str) -> Option<&str> {
         self.options.get(key).map(String::as_str)
     }
 
     /// Boolean flag (present without value, or an explicit true/false).
-    pub fn flag(&self, key: &str) -> bool {
+    pub(crate) fn flag(&self, key: &str) -> bool {
         matches!(self.get(key), Some("true") | Some("1") | Some("yes"))
     }
 
@@ -110,7 +110,7 @@ impl Args {
     ///
     /// Returns [`ArgError::UnknownOption`] naming the first unknown
     /// option (in sorted order).
-    pub fn check_options(&self, allowed: &[&[&str]]) -> Result<(), ArgError> {
+    pub(crate) fn check_options(&self, allowed: &[&[&str]]) -> Result<(), ArgError> {
         match self
             .options
             .keys()
@@ -129,7 +129,11 @@ impl Args {
     /// # Errors
     ///
     /// Returns [`ArgError::BadValue`] if the value does not parse.
-    pub fn get_or<T: std::str::FromStr>(&self, key: &str, default: T) -> Result<T, ArgError> {
+    pub(crate) fn get_or<T: std::str::FromStr>(
+        &self,
+        key: &str,
+        default: T,
+    ) -> Result<T, ArgError> {
         match self.get(key) {
             None => Ok(default),
             Some(v) => v.parse().map_err(|_| ArgError::BadValue {

@@ -18,7 +18,7 @@ use carpool_obs::{
 use std::sync::Arc;
 
 /// Observability wiring for one CLI invocation.
-pub struct ObsSession {
+pub(crate) struct ObsSession {
     obs: Obs,
     recorder: Option<Arc<MemoryRecorder>>,
     flight: Option<Arc<FlightRecorder>>,
@@ -34,7 +34,7 @@ impl ObsSession {
     ///
     /// Fails when the `--obs` file cannot be created or a flag is
     /// missing its path argument.
-    pub fn from_args(args: &Args) -> Result<ObsSession, String> {
+    pub(crate) fn from_args(args: &Args) -> Result<ObsSession, String> {
         let path = args.get("obs").filter(|v| *v != "true").map(str::to_string);
         if args.get("obs") == Some("true") {
             return Err("--obs needs a file path, e.g. --obs run.jsonl".to_string());
@@ -81,13 +81,13 @@ impl ObsSession {
     }
 
     /// The handle to thread through instrumented code.
-    pub fn obs(&self) -> Obs {
+    pub(crate) fn obs(&self) -> Obs {
         self.obs.clone()
     }
 
     /// Flushes the `--obs` stream, exports the flight-recorder trace,
     /// and prints the `--obs-summary` tables.
-    pub fn finish(&self) {
+    pub(crate) fn finish(&self) {
         self.obs.flush();
         if let Some(p) = &self.path {
             eprintln!("# obs records written to {p}");
@@ -119,7 +119,7 @@ impl ObsSession {
 }
 
 /// Renders a metrics snapshot as the `--obs-summary` block.
-pub fn render_summary(snap: &MetricsSnapshot) -> String {
+pub(crate) fn render_summary(snap: &MetricsSnapshot) -> String {
     let mut out = String::new();
     if !snap.counters.is_empty() {
         out.push_str("# obs counters\n");

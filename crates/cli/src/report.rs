@@ -15,30 +15,30 @@ use std::collections::BTreeMap;
 
 /// Per-frame lifecycle assembled from the records carrying its id.
 #[derive(Debug, Default, Clone)]
-pub struct FrameTimeline {
+pub(crate) struct FrameTimeline {
     /// MAC enqueue time (sim seconds).
-    pub enqueue: Option<f64>,
+    pub(crate) enqueue: Option<f64>,
     /// Aggregation decision time.
-    pub agg: Option<f64>,
+    pub(crate) agg: Option<f64>,
     /// First airtime-start stamp.
-    pub air_start: Option<f64>,
+    pub(crate) air_start: Option<f64>,
     /// Last airtime-end stamp.
-    pub air_end: Option<f64>,
+    pub(crate) air_end: Option<f64>,
     /// Per-symbol RTE recalibrations applied / rejected.
-    pub rte_applied: u64,
-    pub rte_rejected: u64,
+    pub(crate) rte_applied: u64,
+    pub(crate) rte_rejected: u64,
     /// Side-channel group CRC verdicts.
-    pub side_ok: u64,
-    pub side_fail: u64,
+    pub(crate) side_ok: u64,
+    pub(crate) side_fail: u64,
     /// A-HDR membership decisions observed (one per listening STA).
-    pub ahdr_checks: u64,
+    pub(crate) ahdr_checks: u64,
     /// Per-STA outcomes: delivered / early-dropped.
-    pub sta_delivered: u64,
-    pub sta_dropped: u64,
+    pub(crate) sta_delivered: u64,
+    pub(crate) sta_dropped: u64,
     /// MAC-level closure.
-    pub acked: u64,
-    pub dropped: u64,
-    pub retx: u64,
+    pub(crate) acked: u64,
+    pub(crate) dropped: u64,
+    pub(crate) retx: u64,
     /// Last applied-RTE timestamp, for cadence tracking.
     last_rte: Option<f64>,
     /// Most recent airtime-start (retransmissions restart the clock).
@@ -47,7 +47,7 @@ pub struct FrameTimeline {
 
 impl FrameTimeline {
     /// Airtime of this frame, when both endpoints were recorded.
-    pub fn airtime(&self) -> Option<f64> {
+    pub(crate) fn airtime(&self) -> Option<f64> {
         match (self.air_start, self.air_end) {
             (Some(s), Some(e)) if e >= s => Some(e - s),
             _ => None,
@@ -57,55 +57,55 @@ impl FrameTimeline {
 
 /// Aggregates accumulated from one record stream.
 #[derive(Debug, Default)]
-pub struct ReportAggregates {
+pub(crate) struct ReportAggregates {
     // Stream-wide.
-    pub records: u64,
-    pub malformed: u64,
-    pub unknown_kinds: u64,
-    pub t_max: f64,
+    pub(crate) records: u64,
+    pub(crate) malformed: u64,
+    pub(crate) unknown_kinds: u64,
+    pub(crate) t_max: f64,
     // PHY.
-    pub rte_applied: u64,
-    pub rte_rejected: u64,
-    pub side_crc_ok: u64,
-    pub side_crc_fail: u64,
-    pub equalizer_resets: u64,
+    pub(crate) rte_applied: u64,
+    pub(crate) rte_rejected: u64,
+    pub(crate) side_crc_ok: u64,
+    pub(crate) side_crc_fail: u64,
+    pub(crate) equalizer_resets: u64,
     // Frame / A-HDR.
-    pub ahdr_matched: u64,
-    pub ahdr_missed: u64,
-    pub ahdr_false_positives: u64,
-    pub ahdr_true_negatives: u64,
-    pub subframe_accepted: u64,
-    pub subframe_bytes: u64,
-    pub early_drops: u64,
+    pub(crate) ahdr_matched: u64,
+    pub(crate) ahdr_missed: u64,
+    pub(crate) ahdr_false_positives: u64,
+    pub(crate) ahdr_true_negatives: u64,
+    pub(crate) subframe_accepted: u64,
+    pub(crate) subframe_bytes: u64,
+    pub(crate) early_drops: u64,
     // MAC.
-    pub delivered_frames: u64,
-    pub delivered_bytes: u64,
-    pub dropped_frames: u64,
-    pub retransmissions: u64,
-    pub transmissions: u64,
-    pub collisions: u64,
-    pub aggregated_stas: u64,
-    pub airtime_s: f64,
-    pub delay: LogHistogram,
-    pub drop_delay: LogHistogram,
+    pub(crate) delivered_frames: u64,
+    pub(crate) delivered_bytes: u64,
+    pub(crate) dropped_frames: u64,
+    pub(crate) retransmissions: u64,
+    pub(crate) transmissions: u64,
+    pub(crate) collisions: u64,
+    pub(crate) aggregated_stas: u64,
+    pub(crate) airtime_s: f64,
+    pub(crate) delay: LogHistogram,
+    pub(crate) drop_delay: LogHistogram,
     // Traffic: MAC enqueues and replayed trace arrivals.
-    pub arrivals: u64,
-    pub arrival_bytes: u64,
+    pub(crate) arrivals: u64,
+    pub(crate) arrival_bytes: u64,
     // Frame timelines.
     /// Ring-overflow accounting from a `--trace-out` export's
     /// `trace_summary` trailer (absent from `--obs` streams).
-    pub ring_dropped: Option<u64>,
-    pub frames: BTreeMap<u64, FrameTimeline>,
-    pub airtime: LogHistogram,
+    pub(crate) ring_dropped: Option<u64>,
+    pub(crate) frames: BTreeMap<u64, FrameTimeline>,
+    pub(crate) airtime: LogHistogram,
     /// Gap between consecutive applied RTE recalibrations within one
     /// frame — the recalibration cadence.
-    pub rte_gap: LogHistogram,
+    pub(crate) rte_gap: LogHistogram,
 }
 
 impl ReportAggregates {
     /// Folds one record into the layer tables and, when it carries a
     /// frame id, that frame's timeline.
-    pub fn ingest(&mut self, rec: &TraceRecord) {
+    pub(crate) fn ingest(&mut self, rec: &TraceRecord) {
         let Some(kind) = rec.kind() else {
             self.unknown_kinds += 1;
             return;
@@ -216,7 +216,7 @@ impl ReportAggregates {
     }
 
     /// Parses a whole JSONL document, tolerating blank lines.
-    pub fn from_jsonl(text: &str) -> ReportAggregates {
+    pub(crate) fn from_jsonl(text: &str) -> ReportAggregates {
         let mut agg = ReportAggregates::default();
         for line in text.lines().map(str::trim).filter(|l| !l.is_empty()) {
             let Ok(value) = json::parse(line) else {
@@ -236,19 +236,19 @@ impl ReportAggregates {
     }
 
     /// A-HDR false-positive ratio over probes with known ground truth.
-    pub fn ahdr_fp_ratio(&self) -> Option<f64> {
+    pub(crate) fn ahdr_fp_ratio(&self) -> Option<f64> {
         let with_truth = self.ahdr_false_positives + self.ahdr_true_negatives;
         (with_truth > 0).then(|| self.ahdr_false_positives as f64 / with_truth as f64)
     }
 
     /// Downlink+uplink goodput over the stream's time extent, Mbit/s.
-    pub fn goodput_mbps(&self) -> Option<f64> {
+    pub(crate) fn goodput_mbps(&self) -> Option<f64> {
         (self.t_max > 0.0 && self.delivered_bytes > 0)
             .then(|| self.delivered_bytes as f64 * 8.0 / self.t_max / 1e6)
     }
 
     /// Renders the per-layer report.
-    pub fn render(&self) -> String {
+    pub(crate) fn render(&self) -> String {
         let mut out = String::new();
         out.push_str(&format!(
             "records: {} ({} malformed, {} unknown kinds), time extent {:.3} s\n",
@@ -432,7 +432,7 @@ impl ReportAggregates {
 }
 
 /// The `carpool report <path.jsonl>` subcommand.
-pub fn cmd_report(args: &crate::args::Args) -> Result<(), String> {
+pub(crate) fn cmd_report(args: &crate::args::Args) -> Result<(), String> {
     if args.positionals().len() > 1 {
         return Err("usage: carpool report <path.jsonl> (one file at a time)".to_string());
     }

@@ -38,7 +38,7 @@ impl MacAddress {
     }
 
     /// The raw octets.
-    pub fn octets(&self) -> [u8; 6] {
+    pub(crate) fn octets(&self) -> [u8; 6] {
         self.0
     }
 

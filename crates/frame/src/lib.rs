@@ -48,7 +48,6 @@ pub mod addr;
 pub mod aggregation;
 pub mod airtime;
 pub mod carpool;
-pub mod coexist;
 pub mod mac_frame;
 pub mod mimo;
 pub mod nav;

@@ -50,7 +50,7 @@ pub const MAC_HEADER_BYTES: usize = 1 + 6 + 6 + 2;
 /// Size in bytes of the FCS trailer.
 pub const FCS_BYTES: usize = 4;
 /// Size of a serialised ACK frame (header + FCS, no body).
-pub const ACK_BYTES: usize = MAC_HEADER_BYTES + FCS_BYTES;
+pub(crate) const ACK_BYTES: usize = MAC_HEADER_BYTES + FCS_BYTES;
 
 /// A MAC protocol data unit.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]

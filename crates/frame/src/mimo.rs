@@ -128,18 +128,13 @@ impl MimoCarpoolFrame {
         MimoCarpoolFrame::new(streams, groups)
     }
 
-    /// Spatial streams of the transmitter.
-    pub fn streams(&self) -> usize {
-        self.streams
-    }
-
     /// The precoding groups in transmission order.
     pub fn groups(&self) -> &[Vec<MimoSubframe>] {
         &self.groups
     }
 
     /// Total receivers across groups.
-    pub fn receiver_count(&self) -> usize {
+    pub(crate) fn receiver_count(&self) -> usize {
         self.groups.iter().map(|g| g.len()).sum()
     }
 
@@ -158,7 +153,7 @@ impl MimoCarpoolFrame {
 
     /// Duration of one group: its VHT preamble plus its *longest* stream
     /// (streams are parallel in space, so the slowest pads the group).
-    pub fn group_airtime(&self, group: usize) -> f64 {
+    pub(crate) fn group_airtime(&self, group: usize) -> f64 {
         let g = &self.groups[group];
         let payload = g.iter().map(MimoSubframe::airtime).fold(0.0f64, f64::max);
         vht_preamble_airtime(self.streams) + payload
@@ -192,11 +187,6 @@ impl MimoCarpoolFrame {
             })
             .sum()
     }
-
-    /// Channel accesses saved versus plain MU-MIMO.
-    pub fn accesses_saved(&self) -> usize {
-        self.groups.len().saturating_sub(1)
-    }
 }
 
 #[cfg(test)]
@@ -224,10 +214,9 @@ mod tests {
     #[test]
     fn paper_figure18_grouping() {
         let frame = paper_example();
-        assert_eq!(frame.streams(), 2);
+        assert_eq!(frame.streams, 2);
         assert_eq!(frame.groups().len(), 2);
         assert_eq!(frame.receiver_count(), 4);
-        assert_eq!(frame.accesses_saved(), 1);
     }
 
     #[test]

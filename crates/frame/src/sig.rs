@@ -17,7 +17,7 @@ use carpool_phy::bits::{bits_to_uint, uint_to_bits};
 use carpool_phy::mcs::Mcs;
 
 /// Number of information bits in a SIG field (one BPSK-1/2 symbol).
-pub const SIG_BITS: usize = 24;
+pub(crate) const SIG_BITS: usize = 24;
 
 /// Decoded contents of a SIG field.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -59,8 +59,8 @@ impl Sig {
         Sig { mcs, length_bytes }
     }
 
-    /// Serialises to [`SIG_BITS`] bits: 4 rate bits, 16 length bits,
-    /// 1 even-parity bit, 3 reserved zero bits.
+    /// Serialises to 24 bits (one BPSK-1/2 symbol): 4 rate bits, 16
+    /// length bits, 1 even-parity bit, 3 reserved zero bits.
     pub fn to_bits(&self) -> Vec<u8> {
         let mut bits = Vec::with_capacity(SIG_BITS);
         bits.extend(uint_to_bits(mcs_to_code(self.mcs) as u64, 4));

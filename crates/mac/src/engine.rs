@@ -855,20 +855,16 @@ impl<'m> Domain<'m> {
             // The station whose link decides this subframe's fate: the
             // destination for downlink, the sender for uplink.
             let link = if winner_is_ap { g.dest } else { winner };
-            let link_sta = link.saturating_sub(self.cfg.num_aps);
             let mcs = mcs_for(&self.cfg, link);
             for fi in g.start..g.start + g.len {
                 let k = self.scratch.plan.indices[fi];
                 let frame = self.nodes[winner].queue[k];
                 let wire_bits = (frame.bytes + WIRE_OVERHEAD_BYTES) * 8;
                 let n_sym = mcs.symbols_for_bits(wire_bits);
-                let p = self.model.get().subframe_success_prob_for(
-                    link_sta,
-                    self.scheme,
-                    mcs,
-                    start_sym,
-                    n_sym,
-                );
+                let p = self
+                    .model
+                    .get()
+                    .subframe_success_prob(self.scheme, mcs, start_sym, n_sym);
                 let mut ok = !hidden_loss && self.rng.gen::<f64>() < p;
                 if self.obss_coupling > 0.0 {
                     // The draw happens whenever coupling is configured —

@@ -41,73 +41,6 @@ pub trait FrameErrorModel: Send + Sync {
         start_symbol: usize,
         num_symbols: usize,
     ) -> f64;
-
-    /// Station-aware variant: the paper feeds "the traces at each
-    /// location ... into one STA", so models may differ per station.
-    /// Defaults to the station-agnostic probability.
-    fn subframe_success_prob_for(
-        &self,
-        sta: usize,
-        scheme: EstimationScheme,
-        mcs: Mcs,
-        start_symbol: usize,
-        num_symbols: usize,
-    ) -> f64 {
-        let _ = sta;
-        self.subframe_success_prob(scheme, mcs, start_symbol, num_symbols)
-    }
-}
-
-/// Per-station error traces: station `k` uses `models[k % models.len()]`
-/// — the software analogue of assigning each simulated STA the USRP
-/// capture of one measurement location (paper Section 7.2.1).
-pub struct PerStaErrorModel<M> {
-    models: Vec<M>,
-}
-
-impl<M: FrameErrorModel> PerStaErrorModel<M> {
-    /// Creates a per-station model from one model per location.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `models` is empty.
-    pub fn new(models: Vec<M>) -> PerStaErrorModel<M> {
-        assert!(!models.is_empty(), "need at least one location model");
-        PerStaErrorModel { models }
-    }
-
-    /// Number of distinct location models.
-    pub fn locations(&self) -> usize {
-        self.models.len()
-    }
-}
-
-impl<M: FrameErrorModel> FrameErrorModel for PerStaErrorModel<M> {
-    fn subframe_success_prob(
-        &self,
-        scheme: EstimationScheme,
-        mcs: Mcs,
-        start_symbol: usize,
-        num_symbols: usize,
-    ) -> f64 {
-        self.models[0].subframe_success_prob(scheme, mcs, start_symbol, num_symbols)
-    }
-
-    fn subframe_success_prob_for(
-        &self,
-        sta: usize,
-        scheme: EstimationScheme,
-        mcs: Mcs,
-        start_symbol: usize,
-        num_symbols: usize,
-    ) -> f64 {
-        self.models[sta % self.models.len()].subframe_success_prob(
-            scheme,
-            mcs,
-            start_symbol,
-            num_symbols,
-        )
-    }
 }
 
 /// An error-free channel (useful for isolating MAC effects).
@@ -329,37 +262,5 @@ mod tests {
     #[should_panic(expected = "non-empty")]
     fn empty_curve_rejected() {
         SymbolErrorCurve::new(vec![], vec![0.1]);
-    }
-
-    #[test]
-    fn per_sta_model_dispatches_by_station() {
-        let good = SymbolErrorCurve::new(vec![0.0], vec![0.0]);
-        let bad = SymbolErrorCurve::new(vec![0.5], vec![0.5]);
-        let model = PerStaErrorModel::new(vec![good, bad]);
-        assert_eq!(model.locations(), 2);
-        let p0 =
-            model.subframe_success_prob_for(0, EstimationScheme::Standard, Mcs::QPSK_1_2, 0, 4);
-        let p1 =
-            model.subframe_success_prob_for(1, EstimationScheme::Standard, Mcs::QPSK_1_2, 0, 4);
-        assert_eq!(p0, 1.0);
-        assert!((p1 - 0.5f64.powi(4)).abs() < 1e-12);
-        // Station 2 wraps back to location 0.
-        let p2 =
-            model.subframe_success_prob_for(2, EstimationScheme::Standard, Mcs::QPSK_1_2, 0, 4);
-        assert_eq!(p2, 1.0);
-    }
-
-    #[test]
-    fn default_for_variant_matches_agnostic() {
-        let m = BerBiasModel::calibrated();
-        let a = m.subframe_success_prob(EstimationScheme::Rte, Mcs::QAM16_1_2, 5, 20);
-        let b = m.subframe_success_prob_for(7, EstimationScheme::Rte, Mcs::QAM16_1_2, 5, 20);
-        assert_eq!(a, b);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one location")]
-    fn empty_per_sta_model_rejected() {
-        let _ = PerStaErrorModel::<PerfectChannel>::new(vec![]);
     }
 }

@@ -46,7 +46,7 @@ pub mod metrics;
 /// The five downlink protocols under evaluation.
 pub mod protocol;
 /// SNR-driven MCS selection.
-pub mod rate;
+mod rate;
 /// Single-cell simulator facade over the event engine.
 pub mod sim;
 
@@ -60,12 +60,9 @@ mod counting_alloc;
 static COUNTING_ALLOC: counting_alloc::CountingAlloc = counting_alloc::CountingAlloc;
 
 pub use engine::{run_dense, DenseConfig, DenseReport};
-pub use error_model::{
-    BerBiasModel, EstimationScheme, FrameErrorModel, PerStaErrorModel, PerfectChannel,
-};
+pub use error_model::{BerBiasModel, EstimationScheme, FrameErrorModel, PerfectChannel};
 pub use metrics::{AirtimeShare, ChannelStats, FlowMetrics, SimReport};
 pub use protocol::Protocol;
-pub use rate::mcs_for_snr;
 pub use sim::{
     AggregationWait, DownlinkTraffic, HiddenTerminals, SchedulerPolicy, SimConfig, Simulator,
     UplinkTraffic,

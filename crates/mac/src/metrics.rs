@@ -28,7 +28,7 @@ impl FlowMetrics {
     /// upstream (a frame cannot be delivered before it arrived); it is
     /// clamped to zero so the accumulators stay consistent, and flagged
     /// with a debug assertion.
-    pub fn record_delivery(&mut self, bytes: usize, delay: f64, deadline: Option<f64>) {
+    pub(crate) fn record_delivery(&mut self, bytes: usize, delay: f64, deadline: Option<f64>) {
         debug_assert!(
             delay >= 0.0,
             "negative delivery delay {delay}: delivery stamped before arrival"
@@ -50,7 +50,7 @@ impl FlowMetrics {
     /// abandoned counts toward `max_delay` — a frame that waited 2 s and
     /// was then discarded represents worse service than any delivered
     /// frame, and hiding it understated tail latency.
-    pub fn record_drop(&mut self, queued_for: f64) {
+    pub(crate) fn record_drop(&mut self, queued_for: f64) {
         debug_assert!(
             queued_for >= 0.0,
             "negative queueing time {queued_for} on drop"
@@ -88,7 +88,7 @@ impl FlowMetrics {
     }
 
     /// Merges another accumulator into this one.
-    pub fn merge(&mut self, other: &FlowMetrics) {
+    pub(crate) fn merge(&mut self, other: &FlowMetrics) {
         self.delivered_bytes += other.delivered_bytes;
         self.delivered_frames += other.delivered_frames;
         self.dropped_frames += other.dropped_frames;
@@ -135,7 +135,7 @@ const UPLINK_NAMES: FlowNames = FlowNames {
 /// `mac.<dir>.delay` histogram, which is where percentile delay comes
 /// from (`FlowMetrics` alone only keeps mean and max).
 #[derive(Debug, Clone)]
-pub struct FlowCollector {
+pub(crate) struct FlowCollector {
     metrics: FlowMetrics,
     obs: Obs,
     names: FlowNames,
@@ -143,7 +143,7 @@ pub struct FlowCollector {
 
 impl FlowCollector {
     /// Collector for AP→STA traffic (`mac.downlink.*` metrics).
-    pub fn downlink(obs: Obs) -> FlowCollector {
+    pub(crate) fn downlink(obs: Obs) -> FlowCollector {
         FlowCollector {
             metrics: FlowMetrics::default(),
             obs,
@@ -152,7 +152,7 @@ impl FlowCollector {
     }
 
     /// Collector for STA→AP traffic (`mac.uplink.*` metrics).
-    pub fn uplink(obs: Obs) -> FlowCollector {
+    pub(crate) fn uplink(obs: Obs) -> FlowCollector {
         FlowCollector {
             metrics: FlowMetrics::default(),
             obs,
@@ -161,7 +161,7 @@ impl FlowCollector {
     }
 
     /// See [`FlowMetrics::record_delivery`].
-    pub fn record_delivery(&mut self, bytes: usize, delay: f64, deadline: Option<f64>) {
+    pub(crate) fn record_delivery(&mut self, bytes: usize, delay: f64, deadline: Option<f64>) {
         self.metrics.record_delivery(bytes, delay, deadline);
         if self.obs.enabled() {
             self.obs.counter(self.names.delivered_bytes, bytes as u64);
@@ -171,24 +171,19 @@ impl FlowCollector {
     }
 
     /// See [`FlowMetrics::record_drop`].
-    pub fn record_drop(&mut self, queued_for: f64) {
+    pub(crate) fn record_drop(&mut self, queued_for: f64) {
         self.metrics.record_drop(queued_for);
         self.obs.counter(self.names.dropped_frames, 1);
     }
 
     /// Counts one retransmission attempt.
-    pub fn record_retransmission(&mut self) {
+    pub(crate) fn record_retransmission(&mut self) {
         self.metrics.retransmissions += 1;
         self.obs.counter(self.names.retransmissions, 1);
     }
 
-    /// The accumulated plain-metrics view.
-    pub fn metrics(&self) -> &FlowMetrics {
-        &self.metrics
-    }
-
     /// Consumes the collector, yielding the accumulated metrics.
-    pub fn into_metrics(self) -> FlowMetrics {
+    pub(crate) fn into_metrics(self) -> FlowMetrics {
         self.metrics
     }
 }
@@ -216,6 +211,7 @@ impl AirtimeShare {
 
 /// Channel-level counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+// lint:allow(dead-api): private_interfaces keeps it pub: pub fields `SimReport::channel` and `DenseReport::channel` hold it
 pub struct ChannelStats {
     /// Successful (collision-free) channel acquisitions.
     pub transmissions: u64,
@@ -240,7 +236,7 @@ impl ChannelStats {
     }
 
     /// Accumulates another domain's counters (dense-scenario merge).
-    pub fn merge(&mut self, other: &ChannelStats) {
+    pub(crate) fn merge(&mut self, other: &ChannelStats) {
         self.transmissions += other.transmissions;
         self.collisions += other.collisions;
         self.hidden_collisions += other.hidden_collisions;
@@ -407,7 +403,7 @@ mod tests {
         c.record_retransmission();
 
         // FlowMetrics view is intact.
-        let m = c.metrics();
+        let m = &c.metrics;
         assert_eq!(m.delivered_bytes, 2000);
         assert_eq!(m.delivered_frames, 2);
         assert_eq!(m.dropped_frames, 1);
@@ -429,7 +425,7 @@ mod tests {
     fn flow_collector_with_noop_obs_still_accumulates() {
         let mut c = FlowCollector::uplink(Obs::noop());
         c.record_delivery(100, 0.001, None);
-        assert_eq!(c.metrics().delivered_frames, 1);
+        assert_eq!(c.metrics.delivered_frames, 1);
         assert_eq!(c.into_metrics().delivered_bytes, 100);
     }
 

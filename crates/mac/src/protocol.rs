@@ -35,7 +35,7 @@ impl Protocol {
     ];
 
     /// Frame-selection policy at the AP.
-    pub fn aggregation_policy(&self) -> AggregationPolicy {
+    pub(crate) fn aggregation_policy(&self) -> AggregationPolicy {
         match self {
             Protocol::Dot11 | Protocol::Wifox => AggregationPolicy::None,
             Protocol::Ampdu => AggregationPolicy::Ampdu,
@@ -55,7 +55,7 @@ impl Protocol {
     /// standard CW; WiFox's priority is modelled via
     /// [`Protocol::has_downlink_priority`] instead, because in a
     /// saturated cell a smaller CW only multiplies ties/collisions).
-    pub fn ap_cw_min(&self) -> u32 {
+    pub(crate) fn ap_cw_min(&self) -> u32 {
         let _ = self;
         CW_MIN
     }
@@ -66,7 +66,7 @@ impl Protocol {
     /// transmission in channel contention"). The simulator grants a
     /// backlogged WiFox AP preemptive (PIFS-like) access to a fraction
     /// of contention rounds.
-    pub fn has_downlink_priority(&self) -> bool {
+    pub(crate) fn has_downlink_priority(&self) -> bool {
         matches!(self, Protocol::Wifox)
     }
 
@@ -78,7 +78,7 @@ impl Protocol {
     ///   rate (the naive design the paper's Section 3 example costs out)
     ///   plus one SIG per subframe;
     /// * single-receiver protocols: nothing.
-    pub fn aggregation_header_airtime(&self, receivers: usize) -> f64 {
+    pub(crate) fn aggregation_header_airtime(&self, receivers: usize) -> f64 {
         match self {
             Protocol::Dot11 | Protocol::Wifox | Protocol::Ampdu => 0.0,
             Protocol::Carpool => ahdr_airtime() + receivers as f64 * sig_airtime(),
@@ -91,7 +91,7 @@ impl Protocol {
     /// Number of ACKs concluding a successful exchange with `receivers`
     /// addressed receivers (sequential ACK for multi-receiver frames,
     /// paper Section 4.2; one block ACK otherwise).
-    pub fn acks_per_exchange(&self, receivers: usize) -> usize {
+    pub(crate) fn acks_per_exchange(&self, receivers: usize) -> usize {
         match self {
             Protocol::MuAggregation | Protocol::Carpool => receivers.max(1),
             _ => 1,

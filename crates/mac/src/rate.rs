@@ -14,18 +14,7 @@ pub(crate) const SNR_THRESHOLDS_DB: [f64; 8] = [5.0, 7.0, 9.5, 12.5, 16.0, 19.5,
 
 /// Picks the fastest MCS whose threshold the link clears; links below
 /// every threshold fall back to the base rate.
-///
-/// # Examples
-///
-/// ```
-/// use carpool_mac::rate::mcs_for_snr;
-/// use carpool_phy::mcs::Mcs;
-///
-/// assert_eq!(mcs_for_snr(3.0), Mcs::BPSK_1_2);
-/// assert_eq!(mcs_for_snr(30.0), Mcs::QAM64_3_4);
-/// assert_eq!(mcs_for_snr(17.0), Mcs::QAM16_1_2);
-/// ```
-pub fn mcs_for_snr(snr_db: f64) -> Mcs {
+pub(crate) fn mcs_for_snr(snr_db: f64) -> Mcs {
     let mut chosen = Mcs::BPSK_1_2;
     for (mcs, &threshold) in Mcs::ALL.iter().zip(SNR_THRESHOLDS_DB.iter()) {
         if snr_db >= threshold {

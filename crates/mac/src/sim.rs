@@ -140,8 +140,8 @@ pub struct SimConfig {
     /// starves the AP — the downlink/uplink asymmetry of Section 2.
     pub bidirectional_voip: bool,
     /// Per-STA link SNR in dB (index = STA id). When set, every
-    /// station is served at the MCS its link supports
-    /// ([`crate::rate::mcs_for_snr`]) — "different subframes can adopt
+    /// station is served at the fastest MCS whose SNR threshold its link
+    /// clears — "different subframes can adopt
     /// different MCSs" (paper Section 4.1). `None` serves everyone at
     /// QAM64-3/4.
     pub per_sta_snr_db: Option<Vec<f64>>,

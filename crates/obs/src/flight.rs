@@ -138,7 +138,7 @@ impl TraceKind {
     }
 
     /// Stack layer the record originates from.
-    pub fn layer(self) -> &'static str {
+    pub(crate) fn layer(self) -> &'static str {
         match self {
             TraceKind::MacEnqueue
             | TraceKind::AggDecision

@@ -182,6 +182,7 @@ impl LogHistogram {
 /// The report-grade quantile set of a [`LogHistogram`], computed in a
 /// single pass by [`LogHistogram::quantiles`].
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
+// lint:allow(dead-api): private_interfaces keeps it pub: pub `LogHistogram::quantiles` returns it
 pub struct Quantiles {
     /// Median (50th percentile).
     pub p50: f64,

@@ -27,7 +27,7 @@ pub fn write_str(out: &mut String, s: &str) {
 }
 
 /// Append an `f64` in a JSON-legal form (NaN/inf become `null`).
-pub fn write_f64(out: &mut String, v: f64) {
+pub(crate) fn write_f64(out: &mut String, v: f64) {
     if v.is_finite() {
         if v == v.trunc() && v.abs() < 1e15 {
             // Keep integral values free of exponent noise: 3 not 3.0e0.

@@ -11,7 +11,7 @@
 //!   `--trace-out` [`FlightRecorder`] ring with its Chrome-trace and
 //!   JSONL renderings ([`flight`]). `carpool report` reads that JSONL.
 //! - [`Recorder`] — counters, gauges, and log-bucketed histograms, with a
-//!   free no-op default ([`NoopRecorder`]) and an in-memory aggregator
+//!   free no-op default and an in-memory aggregator
 //!   ([`MemoryRecorder`]).
 //! - [`Obs::span`] — RAII wall-clock spans that report into the metrics
 //!   registry only (`span.<name>` histogram, seconds; names in
@@ -48,9 +48,10 @@ mod span;
 
 pub use flight::{FlightRecorder, TraceKind, TraceRecord, DEFAULT_TRACE_CAPACITY};
 pub use histogram::{LogHistogram, Quantiles};
-pub use recorder::{MemoryRecorder, MetricsSnapshot, NoopRecorder, Recorder};
+pub use recorder::{MemoryRecorder, MetricsSnapshot, Recorder};
 pub use span::SpanStats;
 
+use recorder::NoopRecorder;
 use span::SpanTimer;
 use std::io::{BufWriter, Write};
 use std::sync::{Arc, LazyLock, Mutex, PoisonError};
@@ -316,6 +317,7 @@ impl Obs {
 }
 
 /// RAII guard returned by [`Obs::span`]; reports on drop.
+// lint:allow(dead-api): private_interfaces keeps it pub: pub `Obs::span` returns it
 pub struct SpanGuard<'a> {
     obs: &'a Obs,
     timer: Option<SpanTimer>,

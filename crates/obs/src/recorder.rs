@@ -36,7 +36,7 @@ pub trait Recorder {
 /// Discards everything. All methods are empty bodies, so an
 /// `Arc<NoopRecorder>` call costs one virtual call and nothing else.
 #[derive(Debug, Default, Clone, Copy)]
-pub struct NoopRecorder;
+pub(crate) struct NoopRecorder;
 
 impl Recorder for NoopRecorder {
     fn counter(&self, _name: &'static str, _delta: u64) {}

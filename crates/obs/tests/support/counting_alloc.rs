@@ -21,7 +21,7 @@ use std::cell::Cell;
 
 /// Forwards to the system allocator, counting allocations and
 /// reallocations made by the calling thread.
-pub struct CountingAlloc;
+pub(crate) struct CountingAlloc;
 
 thread_local! {
     // A const-initialised `Cell` has no destructor, so touching it from
@@ -65,7 +65,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
 }
 
 /// Allocations the current thread made while running `f`.
-pub fn allocations_during<R>(f: impl FnOnce() -> R) -> (usize, R) {
+pub(crate) fn allocations_during<R>(f: impl FnOnce() -> R) -> (usize, R) {
     let before = ALLOCATIONS.with(Cell::get);
     let result = f();
     (ALLOCATIONS.with(Cell::get) - before, result)

@@ -6,11 +6,11 @@ use std::sync::{Arc, Mutex, PoisonError};
 
 /// Clones share one buffer: hand one to the handle, keep one to read.
 #[derive(Clone, Default)]
-pub struct SharedBuf(Arc<Mutex<Vec<u8>>>);
+pub(crate) struct SharedBuf(Arc<Mutex<Vec<u8>>>);
 
 impl SharedBuf {
     /// Everything written so far, as text.
-    pub fn text(&self) -> String {
+    pub(crate) fn text(&self) -> String {
         let bytes = self.0.lock().unwrap_or_else(PoisonError::into_inner);
         String::from_utf8_lossy(&bytes).into_owned()
     }

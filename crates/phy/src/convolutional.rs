@@ -115,7 +115,7 @@ pub enum CodeRate {
 
 impl CodeRate {
     /// Numerator of the rate fraction.
-    pub fn numerator(&self) -> usize {
+    pub(crate) fn numerator(&self) -> usize {
         match self {
             CodeRate::Half => 1,
             CodeRate::TwoThirds => 2,
@@ -124,7 +124,7 @@ impl CodeRate {
     }
 
     /// Denominator of the rate fraction.
-    pub fn denominator(&self) -> usize {
+    pub(crate) fn denominator(&self) -> usize {
         match self {
             CodeRate::Half => 2,
             CodeRate::TwoThirds => 3,

@@ -105,7 +105,7 @@ impl SmallCrc {
 
     /// Checksum width in bits.
     #[inline]
-    pub fn width(&self) -> u8 {
+    pub(crate) fn width(&self) -> u8 {
         self.width
     }
 

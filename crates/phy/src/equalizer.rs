@@ -60,7 +60,7 @@ impl PartialEq for ChannelEstimate {
 
 impl ChannelEstimate {
     /// An identity (flat, unit-gain) estimate.
-    pub fn identity() -> ChannelEstimate {
+    pub(crate) fn identity() -> ChannelEstimate {
         ChannelEstimate {
             bins: vec![Bin::new(Complex64::ONE); FFT_SIZE],
         }
@@ -80,7 +80,7 @@ impl ChannelEstimate {
 
     /// Least-squares estimate from the two received LTF symbols (each
     /// one symbol of time samples, CP included).
-    pub fn from_ltf(
+    pub(crate) fn from_ltf(
         ltf1: &[Complex64; SYMBOL_LEN],
         ltf2: &[Complex64; SYMBOL_LEN],
     ) -> ChannelEstimate {
@@ -143,7 +143,7 @@ impl ChannelEstimate {
 
 /// Estimates the complex noise variance per sample from the difference
 /// of the two (identical) received LTF symbols: `var = E|l1 - l2|^2 / 2`.
-pub fn estimate_noise_from_ltf(
+pub(crate) fn estimate_noise_from_ltf(
     ltf1: &[Complex64; SYMBOL_LEN],
     ltf2: &[Complex64; SYMBOL_LEN],
 ) -> f64 {
@@ -184,7 +184,7 @@ pub(crate) fn track_phase(equalized: &FreqSymbol, symbol_index: usize) -> PhaseT
 }
 
 /// Removes a common phase rotation from all subcarriers of a symbol.
-pub fn compensate_phase(sym: &mut FreqSymbol, offset: f64) {
+pub(crate) fn compensate_phase(sym: &mut FreqSymbol, offset: f64) {
     let r = Complex64::cis(-offset);
     for d in &mut sym.data {
         *d *= r;
@@ -199,7 +199,7 @@ mod tests {
     use super::*;
     use crate::modulation::Modulation;
     use crate::ofdm::{modulate_symbol, NUM_DATA};
-    use crate::preamble::{generate_preamble, ltf_offsets};
+    use crate::preamble::{ltf_offsets, preamble};
 
     fn apply_flat_channel(samples: &[Complex64], h: Complex64) -> Vec<Complex64> {
         samples.iter().map(|s| *s * h).collect()
@@ -228,7 +228,7 @@ mod tests {
     #[test]
     fn ltf_estimation_recovers_flat_channel() {
         let h = Complex64::from_polar(0.8, 0.6);
-        let est = estimate_from_preamble(&apply_flat_channel(&generate_preamble(), h));
+        let est = estimate_from_preamble(&apply_flat_channel(preamble(), h));
         for c in [-26, -7, 1, 21, 26] {
             assert!((est.at(c) - h).abs() < 1e-9, "carrier {c}");
         }
@@ -241,7 +241,7 @@ mod tests {
         let data = Modulation::Qpsk.map_all(&bits);
         let sym = FreqSymbol::with_standard_pilots(data, 7);
         let time = apply_flat_channel(&modulate_symbol(&sym), h);
-        let est = estimate_from_preamble(&apply_flat_channel(&generate_preamble(), h));
+        let est = estimate_from_preamble(&apply_flat_channel(preamble(), h));
 
         let rx = crate::ofdm::demodulate_symbol(time.as_slice().try_into().unwrap());
         let eq = est.equalize(&rx);

@@ -47,7 +47,6 @@ pub mod fft;
 pub mod interleaver;
 pub mod math;
 pub mod mcs;
-pub mod mimo;
 pub mod modulation;
 pub mod ofdm;
 pub mod preamble;

@@ -66,7 +66,7 @@ impl Complex64 {
 
     /// The complex conjugate.
     #[inline]
-    pub fn conj(self) -> Self {
+    pub(crate) fn conj(self) -> Self {
         Complex64::new(self.re, -self.im)
     }
 
@@ -104,7 +104,7 @@ impl Complex64 {
     ///
     /// Returns a pair of infinities or NaNs if `self` is zero, like `1.0/0.0`.
     #[inline]
-    pub fn inv(self) -> Self {
+    pub(crate) fn inv(self) -> Self {
         let d = self.norm_sqr();
         Complex64::new(self.re / d, -self.im / d)
     }

@@ -42,7 +42,7 @@ impl Modulation {
     }
 
     /// Normalisation factor K_MOD (IEEE 802.11-2012 17.3.5.8).
-    pub fn normalization(&self) -> f64 {
+    pub(crate) fn normalization(&self) -> f64 {
         match self {
             Modulation::Bpsk => 1.0,
             Modulation::Qpsk => 1.0 / 2f64.sqrt(),
@@ -230,7 +230,7 @@ impl Modulation {
     /// favours 1. `noise_var` is the total complex noise variance (split
     /// evenly between axes). The fused RX pipeline demaps every point of
     /// a symbol into one section-sized buffer this way.
-    pub fn demap_soft_slice(&self, point: Complex64, noise_var: f64, out: &mut [f64]) {
+    pub(crate) fn demap_soft_slice(&self, point: Complex64, noise_var: f64, out: &mut [f64]) {
         debug_assert_eq!(out.len(), self.bits_per_symbol());
         let k = self.normalization();
         let re = point.re / k;

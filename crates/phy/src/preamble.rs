@@ -31,7 +31,7 @@ pub(crate) const LTF_SEQUENCE: [i8; 53] = [
     clippy::cast_sign_loss,
     reason = "carrier asserted to -26..=26 below, so the index is 0..=52"
 )]
-pub fn ltf_value(carrier: i32) -> Complex64 {
+pub(crate) fn ltf_value(carrier: i32) -> Complex64 {
     assert!(
         (-26..=26).contains(&carrier),
         "carrier {carrier} out of range"
@@ -97,13 +97,8 @@ pub(crate) fn preamble() -> &'static [Complex64] {
     })
 }
 
-/// Generates the 4-symbol preamble waveform (2 STF + 2 LTF symbols).
-pub fn generate_preamble() -> Vec<Complex64> {
-    preamble().to_vec()
-}
-
 /// Byte offsets of the two LTF symbols inside the preamble, in samples.
-pub fn ltf_offsets() -> [usize; 2] {
+pub(crate) fn ltf_offsets() -> [usize; 2] {
     [2 * SYMBOL_LEN, 3 * SYMBOL_LEN]
 }
 
@@ -115,7 +110,7 @@ mod tests {
 
     #[test]
     fn preamble_has_expected_length() {
-        assert_eq!(generate_preamble().len(), PREAMBLE_LEN);
+        assert_eq!(preamble().len(), PREAMBLE_LEN);
         assert_eq!(PREAMBLE_LEN, 4 * 80);
     }
 
@@ -132,7 +127,7 @@ mod tests {
 
     #[test]
     fn ltf_symbols_are_identical_repetitions() {
-        let pre = generate_preamble();
+        let pre = preamble();
         let [a, b] = ltf_offsets();
         for k in 0..SYMBOL_LEN {
             assert_eq!(pre[a + k], pre[b + k]);
@@ -141,7 +136,7 @@ mod tests {
 
     #[test]
     fn ltf_round_trips_through_fft() {
-        let pre = generate_preamble();
+        let pre = preamble();
         let [a, _] = ltf_offsets();
         let bins = fft(&std::array::from_fn(|k| pre[a + CP_LEN + k]));
         for c in -26..=26i32 {
@@ -171,10 +166,10 @@ mod tests {
 
     #[test]
     fn preamble_symbols_have_energy() {
-        let pre = generate_preamble();
+        let pre = preamble();
         // 52 used carriers of unit-ish magnitude, 1/64 IFFT normalisation:
         // mean time-domain power ~ 52/64^2 ~ 0.0127.
-        let power = crate::math::mean_power(&pre);
+        let power = crate::math::mean_power(pre);
         assert!((0.005..0.05).contains(&power), "preamble power {power}");
     }
 

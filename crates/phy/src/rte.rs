@@ -46,18 +46,8 @@ impl CalibrationRule {
 }
 
 /// Running RTE channel estimator.
-///
-/// # Examples
-///
-/// ```
-/// use carpool_phy::equalizer::ChannelEstimate;
-/// use carpool_phy::rte::{CalibrationRule, RteEstimator};
-///
-/// let rte = RteEstimator::new(ChannelEstimate::identity(), CalibrationRule::Average);
-/// assert_eq!(rte.updates(), 0);
-/// ```
 #[derive(Debug, Clone, PartialEq)]
-pub struct RteEstimator {
+pub(crate) struct RteEstimator {
     estimate: ChannelEstimate,
     rule: CalibrationRule,
     updates: usize,
@@ -77,10 +67,10 @@ pub struct RteEstimator {
 impl RteEstimator {
     /// Default relative innovation gate: a data-pilot estimate further
     /// than this from the running one is rejected as a CRC false positive.
-    pub const DEFAULT_INNOVATION_GATE: f64 = 0.35;
+    pub(crate) const DEFAULT_INNOVATION_GATE: f64 = 0.35;
 
     /// Starts from an initial (usually LTF-derived) estimate.
-    pub fn new(initial: ChannelEstimate, rule: CalibrationRule) -> RteEstimator {
+    pub(crate) fn new(initial: ChannelEstimate, rule: CalibrationRule) -> RteEstimator {
         RteEstimator {
             estimate: initial,
             rule,
@@ -91,23 +81,13 @@ impl RteEstimator {
     }
 
     /// The current calibrated estimate `H̃`.
-    pub fn estimate(&self) -> &ChannelEstimate {
+    pub(crate) fn estimate(&self) -> &ChannelEstimate {
         &self.estimate
     }
 
     /// Number of data-pilot updates applied so far.
-    pub fn updates(&self) -> usize {
+    pub(crate) fn updates(&self) -> usize {
         self.updates
-    }
-
-    /// Number of candidate updates rejected by the innovation gate.
-    pub fn rejected(&self) -> usize {
-        self.rejected
-    }
-
-    /// The folding rule in use.
-    pub fn rule(&self) -> CalibrationRule {
-        self.rule
     }
 
     /// Calibrates with one correctly decoded symbol.
@@ -123,7 +103,12 @@ impl RteEstimator {
     /// # Panics
     ///
     /// Panics if `decided.len() != 48`.
-    pub fn update(&mut self, received: &FreqSymbol, decided: &[Complex64], symbol_index: usize) {
+    pub(crate) fn update(
+        &mut self,
+        received: &FreqSymbol,
+        decided: &[Complex64],
+        symbol_index: usize,
+    ) {
         assert_eq!(decided.len(), received.data.len(), "decided point count");
         // Fresh per-carrier estimates `rx / tx` with their reliability
         // weights, computed once for the gate and the fold. A null
@@ -283,7 +268,7 @@ mod tests {
         let rx = flat_received(&tx, Complex64::ONE, 0);
         rte.update(&rx, &wrong, 0);
         assert_eq!(rte.updates(), 0);
-        assert_eq!(rte.rejected(), 1);
+        assert_eq!(rte.rejected, 1);
         assert!((rte.estimate().at(3) - Complex64::ONE).abs() < 1e-12);
     }
 
@@ -296,7 +281,7 @@ mod tests {
         let rx = flat_received(&tx, h_drift, 0);
         rte.update(&rx, &tx, 0);
         assert_eq!(rte.updates(), 1);
-        assert_eq!(rte.rejected(), 0);
+        assert_eq!(rte.rejected, 0);
     }
 
     #[test]

@@ -28,9 +28,9 @@ use crate::interleaver::RxSymbolMap;
 use crate::math::Complex64;
 use crate::mcs::{Mcs, SYMBOL_DURATION};
 use crate::modulation::Modulation;
-use crate::ofdm::{
-    demodulate_symbol, demodulate_symbol_into, FreqSymbol, DATA_CARRIERS, NUM_DATA, SYMBOL_LEN,
-};
+#[cfg(test)]
+use crate::ofdm::demodulate_symbol;
+use crate::ofdm::{demodulate_symbol_into, FreqSymbol, DATA_CARRIERS, NUM_DATA, SYMBOL_LEN};
 use crate::preamble::{ltf_offsets, PREAMBLE_LEN};
 use crate::rte::{CalibrationRule, RteEstimator};
 use crate::scrambler::Scrambler;
@@ -348,12 +348,10 @@ impl<'a> FrameDecoder<'a> {
     /// `true` if its data constellation sits on the imaginary axis
     /// (QBPSK — a Carpool A-HDR), `false` for a legacy real-axis SIG.
     /// This is how a Carpool node tells Carpool PPDUs from legacy ones
-    /// (paper Section 4.3).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PhyError::LengthMismatch`] if no symbol remains.
-    pub fn peek_is_qbpsk(&self) -> Result<bool, PhyError> {
+    /// (paper Section 4.3); the tests below use it to pin that the
+    /// transmitter's A-HDR can be told apart from a SIG.
+    #[cfg(test)]
+    fn peek_is_qbpsk(&self) -> Result<bool, PhyError> {
         let raw = demodulate_symbol(symbol_at(self.samples, self.sample_pos)?);
         let mut eq = self.estimator.current(&self.initial).equalize(&raw);
         let track = track_phase(&eq, self.symbol_index);
@@ -399,7 +397,7 @@ impl<'a> FrameDecoder<'a> {
     ///
     /// * [`PhyError::LengthMismatch`] if the buffer is too short.
     /// * [`PhyError::InvalidConfig`] if the layout's side-channel group
-    ///   cannot carry a CRC (see [`SideChannelConfig::validate`]).
+    ///   cannot carry a CRC: its group must span 1 to 8 coded bits.
     pub fn decode_section(&mut self, layout: &SectionLayout) -> Result<RxSection, PhyError> {
         if let Some(sc) = &layout.side_channel {
             sc.validate()?;
@@ -884,22 +882,40 @@ mod tests {
 
     #[test]
     fn qbpsk_header_round_trips_and_classifies() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
         let specs = vec![
             SectionSpec::header_qbpsk(pattern_bits(48)),
             SectionSpec::header(pattern_bits(24)), // a SIG-like BPSK field
             SectionSpec::payload(pattern_bits(300), Mcs::QPSK_1_2),
         ];
         let frame = transmit(&specs).unwrap();
-        let mut dec = FrameDecoder::new(&frame.samples, Estimation::Standard).unwrap();
-        assert!(dec.peek_is_qbpsk().unwrap(), "A-HDR must look like QBPSK");
-        let hdr = dec.decode_section(&SectionLayout::of(&specs[0])).unwrap();
-        assert_eq!(hdr.bits, specs[0].bits);
-        // The next BPSK field reads as real-axis (the axis test is only
-        // meaningful on BPSK symbols — SIG vs A-HDR, as in 802.11n).
-        assert!(!dec.peek_is_qbpsk().unwrap());
-        for spec in &specs[1..] {
-            let section = dec.decode_section(&SectionLayout::of(spec)).unwrap();
-            assert_eq!(section.bits, spec.bits);
+        // The same frame with uniform noise ~13 dB below the OFDM signal
+        // power (~0.0127): the classification must survive it.
+        let mut rng = StdRng::seed_from_u64(3);
+        let noise_amp = 0.025f64;
+        let noisy: Vec<Complex64> = frame
+            .samples
+            .iter()
+            .map(|s| {
+                *s + Complex64::new(
+                    (rng.gen::<f64>() - 0.5) * noise_amp,
+                    (rng.gen::<f64>() - 0.5) * noise_amp,
+                )
+            })
+            .collect();
+        for samples in [&frame.samples, &noisy] {
+            let mut dec = FrameDecoder::new(samples, Estimation::Standard).unwrap();
+            assert!(dec.peek_is_qbpsk().unwrap(), "A-HDR must look like QBPSK");
+            let hdr = dec.decode_section(&SectionLayout::of(&specs[0])).unwrap();
+            assert_eq!(hdr.bits, specs[0].bits);
+            // The next BPSK field reads as real-axis (the axis test is only
+            // meaningful on BPSK symbols — SIG vs A-HDR, as in 802.11n).
+            assert!(!dec.peek_is_qbpsk().unwrap());
+            for spec in &specs[1..] {
+                let section = dec.decode_section(&SectionLayout::of(spec)).unwrap();
+                assert_eq!(section.bits, spec.bits);
+            }
         }
     }
 

@@ -56,7 +56,7 @@ impl PhaseOffsetMod {
     /// # Panics
     ///
     /// Panics if `value` does not fit in [`Self::bits_per_symbol`] bits.
-    pub fn modulate(&self, value: u8) -> f64 {
+    pub(crate) fn modulate(&self, value: u8) -> f64 {
         let max = (1u8 << self.bits_per_symbol()) - 1;
         assert!(value <= max, "side-channel value {value} exceeds {max}");
         // Every value up to `max` appears in the alphabet, so the
@@ -70,7 +70,7 @@ impl PhaseOffsetMod {
     /// Nearest-angle demodulation of a measured phase difference.
     /// Non-finite inputs compare as maximally distant (`total_cmp`), so
     /// the result is always a valid alphabet value.
-    pub fn demodulate(&self, delta: f64) -> u8 {
+    pub(crate) fn demodulate(&self, delta: f64) -> u8 {
         let d = wrap_angle(delta);
         self.alphabet()
             .iter()

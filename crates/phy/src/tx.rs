@@ -61,7 +61,7 @@ impl SideChannelConfig {
         clippy::cast_possible_truncation,
         reason = "width asserted to 1..=8 below"
     )]
-    pub fn crc_for_group(&self, symbols: usize) -> SmallCrc {
+    pub(crate) fn crc_for_group(&self, symbols: usize) -> SmallCrc {
         let width = symbols * self.modulation.bits_per_symbol();
         assert!(
             (1..=8).contains(&width),
@@ -71,7 +71,7 @@ impl SideChannelConfig {
     }
 
     /// Validates the configuration.
-    pub fn validate(&self) -> Result<(), PhyError> {
+    pub(crate) fn validate(&self) -> Result<(), PhyError> {
         // A huge group must not wrap to a small width.
         let width = self
             .group_symbols
@@ -163,6 +163,7 @@ impl SectionSpec {
 
 /// Per-section transmit metadata, kept for receivers and evaluations.
 #[derive(Debug, Clone, PartialEq)]
+// lint:allow(dead-api): private_interfaces keeps it pub: pub field `TxFrame::sections` holds it
 pub struct SectionInfo {
     /// Index of the section's first payload OFDM symbol in the frame.
     pub first_symbol: usize,

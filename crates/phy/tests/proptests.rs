@@ -7,7 +7,6 @@ use carpool_phy::fft::{fft, ifft};
 use carpool_phy::interleaver::Interleaver;
 use carpool_phy::math::{wrap_angle, Complex64};
 use carpool_phy::mcs::Mcs;
-use carpool_phy::mimo::{decode_stream, observe, Matrix2, ZfPrecoder};
 use carpool_phy::modulation::Modulation;
 use carpool_phy::rx::{receive, Estimation, SectionLayout};
 use carpool_phy::scrambler::Scrambler;
@@ -158,59 +157,6 @@ proptest! {
             .expect("lengths match");
         prop_assert_eq!(&rx.sections[0].bits, &payload);
         prop_assert!(rx.sections[0].crc_ok.iter().all(|&ok| ok));
-    }
-
-    #[test]
-    fn zero_forcing_round_trip_for_random_channels(
-        coords in prop::collection::vec(-1.0f64..1.0, 8),
-        seed in any::<u64>(),
-    ) {
-        let h = Matrix2::from_rows(
-            [
-                Complex64::new(coords[0], coords[1]),
-                Complex64::new(coords[2], coords[3]),
-            ],
-            [
-                Complex64::new(coords[4], coords[5]),
-                Complex64::new(coords[6], coords[7]),
-            ],
-        );
-        // Skip near-singular draws (they belong in different groups).
-        prop_assume!(h.det().abs() > 0.05);
-        let p = ZfPrecoder::new(&h).expect("invertible checked");
-        let m = Modulation::Qpsk;
-        let bits0: Vec<u8> = (0..48).map(|k| ((seed >> (k % 64)) & 1) as u8).collect();
-        let bits1: Vec<u8> = (0..48).map(|k| ((seed >> ((k + 13) % 64)) & 1) as u8).collect();
-        let group = p
-            .precode(&m.map_all(&bits0), &m.map_all(&bits1), 4)
-            .expect("equal lengths");
-        for (r, expect) in [(0usize, &bits0), (1usize, &bits1)] {
-            let row = if r == 0 { [h.a, h.b] } else { [h.c, h.d] };
-            let (bits, isr) = decode_stream(&observe(&group, row), r, 4, m);
-            prop_assert_eq!(&bits, expect, "receiver {}", r);
-            prop_assert!(isr < 1e-9, "receiver {} isr {}", r, isr);
-        }
-    }
-
-    #[test]
-    fn matrix2_inverse_identity(coords in prop::collection::vec(-2.0f64..2.0, 8)) {
-        let m = Matrix2::from_rows(
-            [
-                Complex64::new(coords[0], coords[1]),
-                Complex64::new(coords[2], coords[3]),
-            ],
-            [
-                Complex64::new(coords[4], coords[5]),
-                Complex64::new(coords[6], coords[7]),
-            ],
-        );
-        prop_assume!(m.det().abs() > 0.05);
-        let inv = m.inverse().expect("invertible checked");
-        let id = m.mul(&inv);
-        prop_assert!((id.a - Complex64::ONE).abs() < 1e-9);
-        prop_assert!((id.d - Complex64::ONE).abs() < 1e-9);
-        prop_assert!(id.b.abs() < 1e-9);
-        prop_assert!(id.c.abs() < 1e-9);
     }
 
     #[test]

@@ -65,16 +65,6 @@ impl BackgroundSource {
         self
     }
 
-    /// The transport this source emulates.
-    pub fn transport(&self) -> Transport {
-        self.transport
-    }
-
-    /// Mean offered load in bit/s.
-    pub fn mean_rate_bps(&self) -> f64 {
-        self.sizes.mean() * 8.0 * self.rate_scale / self.transport.mean_interarrival()
-    }
-
     /// Generates all arrivals in `[0, duration)`.
     pub fn generate<R: Rng + ?Sized>(&self, duration: f64, rng: &mut R) -> Vec<Arrival> {
         let mean = self.transport.mean_interarrival() / self.rate_scale;
@@ -129,9 +119,12 @@ mod tests {
 
     #[test]
     fn tcp_is_busier_than_udp() {
-        let tcp = BackgroundSource::new(Transport::Tcp);
-        let udp = BackgroundSource::new(Transport::Udp);
-        assert!(tcp.mean_rate_bps() > udp.mean_rate_bps());
+        let mut rng = StdRng::seed_from_u64(4);
+        let mut offered_bytes = |transport| -> usize {
+            let arrivals = BackgroundSource::new(transport).generate(200.0, &mut rng);
+            arrivals.iter().map(|a| a.bytes).sum()
+        };
+        assert!(offered_bytes(Transport::Tcp) > offered_bytes(Transport::Udp));
     }
 
     #[test]

@@ -54,20 +54,6 @@ impl FrameSizeDistribution {
         }
     }
 
-    /// A degenerate distribution returning a fixed size (used by the
-    /// fixed-frame-size sweep of Fig. 17(b)).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bytes == 0`.
-    pub fn fixed(bytes: usize) -> FrameSizeDistribution {
-        assert!(bytes > 0, "frame size must be positive");
-        FrameSizeDistribution {
-            knots: vec![(bytes as f64, 0.0), (bytes as f64 + 1e-9, 1.0)],
-            name: "fixed",
-        }
-    }
-
     /// A custom piecewise-linear CDF.
     ///
     /// # Panics
@@ -195,15 +181,6 @@ mod tests {
             (below300 - dist.cdf(300.0)).abs() < 0.01,
             "measured {below300}"
         );
-    }
-
-    #[test]
-    fn fixed_distribution_is_degenerate() {
-        let mut rng = StdRng::seed_from_u64(4);
-        let dist = FrameSizeDistribution::fixed(800);
-        for _ in 0..100 {
-            assert_eq!(dist.sample(&mut rng), 800);
-        }
     }
 
     #[test]

@@ -81,16 +81,6 @@ impl VolumeStats {
         }
         self.downlink_bytes as f64 / total as f64
     }
-
-    /// Total bytes in both directions.
-    pub fn total_bytes(&self) -> u64 {
-        self.downlink_bytes + self.uplink_bytes
-    }
-
-    /// Total frames in both directions.
-    pub fn total_frames(&self) -> u64 {
-        self.downlink_frames + self.uplink_frames
-    }
 }
 
 /// Empirical CDF evaluation over a sample set.
@@ -140,8 +130,15 @@ mod tests {
         v.record(Direction::Downlink, 200);
         v.record(Direction::Uplink, 250);
         assert!((v.downlink_ratio() - 0.8).abs() < 1e-12);
-        assert_eq!(v.total_bytes(), 1250);
-        assert_eq!(v.total_frames(), 3);
+        assert_eq!(
+            v,
+            VolumeStats {
+                downlink_bytes: 1000,
+                uplink_bytes: 250,
+                downlink_frames: 2,
+                uplink_frames: 1,
+            }
+        );
     }
 
     #[test]

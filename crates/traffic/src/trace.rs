@@ -298,8 +298,13 @@ mod tests {
         let up = VoipSource::new().generate(2.0, &mut rng);
         let trace = Trace::from_arrivals(&[(1, down.clone())], &[(1, up.clone())]);
         assert_eq!(trace.len(), down.len() + up.len());
-        let stats = trace.volume_stats();
-        assert_eq!(stats.total_frames(), (down.len() + up.len()) as u64);
+        let mut expected = VolumeStats::new();
+        for (direction, arrivals) in [(Direction::Downlink, &down), (Direction::Uplink, &up)] {
+            for a in arrivals {
+                expected.record(direction, a.bytes);
+            }
+        }
+        assert_eq!(trace.volume_stats(), expected);
         for w in trace.records().windows(2) {
             assert!(w[0].time <= w[1].time);
         }
@@ -319,18 +324,19 @@ mod tests {
         let ring = Arc::new(FlightRecorder::new(1 << 16));
         trace.emit_obs(&Obs::with_recorder(recorder.clone()).with_flight(ring.clone()));
 
-        let stats = trace.volume_stats();
+        let frames = trace.len() as u64;
+        let bytes: usize = trace.records().iter().map(|r| r.bytes).sum();
         let snap = recorder.snapshot();
         assert_eq!(
             snap.counter("traffic.downlink.frames") + snap.counter("traffic.uplink.frames"),
-            stats.total_frames()
+            frames
         );
         assert_eq!(
             snap.counter("traffic.downlink.bytes") + snap.counter("traffic.uplink.bytes"),
-            stats.total_bytes()
+            bytes as u64
         );
         let records = ring.records();
-        assert_eq!(records.len() as u64, stats.total_frames());
+        assert_eq!(records.len() as u64, frames);
         for w in records.windows(2) {
             assert!(w[0].t() <= w[1].t(), "replayed stream must stay monotone");
         }

@@ -25,6 +25,7 @@ pub(crate) fn frame_interval() -> f64 {
 
 /// A timed frame arrival.
 #[derive(Debug, Clone, Copy, PartialEq)]
+// lint:allow(dead-api): private_interfaces keeps it pub: pub `VoipSource::generate` and `BackgroundSource::generate` return it
 pub struct Arrival {
     /// Arrival time in seconds.
     pub time: f64,
@@ -65,11 +66,6 @@ impl VoipSource {
     /// Long-run fraction of time spent talking.
     fn activity_factor(&self) -> f64 {
         self.talkspurt_mean / (self.talkspurt_mean + self.silence_mean)
-    }
-
-    /// Mean offered load in bit/s.
-    pub fn mean_rate_bps(&self) -> f64 {
-        self.activity_factor() * VOIP_PEAK_RATE_BPS
     }
 
     /// Generates all frame arrivals in `[0, duration)`.
@@ -145,7 +141,7 @@ mod tests {
         let arrivals = src.generate(duration, &mut rng);
         let bits = arrivals.len() as f64 * 120.0 * 8.0;
         let measured = bits / duration;
-        let expected = src.mean_rate_bps();
+        let expected = src.activity_factor() * VOIP_PEAK_RATE_BPS;
         assert!(
             (measured - expected).abs() < expected * 0.1,
             "measured {measured} expected {expected}"

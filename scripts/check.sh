@@ -1,10 +1,18 @@
 #!/bin/sh
-# Offline gate: a size report, the atomic-ordering notes, formatting,
-# clippy, rustdoc, the workspace tests (among them the dead-API,
-# unit-suffix and `pub fn` ratchet source rules, `tests/source_rules.rs`),
-# the perfbench tests and the paired perf gate against the parent commit. Run from anywhere;
-# everything resolves relative to the repo root. Each stage reports its
-# wall time so gate slowdowns are visible in CI logs.
+# Offline gate: a size report, formatting, clippy, rustdoc, the workspace
+# tests, the perfbench tests and the paired perf gate against the parent
+# commit. Run from anywhere; everything resolves relative to the repo
+# root. Each stage reports its wall time so gate slowdowns are visible in
+# CI logs.
+#
+# Visibility is checked in two layers. rustc's `unreachable_pub`
+# (Cargo.toml), fatal under clippy's -D warnings, flags a `pub` item that
+# nothing outside its crate can reach. The root test
+# `tests/source_rules.rs` (L010) flags a `pub` item of a library crate
+# that nothing outside its crate's `src/` names: another crate, a
+# `tests/`, `benches/` or `examples/` file, or `perfbench/src/`. The
+# same test holds the atomic-ordering notes (L009), the unit-suffix rule
+# (L013), the barrier tag (L015) and the `pub fn` ratchet.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -37,34 +45,14 @@ total=$(find crates src tests examples -name '*.rs' -exec cat {} + | wc -l) || t
 echo "  workspace .rs total: $total lines"
 stage_end
 
-stage_begin "atomic ordering notes (crates/par, crates/obs)"
-# The two crates whose atomics touch results: every `Ordering::` in their
-# non-test code (a file's test module comes last) carries an
-# `// ordering: <why>` note, on its line or in the comment block directly
-# above. `Relaxed` orders nothing else, so its note must name a counter.
-awk 'FNR == 1 { in_test = 0; note = "" }
-    /^mod tests/ { in_test = 1 }
-    in_test { next }
-    /^[[:space:]]*\/\// { note = note " " $0; next }
-    /Ordering::/ {
-        own = index($0, "//") ? substr($0, index($0, "//")) : ""
-        text = tolower(note " " own)
-        if (text !~ /ordering:/ || (/Ordering::Relaxed/ && text !~ /(^|[^a-z0-9_])counter([^a-z0-9_]|$)/)) {
-            print FILENAME ":" FNR ": `Ordering::` without an `// ordering:` note (a counter, for Relaxed)"
-            bad = 1
-        }
-    }
-    { note = "" }
-    END { exit bad }' crates/par/src/*.rs crates/obs/src/*.rs
-stage_end
-
 stage_begin "cargo fmt --check"
 cargo fmt --all --check
 stage_end
 
 stage_begin "cargo clippy (-D warnings)"
 # The project lints live in Cargo.toml [workspace.lints] and clippy.toml
-# at `warn`; -D warnings makes every one of them fatal here.
+# at `warn`; -D warnings makes every one of them fatal here, rustc's
+# `unreachable_pub` among them.
 cargo clippy --workspace --all-targets --offline -- -D warnings
 stage_end
 

@@ -1,11 +1,22 @@
 //! Source rules that need the whole workspace at once, run over the
 //! real tree and over inline fixtures by the same [`findings`] function:
 //!
+//! - **L009, atomic-ordering notes.** Every `Ordering::` in the non-test
+//!   `src/` code of `crates/par` and `crates/obs`, whose atomics touch
+//!   results, carries an `// ordering: <why>` note on its line or in the
+//!   comment block directly above. `Relaxed` orders nothing else, so its
+//!   note must name a counter.
 //! - **L010, dead public API.** A top-level `pub` item, or a `pub fn`
-//!   of an `impl` block, in a library crate's `src/` must be named by
-//!   some other workspace file: another crate, a test, a bench, an
-//!   example or a doc comment. `rustc`'s `unreachable_pub` cannot see
-//!   this, because the item *is* exported.
+//!   of an `impl` block, in a library crate's `src/` must be named
+//!   outside that `src/`: in another crate, in any `tests/`, `benches/`
+//!   or `examples/` directory (each file there builds as a crate of its
+//!   own), or in `perfbench/src/`, which the rules read only as a user
+//!   of the library crates. A sibling module or the crate's own unit
+//!   tests do not count; the item is `pub(crate)` for them, and rustc's
+//!   `dead_code` then reports it when only tests use it. rustc's
+//!   `unreachable_pub` (Cargo.toml) covers the other side: a `pub` item
+//!   nothing outside its crate can reach. Together they make `pub` mean
+//!   that another crate uses the item.
 //! - **L013, unit mixing.** No `+ - += -= < > <= >= == !=` between two
 //!   identifiers with different unit suffixes (`_s`, `_us`, `_symbols`,
 //!   `_slots`, `_db`, `_linear`, and `*_DURATION`/`*_TIME` consts in
@@ -40,7 +51,10 @@
 //!
 //! A finding is waived with `// lint:allow(dead-api): <reason>` or
 //! `// lint:allow(unit-mix): <reason>` on its line or on the comment-only
-//! lines directly above it; a waiver without a reason does not count.
+//! lines directly above it; a waiver without a reason does not count. A
+//! `dead-api` reason names the public signature that returns or holds
+//! the item: made `pub(crate)`, it would trip rustc's
+//! `private_interfaces`.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
@@ -51,18 +65,17 @@ const TOOL_CRATES: [&str; 2] = ["bench", "cli"];
 /// The `pub fn` ratchet's ceiling per directory; an unlisted directory
 /// (the root package's `src/`, `tests/` and `examples/` among them) has
 /// a ceiling of 0.
-const PUB_FN_CEILINGS: [(&str, usize); 11] = [
+const PUB_FN_CEILINGS: [(&str, usize); 10] = [
     ("crates/bench", 10),
     ("crates/bloom", 17),
-    ("crates/carpool", 27),
-    ("crates/channel", 33),
-    ("crates/cli", 19),
-    ("crates/frame", 56),
-    ("crates/mac", 39),
-    ("crates/obs", 75),
+    ("crates/carpool", 26),
+    ("crates/channel", 21),
+    ("crates/frame", 47),
+    ("crates/mac", 20),
+    ("crates/obs", 71),
     ("crates/par", 5),
-    ("crates/phy", 134),
-    ("crates/traffic", 40),
+    ("crates/phy", 94),
+    ("crates/traffic", 34),
 ];
 
 /// One line of a file after [`blank`].
@@ -115,6 +128,15 @@ impl File {
         }
     }
 
+    /// Whether the file lies outside the `src/` of the crate at `dir`
+    /// (`""` for the root package): in another crate, in any `tests/`,
+    /// `benches/` or `examples/` directory (each file there builds as a
+    /// crate of its own), or in `perfbench/`.
+    fn outside_src_of(&self, dir: &str) -> bool {
+        let (own, section) = self.place();
+        own != dir || section != "src"
+    }
+
     /// Whether L010 and L013 audit this file: `src/` of a library crate
     /// (the root package counts as one).
     fn audited(&self) -> bool {
@@ -132,7 +154,8 @@ impl File {
 /// workspace root, text), as `path:line: rule message`.
 fn findings(sources: &[(String, String)]) -> Vec<String> {
     let files: Vec<File> = sources.iter().map(|(p, t)| File::new(p, t)).collect();
-    let mut out = dead_api(&files);
+    let mut out = ordering_notes(&files);
+    out.extend(dead_api(&files));
     out.extend(unit_mix(&files));
     out.extend(barrier_tag(&files));
     out
@@ -315,14 +338,58 @@ fn waives(comment: &str, key: &str) -> bool {
     })
 }
 
+/// The comment of line `n` and those of the comment-only lines directly
+/// above it.
+fn comments_at(lines: &[Line], n: usize) -> impl Iterator<Item = &str> {
+    let above = lines[..n]
+        .iter()
+        .rev()
+        .take_while(|l| l.code.trim().is_empty() && !l.comment.is_empty());
+    std::iter::once(&lines[n])
+        .chain(above)
+        .map(|l| l.comment.as_str())
+}
+
 /// Whether line `n`, or a comment-only line directly above it, waives `key`.
 fn waived(lines: &[Line], n: usize, key: &str) -> bool {
-    waives(&lines[n].comment, key)
-        || lines[..n]
-            .iter()
-            .rev()
-            .take_while(|l| l.code.trim().is_empty() && !l.comment.is_empty())
-            .any(|l| waives(&l.comment, key))
+    comments_at(lines, n).any(|c| waives(c, key))
+}
+
+// ----------------------------------------------------------------- L009
+
+/// The crates whose atomics touch results, so that every ordering in
+/// their non-test `src/` code says why it suffices.
+const ORDERING_NOTE_CRATES: [&str; 2] = ["par", "obs"];
+
+fn ordering_notes(files: &[File]) -> Vec<String> {
+    let mut out = Vec::new();
+    for file in files {
+        let (dir, section) = file.place();
+        if section != "src" || !ORDERING_NOTE_CRATES.contains(&dir) {
+            continue;
+        }
+        for (n, line) in file.lines.iter().enumerate().filter(|(_, l)| !l.test) {
+            if !line.code.contains("Ordering::") {
+                continue;
+            }
+            let note = comments_at(&file.lines, n)
+                .collect::<Vec<_>>()
+                .join(" ")
+                .to_lowercase();
+            let names_counter = idents(&note).any(|w| w == "counter");
+            if !note.contains("ordering:")
+                || (line.code.contains("Ordering::Relaxed") && !names_counter)
+            {
+                out.push(format!(
+                    "{}:{}: L009 `Ordering::` without an `// ordering: <why>` note on its \
+                     line or directly above (for `Relaxed`, one that names a counter)",
+                    file.path,
+                    n + 1
+                ));
+            }
+        }
+    }
+    out
 }
 
 // ----------------------------------------------------------------- L010
@@ -366,28 +433,31 @@ fn pub_items(files: &[File]) -> Vec<(usize, usize, &str, &str)> {
 }
 
 fn dead_api(files: &[File]) -> Vec<String> {
-    // How many files name each identifier, in code or in comments.
-    let mut named_in: BTreeMap<&str, usize> = BTreeMap::new();
-    for file in files {
-        let words: BTreeSet<&str> = file
-            .lines
-            .iter()
-            .flat_map(|l| idents(&l.code).chain(idents(&l.comment)))
-            .collect();
-        for word in words {
-            *named_in.entry(word).or_default() += 1;
-        }
-    }
+    // The identifiers each file names, in code or in comments.
+    let names: Vec<BTreeSet<&str>> = files
+        .iter()
+        .map(|file| {
+            file.lines
+                .iter()
+                .flat_map(|l| idents(&l.code).chain(idents(&l.comment)))
+                .collect()
+        })
+        .collect();
     pub_items(files)
         .into_iter()
         .filter(|&(f, n, _, name)| {
-            named_in.get(name) == Some(&1) && !waived(&files[f].lines, n, "dead-api")
+            let dir = files[f].place().0;
+            let named_outside = files
+                .iter()
+                .zip(&names)
+                .any(|(file, words)| file.outside_src_of(dir) && words.contains(name));
+            !named_outside && !waived(&files[f].lines, n, "dead-api")
         })
         .map(|(f, n, kind, name)| {
             format!(
-                "{}:{}: L010 pub {kind} `{name}` is named by no other workspace file; \
-                 remove it, make it pub(crate) or waive it with \
-                 `// lint:allow(dead-api): <why external users need it>`",
+                "{}:{}: L010 pub {kind} `{name}` is named nowhere outside its crate's \
+                 `src/`; remove it, make it pub(crate) or waive it with \
+                 `// lint:allow(dead-api): <the public signature that needs it>`",
                 files[f].path,
                 n + 1
             )
@@ -714,7 +784,7 @@ fn declares_pub_fn(code: &str) -> bool {
 fn pub_fn_ratchet(sources: &[(String, String)], ceilings: &[(&str, usize)]) -> Vec<String> {
     let files: Vec<File> = sources.iter().map(|(p, t)| File::new(p, t)).collect();
     let mut counts: BTreeMap<&str, usize> = ceilings.iter().map(|&(dir, _)| (dir, 0)).collect();
-    for file in &files {
+    for file in files.iter().filter(|f| f.place() != ("", "perfbench")) {
         let declared = file.lines.iter().filter(|l| declares_pub_fn(&l.code));
         *counts.entry(file.ratchet_dir()).or_default() += declared.count();
     }
@@ -759,7 +829,9 @@ fn rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> std::io::Result<()> {
 }
 
 /// The sources the rules read: `src/`, `tests/`, `benches/` and
-/// `examples/` of the root package and of every crate under `crates/`.
+/// `examples/` of the root package and of every crate under `crates/`,
+/// and `perfbench/src/`, which only L010 reads, as a user of the
+/// library crates' `pub` items.
 fn workspace_sources() -> std::io::Result<Vec<(String, String)>> {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
     let mut packages = vec![root.to_path_buf()];
@@ -775,6 +847,7 @@ fn workspace_sources() -> std::io::Result<Vec<(String, String)>> {
             rs_files(&package.join(section), &mut paths)?;
         }
     }
+    rs_files(&root.join("perfbench/src"), &mut paths)?;
     paths.sort();
     let mut sources = Vec::new();
     for path in paths {
@@ -827,6 +900,8 @@ fn pub_fn_ratchet_counts_declarations_not_words() {
              const S: &str = \"pub fn g\";\n",
         ),
         ("crates/phy/tests/t.rs", "pub fn h() {}\n"),
+        // perfbench is read for names only; its declarations count nowhere.
+        ("perfbench/src/main.rs", "pub fn k() {}\n"),
         (
             "tests/root.rs",
             "fn i() -> &'static str { r\"pub fn j() {}\" }\n",
@@ -895,7 +970,7 @@ fn l010_passes_referenced_documented_and_waived_items() {
 }
 
 #[test]
-fn l010_needs_a_reason_to_waive_and_another_file_to_count() {
+fn l010_needs_a_reason_to_waive_and_another_crate_to_count() {
     let found = check(&[
         (
             "crates/phy/src/lib.rs",
@@ -911,6 +986,77 @@ fn l010_needs_a_reason_to_waive_and_another_file_to_count() {
         ),
     ]);
     assert_eq!(found.len(), 3, "{found:?}");
+}
+
+#[test]
+fn l010_does_not_count_the_items_own_crate_src() {
+    // Named only by a sibling module of its crate.
+    let found = check(&[
+        ("crates/phy/src/a.rs", "pub fn sibling_only() {}\n"),
+        (
+            "crates/phy/src/b.rs",
+            "fn f() { crate::a::sibling_only(); }\n",
+        ),
+    ]);
+    assert_eq!(found.len(), 1, "{found:?}");
+    assert!(
+        found[0].starts_with("crates/phy/src/a.rs:1: L010 pub fn `sibling_only`"),
+        "{found:?}"
+    );
+
+    // Named only by its crate's unit tests, in its own file or another.
+    let found = check(&[
+        (
+            "crates/phy/src/a.rs",
+            "pub fn probe() {}\n\
+             pub fn other_probe() {}\n\
+             #[cfg(test)]\n\
+             mod tests {\n    #[test]\n    fn t() { super::probe(); }\n}\n",
+        ),
+        (
+            "crates/phy/src/b.rs",
+            "#[cfg(test)]\nmod tests {\n    fn t() { crate::a::other_probe(); }\n}\n",
+        ),
+    ]);
+    assert_eq!(found.len(), 2, "{found:?}");
+    assert!(found[0].contains("`probe`"), "{found:?}");
+    assert!(found[1].contains("`other_probe`"), "{found:?}");
+}
+
+#[test]
+fn l010_counts_other_crates_tests_examples_and_perfbench() {
+    let found = check(&[
+        (
+            "crates/phy/src/lib.rs",
+            "pub fn by_other_crate() {}\n\
+             pub fn by_own_tests_dir() {}\n\
+             pub fn by_bench_target() {}\n\
+             pub fn by_root_example() {}\n\
+             pub fn by_perfbench() {}\n",
+        ),
+        (
+            "crates/mac/src/lib.rs",
+            "fn f() { carpool_phy::by_other_crate(); }\n",
+        ),
+        (
+            "crates/phy/tests/t.rs",
+            "fn t() { carpool_phy::by_own_tests_dir(); }\n",
+        ),
+        (
+            "crates/bench/benches/fig.rs",
+            "fn main() { carpool_phy::by_bench_target(); }\n",
+        ),
+        (
+            "examples/demo.rs",
+            "fn main() { carpool_phy::by_root_example(); }\n",
+        ),
+        // perfbench is a user of the library crates, never audited itself.
+        (
+            "perfbench/src/phy.rs",
+            "pub fn unused_here() {}\nfn run() { carpool_phy::by_perfbench(); }\n",
+        ),
+    ]);
+    assert!(found.is_empty(), "{found:?}");
 }
 
 #[test]
@@ -1145,6 +1291,7 @@ fn l015_fires_on_a_barrier_without_a_fetch_min_tag() {
         format!(
             "fn run_epochs(barrier: &Barrier, failed_at: &AtomicUsize, epoch: usize) {{\n\
              \x20   if catch_unwind(|| step()).is_err() {{\n\
+             \x20       // ordering: AcqRel orders the tag with the barrier.\n\
              \x20       failed_at.{tag}(epoch, Ordering::AcqRel);\n\
              \x20   }}\n\
              \x20   barrier.wait();\n\
@@ -1162,6 +1309,58 @@ fn l015_fires_on_a_barrier_without_a_fetch_min_tag() {
     let in_test = format!("#[cfg(test)]\nmod tests {{\n{}}}\n", epochs("store"));
     assert!(check(&[("crates/par/src/lib.rs", &in_test)]).is_empty());
     assert!(check(&[("crates/par/tests/t.rs", &epochs("store"))]).is_empty());
+}
+
+#[test]
+fn l009_needs_an_ordering_note_and_a_counter_for_relaxed() {
+    let par = |body: &str| check(&[("crates/par/src/lib.rs", body)]);
+    let noted = "fn f(a: &AtomicUsize) {\n\
+                 \x20   // ordering: Acquire pairs with the Release store in `g`.\n\
+                 \x20   a.load(Ordering::Acquire);\n\
+                 \x20   a.fetch_add(1, Ordering::Relaxed); // ordering: a counter, read after join\n\
+                 }\n";
+    assert!(par(noted).is_empty(), "{:?}", par(noted));
+
+    // No note at all, and a plain comment is no note.
+    let found = par("fn f(a: &AtomicUsize) {\n\
+                     \x20   // Wait for the workers.\n\
+                     \x20   a.load(Ordering::Acquire);\n\
+                     }\n");
+    assert_eq!(found.len(), 1, "{found:?}");
+    assert!(
+        found[0].starts_with("crates/par/src/lib.rs:3: L009"),
+        "{found:?}"
+    );
+
+    // A `Relaxed` note that names no counter, and a note cut off by a
+    // blank line.
+    let found = par("fn f(a: &AtomicUsize) {\n\
+                     \x20   // ordering: nothing else is ordered by this flag.\n\
+                     \x20   a.store(1, Ordering::Relaxed);\n\
+                     \x20   // ordering: Release publishes the slot.\n\
+                     \n\
+                     \x20   a.store(2, Ordering::Release);\n\
+                     }\n");
+    assert_eq!(found.len(), 2, "{found:?}");
+    assert!(
+        found[0].starts_with("crates/par/src/lib.rs:3: L009"),
+        "{found:?}"
+    );
+    assert!(
+        found[1].starts_with("crates/par/src/lib.rs:6: L009"),
+        "{found:?}"
+    );
+
+    // Other crates, test code and `tests/` are out of scope.
+    let bare = "fn f(a: &AtomicUsize) { a.load(Ordering::Relaxed); }\n";
+    let in_test = format!("#[cfg(test)]\nmod tests {{\n    {bare}}}\n");
+    assert!(check(&[
+        ("crates/phy/src/lib.rs", bare),
+        ("crates/par/tests/t.rs", bare),
+        ("crates/obs/src/flight.rs", &in_test),
+    ])
+    .is_empty());
+    assert_eq!(check(&[("crates/obs/src/flight.rs", bare)]).len(), 1);
 }
 
 #[test]
