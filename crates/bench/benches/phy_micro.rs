@@ -16,6 +16,12 @@
 //! `rx_1500B_qam64_prefec` times the QAM64 receive with FEC off, right
 //! after `rx_1500B_qam64` on the same waveform: the difference between
 //! the two rows is the FEC stage (lattice fill, Viterbi, descrambling).
+//! `rx_prefec_1500B_qam16_{standard,rte}` time the receive `run_phy`
+//! runs (FEC off, side channel on) on a waveform that went through the
+//! office link once, with the preamble-only estimate and with RTE. The
+//! `qam*_demap_symbol` rows cycle over 16 noisy symbols, so the branch
+//! predictor cannot learn one symbol's decisions. None of these rows is
+//! fatal.
 //!
 //! `phy_micro --against <parent phy_micro binary>` is the regression
 //! gate. It runs the parent binary and this one [`PAIRS`] times each,
@@ -212,13 +218,51 @@ fn bench_interleaver_and_mapping(results: &mut Vec<SpanStats>) {
     results.push(measure("interleave_qam64_block", || {
         black_box(il.interleave(black_box(&bits)));
     }));
-    let points = Modulation::Qam64.map_all(&bits);
     results.push(measure("qam64_map_symbol", || {
         black_box(Modulation::Qam64.map_all(black_box(&bits)));
     }));
-    results.push(measure("qam64_demap_symbol", || {
-        black_box(Modulation::Qam64.demap_all(black_box(&points)));
-    }));
+    // A slicer that branches on the points learns one clean symbol
+    // repeated on every call through the branch predictor, so each call
+    // takes the next of 16 noisy symbols instead.
+    for (name, modulation) in [
+        ("qam16_demap_symbol", Modulation::Qam16),
+        ("qam64_demap_symbol", Modulation::Qam64),
+    ] {
+        let symbols = noisy_symbols(modulation, 16);
+        let mut next = symbols.iter().cycle();
+        results.push(measure(name, || {
+            let points = next.next().map_or(&[][..], Vec::as_slice);
+            black_box(modulation.demap_all(black_box(points)));
+        }));
+    }
+}
+
+/// `count` 48-point symbols of `modulation`, each point moved off its
+/// constellation point by up to 45% of the distance to a neighbour on
+/// each axis, so every decision is still right but none is clean.
+fn noisy_symbols(modulation: Modulation, count: usize) -> Vec<Vec<Complex64>> {
+    let bps = modulation.bits_per_symbol();
+    // Labels 0 and 1 on the in-phase axis are neighbouring levels.
+    let mut label = vec![0; bps];
+    let first = modulation.map(&label);
+    label[bps / 2 - 1] = 1;
+    let step = (modulation.map(&label).re - first.re).abs();
+    let mut x = 0x9e37_79b9_7f4a_7c15u64;
+    let mut offset = move || {
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        ((x >> 11) as f64 / (1u64 << 53) as f64 * 2.0 - 1.0) * 0.45 * step
+    };
+    (0..count)
+        .map(|s| {
+            let points = modulation.map_all(&pattern_bits(48 * bps, 11 + s as u64));
+            points
+                .into_iter()
+                .map(|p| p + Complex64::new(offset(), offset()))
+                .collect()
+        })
+        .collect()
 }
 
 fn bench_bloom(results: &mut Vec<SpanStats>) {
@@ -285,6 +329,41 @@ fn bench_full_chain(results: &mut Vec<SpanStats>) {
                 .ok();
             }));
         }
+    }
+}
+
+/// The pre-FEC receive `run_phy` runs, on one 1500 B QAM16-1/2 frame
+/// with the side channel, received once through the office link at
+/// 26 dB (the upper Fig. 14 power): `receive_with(.., Fec::Off)` with
+/// the preamble-only estimate and with RTE's data pilots.
+fn bench_prefec(results: &mut Vec<SpanStats>) {
+    let spec = SectionSpec::payload(pattern_bits(1500 * 8, 9), Mcs::QAM16_1_2);
+    let frame = transmit(std::slice::from_ref(&spec)).expect("valid spec");
+    let mut link = LinkChannel::builder()
+        .snr_db(26.0)
+        .coherence_time(4e-3)
+        .rician_k(15.0)
+        .cfo_hz(100.0)
+        .seed(5)
+        .build();
+    let samples = link.transmit(&frame.samples);
+    let layouts = [SectionLayout::of(&spec)];
+    for (name, estimation) in [
+        ("rx_prefec_1500B_qam16_standard", Estimation::Standard),
+        (
+            "rx_prefec_1500B_qam16_rte",
+            Estimation::Rte(CalibrationRule::Average),
+        ),
+    ] {
+        results.push(measure(name, || {
+            black_box(receive_with(
+                black_box(&samples),
+                &layouts,
+                estimation,
+                Fec::Off,
+            ))
+            .ok();
+        }));
     }
 }
 
@@ -431,6 +510,7 @@ fn run_rows() {
     bench_bloom(&mut results);
     bench_side_channel(&mut results);
     bench_full_chain(&mut results);
+    bench_prefec(&mut results);
     bench_channel(&mut results);
     bench_obs_overhead(&mut results);
     bench_mac_dense(&mut results);

@@ -52,21 +52,6 @@ impl DelayProfile {
         DelayProfile { powers }
     }
 
-    /// A custom profile; powers are normalised to sum to 1.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `powers` is empty, contains a non-positive value, or
-    /// sums to zero.
-    pub fn custom(powers: Vec<f64>) -> DelayProfile {
-        assert!(!powers.is_empty(), "need at least one tap");
-        assert!(powers.iter().all(|&p| p > 0.0), "powers must be positive");
-        let total: f64 = powers.iter().sum();
-        DelayProfile {
-            powers: powers.into_iter().map(|p| p / total).collect(),
-        }
-    }
-
     /// Number of taps.
     pub fn len(&self) -> usize {
         self.powers.len()

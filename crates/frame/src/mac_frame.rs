@@ -174,11 +174,6 @@ impl AmpduBundle {
         Ok(())
     }
 
-    /// The bundled frames.
-    pub fn frames(&self) -> &[MacFrame] {
-        &self.frames
-    }
-
     /// Number of bundled frames.
     pub fn len(&self) -> usize {
         self.frames.len()

@@ -161,7 +161,7 @@ impl MimoCarpoolFrame {
 
     /// Airtime of the whole aggregate: one legacy preamble + A-HDR, then
     /// the groups back to back (Fig. 18(b)).
-    pub fn data_airtime(&self) -> f64 {
+    fn data_airtime(&self) -> f64 {
         PLCP_OVERHEAD
             + ahdr_airtime()
             + (0..self.groups.len())

@@ -224,11 +224,6 @@ impl Simulator {
         self
     }
 
-    /// The configuration in use.
-    pub fn config(&self) -> &SimConfig {
-        &self.config
-    }
-
     /// Deterministically decides whether two STA node ids are mutually
     /// hidden under the configured topology.
     #[cfg(test)]

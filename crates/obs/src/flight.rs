@@ -6,7 +6,7 @@
 //! is reported once, as a [`TraceRecord`] of one [`TraceKind`], through
 //! [`crate::Obs::trace`]. Everything else reads that record:
 //!
-//! - metrics counters follow from the kind ([`TraceRecord::counters`]),
+//! - metrics counters follow from the kind (`TraceRecord::counters`),
 //!   so no site counts a decision beside recording it;
 //! - `--obs` streams each record as one JSONL line
 //!   ([`TraceRecord::to_json_line`]);
@@ -228,7 +228,7 @@ impl TraceRecord {
     /// follows. Counters that are not one record per event (symbols
     /// decoded, sections decoded) stay plain [`crate::Obs::counter`]
     /// calls.
-    pub fn counters(&self) -> [Option<(&'static str, u64)>; 2] {
+    pub(crate) fn counters(&self) -> [Option<(&'static str, u64)>; 2] {
         let one = |name: &'static str| [Some((name, 1)), None];
         let (b, c) = (self.b, self.c);
         let Some(kind) = self.kind() else {

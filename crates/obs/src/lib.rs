@@ -7,7 +7,7 @@
 //!   test, a MAC delivery, ...) reports itself once, as one record of
 //!   one [`TraceKind`], through [`Obs::trace`]. The record feeds every
 //!   output: the metrics counters it implies
-//!   ([`TraceRecord::counters`]), the `--obs` JSONL stream, and the
+//!   (`TraceRecord::counters`), the `--obs` JSONL stream, and the
 //!   `--trace-out` [`FlightRecorder`] ring with its Chrome-trace and
 //!   JSONL renderings ([`flight`]). `carpool report` reads that JSONL.
 //! - [`Recorder`] — counters, gauges, and log-bucketed histograms, with a

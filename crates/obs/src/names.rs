@@ -3,7 +3,7 @@
 //! Every span some site opens is named here and listed in `SPANS`,
 //! the table that gives each its own `span.<name>` histogram; counter
 //! names that are not derived from a record kind (see
-//! [`crate::TraceRecord::counters`]) are centralised here so call sites
+//! `TraceRecord::counters`) are centralised here so call sites
 //! and tests cannot drift apart.
 
 /// Span: one full PHY section decode (`rx::decode_section`).

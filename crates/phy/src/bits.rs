@@ -4,7 +4,9 @@
 //! operates on individual bits; frames arrive as bytes. These helpers
 //! convert between the two representations (LSB-first, matching the
 //! IEEE 802.11 convention) and provide utilities such as Hamming distance
-//! used throughout the tests and benches.
+//! used throughout the tests and benches. The BER Monte-Carlo tallies
+//! every symbol with [`hamming_distance`], which compares eight bytes
+//! per step.
 
 /// Unpacks bytes into bits, least-significant bit of each byte first.
 ///
@@ -48,9 +50,27 @@ pub fn bits_to_bytes(bits: &[u8]) -> Vec<u8> {
 /// Number of positions at which two bit slices differ.
 ///
 /// Only the common prefix is compared; callers should ensure equal lengths
-/// when the tail matters.
+/// when the tail matters. Any byte values compare, not just 0 and 1: the
+/// count is of unequal bytes, taken eight at a time from the nonzero
+/// bytes of their XOR.
 pub fn hamming_distance(a: &[u8], b: &[u8]) -> usize {
-    a.iter().zip(b.iter()).filter(|(x, y)| x != y).count()
+    /// The low seven bits of every byte of a word.
+    const LOW7: u64 = 0x7f7f_7f7f_7f7f_7f7f;
+    let n = a.len().min(b.len());
+    let (words_a, tail_a) = a[..n].as_chunks::<8>();
+    let (words_b, tail_b) = b[..n].as_chunks::<8>();
+    let mut nonzero = 0usize;
+    for (x, y) in words_a.iter().zip(words_b) {
+        let diff = u64::from_ne_bytes(*x) ^ u64::from_ne_bytes(*y);
+        // The top bit of each byte is set iff the byte is nonzero: its low
+        // seven bits plus 0x7f carry into it (never beyond), or it was
+        // set already.
+        let marks = (((diff & LOW7) + LOW7) | diff) & !LOW7;
+        // Summing the marks' bytes into the top byte (at most 8, so no
+        // byte overflows) needs no popcount instruction.
+        nonzero += ((marks >> 7).wrapping_mul(0x0101_0101_0101_0101) >> 56) as usize;
+    }
+    nonzero + tail_a.iter().zip(tail_b).filter(|(x, y)| x != y).count()
 }
 
 /// Bit error rate between a transmitted and received bit sequence.
@@ -128,6 +148,37 @@ mod tests {
         assert_eq!(hamming_distance(&a, &b), 2);
         assert!((bit_error_rate(&a, &b) - 0.5).abs() < 1e-12);
         assert_eq!(bit_error_rate(&[], &[]), 0.0);
+    }
+
+    #[test]
+    fn hamming_distance_counts_differing_bytes_of_any_value() {
+        let bytewise = |a: &[u8], b: &[u8]| a.iter().zip(b).filter(|(x, y)| x != y).count();
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        let mut byte = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x.to_le_bytes()[3]
+        };
+        for len_a in 0..=40 {
+            for len_b in [len_a, len_a / 2, len_a + 3] {
+                for trial in 0..16 {
+                    let a: Vec<u8> = (0..len_a).map(|_| byte()).collect();
+                    // Mostly equal bytes, some differing in one bit or
+                    // in every bit, some arbitrary.
+                    let b: Vec<u8> = (0..len_b)
+                        .map(|k| match (a.get(k), byte() % 5) {
+                            (Some(&v), 0 | 1) => v,
+                            (Some(&v), 2) => v ^ (1 << (trial % 8)),
+                            (Some(&v), 3) => !v,
+                            _ => byte(),
+                        })
+                        .collect();
+                    assert_eq!(hamming_distance(&a, &b), bytewise(&a, &b), "{a:?} vs {b:?}");
+                    assert_eq!(hamming_distance(&b, &a), bytewise(&a, &b));
+                }
+            }
+        }
     }
 
     #[test]

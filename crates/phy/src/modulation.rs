@@ -5,8 +5,23 @@
 //! `1/sqrt(42)` so every constellation has unit average power. Demapping
 //! is hard-decision minimum-distance, implemented per axis (which is
 //! exact for these square constellations).
+//!
+//! Two parts of the receive and transmit hot paths live here, both held
+//! bit for bit to plain references by the unit tests:
+//!
+//! - The QAM16/QAM64 slicer of [`Modulation::demap_all`] decides a whole
+//!   OFDM symbol's 96 axis values array-wise, without a branch per lane,
+//!   and falls back to a per-lane walk only when some lane sits on a
+//!   rounding tie. Every lane gets what a scan over all levels keeping
+//!   the first strict minimum would give, NaN and infinities included.
+//! - A process-wide per-label table holds every constellation point with
+//!   its reciprocal and energy, built once from [`Modulation::map`]. The
+//!   transmitter maps through it, and RTE reads its data pilots from it.
+
+use std::sync::OnceLock;
 
 use crate::math::Complex64;
+use crate::ofdm::NUM_DATA;
 
 /// Modulation scheme of a data subcarrier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -71,19 +86,34 @@ impl Modulation {
         }
     }
 
-    /// Every constellation point, indexed by its bits read as a binary
-    /// number (first bit most significant): entry `l` is what
-    /// [`Modulation::map`] returns for the bits of `l`, bit for bit, so
-    /// the transmitter maps a subcarrier with one lookup.
-    pub(crate) fn point_table(&self) -> [Complex64; 64] {
+    /// Every constellation point with its [`Complex64::inv`] and
+    /// [`Complex64::norm_sqr`], indexed by the point's bits read as a
+    /// binary number (first bit most significant): entry `l` holds what
+    /// [`Modulation::map`] returns for the bits of `l`, bit for bit.
+    /// Entries from `1 << bits_per_symbol()` on are zero and unused.
+    /// The transmitter maps a subcarrier with one lookup, and RTE reads
+    /// a decided data pilot and the reciprocal it divides by the same
+    /// way. The tables are built once per process.
+    pub(crate) fn label_points(&self) -> &'static [LabelPoint; 64] {
+        static TABLES: OnceLock<[[LabelPoint; 64]; 4]> = OnceLock::new();
+        let tables = TABLES.get_or_init(|| Modulation::ALL.map(|m| m.build_label_points()));
+        &tables[*self as usize]
+    }
+
+    fn build_label_points(self) -> [LabelPoint; 64] {
         let bps = self.bits_per_symbol();
-        let mut table = [Complex64::ZERO; 64];
+        let mut table = [LabelPoint::default(); 64];
         let mut bits = [0u8; 6];
-        for (label, point) in (0u8..).zip(table.iter_mut().take(1 << bps)) {
+        for (label, entry) in (0u8..).zip(table.iter_mut().take(1 << bps)) {
             for (k, bit) in bits[..bps].iter_mut().enumerate() {
                 *bit = (label >> (bps - 1 - k)) & 1;
             }
-            *point = self.map(&bits[..bps]);
+            let point = self.map(&bits[..bps]);
+            *entry = LabelPoint {
+                point,
+                inv: point.inv(),
+                norm_sqr: point.norm_sqr(),
+            };
         }
         table
     }
@@ -112,12 +142,6 @@ impl Modulation {
             self
         );
         assert!(bits.iter().all(|&b| b <= 1), "non-binary bit value");
-        self.point(bits)
-    }
-
-    /// [`Modulation::map`] without its checks: the same `level * k`
-    /// products, bit for bit.
-    fn point(&self, bits: &[u8]) -> Complex64 {
         let k = self.normalization();
         if *self == Modulation::Bpsk {
             return Complex64::new(self.axis_level(bits) * k, 0.0);
@@ -135,19 +159,6 @@ impl Modulation {
         let bps = self.bits_per_symbol();
         assert_eq!(bits.len() % bps, 0, "bit count not a multiple of {bps}");
         bits.chunks(bps).map(|c| self.map(c)).collect()
-    }
-
-    /// Re-modulates demapped bits (0/1 values, [`Modulation::bits_per_symbol`]
-    /// per point) into `out`, one point per slot: what
-    /// [`Modulation::map_all`] returns, bit for bit, without its
-    /// per-point checks. RTE's data pilots are built this way.
-    pub(crate) fn remap_into(&self, bits: &[u8], out: &mut [Complex64]) {
-        for (point, label) in out
-            .iter_mut()
-            .zip(bits.chunks_exact(self.bits_per_symbol()))
-        {
-            *point = self.point(label);
-        }
     }
 
     /// Hard-decision demapping of equalised constellation points, each to
@@ -168,15 +179,8 @@ impl Modulation {
                     bits[1] = u8::from(p.im / k >= 0.0);
                 }
             }
-            Modulation::Qam16 | Modulation::Qam64 => {
-                let levels = self.axis_levels();
-                let mids = self.axis_midpoints();
-                for (bits, p) in out.chunks_exact_mut(bps).zip(points) {
-                    let (re, im) = bits.split_at_mut(bps / 2);
-                    write_label(nearest_level(p.re / k, levels, mids), re);
-                    write_label(nearest_level(p.im / k, levels, mids), im);
-                }
-            }
+            Modulation::Qam16 => slice_qam::<4, 2>(points, k, self.axis_levels(), &mut out),
+            Modulation::Qam64 => slice_qam::<8, 3>(points, k, self.axis_levels(), &mut out),
         }
         out
     }
@@ -187,16 +191,6 @@ impl Modulation {
             Modulation::Bpsk | Modulation::Qpsk => &[-1.0, 1.0],
             Modulation::Qam16 => &[-3.0, -1.0, 1.0, 3.0],
             Modulation::Qam64 => &[-7.0, -5.0, -3.0, -1.0, 1.0, 3.0, 5.0, 7.0],
-        }
-    }
-
-    /// Midpoints between adjacent [`Modulation::axis_levels`]: the
-    /// hard-decision thresholds.
-    fn axis_midpoints(&self) -> &'static [f64] {
-        match self {
-            Modulation::Bpsk | Modulation::Qpsk => &[0.0],
-            Modulation::Qam16 => &[-2.0, 0.0, 2.0],
-            Modulation::Qam64 => &[-6.0, -4.0, -2.0, 0.0, 2.0, 4.0, 6.0],
         }
     }
 
@@ -260,34 +254,101 @@ impl std::fmt::Display for Modulation {
     }
 }
 
+/// The label of a point's bits, read as a binary number with the first
+/// bit most significant: its index into [`Modulation::label_points`].
+pub(crate) fn label(bits: &[u8]) -> usize {
+    bits.iter()
+        .fold(0usize, |acc, &b| (acc << 1) | usize::from(b))
+}
+
 /// Gray label of the PAM level with ascending index `idx`.
 const fn gray(idx: usize) -> usize {
     idx ^ (idx >> 1)
 }
 
-/// Writes the Gray label of level index `idx` into `out`, most
-/// significant bit first.
-fn write_label(idx: usize, out: &mut [u8]) {
-    let label = gray(idx);
-    for (shift, bit) in (0..out.len()).rev().zip(out.iter_mut()) {
-        *bit = u8::from((label >> shift) & 1 == 1);
+/// One entry of [`Modulation::label_points`]: a constellation point,
+/// its reciprocal and its energy, each bit for bit what
+/// [`Complex64::inv`] and [`Complex64::norm_sqr`] return for it.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub(crate) struct LabelPoint {
+    pub(crate) point: Complex64,
+    pub(crate) inv: Complex64,
+    pub(crate) norm_sqr: f64,
+}
+
+/// Hard decisions of a square QAM with `N` levels (`B` label bits) per
+/// axis, ascending in `levels`, written to `out` as
+/// [`Modulation::demap_all`] lays them out.
+///
+/// Each lane must return the first of the ascending levels at the least
+/// rounded distance `|v - level|`, where `v = coordinate / k` (what a
+/// scan keeping the first strict minimum returns). The slicer takes one
+/// OFDM symbol's 96 axis values at a time. It clamps each into
+/// `±(N - 0.5)` and truncates `(v + N) / 2` to a level index `j`: the
+/// number of thresholds (`2i - N`) strictly below `v`, or one more when
+/// the sum rounds up onto a threshold. Either way the exact answer is
+/// `j` unless the level left of it is at least as near in rounded
+/// arithmetic, the condition of a walk left. That condition is checked
+/// for every lane at once; only when some lane meets it (a rounding tie,
+/// a value on a threshold, `+inf` or a huge magnitude, whose distances
+/// all round alike) does the walk run, lane by lane. A NaN lane truncates
+/// to index 0, as the scan leaves it, and never ties.
+fn slice_qam<const N: u32, const B: usize>(
+    points: &[Complex64],
+    k: f64,
+    levels: &[f64],
+    out: &mut [u8],
+) {
+    let n = f64::from(N);
+    let top = n - 0.5;
+    for (symbol, bits) in points
+        .chunks(NUM_DATA)
+        .zip(out.chunks_mut(NUM_DATA * 2 * B))
+    {
+        let lanes = 2 * symbol.len();
+        let mut axis = [0.0f64; 2 * NUM_DATA];
+        for (pair, p) in axis.chunks_exact_mut(2).zip(symbol) {
+            pair[0] = p.re / k;
+            pair[1] = p.im / k;
+        }
+        // Branch-free, so that the loop vectorizes and a lane's level
+        // index costs no misprediction.
+        let mut index = [0i32; 2 * NUM_DATA];
+        let mut tie = false;
+        for (j, &v) in index.iter_mut().zip(&axis) {
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "clamped into [0.25, N - 0.25], or NaN, which casts to 0"
+            )]
+            let t = ((v.clamp(-top, top) + n) * 0.5) as i32;
+            let level = f64::from(2 * t) - (n - 1.0);
+            tie |= (t > 0) & ((v - (level - 2.0)).abs() <= (v - level).abs());
+            *j = t;
+        }
+        if tie {
+            walk_left(&axis[..lanes], &mut index[..lanes], levels);
+        }
+        for (axis_bits, &j) in bits.chunks_exact_mut(B).zip(&index[..lanes]) {
+            #[expect(clippy::cast_sign_loss, reason = "a level index in 0..N")]
+            let gray = gray(j as usize);
+            for (shift, bit) in (0..B).rev().zip(axis_bits.iter_mut()) {
+                *bit = u8::from((gray >> shift) & 1 == 1);
+            }
+        }
     }
 }
 
-/// Index of the first of `levels` (ascending) at the least rounded
-/// distance `|value - level|`; `mids` are the midpoints of adjacent
-/// levels. This is exactly what a scan keeping the first strict minimum
-/// returns, rounding ties, huge values, ±inf and NaN (all index 0)
-/// included: the count of midpoints strictly below `value` indexes an
-/// exactly nearest level, and rounding keeps the distances' order
-/// weakly, so any rounded tie with it lies to its left, and the walk
-/// left lands on the first.
-fn nearest_level(value: f64, levels: &[f64], mids: &[f64]) -> usize {
-    let mut j = mids.iter().filter(|&&m| m < value).count();
-    while j > 0 && (value - levels[j - 1]).abs() <= (value - levels[j]).abs() {
-        j -= 1;
+/// The cold path of [`slice_qam`]: moves each lane's level index left
+/// while the level left of it is at least as near to the lane's value.
+#[cold]
+fn walk_left(axis: &[f64], index: &mut [i32], levels: &[f64]) {
+    for (j, &v) in index.iter_mut().zip(axis) {
+        #[expect(clippy::cast_sign_loss, reason = "a level index in 0..N")]
+        let distance = |i: i32| (v - levels[i as usize]).abs();
+        while *j > 0 && distance(*j - 1) <= distance(*j) {
+            *j -= 1;
+        }
     }
-    j
 }
 
 #[cfg(test)]
@@ -407,6 +468,11 @@ mod tests {
     /// Reference hard demap: per axis, the scan above and an explicit
     /// Gray label table (`>= 0` for BPSK and QPSK).
     fn oracle_demap(m: Modulation, points: &[Complex64]) -> Vec<u8> {
+        oracle_demap_by(m, points, m.normalization())
+    }
+
+    /// [`oracle_demap`] with the axis values `coordinate / k`.
+    fn oracle_demap_by(m: Modulation, points: &[Complex64], k: f64) -> Vec<u8> {
         const Q16: [[u8; 2]; 4] = [[0, 0], [0, 1], [1, 1], [1, 0]];
         const Q64: [[u8; 3]; 8] = [
             [0, 0, 0],
@@ -418,7 +484,6 @@ mod tests {
             [1, 0, 1],
             [1, 0, 0],
         ];
-        let k = m.normalization();
         let mut out = Vec::new();
         let mut axis = |v: f64| match m {
             Modulation::Bpsk | Modulation::Qpsk => out.push(u8::from(v >= 0.0)),
@@ -442,7 +507,9 @@ mod tests {
         for e in [1e17, 1e-17, 1e300, 1e-300, f64::MAX, f64::MIN_POSITIVE] {
             out.extend([e, -e]);
         }
-        for &centre in m.axis_midpoints().iter().chain(m.axis_levels()) {
+        let levels = m.axis_levels();
+        let midpoints = levels.windows(2).map(|w| (w[0] + w[1]) / 2.0);
+        for centre in midpoints.chain(levels.iter().copied()) {
             let (mut up, mut down) = (centre, centre);
             out.push(centre);
             for _ in 0..64 {
@@ -467,15 +534,33 @@ mod tests {
 
     #[test]
     fn threshold_slicer_matches_the_scan_exactly() {
+        // With k = 1 every coordinate is its own axis value, so each
+        // edge value reaches the slicer exactly.
         for m in [Modulation::Qam16, Modulation::Qam64] {
-            let (levels, mids) = (m.axis_levels(), m.axis_midpoints());
-            let values = edge_values(m).into_iter().chain(random_values(1 << 21));
-            for v in values {
+            let values: Vec<f64> = edge_values(m)
+                .into_iter()
+                .chain(random_values(1 << 21))
+                .collect();
+            let points: Vec<Complex64> = values
+                .chunks(2)
+                .map(|c| Complex64::new(c[0], c.get(1).copied().unwrap_or(0.0)))
+                .collect();
+            let mut got = vec![0u8; points.len() * m.bits_per_symbol()];
+            let levels = m.axis_levels();
+            match m {
+                Modulation::Qam16 => slice_qam::<4, 2>(&points, 1.0, levels, &mut got),
+                _ => slice_qam::<8, 3>(&points, 1.0, levels, &mut got),
+            }
+            let want = oracle_demap_by(m, &points, 1.0);
+            let bps = m.bits_per_symbol();
+            for (k, p) in points.iter().enumerate() {
+                let range = k * bps..(k + 1) * bps;
                 assert_eq!(
-                    nearest_level(v, levels, mids),
-                    scan_nearest_level(v, levels),
-                    "{m} at {v:e} ({:#018x})",
-                    v.to_bits()
+                    got[range.clone()],
+                    want[range],
+                    "{m} at {p:?} ({:#018x}, {:#018x})",
+                    p.re.to_bits(),
+                    p.im.to_bits()
                 );
             }
         }
@@ -510,20 +595,91 @@ mod tests {
         }
     }
 
+    /// A coordinate whose division by `k` gives `v` exactly, when one
+    /// lies within a few ulps of `v * k`; else the nearest tried.
+    fn coordinate_for(v: f64, k: f64) -> f64 {
+        let mut p = v * k;
+        for _ in 0..8 {
+            match (p / k).partial_cmp(&v) {
+                Some(std::cmp::Ordering::Less) => p = p.next_up(),
+                Some(std::cmp::Ordering::Greater) => p = p.next_down(),
+                _ => break,
+            }
+        }
+        p
+    }
+
     #[test]
-    fn remap_matches_map_bit_for_bit_for_every_label() {
+    fn demap_all_slices_every_lane_of_a_mixed_symbol_like_the_scan() {
+        for m in [Modulation::Qam16, Modulation::Qam64] {
+            let k = m.normalization();
+            let n = m.axis_levels().len() as f64;
+            // Ordinary lanes: axis values spread over the constellation
+            // and a little beyond, none of them near a threshold on
+            // purpose.
+            let mut ordinary = random_values(usize::MAX)
+                .map(f64::to_bits)
+                .map(move |w| ((w >> 11) as f64 / (1u64 << 53) as f64 * 2.0 - 1.0) * (n + 1.0));
+            // Special lanes: every edge value, once as an axis value
+            // (a coordinate that divides to it) and once as the raw
+            // coordinate itself.
+            let special: Vec<f64> = edge_values(m)
+                .into_iter()
+                .flat_map(|v| [coordinate_for(v, k), v])
+                .collect();
+            // Dense symbols alternate special and ordinary lanes; sparse
+            // ones hold a single special lane among 95 ordinary ones, so
+            // a tie or a NaN has only clean neighbours to disturb.
+            let mut lanes = Vec::new();
+            for &s in &special {
+                lanes.extend([s, ordinary.next().unwrap_or_default() * k]);
+            }
+            for (j, &s) in special.iter().enumerate() {
+                let at = j * 7 % 96;
+                for lane in 0..96 {
+                    lanes.push(if lane == at {
+                        s
+                    } else {
+                        ordinary.next().unwrap_or_default() * k
+                    });
+                }
+            }
+            lanes.resize(lanes.len().next_multiple_of(96), 0.5 * k);
+            for (s, axis) in lanes.chunks_exact(96).enumerate() {
+                let symbol: Vec<Complex64> = axis
+                    .chunks_exact(2)
+                    .map(|c| Complex64::new(c[0], c[1]))
+                    .collect();
+                assert_eq!(
+                    m.demap_all(&symbol),
+                    oracle_demap(m, &symbol),
+                    "{m} symbol {s}: {symbol:?}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn label_points_match_map_bit_for_bit_for_every_label() {
+        let bits = |c: Complex64| (c.re.to_bits(), c.im.to_bits());
         for m in Modulation::ALL {
             let bps = m.bits_per_symbol();
-            let labels = all_bit_patterns(bps);
-            let bits: Vec<u8> = labels.concat();
-            let mut points = vec![Complex64::new(f64::NAN, f64::NAN); labels.len()];
-            m.remap_into(&bits, &mut points);
-            for (label, point) in labels.iter().zip(&points) {
-                let want = m.map(label);
+            let table = m.label_points();
+            for (label, entry) in table.iter().enumerate() {
+                if label >> bps != 0 {
+                    assert_eq!(*entry, LabelPoint::default(), "{m} unused entry {label}");
+                    continue;
+                }
+                let label_bits: Vec<u8> = (0..bps)
+                    .map(|k| u8::from((label >> (bps - 1 - k)) & 1 == 1))
+                    .collect();
+                let want = m.map(&label_bits);
+                assert_eq!(bits(entry.point), bits(want), "{m} {label_bits:?}");
+                assert_eq!(bits(entry.inv), bits(want.inv()), "{m} {label_bits:?}");
                 assert_eq!(
-                    (point.re.to_bits(), point.im.to_bits()),
-                    (want.re.to_bits(), want.im.to_bits()),
-                    "{m} {label:?}"
+                    entry.norm_sqr.to_bits(),
+                    want.norm_sqr().to_bits(),
+                    "{m} {label_bits:?}"
                 );
             }
         }

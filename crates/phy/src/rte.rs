@@ -7,15 +7,22 @@
 //! channel) as a set of known "data pilots": the receiver re-modulates
 //! the decided bits, derives a fresh per-subcarrier estimate
 //! `Ĥ_n = D_n / Y_n`, and folds it into the running estimate with the
-//! paper's Eq. (3):
+//! paper's Eq. (3) (the decision-directed estimation studied for
+//! fast-varying channels by Nagalapur et al., arXiv 1501.04310):
 //!
 //! ```text
 //! H̃_n = (H̃_{n-1} + Ĥ_n) / 2   if symbol n decoded correctly
 //! H̃_n =  H̃_{n-1}              otherwise
 //! ```
+//!
+//! Re-modulating is a table lookup: each carrier's decided label
+//! indexes the modulation's per-label table, which also holds the
+//! point's reciprocal and energy, so `D_n / Y_n` is one complex multiply
+//! with the same bits as the division.
 
 use crate::equalizer::ChannelEstimate;
 use crate::math::Complex64;
+use crate::modulation::{label, Modulation};
 use crate::ofdm::{
     pilot_polarity, FreqSymbol, DATA_CARRIERS, NUM_DATA, PILOT_BASE, PILOT_CARRIERS,
 };
@@ -95,55 +102,64 @@ impl RteEstimator {
     /// * `received` — the raw received frequency symbol **after common
     ///   phase compensation** (so the estimate keeps the preamble's phase
     ///   convention and the per-symbol tracker stays meaningful).
-    /// * `decided` — the re-modulated transmitted data points (48 values)
-    ///   corresponding to the receiver's bit decisions.
+    /// * `modulation`, `decided` — the receiver's bit decisions for the
+    ///   symbol's 48 data points, [`Modulation::bits_per_symbol`] per
+    ///   point; each point's label indexes
+    ///   [`Modulation::label_points`], which holds the data pilot the
+    ///   bits re-modulate to and the reciprocal it is divided by.
     /// * `symbol_index` — index for pilot polarity, letting the pilots
     ///   contribute as (always known) training too.
     ///
     /// # Panics
     ///
-    /// Panics if `decided.len() != 48`.
+    /// Panics if `decided` does not hold one label per received data
+    /// point.
     pub(crate) fn update(
         &mut self,
         received: &FreqSymbol,
-        decided: &[Complex64],
+        modulation: Modulation,
+        decided: &[u8],
         symbol_index: usize,
     ) {
-        assert_eq!(decided.len(), received.data.len(), "decided point count");
+        let bps = modulation.bits_per_symbol();
+        assert_eq!(
+            decided.len(),
+            received.data.len() * bps,
+            "decided bit count"
+        );
+        let table = modulation.label_points();
         // Fresh per-carrier estimates `rx / tx` with their reliability
-        // weights, computed once for the gate and the fold. A null
-        // decision yields none: it cannot be divided by. Dividing by a
-        // low-energy (inner) constellation point amplifies receiver
+        // weights, computed once for the gate and the fold. Dividing by
+        // a low-energy (inner) constellation point amplifies receiver
         // noise by 1/|Y|^2 — up to ~20x for inner 64-QAM points — so the
         // innovation is scaled by min(1, |Y|^2): weak data pilots nudge
         // rather than overwrite the estimate.
-        let mut fresh = [None; NUM_DATA];
-        for (slot, (rx, tx)) in fresh.iter_mut().zip(received.data.iter().zip(decided)) {
-            *slot = if tx.norm_sqr() < 1e-12 {
-                None
-            } else {
-                Some((*rx / *tx, tx.norm_sqr().min(1.0)))
-            };
+        let mut fresh = [(Complex64::ZERO, 0.0); NUM_DATA];
+        for (slot, (rx, bits)) in fresh
+            .iter_mut()
+            .zip(received.data.iter().zip(decided.chunks_exact(bps)))
+        {
+            let tx = &table[label(bits) & 63];
+            *slot = (*rx * tx.inv, tx.norm_sqr.min(1.0));
         }
+        let used = received.data.len().min(NUM_DATA);
         let usable = || {
             DATA_CARRIERS
                 .iter()
-                .zip(&fresh)
-                .filter_map(|(&c, f)| Some((c, (*f)?)))
+                .copied()
+                .zip(fresh[..used].iter().copied())
         };
         // Innovation gate: compare the fresh per-carrier estimates to the
         // running ones before committing anything.
         if self.innovation_gate.is_finite() {
             let mut deviation = 0.0f64;
             let mut reference = 0.0f64;
-            let mut n = 0usize;
             for (carrier, (fresh, _)) in usable() {
                 let current = self.estimate.at(carrier);
                 deviation += (fresh - current).norm_sqr();
                 reference += current.norm_sqr();
-                n += 1;
             }
-            if n == 0 || deviation > self.innovation_gate * self.innovation_gate * reference {
+            if used == 0 || deviation > self.innovation_gate * self.innovation_gate * reference {
                 self.rejected += 1;
                 return;
             }
@@ -167,7 +183,6 @@ impl RteEstimator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::modulation::Modulation;
 
     /// An estimator with the innovation gate disabled.
     fn ungated(initial: ChannelEstimate, rule: CalibrationRule) -> RteEstimator {
@@ -201,7 +216,7 @@ mod tests {
         let tx = Modulation::Qpsk.map_all(&bits);
         for n in 0..12 {
             let rx = flat_received(&tx, h_true, n);
-            rte.update(&rx, &tx, n);
+            rte.update(&rx, Modulation::Qpsk, &bits, n);
         }
         // After 12 halvings the stale component is ~2^-12.
         let got = rte.estimate().at(1);
@@ -215,7 +230,7 @@ mod tests {
         let mut rte = ungated(ChannelEstimate::identity(), CalibrationRule::Replace);
         let tx = Modulation::Bpsk.map_all(&[1u8; 48]);
         let rx = flat_received(&tx, h_true, 0);
-        rte.update(&rx, &tx, 0);
+        rte.update(&rx, Modulation::Bpsk, &[1u8; 48], 0);
         assert!((rte.estimate().at(7) - h_true).abs() < 1e-12);
     }
 
@@ -225,7 +240,7 @@ mod tests {
         let mut rte = ungated(ChannelEstimate::identity(), CalibrationRule::Ewma(0.25));
         let tx = Modulation::Bpsk.map_all(&[0u8; 48]);
         let rx = flat_received(&tx, h_true, 0);
-        rte.update(&rx, &tx, 0);
+        rte.update(&rx, Modulation::Bpsk, &[0u8; 48], 0);
         let got = rte.estimate().at(-26);
         let want = Complex64::new(0.75, 0.25);
         assert!((got - want).abs() < 1e-12, "{got} vs {want}");
@@ -246,11 +261,9 @@ mod tests {
         // is why the per-symbol CRC (and innovation gate) matter.
         let h_true = Complex64::ONE;
         let mut rte = ungated(ChannelEstimate::identity(), CalibrationRule::Average);
-        let bits_tx = vec![1u8; 48];
-        let tx = Modulation::Bpsk.map_all(&bits_tx);
-        let wrong = Modulation::Bpsk.map_all(&[0u8; 48]);
+        let tx = Modulation::Bpsk.map_all(&[1u8; 48]);
         let rx = flat_received(&tx, h_true, 0);
-        rte.update(&rx, &wrong, 0);
+        rte.update(&rx, Modulation::Bpsk, &[0u8; 48], 0);
         let got = rte.estimate().at(3);
         assert!(
             (got - Complex64::ONE).abs() > 0.5,
@@ -264,9 +277,8 @@ mod tests {
         // implied channel jump is far beyond slow fading.
         let mut rte = RteEstimator::new(ChannelEstimate::identity(), CalibrationRule::Average);
         let tx = Modulation::Bpsk.map_all(&[1u8; 48]);
-        let wrong = Modulation::Bpsk.map_all(&[0u8; 48]);
         let rx = flat_received(&tx, Complex64::ONE, 0);
-        rte.update(&rx, &wrong, 0);
+        rte.update(&rx, Modulation::Bpsk, &[0u8; 48], 0);
         assert_eq!(rte.updates(), 0);
         assert_eq!(rte.rejected, 1);
         assert!((rte.estimate().at(3) - Complex64::ONE).abs() < 1e-12);
@@ -277,9 +289,10 @@ mod tests {
         // A small genuine channel drift must still be folded in.
         let h_drift = Complex64::from_polar(1.05, 0.08);
         let mut rte = RteEstimator::new(ChannelEstimate::identity(), CalibrationRule::Average);
-        let tx = Modulation::Qpsk.map_all(&[1u8, 0].repeat(48));
+        let bits = [1u8, 0].repeat(48);
+        let tx = Modulation::Qpsk.map_all(&bits);
         let rx = flat_received(&tx, h_drift, 0);
-        rte.update(&rx, &tx, 0);
+        rte.update(&rx, Modulation::Qpsk, &bits, 0);
         assert_eq!(rte.updates(), 1);
         assert_eq!(rte.rejected, 0);
     }

@@ -563,8 +563,8 @@ impl<'a> FrameDecoder<'a> {
                             // Each symbol is a data pilot: its raw value
                             // with the tracked common phase removed
                             // (keeping the preamble phase convention)
-                            // against its decided points, re-modulated
-                            // from the demapped bits.
+                            // against its decided points, looked up by
+                            // the demapped bits' labels.
                             let held = group.received.iter_mut();
                             let symbols = held.chain(std::iter::once(&mut scratch.raw));
                             let rows = group.bits.chunks_exact(n_cbps);
@@ -573,10 +573,8 @@ impl<'a> FrameDecoder<'a> {
                                 symbols.zip(rows).zip(offsets).enumerate()
                             {
                                 compensate_phase(sym, offset);
-                                let mut decided = [Complex64::ZERO; NUM_DATA];
-                                modulation.remap_into(row, &mut decided);
                                 let before = rte.updates();
-                                rte.update(sym, &decided, first + j);
+                                rte.update(sym, modulation, row, first + j);
                                 let applied = rte.updates() > before;
                                 let t = symbol_time(first + j);
                                 let symbol = (first + j) as u64;

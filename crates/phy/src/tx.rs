@@ -22,6 +22,7 @@ use crate::crc::SmallCrc;
 use crate::interleaver::Interleaver;
 use crate::math::{wrap_angle, Complex64};
 use crate::mcs::Mcs;
+use crate::modulation::{label, LabelPoint};
 use crate::ofdm::{
     emit_symbol, pilot_polarity, DATA_SLOTS, FFT_SIZE, NUM_DATA, PILOT_BASE, PILOT_SLOTS,
     SYMBOL_LEN,
@@ -283,21 +284,18 @@ pub fn transmit(sections: &[SectionSpec]) -> Result<TxFrame, PhyError> {
 }
 
 /// Maps one symbol's interleaved bits, `bps` per data subcarrier, into
-/// their bins through the modulation's point table; QBPSK and the
+/// their bins through the modulation's label table; QBPSK and the
 /// side-channel rotation apply in that order.
 fn place_points(
     row: &[u8],
     bps: usize,
-    points: &[Complex64; 64],
+    points: &[LabelPoint; 64],
     qbpsk: bool,
     rotation: Option<Complex64>,
     bins: &mut [Complex64; FFT_SIZE],
 ) {
     for (bits, &slot) in row.chunks_exact(bps).zip(&DATA_SLOTS) {
-        let label = bits
-            .iter()
-            .fold(0usize, |acc, &b| (acc << 1) | usize::from(b));
-        let mut point = points[label & 63];
+        let mut point = points[label(bits) & 63].point;
         if qbpsk {
             // Rotate only the data subcarriers; pilots stay put so phase
             // tracking cannot silently undo the mark.
@@ -345,7 +343,7 @@ fn transmit_section(
     coded.resize(num_symbols * n_cbps, 0);
 
     let interleaver = Interleaver::new(modulation, NUM_DATA);
-    let points = modulation.point_table();
+    let points = modulation.label_points();
 
     let mut symbol_bits: Vec<Vec<u8>> = Vec::with_capacity(num_symbols);
     let side_len = match &spec.side_channel {
@@ -391,7 +389,7 @@ fn transmit_section(
             place_points(
                 &symbol_bits[k],
                 modulation.bits_per_symbol(),
-                &points,
+                points,
                 spec.qbpsk,
                 rotation,
                 &mut bins,

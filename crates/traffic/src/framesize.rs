@@ -54,26 +54,6 @@ impl FrameSizeDistribution {
         }
     }
 
-    /// A custom piecewise-linear CDF.
-    ///
-    /// # Panics
-    ///
-    /// Panics if fewer than two knots are given, coordinates are not
-    /// nondecreasing, or the final probability is not 1.
-    pub fn custom(knots: Vec<(f64, f64)>) -> FrameSizeDistribution {
-        assert!(knots.len() >= 2, "need at least two knots");
-        for w in knots.windows(2) {
-            assert!(w[0].0 <= w[1].0, "sizes must be nondecreasing");
-            assert!(w[0].1 <= w[1].1, "probabilities must be nondecreasing");
-        }
-        let final_p = knots.last().map_or(0.0, |k| k.1);
-        assert!((final_p - 1.0).abs() < 1e-9, "final probability must be 1");
-        FrameSizeDistribution {
-            knots,
-            name: "custom",
-        }
-    }
-
     /// Distribution name (for reports).
     pub fn name(&self) -> &'static str {
         self.name
@@ -201,11 +181,5 @@ mod tests {
     fn library_mean_is_smaller_than_sigcomm() {
         // Library traffic is dominated by short frames.
         assert!(FrameSizeDistribution::library().mean() < FrameSizeDistribution::sigcomm().mean());
-    }
-
-    #[test]
-    #[should_panic(expected = "final probability")]
-    fn custom_requires_probability_one() {
-        FrameSizeDistribution::custom(vec![(10.0, 0.0), (20.0, 0.5)]);
     }
 }

@@ -1,18 +1,19 @@
 #!/bin/sh
 # Offline gate: a size report, formatting, clippy, rustdoc, the workspace
-# tests, the perfbench tests and the paired perf gate against the parent
-# commit. Run from anywhere; everything resolves relative to the repo
-# root. Each stage reports its wall time so gate slowdowns are visible in
-# CI logs.
+# tests, the PHY exactness tests in release, the perfbench tests and the
+# paired perf gate against the parent commit. Run from anywhere;
+# everything resolves relative to the repo root. Each stage reports its
+# wall time so gate slowdowns are visible in CI logs.
 #
 # Visibility is checked in two layers. rustc's `unreachable_pub`
 # (Cargo.toml), fatal under clippy's -D warnings, flags a `pub` item that
 # nothing outside its crate can reach. The root test
 # `tests/source_rules.rs` (L010) flags a `pub` item of a library crate
-# that nothing outside its crate's `src/` names: another crate, a
-# `tests/`, `benches/` or `examples/` file, or `perfbench/src/`. The
-# same test holds the atomic-ordering notes (L009), the unit-suffix rule
-# (L013), the barrier tag (L015) and the `pub fn` ratchet.
+# that nothing outside its crate's `src/` names (or, for a method, calls
+# as `.name(` or `::name`): another crate, a `tests/`, `benches/` or
+# `examples/` file, or `perfbench/src/`. The same test holds the
+# atomic-ordering notes (L009), the unit-suffix rule (L013), the barrier
+# tag (L015) and the `pub fn` ratchet.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -67,6 +68,21 @@ stage_begin "cargo test --workspace"
 # root package: a test that only passes in isolation (say, a global
 # counter shared by the harness threads) fails here.
 cargo test --workspace --offline -q
+stage_end
+
+stage_begin "cargo test --release: PHY golden and kernel exactness tests"
+# The PHY kernels must stay bit-identical to their references, and the
+# optimizer decides some of their floating-point results (a
+# constant-folded 0/0 once differed between debug and release), while
+# the workspace run above is a debug build. So the golden hashes of
+# transmit/receive/Viterbi and the FFT, slicer, label-table and
+# Hamming unit tests run again in release. They are picked by name:
+# the Viterbi overflow-trap tests need debug assertions and would fail
+# here.
+cargo test --release --offline -q -p carpool-phy \
+    --test rx_golden --test tx_golden --test viterbi_golden
+cargo test --release --offline -q -p carpool-phy --lib -- \
+    fft::tests:: modulation::tests:: bits::tests::
 stage_end
 
 stage_begin "cargo test perfbench (its own workspace)"

@@ -6,12 +6,16 @@
 //!   results, carries an `// ordering: <why>` note on its line or in the
 //!   comment block directly above. `Relaxed` orders nothing else, so its
 //!   note must name a counter.
-//! - **L010, dead public API.** A top-level `pub` item, or a `pub fn`
-//!   of an `impl` block, in a library crate's `src/` must be named
-//!   outside that `src/`: in another crate, in any `tests/`, `benches/`
-//!   or `examples/` directory (each file there builds as a crate of its
-//!   own), or in `perfbench/src/`, which the rules read only as a user
-//!   of the library crates. A sibling module or the crate's own unit
+//! - **L010, dead public API.** A top-level `pub` item in a library
+//!   crate's `src/` must be named outside that `src/`, and a `pub fn` of
+//!   an `impl` block (or of an inline module) must be called there, as
+//!   `.name(` or `::name`: a local variable or a field of the same name
+//!   is no use of a method. Outside means in another crate, in any
+//!   `tests/`, `benches/` or `examples/` directory (each file there
+//!   builds as a crate of its own), or in `perfbench/src/`, which the
+//!   rules read only as a user of the library crates. The scan does not
+//!   resolve types, so a call of another type's method of the same name
+//!   still counts. A sibling module or the crate's own unit
 //!   tests do not count; the item is `pub(crate)` for them, and rustc's
 //!   `dead_code` then reports it when only tests use it. rustc's
 //!   `unreachable_pub` (Cargo.toml) covers the other side: a `pub` item
@@ -69,13 +73,13 @@ const PUB_FN_CEILINGS: [(&str, usize); 10] = [
     ("crates/bench", 10),
     ("crates/bloom", 17),
     ("crates/carpool", 26),
-    ("crates/channel", 21),
-    ("crates/frame", 47),
-    ("crates/mac", 20),
-    ("crates/obs", 71),
+    ("crates/channel", 20),
+    ("crates/frame", 45),
+    ("crates/mac", 19),
+    ("crates/obs", 70),
     ("crates/par", 5),
     ("crates/phy", 94),
-    ("crates/traffic", 34),
+    ("crates/traffic", 33),
 ];
 
 /// One line of a file after [`blank`].
@@ -414,26 +418,43 @@ fn pub_item(code: &str) -> Option<(&str, &str)> {
     None
 }
 
-/// The top-level `pub` items of the audited files, as `(file index,
-/// line index, kind, name)`.
-fn pub_items(files: &[File]) -> Vec<(usize, usize, &str, &str)> {
+/// The `pub` items of the audited files, as `(file index, line index,
+/// kind, name, indented)`.
+fn pub_items(files: &[File]) -> Vec<(usize, usize, &str, &str, bool)> {
     let mut out = Vec::new();
     for (f, file) in files.iter().enumerate().filter(|(_, f)| f.audited()) {
         for (n, line) in file.lines.iter().enumerate().filter(|(_, l)| !l.test) {
             let code = line.code.trim_start();
             // Indented, only a `pub fn` counts: a method of an `impl`
             // block or a fn of an inline module. A `pub` field is none.
-            let top_level = code.len() == line.code.len();
-            if let Some((kind, name)) = pub_item(code).filter(|&(k, _)| top_level || k == "fn") {
-                out.push((f, n, kind, name));
+            let indented = code.len() != line.code.len();
+            if let Some((kind, name)) = pub_item(code).filter(|&(k, _)| !indented || k == "fn") {
+                out.push((f, n, kind, name, indented));
             }
         }
     }
     out
 }
 
+/// The identifiers `code` calls as a method (`.name(`, or `.name::<`
+/// with a turbofish) or names by a path (`::name`).
+fn called(code: &str) -> impl Iterator<Item = &str> {
+    idents(code).filter(move |word| {
+        let at = word.as_ptr() as usize - code.as_ptr() as usize;
+        let (before, after) = (&code[..at], &code[at + word.len()..]);
+        before.ends_with("::")
+            || (before.ends_with('.')
+                && !before.ends_with("..")
+                && (after.starts_with('(') || after.starts_with("::<")))
+    })
+}
+
 fn dead_api(files: &[File]) -> Vec<String> {
-    // The identifiers each file names, in code or in comments.
+    // The identifiers each file names, in code or in comments, and
+    // those its code calls. A top-level item counts as used where its
+    // name appears; an indented `pub fn` only where it is called, so a
+    // method stays unused when another file merely has a local variable
+    // or a field of the same name.
     let names: Vec<BTreeSet<&str>> = files
         .iter()
         .map(|file| {
@@ -443,19 +464,29 @@ fn dead_api(files: &[File]) -> Vec<String> {
                 .collect()
         })
         .collect();
+    let calls: Vec<BTreeSet<&str>> = files
+        .iter()
+        .map(|file| file.lines.iter().flat_map(|l| called(&l.code)).collect())
+        .collect();
     pub_items(files)
         .into_iter()
-        .filter(|&(f, n, _, name)| {
+        .filter(|&(f, n, _, name, indented)| {
             let dir = files[f].place().0;
-            let named_outside = files
+            let uses = if indented { &calls } else { &names };
+            let used_outside = files
                 .iter()
-                .zip(&names)
+                .zip(uses)
                 .any(|(file, words)| file.outside_src_of(dir) && words.contains(name));
-            !named_outside && !waived(&files[f].lines, n, "dead-api")
+            !used_outside && !waived(&files[f].lines, n, "dead-api")
         })
-        .map(|(f, n, kind, name)| {
+        .map(|(f, n, kind, name, indented)| {
+            let unused = if indented {
+                "is called nowhere (`.name(` or `::name`)"
+            } else {
+                "is named nowhere"
+            };
             format!(
-                "{}:{}: L010 pub {kind} `{name}` is named nowhere outside its crate's \
+                "{}:{}: L010 pub {kind} `{name}` {unused} outside its crate's \
                  `src/`; remove it, make it pub(crate) or waive it with \
                  `// lint:allow(dead-api): <the public signature that needs it>`",
                 files[f].path,
@@ -1021,6 +1052,55 @@ fn l010_does_not_count_the_items_own_crate_src() {
     assert_eq!(found.len(), 2, "{found:?}");
     assert!(found[0].contains("`probe`"), "{found:?}");
     assert!(found[1].contains("`other_probe`"), "{found:?}");
+}
+
+#[test]
+fn l010_counts_a_method_only_where_it_is_called() {
+    let cfo = "pub struct ResidualCfo;\n\
+               impl ResidualCfo {\n    pub fn freq_hz(&self) -> f64 { 0.0 }\n}\n";
+    // Outside the crate the method's name is only a local variable (and
+    // a comment): no call, so the method is unused.
+    let found = check(&[
+        ("crates/channel/src/cfo.rs", cfo),
+        (
+            "crates/channel/tests/cfo_oracle.rs",
+            "// checks freq_hz against the oracle\n\
+             fn f(c: ResidualCfo) -> f64 { let freq_hz = 100.0; freq_hz }\n",
+        ),
+    ]);
+    assert_eq!(found.len(), 1, "{found:?}");
+    assert!(
+        found[0]
+            .starts_with("crates/channel/src/cfo.rs:3: L010 pub fn `freq_hz` is called nowhere"),
+        "{found:?}"
+    );
+
+    // A method call, a turbofish call, a path call and a path used as a
+    // function value each count.
+    for user in [
+        "fn f(c: ResidualCfo) -> f64 { c.freq_hz() }\n",
+        "fn f(c: ResidualCfo) -> f64 { c\n    .freq_hz::<f64>() }\n",
+        "fn f(c: ResidualCfo) -> f64 { ResidualCfo::freq_hz(&c) }\n",
+        "fn f(c: &[ResidualCfo]) { c.iter().map(ResidualCfo::freq_hz); }\n",
+    ] {
+        let found = check(&[
+            ("crates/channel/src/cfo.rs", cfo),
+            ("crates/channel/tests/cfo_oracle.rs", user),
+        ]);
+        assert!(found.is_empty(), "{user}: {found:?}");
+    }
+
+    // A field access or a range end is no call.
+    for user in [
+        "fn f(c: ResidualCfo) -> f64 { c.freq_hz }\n",
+        "fn f(_: ResidualCfo) { for _ in 0..freq_hz(1) {} }\n",
+    ] {
+        let found = check(&[
+            ("crates/channel/src/cfo.rs", cfo),
+            ("crates/channel/tests/cfo_oracle.rs", user),
+        ]);
+        assert_eq!(found.len(), 1, "{user}: {found:?}");
+    }
 }
 
 #[test]
