@@ -11,35 +11,31 @@
     reason = "bench target: the printed table is its output; a failed setup aborts the run"
 )]
 
+use carpool::montecarlo::{run_frames, ChannelPoint, Fading};
 use carpool_bench::{banner, pattern_bits};
-use carpool_channel::link::LinkChannel;
+use carpool_obs::Obs;
 use carpool_phy::mcs::Mcs;
-use carpool_phy::rx::{receive, receive_with, Estimation, Fec, SectionLayout};
-use carpool_phy::tx::{transmit, SectionSpec};
+use carpool_phy::rx::{Estimation, Fec};
+use carpool_phy::tx::SectionSpec;
 
-fn fer(mcs: Mcs, snr_db: f64, frames: usize, soft: bool) -> f64 {
+fn fer(mcs: Mcs, snr_db: f64, frames: usize, fec: Fec) -> f64 {
     let spec = SectionSpec::payload(pattern_bits(1500 * 8, 3), mcs);
-    let tx = transmit(std::slice::from_ref(&spec)).expect("valid spec");
-    let layouts = [SectionLayout::of(&spec)];
-    let mut errors = 0usize;
-    for f in 0..frames {
-        let mut link = LinkChannel::builder()
-            .snr_db(snr_db)
-            .cfo_hz(100.0)
-            .seed(7000 + f as u64)
-            .build();
-        let rx_samples = link.transmit(&tx.samples);
-        let rx = if soft {
-            receive_with(&rx_samples, &layouts, Estimation::Standard, Fec::Soft)
-        } else {
-            receive(&rx_samples, &layouts, Estimation::Standard)
-        }
-        .expect("lengths match");
-        if rx.sections[0].bits != spec.bits {
-            errors += 1;
-        }
-    }
-    errors as f64 / frames as f64
+    let channel = ChannelPoint {
+        snr_db,
+        fading: Fading::None,
+        cfo_hz: 100.0,
+    };
+    let tally = run_frames(
+        &spec,
+        channel,
+        Estimation::Standard,
+        fec,
+        frames,
+        7000,
+        &Obs::noop(),
+    )
+    .expect("valid spec");
+    tally.frame_errors as f64 / frames as f64
 }
 
 fn main() {
@@ -54,8 +50,8 @@ fn main() {
         println!("--- {mcs} ---");
         println!("{:>8} {:>10} {:>10}", "SNR dB", "hard FER", "soft FER");
         for snr in snrs {
-            let hard = fer(mcs, snr, 40, false);
-            let soft = fer(mcs, snr, 40, true);
+            let hard = fer(mcs, snr, 40, Fec::Hard);
+            let soft = fer(mcs, snr, 40, Fec::Soft);
             println!("{snr:>8} {hard:>10.3} {soft:>10.3}");
         }
     }

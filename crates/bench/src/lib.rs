@@ -3,23 +3,23 @@
 //! Every table and figure of the paper's evaluation has a bench target
 //! (`harness = false`) that prints the same rows/series the paper
 //! reports. This library holds the common machinery: deterministic bit
-//! patterns, PHY Monte-Carlo loops (raw BER per symbol position, side
-//! channel vs data channel) and MAC sweep drivers.
+//! patterns, the raw-BER view of the PHY Monte-Carlo loop (BER per
+//! symbol position, side channel vs data channel) and MAC sweep helpers.
 #![allow(
     clippy::print_stdout,
     reason = "tool crate: prints the figure tables shared by the bench targets"
 )]
 
-use carpool_channel::link::LinkChannel;
+use carpool::montecarlo::{run_frames, ChannelPoint};
 use carpool_mac::error_model::BerBiasModel;
 use carpool_mac::protocol::Protocol;
 use carpool_mac::sim::{SimConfig, Simulator};
 use carpool_mac::SimReport;
-use carpool_phy::bits::hamming_distance;
 use carpool_phy::mcs::Mcs;
-use carpool_phy::rx::{receive_with, Estimation, Fec, SectionLayout};
+use carpool_phy::rx::{Estimation, Fec};
 use carpool_phy::tx::{SectionSpec, SideChannelConfig};
-use carpool_phy::txcache::transmit_cached;
+
+pub use carpool::montecarlo::Fading;
 
 /// Deterministic pseudo-random bits (xorshift), so every bench run
 /// measures the same payloads.
@@ -44,23 +44,6 @@ pub struct PhyBerResult {
     pub side_ber: f64,
     /// Raw BER per OFDM symbol position.
     pub ber_by_symbol: Vec<f64>,
-}
-
-/// Channel fading selector for PHY runs.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Fading {
-    /// AWGN + CFO only — the paper's controlled static experiments
-    /// (Fig. 11/12).
-    None,
-    /// Time-varying Rician fading — the paper's office environment for
-    /// the long-frame experiments (Fig. 3/13/14). `rician_k = 0` gives
-    /// Rayleigh.
-    TimeVarying {
-        /// Coherence time in seconds.
-        coherence_s: f64,
-        /// Rician K-factor of the direct path.
-        rician_k: f64,
-    },
 }
 
 /// The office-link fading used by the long-frame experiments.
@@ -108,48 +91,15 @@ impl Default for PhyRunConfig {
     }
 }
 
-/// Integer per-frame tallies of a PHY run. Frames are independent
-/// trials, so these add exactly: reducing them in frame order makes the
-/// parallel run byte-identical to the serial one.
-#[derive(Debug, Clone, Default)]
-struct FrameTally {
-    bit_errors: usize,
-    bits_total: usize,
-    side_errors: usize,
-    side_total: usize,
-    sym_errors: Vec<usize>,
-}
-
-impl FrameTally {
-    fn add(mut self, other: &FrameTally) -> FrameTally {
-        self.bit_errors += other.bit_errors;
-        self.bits_total += other.bits_total;
-        self.side_errors += other.side_errors;
-        self.side_total += other.side_total;
-        for (a, b) in self.sym_errors.iter_mut().zip(&other.sym_errors) {
-            *a += b;
-        }
-        self
-    }
-}
-
-/// Runs the PHY chain through the channel `frames` times and aggregates
-/// raw-BER statistics.
+/// Runs the PHY chain through the channel `config.frames` times on
+/// [`carpool::montecarlo::run_frames`] and turns its tally into raw-BER
+/// statistics.
 ///
 /// The receiver stops before FEC ([`Fec::Off`]): the figures tally
 /// pre-FEC BER (raw symbol bits and side-channel values), so the
 /// Viterbi decode and descrambling would only produce bits nobody reads.
-///
-/// Frames are fanned out over the `carpool-par` worker pool: each frame's
-/// channel is seeded by `config.seed + frame`, so the result does not
-/// depend on the thread count (`CARPOOL_THREADS`).
-///
-/// The transmitted waveform is deterministic per payload/MCS spec, so it
-/// is served from [`carpool_phy::txcache`]: an SNR sweep re-encodes its
-/// frame once and every further sweep point re-runs only channel + RX.
-/// All trial randomness stays in the per-frame channel seed, so results
-/// are byte-identical with the cache on or off (`--no-tx-cache`) and at
-/// any thread count.
+/// Frame `i` uses the channel seed `config.seed + i`, so the result does
+/// not depend on the thread count (`CARPOOL_THREADS`).
 pub fn run_phy(config: &PhyRunConfig) -> PhyBerResult {
     let spec = SectionSpec {
         bits: pattern_bits(config.payload_bits, 77),
@@ -158,81 +108,32 @@ pub fn run_phy(config: &PhyRunConfig) -> PhyBerResult {
         side_channel: config.side_channel,
         qbpsk: false,
     };
+    let channel = ChannelPoint {
+        snr_db: config.snr_db,
+        fading: config.fading,
+        cfo_hz: config.cfo_hz,
+    };
     // pattern_bits yields only 0/1 and the MCS comes from the library
-    // table, so transmission cannot fail; degrade to an empty result
-    // instead of panicking if that invariant ever breaks.
-    let Ok(tx) = transmit_cached(std::slice::from_ref(&spec), &carpool_obs::Obs::noop()) else {
+    // table, so the run cannot fail; degrade to an empty result instead
+    // of panicking if that invariant ever breaks.
+    let Ok(total) = run_frames(
+        &spec,
+        channel,
+        config.estimation,
+        Fec::Off,
+        config.frames,
+        config.seed,
+        &carpool_obs::Obs::noop(),
+    ) else {
         return PhyBerResult::default();
     };
-    let layouts = [SectionLayout::of(&spec)];
-    let n_sym = tx.sections[0].num_symbols;
+    let bit_errors: usize = total.bit_errors_by_symbol.iter().sum();
     let sym_bits = config.mcs.coded_bits_per_symbol();
-
-    let per_frame = |f: usize, _item: &()| -> FrameTally {
-        let mut tally = FrameTally {
-            sym_errors: vec![0usize; n_sym],
-            ..FrameTally::default()
-        };
-        let mut builder = LinkChannel::builder();
-        builder
-            .snr_db(config.snr_db)
-            .cfo_hz(config.cfo_hz)
-            .seed(config.seed + f as u64);
-        if let Fading::TimeVarying {
-            coherence_s,
-            rician_k,
-        } = config.fading
-        {
-            builder.coherence_time(coherence_s).rician_k(rician_k);
-        }
-        let mut link = builder.build();
-        let rx_samples = link.transmit(&tx.samples);
-        // The received buffer matches the transmitted layout by
-        // construction; an empty tally degrades gracefully otherwise.
-        let Ok(rx) = receive_with(&rx_samples, &layouts, config.estimation, Fec::Off) else {
-            return tally;
-        };
-        for (k, (t, r)) in tx.sections[0]
-            .symbol_bits
-            .iter()
-            .zip(&rx.sections[0].raw_symbol_bits)
-            .enumerate()
-        {
-            let d = hamming_distance(t, r);
-            tally.sym_errors[k] += d;
-            tally.bit_errors += d;
-            tally.bits_total += t.len();
-        }
-        if let Some(sc) = config.side_channel {
-            let bits_per = sc.modulation.bits_per_symbol();
-            for (t, r) in tx.sections[0]
-                .side_values
-                .iter()
-                .zip(&rx.sections[0].side_values)
-            {
-                tally.side_errors += ((t ^ r) & 1) as usize;
-                if bits_per == 2 {
-                    tally.side_errors += (((t ^ r) >> 1) & 1) as usize;
-                }
-                tally.side_total += bits_per;
-            }
-        }
-        tally
-    };
-
-    let init = FrameTally {
-        sym_errors: vec![0usize; n_sym],
-        ..FrameTally::default()
-    };
-    let total = carpool_par::par_map_indexed(&vec![(); config.frames], per_frame)
-        .map(|tallies| tallies.into_iter().fold(init, |acc, tally| acc.add(&tally)))
-        .unwrap_or_default();
-
     PhyBerResult {
-        data_ber: total.bit_errors as f64 / total.bits_total.max(1) as f64,
-        side_ber: total.side_errors as f64 / total.side_total.max(1) as f64,
+        data_ber: bit_errors as f64 / total.bits.max(1) as f64,
+        side_ber: total.side_errors as f64 / total.side_bits.max(1) as f64,
         ber_by_symbol: total
-            .sym_errors
+            .bit_errors_by_symbol
             .into_iter()
             .map(|e| e as f64 / (config.frames * sym_bits) as f64)
             .collect(),

@@ -17,7 +17,7 @@
 //! together:
 //!
 //! * [`link`] — end-to-end AP→channel→station delivery,
-//! * [`calibrate`] — PHY Monte-Carlo → MAC error-model calibration,
+//! * [`montecarlo`] — the PHY Monte-Carlo loop behind every BER figure,
 //! * [`energy`] — the Section 8 device energy analysis.
 //!
 //! The substrate crates: [`carpool_phy`] (OFDM PHY), [`carpool_channel`]
@@ -47,12 +47,11 @@
 //! # }
 //! ```
 
-pub mod calibrate;
 pub mod energy;
 pub mod link;
+pub mod montecarlo;
 pub mod scenario;
 
-pub use calibrate::{measure_symbol_error_curves, CalibrationConfig};
 pub use energy::DevicePowerModel;
 pub use link::{CarpoolLink, CarpoolLinkBuilder};
 pub use scenario::{busy_cell, deadline_cell, fig03_flight_trace, voip_cell, FlightTraceSummary};

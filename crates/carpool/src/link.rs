@@ -56,11 +56,6 @@ impl CarpoolLink {
         CarpoolLinkBuilder::default()
     }
 
-    /// The estimation mode stations on this link use.
-    pub fn estimation(&self) -> Estimation {
-        self.estimation
-    }
-
     /// Attaches an observability handle used by subsequent deliveries.
     /// The facade knows which stations a frame was *really* addressed to,
     /// so on top of the frame/PHY records it records each station's

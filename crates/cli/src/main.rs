@@ -20,23 +20,21 @@ mod report;
 
 use args::Args;
 use carpool::link::CarpoolLink;
+use carpool::montecarlo::{run_frames, ChannelPoint, Fading};
 use carpool_bloom::analysis::{
     false_positive_ratio, measure_false_positive_ratio_obs, optimal_hash_count,
 };
-use carpool_channel::link::LinkChannel;
 use carpool_frame::addr::MacAddress;
 use carpool_frame::carpool::{CarpoolFrame, Subframe};
 use carpool_mac::error_model::BerBiasModel;
 use carpool_mac::protocol::Protocol;
 use carpool_mac::sim::{HiddenTerminals, SimConfig, Simulator, UplinkTraffic};
-use carpool_phy::bits::hamming_distance;
 use carpool_phy::convolutional::CodeRate;
 use carpool_phy::mcs::Mcs;
 use carpool_phy::modulation::Modulation;
 use carpool_phy::rte::CalibrationRule;
-use carpool_phy::rx::{receive_with, Estimation, Fec, SectionLayout};
+use carpool_phy::rx::{Estimation, Fec};
 use carpool_phy::tx::SectionSpec;
-use carpool_phy::txcache::transmit_cached;
 use carpool_traffic::background::{BackgroundSource, Transport};
 use carpool_traffic::trace::Trace;
 use carpool_traffic::voip::VoipSource;
@@ -101,17 +99,10 @@ PARALLELISM (accepted by every command):
                          Default: the CARPOOL_THREADS environment
                          variable, else all cores. Results are identical
                          for every thread count.
-
-PERFORMANCE (accepted by every command):
-    --no-tx-cache        Disable the process-wide TX waveform
-                         memoization cache (also: CARPOOL_NO_TX_CACHE=1).
-                         Results are byte-identical either way; the cache
-                         only skips re-encoding identical frames across
-                         sweep points.
 ";
 
-/// Options every command accepts (observability, parallelism, TX cache).
-const GLOBAL_OPTIONS: &[&str] = &["obs", "obs-summary", "trace-out", "threads", "no-tx-cache"];
+/// Options every command accepts (observability, parallelism).
+const GLOBAL_OPTIONS: &[&str] = &["obs", "obs-summary", "trace-out", "threads"];
 
 /// The options `command` reads (`--help` alone without a command), or
 /// `None` for an unknown command.
@@ -205,51 +196,32 @@ fn cmd_phy_ber(args: &Args, obs: &carpool_obs::Obs) -> Result<(), String> {
     } else {
         Estimation::Standard
     };
-
-    let payload: Vec<u8> = (0..kbytes * 1024 * 8)
-        .map(|k| ((k * 31 + 7) % 5 < 2) as u8)
-        .collect();
-    let spec = SectionSpec::payload(payload.clone(), mcs);
-    let tx = transmit_cached(std::slice::from_ref(&spec), obs).map_err(|e| e.to_string())?;
-    let layouts = [SectionLayout::of(&spec)];
-
-    let mut raw_errors = 0usize;
-    let mut raw_total = 0usize;
-    let mut payload_errors = 0usize;
-    let mut frame_errors = 0usize;
     let fec = if args.flag("soft") {
         Fec::Soft
     } else {
         Fec::Hard
     };
-    for f in 0..frames {
-        let mut link = LinkChannel::builder()
-            .snr_db(snr)
-            .coherence_time(coherence_ms * 1e-3)
-            .rician_k(rician_k)
-            .cfo_hz(cfo)
-            .seed(seed + f as u64)
-            .build()
-            .with_obs(obs.clone());
-        let rx_samples = link.transmit(&tx.samples);
-        let rx = receive_with(&rx_samples, &layouts, estimation, fec).map_err(|e| e.to_string())?;
-        for (t, r) in tx.sections[0]
-            .symbol_bits
-            .iter()
-            .zip(&rx.sections[0].raw_symbol_bits)
-        {
-            raw_errors += hamming_distance(t, r);
-            raw_total += t.len();
-        }
-        let errs = hamming_distance(&payload, &rx.sections[0].bits);
-        payload_errors += errs;
-        frame_errors += (errs > 0) as usize;
-        if obs.enabled() {
-            obs.counter("phy.ber_frames", 1);
-            obs.counter("phy.payload_bit_errors", errs as u64);
-            obs.counter("phy.frame_errors", (errs > 0) as u64);
-        }
+
+    let payload: Vec<u8> = (0..kbytes * 1024 * 8)
+        .map(|k| ((k * 31 + 7) % 5 < 2) as u8)
+        .collect();
+    let spec = SectionSpec::payload(payload, mcs);
+    let channel = ChannelPoint {
+        snr_db: snr,
+        fading: Fading::TimeVarying {
+            coherence_s: coherence_ms * 1e-3,
+            rician_k,
+        },
+        cfo_hz: cfo,
+    };
+    let tally = run_frames(&spec, channel, estimation, fec, frames, seed, obs)
+        .map_err(|e| e.to_string())?;
+    if obs.enabled() {
+        obs.counter("phy.ber_frames", frames as u64);
+        obs.counter("phy.payload_bit_errors", tally.payload_bit_errors as u64);
+        obs.counter("phy.frame_errors", tally.frame_errors as u64);
     }
+    let raw_errors: usize = tally.bit_errors_by_symbol.iter().sum();
     println!("mcs {mcs}, {frames} frames x {kbytes} KiB, SNR {snr} dB, coherence {coherence_ms} ms, K {rician_k}, CFO {cfo} Hz");
     println!(
         "  estimation: {}{}",
@@ -262,15 +234,15 @@ fn cmd_phy_ber(args: &Args, obs: &carpool_obs::Obs) -> Result<(), String> {
     );
     println!(
         "  raw (pre-FEC) BER : {:.3e}",
-        raw_errors as f64 / raw_total as f64
+        raw_errors as f64 / tally.bits as f64
     );
     println!(
         "  payload BER       : {:.3e}",
-        payload_errors as f64 / (frames * payload.len()) as f64
+        tally.payload_bit_errors as f64 / (frames * spec.bits.len()) as f64
     );
     println!(
         "  frame error rate  : {:.3}",
-        frame_errors as f64 / frames as f64
+        tally.frame_errors as f64 / frames as f64
     );
     Ok(())
 }
@@ -579,9 +551,6 @@ fn main() {
                 std::process::exit(2);
             }
         }
-    }
-    if args.flag("no-tx-cache") {
-        carpool_phy::txcache::set_enabled(false);
     }
     let result = match args.command() {
         Some("phy-ber") => cmd_phy_ber(&args, &obs),

@@ -43,6 +43,10 @@ fn unknown_options_are_rejected_by_name() {
         (&["bloom", "--no-cache"][..], "--no-cache"),
         (&["report", "--sarif", "out"][..], "--sarif"),
         (
+            &["phy-ber", "--frames", "1", "--no-tx-cache"][..],
+            "--no-tx-cache",
+        ),
+        (
             &["phy-ber", "--frames", "1", "--snr-db", "20"][..],
             "--snr-db",
         ),
@@ -53,6 +57,41 @@ fn unknown_options_are_rejected_by_name() {
             stderr.contains(&format!("unknown option {flag}")),
             "{args:?}: stderr must name {flag}: {stderr}"
         );
+    }
+}
+
+#[test]
+fn phy_ber_prints_the_same_numbers_at_any_thread_count() {
+    // Four 1 KiB frames at 20 dB: every decoder loses some frames, so
+    // each printed rate is a count the run had to get right.
+    let header = "mcs QAM64 3/4, 4 frames x 1 KiB, SNR 20 dB, coherence 4 ms, K 15, CFO 100 Hz\n";
+    for (flag, expected) in [
+        (
+            None,
+            "  estimation: standard\n  raw (pre-FEC) BER : 1.672e-2\n  \
+             payload BER       : 1.477e-2\n  frame error rate  : 1.000\n",
+        ),
+        (
+            Some("--soft"),
+            "  estimation: standard + soft Viterbi\n  raw (pre-FEC) BER : 1.672e-2\n  \
+             payload BER       : 9.155e-5\n  frame error rate  : 0.250\n",
+        ),
+        (
+            Some("--rte"),
+            "  estimation: RTE\n  raw (pre-FEC) BER : 1.661e-2\n  \
+             payload BER       : 1.498e-2\n  frame error rate  : 1.000\n",
+        ),
+    ] {
+        for threads in ["1", "2"] {
+            let mut args: Vec<&str> = "phy-ber --frames 4 --kbytes 1 --snr 20 --threads"
+                .split(' ')
+                .collect();
+            args.push(threads);
+            args.extend(flag);
+            let (ok, stdout, stderr) = run(&args);
+            assert!(ok, "{args:?}: {stderr}");
+            assert_eq!(stdout, format!("{header}{expected}"), "{args:?}");
+        }
     }
 }
 

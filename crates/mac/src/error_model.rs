@@ -12,7 +12,8 @@
 //! finding: under standard (preamble-only) estimation, the residual
 //! post-FEC symbol failure probability grows with the symbol index (BER
 //! bias, Fig. 3), while RTE keeps it nearly flat (Fig. 13). The model's
-//! coefficients were calibrated against `carpool-phy` Monte-Carlo runs;
+//! coefficients are hand-set: no code reproduces them from the PHY, and
+//! nothing checks them against it (ROADMAP.md, item 2).
 //! [`SymbolErrorCurve`] lets callers plug in measured curves directly
 //! (the software analogue of feeding USRP traces into the simulator).
 
@@ -70,8 +71,10 @@ pub struct BerBiasModel {
 }
 
 impl BerBiasModel {
-    /// Coefficients calibrated against the `carpool-phy` Monte-Carlo
-    /// experiments at the paper's office SNR operating point.
+    /// The hand-set coefficients every MAC figure uses, meant for the
+    /// paper's office SNR operating point. No code derives them from the
+    /// `carpool-phy` Monte-Carlo and nothing checks them against it;
+    /// ROADMAP.md item 2 is that check.
     pub fn calibrated() -> BerBiasModel {
         BerBiasModel {
             base_bpsk: 2e-5,

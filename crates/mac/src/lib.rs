@@ -11,9 +11,10 @@
 //! DCF with the Table 2 parameters, running one of five downlink
 //! protocols ([`protocol::Protocol`]): IEEE 802.11, A-MPDU,
 //! MU-Aggregation, WiFox and Carpool. Frame decoding outcomes come from
-//! a pluggable [`error_model::FrameErrorModel`], calibrated against the
-//! `carpool-phy` Monte-Carlo experiments (the stand-in for the paper's
-//! USRP traces).
+//! a pluggable [`error_model::FrameErrorModel`] (the stand-in for the
+//! paper's USRP traces). The default one's coefficients are hand-set and
+//! not checked against the `carpool-phy` Monte-Carlo (ROADMAP.md, item
+//! 2).
 //!
 //! [`sim::Simulator`] runs one domain; [`engine::run_dense`] runs many
 //! co-channel domains in parallel shards. Both step the same

@@ -1004,6 +1004,7 @@ mod tests {
 
     /// Information bits of the longest payload the 16-bit SIG length
     /// field allows (65,535 bytes).
+    #[cfg(debug_assertions)]
     const LONGEST_FRAME_BITS: usize = 8 * 65_535;
 
     /// The worst-case level patterns over `n` coded bits, by name: every
@@ -1139,6 +1140,7 @@ mod tests {
     /// to add with overflow" panic is expected: it shows up first in a
     /// failing test's captured output, before the panic that failed the
     /// test.
+    #[cfg(debug_assertions)]
     fn assert_overflow_traps() {
         let wrapped = std::panic::catch_unwind(|| std::hint::black_box(i32::MAX) + 1);
         assert!(
@@ -1151,6 +1153,7 @@ mod tests {
     /// Runs the trapping portable kernel over one worst-case lattice,
     /// then requires the wrapping AVX2 kernel to match it lane for lane.
     /// An all-`-clamp` lattice is the all-zeros codeword.
+    #[cfg(debug_assertions)]
     fn check_cannot_wrap(name: &str, levels: &[i32], message_len: usize, rate: CodeRate) -> bool {
         let what = format!("{name}, rate {rate}, {message_len} bits");
         let run = run_kernels(&lattice_of(levels, message_len, rate), message_len);
@@ -1165,6 +1168,9 @@ mod tests {
         run.2.is_some()
     }
 
+    /// Compiled only where `i32` overflow traps (debug assertions on):
+    /// a release build could only fail its first check.
+    #[cfg(debug_assertions)]
     #[test]
     fn portable_kernel_cannot_wrap_on_clamp_lattices() {
         assert_overflow_traps();

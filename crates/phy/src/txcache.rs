@@ -14,18 +14,13 @@
 //! would have produced (the key is the complete input of the pure
 //! `transmit` call), so every consumer — including the parallel
 //! Monte-Carlo driver, whose per-trial randomness lives entirely in the
-//! trial-seeded channel — produces byte-identical results with the cache
-//! on or off, at any thread count.
-//!
-//! # Escape hatches
-//!
-//! The cache can be disabled for a whole process with the CLI flag
-//! `--no-tx-cache`, the environment variable `CARPOOL_NO_TX_CACHE=1`, or
-//! programmatically via [`set_enabled`]; [`stats`] exposes hit/miss
-//! counters so benches can report the hit rate instead of asserting it.
+//! trial-seeded channel — produces byte-identical results whether a
+//! lookup hits or misses, at any thread count. [`stats`] exposes the
+//! hit/miss counters so benches can report the hit rate instead of
+//! asserting it.
 
-use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use carpool_obs::{names, Obs};
 
@@ -46,22 +41,6 @@ static CACHE: Mutex<Vec<(Vec<SectionSpec>, Arc<TxFrame>)>> = Mutex::new(Vec::new
 static HITS: AtomicU64 = AtomicU64::new(0);
 static MISSES: AtomicU64 = AtomicU64::new(0);
 
-/// Runtime override: 0 = follow the environment default, 1 = forced on,
-/// 2 = forced off.
-static OVERRIDE: AtomicU8 = AtomicU8::new(0);
-
-/// Environment default, read once per process.
-static ENV_DEFAULT: OnceLock<bool> = OnceLock::new();
-
-fn env_default() -> bool {
-    *ENV_DEFAULT.get_or_init(|| {
-        !matches!(
-            std::env::var("CARPOOL_NO_TX_CACHE").as_deref(),
-            Ok("1") | Ok("true") | Ok("yes")
-        )
-    })
-}
-
 /// Recover the cache guard even if a prior holder panicked: the stored
 /// pairs are only ever inserted whole, so a poisoned lock still guards
 /// consistent data.
@@ -72,36 +51,12 @@ fn lock_cache() -> MutexGuard<'static, Vec<(Vec<SectionSpec>, Arc<TxFrame>)>> {
     }
 }
 
-/// Whether `transmit_cached` currently memoizes. Defaults to on unless
-/// `CARPOOL_NO_TX_CACHE=1` is set; [`set_enabled`] wins over both.
-pub fn is_enabled() -> bool {
-    match OVERRIDE.load(Ordering::Relaxed) {
-        1 => true,
-        2 => false,
-        _ => env_default(),
-    }
-}
-
-/// Force the cache on or off for the rest of the process (the CLI's
-/// `--no-tx-cache` lands here). Takes precedence over the environment.
-pub fn set_enabled(on: bool) {
-    OVERRIDE.store(if on { 1 } else { 2 }, Ordering::Relaxed);
-}
-
-/// Drops any [`set_enabled`] override, returning control to the
-/// `CARPOOL_NO_TX_CACHE` environment default. Tests that toggle the
-/// cache restore the ambient configuration with this.
-pub fn clear_override() {
-    OVERRIDE.store(0, Ordering::Relaxed);
-}
-
 /// Snapshot of the process-wide hit/miss counters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TxCacheStats {
     /// Lookups served from the cache.
     pub hits: u64,
-    /// Lookups that ran the full transmitter (including cache-disabled
-    /// calls, which are misses by definition).
+    /// Lookups that ran the full transmitter.
     pub misses: u64,
 }
 
@@ -140,19 +95,15 @@ pub fn reset() {
 ///
 /// Exactly the errors of [`transmit`]; failed encodes are never cached.
 pub fn transmit_cached(sections: &[SectionSpec], obs: &Obs) -> Result<Arc<TxFrame>, PhyError> {
-    if is_enabled() {
-        if let Some(frame) = lookup(sections) {
-            HITS.fetch_add(1, Ordering::Relaxed);
-            obs.counter(names::TX_CACHE_HIT, 1);
-            return Ok(frame);
-        }
+    if let Some(frame) = lookup(sections) {
+        HITS.fetch_add(1, Ordering::Relaxed);
+        obs.counter(names::TX_CACHE_HIT, 1);
+        return Ok(frame);
     }
     let frame = Arc::new(transmit(sections)?);
     MISSES.fetch_add(1, Ordering::Relaxed);
     obs.counter(names::TX_CACHE_MISS, 1);
-    if is_enabled() {
-        insert(sections, Arc::clone(&frame));
-    }
+    insert(sections, Arc::clone(&frame));
     Ok(frame)
 }
 
@@ -183,7 +134,7 @@ mod tests {
     use crate::mcs::Mcs;
 
     /// The cache and its counters are process-wide; tests that touch
-    /// them serialize here and restore the default state on drop.
+    /// them serialize here and empty the cache on drop.
     static TEST_LOCK: Mutex<()> = Mutex::new(());
 
     struct CacheSession(#[allow(dead_code)] MutexGuard<'static, ()>);
@@ -194,7 +145,6 @@ mod tests {
                 Ok(g) => g,
                 Err(p) => p.into_inner(),
             };
-            set_enabled(true);
             reset();
             CacheSession(guard)
         }
@@ -203,7 +153,6 @@ mod tests {
     impl Drop for CacheSession {
         fn drop(&mut self) {
             reset();
-            clear_override();
         }
     }
 
@@ -231,19 +180,6 @@ mod tests {
         let a = transmit_cached(&[spec(0)], &obs).expect("valid spec");
         let b = transmit_cached(&[spec(1)], &obs).expect("valid spec");
         assert_ne!(*a, *b);
-        assert_eq!(stats(), TxCacheStats { hits: 0, misses: 2 });
-    }
-
-    #[test]
-    fn disabled_cache_always_reencodes() {
-        let _session = CacheSession::start();
-        set_enabled(false);
-        let obs = Obs::noop();
-        let s = [spec(1)];
-        let first = transmit_cached(&s, &obs).expect("valid spec");
-        let second = transmit_cached(&s, &obs).expect("valid spec");
-        assert!(!Arc::ptr_eq(&first, &second));
-        assert_eq!(*first, *second, "bypass must still be deterministic");
         assert_eq!(stats(), TxCacheStats { hits: 0, misses: 2 });
     }
 

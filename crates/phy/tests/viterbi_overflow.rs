@@ -16,6 +16,11 @@
 //! unit test `portable_kernel_cannot_wrap_on_clamp_lattices` in
 //! `src/convolutional.rs`: it runs these lattices through the trapping
 //! portable kernel and requires the AVX2 kernel to match it.
+//!
+//! The whole file compiles only with debug assertions on, the one build
+//! in which `i32` overflow traps: in a release build every test here
+//! could only fail its first check.
+#![cfg(debug_assertions)]
 
 use std::hint::black_box;
 

@@ -3,10 +3,15 @@
 //! byte-identical results whatever the thread count, and worker panics
 //! must surface as errors instead of tearing the process down.
 
-use carpool_bench::{run_phy, PhyRunConfig};
+use carpool::montecarlo::{run_frames, ChannelPoint};
+use carpool_bench::{pattern_bits, run_phy, PhyRunConfig, OFFICE_FADING};
 use carpool_mac::error_model::{BerBiasModel, FrameErrorModel};
 use carpool_mac::sim::{run_replications, SimConfig};
 use carpool_mac::SimReport;
+use carpool_obs::Obs;
+use carpool_phy::mcs::Mcs;
+use carpool_phy::rx::{Estimation, Fec};
+use carpool_phy::tx::SectionSpec;
 use shared_buf::SharedBuf;
 use std::sync::Mutex;
 
@@ -41,6 +46,36 @@ fn phy_monte_carlo_is_thread_count_invariant() {
     assert_eq!(one.side_ber.to_bits(), four.side_ber.to_bits());
     let bits = |r: &[f64]| r.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
     assert_eq!(bits(&one.ber_by_symbol), bits(&four.ber_by_symbol));
+
+    // The FEC receive paths on the pool, each at an SNR on its own
+    // waterfall, where some frames decode and some do not: every tally
+    // must match across thread counts.
+    let spec = SectionSpec::payload(pattern_bits(1024 * 8, 5), Mcs::QAM64_3_4);
+    for (fec, snr_db) in [(Fec::Hard, 22.0), (Fec::Soft, 20.0)] {
+        let channel = ChannelPoint {
+            snr_db,
+            fading: OFFICE_FADING,
+            cfo_hz: 100.0,
+        };
+        let run = || {
+            run_frames(
+                &spec,
+                channel,
+                Estimation::Standard,
+                fec,
+                8,
+                99,
+                &Obs::noop(),
+            )
+        };
+        let one = with_threads(1, run).expect("valid spec");
+        let failed = one.frame_errors;
+        assert!(
+            0 < failed && failed < 8,
+            "{fec:?}: {failed} of 8 frames failed"
+        );
+        assert_eq!(Ok(one), with_threads(4, run), "{fec:?}");
+    }
 }
 
 #[test]

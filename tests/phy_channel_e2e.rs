@@ -4,59 +4,49 @@
 //! BER bias appears under standard estimation on a time-varying channel
 //! (Fig. 3) and real-time estimation removes it (Fig. 13).
 
+use carpool::montecarlo::{run_frames, ChannelPoint, PhyTally};
+use carpool_bench::{pattern_bits, OFFICE_FADING};
 use carpool_channel::link::LinkChannel;
-use carpool_phy::bits::{bit_error_rate, hamming_distance};
+use carpool_obs::Obs;
 use carpool_phy::mcs::Mcs;
 use carpool_phy::rte::CalibrationRule;
-use carpool_phy::rx::{receive, Estimation, SectionLayout};
+use carpool_phy::rx::{receive, Estimation, Fec, SectionLayout};
 use carpool_phy::tx::{transmit, SectionSpec};
 
-fn pattern_bits(n: usize, seed: u64) -> Vec<u8> {
-    let mut x = seed | 1;
-    (0..n)
-        .map(|_| {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            (x & 1) as u8
-        })
-        .collect()
-}
+/// The paper's office link at 28 dB.
+const OFFICE: ChannelPoint = ChannelPoint {
+    snr_db: 28.0,
+    fading: OFFICE_FADING,
+    cfo_hz: 100.0,
+};
 
-fn office_link(seed: u64) -> LinkChannel {
-    LinkChannel::builder()
-        .snr_db(28.0)
-        .coherence_time(4e-3)
-        .rician_k(15.0)
-        .cfo_hz(100.0)
-        .seed(seed)
-        .build()
-}
-
-/// Raw (pre-FEC) BER per symbol index averaged over frames.
+/// Pre-FEC tallies of `frames` office-link frames, seeded from `seed`.
 #[expect(
     clippy::expect_used,
     reason = "test helper: a failed setup fails the test"
 )]
+fn office_tally(spec: &SectionSpec, estimation: Estimation, frames: usize, seed: u64) -> PhyTally {
+    run_frames(
+        spec,
+        OFFICE,
+        estimation,
+        Fec::Off,
+        frames,
+        seed,
+        &Obs::noop(),
+    )
+    .expect("valid spec")
+}
+
+/// Raw (pre-FEC) BER per symbol index averaged over frames.
 fn ber_by_symbol(estimation: Estimation, frames: usize) -> Vec<f64> {
     let spec = SectionSpec::payload(pattern_bits(24_000, 99), Mcs::QAM64_3_4);
-    let tx = transmit(std::slice::from_ref(&spec)).expect("valid spec");
-    let layouts = [SectionLayout::of(&spec)];
-    let n_sym = tx.sections[0].num_symbols;
-    let mut errs = vec![0.0f64; n_sym];
-    for f in 0..frames {
-        let rx_samples = office_link(1000 + f as u64).transmit(&tx.samples);
-        let rx = receive(&rx_samples, &layouts, estimation).expect("lengths match");
-        for (k, (t, r)) in tx.sections[0]
-            .symbol_bits
-            .iter()
-            .zip(&rx.sections[0].raw_symbol_bits)
-            .enumerate()
-        {
-            errs[k] += bit_error_rate(t, r);
-        }
-    }
-    errs.iter().map(|e| e / frames as f64).collect()
+    let bits = (frames * spec.mcs.coded_bits_per_symbol()) as f64;
+    office_tally(&spec, estimation, frames, 1000)
+        .bit_errors_by_symbol
+        .iter()
+        .map(|&e| e as f64 / bits)
+        .collect()
 }
 
 #[test]
@@ -87,18 +77,11 @@ fn rte_flattens_the_bias() {
 #[test]
 fn side_channel_survives_the_office_link() {
     let spec = SectionSpec::payload(pattern_bits(16_000, 5), Mcs::QPSK_1_2);
-    let tx = transmit(std::slice::from_ref(&spec)).expect("valid spec");
-    let layouts = [SectionLayout::of(&spec)];
-    let mut side_errors = 0usize;
-    let mut side_total = 0usize;
-    for f in 0..10 {
-        let rx_samples = office_link(50 + f).transmit(&tx.samples);
-        let rx = receive(&rx_samples, &layouts, Estimation::Standard).expect("lengths match");
-        side_errors += hamming_distance(&tx.sections[0].side_values, &rx.sections[0].side_values);
-        side_total += tx.sections[0].side_values.len();
-    }
-    let ser = side_errors as f64 / side_total as f64;
-    assert!(ser < 0.01, "side channel symbol error rate {ser}");
+    let tally = office_tally(&spec, Estimation::Standard, 10, 50);
+    // A wrong two-bit value has one or two wrong bits, so a bit error
+    // rate under 0.5% bounds the value error rate under 1%.
+    let ber = tally.side_errors as f64 / tally.side_bits as f64;
+    assert!(ber < 0.005, "side channel bit error rate {ber}");
 }
 
 #[test]

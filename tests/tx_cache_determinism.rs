@@ -1,7 +1,7 @@
-//! TX-waveform memoization contract: caching encoded TX waveforms
-//! across SNR sweep points must be invisible in every printed figure —
-//! bit-identical `run_phy` outputs with the cache on or off, at any
-//! thread count.
+//! TX-waveform memoization contract: serving an encoded TX waveform from
+//! the cache must be invisible in every printed figure — a `run_phy`
+//! sweep point gives bit-identical outputs whether its transmit missed
+//! the cache (a fresh `transmit`) or hit it, at any thread count.
 //!
 //! The cache key is the full `SectionSpec` list, and per-trial
 //! randomness (channel noise, fading, CFO) is seeded per frame *after*
@@ -12,70 +12,60 @@
 //! * fig03-like: QAM64 3/4 over office fading (multi-SNR payload sweep),
 //! * fig12-like: side-channel BER at low SNR over a clean channel,
 //! * fig15: MAC-only (VoIP over the error model) — no PHY transmit in
-//!   the loop, so the cache cannot touch it; a toggle check documents
-//!   that.
+//!   the loop, so the cache cannot touch it.
 
-use carpool_bench::{run_mac, run_phy, Fading, PhyRunConfig, OFFICE_FADING};
+use carpool_bench::{run_mac, run_phy, Fading, PhyBerResult, PhyRunConfig, OFFICE_FADING};
 use carpool_mac::sim::SimConfig;
 use carpool_phy::tx::SideChannelConfig;
 use carpool_phy::txcache;
 use std::sync::Mutex;
 
-/// Thread override and cache toggle are process-wide state; all
+/// The thread override and the cache are process-wide state; all
 /// mutations in this binary hold this lock.
 static OVERRIDE_LOCK: Mutex<()> = Mutex::new(());
 
-/// Runs `f` twice — cache disabled, then cache enabled (reset in
-/// between) — at the given thread count. Returns both results plus the
-/// hit/miss counters observed during the cached run.
-fn uncached_vs_cached<T>(threads: usize, f: impl Fn() -> T) -> (T, T, txcache::TxCacheStats) {
+/// Runs `f` at the given thread count on an emptied cache and returns
+/// its result with the hit/miss counters it left.
+fn on_empty_cache<T>(threads: usize, f: impl FnOnce() -> T) -> (T, txcache::TxCacheStats) {
     let _guard = OVERRIDE_LOCK
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner);
     carpool_par::set_thread_override(Some(threads));
-    txcache::set_enabled(false);
     txcache::reset();
-    let uncached = f();
-    txcache::set_enabled(true);
-    txcache::reset();
-    let cached = f();
+    let out = f();
     let stats = txcache::stats();
-    // Restore ambient (env-driven) defaults for other tests.
-    txcache::clear_override();
     txcache::reset();
     carpool_par::set_thread_override(None);
-    (uncached, cached, stats)
+    (out, stats)
+}
+
+fn bits(r: &PhyBerResult) -> (u64, u64, Vec<u64>) {
+    (
+        r.data_ber.to_bits(),
+        r.side_ber.to_bits(),
+        r.ber_by_symbol.iter().map(|v| v.to_bits()).collect(),
+    )
 }
 
 fn assert_identical(config: &PhyRunConfig, snrs: &[f64]) {
     for &threads in &[1usize, 4] {
-        let (uncached, cached, stats) = uncached_vs_cached(threads, || {
-            snrs.iter()
-                .map(|&snr_db| {
-                    let point = PhyRunConfig { snr_db, ..*config };
-                    run_phy(&point)
-                })
-                .collect::<Vec<_>>()
-        });
-        for (a, b) in uncached.iter().zip(cached.iter()) {
+        for &snr_db in snrs {
+            let point = PhyRunConfig { snr_db, ..*config };
+            // The first run encodes the frame, the second is served the
+            // waveform the first one stored.
+            let ((missed, hit), stats) =
+                on_empty_cache(threads, || (run_phy(&point), run_phy(&point)));
             assert_eq!(
-                a.data_ber.to_bits(),
-                b.data_ber.to_bits(),
-                "data BER diverged at {threads} threads"
+                (stats.hits, stats.misses),
+                (1, 1),
+                "one miss then one hit at {threads} threads"
             );
             assert_eq!(
-                a.side_ber.to_bits(),
-                b.side_ber.to_bits(),
-                "side BER diverged at {threads} threads"
+                bits(&missed),
+                bits(&hit),
+                "SNR {snr_db} dB diverged at {threads} threads"
             );
-            let bits = |r: &[f64]| r.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-            assert_eq!(bits(&a.ber_by_symbol), bits(&b.ber_by_symbol));
         }
-        // Every sweep point after the first reuses the encoded waveform.
-        assert!(
-            stats.hits > 0,
-            "cached sweep registered no hits at {threads} threads: {stats:?}"
-        );
     }
 }
 
@@ -108,14 +98,14 @@ fn fig12_like_sweep_is_cache_invariant() {
 fn fig15_mac_workload_ignores_the_cache() {
     // Fig 15 (VoIP capacity) runs entirely on the MAC simulator over the
     // calibrated error model; no waveform is transmitted, so the cache
-    // must neither change results nor register traffic.
+    // must register no traffic.
     let cfg = SimConfig {
         num_stas: 4,
         duration_s: 0.5,
         ..SimConfig::default()
     };
-    let (uncached, cached, stats) = uncached_vs_cached(1, || run_mac(cfg.clone()));
-    assert_eq!(uncached, cached);
+    let ((first, second), stats) = on_empty_cache(1, || (run_mac(cfg.clone()), run_mac(cfg)));
+    assert_eq!(first, second);
     assert_eq!(
         (stats.hits, stats.misses),
         (0, 0),
