@@ -148,10 +148,11 @@ fn json_entry(stats: &SpanStats) -> String {
     w.finish()
 }
 
-/// The Viterbi add-compare-select kernel `carpool-phy` runs on this
-/// host, detected the way the library picks it, so banked `viterbi_*`
-/// rows say which kernel made them.
-fn viterbi_kernel() -> &'static str {
+/// The kernel `carpool-phy` runs on this host for the Viterbi
+/// add-compare-select loop and for the FFT butterflies, detected the way
+/// the library picks both, so banked `viterbi_*` and `fft64_*` rows say
+/// which kernel made them.
+fn simd_kernel() -> &'static str {
     #[cfg(target_arch = "x86_64")]
     if std::is_x86_feature_detected!("avx2") {
         return "avx2";
@@ -501,7 +502,7 @@ fn bench_mac_dense(results: &mut Vec<SpanStats>) {
 
 /// Times every row, prints the table and writes [`ROWS_PATH`].
 fn run_rows() {
-    println!("viterbi kernel: {}", viterbi_kernel());
+    println!("viterbi and fft kernel: {}", simd_kernel());
     let mut results: Vec<SpanStats> = Vec::new();
     bench_fft(&mut results);
     bench_coding(&mut results);
@@ -535,9 +536,10 @@ fn run_rows() {
         ROWS_PATH,
         &format!(
             "{{\"bench\":\"phy_micro\",\"nproc\":{},\"viterbi_kernel\":\"{}\",\
-             \"samples_per_entry\":{SAMPLES},\"results\":[{}]}}\n",
+             \"fft_kernel\":\"{}\",\"samples_per_entry\":{SAMPLES},\"results\":[{}]}}\n",
             nproc(),
-            viterbi_kernel(),
+            simd_kernel(),
+            simd_kernel(),
             body.join(",")
         ),
     );
@@ -681,10 +683,11 @@ fn paired(parent: &Path) -> Result<bool, String> {
         PERF_PATH,
         &format!(
             "{{\"bench\":\"phy_micro_paired\",\"nproc\":{},\"pairs\":{PAIRS},\
-             \"viterbi_kernel\":\"{}\",\"bound\":{REGRESSION_BOUND},\
+             \"viterbi_kernel\":\"{}\",\"fft_kernel\":\"{}\",\"bound\":{REGRESSION_BOUND},\
              \"fatal_regressions\":{fatal},\"gate_ok\":{rows_ok},\"rows\":[{}]}}\n",
             nproc(),
-            viterbi_kernel(),
+            simd_kernel(),
+            simd_kernel(),
             rows_json.join(",")
         ),
     );

@@ -252,10 +252,6 @@ impl CarpoolLinkBuilder {
     /// Station-side estimation mode (default: RTE with Eq. 3 averaging).
     pub fn estimation(&mut self, estimation: Estimation) -> &mut Self {
         self.estimation = estimation;
-        if matches!(estimation, Estimation::Standard) {
-            // The side channel is only needed by RTE; keep symmetric
-            // defaults but allow explicit override afterwards.
-        }
         self
     }
 

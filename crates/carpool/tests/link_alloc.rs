@@ -5,16 +5,17 @@
 //! cost is exact and does not depend on how many stations came before:
 //!
 //! * a per-station constant from the decoder setup (1 allocation: the
-//!   two LTF FFTs of the channel estimate run on stack arrays, a no-op
-//!   observability handle allocates nothing, and workers of an
-//!   unobserved link get no record shard);
+//!   RTE estimator's box; the channel estimate and the receive scratch's
+//!   symbol slot are fixed-size arrays, the two LTF FFTs run on stack
+//!   arrays, a no-op observability handle allocates nothing, and workers
+//!   of an unobserved link get no record shard);
 //! * every decoded section's budget (see `crates/phy/tests/rx_alloc.rs`):
 //!   3 vectors, 2 more with the side channel on, and one row per OFDM
 //!   symbol;
-//! * the frame walk: 5 allocations for a station the A-HDR turns away
-//!   (the Bloom header and membership checks, the reception record), 8
-//!   for one that decodes its payload (adding the subframe list, the
-//!   payload bytes and the SIG bookkeeping).
+//! * the frame walk: nothing for a station the A-HDR turns away (its
+//!   match list and reception record are empty), 3 allocations for one
+//!   that decodes its payload (the match list, the subframe list and the
+//!   payload bytes).
 //!
 //! The pool is forced to one thread so every allocation lands on the
 //! counting thread.
@@ -42,7 +43,7 @@ fn per_station(rx: &CarpoolReception) -> usize {
     let sigs = rx.subframes.len();
     let payloads = rx.subframes.iter().filter(|s| s.payload.is_some()).count();
     let sections = 1 + sigs + payloads;
-    let walk = if payloads > 0 { 8 } else { 5 };
+    let walk = if payloads > 0 { 3 } else { 0 };
     1 + 3 * sections + 2 * payloads + rx.symbols_decoded + walk
 }
 

@@ -17,6 +17,9 @@ use carpool_phy::math::{wrap_angle, Complex64};
 
 /// Samples between exact re-anchors of the rotation phasor.
 const ANCHOR_INTERVAL: usize = 64;
+/// Samples of the runs of four anchor blocks [`ResidualCfo::apply`]
+/// rotates side by side; the link processes frames in runs this long.
+pub(crate) const QUAD: usize = 4 * ANCHOR_INTERVAL;
 
 /// Residual CFO stage with persistent phase across calls.
 #[derive(Debug, Clone, PartialEq)]
@@ -63,9 +66,52 @@ impl ResidualCfo {
     /// `phase = wrap_angle(phase + step)` holds when it is reached, up to
     /// the phasor's rounding drift between anchors.
     pub fn apply(&mut self, samples: &mut [Complex64]) {
+        self.apply_summing(samples, &[], &mut 0.0);
+    }
+
+    /// [`ResidualCfo::apply`], adding the energy `|s|²` of each sample of
+    /// `done` (samples that precede `samples` and are final) to `energy`
+    /// in order on the way.
+    ///
+    /// Each block's phasor is a serial chain of complex multiplies, so
+    /// the blocks of every run of [`QUAD`] are rotated side by side:
+    /// the phase track first runs through the run's samples to find the
+    /// four anchors, then the four chains advance in one loop. Every
+    /// sample gets the same multiplies in the same order as one block at
+    /// a time; a shorter tail runs block by block. The phase track and
+    /// the energy sum are serial chains too, independent of each other,
+    /// so the first run's phase track also takes the energy terms.
+    pub(crate) fn apply_summing(
+        &mut self,
+        samples: &mut [Complex64],
+        done: &[Complex64],
+        energy: &mut f64,
+    ) {
         let step = self.phase_per_sample();
         let advance = Complex64::cis(step);
-        for block in samples.chunks_mut(ANCHOR_INTERVAL) {
+        let mut pending = done.iter();
+        let mut quads = samples.chunks_exact_mut(QUAD);
+        for quad in &mut quads {
+            let mut phasors = [Complex64::ZERO; 4];
+            for phasor in &mut phasors {
+                *phasor = Complex64::cis(self.phase);
+                for _ in 0..ANCHOR_INTERVAL {
+                    self.phase = wrap_angle(self.phase + step);
+                    if let Some(s) = pending.next() {
+                        *energy += s.norm_sqr();
+                    }
+                }
+            }
+            let (blocks, _) = quad.as_chunks_mut::<ANCHOR_INTERVAL>();
+            for i in 0..ANCHOR_INTERVAL {
+                for (block, phasor) in blocks.iter_mut().zip(&mut phasors) {
+                    block[i] *= *phasor;
+                    *phasor *= advance;
+                }
+            }
+        }
+        *energy = pending.fold(*energy, |sum, s| sum + s.norm_sqr());
+        for block in quads.into_remainder().chunks_mut(ANCHOR_INTERVAL) {
             let mut phasor = Complex64::cis(self.phase);
             for s in block {
                 *s *= phasor;

@@ -168,40 +168,55 @@ impl FadingChannel {
     /// beyond the input length is truncated (the cyclic prefix of OFDM
     /// symbols absorbs inter-symbol leakage as long as the profile is
     /// shorter than the CP).
-    pub(crate) fn process<R: Rng + ?Sized>(
+    #[cfg(test)]
+    fn process<R: Rng + ?Sized>(&mut self, input: &[Complex64], rng: &mut R) -> Vec<Complex64> {
+        let mut out = Vec::with_capacity(input.len());
+        self.process_into(input, 0..input.len(), &mut out, rng);
+        out
+    }
+
+    /// Appends output samples `range` of the convolution of `input` (the
+    /// whole call's input: sample `n` reads `input[n - k]` for tap `k`,
+    /// truncated at the start of `input`) to `out`. Calling it over
+    /// consecutive ranges gives the samples one call over their union
+    /// would.
+    ///
+    /// The taps evolve before every `update_interval`-th sample, so the
+    /// samples run in stretches that share one tap vector.
+    pub(crate) fn process_into<R: Rng + ?Sized>(
         &mut self,
         input: &[Complex64],
+        range: std::ops::Range<usize>,
+        out: &mut Vec<Complex64>,
         rng: &mut R,
-    ) -> Vec<Complex64> {
-        let l = self.taps.len();
-        let mut out = vec![Complex64::ZERO; input.len()];
-        if l == 1 {
-            // Flat fading: the loop below with one tap, minus its inner
-            // loop; the accumulator start keeps `ZERO + h·x` so signed
-            // zeros come out the same.
-            for (slot, &x) in out.iter_mut().zip(input) {
-                self.samples_until_update -= 1;
-                if self.samples_until_update == 0 {
-                    self.evolve(rng);
-                    self.samples_until_update = self.update_interval;
-                }
-                *slot = Complex64::ZERO + self.taps[0] * x;
-            }
-            return out;
-        }
-        for (n, slot) in out.iter_mut().enumerate() {
-            self.samples_until_update -= 1;
-            if self.samples_until_update == 0 {
+    ) {
+        let mut n = range.start;
+        while n < range.end {
+            // The sample that counts `samples_until_update` down to 0
+            // evolves the taps before it is computed.
+            if self.samples_until_update == 1 {
                 self.evolve(rng);
-                self.samples_until_update = self.update_interval;
+                self.samples_until_update = self.update_interval + 1;
             }
-            let mut acc = Complex64::ZERO;
-            for (k, tap) in self.taps.iter().enumerate().take(l.min(n + 1)) {
-                acc += *tap * input[n - k];
+            let run = (self.samples_until_update - 1).min(range.end - n);
+            self.samples_until_update -= run;
+            let stretch = n..n + run;
+            n += run;
+            if let [tap] = self.taps[..] {
+                // Flat fading: the loop below with one tap, minus its
+                // inner loop; the accumulator start keeps `ZERO + h·x` so
+                // signed zeros come out the same.
+                out.extend(input[stretch].iter().map(|&x| Complex64::ZERO + tap * x));
+                continue;
             }
-            *slot = acc;
+            out.extend(stretch.map(|n| {
+                let mut acc = Complex64::ZERO;
+                for (k, tap) in self.taps.iter().enumerate().take(n + 1) {
+                    acc += *tap * input[n - k];
+                }
+                acc
+            }));
         }
-        out
     }
 }
 

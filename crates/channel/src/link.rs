@@ -8,7 +8,7 @@
 //! the anchor point is calibrated so the standard PHY's BER curves land
 //! in the ranges reported in the paper's Fig. 11/12.
 
-use crate::cfo::ResidualCfo;
+use crate::cfo::{ResidualCfo, QUAD};
 use crate::fading::{DelayProfile, FadingChannel, SAMPLE_RATE};
 use crate::noise::Awgn;
 use carpool_phy::math::Complex64;
@@ -73,23 +73,55 @@ impl LinkChannel {
     }
 
     /// Passes a frame of baseband samples through the link.
+    ///
+    /// The output is written once: one pass over runs of four of the
+    /// CFO's 64-sample re-anchoring blocks runs fading into the output
+    /// and rotates the run by the CFO. When AWGN is on, the energy of the
+    /// output is summed in the order [`carpool_phy::math::mean_power`]
+    /// sums it: the CFO sums each run's while it tracks the next run's
+    /// phase, without CFO each run is summed as it is written. The noise
+    /// is then added in place, scaled from that sum.
     pub fn transmit(&mut self, samples: &[Complex64]) -> Vec<Complex64> {
         let _span = self.obs.span(carpool_obs::names::CHANNEL_TRANSMIT);
-        let mut buf = match &mut self.fading {
-            Some(f) => f.process(samples, &mut self.rng),
-            None => samples.to_vec(),
-        };
-        if let Some(cfo) = &mut self.cfo {
-            cfo.apply(&mut buf);
+        let measure = self.awgn.is_some();
+        let mut out = Vec::with_capacity(samples.len());
+        let mut energy = 0.0;
+        // `out[..summed]` is in `energy`.
+        let mut summed = 0;
+        for start in (0..samples.len()).step_by(QUAD) {
+            let end = samples.len().min(start + QUAD);
+            match &mut self.fading {
+                Some(f) => f.process_into(samples, start..end, &mut out, &mut self.rng),
+                None => out.extend_from_slice(&samples[start..end]),
+            }
+            let (done, run) = out.split_at_mut(start);
+            match &mut self.cfo {
+                Some(cfo) if measure => {
+                    cfo.apply_summing(run, &done[summed..], &mut energy);
+                    summed = start;
+                }
+                Some(cfo) => cfo.apply(run),
+                None if measure => {
+                    energy = run.iter().fold(energy, |sum, s| sum + s.norm_sqr());
+                    summed = end;
+                }
+                None => {}
+            }
         }
         if let Some(awgn) = &self.awgn {
-            awgn.apply(&mut buf, &mut self.rng);
+            if !out.is_empty() {
+                energy = out[summed..]
+                    .iter()
+                    .fold(energy, |sum, s| sum + s.norm_sqr());
+                let signal_power = energy / out.len() as f64;
+                awgn.apply(&mut out, signal_power, &mut self.rng);
+            }
         }
         if self.obs.enabled() {
             self.obs.counter("channel.frames", 1);
             self.obs.counter("channel.samples", samples.len() as u64);
         }
-        buf
+        out
     }
 }
 

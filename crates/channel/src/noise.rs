@@ -10,7 +10,7 @@
 
 use std::sync::OnceLock;
 
-use carpool_phy::math::{db_to_lin, mean_power, Complex64};
+use carpool_phy::math::{db_to_lin, Complex64};
 use rand::Rng;
 
 /// Number of ziggurat layers (the low byte of each word picks one).
@@ -146,10 +146,22 @@ impl Awgn {
         Awgn { snr_db }
     }
 
-    /// Adds noise to `samples` in place, scaled to the measured signal
-    /// power of the buffer.
-    pub(crate) fn apply<R: Rng + ?Sized>(&self, samples: &mut [Complex64], rng: &mut R) {
-        let signal_power = mean_power(samples);
+    /// Adds noise to `samples` in place, scaled to `signal_power`, the
+    /// buffer's [`mean_power`](carpool_phy::math::mean_power) (the link
+    /// measures it in the pass that writes the buffer).
+    ///
+    /// The loop draws from a local copy of the generator: behind `rng`
+    /// its state would be stored and reloaded around every draw, which
+    /// lengthens the generator's serial chain, while a local stays in
+    /// registers. The rare draws that miss the fast path hand the state
+    /// to the cold path through `rng` and take it back, so the stream is
+    /// the one [`sample`] draws.
+    pub(crate) fn apply<R: Rng + Clone>(
+        &self,
+        samples: &mut [Complex64],
+        signal_power: f64,
+        rng: &mut R,
+    ) {
         if signal_power == 0.0 {
             return;
         }
@@ -158,17 +170,30 @@ impl Awgn {
         // value, and the same in-phase-then-quadrature draw order.
         let scale = (noise_power / 2.0).sqrt();
         let z = ziggurat();
+        let mut local = rng.clone();
+        let mut draw = |local: &mut R| {
+            let (layer, x) = z.point(local.next_u64());
+            if x.abs() < z.x[layer + 1] {
+                return x;
+            }
+            rng.clone_from(local);
+            let x = sample_rejected(rng, z, layer, x);
+            local.clone_from(rng);
+            x
+        };
         for s in samples.iter_mut() {
-            let re = sample(rng, z) * scale;
-            let im = sample(rng, z) * scale;
+            let re = draw(&mut local) * scale;
+            let im = draw(&mut local) * scale;
             *s += Complex64::new(re, im);
         }
+        *rng = local;
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use carpool_phy::math::mean_power;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -203,7 +228,7 @@ mod tests {
             .collect();
         for snr in [0.0, 10.0, 20.0] {
             let mut noisy = clean.clone();
-            Awgn::new(snr).apply(&mut noisy, &mut rng);
+            Awgn::new(snr).apply(&mut noisy, mean_power(&clean), &mut rng);
             let noise_power: f64 = noisy
                 .iter()
                 .zip(&clean)
@@ -222,7 +247,8 @@ mod tests {
     fn awgn_on_silence_is_noop() {
         let mut rng = StdRng::seed_from_u64(1);
         let mut buf = vec![Complex64::ZERO; 64];
-        Awgn::new(10.0).apply(&mut buf, &mut rng);
+        let power = mean_power(&buf);
+        Awgn::new(10.0).apply(&mut buf, power, &mut rng);
         assert!(buf.iter().all(|s| *s == Complex64::ZERO));
     }
 
@@ -231,8 +257,8 @@ mod tests {
         let clean: Vec<Complex64> = (0..100).map(|k| Complex64::new(k as f64, 0.0)).collect();
         let mut a = clean.clone();
         let mut b = clean.clone();
-        Awgn::new(15.0).apply(&mut a, &mut StdRng::seed_from_u64(42));
-        Awgn::new(15.0).apply(&mut b, &mut StdRng::seed_from_u64(42));
+        Awgn::new(15.0).apply(&mut a, mean_power(&clean), &mut StdRng::seed_from_u64(42));
+        Awgn::new(15.0).apply(&mut b, mean_power(&clean), &mut StdRng::seed_from_u64(42));
         assert_eq!(a, b);
     }
 }

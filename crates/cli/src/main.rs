@@ -189,6 +189,10 @@ fn cmd_phy_ber(args: &Args, obs: &carpool_obs::Obs) -> Result<(), String> {
     let rician_k: f64 = args.get_or("rician-k", 15.0).map_err(|e| e.to_string())?;
     let cfo: f64 = args.get_or("cfo", 100.0).map_err(|e| e.to_string())?;
     let frames: usize = args.get_or("frames", 20).map_err(|e| e.to_string())?;
+    if frames == 0 {
+        // Every rate below divides by the frame count.
+        return Err("--frames must be at least 1".to_string());
+    }
     let kbytes: usize = args.get_or("kbytes", 4).map_err(|e| e.to_string())?;
     let seed: u64 = args.get_or("seed", 1000).map_err(|e| e.to_string())?;
     let estimation = if args.flag("rte") {

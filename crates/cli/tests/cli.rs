@@ -61,6 +61,29 @@ fn unknown_options_are_rejected_by_name() {
 }
 
 #[test]
+fn out_of_range_counts_are_rejected_by_name() {
+    // Zero frames would print NaN rates; zero receivers has no A-HDR.
+    for (args, message) in [
+        (
+            &["phy-ber", "--frames", "0"][..],
+            "--frames must be at least 1",
+        ),
+        (
+            &["bloom", "--receivers", "0"][..],
+            "--receivers must be 1..=8",
+        ),
+    ] {
+        let (ok, stdout, stderr) = run(args);
+        assert!(!ok, "{args:?} must fail");
+        assert!(stdout.is_empty(), "{args:?} printed {stdout}");
+        assert!(
+            stderr.contains(message),
+            "{args:?}: stderr must say {message}: {stderr}"
+        );
+    }
+}
+
+#[test]
 fn phy_ber_prints_the_same_numbers_at_any_thread_count() {
     // Four 1 KiB frames at 20 dB: every decoder loses some frames, so
     // each printed rate is a count the run had to get right.

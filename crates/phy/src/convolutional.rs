@@ -25,7 +25,8 @@
 //!   (8-lane `i32`, four butterfly blocks per step) on x86-64 hosts that
 //!   have AVX2, and the portable kernel — straight-line lane arrays the
 //!   autovectorizer lifts to baseline SIMD — everywhere else. Entering
-//!   the AVX2 kernel is the one `unsafe` block of the library code: a
+//!   the AVX2 kernel is one of the two `unsafe` blocks of the library
+//!   code (the other enters the AVX2 FFT kernel): a
 //!   call to a `#[target_feature(enable = "avx2")]` fn right after
 //!   `is_x86_feature_detected!("avx2")` said yes. The kernel itself
 //!   uses only register intrinsics (no pointer loads or stores), which
@@ -622,7 +623,7 @@ fn try_acs_forward_avx2(lattice: &[i32], survivors: &mut Vec<u64>) -> Option<[i3
     }
     #[expect(
         unsafe_code,
-        reason = "the AVX2 ACS kernel's entry after run-time detection; the one unsafe block of the library code"
+        reason = "the AVX2 ACS kernel's entry after run-time detection"
     )]
     // SAFETY: the only precondition of calling a
     // `#[target_feature(enable = "avx2")]` fn is that the CPU supports

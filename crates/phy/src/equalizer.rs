@@ -15,67 +15,60 @@
 use crate::fft::fft;
 use crate::math::{wrap_angle, Complex64};
 use crate::ofdm::{
-    carrier_to_bin, pilot_polarity, FreqSymbol, CP_LEN, DATA_CARRIERS, FFT_SIZE, NUM_PILOTS,
-    PILOT_BASE, PILOT_CARRIERS, SYMBOL_LEN,
+    carrier_to_bin, pilot_polarity, Carriers, FreqSymbol, CP_LEN, DATA_CARRIERS, NUM_DATA,
+    NUM_PILOTS, PILOT_BASE, PILOT_CARRIERS, SYMBOL_LEN,
 };
 use crate::preamble::ltf_value;
 
-/// Per-subcarrier complex channel estimate over the 64 FFT bins.
+/// Per-subcarrier complex channel estimate of the 52 used carriers.
 ///
-/// Unused bins hold `1 + 0i` so that equalising a null carrier is a
-/// harmless no-op. Each bin keeps its reciprocal beside it, refreshed
-/// whenever the bin changes, so equalising multiplies instead of
-/// dividing: `Complex64` division *is* multiplication by `rhs.inv()`,
-/// so the product has the same bits as the quotient, and a fixed
-/// estimate inverts each bin once rather than once per symbol.
+/// The data carriers' values sit in `ofdm::Carriers` (struct-of-arrays, in
+/// data-carrier order) and the pilots' beside them. Each value keeps its
+/// reciprocal, refreshed whenever the value changes, so equalising
+/// multiplies instead of dividing: `Complex64` division *is*
+/// multiplication by `rhs.inv()`, so the product has the same bits as
+/// the quotient, and a fixed estimate inverts each carrier once rather
+/// than once per symbol. Guard carriers and DC carry nothing and read
+/// as `1 + 0i`.
 #[derive(Debug, Clone)]
 pub struct ChannelEstimate {
-    bins: Vec<Bin>,
-}
-
-/// One FFT bin's channel value and its cached reciprocal.
-#[derive(Debug, Clone, Copy)]
-struct Bin {
-    h: Complex64,
-    inv: Complex64,
-}
-
-impl Bin {
-    fn new(h: Complex64) -> Bin {
-        Bin { h, inv: h.inv() }
-    }
+    data: Carriers,
+    data_inv: Carriers,
+    pilots: [Complex64; NUM_PILOTS],
+    pilots_inv: [Complex64; NUM_PILOTS],
 }
 
 /// Estimates are equal when their channel values are: the reciprocals
-/// follow from them (and a zero bin's NaN reciprocal must not make an
-/// estimate unequal to itself).
+/// follow from them (and a zero carrier's NaN reciprocal must not make
+/// an estimate unequal to itself).
 impl PartialEq for ChannelEstimate {
     fn eq(&self, other: &ChannelEstimate) -> bool {
-        self.bins
-            .iter()
-            .map(|b| b.h)
-            .eq(other.bins.iter().map(|b| b.h))
+        self.data == other.data && self.pilots == other.pilots
     }
 }
 
 impl ChannelEstimate {
-    /// An identity (flat, unit-gain) estimate.
-    pub(crate) fn identity() -> ChannelEstimate {
+    /// An estimate from the data carriers' and pilots' values.
+    fn new(data: Carriers, pilots: [Complex64; NUM_PILOTS]) -> ChannelEstimate {
+        let mut data_inv = Carriers::splat(Complex64::ZERO);
+        data_inv.set_reciprocals(&data);
         ChannelEstimate {
-            bins: vec![Bin::new(Complex64::ONE); FFT_SIZE],
+            data,
+            data_inv,
+            pilots_inv: pilots.map(Complex64::inv),
+            pilots,
         }
     }
 
-    /// Builds an estimate from explicit per-bin values.
+    /// Builds an estimate from explicit per-bin values; only the 52 used
+    /// carriers' bins are kept.
     ///
     /// # Panics
     ///
     /// Panics if `bins.len() != 64`.
     pub fn from_bins(bins: Vec<Complex64>) -> ChannelEstimate {
-        assert_eq!(bins.len(), FFT_SIZE, "need {FFT_SIZE} bins");
-        ChannelEstimate {
-            bins: bins.into_iter().map(Bin::new).collect(),
-        }
+        let sym = FreqSymbol::from_bins(&bins);
+        ChannelEstimate::new(sym.data, sym.pilots)
     }
 
     /// Least-squares estimate from the two received LTF symbols (each
@@ -86,57 +79,92 @@ impl ChannelEstimate {
     ) -> ChannelEstimate {
         let b1 = fft(&std::array::from_fn(|k| ltf1[CP_LEN + k]));
         let b2 = fft(&std::array::from_fn(|k| ltf2[CP_LEN + k]));
-        let mut estimate = ChannelEstimate::identity();
-        for c in -26..=26i32 {
-            if c == 0 {
-                continue;
-            }
-            let x = ltf_value(c);
+        let ls = |c: i32| {
             let bin = carrier_to_bin(c);
-            let avg = (b1[bin] + b2[bin]).scale(0.5);
-            estimate.set(c, avg / x);
+            (b1[bin] + b2[bin]).scale(0.5) / ltf_value(c)
+        };
+        let mut data = Carriers::splat(Complex64::ZERO);
+        for (i, c) in DATA_CARRIERS.into_iter().enumerate() {
+            data.set(i, ls(c));
         }
-        estimate
+        ChannelEstimate::new(data, PILOT_CARRIERS.map(ls))
     }
 
-    /// Channel value on a logical carrier.
+    /// An identity (flat, unit-gain) estimate.
+    #[cfg(test)]
+    pub(crate) fn identity() -> ChannelEstimate {
+        ChannelEstimate::new(
+            Carriers::splat(Complex64::ONE),
+            [Complex64::ONE; NUM_PILOTS],
+        )
+    }
+
+    /// Channel value on a logical carrier (`1 + 0i` off the used ones).
     pub fn at(&self, carrier: i32) -> Complex64 {
-        self.bins[carrier_to_bin(carrier)].h
+        if let Some(i) = DATA_CARRIERS.iter().position(|&c| c == carrier) {
+            self.data.get(i)
+        } else if let Some(k) = PILOT_CARRIERS.iter().position(|&c| c == carrier) {
+            self.pilots[k]
+        } else {
+            Complex64::ONE
+        }
     }
 
-    /// Sets the channel value on a logical carrier, and its reciprocal
-    /// (calibration by the RTE estimator goes through here).
-    pub(crate) fn set(&mut self, carrier: i32, h: Complex64) {
-        self.bins[carrier_to_bin(carrier)] = Bin::new(h);
+    /// The data carriers' channel values.
+    pub(crate) fn data(&self) -> &Carriers {
+        &self.data
     }
 
-    /// The cached reciprocal `1 / h` on a logical carrier.
-    fn inverse(&self, carrier: i32) -> Complex64 {
-        self.bins[carrier_to_bin(carrier)].inv
+    /// The pilots' channel values.
+    pub(crate) fn pilots(&self) -> &[Complex64; NUM_PILOTS] {
+        &self.pilots
+    }
+
+    /// Updates the data carriers' values in place with `update`, then
+    /// their reciprocals (calibration by the RTE estimator goes through
+    /// here).
+    pub(crate) fn update_data(&mut self, update: impl FnOnce(&mut Carriers)) {
+        update(&mut self.data);
+        self.data_inv.set_reciprocals(&self.data);
+    }
+
+    /// Replaces pilot `k`'s value and its reciprocal.
+    pub(crate) fn set_pilot(&mut self, k: usize, h: Complex64) {
+        self.pilots[k] = h;
+        self.pilots_inv[k] = h.inv();
     }
 
     /// Zero-forcing equalisation of a received frequency symbol.
     pub fn equalize(&self, sym: &FreqSymbol) -> FreqSymbol {
-        let mut out = FreqSymbol {
-            data: Vec::with_capacity(sym.data.len()),
-            pilots: [Complex64::ZERO; NUM_PILOTS],
-        };
+        let mut out = FreqSymbol::zeroed();
         self.equalize_into(sym, &mut out);
         out
     }
 
     /// In-place variant of [`ChannelEstimate::equalize`]: writes the
-    /// equalised symbol into `out`, reusing its `data` allocation.
+    /// equalised symbol into `out`.
     pub fn equalize_into(&self, sym: &FreqSymbol, out: &mut FreqSymbol) {
-        out.data.clear();
-        out.data.extend(
-            sym.data
-                .iter()
-                .zip(DATA_CARRIERS)
-                .map(|(v, c)| *v * self.inverse(c)),
-        );
-        for (k, (v, c)) in sym.pilots.iter().zip(PILOT_CARRIERS).enumerate() {
-            out.pilots[k] = *v * self.inverse(c);
+        out.data = sym.data;
+        out.data.mul_assign(&self.data_inv);
+        out.pilots = self.equalize_pilots(sym);
+    }
+
+    /// The equalised pilots of `sym`.
+    pub(crate) fn equalize_pilots(&self, sym: &FreqSymbol) -> [Complex64; NUM_PILOTS] {
+        std::array::from_fn(|k| sym.pilots[k] * self.pilots_inv[k])
+    }
+
+    /// Writes the equalised data carriers of `sym`, each then multiplied
+    /// by the phasor `r`, to `out`: per lane the two products
+    /// [`ChannelEstimate::equalize`] and [`FreqSymbol::rotate_by`] make,
+    /// in one pass.
+    pub(crate) fn equalize_rotated(&self, sym: &FreqSymbol, r: Complex64, out: &mut Carriers) {
+        let (x, inv) = (&sym.data, &self.data_inv);
+        for i in 0..NUM_DATA {
+            let re = x.re[i] * inv.re[i] - x.im[i] * inv.im[i];
+            let im = x.re[i] * inv.im[i] + x.im[i] * inv.re[i];
+            out.re[i] = re * r.re - im * r.im;
+            out.im[i] = re * r.im + im * r.re;
         }
     }
 }
@@ -170,10 +198,10 @@ pub(crate) struct PhaseTrack {
 
 /// Estimates the common phase rotation of an equalised symbol from its
 /// four pilots, given the symbol index (for pilot polarity).
-pub(crate) fn track_phase(equalized: &FreqSymbol, symbol_index: usize) -> PhaseTrack {
+pub(crate) fn track_phase(pilots: &[Complex64; NUM_PILOTS], symbol_index: usize) -> PhaseTrack {
     let p = pilot_polarity(symbol_index);
     let mut acc = Complex64::ZERO;
-    for (rx, base) in equalized.pilots.iter().zip(PILOT_BASE) {
+    for (rx, base) in pilots.iter().zip(PILOT_BASE) {
         let expected = Complex64::new(base * p, 0.0);
         acc += *rx * expected.conj();
     }
@@ -183,22 +211,11 @@ pub(crate) fn track_phase(equalized: &FreqSymbol, symbol_index: usize) -> PhaseT
     }
 }
 
-/// Removes a common phase rotation from all subcarriers of a symbol.
-pub(crate) fn compensate_phase(sym: &mut FreqSymbol, offset: f64) {
-    let r = Complex64::cis(-offset);
-    for d in &mut sym.data {
-        *d *= r;
-    }
-    for p in &mut sym.pilots {
-        *p *= r;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::modulation::Modulation;
-    use crate::ofdm::{modulate_symbol, NUM_DATA};
+    use crate::ofdm::{modulate_symbol, FFT_SIZE};
     use crate::preamble::{ltf_offsets, preamble};
 
     fn apply_flat_channel(samples: &[Complex64], h: Complex64) -> Vec<Complex64> {
@@ -220,7 +237,7 @@ mod tests {
         let data = Modulation::Qpsk.map_all(&[1u8, 0, 1, 1].repeat(24));
         let sym = FreqSymbol::with_standard_pilots(data.clone(), 0);
         let eq = est.equalize(&sym);
-        for (a, b) in eq.data.iter().zip(&data) {
+        for (a, b) in eq.data.points().iter().zip(&data) {
             assert!((*a - *b).abs() < 1e-12);
         }
     }
@@ -245,7 +262,7 @@ mod tests {
 
         let rx = crate::ofdm::demodulate_symbol(time.as_slice().try_into().unwrap());
         let eq = est.equalize(&rx);
-        assert_eq!(Modulation::Qpsk.demap_all(&eq.data), bits);
+        assert_eq!(Modulation::Qpsk.demap_all(&eq.data.points()), bits);
     }
 
     #[test]
@@ -254,7 +271,7 @@ mod tests {
         for &angle in &[0.1, 0.7, -1.4, std::f64::consts::FRAC_PI_2] {
             let mut sym = FreqSymbol::with_standard_pilots(data.clone(), 5);
             sym.rotate(angle);
-            let track = track_phase(&sym, 5);
+            let track = track_phase(&sym.pilots, 5);
             assert!(
                 (track.offset - angle).abs() < 1e-9,
                 "angle {angle}: measured {}",
@@ -270,9 +287,9 @@ mod tests {
         let data = Modulation::Bpsk.map_all(&bits);
         let mut sym = FreqSymbol::with_standard_pilots(data, 2);
         sym.rotate(1.0);
-        let track = track_phase(&sym, 2);
-        compensate_phase(&mut sym, track.offset);
-        assert_eq!(Modulation::Bpsk.demap_all(&sym.data), bits);
+        let track = track_phase(&sym.pilots, 2);
+        sym.rotate(-track.offset);
+        assert_eq!(Modulation::Bpsk.demap_all(&sym.data.points()), bits);
     }
 
     #[test]
@@ -283,8 +300,17 @@ mod tests {
         let idx = 4; // polarity -1 in the standard sequence
         assert_eq!(pilot_polarity(idx), -1.0);
         let sym = FreqSymbol::with_standard_pilots(data, idx);
-        let track = track_phase(&sym, idx);
+        let track = track_phase(&sym.pilots, idx);
         assert!(track.offset.abs() < 1e-9);
+    }
+
+    /// Sets one carrier of `est` through the mutators RTE uses.
+    fn set(est: &mut ChannelEstimate, carrier: i32, h: Complex64) {
+        if let Some(i) = DATA_CARRIERS.iter().position(|&c| c == carrier) {
+            est.update_data(|data| data.set(i, h));
+        } else if let Some(k) = PILOT_CARRIERS.iter().position(|&c| c == carrier) {
+            est.set_pilot(k, h);
+        }
     }
 
     #[test]
@@ -314,9 +340,9 @@ mod tests {
             let mut est = ChannelEstimate::from_bins(bins);
             // The mutator keeps the reciprocals in step.
             for c in [-26, -21, -1, 1, 7, 26] {
-                est.set(c, Complex64::new(value(raw), value(raw)));
+                set(&mut est, c, Complex64::new(value(raw), value(raw)));
             }
-            est.set(3, Complex64::ZERO);
+            set(&mut est, 3, Complex64::ZERO);
             let data = (0..NUM_DATA)
                 .map(|_| Complex64::new(value(raw), value(raw)))
                 .collect();
@@ -330,7 +356,13 @@ mod tests {
                 let word = |x: f64| if x.is_nan() { None } else { Some(x.to_bits()) };
                 (word(z.re), word(z.im))
             };
-            for ((got, v), c) in eq.data.iter().zip(&sym.data).zip(DATA_CARRIERS) {
+            for ((got, v), c) in eq
+                .data
+                .points()
+                .iter()
+                .zip(&sym.data.points())
+                .zip(DATA_CARRIERS)
+            {
                 assert_eq!(bits(*got), bits(*v / est.at(c)), "carrier {c}");
             }
             for ((got, v), c) in eq.pilots.iter().zip(&sym.pilots).zip(PILOT_CARRIERS) {

@@ -5,9 +5,11 @@
 //! transform has exactly one size and its inputs are `[Complex64; 64]`
 //! arrays. The bit-reversal permutation and the twiddle factors are
 //! compile-time tables; the test module keeps the textbook radix-2 loop
-//! as the bit-exact reference they must reproduce, NaN and infinite
-//! inputs included; the kernel runs that loop's butterflies in two
-//! passes over 8-point blocks held in locals. Both directions use
+//! as the bit-exact reference they must reproduce, NaN, infinite and
+//! signed-zero inputs included; the kernel runs that loop's butterflies
+//! in two passes over 8-point blocks held in locals, on 4-lane AVX2
+//! vectors where the host has AVX2 and portably elsewhere. Both
+//! directions use
 //! the engineering convention: the *inverse* transform carries the `1/N`
 //! normalisation, so `ifft(&fft(&x)) == x` up to rounding.
 
@@ -17,8 +19,9 @@ use crate::math::Complex64;
 pub(crate) const INV_SCALE_64: f64 = 1.0 / 64.0;
 
 /// Bit-reversed position of every 6-bit index: input sample `k` of a
-/// 64-point transform enters the butterflies at `BITREV_64[k]`.
-pub(crate) const BITREV_64: [u8; 64] = build_bitrev_64();
+/// 64-point transform enters the butterflies at `BITREV_64[k]`, and the
+/// point at position `k` is input sample `BITREV_64[k]`.
+const BITREV_64: [u8; 64] = build_bitrev_64();
 
 const fn build_bitrev_64() -> [u8; 64] {
     let mut table = [0u8; 64];
@@ -173,46 +176,67 @@ const INV_TWIDDLES_64: [Complex64; 63] = [
     Complex64::new(-0.9951847266721981, 0.0980171403295608),
 ];
 
-/// Applies the 64-point bit-reversal permutation in place.
-fn bit_reverse_64(data: &mut [Complex64; 64]) {
-    for (i, &j) in BITREV_64.iter().enumerate() {
-        let j = usize::from(j);
-        if i < j {
-            data.swap(i, j);
-        }
-    }
-}
-
-/// The six radix-2 stages of a 64-point transform over input already in
-/// bit-reversed order, without the inverse `1/64` scaling. Twiddles and
-/// butterflies are those of the textbook radix-2 loop, so the output is
-/// bit-identical to it: each butterfly reads only its own two inputs, so
-/// the order they run in changes nothing.
+/// The six radix-2 stages of a 64-point transform of `input`, given in
+/// natural order, without the inverse `1/64` scaling.
+/// Twiddles and butterflies are those of the textbook radix-2 loop, so
+/// the output is bit-identical to it: each butterfly reads only its own
+/// two inputs, so the order they run in changes nothing.
 ///
 /// The stages run as two passes of eight 8-point blocks, each block
 /// loaded into locals, put through three stages and stored back, so
 /// that every point is loaded and stored twice instead of six times.
-/// Stages 1, 2 and 4 pair points at most 4 apart and never leave a group
-/// of 8 consecutive points; stages 8, 16 and 32 pair points 8, 16 and 32
-/// apart, so they never leave a column `j, j + 8, ..., j + 56`.
+/// The first pass loads every point from its bit-reversed position in
+/// `input` ([`BITREV_64`]), so no separate permutation runs. Stages 1, 2
+/// and 4 pair points at most 4 apart and never leave a group of 8
+/// consecutive (bit-reversed) points; stages 8, 16 and 32 pair points
+/// 8, 16 and 32 apart, so they never leave a column
+/// `j, j + 8, ..., j + 56`.
+///
+/// Two kernels run these passes, picked per call by run-time CPU
+/// detection like the Viterbi ACS loop: an AVX2 kernel on x86-64 hosts
+/// that have AVX2, and the portable one everywhere else.
 #[inline]
-pub(crate) fn butterflies_64(data: &mut [Complex64; 64], inverse: bool) {
+pub(crate) fn butterflies_64(input: &[Complex64; 64], inverse: bool) -> [Complex64; 64] {
     let t = if inverse {
         &INV_TWIDDLES_64
     } else {
         &FWD_TWIDDLES_64
     };
+    #[cfg(target_arch = "x86_64")]
+    if std::is_x86_feature_detected!("avx2") {
+        #[expect(
+            unsafe_code,
+            reason = "the AVX2 FFT kernel's entry after run-time detection"
+        )]
+        // SAFETY: the only precondition of calling a
+        // `#[target_feature(enable = "avx2")]` fn is that the CPU supports
+        // AVX2, which `is_x86_feature_detected!` confirmed just above.
+        let out = unsafe { butterflies_64_avx2(input, t) };
+        return out;
+    }
+    butterflies_64_portable(input, t)
+}
+
+/// Input position of the point at bit-reversed position `k`.
+const fn reversed(k: usize) -> usize {
+    BITREV_64[k] as usize
+}
+
+/// The portable kernel of [`butterflies_64`], one block at a time.
+fn butterflies_64_portable(input: &[Complex64; 64], t: &[Complex64; 63]) -> [Complex64; 64] {
     // Stage `half` starts at entry `half - 1` of the table; within a
     // group, local index `i` has position `i` in its butterfly span.
     let inner = ([t[0]], [t[1], t[2]], [t[3], t[4], t[5], t[6]]);
-    for group in data.as_chunks_mut::<8>().0 {
+    let mut out = [Complex64::ZERO; 64];
+    for (g, group) in out.as_chunks_mut::<8>().0.iter_mut().enumerate() {
+        *group = std::array::from_fn(|i| input[reversed(8 * g + i)]);
         radix2_cubed(group, inner.0, inner.1, inner.2);
     }
     for j in 0..8 {
         // In column `j`, local index `m` is point `j + 8m`: its position
         // in a span of 16 is `j + 8 (m % 2)`, in a span of 32
         // `j + 8 (m % 4)` and in the span of 64 `j + 8m`.
-        let mut column: [Complex64; 8] = std::array::from_fn(|m| data[j + 8 * m]);
+        let mut column: [Complex64; 8] = std::array::from_fn(|m| out[j + 8 * m]);
         radix2_cubed(
             &mut column,
             [t[7 + j]],
@@ -220,9 +244,148 @@ pub(crate) fn butterflies_64(data: &mut [Complex64; 64], inverse: bool) {
             [t[31 + j], t[39 + j], t[47 + j], t[55 + j]],
         );
         for (m, &x) in column.iter().enumerate() {
-            data[j + 8 * m] = x;
+            out[j + 8 * m] = x;
         }
     }
+    out
+}
+
+/// [`butterflies_64_portable`] on 4-lane AVX2 `f64` vectors, two complex
+/// points per vector, bit-identical to it. The first pass takes the
+/// 8-point groups two at a time, vector `i` holding local point `i` of
+/// both, so each stage's twiddle is one broadcast; the second takes the
+/// columns two at a time, vector `m` holding the adjacent points
+/// `j + 8m` and `j + 1 + 8m`, whose twiddles sit side by side in the
+/// table. Every butterfly computes what the portable one does: the
+/// complex product is `movedup`/`permute` + `mul` + `addsub`, whose
+/// imaginary lane adds the same two products in the other order (`f64`
+/// addition commutes bit for bit), with no fused multiply-add. Only
+/// register intrinsics are used, so the body needs no `unsafe`.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn butterflies_64_avx2(input: &[Complex64; 64], t: &[Complex64; 63]) -> [Complex64; 64] {
+    use std::arch::x86_64::{
+        __m256d, _mm256_add_pd, _mm256_addsub_pd, _mm256_castpd256_pd128, _mm256_extractf128_pd,
+        _mm256_movedup_pd, _mm256_mul_pd, _mm256_permute_pd, _mm256_setr_pd, _mm256_sub_pd,
+        _mm_cvtsd_f64, _mm_unpackhi_pd,
+    };
+
+    /// A twiddle pair as its real parts and its imaginary parts, each
+    /// duplicated across its point's two lanes.
+    #[derive(Clone, Copy)]
+    struct Twiddle {
+        re: __m256d,
+        im: __m256d,
+    }
+
+    #[target_feature(enable = "avx2")]
+    fn pack(lo: Complex64, hi: Complex64) -> __m256d {
+        _mm256_setr_pd(lo.re, lo.im, hi.re, hi.im)
+    }
+
+    #[target_feature(enable = "avx2")]
+    fn unpack(v: __m256d) -> (Complex64, Complex64) {
+        let complex = |half| {
+            Complex64::new(
+                _mm_cvtsd_f64(half),
+                _mm_cvtsd_f64(_mm_unpackhi_pd(half, half)),
+            )
+        };
+        (
+            complex(_mm256_castpd256_pd128(v)),
+            complex(_mm256_extractf128_pd::<1>(v)),
+        )
+    }
+
+    #[target_feature(enable = "avx2")]
+    fn twiddle(lo: Complex64, hi: Complex64) -> Twiddle {
+        let w = pack(lo, hi);
+        Twiddle {
+            re: _mm256_movedup_pd(w),
+            im: _mm256_permute_pd::<0b1111>(w),
+        }
+    }
+
+    /// `(a, b) <- (a + b w, a - b w)` on both points of the vectors.
+    #[target_feature(enable = "avx2")]
+    fn butterfly(y: &mut [__m256d; 8], a: usize, b: usize, w: Twiddle) {
+        let swapped = _mm256_permute_pd::<0b0101>(y[b]);
+        let v = _mm256_addsub_pd(_mm256_mul_pd(y[b], w.re), _mm256_mul_pd(swapped, w.im));
+        let u = y[a];
+        y[a] = _mm256_add_pd(u, v);
+        y[b] = _mm256_sub_pd(u, v);
+    }
+
+    /// [`radix2_cubed`] on vectors.
+    #[target_feature(enable = "avx2")]
+    fn radix2_cubed(y: &mut [__m256d; 8], w1: Twiddle, w2: [Twiddle; 2], w4: [Twiddle; 4]) {
+        for base in [0, 2, 4, 6] {
+            butterfly(y, base, base + 1, w1);
+        }
+        for base in [0, 4] {
+            for (k, &w) in w2.iter().enumerate() {
+                butterfly(y, base + k, base + k + 2, w);
+            }
+        }
+        for (k, &w) in w4.iter().enumerate() {
+            butterfly(y, k, k + 4, w);
+        }
+    }
+
+    /// Groups `G / 8` and `G / 8 + 1` through stages 1, 2 and 4: vector
+    /// `i` holds bit-reversed points `G + i` and `G + 8 + i`, loaded from
+    /// their input positions. `G` is a constant, so every index is.
+    #[target_feature(enable = "avx2")]
+    fn group_pair<const G: usize>(
+        input: &[Complex64; 64],
+        out: &mut [Complex64; 64],
+        w1: Twiddle,
+        w2: [Twiddle; 2],
+        w4: [Twiddle; 4],
+    ) {
+        let mut y: [__m256d; 8] =
+            std::array::from_fn(|i| pack(input[reversed(G + i)], input[reversed(G + 8 + i)]));
+        radix2_cubed(&mut y, w1, w2, w4);
+        for (i, &v) in y.iter().enumerate() {
+            (out[G + i], out[G + 8 + i]) = unpack(v);
+        }
+    }
+
+    /// Columns `J` and `J + 1` through stages 8, 16 and 32: vector `m`
+    /// holds points `J + 8m` and `J + 1 + 8m`, whose twiddles are
+    /// neighbours in the table. `J` is a constant, so every index is.
+    #[target_feature(enable = "avx2")]
+    fn column_pair<const J: usize>(data: &mut [Complex64; 64], t: &[Complex64; 63]) {
+        let pair = |k: usize| twiddle(t[k + J], t[k + J + 1]);
+        let mut y: [__m256d; 8] =
+            std::array::from_fn(|m| pack(data[J + 8 * m], data[J + 1 + 8 * m]));
+        radix2_cubed(
+            &mut y,
+            pair(7),
+            [pair(15), pair(23)],
+            [pair(31), pair(39), pair(47), pair(55)],
+        );
+        for (m, &v) in y.iter().enumerate() {
+            (data[J + 8 * m], data[J + 1 + 8 * m]) = unpack(v);
+        }
+    }
+
+    let broadcast = |k: usize| twiddle(t[k], t[k]);
+    let (w1, w2, w4) = (
+        broadcast(0),
+        [broadcast(1), broadcast(2)],
+        [broadcast(3), broadcast(4), broadcast(5), broadcast(6)],
+    );
+    let mut out = [Complex64::ZERO; 64];
+    group_pair::<0>(input, &mut out, w1, w2, w4);
+    group_pair::<16>(input, &mut out, w1, w2, w4);
+    group_pair::<32>(input, &mut out, w1, w2, w4);
+    group_pair::<48>(input, &mut out, w1, w2, w4);
+    column_pair::<0>(&mut out, t);
+    column_pair::<2>(&mut out, t);
+    column_pair::<4>(&mut out, t);
+    column_pair::<6>(&mut out, t);
+    out
 }
 
 /// Three radix-2 stages over 8 points held in locals: pairs 1, 2 and 4
@@ -273,14 +436,12 @@ fn butterfly(x: &mut [Complex64; 8], a: usize, b: usize, w: Complex64) {
 /// assert!(x[1].abs() < 1e-12);
 /// ```
 pub fn fft_in_place(data: &mut [Complex64; 64]) {
-    bit_reverse_64(data);
-    butterflies_64(data, false);
+    *data = butterflies_64(data, false);
 }
 
 /// In-place inverse FFT with `1/N` normalisation.
 pub fn ifft_in_place(data: &mut [Complex64; 64]) {
-    bit_reverse_64(data);
-    butterflies_64(data, true);
+    *data = butterflies_64(data, true);
     for x in data.iter_mut() {
         *x = x.scale(INV_SCALE_64);
     }
@@ -288,9 +449,7 @@ pub fn ifft_in_place(data: &mut [Complex64; 64]) {
 
 /// Out-of-place forward FFT.
 pub fn fft(input: &[Complex64; 64]) -> [Complex64; 64] {
-    let mut out = *input;
-    fft_in_place(&mut out);
-    out
+    butterflies_64(input, false)
 }
 
 /// Out-of-place inverse FFT with `1/N` normalisation.
@@ -454,6 +613,12 @@ mod tests {
                 } else if trial % 8 == 1 && k % (trial % 13 + 5) == 0 {
                     // A few NaN and infinite samples among ordinary ones.
                     Complex64::new(non_finite[k % 3], rng.gen::<f64>() - 0.5)
+                } else if trial % 8 == 5 {
+                    // Signed zeros alone: every sum and product is a
+                    // zero whose sign a reordered or fused step would
+                    // change.
+                    let zero = |negative: bool| if negative { -0.0 } else { 0.0 };
+                    Complex64::new(zero(rng.gen::<f64>() < 0.5), zero(rng.gen::<f64>() < 0.5))
                 } else if trial % 8 == 3 && k == trial % 64 {
                     // One infinite imaginary part: its NaNs spread
                     // through the stages from a single input.
@@ -465,10 +630,35 @@ mod tests {
             for inverse in [false, true] {
                 let mut generic = x;
                 reference_transform(&mut generic, inverse);
-                let fast = if inverse { ifft(&x) } else { fft(&x) };
-                for (a, b) in fast.iter().zip(&generic) {
-                    assert!(same(a.re, b.re), "trial {trial}: {a} vs {b}");
-                    assert!(same(a.im, b.im), "trial {trial}: {a} vs {b}");
+                let t = if inverse {
+                    &INV_TWIDDLES_64
+                } else {
+                    &FWD_TWIDDLES_64
+                };
+                let scaled = |mut y: [Complex64; 64]| {
+                    if inverse {
+                        y = y.map(|z| z.scale(INV_SCALE_64));
+                    }
+                    y
+                };
+                // `butterflies_64` runs the AVX2 kernel where the host
+                // has AVX2; elsewhere both rows check the portable one.
+                let kernels = [
+                    scaled(butterflies_64_portable(&x, t)),
+                    scaled(butterflies_64(&x, inverse)),
+                    if inverse { ifft(&x) } else { fft(&x) },
+                ];
+                for (kernel, out) in kernels.iter().enumerate() {
+                    for (a, b) in out.iter().zip(&generic) {
+                        assert!(
+                            same(a.re, b.re),
+                            "trial {trial} kernel {kernel}: {a} vs {b}"
+                        );
+                        assert!(
+                            same(a.im, b.im),
+                            "trial {trial} kernel {kernel}: {a} vs {b}"
+                        );
+                    }
                 }
             }
         }

@@ -21,7 +21,7 @@
 use std::sync::OnceLock;
 
 use crate::math::Complex64;
-use crate::ofdm::NUM_DATA;
+use crate::ofdm::{Carriers, NUM_DATA};
 
 /// Modulation scheme of a data subcarrier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -164,25 +164,50 @@ impl Modulation {
     /// Hard-decision demapping of equalised constellation points, each to
     /// its [`Modulation::bits_per_symbol`] Gray-label bits.
     pub fn demap_all(&self, points: &[Complex64]) -> Vec<u8> {
-        let k = self.normalization();
         let bps = self.bits_per_symbol();
         let mut out = vec![0u8; points.len() * bps];
+        for (symbol, bits) in points.chunks(NUM_DATA).zip(out.chunks_mut(NUM_DATA * bps)) {
+            let mut lanes = Carriers::splat(Complex64::ZERO);
+            for (i, &p) in symbol.iter().enumerate() {
+                lanes.set(i, p);
+            }
+            let len = symbol.len();
+            self.demap_lanes(&lanes.re[..len], &lanes.im[..len], bits);
+        }
+        out
+    }
+
+    /// [`Modulation::demap_all`] of one symbol's data carriers, into
+    /// `out` (`48 * bits_per_symbol()` bits).
+    pub(crate) fn demap_carriers(&self, points: &Carriers, out: &mut [u8]) {
+        self.demap_lanes(&points.re, &points.im, out);
+    }
+
+    /// Hard decisions of up to one symbol's points, given as their real
+    /// parts `re` and imaginary parts `im`.
+    ///
+    /// BPSK and QPSK decide on the sign of `coordinate / k`. Their `k`
+    /// (1 and 1/√2) lies in `(0, 1]`, and dividing by such a `k` keeps
+    /// every sign, zeros and infinities included, without underflowing to
+    /// zero, so `coordinate / k >= 0.0` is `coordinate >= 0.0` and they
+    /// need no division.
+    fn demap_lanes(&self, re: &[f64], im: &[f64], out: &mut [u8]) {
+        let k = self.normalization();
         match self {
             Modulation::Bpsk => {
-                for (bit, p) in out.iter_mut().zip(points) {
-                    *bit = u8::from(p.re / k >= 0.0);
+                for (bit, &re) in out.iter_mut().zip(re) {
+                    *bit = u8::from(re >= 0.0);
                 }
             }
             Modulation::Qpsk => {
-                for (bits, p) in out.chunks_exact_mut(2).zip(points) {
-                    bits[0] = u8::from(p.re / k >= 0.0);
-                    bits[1] = u8::from(p.im / k >= 0.0);
+                for (bits, (&re, &im)) in out.chunks_exact_mut(2).zip(re.iter().zip(im)) {
+                    bits[0] = u8::from(re >= 0.0);
+                    bits[1] = u8::from(im >= 0.0);
                 }
             }
-            Modulation::Qam16 => slice_qam::<4, 2>(points, k, self.axis_levels(), &mut out),
-            Modulation::Qam64 => slice_qam::<8, 3>(points, k, self.axis_levels(), &mut out),
+            Modulation::Qam16 => slice_qam::<4, 2>(re, im, k, self.axis_levels(), out),
+            Modulation::Qam64 => slice_qam::<8, 3>(re, im, k, self.axis_levels(), out),
         }
-        out
     }
 
     /// Per-axis PAM levels of this constellation (unnormalised).
@@ -277,68 +302,97 @@ pub(crate) struct LabelPoint {
 }
 
 /// Hard decisions of a square QAM with `N` levels (`B` label bits) per
-/// axis, ascending in `levels`, written to `out` as
-/// [`Modulation::demap_all`] lays them out.
-///
-/// Each lane must return the first of the ascending levels at the least
-/// rounded distance `|v - level|`, where `v = coordinate / k` (what a
-/// scan keeping the first strict minimum returns). The slicer takes one
-/// OFDM symbol's 96 axis values at a time. It clamps each into
-/// `±(N - 0.5)` and truncates `(v + N) / 2` to a level index `j`: the
-/// number of thresholds (`2i - N`) strictly below `v`, or one more when
-/// the sum rounds up onto a threshold. Either way the exact answer is
-/// `j` unless the level left of it is at least as near in rounded
-/// arithmetic, the condition of a walk left. That condition is checked
-/// for every lane at once; only when some lane meets it (a rounding tie,
-/// a value on a threshold, `+inf` or a huge magnitude, whose distances
-/// all round alike) does the walk run, lane by lane. A NaN lane truncates
-/// to index 0, as the scan leaves it, and never ties.
-fn slice_qam<const N: u32, const B: usize>(
-    points: &[Complex64],
+/// axis, ascending in `levels`, for the points with real parts `re` and
+/// imaginary parts `im` (one OFDM symbol at most), written to `out` as
+/// [`Modulation::demap_all`] lays them out: each point's real-axis label
+/// bits, then its imaginary-axis ones. Each axis value's label bits are
+/// copied from a per-level table.
+fn slice_qam<const N: usize, const B: usize>(
+    re: &[f64],
+    im: &[f64],
     k: f64,
     levels: &[f64],
     out: &mut [u8],
 ) {
-    let n = f64::from(N);
-    let top = n - 0.5;
-    for (symbol, bits) in points
-        .chunks(NUM_DATA)
-        .zip(out.chunks_mut(NUM_DATA * 2 * B))
+    let table = const { level_bits::<N, B>() };
+    let re_index = level_indices::<N>(re, k, levels);
+    let im_index = level_indices::<N>(im, k, levels);
+    for (bits, (&jr, &ji)) in out
+        .chunks_exact_mut(2 * B)
+        .zip(re_index.iter().zip(&im_index))
     {
-        let lanes = 2 * symbol.len();
-        let mut axis = [0.0f64; 2 * NUM_DATA];
-        for (pair, p) in axis.chunks_exact_mut(2).zip(symbol) {
-            pair[0] = p.re / k;
-            pair[1] = p.im / k;
-        }
-        // Branch-free, so that the loop vectorizes and a lane's level
-        // index costs no misprediction.
-        let mut index = [0i32; 2 * NUM_DATA];
-        let mut tie = false;
-        for (j, &v) in index.iter_mut().zip(&axis) {
-            #[expect(
-                clippy::cast_possible_truncation,
-                reason = "clamped into [0.25, N - 0.25], or NaN, which casts to 0"
-            )]
-            let t = ((v.clamp(-top, top) + n) * 0.5) as i32;
-            let level = f64::from(2 * t) - (n - 1.0);
-            tie |= (t > 0) & ((v - (level - 2.0)).abs() <= (v - level).abs());
-            *j = t;
-        }
-        if tie {
-            walk_left(&axis[..lanes], &mut index[..lanes], levels);
-        }
-        for (axis_bits, &j) in bits.chunks_exact_mut(B).zip(&index[..lanes]) {
-            #[expect(clippy::cast_sign_loss, reason = "a level index in 0..N")]
-            let gray = gray(j as usize);
-            for (shift, bit) in (0..B).rev().zip(axis_bits.iter_mut()) {
-                *bit = u8::from((gray >> shift) & 1 == 1);
-            }
-        }
+        let (re_bits, im_bits) = bits.split_at_mut(B);
+        #[expect(clippy::cast_sign_loss, reason = "a level index in 0..N")]
+        let (jr, ji) = (jr as usize, ji as usize);
+        re_bits.copy_from_slice(&table[jr]);
+        im_bits.copy_from_slice(&table[ji]);
     }
 }
 
-/// The cold path of [`slice_qam`]: moves each lane's level index left
+/// Gray label bits of each level index of an `N`-level axis, first bit
+/// most significant: row `j` holds the `B` bits of `gray(j)`.
+const fn level_bits<const N: usize, const B: usize>() -> [[u8; B]; N] {
+    let mut table = [[0u8; B]; N];
+    let mut j = 0;
+    while j < N {
+        let mut b = 0;
+        while b < B {
+            table[j][b] = if (gray(j) >> (B - 1 - b)) & 1 == 1 {
+                1
+            } else {
+                0
+            };
+            b += 1;
+        }
+        j += 1;
+    }
+    table
+}
+
+/// Level index of each axis coordinate of an `N`-level axis (up to one
+/// symbol's worth, in `coords`; the slots past them are unused).
+///
+/// Each lane must return the first of the ascending levels at the least
+/// rounded distance `|v - level|`, where `v = coordinate / k` (what a
+/// scan keeping the first strict minimum returns). The slicer clamps
+/// each `v` into `±(N - 0.5)` and truncates `(v + N) / 2` to a level
+/// index `j`: the number of thresholds (`2i - N`) strictly below `v`, or
+/// one more when the sum rounds up onto a threshold. Either way the
+/// exact answer is `j` unless the level left of it is at least as near
+/// in rounded arithmetic, the condition of a walk left. That condition
+/// is checked for every lane at once; only when some lane meets it (a
+/// rounding tie, a value on a threshold, `+inf` or a huge magnitude,
+/// whose distances all round alike) does the walk run, lane by lane. A
+/// NaN lane truncates to index 0, as the scan leaves it, and never ties.
+fn level_indices<const N: usize>(coords: &[f64], k: f64, levels: &[f64]) -> [i32; NUM_DATA] {
+    let n = N as f64;
+    let top = n - 0.5;
+    let lanes = coords.len();
+    let mut axis = [0.0f64; NUM_DATA];
+    for (v, &c) in axis.iter_mut().zip(coords) {
+        *v = c / k;
+    }
+    // Branch-free, so that the loop vectorizes and a lane's level
+    // index costs no misprediction.
+    let mut index = [0i32; NUM_DATA];
+    let mut tie = false;
+    for (j, &v) in index.iter_mut().zip(&axis) {
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "clamped into [0.25, N - 0.25], or NaN, which casts to 0"
+        )]
+        let t = ((v.clamp(-top, top) + n) * 0.5) as i32;
+        let level = f64::from(2 * t) - (n - 1.0);
+        tie |= (t > 0) & ((v - (level - 2.0)).abs() <= (v - level).abs());
+        *j = t;
+    }
+    if tie {
+        walk_left(&axis[..lanes], &mut index[..lanes], levels);
+    }
+    index
+}
+
+/// The cold path of [`level_indices`]: moves each lane's level index left
 /// while the level left of it is at least as near to the lane's value.
 #[cold]
 fn walk_left(axis: &[f64], index: &mut [i32], levels: &[f64]) {
@@ -545,14 +599,18 @@ mod tests {
                 .chunks(2)
                 .map(|c| Complex64::new(c[0], c.get(1).copied().unwrap_or(0.0)))
                 .collect();
-            let mut got = vec![0u8; points.len() * m.bits_per_symbol()];
+            let bps = m.bits_per_symbol();
+            let mut got = vec![0u8; points.len() * bps];
             let levels = m.axis_levels();
-            match m {
-                Modulation::Qam16 => slice_qam::<4, 2>(&points, 1.0, levels, &mut got),
-                _ => slice_qam::<8, 3>(&points, 1.0, levels, &mut got),
+            for (symbol, out) in points.chunks(NUM_DATA).zip(got.chunks_mut(NUM_DATA * bps)) {
+                let re: Vec<f64> = symbol.iter().map(|p| p.re).collect();
+                let im: Vec<f64> = symbol.iter().map(|p| p.im).collect();
+                match m {
+                    Modulation::Qam16 => slice_qam::<4, 2>(&re, &im, 1.0, levels, out),
+                    _ => slice_qam::<8, 3>(&re, &im, 1.0, levels, out),
+                }
             }
             let want = oracle_demap_by(m, &points, 1.0);
-            let bps = m.bits_per_symbol();
             for (k, p) in points.iter().enumerate() {
                 let range = k * bps..(k + 1) * bps;
                 assert_eq!(

@@ -23,9 +23,7 @@
 use crate::equalizer::ChannelEstimate;
 use crate::math::Complex64;
 use crate::modulation::{label, Modulation};
-use crate::ofdm::{
-    pilot_polarity, FreqSymbol, DATA_CARRIERS, NUM_DATA, PILOT_BASE, PILOT_CARRIERS,
-};
+use crate::ofdm::{pilot_polarity, Carriers, FreqSymbol, NUM_DATA, PILOT_BASE};
 
 /// How a fresh data-pilot estimate is folded into the running estimate.
 ///
@@ -48,6 +46,34 @@ impl CalibrationRule {
             CalibrationRule::Average => (old + fresh).scale(0.5),
             CalibrationRule::Replace => fresh,
             CalibrationRule::Ewma(alpha) => old.scale(1.0 - alpha) + fresh.scale(alpha),
+        }
+    }
+
+    /// Folds `fresh` into the data carriers `est` in place. Every rule
+    /// is the same linear map on each component, so a data carrier folds
+    /// as two lanes: `old + (fold(old, fresh) - old) * weight` on the
+    /// real parts and on the imaginary parts, what
+    /// [`CalibrationRule::fold`] and the complex weighting compute. The
+    /// rule is matched once, so each has its own vectorized loop.
+    fn fold_weighted(&self, est: &mut Carriers, fresh: &Carriers, weight: &[f64; NUM_DATA]) {
+        fn lanes(
+            est: &mut Carriers,
+            fresh: &Carriers,
+            weight: &[f64; NUM_DATA],
+            fold: impl Fn(f64, f64) -> f64,
+        ) {
+            for (i, &w) in weight.iter().enumerate() {
+                let (re, im) = (est.re[i], est.im[i]);
+                est.re[i] = re + (fold(re, fresh.re[i]) - re) * w;
+                est.im[i] = im + (fold(im, fresh.im[i]) - im) * w;
+            }
+        }
+        match *self {
+            CalibrationRule::Average => lanes(est, fresh, weight, |o, f| (o + f) * 0.5),
+            CalibrationRule::Replace => lanes(est, fresh, weight, |_, f| f),
+            CalibrationRule::Ewma(alpha) => {
+                lanes(est, fresh, weight, |o, f| o * (1.0 - alpha) + f * alpha)
+            }
         }
     }
 }
@@ -122,11 +148,7 @@ impl RteEstimator {
         symbol_index: usize,
     ) {
         let bps = modulation.bits_per_symbol();
-        assert_eq!(
-            decided.len(),
-            received.data.len() * bps,
-            "decided bit count"
-        );
+        assert_eq!(decided.len(), NUM_DATA * bps, "decided bit count");
         let table = modulation.label_points();
         // Fresh per-carrier estimates `rx / tx` with their reliability
         // weights, computed once for the gate and the fold. Dividing by
@@ -134,47 +156,39 @@ impl RteEstimator {
         // noise by 1/|Y|^2 — up to ~20x for inner 64-QAM points — so the
         // innovation is scaled by min(1, |Y|^2): weak data pilots nudge
         // rather than overwrite the estimate.
-        let mut fresh = [(Complex64::ZERO, 0.0); NUM_DATA];
-        for (slot, (rx, bits)) in fresh
-            .iter_mut()
-            .zip(received.data.iter().zip(decided.chunks_exact(bps)))
-        {
+        let mut fresh = Carriers::splat(Complex64::ZERO);
+        let mut weight = [0.0; NUM_DATA];
+        for (i, bits) in decided.chunks_exact(bps).enumerate() {
             let tx = &table[label(bits) & 63];
-            *slot = (*rx * tx.inv, tx.norm_sqr.min(1.0));
+            fresh.set(i, tx.inv);
+            weight[i] = tx.norm_sqr.min(1.0);
         }
-        let used = received.data.len().min(NUM_DATA);
-        let usable = || {
-            DATA_CARRIERS
-                .iter()
-                .copied()
-                .zip(fresh[..used].iter().copied())
-        };
+        // `rx / tx` is `rx * inv(tx)`, the same bits as `inv(tx) * rx`.
+        fresh.mul_assign(&received.data);
+        let current = self.estimate.data();
         // Innovation gate: compare the fresh per-carrier estimates to the
-        // running ones before committing anything.
+        // running ones before committing anything. The sums run in
+        // carrier order, as the per-carrier terms are added.
         if self.innovation_gate.is_finite() {
             let mut deviation = 0.0f64;
             let mut reference = 0.0f64;
-            for (carrier, (fresh, _)) in usable() {
-                let current = self.estimate.at(carrier);
-                deviation += (fresh - current).norm_sqr();
-                reference += current.norm_sqr();
+            for i in 0..NUM_DATA {
+                deviation += (fresh.get(i) - current.get(i)).norm_sqr();
+                reference += current.get(i).norm_sqr();
             }
-            if used == 0 || deviation > self.innovation_gate * self.innovation_gate * reference {
+            if deviation > self.innovation_gate * self.innovation_gate * reference {
                 self.rejected += 1;
                 return;
             }
         }
-        for (carrier, (fresh, weight)) in usable() {
-            let old = self.estimate.at(carrier);
-            let folded = self.rule.fold(old, fresh);
-            self.estimate
-                .set(carrier, old + (folded - old).scale(weight));
-        }
+        let rule = self.rule;
+        self.estimate
+            .update_data(|est| rule.fold_weighted(est, &fresh, &weight));
         let polarity = pilot_polarity(symbol_index);
-        for ((rx, base), carrier) in received.pilots.iter().zip(PILOT_BASE).zip(PILOT_CARRIERS) {
+        for (k, (rx, base)) in received.pilots.iter().zip(PILOT_BASE).enumerate() {
             let known = Complex64::new(base * polarity, 0.0);
-            let old = self.estimate.at(carrier);
-            self.estimate.set(carrier, self.rule.fold(old, *rx / known));
+            let old = self.estimate.pilots()[k];
+            self.estimate.set_pilot(k, self.rule.fold(old, *rx / known));
         }
         self.updates += 1;
     }
@@ -193,12 +207,7 @@ mod tests {
 
     fn flat_received(data: &[Complex64], h: Complex64, index: usize) -> FreqSymbol {
         let mut sym = FreqSymbol::with_standard_pilots(data.to_vec(), index);
-        for d in &mut sym.data {
-            *d *= h;
-        }
-        for p in &mut sym.pilots {
-            *p *= h;
-        }
+        sym.rotate_by(h);
         sym
     }
 

@@ -23,14 +23,16 @@
 use crate::convolutional::{
     coded_len, decode_prepared, CodeRate, ViterbiScratch, CONSTRAINT_LENGTH,
 };
-use crate::equalizer::{compensate_phase, estimate_noise_from_ltf, track_phase, ChannelEstimate};
+use crate::equalizer::{estimate_noise_from_ltf, track_phase, ChannelEstimate};
 use crate::interleaver::RxSymbolMap;
 use crate::math::Complex64;
 use crate::mcs::{Mcs, SYMBOL_DURATION};
 use crate::modulation::Modulation;
 #[cfg(test)]
 use crate::ofdm::demodulate_symbol;
-use crate::ofdm::{demodulate_symbol_into, FreqSymbol, DATA_CARRIERS, NUM_DATA, SYMBOL_LEN};
+use crate::ofdm::{
+    demodulate_symbol_into, Carriers, FreqSymbol, CP_LEN, FFT_SIZE, NUM_DATA, SYMBOL_LEN,
+};
 use crate::preamble::{ltf_offsets, PREAMBLE_LEN};
 use crate::rte::{CalibrationRule, RteEstimator};
 use crate::scrambler::Scrambler;
@@ -131,7 +133,8 @@ enum Estimator {
     /// Preamble-only estimation: the decoder's LTF-derived `initial`
     /// estimate is used as-is (no copy of it is kept here).
     Fixed,
-    Rte(RteEstimator),
+    /// Boxed: the estimator holds a whole channel estimate.
+    Rte(Box<RteEstimator>),
 }
 
 impl Estimator {
@@ -144,36 +147,34 @@ impl Estimator {
 }
 
 /// Buffered state for one side-channel CRC group: its demapped bits and
-/// side values and, under RTE only, copies of its raw symbols before the
-/// last (the last is still in [`PhyScratch`]'s `raw` slot when the group
-/// closes). Cleared symbol copies are parked in a spare pool instead of
-/// dropped, so they recycle their allocations.
+/// side values and, under RTE only, its raw symbols before the last
+/// with their common phase removed (the last is still in
+/// [`PhyScratch`]'s `raw` slot when the group closes).
 #[derive(Debug, Default)]
 struct GroupBuffer {
     bits: Vec<u8>,
     side_values: Vec<u8>,
     received: Vec<FreqSymbol>,
-    spare: Vec<FreqSymbol>,
 }
 
 impl GroupBuffer {
     fn clear(&mut self) {
         self.bits.clear();
         self.side_values.clear();
-        self.spare.append(&mut self.received);
+        self.received.clear();
     }
 }
 
-/// Reusable receive-path workspace: the FFT bin buffer, demodulated and
-/// equalised symbol slots, the soft-bit (LLR) buffer, the Viterbi
-/// trellis, and the side-channel group buffer. Every [`FrameDecoder`]
+/// Reusable receive-path workspace: the demodulated and equalised
+/// symbol slots, the soft-bit (LLR) buffer, the Viterbi trellis, and the
+/// side-channel group buffer. Every [`FrameDecoder`]
 /// owns one, so the steady-state symbol loop performs no heap
 /// allocation beyond its per-symbol outputs; recycle it across frames
 /// with [`FrameDecoder::with_scratch`] / [`FrameDecoder::into_scratch`].
 #[derive(Debug)]
 pub struct PhyScratch {
     raw: FreqSymbol,
-    eq: FreqSymbol,
+    eq: Carriers,
     llrs: Vec<f64>,
     viterbi: ViterbiScratch,
     group: GroupBuffer,
@@ -185,7 +186,7 @@ impl Default for PhyScratch {
     fn default() -> PhyScratch {
         PhyScratch {
             raw: FreqSymbol::zeroed(),
-            eq: FreqSymbol::zeroed(),
+            eq: Carriers::splat(Complex64::ZERO),
             llrs: Vec::new(),
             viterbi: ViterbiScratch::default(),
             group: GroupBuffer::default(),
@@ -276,7 +277,9 @@ impl<'a> FrameDecoder<'a> {
         let noise_var = estimate_noise_from_ltf(ltf1, ltf2);
         let estimator = match estimation {
             Estimation::Standard => Estimator::Fixed,
-            Estimation::Rte(rule) => Estimator::Rte(RteEstimator::new(initial.clone(), rule)),
+            Estimation::Rte(rule) => {
+                Estimator::Rte(Box::new(RteEstimator::new(initial.clone(), rule)))
+            }
         };
         Ok(FrameDecoder {
             samples,
@@ -353,11 +356,12 @@ impl<'a> FrameDecoder<'a> {
     #[cfg(test)]
     fn peek_is_qbpsk(&self) -> Result<bool, PhyError> {
         let raw = demodulate_symbol(symbol_at(self.samples, self.sample_pos)?);
-        let mut eq = self.estimator.current(&self.initial).equalize(&raw);
-        let track = track_phase(&eq, self.symbol_index);
-        compensate_phase(&mut eq, track.offset);
+        let estimate = self.estimator.current(&self.initial);
+        let track = track_phase(&estimate.equalize_pilots(&raw), self.symbol_index);
+        let mut eq = Carriers::splat(Complex64::ZERO);
+        estimate.equalize_rotated(&raw, Complex64::cis(-track.offset), &mut eq);
         let (mut re, mut im) = (0.0f64, 0.0f64);
-        for p in &eq.data {
+        for p in eq.points() {
             re += p.re * p.re;
             im += p.im * p.im;
         }
@@ -473,38 +477,36 @@ impl<'a> FrameDecoder<'a> {
             .unwrap_or(0);
 
         for k in 0..num_symbols {
-            demodulate_symbol_into(symbol_at(samples, *sample_pos)?, &mut scratch.raw);
+            demodulate_symbol_into(symbol_body_at(samples, *sample_pos)?, &mut scratch.raw);
             *sample_pos += SYMBOL_LEN;
             let idx = *symbol_index + k;
 
-            estimator
-                .current(initial)
-                .equalize_into(&scratch.raw, &mut scratch.eq);
-            let track = track_phase(&scratch.eq, idx);
-            compensate_phase(&mut scratch.eq, track.offset);
+            // Equalise the pilots, track the common phase on them, then
+            // equalise the data carriers and take that phase off in one
+            // pass. RTE reuses the same phasor.
+            let estimate = estimator.current(initial);
+            let track = track_phase(&estimate.equalize_pilots(&scratch.raw), idx);
+            let derotate = Complex64::cis(-track.offset);
+            let eq = &mut scratch.eq;
+            estimate.equalize_rotated(&scratch.raw, derotate, eq);
             phase_offsets.push(track.offset);
             if layout.qbpsk {
-                // Undo the format mark on the data subcarriers.
-                for p in &mut scratch.eq.data {
-                    *p *= -Complex64::I;
-                }
+                // Undo the format mark on the data subcarriers: a full
+                // complex multiply by -i, whose signed zeros a
+                // swap-and-negate would not reproduce.
+                eq.rotate_by(-Complex64::I);
             }
 
-            let hard = modulation.demap_all(&scratch.eq.data);
-            debug_assert_eq!(hard.len(), n_cbps);
+            let mut hard = vec![0u8; n_cbps];
+            modulation.demap_carriers(eq, &mut hard);
 
             // Soft path: per-carrier LLRs with ZF noise amplification
             // (noise variance on carrier c grows by 1/|H_c|^2).
             if fec == Fec::Soft {
-                let estimate = estimator.current(initial);
-                for ((slot, point), carrier) in scratch
-                    .llrs
-                    .chunks_exact_mut(bits_per_point)
-                    .zip(&scratch.eq.data)
-                    .zip(DATA_CARRIERS)
-                {
-                    let gain = estimate.at(carrier).norm_sqr().max(1e-9);
-                    modulation.demap_soft_slice(*point, *noise_var / gain, slot);
+                let h = estimate.data();
+                for (i, slot) in scratch.llrs.chunks_exact_mut(bits_per_point).enumerate() {
+                    let gain = h.get(i).norm_sqr().max(1e-9);
+                    modulation.demap_soft_slice(eq.get(i), *noise_var / gain, slot);
                 }
             }
 
@@ -525,11 +527,11 @@ impl<'a> FrameDecoder<'a> {
                 if len < sc.group_symbols && k < num_symbols - 1 {
                     // The group stays open. RTE may update from this
                     // symbol once the group's CRC is known, so it keeps
-                    // a copy of the raw symbol; nothing else reads it.
+                    // a copy of the raw symbol with the common phase
+                    // removed; nothing else reads it.
                     if let Estimator::Rte(_) = estimator {
-                        let mut held = group.spare.pop().unwrap_or_else(FreqSymbol::zeroed);
-                        held.data.clone_from(&scratch.raw.data);
-                        held.pilots = scratch.raw.pilots;
+                        let mut held = scratch.raw;
+                        held.rotate_by(derotate);
                         group.received.push(held);
                     }
                 } else {
@@ -565,14 +567,13 @@ impl<'a> FrameDecoder<'a> {
                             // (keeping the preamble phase convention)
                             // against its decided points, looked up by
                             // the demapped bits' labels.
-                            let held = group.received.iter_mut();
-                            let symbols = held.chain(std::iter::once(&mut scratch.raw));
+                            // The symbols held back were derotated when
+                            // they were held; this one is derotated now.
+                            scratch.raw.rotate_by(derotate);
+                            let held = group.received.iter();
+                            let symbols = held.chain(std::iter::once(&scratch.raw));
                             let rows = group.bits.chunks_exact(n_cbps);
-                            let offsets = &phase_offsets[k + 1 - len..];
-                            for (j, ((sym, row), &offset)) in
-                                symbols.zip(rows).zip(offsets).enumerate()
-                            {
-                                compensate_phase(sym, offset);
+                            for (j, (sym, row)) in symbols.zip(rows).enumerate() {
                                 let before = rte.updates();
                                 rte.update(sym, modulation, row, first + j);
                                 let applied = rte.updates() > before;
@@ -643,11 +644,31 @@ impl<'a> FrameDecoder<'a> {
 /// Returns [`PhyError::LengthMismatch`] if `samples` ends before the
 /// symbol does.
 fn symbol_at(samples: &[Complex64], pos: usize) -> Result<&[Complex64; SYMBOL_LEN], PhyError> {
+    chunk_at(samples, pos)
+}
+
+/// The `FFT_SIZE` samples that follow the cyclic prefix of the OFDM
+/// symbol that starts at `pos`: what its FFT reads.
+///
+/// # Errors
+///
+/// Returns [`PhyError::LengthMismatch`], as [`symbol_at`] does, if
+/// `samples` ends before the symbol does.
+fn symbol_body_at(samples: &[Complex64], pos: usize) -> Result<&[Complex64; FFT_SIZE], PhyError> {
+    chunk_at(samples, pos.saturating_add(CP_LEN))
+}
+
+/// The `N` samples that start at `pos`, or the error that names where
+/// they would end.
+fn chunk_at<const N: usize>(
+    samples: &[Complex64],
+    pos: usize,
+) -> Result<&[Complex64; N], PhyError> {
     samples
         .get(pos..)
         .and_then(<[Complex64]>::first_chunk)
         .ok_or(PhyError::LengthMismatch {
-            expected: pos.saturating_add(SYMBOL_LEN),
+            expected: pos.saturating_add(N),
             actual: samples.len(),
         })
 }

@@ -14,8 +14,8 @@
 //! Per frame the chain allocates the sample buffer (sized once) and two
 //! bit scratch buffers; per section, its metadata with one
 //! interleaved-bit row per symbol; nothing else. Each symbol is mapped
-//! through a point table into a stack array of 64 bins in bit-reversed
-//! order, transformed in place and written straight into the samples.
+//! through a point table into a stack array of 64 bins, transformed
+//! into a second one and written straight into the samples.
 
 use crate::convolutional::encode_into;
 use crate::crc::SmallCrc;
@@ -24,8 +24,7 @@ use crate::math::{wrap_angle, Complex64};
 use crate::mcs::Mcs;
 use crate::modulation::{label, LabelPoint};
 use crate::ofdm::{
-    emit_symbol, pilot_polarity, DATA_SLOTS, FFT_SIZE, NUM_DATA, PILOT_BASE, PILOT_SLOTS,
-    SYMBOL_LEN,
+    emit_symbol, pilot_polarity, DATA_BINS, FFT_SIZE, NUM_DATA, PILOT_BASE, PILOT_BINS, SYMBOL_LEN,
 };
 use crate::preamble::{preamble, PREAMBLE_LEN};
 use crate::scrambler::Scrambler;
@@ -294,7 +293,7 @@ fn place_points(
     rotation: Option<Complex64>,
     bins: &mut [Complex64; FFT_SIZE],
 ) {
-    for (bits, &slot) in row.chunks_exact(bps).zip(&DATA_SLOTS) {
+    for (bits, &slot) in row.chunks_exact(bps).zip(&DATA_BINS) {
         let mut point = points[label(bits) & 63].point;
         if qbpsk {
             // Rotate only the data subcarriers; pilots stay put so phase
@@ -395,14 +394,14 @@ fn transmit_section(
                 &mut bins,
             );
             let polarity = pilot_polarity(first_symbol + k);
-            for (&base, &slot) in PILOT_BASE.iter().zip(&PILOT_SLOTS) {
+            for (&base, &slot) in PILOT_BASE.iter().zip(&PILOT_BINS) {
                 let mut pilot = Complex64::new(base * polarity, 0.0);
                 if let Some(r) = rotation {
                     pilot *= r;
                 }
                 bins[slot] = pilot;
             }
-            emit_symbol(&mut bins, samples);
+            emit_symbol(&bins, samples);
         }
         start += group;
     }

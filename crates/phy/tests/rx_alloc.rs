@@ -8,13 +8,15 @@
 //!   OFDM symbol: the demapped bits kept in `raw_symbol_bits`. Under
 //!   `Fec::Off` the decoded bits are never built: one vector fewer.
 //! * `receive` adds a per-frame constant on top: the decoder setup, the
-//!   section list and a fresh scratch's first-use buffers. Nothing else
+//!   section list and a fresh scratch's first-use buffers. The decoder
+//!   setup is RTE's boxed estimator or nothing: the channel estimate and
+//!   the symbol slot are fixed-size arrays. Nothing else
 //!   grows with the frame length, and under `Fec::Off` that constant
 //!   holds no Viterbi lattice or survivor buffers, so it is smaller.
 //!   The side-channel group buffers in it depend on the estimator:
 //!   Standard keeps only each CRC group's bits and side values, while
-//!   RTE, on groups of more than one symbol, also keeps copies of the
-//!   raw symbols it may update from once the group's CRC is known.
+//!   RTE, on groups of more than one symbol, also keeps a list of copies
+//!   of the raw symbols it may update from once the group's CRC is known.
 //! * The Viterbi decoder allocates only the bits it returns once its
 //!   scratch is warm.
 //!
@@ -182,16 +184,16 @@ fn receive_adds_only_a_per_frame_constant() {
                     "{estimation:?} {mcs} kind {kind}: setup varies with length: {setups:?}"
                 );
                 // Decoder setup (the LTF channel estimate, whose FFTs
-                // run on stack arrays, and a fresh scratch's two symbol
-                // buffers; the default no-op observability handle
-                // allocates nothing) is itself a constant; RTE copies
-                // the estimate.
+                // run on stack arrays, and a fresh scratch's symbol
+                // slot, both fixed-size arrays; the default no-op
+                // observability handle) allocates nothing but RTE's
+                // boxed estimator, which holds a copy of the estimate.
                 let (tx, _) = frame(mcs, 800, kind);
                 let (allocs, decoder) =
                     allocations_during(|| FrameDecoder::new(&tx.samples, estimation));
                 assert!(decoder.is_ok());
                 let rte = usize::from(matches!(estimation, Estimation::Rte(_)));
-                assert_eq!(allocs, 3 + rte, "{estimation:?}");
+                assert_eq!(allocs, rte, "{estimation:?}");
             }
         }
     }
@@ -200,13 +202,13 @@ fn receive_adds_only_a_per_frame_constant() {
 /// First use of the side-channel group buffers on a fresh scratch, for
 /// CRC groups of `group` symbols (0: no side channel): the group's bit
 /// and value lists. RTE on groups of more than one symbol also keeps a
-/// copy of each raw symbol but the last until the group's CRC is known:
-/// the list of copies, the copies themselves and the spare pool they are
-/// parked in. Standard estimation never reads them, so it keeps none.
+/// copy of each raw symbol but the last until the group's CRC is known,
+/// in one list (the copies are plain arrays). Standard estimation never
+/// reads them, so it keeps none.
 fn side_group_first_use(estimation: Estimation, group: usize) -> usize {
     let lists = if group > 0 { 2 } else { 0 };
     let copies = match estimation {
-        Estimation::Rte(_) if group > 1 => 1 + (group - 1) + 1,
+        Estimation::Rte(_) if group > 1 => 1,
         _ => 0,
     };
     lists + copies

@@ -70,16 +70,19 @@ stage_begin "cargo test --workspace"
 cargo test --workspace --offline -q
 stage_end
 
-stage_begin "cargo test --release -p carpool-phy"
-# The PHY kernels must stay bit-identical to their references, and the
-# optimizer decides some of their floating-point results (a
-# constant-folded 0/0 once differed between debug and release), while
-# the workspace run above is a debug build. So every carpool-phy test
-# runs again in release, the golden hashes of transmit/receive/Viterbi
-# among them. The Viterbi overflow-trap tests can only pass where `i32`
-# overflow traps, so they compile only under `debug_assertions` and run
-# in the debug stage above.
+stage_begin "cargo test --release -p carpool-phy -p carpool-channel"
+# The PHY kernels and the channel must stay bit-identical to their
+# references, and the optimizer decides some of their floating-point
+# results (a constant-folded 0/0 once differed between debug and
+# release), while the workspace run above is a debug build. So every
+# carpool-phy and carpool-channel test runs again in release, the
+# optimised build perfbench uses: the golden hashes of
+# transmit/receive/Viterbi and of the channel's output among them, and
+# the channel's one-allocation-per-frame pin. The Viterbi overflow-trap
+# tests can only pass where `i32` overflow traps, so they compile only
+# under `debug_assertions` and run in the debug stage above.
 cargo test --release --offline -q -p carpool-phy
+cargo test --release --offline -q -p carpool-channel
 stage_end
 
 stage_begin "cargo test perfbench (its own workspace)"
