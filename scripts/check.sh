@@ -1,9 +1,10 @@
 #!/bin/sh
 # Offline gate: a size report, formatting, clippy, rustdoc, the workspace
-# tests, the PHY tests in release, the perfbench tests and the
-# paired perf gate against the parent commit. Run from anywhere;
-# everything resolves relative to the repo root. Each stage reports its
-# wall time so gate slowdowns are visible in CI logs.
+# tests, the PHY tests in release, the perfbench tests, the golden
+# figure outputs and the paired perf gate against the parent commit.
+# Run from anywhere; everything resolves relative to the repo root.
+# Each stage reports its wall time so gate slowdowns are visible in CI
+# logs.
 #
 # Visibility is checked in two layers. rustc's `unreachable_pub`
 # (Cargo.toml), fatal under clippy's -D warnings, flags a `pub` item that
@@ -91,6 +92,15 @@ stage_begin "cargo test perfbench (its own workspace)"
 # compiles it: a renamed or deleted pub fn it uses would only surface
 # when the benchmark runs. Its build lands under target/ like the rest.
 cargo test --release --offline -q --manifest-path perfbench/Cargo.toml --target-dir target/perfbench
+stage_end
+
+stage_begin "golden figure outputs (CARPOOL_THREADS=1 and 4)"
+# Every figure/table bench target must print exactly its committed
+# crates/bench/golden/<target>.txt at 1 and at 4 threads; a failure names
+# the target and the first differing line. A declared output change
+# re-blesses the files with `scripts/golden.sh bless` and shows up as a
+# reviewed golden diff.
+scripts/golden.sh
 stage_end
 
 stage_begin "paired perf gate (phy_micro against the parent commit)"
