@@ -1,9 +1,9 @@
 //! PHY/MAC timing parameters (paper Table 2) and airtime arithmetic.
 //!
-//! All durations are in seconds. Airtime computations mirror the PHY
-//! implementation exactly (including convolutional tails), so the MAC
-//! simulator's clock agrees with what `carpool-phy` would actually
-//! modulate.
+//! All durations are in seconds. Control frames and headers are priced
+//! with the PHY implementation's true symbol counts (including the
+//! convolutional tail); [`crate::nav::Txop`] assembles them with a data
+//! payload's symbol count into the airtime of a whole exchange.
 
 use crate::mac_frame::ACK_BYTES;
 use crate::sig::SIG_BITS;
@@ -40,20 +40,6 @@ pub fn sig_airtime() -> f64 {
     CONTROL_MCS.airtime_for_bits(SIG_BITS)
 }
 
-/// Airtime of a legacy (single-receiver) data frame.
-pub fn data_frame_airtime(payload_bytes: usize, mcs: Mcs) -> f64 {
-    PLCP_OVERHEAD + mcs.airtime_for_bits(payload_bytes * 8)
-}
-
-/// Airtime of a Carpool frame given its subframes as `(bytes, mcs)`.
-pub fn carpool_frame_airtime(subframes: &[(usize, Mcs)]) -> f64 {
-    let payload: f64 = subframes
-        .iter()
-        .map(|&(bytes, mcs)| sig_airtime() + mcs.airtime_for_bits(bytes * 8))
-        .sum();
-    PLCP_OVERHEAD + ahdr_airtime() + payload
-}
-
 /// Airtime of an ACK frame at the base rate.
 pub fn ack_airtime() -> f64 {
     PLCP_OVERHEAD + CONTROL_MCS.airtime_for_bits(ACK_BYTES * 8)
@@ -71,21 +57,43 @@ pub fn rts_airtime(with_ahdr: bool) -> f64 {
 }
 
 /// Airtime of a CTS frame (14 bytes) at the base rate.
-pub fn cts_airtime() -> f64 {
+pub(crate) fn cts_airtime() -> f64 {
     PLCP_OVERHEAD + CONTROL_MCS.airtime_for_bits(14 * 8)
 }
 
-/// Duration of a complete legacy exchange: DATA + SIFS + ACK.
-#[cfg(test)]
-fn legacy_exchange_airtime(payload_bytes: usize, mcs: Mcs) -> f64 {
-    data_frame_airtime(payload_bytes, mcs) + SIFS + ack_airtime()
+/// Medium time a garbled PPDU of `airtime` seconds costs every station:
+/// the PPDU, then the extended interframe space (SIFS + ACK + DIFS)
+/// that stands in for the ACK or CTS that never comes.
+pub fn garbled_airtime(airtime: f64) -> f64 {
+    airtime + (SIFS + ack_airtime() + DIFS)
 }
 
-/// Duration of a complete Carpool exchange: DATA + N x (SIFS + ACK)
-/// (sequential ACKs, paper Section 4.2).
-#[cfg(test)]
-fn carpool_exchange_airtime(subframes: &[(usize, Mcs)]) -> f64 {
-    carpool_frame_airtime(subframes) + subframes.len() as f64 * (SIFS + ack_airtime())
+/// The PHY header a data PPDU carries after the legacy PLCP.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum DataHeader {
+    /// A single-receiver PPDU (802.11, A-MPDU, WiFox, an uplink frame,
+    /// a legacy client's frame): nothing beyond the PLCP.
+    Plain,
+    /// Carpool: the 48-bit Bloom-filter A-HDR plus one SIG per subframe
+    /// (paper Section 4.1).
+    Ahdr,
+    /// MU-Aggregation: one 48-bit MAC address per receiver at the base
+    /// rate plus one SIG per subframe (the naive design the paper's
+    /// Section 3 example costs out).
+    Addresses,
+}
+
+impl DataHeader {
+    /// Airtime of this header for `receivers` receivers.
+    pub(crate) fn airtime(self, receivers: usize) -> f64 {
+        match self {
+            DataHeader::Plain => 0.0,
+            DataHeader::Ahdr => ahdr_airtime() + receivers as f64 * sig_airtime(),
+            DataHeader::Addresses => {
+                CONTROL_MCS.airtime_for_bits(receivers * 48) + receivers as f64 * sig_airtime()
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -123,27 +131,13 @@ mod tests {
     }
 
     #[test]
-    fn aggregation_amortises_plcp() {
-        // One Carpool frame with 4 x 500 B at QAM64 is far shorter than
-        // four separate exchanges.
-        let subframes = [(500, Mcs::QAM64_3_4); 4];
-        let carpool = carpool_exchange_airtime(&subframes);
-        let separate: f64 = (0..4)
-            .map(|_| legacy_exchange_airtime(500, Mcs::QAM64_3_4) + DIFS)
-            .sum();
-        // (The full gain also includes avoided backoff, which the MAC
-        // simulator accounts for; pure airtime already saves ~20%.)
-        assert!(carpool < separate * 0.85, "carpool {carpool} vs {separate}");
-    }
-
-    #[test]
-    fn airtime_monotone_in_payload() {
-        let mut prev = 0.0;
-        for bytes in [100, 300, 800, 1500] {
-            let t = data_frame_airtime(bytes, Mcs::QPSK_1_2);
-            assert!(t > prev);
-            prev = t;
+    fn carpool_header_is_cheaper_than_mu_aggregation() {
+        for n in 2..=8 {
+            let carpool = DataHeader::Ahdr.airtime(n);
+            let mu = DataHeader::Addresses.airtime(n);
+            assert!(carpool < mu, "n={n}: {carpool} vs {mu}");
         }
+        assert_eq!(DataHeader::Plain.airtime(1), 0.0);
     }
 
     #[test]
@@ -159,9 +153,9 @@ mod tests {
     }
 
     #[test]
-    fn paper_example_1500b_at_54mbps() {
-        // ~222 µs payload + PLCP (Section 3 of the paper).
-        let t = data_frame_airtime(1500, Mcs::QAM64_3_4);
-        assert!((220e-6..260e-6).contains(&t), "{t}");
+    fn garbled_ppdu_costs_eifs() {
+        let eifs = garbled_airtime(0.0);
+        assert_eq!(eifs, SIFS + ack_airtime() + DIFS);
+        assert_eq!(garbled_airtime(100e-6), 100e-6 + eifs);
     }
 }

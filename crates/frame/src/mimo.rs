@@ -14,7 +14,8 @@
 //! MU-MIMO (which pays preamble + contention per group).
 
 use crate::addr::MacAddress;
-use crate::airtime::{ack_airtime, ahdr_airtime, sig_airtime, PLCP_OVERHEAD, SIFS};
+use crate::airtime::{ahdr_airtime, sig_airtime, PLCP_OVERHEAD};
+use crate::nav::nav_data;
 use crate::FrameError;
 use carpool_bloom::{AggregationHeader, DEFAULT_HASHES, MAX_RECEIVERS};
 use carpool_phy::mcs::Mcs;
@@ -169,9 +170,10 @@ impl MimoCarpoolFrame {
                 .sum::<f64>()
     }
 
-    /// Complete exchange time including one sequential ACK per receiver.
+    /// Complete exchange time including one sequential ACK per receiver
+    /// (Eq. 1).
     pub fn exchange_airtime(&self) -> f64 {
-        self.data_airtime() + self.receiver_count() as f64 * (SIFS + ack_airtime())
+        nav_data(self.receiver_count(), self.data_airtime())
     }
 
     /// Airtime the *same* payloads would need under plain 802.11ac
@@ -180,11 +182,7 @@ impl MimoCarpoolFrame {
     /// backoff costs per extra access come on top in a loaded cell.
     pub fn plain_mu_mimo_airtime(&self) -> f64 {
         (0..self.groups.len())
-            .map(|g| {
-                PLCP_OVERHEAD
-                    + self.group_airtime(g)
-                    + self.groups[g].len() as f64 * (SIFS + ack_airtime())
-            })
+            .map(|g| nav_data(self.groups[g].len(), PLCP_OVERHEAD + self.group_airtime(g)))
             .sum()
     }
 }

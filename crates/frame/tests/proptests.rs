@@ -4,7 +4,7 @@ use carpool_frame::addr::MacAddress;
 use carpool_frame::aggregation::{select, AggregationLimits, AggregationPolicy, Group};
 use carpool_frame::airtime::{ack_airtime, SIFS};
 use carpool_frame::mac_frame::{AmpduBundle, FrameKind, MacFrame};
-use carpool_frame::nav::{ack_start_offset, nav_ack, nav_data, nav_receiver};
+use carpool_frame::nav::{nav_ack, nav_data, nav_receiver};
 use carpool_frame::sig::Sig;
 use carpool_phy::mcs::Mcs;
 use proptest::prelude::*;
@@ -127,7 +127,7 @@ proptest! {
     fn nav_identities(n in 1usize..=8, payload_us in 1.0f64..10_000.0) {
         let payload = payload_us * 1e-6;
         // Eq. 1 decomposes into the ACK schedule.
-        let last_ack_end = ack_start_offset(n) + ack_airtime();
+        let last_ack_end = SIFS + nav_receiver(n) + ack_airtime();
         prop_assert!((nav_data(n, payload) - payload - last_ack_end).abs() < 1e-12);
         // ACK NAVs count down to zero.
         prop_assert_eq!(nav_ack(n, n), 0.0);

@@ -4,7 +4,7 @@
 
 use crate::error_model::EstimationScheme;
 use carpool_frame::aggregation::AggregationPolicy;
-use carpool_frame::airtime::{ahdr_airtime, sig_airtime, CONTROL_MCS, CW_MIN};
+use carpool_frame::airtime::DataHeader;
 
 /// A downlink MAC protocol variant.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -51,15 +51,6 @@ impl Protocol {
         }
     }
 
-    /// Minimum contention window of the AP (all protocols use the
-    /// standard CW; WiFox's priority is modelled via
-    /// [`Protocol::has_downlink_priority`] instead, because in a
-    /// saturated cell a smaller CW only multiplies ties/collisions).
-    pub(crate) fn ap_cw_min(&self) -> u32 {
-        let _ = self;
-        CW_MIN
-    }
-
     /// WiFox gives the AP adaptive priority over competing STAs when its
     /// downlink queue backs up (paper Section 7.2.1: "WiFox alleviates
     /// traffic asymmetry by giving higher priority to downlink
@@ -70,31 +61,19 @@ impl Protocol {
         matches!(self, Protocol::Wifox)
     }
 
-    /// Extra PHY-header airtime of a multi-receiver aggregate with
-    /// `receivers` destinations, beyond the legacy PLCP:
-    ///
-    /// * Carpool: the 48-bit A-HDR plus one SIG per subframe;
-    /// * MU-Aggregation: one 48-bit MAC address per receiver at the base
-    ///   rate (the naive design the paper's Section 3 example costs out)
-    ///   plus one SIG per subframe;
-    /// * single-receiver protocols: nothing.
-    pub(crate) fn aggregation_header_airtime(&self, receivers: usize) -> f64 {
-        match self {
-            Protocol::Dot11 | Protocol::Wifox | Protocol::Ampdu => 0.0,
-            Protocol::Carpool => ahdr_airtime() + receivers as f64 * sig_airtime(),
-            Protocol::MuAggregation => {
-                CONTROL_MCS.airtime_for_bits(receivers * 48) + receivers as f64 * sig_airtime()
-            }
-        }
+    /// Whether one TXOP serves several receivers (multi-user
+    /// aggregation with a multi-receiver PHY header, sequential ACKs and
+    /// multicast RTS): Carpool and MU-Aggregation.
+    pub(crate) fn multi_receiver(&self) -> bool {
+        matches!(self, Protocol::Carpool | Protocol::MuAggregation)
     }
 
-    /// Number of ACKs concluding a successful exchange with `receivers`
-    /// addressed receivers (sequential ACK for multi-receiver frames,
-    /// paper Section 4.2; one block ACK otherwise).
-    pub(crate) fn acks_per_exchange(&self, receivers: usize) -> usize {
+    /// PHY header of this protocol's aggregated downlink PPDU.
+    pub(crate) fn data_header(&self) -> DataHeader {
         match self {
-            Protocol::MuAggregation | Protocol::Carpool => receivers.max(1),
-            _ => 1,
+            Protocol::Dot11 | Protocol::Wifox | Protocol::Ampdu => DataHeader::Plain,
+            Protocol::Carpool => DataHeader::Ahdr,
+            Protocol::MuAggregation => DataHeader::Addresses,
         }
     }
 
@@ -156,30 +135,21 @@ mod tests {
     fn wifox_has_priority_access() {
         assert!(Protocol::Wifox.has_downlink_priority());
         assert!(!Protocol::Dot11.has_downlink_priority());
-        assert_eq!(Protocol::Wifox.ap_cw_min(), CW_MIN);
     }
 
     #[test]
-    fn carpool_header_is_cheaper_than_mu_aggregation() {
-        for n in 2..=8 {
-            let carpool = Protocol::Carpool.aggregation_header_airtime(n);
-            let mu = Protocol::MuAggregation.aggregation_header_airtime(n);
-            assert!(carpool < mu, "n={n}: {carpool} vs {mu}");
-        }
-    }
-
-    #[test]
-    fn sequential_ack_counts() {
-        assert_eq!(Protocol::Carpool.acks_per_exchange(5), 5);
-        assert_eq!(Protocol::MuAggregation.acks_per_exchange(3), 3);
-        assert_eq!(Protocol::Ampdu.acks_per_exchange(1), 1);
-        assert_eq!(Protocol::Dot11.acks_per_exchange(1), 1);
-    }
-
-    #[test]
-    fn single_receiver_protocols_have_no_header_overhead() {
-        for p in [Protocol::Dot11, Protocol::Wifox, Protocol::Ampdu] {
-            assert_eq!(p.aggregation_header_airtime(1), 0.0, "{p}");
+    fn multi_receiver_protocols_aggregate_behind_a_multi_receiver_header() {
+        for p in Protocol::ALL {
+            assert_eq!(
+                p.multi_receiver(),
+                p.aggregation_policy() == AggregationPolicy::MultiUser,
+                "{p}"
+            );
+            assert_eq!(
+                p.multi_receiver(),
+                p.data_header() != DataHeader::Plain,
+                "{p}"
+            );
         }
     }
 }

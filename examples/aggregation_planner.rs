@@ -13,8 +13,8 @@ use carpool_bloom::analysis::{false_positive_ratio, optimal_hash_count};
 use carpool_bloom::AggregationHeader;
 use carpool_frame::addr::MacAddress;
 use carpool_frame::aggregation::{select, AggregationLimits, AggregationPolicy};
-use carpool_frame::airtime::{ack_airtime, carpool_frame_airtime, SIFS};
-use carpool_frame::nav::{ack_start_offset, nav_ack, nav_data, nav_receiver};
+use carpool_frame::airtime::{ack_airtime, DataHeader, SIFS};
+use carpool_frame::nav::{nav_ack, nav_data, nav_receiver, Protection, Txop};
 use carpool_phy::mcs::Mcs;
 
 fn main() {
@@ -83,17 +83,18 @@ fn main() {
     println!("  every receiver matches its own subframe (no false negatives)");
     println!();
 
-    // Airtime and the sequential-ACK schedule.
-    let subframes: Vec<(usize, Mcs)> = groups
+    // Airtime and the sequential-ACK schedule: each receiver's subframe
+    // is one section of OFDM symbols at its MCS.
+    let payload_symbols: usize = groups
         .iter()
         .map(|g| {
             let group = &positions[g.start..g.start + g.len];
             let bytes: usize = group.iter().map(|&k| queue[k].1).sum();
-            (bytes, Mcs::QAM64_3_4)
+            Mcs::QAM64_3_4.symbols_for_bits(bytes * 8)
         })
-        .collect();
-    let data_airtime = carpool_frame_airtime(&subframes);
-    let n = subframes.len();
+        .sum();
+    let n = groups.len();
+    let data_airtime = Txop::new(DataHeader::Ahdr, n, payload_symbols, Protection::Basic).data;
     println!("data PPDU airtime: {:.1} µs", data_airtime * 1e6);
     println!(
         "NAV_data (Eq. 1): {:.1} µs reserves the medium through all {} ACKs",
@@ -108,7 +109,7 @@ fn main() {
         println!(
             "{i:>10} {:>11.1} µs {:>11.1} µs {:>11.1} µs",
             nav_receiver(i) * 1e6,
-            ack_start_offset(i) * 1e6,
+            (SIFS + nav_receiver(i)) * 1e6,
             nav_ack(i, n) * 1e6
         );
     }
