@@ -740,14 +740,12 @@ impl<'m> Domain<'m> {
 
         if hidden_loss && self.cfg.use_rts_cts {
             // The missing CTS aborts the exchange after the RTS: data
-            // frames stay queued and are retried cheaply.
+            // frames stay queued and are retried cheaply, up to the
+            // retry limit.
             let busy = garbled_airtime(rts_airtime(true));
             self.now += busy;
             self.epoch_busy_s += busy;
-            if let Some(frame) = self.nodes[winner].queue.front_mut() {
-                frame.attempts += 1;
-            }
-            self.nodes[winner].on_collision(&mut self.rng);
+            self.fail_head(winner);
             self.charge_airtime(busy, false);
             return;
         }
@@ -923,8 +921,8 @@ impl<'m> Domain<'m> {
     }
 
     /// Node `k`'s exchange failed before any data got through (a
-    /// collision or a hidden terminal's hit): its head frame takes a
-    /// retry, and the node backs off over a doubled window.
+    /// collision, a hidden terminal's hit, an aborted RTS): its head
+    /// frame takes a retry, and the node backs off over a doubled window.
     fn fail_head(&mut self, k: usize) {
         if let Some(frame) = self.nodes[k].queue.pop_front() {
             if let Some(frame) = self.retry(self.nodes[k].is_ap, frame) {
@@ -1580,6 +1578,49 @@ mod tests {
         assert!(separate > one_section, "{separate} vs {one_section}");
         let expect = PLCP_OVERHEAD + separate as f64 * SYMBOL_DURATION;
         assert_eq!(plan.txop.data, expect);
+    }
+
+    /// An aborted RTS is a failed attempt like any other: a STA whose
+    /// RTS a hidden peer garbles every time loses its frame once the
+    /// attempts exceed [`RETRY_LIMIT`], and the drop counts in the
+    /// uplink.
+    #[test]
+    fn aborted_rts_exchanges_hit_the_retry_limit() {
+        use crate::sim::HiddenTerminals;
+        let cfg = SimConfig {
+            num_aps: 1,
+            num_stas: 2,
+            downlink: DownlinkTraffic::None,
+            uplink: None,
+            use_rts_cts: true,
+            hidden_terminals: Some(HiddenTerminals { fraction: 1.0 }),
+            ..SimConfig::default()
+        };
+        let (sender, peer) = (1, 2);
+        assert!(hidden_pair(cfg.seed, 1.0, sender, peer));
+        let model = BerBiasModel::default();
+        let mut domain = Domain::new(cfg, ModelHandle::Borrowed(&model), Obs::noop(), 0, 0.0);
+        for node in [sender, peer] {
+            domain.nodes[node].queue.push_back(PendingFrame {
+                dest: 0,
+                bytes: 200,
+                ..PendingFrame::default()
+            });
+        }
+        domain.scratch.winners.push(sender);
+        for round in 1..=RETRY_LIMIT + 1 {
+            // The peer's backoff runs out inside the RTS, every round,
+            // and its own frame never reaches the limit.
+            domain.nodes[peer].backoff = 0;
+            domain.nodes[peer].queue[0].attempts = 0;
+            domain.transmission_round(sender);
+            let left = usize::from(round <= RETRY_LIMIT);
+            assert_eq!(domain.nodes[sender].queue.len(), left, "round {round}");
+        }
+        let report = domain.finish();
+        assert_eq!(report.channel.hidden_collisions, u64::from(RETRY_LIMIT + 1));
+        assert_eq!(report.channel.transmissions, 0);
+        assert_eq!(report.uplink.dropped_frames, 1);
     }
 
     proptest::proptest! {
