@@ -117,9 +117,9 @@ impl CarpoolLink {
     }
 
     /// Transmits once and parses the *same* waveform at several stations
-    /// (broadcast semantics — every STA hears the same downlink frame,
-    /// though through an independent channel realisation here unless the
-    /// builder's seed is reused).
+    /// (broadcast semantics): the frame goes through this link's channel
+    /// once, and every station parses those same received samples, so all
+    /// stations share one channel realisation.
     ///
     /// The per-station receive paths are independent, so they fan out
     /// across the `carpool-par` worker pool (`CARPOOL_THREADS` controls

@@ -71,15 +71,12 @@ pub fn garbled_airtime(airtime: f64) -> f64 {
 /// The PHY header a data PPDU carries after the legacy PLCP.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DataHeader {
-    /// A single-receiver PPDU (802.11, A-MPDU, WiFox, an uplink frame,
-    /// a legacy client's frame): nothing beyond the PLCP.
+    /// A single-receiver PPDU: nothing beyond the PLCP.
     Plain,
-    /// Carpool: the 48-bit Bloom-filter A-HDR plus one SIG per subframe
-    /// (paper Section 4.1).
+    /// Carpool: the 48-bit A-HDR plus one SIG per subframe (Section 4.1).
     Ahdr,
     /// MU-Aggregation: one 48-bit MAC address per receiver at the base
-    /// rate plus one SIG per subframe (the naive design the paper's
-    /// Section 3 example costs out).
+    /// rate plus one SIG per subframe (the Section 3 example).
     Addresses,
 }
 

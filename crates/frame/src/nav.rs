@@ -14,23 +14,20 @@
 //!
 //! Subframe indices here are 1-based, following the paper's notation.
 //!
-//! [`Txop`] puts these together with [`crate::airtime`] into the airtime
-//! of a whole exchange — data PPDU, sequential ACKs, and under RTS/CTS
-//! the multicast RTS and sequential CTSs — and is the one timing model
-//! the MAC simulator's clock runs on.
+//! [`Txop`] combines them with [`crate::airtime`] into the airtime of a
+//! whole exchange: the one timing model the MAC simulator runs on.
 
 use crate::airtime::{
     ack_airtime, ahdr_airtime, cts_airtime, rts_airtime, DataHeader, PLCP_OVERHEAD, SIFS,
 };
 use carpool_phy::mcs::SYMBOL_DURATION;
 
-/// Airtime of `receivers` sequential ACKs, each after its SIFS:
-/// `N (t_ACK + t_SIFS)`.
+/// `N (t_ACK + t_SIFS)`: `receivers` sequential ACKs, each after a SIFS.
 fn ack_sequence(receivers: usize) -> f64 {
     receivers as f64 * (ack_airtime() + SIFS)
 }
 
-/// Airtime of `n` sequential CTSs, each after its SIFS (Fig. 7).
+/// `n` sequential CTSs, each after a SIFS (Fig. 7).
 fn cts_sequence(n: usize) -> f64 {
     n as f64 * (SIFS + cts_airtime())
 }
@@ -91,21 +88,17 @@ pub fn nav_cts(j: usize, n: usize, payload_airtime: f64) -> f64 {
 /// How a TXOP claims the medium ahead of its data PPDU.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Protection {
-    /// Basic access: the data PPDU follows the backoff directly.
+    /// Basic access.
     Basic,
-    /// RTS/CTS: an RTS, multicast with the A-HDR when `multicast`, then
-    /// one CTS per receiver in turn (Fig. 7).
+    /// An RTS, then one CTS per receiver in turn (Fig. 7).
     RtsCts {
         /// Whether the RTS carries the A-HDR.
         multicast: bool,
     },
 }
 
-/// The airtime of one TXOP, part by part.
-///
-/// Every part follows from the PPDU's header, its receivers and its
-/// payload's OFDM symbols; the MAC simulator advances its clock by
-/// [`Txop::airtime`] and charges the parts to the stations.
+/// The airtime of one TXOP, part by part: the MAC simulator advances
+/// its clock by [`Txop::airtime`] and charges the parts to stations.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct Txop {
     /// OFDM symbols of the PHY header ahead of the first MPDU.
@@ -114,20 +107,21 @@ pub struct Txop {
     pub data: f64,
     /// The sequential ACKs after it.
     pub acks: f64,
-    /// The whole TXOP: under RTS/CTS the RTS and the CTSs, then the data
-    /// PPDU and the ACKs ([`nav_data`]).
+    /// The whole TXOP: any RTS and CTSs, the data PPDU and the ACKs.
     pub airtime: f64,
-    /// How long a station that the A-HDR turns away stays awake: the
-    /// PLCP and the A-HDR (Section 4.1).
+    /// A station the A-HDR turns away stays awake for the PLCP and the
+    /// A-HDR (Section 4.1)...
     pub bystander_awake: f64,
-    /// How long that station then sleeps through the rest of the TXOP.
+    /// ...and sleeps through the rest of the TXOP.
     pub bystander_asleep: f64,
 }
 
 impl Txop {
     /// Times a TXOP whose data PPDU carries `header` and
-    /// `payload_symbols` OFDM symbols of MPDUs to `receivers` receivers,
-    /// each acknowledging in turn.
+    /// `payload_symbols` OFDM symbols to `receivers` receivers, each
+    /// acknowledging in turn. The ACKs are Eq. 1's [`nav_data`]; the
+    /// payload symbols are the caller's count (the MAC simulator rounds
+    /// each MPDU separately).
     ///
     /// # Panics
     ///

@@ -46,6 +46,7 @@ use carpool_traffic::voip::VoipSource;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::VecDeque;
+use std::ops::Deref;
 
 /// Trace-payload widening for station indices, byte counts, and symbol
 /// counts.
@@ -262,8 +263,7 @@ struct PlanBuf {
     groups: Vec<Group<usize>>,
     /// Selected queue positions, group by group.
     indices: Vec<usize>,
-    /// The planned TXOP's airtime; its header symbols are where the
-    /// payload's error positions start.
+    /// The planned TXOP's airtime.
     txop: Txop,
 }
 
@@ -273,16 +273,6 @@ impl PlanBuf {
         self.groups.clear();
         self.indices.clear();
         self.txop = Txop::default();
-    }
-
-    /// Plans the head frame alone, to `dest`.
-    fn push_head(&mut self, dest: usize) {
-        self.indices.push(0);
-        self.groups.push(Group {
-            dest,
-            start: 0,
-            len: 1,
-        });
     }
 }
 
@@ -302,7 +292,12 @@ fn plan_into(cfg: &SimConfig, node: &Node, node_id: usize, occupancy: &[f64], pl
     // aggregates legacy clients into a Carpool frame.
     let multi_user = cfg.protocol.multi_receiver();
     let header = if !node.is_ap || (multi_user && !is_carpool_capable(cfg, head.dest)) {
-        plan.push_head(head.dest);
+        plan.indices.push(0);
+        plan.groups.push(Group {
+            dest: head.dest,
+            start: 0,
+            len: 1,
+        });
         DataHeader::Plain
     } else {
         select_into(cfg, node, occupancy, plan);
@@ -369,24 +364,6 @@ struct RoundScratch {
     plan: PlanBuf,
 }
 
-/// The error model, either borrowed from a [`Simulator`] or owned by a
-/// dense-scenario domain.
-pub(crate) enum ModelHandle<'m> {
-    /// Borrowed from the owning simulator.
-    Borrowed(&'m dyn FrameErrorModel),
-    /// Owned (dense scenario: one model per domain).
-    Owned(Box<dyn FrameErrorModel>),
-}
-
-impl ModelHandle<'_> {
-    fn get(&self) -> &dyn FrameErrorModel {
-        match self {
-            ModelHandle::Borrowed(m) => *m,
-            ModelHandle::Owned(b) => b.as_ref(),
-        }
-    }
-}
-
 /// One collision domain steppable to a time bound.
 ///
 /// `step(limit)` performs one engine event — an arrival-driven idle
@@ -396,9 +373,11 @@ impl ModelHandle<'_> {
 /// the sequence of RNG draws and flight records depends only on the
 /// configuration, never on where the limits fell (arrival ingest is
 /// idempotent and the idle hop clamps to the active limit).
-pub(crate) struct Domain<'m> {
+pub(crate) struct Domain<M> {
     cfg: SimConfig,
-    model: ModelHandle<'m>,
+    /// The error model: borrowed from a [`Simulator`], or owned by a
+    /// dense-scenario domain.
+    model: M,
     obs: Obs,
     rng: StdRng,
     nodes: Vec<Node>,
@@ -435,20 +414,19 @@ pub(crate) struct Domain<'m> {
     epoch_busy_s: f64,
 }
 
-impl<'m> Domain<'m> {
+impl<M: Deref<Target = dyn FrameErrorModel>> Domain<M> {
     /// Builds a domain: seeds the RNG, samples the arrival table, and
     /// sets up one empty queue per node.
     pub(crate) fn new(
         cfg: SimConfig,
-        model: ModelHandle<'m>,
+        model: M,
         obs: Obs,
         id_base: u64,
         obss_coupling: f64,
-    ) -> Domain<'m> {
+    ) -> Domain<M> {
         let mut rng = StdRng::seed_from_u64(cfg.seed);
         let arrivals = generate_arrivals(&cfg, &mut rng);
-        let total_nodes = cfg.num_aps + cfg.num_stas;
-        let nodes: Vec<Node> = (0..total_nodes)
+        let nodes: Vec<Node> = (0..cfg.num_aps + cfg.num_stas)
             .map(|k| Node::new(k < cfg.num_aps))
             .collect();
         let downlink = FlowCollector::downlink(obs.clone());
@@ -483,28 +461,9 @@ impl<'m> Domain<'m> {
         }
     }
 
-    /// Engine events processed so far (arrivals + rounds + idle hops).
-    pub(crate) fn events(&self) -> u64 {
-        self.events
-    }
-
-    /// Sets the OBSS busy fraction neighbours imposed for the epoch now
-    /// starting.
-    pub(crate) fn set_obss_busy_frac(&mut self, frac: f64) {
-        self.obss_busy_frac = frac;
-    }
-
-    /// Drains the channel-busy seconds this domain accumulated since
-    /// the previous drain (one epoch's OBSS contribution).
-    pub(crate) fn take_epoch_busy(&mut self) -> f64 {
-        std::mem::take(&mut self.epoch_busy_s)
-    }
-
     /// Performs one engine event; returns `false` once `now >= limit`
     /// (after ingesting any arrivals due at `now`).
     pub(crate) fn step(&mut self, limit: f64) -> bool {
-        let total_nodes = self.cfg.num_aps + self.cfg.num_stas;
-
         // Ingest arrivals up to `now`.
         while let Some(&a) = self.arrivals.get(self.next_arrival) {
             if a.time > self.now {
@@ -558,7 +517,7 @@ impl<'m> Domain<'m> {
 
         // Who is contending?
         self.scratch.eligible.clear();
-        for k in 0..total_nodes {
+        for k in 0..self.nodes.len() {
             let n = &self.nodes[k];
             let contending = if n.queue.is_empty() {
                 false
@@ -715,8 +674,7 @@ impl<'m> Domain<'m> {
                 } else {
                     txop.data
                 };
-                let total_nodes = self.cfg.num_aps + self.cfg.num_stas;
-                for j in self.cfg.num_aps..total_nodes {
+                for j in self.cfg.num_aps..self.nodes.len() {
                     if j == winner
                         || self.nodes[j].queue.is_empty()
                         || !hidden_pair(self.cfg.seed, h.fraction, winner, j)
@@ -776,7 +734,6 @@ impl<'m> Domain<'m> {
                 let n_sym = mcs.symbols_for_bits(wire_bits);
                 let p = self
                     .model
-                    .get()
                     .subframe_success_prob(self.scheme, mcs, start_sym, n_sym);
                 let mut ok = !hidden_loss && self.rng.gen::<f64>() < p;
                 if self.obss_coupling > 0.0 {
@@ -853,18 +810,12 @@ impl<'m> Domain<'m> {
                     self.now,
                     trace_u64(frame.dest),
                     trace_u64(frame.bytes),
-                    (self.now - frame.enqueue).to_bits(),
+                    delay.to_bits(),
                 );
                 if winner_is_ap {
-                    if let Some(sta) = self
-                        .per_sta_downlink
-                        .get_mut(frame.dest.saturating_sub(self.cfg.num_aps))
-                    {
-                        sta.record_delivery(
-                            frame.bytes,
-                            self.now - frame.enqueue,
-                            self.cfg.deadline,
-                        );
+                    let sta = frame.dest.saturating_sub(self.cfg.num_aps);
+                    if let Some(per_sta) = self.per_sta_downlink.get_mut(sta) {
+                        per_sta.record_delivery(frame.bytes, delay, deadline);
                     }
                 }
             } else {
@@ -934,13 +885,11 @@ impl<'m> Domain<'m> {
 
     /// The one STA airtime ledger: charges a round's `busy` seconds to
     /// every STA. In a garbled round (a collision, an aborted RTS) the
-    /// winners sent all of it and everyone else overheard it. In a
-    /// `delivered` TXOP the sender sent the data PPDU and heard the ACKs,
-    /// and its receivers received the TXOP. Behind a multi-receiver
-    /// protocol's header, a receiver listens only to the A-HDR and
-    /// (approximately) its own subframes, and a downlink bystander only
-    /// to the PLCP and the A-HDR; each sleeps through the rest. Every
-    /// other STA overhears the whole TXOP.
+    /// winners sent it and the rest overheard it. In a `delivered` TXOP
+    /// the sender sent the data PPDU and heard the ACKs, and the
+    /// receivers received it, or with a multi-receiver protocol only the
+    /// A-HDR and their own subframes, bystanders only the PLCP and the
+    /// A-HDR, sleeping through the rest; anyone else overheard it.
     fn charge_airtime(&mut self, busy: f64, delivered: bool) {
         let RoundScratch { winners, plan, .. } = &self.scratch;
         let first_sta = self.cfg.num_aps;
@@ -978,8 +927,7 @@ impl<'m> Domain<'m> {
                                 .iter()
                                 .map(|&k| {
                                     let bytes = self.nodes[sender].queue[k].bytes;
-                                    let bits = (bytes + WIRE_OVERHEAD_BYTES) * 8;
-                                    mcs.airtime_for_bits(bits)
+                                    mcs.airtime_for_bits((bytes + WIRE_OVERHEAD_BYTES) * 8)
                                 })
                                 .sum::<f64>()
                         })
@@ -1140,9 +1088,9 @@ fn shard_of(domains: usize, shards: usize, domain: usize) -> usize {
 
 /// One shard's state while stepping: its first domain index and the
 /// domains it owns.
-struct Shard<'m> {
+struct Shard {
     lo: usize,
-    domains: Vec<Domain<'m>>,
+    domains: Vec<Domain<Box<dyn FrameErrorModel>>>,
 }
 
 /// Runs a dense multi-AP scenario on the sharded engine.
@@ -1206,7 +1154,7 @@ where
                     };
                     Domain::new(
                         cell,
-                        ModelHandle::Owned(make_model(d)),
+                        make_model(d),
                         dobs,
                         (d as u64) << 40,
                         cfg.obss_coupling,
@@ -1215,7 +1163,7 @@ where
                 .collect();
             Shard { lo, domains }
         },
-        |shard: &mut Shard<'_>, epoch, inbox: &[ObssMsg], outbox: &mut Vec<ObssMsg>| {
+        |shard: &mut Shard, epoch, inbox: &[ObssMsg], outbox: &mut Vec<ObssMsg>| {
             let epoch_end = (((epoch + 1) as f64) * epoch_s).min(duration);
             for (i, domain) in shard.domains.iter_mut().enumerate() {
                 let d = shard.lo + i;
@@ -1227,9 +1175,9 @@ where
                     .filter(|m| m.to_domain == d)
                     .map(|m| m.busy_s)
                     .sum();
-                domain.set_obss_busy_frac(busy_in / epoch_s);
+                domain.obss_busy_frac = busy_in / epoch_s;
                 while domain.step(epoch_end) {}
-                let busy_out = domain.take_epoch_busy();
+                let busy_out = std::mem::take(&mut domain.epoch_busy_s);
                 if d > 0 {
                     outbox.push(ObssMsg {
                         to_domain: d - 1,
@@ -1245,12 +1193,12 @@ where
             }
         },
         |m: &ObssMsg| shard_of(cfg.domains, num_shards, m.to_domain),
-        |shard: Shard<'_>| {
+        |shard: Shard| {
             shard
                 .domains
                 .into_iter()
                 .map(|domain| {
-                    let events = domain.events();
+                    let events = domain.events;
                     let records = domain.obs.take_records();
                     (domain.finish(), events, records)
                 })
@@ -1335,13 +1283,13 @@ mod tests {
                 ..SimConfig::default()
             };
             let model = BerBiasModel::default();
-            let mut domain = Domain::new(cfg, ModelHandle::Borrowed(&model), Obs::noop(), 0, 0.0);
+            let mut domain = Domain::new(cfg, &model as &dyn FrameErrorModel, Obs::noop(), 0, 0.0);
             while domain.step(1.0) {}
             let mut window_events = 0;
             for end in [2.0, 4.0, 8.0] {
-                let before = domain.events();
+                let before = domain.events;
                 let (allocs, ()) = allocations_during(|| while domain.step(end) {});
-                let events = domain.events() - before;
+                let events = domain.events - before;
                 assert!(
                     events > window_events,
                     "{protocol:?}: events must grow with the window"
@@ -1599,7 +1547,7 @@ mod tests {
         let (sender, peer) = (1, 2);
         assert!(hidden_pair(cfg.seed, 1.0, sender, peer));
         let model = BerBiasModel::default();
-        let mut domain = Domain::new(cfg, ModelHandle::Borrowed(&model), Obs::noop(), 0, 0.0);
+        let mut domain = Domain::new(cfg, &model as &dyn FrameErrorModel, Obs::noop(), 0, 0.0);
         for node in [sender, peer] {
             domain.nodes[node].queue.push_back(PendingFrame {
                 dest: 0,

@@ -61,9 +61,8 @@ impl Protocol {
         matches!(self, Protocol::Wifox)
     }
 
-    /// Whether one TXOP serves several receivers (multi-user
-    /// aggregation with a multi-receiver PHY header, sequential ACKs and
-    /// multicast RTS): Carpool and MU-Aggregation.
+    /// Whether one TXOP serves several receivers behind one header, with
+    /// sequential ACKs and a multicast RTS: Carpool and MU-Aggregation.
     pub(crate) fn multi_receiver(&self) -> bool {
         matches!(self, Protocol::Carpool | Protocol::MuAggregation)
     }

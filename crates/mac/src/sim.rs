@@ -19,7 +19,7 @@
 //! dense-scenario runner ([`crate::engine::run_dense`]) drives in
 //! parallel.
 
-use crate::engine::{Domain, ModelHandle};
+use crate::engine::Domain;
 use crate::error_model::FrameErrorModel;
 use crate::metrics::SimReport;
 use crate::protocol::Protocol;
@@ -243,7 +243,7 @@ impl Simulator {
         let _sim_span = self.obs.span(carpool_obs::names::MAC_SIM_LOOP);
         let mut domain = Domain::new(
             self.config.clone(),
-            ModelHandle::Borrowed(self.error_model.as_ref()),
+            self.error_model.as_ref(),
             self.obs.clone(),
             0,
             0.0,

@@ -184,31 +184,18 @@ pub(crate) fn estimate_noise_from_ltf(
     diff_power / 2.0
 }
 
-/// Result of pilot-based phase tracking for one symbol.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct PhaseTrack {
-    /// Total measured common phase offset of the symbol, radians in
-    /// `(-pi, pi]`. Includes both inherent (CFO/channel drift) and any
-    /// injected side-channel rotation.
-    pub offset: f64,
-    /// Magnitude-weighted confidence of the measurement (sum of pilot
-    /// correlation magnitudes).
-    pub confidence: f64,
-}
-
 /// Estimates the common phase rotation of an equalised symbol from its
-/// four pilots, given the symbol index (for pilot polarity).
-pub(crate) fn track_phase(pilots: &[Complex64; NUM_PILOTS], symbol_index: usize) -> PhaseTrack {
+/// four pilots, given the symbol index (for pilot polarity): radians in
+/// `(-pi, pi]`, inherent (CFO/channel drift) and any injected
+/// side-channel rotation together.
+pub(crate) fn track_phase(pilots: &[Complex64; NUM_PILOTS], symbol_index: usize) -> f64 {
     let p = pilot_polarity(symbol_index);
     let mut acc = Complex64::ZERO;
     for (rx, base) in pilots.iter().zip(PILOT_BASE) {
         let expected = Complex64::new(base * p, 0.0);
         acc += *rx * expected.conj();
     }
-    PhaseTrack {
-        offset: wrap_angle(acc.arg()),
-        confidence: acc.abs(),
-    }
+    wrap_angle(acc.arg())
 }
 
 #[cfg(test)]
@@ -271,13 +258,11 @@ mod tests {
         for &angle in &[0.1, 0.7, -1.4, std::f64::consts::FRAC_PI_2] {
             let mut sym = FreqSymbol::with_standard_pilots(data.clone(), 5);
             sym.rotate(angle);
-            let track = track_phase(&sym.pilots, 5);
+            let offset = track_phase(&sym.pilots, 5);
             assert!(
-                (track.offset - angle).abs() < 1e-9,
-                "angle {angle}: measured {}",
-                track.offset
+                (offset - angle).abs() < 1e-9,
+                "angle {angle}: measured {offset}"
             );
-            assert!(track.confidence > 3.9);
         }
     }
 
@@ -287,8 +272,8 @@ mod tests {
         let data = Modulation::Bpsk.map_all(&bits);
         let mut sym = FreqSymbol::with_standard_pilots(data, 2);
         sym.rotate(1.0);
-        let track = track_phase(&sym.pilots, 2);
-        sym.rotate(-track.offset);
+        let offset = track_phase(&sym.pilots, 2);
+        sym.rotate(-offset);
         assert_eq!(Modulation::Bpsk.demap_all(&sym.data.points()), bits);
     }
 
@@ -300,8 +285,7 @@ mod tests {
         let idx = 4; // polarity -1 in the standard sequence
         assert_eq!(pilot_polarity(idx), -1.0);
         let sym = FreqSymbol::with_standard_pilots(data, idx);
-        let track = track_phase(&sym.pilots, idx);
-        assert!(track.offset.abs() < 1e-9);
+        assert!(track_phase(&sym.pilots, idx).abs() < 1e-9);
     }
 
     /// Sets one carrier of `est` through the mutators RTE uses.

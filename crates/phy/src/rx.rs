@@ -357,9 +357,9 @@ impl<'a> FrameDecoder<'a> {
     fn peek_is_qbpsk(&self) -> Result<bool, PhyError> {
         let raw = demodulate_symbol(symbol_at(self.samples, self.sample_pos)?);
         let estimate = self.estimator.current(&self.initial);
-        let track = track_phase(&estimate.equalize_pilots(&raw), self.symbol_index);
+        let offset = track_phase(&estimate.equalize_pilots(&raw), self.symbol_index);
         let mut eq = Carriers::splat(Complex64::ZERO);
-        estimate.equalize_rotated(&raw, Complex64::cis(-track.offset), &mut eq);
+        estimate.equalize_rotated(&raw, Complex64::cis(-offset), &mut eq);
         let (mut re, mut im) = (0.0f64, 0.0f64);
         for p in eq.points() {
             re += p.re * p.re;
@@ -485,11 +485,11 @@ impl<'a> FrameDecoder<'a> {
             // equalise the data carriers and take that phase off in one
             // pass. RTE reuses the same phasor.
             let estimate = estimator.current(initial);
-            let track = track_phase(&estimate.equalize_pilots(&scratch.raw), idx);
-            let derotate = Complex64::cis(-track.offset);
+            let offset = track_phase(&estimate.equalize_pilots(&scratch.raw), idx);
+            let derotate = Complex64::cis(-offset);
             let eq = &mut scratch.eq;
             estimate.equalize_rotated(&scratch.raw, derotate, eq);
-            phase_offsets.push(track.offset);
+            phase_offsets.push(offset);
             if layout.qbpsk {
                 // Undo the format mark on the data subcarriers: a full
                 // complex multiply by -i, whose signed zeros a
@@ -517,7 +517,7 @@ impl<'a> FrameDecoder<'a> {
                 let value = if prev_phase.is_nan() {
                     0
                 } else {
-                    sc.modulation.demodulate(track.offset - *prev_phase)
+                    sc.modulation.demodulate(offset - *prev_phase)
                 };
                 side_values.push(value);
                 group.bits.extend_from_slice(&hard);
@@ -596,7 +596,7 @@ impl<'a> FrameDecoder<'a> {
                 }
             }
 
-            *prev_phase = track.offset;
+            *prev_phase = offset;
             // Scatter this symbol's coded bits into the trellis lattice.
             if let Some((sc_map, lattice)) = &mut trellis {
                 let limit = n_cbps.min(usable.saturating_sub(k * n_cbps));

@@ -33,15 +33,36 @@ stage_end() {
 }
 
 stage_begin "size report"
-# Lines of Rust per crate, so a removal change can quote its
-# before/after from one command. Informational only: the `pub fn`
+# Lines of Rust per crate, and of its src/ outside `#[cfg(test)]` items
+# (an item ends where its braces close), so a removal change can quote
+# its before/after from one command. Informational only: the `pub fn`
 # ratchet is the root test `tests/source_rules.rs`, which counts
 # declarations in code rather than the words in strings and comments.
 # perfbench/ (the benchmark harness) is not counted.
+non_test_lines() {
+    find "$1" -name '*.rs' -exec awk '
+        FNR == 1 { skip = 0; depth = 0; open = 0 }
+        skip {
+            line = $0
+            o = gsub(/\{/, "", line); c = gsub(/\}/, "", line)
+            depth += o - c
+            if (o > 0) open = 1
+            if ((open && depth <= 0) || (!open && $0 ~ /;[ \t]*$/)) skip = 0
+            next
+        }
+        /^[ \t]*#\[cfg\(test\)\]/ { skip = 1; depth = 0; open = 0; next }
+        { n++ }
+        END { print n + 0 }' {} + | awk '{ n += $1 } END { print n + 0 }'
+}
 for dir in crates/* src tests examples; do
     [ -d "$dir" ] || continue
     lines=$(find "$dir" -name '*.rs' -exec cat {} + | wc -l) || lines=?
-    printf '  %-20s %7s lines\n' "$dir" "$lines"
+    if [ -d "$dir/src" ]; then
+        printf '  %-20s %7s lines, %6s in src outside tests\n' "$dir" "$lines" \
+            "$(non_test_lines "$dir/src")"
+    else
+        printf '  %-20s %7s lines\n' "$dir" "$lines"
+    fi
 done
 total=$(find crates src tests examples -name '*.rs' -exec cat {} + | wc -l) || total=?
 echo "  workspace .rs total: $total lines"
