@@ -13,6 +13,10 @@ pub(crate) struct Args {
     options: BTreeMap<String, String>,
 }
 
+/// The values a numeric option accepts: `(option, what a value must be,
+/// whether a value is)`.
+pub(crate) type ValueRange = (&'static str, &'static str, fn(f64) -> bool);
+
 /// Errors from argument parsing and lookup.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) enum ArgError {
@@ -22,6 +26,14 @@ pub(crate) enum ArgError {
         key: String,
         /// Offending raw value.
         value: String,
+    },
+    /// An option's value parsed but lies outside the range every
+    /// command that reads the option accepts.
+    OutOfRange {
+        /// Option name (without dashes).
+        key: String,
+        /// What the value must be, e.g. `"at least 1"`.
+        expected: &'static str,
     },
     /// An option the subcommand does not read (usually a typo).
     UnknownOption {
@@ -38,6 +50,7 @@ impl std::fmt::Display for ArgError {
             ArgError::BadValue { key, value } => {
                 write!(f, "invalid value '{value}' for --{key}")
             }
+            ArgError::OutOfRange { key, expected } => write!(f, "--{key} must be {expected}"),
             ArgError::UnknownOption { key, command } => match command {
                 Some(command) => write!(f, "unknown option --{key} for '{command}'"),
                 None => write!(f, "unknown option --{key}"),
@@ -124,6 +137,26 @@ impl Args {
         }
     }
 
+    /// Checks the value of every given option that `ranges` lists, read
+    /// as a number.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`ArgError::BadValue`] for a value that is not a number
+    /// and [`ArgError::OutOfRange`] for one its check rejects, naming the
+    /// first such option in `ranges` order.
+    pub(crate) fn check_ranges(&self, ranges: &[ValueRange]) -> Result<(), ArgError> {
+        for &(key, expected, valid) in ranges {
+            if self.get(key).is_some() && !valid(self.get_or(key, 0.0)?) {
+                return Err(ArgError::OutOfRange {
+                    key: key.to_string(),
+                    expected,
+                });
+            }
+        }
+        Ok(())
+    }
+
     /// Typed option with a default.
     ///
     /// # Errors
@@ -174,6 +207,24 @@ mod tests {
         let a = parse(&["x", "--stas", "many"]);
         assert!(matches!(
             a.get_or("stas", 0usize),
+            Err(ArgError::BadValue { .. })
+        ));
+    }
+
+    #[test]
+    fn out_of_range_values_are_named() {
+        let ranges: &[ValueRange] = &[("duration", "finite and positive", |d| {
+            d.is_finite() && d > 0.0
+        })];
+        let check = |tokens: &[&str]| parse(tokens).check_ranges(ranges);
+        assert_eq!(check(&["mac-sim", "--duration", "2"]), Ok(()));
+        assert_eq!(check(&["mac-sim"]), Ok(()));
+        for bad in ["nan", "inf", "0", "-1"] {
+            let err = check(&["mac-sim", "--duration", bad]).unwrap_err();
+            assert_eq!(err.to_string(), "--duration must be finite and positive");
+        }
+        assert!(matches!(
+            check(&["mac-sim", "--duration", "long"]),
             Err(ArgError::BadValue { .. })
         ));
     }

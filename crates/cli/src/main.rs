@@ -18,7 +18,7 @@ mod args;
 mod obs_session;
 mod report;
 
-use args::Args;
+use args::{Args, ValueRange};
 use carpool::link::CarpoolLink;
 use carpool::montecarlo::{run_frames, ChannelPoint, Fading};
 use carpool_bloom::analysis::{
@@ -103,6 +103,22 @@ PARALLELISM (accepted by every command):
 
 /// Options every command accepts (observability, parallelism).
 const GLOBAL_OPTIONS: &[&str] = &["obs", "obs-summary", "trace-out", "threads"];
+
+/// The values an option accepts, whichever command reads it. A NaN
+/// fails every check. A value outside its range fails before the
+/// command runs.
+const OPTION_RANGES: &[ValueRange] = &[
+    // A NaN duration would stall the simulation clock forever.
+    ("duration", "finite and positive", |d| {
+        d.is_finite() && d > 0.0
+    }),
+    ("aps", "at least 1", |n| n >= 1.0),
+    ("hidden", "in [0, 1]", |f| (0.0..=1.0).contains(&f)),
+    ("coupling", "a non-negative number", |c| c >= 0.0),
+    // Zero frames would print NaN rates; zero receivers has no A-HDR.
+    ("frames", "at least 1", |n| n >= 1.0),
+    ("receivers", "1..=8", |n| (1.0..=8.0).contains(&n)),
+];
 
 /// The options `command` reads (`--help` alone without a command), or
 /// `None` for an unknown command.
@@ -189,10 +205,6 @@ fn cmd_phy_ber(args: &Args, obs: &carpool_obs::Obs) -> Result<(), String> {
     let rician_k: f64 = args.get_or("rician-k", 15.0).map_err(|e| e.to_string())?;
     let cfo: f64 = args.get_or("cfo", 100.0).map_err(|e| e.to_string())?;
     let frames: usize = args.get_or("frames", 20).map_err(|e| e.to_string())?;
-    if frames == 0 {
-        // Every rate below divides by the frame count.
-        return Err("--frames must be at least 1".to_string());
-    }
     let kbytes: usize = args.get_or("kbytes", 4).map_err(|e| e.to_string())?;
     let seed: u64 = args.get_or("seed", 1000).map_err(|e| e.to_string())?;
     let estimation = if args.flag("rte") {
@@ -397,9 +409,6 @@ fn cmd_frame(args: &Args, obs: &carpool_obs::Obs) -> Result<(), String> {
     let bytes: usize = args.get_or("bytes", 400).map_err(|e| e.to_string())?;
     let snr: f64 = args.get_or("snr", 32.0).map_err(|e| e.to_string())?;
     let seed: u64 = args.get_or("seed", 7).map_err(|e| e.to_string())?;
-    if !(1..=8).contains(&receivers) {
-        return Err("--receivers must be 1..=8".to_string());
-    }
     let subframes: Vec<Subframe> = (0..receivers as u16)
         .map(|k| Subframe::new(MacAddress::station(k), Mcs::QAM16_1_2, vec![k as u8; bytes]))
         .collect();
@@ -458,9 +467,6 @@ fn cmd_bloom(args: &Args, obs: &carpool_obs::Obs) -> Result<(), String> {
     let receivers: usize = args.get_or("receivers", 8).map_err(|e| e.to_string())?;
     let hashes: usize = args.get_or("hashes", 4).map_err(|e| e.to_string())?;
     let trials: usize = args.get_or("trials", 20_000).map_err(|e| e.to_string())?;
-    if receivers == 0 || receivers > 8 {
-        return Err("--receivers must be 1..=8".to_string());
-    }
     let mut rng = StdRng::seed_from_u64(11);
     println!("A-HDR with {receivers} receivers, h = {hashes}:");
     println!(
@@ -534,7 +540,10 @@ fn main() {
     // A subcommand rejects every option it does not read; the unknown
     // command itself is reported below.
     if let Some(opts) = command_options(args.command()) {
-        if let Err(e) = args.check_options(&[GLOBAL_OPTIONS, opts]) {
+        let checked = args
+            .check_options(&[GLOBAL_OPTIONS, opts])
+            .and_then(|()| args.check_ranges(OPTION_RANGES));
+        if let Err(e) = checked {
             eprintln!("error: {e}");
             std::process::exit(2);
         }

@@ -2,20 +2,26 @@
 
 use std::process::Command;
 
+/// Runs the binary: its exit code (`None` if killed), stdout, stderr.
 #[expect(
     clippy::expect_used,
     reason = "test helper: a failed setup fails the test"
 )]
-fn run(args: &[&str]) -> (bool, String, String) {
+fn run_code(args: &[&str]) -> (Option<i32>, String, String) {
     let out = Command::new(env!("CARGO_BIN_EXE_carpool"))
         .args(args)
         .output()
         .expect("binary runs");
     (
-        out.status.success(),
+        out.status.code(),
         String::from_utf8_lossy(&out.stdout).into_owned(),
         String::from_utf8_lossy(&out.stderr).into_owned(),
     )
+}
+
+fn run(args: &[&str]) -> (bool, String, String) {
+    let (code, stdout, stderr) = run_code(args);
+    (code == Some(0), stdout, stderr)
 }
 
 #[test]
@@ -73,8 +79,60 @@ fn out_of_range_counts_are_rejected_by_name() {
             "--receivers must be 1..=8",
         ),
     ] {
-        let (ok, stdout, stderr) = run(args);
-        assert!(!ok, "{args:?} must fail");
+        let (code, stdout, stderr) = run_code(args);
+        assert_eq!(code, Some(2), "{args:?} must fail as a usage error");
+        assert!(stdout.is_empty(), "{args:?} printed {stdout}");
+        assert!(
+            stderr.contains(message),
+            "{args:?}: stderr must say {message}: {stderr}"
+        );
+    }
+}
+
+/// A MAC input the simulator cannot run is a usage error named by its
+/// flag, before any simulation starts: a NaN duration (the clock would
+/// never reach it), no AP, a hidden-pair fraction outside [0, 1] and a
+/// negative or NaN OBSS coupling.
+#[test]
+fn malformed_mac_inputs_are_rejected_by_name() {
+    for (args, message) in [
+        (
+            &["mac-sim", "--duration", "nan"][..],
+            "--duration must be finite and positive",
+        ),
+        (
+            &["mac-sim", "--duration", "0"][..],
+            "--duration must be finite and positive",
+        ),
+        (
+            &["mac-dense", "--duration", "inf"][..],
+            "--duration must be finite and positive",
+        ),
+        (&["mac-sim", "--aps", "0"][..], "--aps must be at least 1"),
+        (&["mac-dense", "--aps", "0"][..], "--aps must be at least 1"),
+        (
+            &["mac-sim", "--hidden", "1.5"][..],
+            "--hidden must be in [0, 1]",
+        ),
+        (
+            &["mac-sim", "--hidden", "nan"][..],
+            "--hidden must be in [0, 1]",
+        ),
+        (
+            &["mac-dense", "--coupling", "-3"][..],
+            "--coupling must be a non-negative number",
+        ),
+        (
+            &["mac-dense", "--coupling", "nan"][..],
+            "--coupling must be a non-negative number",
+        ),
+    ] {
+        let (code, stdout, stderr) = run_code(args);
+        assert_eq!(
+            code,
+            Some(2),
+            "{args:?} must fail as a usage error: {stderr}"
+        );
         assert!(stdout.is_empty(), "{args:?} printed {stdout}");
         assert!(
             stderr.contains(message),
