@@ -48,12 +48,8 @@ pub fn ack_airtime() -> f64 {
 /// Airtime of an RTS frame (20 bytes) at the base rate; Carpool's
 /// multicast RTS additionally carries the A-HDR (paper Fig. 7).
 pub fn rts_airtime(with_ahdr: bool) -> f64 {
-    let base = PLCP_OVERHEAD + CONTROL_MCS.airtime_for_bits(20 * 8);
-    if with_ahdr {
-        base + ahdr_airtime()
-    } else {
-        base
-    }
+    let ahdr = if with_ahdr { ahdr_airtime() } else { 0.0 };
+    PLCP_OVERHEAD + CONTROL_MCS.airtime_for_bits(20 * 8) + ahdr
 }
 
 /// Airtime of a CTS frame (14 bytes) at the base rate.
